@@ -265,15 +265,17 @@ def poly_key(p):
 # Long division.
 
 def _divide_terms(r, q, divides, sub, combine):
+    # If q * s == p over the naturals, every remainder is q times the rest of
+    # s: natural coefficients on a support inside supp(p).  A negative
+    # leading coefficient or a leading exponent outside supp(p) settles None.
+    support = set(r)
     qlead = max(q)
     qc = q[qlead]
     quo = {}
     while r:
         rlead = max(r)
-        if not divides(qlead, rlead):
-            return None
         rc = r[rlead]
-        if rc % qc:
+        if rc < 0 or rc % qc or rlead not in support or not divides(qlead, rlead):
             return None
         c = rc // qc
         e = sub(rlead, qlead)
@@ -285,8 +287,6 @@ def _divide_terms(r, q, divides, sub, combine):
                 r[k] = nv
             else:
                 r.pop(k, None)
-    if any(v < 0 for v in quo.values()):
-        return None
     return quo
 
 

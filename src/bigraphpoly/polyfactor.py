@@ -1,10 +1,18 @@
 """Complete two-factor searches over the nonnegative-coefficient semirings.
 
 ``factor_pairs`` lists every way to write a one-variable polynomial as a
-product of two nonconstant polynomials.  A candidate factor of degree d is
-pinned down by its values at 0..d, each of which must divide the input's
-value there, so enumerating positive divisor tuples and interpolating is a
-complete search.
+product of two nonconstant polynomials.  Over the naturals no coefficients
+cancel, so supp(q*r) = supp(q) + supp(r) exactly: the one-variable, exact
+form of the Newton-polytope argument (Gao, "Absolute irreducibility of
+polynomials via Newton polytopes", J. Algebra 2001).  Both factors of a
+polynomial p with p(0) > 0 therefore live on supp(p).  The search sets the
+factor q of degree at most deg(p)/2 one coefficient at a time, at the
+exponents of supp(p) in ascending order; the low-end recurrence
+p_k = sum_i q_i * r_(k-i) then fixes each cofactor coefficient r_k, which
+must be a natural number and keep supp(q) + supp(r) inside supp(p).  With
+q(1) fixed in turn to each divisor s of p(1), the running coefficient sums
+of q and r are bounded by s and p(1)/s.  The work follows the number of
+terms, not the degree.
 
 ``bit_disjoint_factor`` restricts to factor pairs whose exponent bit
 supports do not meet.  With no carries between the parts, a bipartition of
@@ -14,22 +22,23 @@ an outer product; scaling a reference row recovers the factors.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from math import comb, factorial, isqrt
+from math import gcd, isqrt, log10
 
-from . import kernel
 from .bits import from_bits, tau_poly
 from .errors import BudgetExceededError
-from .poly import Poly1, Poly2, content, evaluate, poly_key
+from .poly import Poly1, Poly2, content, poly_key
 
 
 @dataclass(frozen=True)
 class Budget:
     """Work allowances for the exhaustive searches.
 
-    max_divisor_tuples bounds the total work of factor_pairs: interpolation
-    tuples tried plus the trial-division steps spent building each divisor
-    list, so huge evaluation values hit the allowance instead of stalling.
+    max_divisor_tuples is the step allowance of factor_pairs.  A step is one
+    node of the coefficient search, one coefficient value tried there, one
+    coefficient read by its recurrence or support checks, or one trial
+    division while listing the divisors of the content, of p(0) or of p(1).
     max_bipartitions bounds the support bipartitions scanned by
     bit_disjoint_factor and caps the divisor scan of any one coefficient on
     the way.  Exceeding either raises BudgetExceededError, so an empty
@@ -40,21 +49,33 @@ class Budget:
     max_bipartitions: int = 1 << 20
 
 
+def _show(n):
+    """n in decimal, or by its number of digits once that gets long, so
+    error text stays short however large the values are."""
+    if n < 10**15:
+        return str(n)
+    digits = int(n.bit_length() * log10(2))
+    if n >= 10**digits:
+        digits += 1
+    return f"a {digits}-digit number"
+
+
 def _scan_cost(n):
     """Trial-division steps _divisors(n) will take."""
     return isqrt(n) + 1
 
 
-def _divisors(n, cap=None):
+def _divisors(n, cap):
     """Positive divisors of a positive integer, ascending.
 
-    cap bounds the trial-division steps; a scan that would exceed it raises
+    A scan that would take more than cap trial-division steps raises
     BudgetExceededError up front instead of running away on a huge value.
     """
-    if cap is not None and _scan_cost(n) > cap:
+    cost = _scan_cost(n)
+    if cost > cap:
         raise BudgetExceededError(
-            f"divisor scan of {n} needs about {_scan_cost(n)} steps, "
-            f"allowance is {cap}"
+            f"listing the divisors of {_show(n)} takes {_show(cost)} steps, "
+            f"only {_show(cap)} are left of the allowance"
         )
     small, large = [], []
     i = 1
@@ -68,76 +89,143 @@ def _divisors(n, cap=None):
     return small + large
 
 
-def _lagrange_rows(d):
-    """Integer rows for interpolation on nodes 0..d.
-
-    Row j holds the coefficients of d! times the j-th Lagrange basis
-    polynomial, which is (-1)**(d-j) * C(d,j) * prod_{k != j} (x - k), an
-    integer polynomial.  Returns (rows, d!).
-    """
-    rows = []
-    for j in range(d + 1):
-        poly = [1]
-        for k in range(d + 1):
-            if k == j:
-                continue
-            nxt = [0] * (len(poly) + 1)
-            for i, c in enumerate(poly):
-                nxt[i] -= k * c
-                nxt[i + 1] += c
-            poly = nxt
-        m = comb(d, j) if (d - j) % 2 == 0 else -comb(d, j)
-        rows.append([m * c for c in poly])
-    return rows, factorial(d)
-
-
-def _dense(p: Poly1):
-    out = [0] * (p.degree + 1)
-    for e, c in p.terms.items():
-        out[e] = c
-    return out
-
-
-def _sparse(coeffs) -> Poly1:
-    return Poly1({e: c for e, c in enumerate(coeffs) if c})
-
-
 def _ordered(q, r):
     return (q, r) if poly_key(q) <= poly_key(r) else (r, q)
 
 
-def _kron_splits(core: Poly1, budget: Budget, remaining: int):
-    """Unordered nonconstant splits of a primitive polynomial with a nonzero
-    constant term, via the divisor-tuple search."""
-    dense = _dense(core)
-    n = core.degree
-    found = {}
-    for d in range(1, n // 2 + 1):
-        vals = [evaluate(core, k) for k in range(d + 1)]
-        divisor_lists = []
-        for v in vals:
-            cost = _scan_cost(v)
-            if cost > remaining:
-                raise BudgetExceededError(
-                    f"divisor scan at degree {d} needs {cost} steps, "
-                    f"{remaining} left of the allowance "
-                    f"{budget.max_divisor_tuples}"
-                )
-            remaining -= cost
-            divisor_lists.append(_divisors(v))
-        rows, scale = _lagrange_rows(d)
-        got, used, completed = kernel.kron_degree_search(
-            dense, d, divisor_lists, rows, scale, remaining
-        )
-        remaining -= used
-        if not completed:
+def _splits(p: Poly1, left: int, allowance: int) -> list:
+    """Unordered nonconstant splits of a primitive p with p(0) > 0 and
+    degree at least 2, by the coefficient search; left is what remains of
+    the step allowance."""
+    coef = dict(p.terms)
+    exps = sorted(coef)
+    m = len(exps)
+    n = exps[-1]
+    nq = bisect_right(exps, n // 2)  # q sits on exps[:nq]
+    # On a mostly filled support, the sumset checks look for a gap instead.
+    gaps = sorted(set(range(n)).difference(coef)) if n < 2 * m else None
+    p0, total = coef[0], sum(coef.values())
+    sums = _divisors(total, left)
+    left -= _scan_cost(total)
+    # A nonconstant factor with a nonzero constant term has q(1) >= 2.
+    if nq < 2 or len(sums) < 3:
+        return []
+    heads = _divisors(p0, left)
+    left -= _scan_cost(p0)
+
+    def spend(steps):
+        nonlocal left
+        left -= steps
+        if left < 0:
             raise BudgetExceededError(
-                f"divisor-tuple allowance {budget.max_divisor_tuples} exhausted "
-                f"searching degree {d} of {core}"
+                f"the coefficient search on {m} terms of degree "
+                f"{_show(n)} used up the allowance of "
+                f"{_show(allowance)} steps"
             )
-        for qc, rc in got:
-            q, r = _sparse(qc), _sparse(rc)
-            found.setdefault(tuple(sorted((poly_key(q), poly_key(r)))), _ordered(q, r))
+
+    def fits(e, part):
+        """Whether e + supp(part) stays inside supp(p), charging the entries
+        read; part lists its exponents in ascending order."""
+        if not part:
+            return True
+        top = e + next(reversed(part))
+        if top > n:
+            return False
+        if gaps is not None:
+            window = gaps[bisect_right(gaps, e):bisect_right(gaps, top)]
+            if len(window) < len(part):
+                spend(len(window))
+                return not any(h - e in part for h in window)
+        spend(len(part))
+        return all(e + j in coef for j in part)
+
+    def node(t, qsum, rsum):
+        """The choices at e = exps[t] after q and r summed to qsum and rsum
+        below e: the q_e values to try, what the recurrence at e leaves for
+        q_e * r0 + q0 * r_e, and whether q_e and r_e may both be positive."""
+        e = exps[t]
+        big = coef[e] - sum([c * r.get(e - i, 0) for i, c in q.items()])
+        rleft = rs - rsum
+        if t == nq - 1:
+            first = hi = s - qsum  # q's last place: q(1) must come to s
+        elif big % g:
+            first, hi = 1, 0
+        else:
+            hi = min(s - qsum, big // r0)
+            lo = max(0, -((q0 * rleft - big) // r0))  # r_e fits in r(1)
+            # q0 must divide big - q_e * r0: one residue class mod step.
+            first = lo + (big // g * inv - lo) % step
+        # supp(q) + supp(r) must stay inside supp(p).
+        if hi > 0 and not fits(e, r):
+            hi = 0
+        if first <= hi and not fits(e, q):
+            first, hi = max(first, -(-big // r0)), min(hi, big // r0)  # r_e = 0
+        values = range(first, hi + 1, step)
+        spend(1 + len(values) + len(q))
+        return iter(values), big, e + e in coef, qsum, rsum
+
+    def cofactor(t, rsum):
+        """r completed on exps[t:] once q is complete, or None."""
+        full = dict(r)
+        rleft = rs - rsum
+        for e in exps[t:]:
+            spend(1 + len(q))
+            big = coef[e] - sum([c * full.get(e - i, 0) for i, c in q.items()])
+            if big < 0 or big % q0:
+                return None
+            rk = big // q0
+            if rk:
+                if rk > rleft or not fits(e, q):
+                    return None
+                full[e] = rk
+                rleft -= rk
+        return full
+
+    found = {}
+    for s in sums[1:-1]:
+        rs = total // s
+        for q0 in heads:
+            r0 = p0 // q0
+            if q0 >= s or r0 >= rs:
+                continue
+            g = gcd(q0, r0)
+            step = q0 // g
+            inv = pow(r0 // g, -1, step)
+            # The positive coefficients above the constant terms.
+            q, r = {}, {}
+            # frames[t - 1] holds the choices at exps[t], for t < nq.
+            frames = [node(1, q0, r0)]
+            t = 1
+            while t:
+                e = exps[t]
+                q.pop(e, None)
+                r.pop(e, None)
+                values, big, both, qsum, rsum = frames[-1]
+                for qk in values:
+                    rest = big - qk * r0
+                    if rest < 0 or rest % q0:
+                        continue
+                    rk = rest // q0
+                    if rsum + rk <= rs and (both or not qk or not rk):
+                        break
+                else:
+                    frames.pop()
+                    t -= 1
+                    continue
+                if qk:
+                    q[e] = qk
+                if rk:
+                    r[e] = rk
+                if t + 1 < nq and qsum + qk < s:
+                    t += 1
+                    frames.append(node(t, qsum + qk, rsum + rk))
+                    continue
+                full = cofactor(t + 1, rsum + rk)
+                # q*r == p: they agree at every exponent of supp(p), and with
+                # q(1) = s and r(1) <= p(1)/s no mass is left for any other.
+                if full is not None:
+                    qp, rp = Poly1({0: q0, **q}), Poly1({0: r0, **full})
+                    found[tuple(sorted((poly_key(qp), poly_key(rp))))] = _ordered(qp, rp)
     return list(found.values())
 
 
@@ -165,7 +253,7 @@ def factor_pairs(p: Poly1, budget: Budget = Budget()) -> list:
         cdivs = (1,)
     splits = [(Poly1({0: 1}), core)]
     if core.degree >= 2:
-        splits.extend(_kron_splits(core, budget, remaining))
+        splits.extend(_splits(core, remaining, budget.max_divisor_tuples))
     out = {}
     for split in splits:
         for small, big in (split, split[::-1]):

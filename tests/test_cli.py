@@ -266,6 +266,15 @@ def test_factor_budget_zero_is_inconclusive(capsys):
     assert err.startswith("inconclusive:")
 
 
+def test_factor_degree_two_to_the_twenty_product(capsys):
+    code, out, err = run(
+        capsys, "factor",
+        "x^1572864 + 2*x^1310720 + x^1048576 + x^524288 + 2*x^262144 + 1",
+    )
+    assert code == 0
+    assert "(x^262144 + 1) * (x^1310720 + x^1048576 + x^262144 + 1)" in out.splitlines()
+
+
 def test_factor_bivariate_golden(capsys):
     code, out, err = run(capsys, "factor", "x*y^2 + x + y^2 + 1")
     assert code == 0

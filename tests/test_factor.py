@@ -1,6 +1,7 @@
 """Exhaustive two-factor searches: goldens, oracle sweeps, budget behavior."""
 
 import random
+from math import comb
 
 import pytest
 
@@ -11,6 +12,7 @@ from bigraphpoly import (
     Poly2,
     bit_disjoint_factor,
     factor_pairs,
+    parse_poly1,
     poly_key,
     tau_poly,
 )
@@ -89,10 +91,124 @@ def test_zero_budget_raises_only_when_work_is_needed():
 
 
 def test_budget_interrupts_huge_evaluation_values():
-    """x^32 + 1 evaluates astronomically at larger nodes; the divisor scan
-    must charge the budget and stop instead of stalling."""
+    """The search lists the divisors of p(1); when that value is
+    astronomically large the scan must charge the budget and stop instead
+    of stalling."""
+    p = P({32: 1, 0: 10**20 + 1})  # p(1) = 10^20 + 2
+    with pytest.raises(BudgetExceededError) as err:
+        factor_pairs(p, Budget(max_divisor_tuples=10**6))
+    assert len(str(err.value)) < 300
+
+
+def test_sparse_binomial_is_certified_and_dense_search_is_metered():
+    """x^32 + 1 is settled on its support; (1 + x)^14 has many coefficient
+    paths, and a small allowance stops the search instead."""
+    assert factor_pairs(P({32: 1, 0: 1})) == []
+    binomial = P({k: comb(14, k) for k in range(15)})
     with pytest.raises(BudgetExceededError):
-        factor_pairs(P({32: 1, 0: 1}), Budget(max_divisor_tuples=10**6))
+        factor_pairs(binomial, Budget(max_divisor_tuples=10**4))
+
+
+def test_huge_values_give_short_budget_errors():
+    p = P({1: 10**5000, 0: 10**5000})
+    for search in (
+        lambda: factor_pairs(p, Budget(max_divisor_tuples=10**6)),
+        lambda: bit_disjoint_factor(p),
+    ):
+        with pytest.raises(BudgetExceededError) as err:
+            search()
+        assert len(str(err.value)) < 300
+        assert "5001-digit" in str(err.value)
+
+
+DEFECT = "x^1572864 + 2*x^1310720 + x^1048576 + x^524288 + 2*x^262144 + 1"
+
+
+def test_degree_two_to_the_twenty_product_splits():
+    a = 1 << 18
+    pairs = factor_pairs(parse_poly1(DEFECT))
+    assert (P({a: 1, 0: 1}), P({5 * a: 1, 4 * a: 1, a: 1, 0: 1})) in pairs
+    # (x^a + 1)^2 (x^4a + 1): the planted pair and one more
+    assert pairs == [
+        (P({a: 1, 0: 1}), P({5 * a: 1, 4 * a: 1, a: 1, 0: 1})),
+        (P({2 * a: 1, a: 2, 0: 1}), P({4 * a: 1, 0: 1})),
+    ]
+
+
+def _sparse_mul(f, g):
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _complete_splits(binomials, c, m):
+    """Every N-split of c * x^m * prod(x^a + 1 for a in binomials), from the
+    irreducible factors over Z that sympy reports for each binomial."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    irreducible = {}
+    for a in binomials:
+        _, factors = sympy.factor_list(sympy.Poly(x**a + 1, x))
+        for f, e in factors:
+            key = tuple(sorted((int(k[0]), int(v)) for k, v in f.terms()))
+            irreducible[key] = irreducible.get(key, 0) + e
+    keys = list(irreducible)
+    splits = set()
+
+    def walk(i, left, right):
+        if i == len(keys):
+            if all(v >= 0 for v in left.values()) and all(
+                v >= 0 for v in right.values()
+            ):
+                splits.add((tuple(sorted(left.items())), tuple(sorted(right.items()))))
+            return
+        f = dict(keys[i])
+        mult = irreducible[keys[i]]
+        for k in range(mult + 1):
+            lo, hi = left, right
+            for _ in range(k):
+                lo = _sparse_mul(lo, f)
+            for _ in range(mult - k):
+                hi = _sparse_mul(hi, f)
+            walk(i + 1, lo, hi)
+
+    walk(0, {0: 1}, {0: 1})
+    out = set()
+    for lo, hi in splits:
+        for d in range(1, c + 1):
+            if c % d:
+                continue
+            for shift in range(m + 1):
+                q = P({e + shift: v * d for e, v in lo})
+                r = P({e + m - shift: v * (c // d) for e, v in hi})
+                if not q.is_constant() and not r.is_constant():
+                    out.add(tuple(sorted((poly_key(q), poly_key(r)))))
+    return out
+
+
+def test_factor_pairs_matches_sympy_on_sparse_products():
+    """Products of binomials x^a + 1 of degree 2^5 to 2^14: sympy splits
+    each binomial into cyclotomic factors over Z, and the complete N-split
+    set is every grouping of those whose two sides have no negative
+    coefficient."""
+    pytest.importorskip("sympy")
+    rng = random.Random(2014)
+    for k in range(6, 15):
+        for _ in range(3):
+            # odd parts with few cyclotomic factors keep the oracle quick
+            binomials = [rng.choice((2, 3)) << (k - 2)] + [
+                rng.choice((1, 1, 3, 5, 15)) << rng.randint(0, k - 6)
+                for _ in range(rng.randint(1, 2))
+            ]
+            c, m = rng.choice((1, 1, 2, 6)), rng.choice((0, 0, 1, 3))
+            p = P({m: c})
+            for a in binomials:
+                p = p * P({a: 1, 0: 1})
+            assert 1 << 5 <= p.degree <= 1 << 14
+            got = {tuple(sorted((poly_key(q), poly_key(r)))) for q, r in factor_pairs(p)}
+            assert got == _complete_splits(binomials, c, m), (binomials, c, m)
 
 
 def test_bipartition_budget_interrupts_huge_coefficients():

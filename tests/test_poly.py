@@ -1,6 +1,7 @@
 """Polynomial semiring: construction, laws, text form, exact division."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -335,6 +336,31 @@ def test_divide_exact_bivariate():
         {(1, 0): 1, (0, 0): 1}
     )
     assert divide_exact(p, Poly2({(1, 1): 1})) is None
+
+
+def test_divide_exact_stops_at_first_impossible_remainder():
+    # x^(2^22) + 1 over x + 1: the first remainder, 1 - x^(2^22 - 1), has a
+    # negative leading coefficient, so no long division through the degree.
+    start = time.perf_counter()
+    assert divide_exact(Poly1({1 << 22: 1, 0: 1}), Poly1({1: 1, 0: 1})) is None
+    assert time.perf_counter() - start < 1.0
+    # the remainder's leading exponent x^2 lies outside supp(p)
+    assert divide_exact(Poly1({3: 1, 1: 1}), Poly1({1: 1, 0: 1})) is None
+    assert divide_exact(
+        Poly2({(2, 0): 1, (0, 1): 1}), Poly2({(1, 0): 1, (0, 0): 1})
+    ) is None
+
+
+def test_divide_exact_sparse_high_degree_divisible():
+    big = 1 << 20
+    q = Poly1({big: 1, 0: 1})
+    r = Poly1({5 * big: 1, 4 * big: 1, big: 2, 0: 1})
+    assert divide_exact(q * r, q) == r
+    assert divide_exact(q * r, r) == q
+    q2 = Poly2({(big, 0): 1, (0, big): 2})
+    r2 = Poly2({(3 * big, 1): 1, (0, 0): 3})
+    assert divide_exact(q2 * r2, q2) == r2
+    assert divide_exact(q2 * r2, r2) == q2
 
 
 def test_divide_by_zero_raises():
