@@ -78,18 +78,18 @@ def find_bijections(v1, sig1, v2, sig2, size_guard=12):
 
     v1/v2 list the left parts; sig1/sig2 map each right-part id to its
     tuple of left-part subsets.  Raises SizeGuardError when the left part
-    outgrows the guard.
+    outgrows the guard, unless part sizes or slot sizes already differ.
     """
     if len(v1) != len(v2) or len(sig1) != len(sig2):
+        return None
+    shape1 = Counter(tuple(len(part) for part in sig) for sig in sig1.values())
+    shape2 = Counter(tuple(len(part) for part in sig) for sig in sig2.values())
+    if shape1 != shape2:
         return None
     if len(v1) > size_guard:
         raise SizeGuardError(
             f"left part has {len(v1)} vertices, isomorphism guard is {size_guard}"
         )
-    shape1 = Counter(tuple(len(part) for part in sig) for sig in sig1.values())
-    shape2 = Counter(tuple(len(part) for part in sig) for sig in sig2.values())
-    if shape1 != shape2:
-        return None
     vcol1, vcol2, ucol1, ucol2 = _refine(v1, sig1, v2, sig2)
     if Counter(vcol1.values()) != Counter(vcol2.values()):
         return None

@@ -1,195 +1,133 @@
-"""Bipartite graphs with a labeled part, and their polynomial encoding.
+"""Undirected and directed bipartite graphs with a labeled v part.
 
 Vertices split into a "u" part and a "v" part; only the v part carries
-labels, and only u-to-v edges exist.  Encoding sums 2**label over each
-u-vertex's neighborhood, so a neighborhood becomes the bit support of an
-exponent and repeated neighborhoods pile up in the coefficient:
+labels.  An undirected graph has u-to-v edges, and encodes in N[x]:
 
     encoding = sum over u of x**(sum over neighbors v of 2**label(v))
 
-Decoding reads the bits back, which is lossless because an injective
-labeling never lets two neighborhoods carry.  Labels of v-vertices no edge
-touches are invisible to the polynomial; round-trip statements therefore
-assume every v-vertex meets an edge.  Graphs are immutable.
+A directed graph has arcs either way between the parts, so each u-vertex
+has two neighborhoods, the v-vertices pointing at it and the ones it points
+at, and encodes in N[x,y]:
+
+    encoding = sum over u of x**(bits of in-labels) * y**(bits of out-labels)
+
+Both are the bipartite core of ``core`` with one or two slots per u-vertex;
+every operation on them lives there once, and the names here are the public
+spellings of it.  Graphs are immutable.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from .core import (
+    Bipartite,
+    Decoded,
+    Directed,
+    canonical_poly,
+    decode as decode_as,
+    direct_product,
+    direct_sum,
+    encode,
+    is_isomorphic,
+    parts,
+    plain_coproduct,
+    plain_product,
+    poly_product,
+    poly_sum,
+)
+from .poly import Poly1, Poly2
 
-from ._match import find_bijections
-from .bits import from_bits, tau, tau_poly
-from .errors import LabelingError, SizeGuardError
-from .poly import Poly1, poly_key
 
-
-class Bigraph:
+class Bigraph(Bipartite):
     """Finite bipartite graph; edges run from the u part to the v part."""
 
-    __slots__ = ("_u", "_v", "_edges", "_adj")
+    __slots__ = ()
 
     def __init__(self, u_vertices=(), v_vertices=(), edges=()):
-        u = tuple(u_vertices)
-        v = tuple(v_vertices)
-        if len(set(u)) != len(u):
-            raise ValueError("duplicate u-part ids")
-        if len(set(v)) != len(v):
-            raise ValueError("duplicate v-part ids")
+        u, v = parts(u_vertices, v_vertices)
         uset, vset = set(u), set(v)
-        both = uset & vset
-        if both:
-            raise ValueError(f"ids appear in both parts: {sorted(map(repr, both))}")
         adj = {x: set() for x in u}
-        es = set()
         for edge in edges:
             a, b = edge
             if a not in uset or b not in vset:
                 raise ValueError(
                     f"edge ({a!r}, {b!r}) must join a u-part id to a v-part id"
                 )
-            es.add((a, b))
             adj[a].add(b)
-        self._u = u
-        self._v = v
-        self._edges = frozenset(es)
-        self._adj = {x: frozenset(nb) for x, nb in adj.items()}
-
-    @property
-    def u_vertices(self):
-        return self._u
-
-    @property
-    def v_vertices(self):
-        return self._v
+        self._init(u, v, {x: (frozenset(nb),) for x, nb in adj.items()})
 
     @property
     def edges(self):
-        return self._edges
+        return frozenset((u, v) for u, (nb,) in self._sig.items() for v in nb)
 
     def neighbors(self, u):
-        return self._adj[u]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Bigraph)
-            and self._u == other._u
-            and self._v == other._v
-            and self._edges == other._edges
-        )
-
-    def __hash__(self):
-        return hash((self._u, self._v, self._edges))
-
-    def __repr__(self):
-        return (
-            f"Bigraph(|u|={len(self._u)}, |v|={len(self._v)}, "
-            f"|edges|={len(self._edges)})"
-        )
+        return self._sig[u][0]
 
 
-class DecodedBigraph(Bigraph):
-    """Decode output: v-ids are the bit positions themselves."""
+class DiBigraph(Directed):
+    """Finite bipartite digraph; every arc joins the u part and the v part."""
+
+    __slots__ = ()
+
+    def __init__(self, u_vertices=(), v_vertices=(), arcs=()):
+        u, v = parts(u_vertices, v_vertices)
+        uset, vset = set(u), set(v)
+        pre = {x: set() for x in u}
+        post = {x: set() for x in u}
+        for arc in arcs:
+            a, b = arc
+            if a in vset and b in uset:
+                pre[b].add(a)
+            elif a in uset and b in vset:
+                post[a].add(b)
+            else:
+                raise ValueError(
+                    f"arc ({a!r}, {b!r}) must join the u part and the v part"
+                )
+        self._init(u, v, {x: (frozenset(pre[x]), frozenset(post[x])) for x in u})
 
     @property
-    def natural_labeling(self):
-        return {v: v for v in self.v_vertices}
+    def arcs(self):
+        return frozenset(
+            [(v, u) for u, (pre, _) in self._sig.items() for v in pre]
+            + [(u, v) for u, (_, post) in self._sig.items() for v in post]
+        )
 
 
-def check_label_map(ids, labeling, what="v-part id"):
-    """Require a total injection from the ids into the naturals."""
-    missing = [x for x in ids if x not in labeling]
-    if missing:
-        raise LabelingError(f"unlabeled {what}s: {missing[:5]!r}")
-    seen = {}
-    for x in ids:
-        val = labeling[x]
-        if not isinstance(val, int) or isinstance(val, bool) or val < 0:
-            raise LabelingError(f"label of {what} {x!r} must be a natural, got {val!r}")
-        if val in seen:
-            raise LabelingError(
-                f"label {val} given to both {seen[val]!r} and {x!r}"
-            )
-        seen[val] = x
+class DecodedBigraph(Decoded, Bigraph):
+    """Decode output: v-ids are the bit positions themselves."""
+
+    __slots__ = ()
 
 
-def check_labeling(g, labeling):
-    check_label_map(g.v_vertices, labeling)
+class DecodedDiBigraph(Decoded, DiBigraph):
+    """Decode output: v-ids are the bit positions themselves."""
+
+    __slots__ = ()
 
 
-def compact_labeling(g) -> dict:
-    """Labels 0..|v|-1 in declared v order."""
-    return {v: i for i, v in enumerate(g.v_vertices)}
-
-
-def identity_labeling(g) -> dict:
-    """For graphs whose v-ids already are naturals, label each by itself."""
-    return {v: v for v in g.v_vertices}
-
-
-def encode(g: Bigraph, labeling, width=None) -> Poly1:
-    """One term per u-vertex: x to the sum of 2**label over its neighbors.
-
-    An isolated u-vertex contributes x**0, so it shows up in the constant
-    coefficient rather than vanishing.
-    """
-    check_labeling(g, labeling)
-    terms = {}
-    for u in g.u_vertices:
-        d = from_bits((labeling[v] for v in g.neighbors(u)), width)
-        terms[d] = terms.get(d, 0) + 1
-    return Poly1(terms)
+Bigraph.family, Bigraph.decoded = Bigraph, DecodedBigraph
+DiBigraph.family, DiBigraph.decoded = DiBigraph, DecodedDiBigraph
 
 
 def decode(p: Poly1) -> DecodedBigraph:
-    """Graph whose encoding under the identity labeling is p.
-
-    v-vertices are the bit positions in p's support; each term n * x**e
-    yields n u-vertices adjacent to exactly the bits of e.  u-ids are
-    (bit set, copy index) pairs.
-    """
-    if not isinstance(p, Poly1):
-        raise TypeError("decode takes a one-variable polynomial")
-    vs = sorted(tau_poly(p))
-    us = []
-    edges = []
-    for e, c in p.terms.items():
-        bitset = tau(e)
-        for k in range(1, c + 1):
-            uid = (bitset, k)
-            us.append(uid)
-            edges.extend((uid, b) for b in bitset)
-    return DecodedBigraph(us, vs, edges)
+    """Graph whose encoding under the identity labeling is p; u-ids are
+    (bit set, copy index) pairs."""
+    return decode_as(p, DecodedBigraph)
 
 
-def is_isomorphic(g1: Bigraph, g2: Bigraph, size_guard=12):
-    """Part-respecting isomorphism witness (u map, v map), or None."""
-    if len(g1.edges) != len(g2.edges):
-        return None
-    sig1 = {u: (g1.neighbors(u),) for u in g1.u_vertices}
-    sig2 = {u: (g2.neighbors(u),) for u in g2.u_vertices}
-    return find_bijections(
-        list(g1.v_vertices), sig1, list(g2.v_vertices), sig2, size_guard
-    )
+def decode_directed(p: Poly2) -> DecodedDiBigraph:
+    """Digraph whose encoding under the identity labeling is p; u-ids are
+    ((in bits, out bits), copy index) pairs."""
+    return decode_as(p, DecodedDiBigraph)
 
 
-def canonical_poly(g: Bigraph, size_guard=8) -> Poly1:
-    """Least encoding over all labelings by 0..|v|-1.
-
-    Term lists in descending exponent order compare lexicographically by
-    (exponent, coefficient) pairs; the minimum is a labeling-independent
-    invariant, equal for isomorphic graphs.  Brute force over |v|!
-    labelings, hence the guard.
-    """
-    vs = g.v_vertices
-    if len(vs) > size_guard:
-        raise SizeGuardError(
-            f"{len(vs)} v-vertices exceed the canonical-form guard {size_guard}"
-        )
-    best_key = None
-    best = None
-    for perm in permutations(range(len(vs))):
-        p = encode(g, dict(zip(vs, perm)))
-        k = poly_key(p)
-        if best_key is None or k < best_key:
-            best_key, best = k, p
-    return best
+# The directed spellings of the operations, which the core writes once.
+encode_directed = encode
+is_isomorphic_directed = is_isomorphic
+canonical_poly_directed = canonical_poly
+poly_product_directed = poly_product
+poly_sum_directed = poly_sum
+direct_product_directed = direct_product
+direct_sum_directed = direct_sum
+plain_product_directed = plain_product
+plain_coproduct_directed = plain_coproduct

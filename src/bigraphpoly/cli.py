@@ -20,24 +20,12 @@ import sys
 from pathlib import Path
 
 from . import fileio
-from .bigraph import Bigraph, canonical_poly, decode, encode, is_isomorphic
-from .digraph import (
-    DiBigraph,
-    canonical_poly_directed,
-    decode_directed,
-    encode_directed,
-    is_isomorphic_directed,
-)
+from .bigraph import decode, decode_directed
+from .core import canonical_poly, encode, is_isomorphic, poly_product, poly_sum
 from .errors import BudgetExceededError, SizeGuardError
 from .graphfactor import factor_graph, is_irreducible
-from .graphops import (
-    poly_product,
-    poly_product_directed,
-    poly_sum,
-    poly_sum_directed,
-)
-from .petri import PetriNet, decode_net, decompose, encode_net, net_isomorphic, net_product
-from .poly import Poly1, Poly2, content, lift, parse_poly, render
+from .petri import decode_net, decompose, net_product, witness
+from .poly import Poly1, Poly2, content, int_text, lift, parse_poly, render
 from .polyfactor import Budget, bit_disjoint_factor, factor_pairs
 
 
@@ -55,7 +43,7 @@ def _note(msg):
 def _labels_for(doc: fileio.Document, name: str) -> dict:
     if doc.labels is not None:
         return doc.labels
-    ids = doc.obj.conditions if doc.kind == "net" else doc.obj.v_vertices
+    ids = doc.obj.v_vertices
     if ids:
         _note(f"{name}: no labels given, using 0..{len(ids) - 1} in declared order")
     return {x: i for i, x in enumerate(ids)}
@@ -73,17 +61,11 @@ def _emit(doc: dict, output):
         sys.stdout.write(text)
 
 
-def _load_graph(path, name):
+def _load(path, net=False):
     doc = fileio.load_document(path)
-    if doc.kind == "net":
-        raise ValueError(f"{name}: expected a graph file, got a net")
-    return doc
-
-
-def _load_net(path, name):
-    doc = fileio.load_document(path)
-    if doc.kind != "net":
-        raise ValueError(f"{name}: expected a net file, got a {doc.kind}")
+    if (doc.kind == "net") != net:
+        want = "a net" if net else "a graph"
+        raise ValueError(f"{path}: expected {want} file, got a {doc.kind}")
     return doc
 
 
@@ -97,13 +79,8 @@ def _budget(args) -> Budget:
 # Graph commands.
 
 def _cmd_encode(args):
-    doc = _load_graph(args.file, args.file)
-    labels = _labels_for(doc, args.file)
-    if doc.kind == "digraph":
-        p = encode_directed(doc.obj, labels)
-    else:
-        p = encode(doc.obj, labels)
-    print(render(p))
+    doc = _load(args.file)
+    print(render(encode(doc.obj, _labels_for(doc, args.file))))
     return 0
 
 
@@ -111,92 +88,36 @@ def _cmd_decode(args):
     p = parse_poly(args.poly)
     if args.directed:
         p = lift(p)
-    if isinstance(p, Poly2):
-        g = decode_directed(p)
-        doc = fileio.digraph_document(g, g.natural_labeling)
-    else:
-        g = decode(p)
-        doc = fileio.bigraph_document(g, g.natural_labeling)
-    _emit(doc, args.output)
+    g = decode_directed(p) if isinstance(p, Poly2) else decode(p)
+    _emit(fileio.document_for(g, g.natural_labeling), args.output)
     return 0
 
 
-def _binary_graph_op(args, undirected_op, directed_op):
-    d1 = _load_graph(args.file1, args.file1)
-    d2 = _load_graph(args.file2, args.file2)
+def _binary_graph_op(args, op):
+    d1 = _load(args.file1)
+    d2 = _load(args.file2)
     if d1.kind != d2.kind:
         raise ValueError(f"mixed graph kinds: {d1.kind} and {d2.kind}")
-    directed = d1.kind == "digraph"
-    if args.directed and not directed:
+    if args.directed and d1.kind != "digraph":
         raise ValueError("--directed needs directed graph files")
-    l1 = _labels_for(d1, args.file1)
-    l2 = _labels_for(d2, args.file2)
-    if directed:
-        g = directed_op(d1.obj, l1, d2.obj, l2)
-        doc = fileio.digraph_document(g, g.natural_labeling)
-    else:
-        g = undirected_op(d1.obj, l1, d2.obj, l2)
-        doc = fileio.bigraph_document(g, g.natural_labeling)
-    _emit(doc, args.output)
+    g = op(d1.obj, _labels_for(d1, args.file1), d2.obj, _labels_for(d2, args.file2))
+    _emit(fileio.document_for(g, g.natural_labeling), args.output)
     return 0
 
 
 def _cmd_product(args):
-    return _binary_graph_op(args, poly_product, poly_product_directed)
+    return _binary_graph_op(args, poly_product)
 
 
 def _cmd_sum(args):
-    return _binary_graph_op(args, poly_sum, poly_sum_directed)
+    return _binary_graph_op(args, poly_sum)
 
 
 def _pair_line(q, r):
     return f"({render(q)}) * ({render(r)})"
 
 
-def _cmd_factor(args):
-    budget = _budget(args)
-    if _looks_like_file(args.input):
-        doc = _load_graph(args.input, args.input)
-        labels = _labels_for(doc, args.input)
-        if doc.kind == "digraph":
-            # No general two-variable factor search; report bit-disjoint pairs.
-            pairs = bit_disjoint_factor(encode_directed(doc.obj, labels), budget)
-            for q, r in pairs:
-                print(_pair_line(q, r))
-            if not pairs:
-                print("no bit-disjoint factor pairs")
-                return 1
-            return 0
-        if args.exhaustive_labels:
-            report = is_irreducible(doc.obj, exhaustive=True, budget=budget)
-            if report.verdict == "reducible":
-                lab, (gq, gr) = report.witness
-                print(f"reducible over compact labelings; witness labeling {lab}")
-                print(_pair_line(encode(gq, gq.natural_labeling),
-                                 encode(gr, gr.natural_labeling)))
-                return 0
-            print(f"{report.verdict} over compact labelings")
-            return 1 if report.verdict == "irreducible" else 2
-        pairs = factor_graph(doc.obj, labels, budget)
-        for gq, gr in pairs:
-            print(_pair_line(encode(gq, gq.natural_labeling),
-                             encode(gr, gr.natural_labeling)))
-        if not pairs:
-            print("irreducible under this labeling")
-            return 1
-        return 0
-    if args.exhaustive_labels:
-        raise ValueError("--exhaustive-labels needs a graph file input")
-    p = parse_poly(args.input)
-    c = content(p)
-    if c > 1:
-        print(f"content: {c}")
-    if isinstance(p, Poly1):
-        pairs = factor_pairs(p, budget)
-        empty_msg = "irreducible"
-    else:
-        pairs = bit_disjoint_factor(p, budget)
-        empty_msg = "no bit-disjoint factor pairs"
+def _print_pairs(pairs, empty_msg):
     for q, r in pairs:
         print(_pair_line(q, r))
     if not pairs:
@@ -205,17 +126,48 @@ def _cmd_factor(args):
     return 0
 
 
+def _encoded(pair):
+    return tuple(encode(g, g.natural_labeling) for g in pair)
+
+
+def _cmd_factor(args):
+    budget = _budget(args)
+    if not _looks_like_file(args.input):
+        if args.exhaustive_labels:
+            raise ValueError("--exhaustive-labels needs a graph file input")
+        p = parse_poly(args.input)
+        c = content(p)
+        if c > 1:
+            print(f"content: {int_text(c)}")
+        if isinstance(p, Poly1):
+            return _print_pairs(factor_pairs(p, budget), "irreducible")
+        return _print_pairs(bit_disjoint_factor(p, budget), "no bit-disjoint factor pairs")
+    doc = _load(args.input)
+    labels = _labels_for(doc, args.input)
+    if doc.kind == "digraph":
+        # No general two-variable factor search; report bit-disjoint pairs.
+        pairs = bit_disjoint_factor(encode(doc.obj, labels), budget)
+        return _print_pairs(pairs, "no bit-disjoint factor pairs")
+    if args.exhaustive_labels:
+        report = is_irreducible(doc.obj, exhaustive=True, budget=budget)
+        if report.verdict == "reducible":
+            lab, pair = report.witness
+            print(f"reducible over compact labelings; witness labeling {lab}")
+            return _print_pairs([_encoded(pair)], "")
+        print(f"{report.verdict} over compact labelings")
+        return 1 if report.verdict == "irreducible" else 2
+    pairs = [_encoded(pair) for pair in factor_graph(doc.obj, labels, budget)]
+    return _print_pairs(pairs, "irreducible under this labeling")
+
+
 def _cmd_canon(args):
     if _looks_like_file(args.input):
-        doc = _load_graph(args.input, args.input)
+        doc = _load(args.input)
         g = doc.obj
     else:
         p = parse_poly(args.input)
         g = decode_directed(p) if isinstance(p, Poly2) else decode(p)
-    if isinstance(g, DiBigraph):
-        print(render(canonical_poly_directed(g)))
-    else:
-        print(render(canonical_poly(g)))
+    print(render(canonical_poly(g)))
     return 0
 
 
@@ -224,19 +176,12 @@ def _cmd_iso(args):
     d2 = fileio.load_document(args.file2)
     if d1.kind != d2.kind:
         raise ValueError(f"mixed kinds: {d1.kind} and {d2.kind}")
-    if d1.kind == "net":
-        witness = net_isomorphic(d1.obj, d2.obj)
-        names = ("event_map", "condition_map")
-    elif d1.kind == "digraph":
-        witness = is_isomorphic_directed(d1.obj, d2.obj)
-        names = ("u_map", "v_map")
-    else:
-        witness = is_isomorphic(d1.obj, d2.obj)
-        names = ("u_map", "v_map")
-    if witness is None:
+    found = is_isomorphic(d1.obj, d2.obj)
+    if found is None:
         print("not isomorphic")
         return 1
-    print(json.dumps({names[0]: witness[0], names[1]: witness[1]}, indent=2))
+    names = ("event_map", "condition_map") if d1.kind == "net" else ("u_map", "v_map")
+    print(json.dumps(dict(zip(names, found)), indent=2))
     return 0
 
 
@@ -250,9 +195,9 @@ def _cmd_dot(args):
 # Net commands.
 
 def _cmd_net_encode(args):
-    doc = _load_net(args.file, args.file)
+    doc = _load(args.file, net=True)
     labels = _labels_for(doc, args.file)
-    print(render(encode_net(doc.obj, labels)))
+    print(render(encode(doc.obj, labels)))
     return 0
 
 
@@ -264,36 +209,31 @@ def _cmd_net_decode(args):
 
 
 def _cmd_net_product(args):
-    d1 = _load_net(args.file1, args.file1)
-    d2 = _load_net(args.file2, args.file2)
+    d1 = _load(args.file1, net=True)
+    d2 = _load(args.file2, net=True)
     _emit(fileio.net_document(net_product(d1.obj, d2.obj)), args.output)
     return 0
 
 
 def _cmd_net_decompose(args):
-    doc = _load_net(args.file, args.file)
+    doc = _load(args.file, net=True)
     labels = _labels_for(doc, args.file)
     pairs = decompose(doc.obj, labels, _budget(args))
     if not pairs:
         print("no decomposition under this labeling")
         return 1
-    whole = encode_net(doc.obj, labels)
-    for ln1, ln2 in pairs:
-        p1 = encode_net(ln1.net, ln1.labeling)
-        p2 = encode_net(ln2.net, ln2.labeling)
-        print(f"{render(whole)} = {_pair_line(p1, p2)}")
-    first1, first2 = pairs[0]
+    whole = render(encode(doc.obj, labels))
+    for pair in pairs:
+        print(f"{whole} = {_pair_line(*(encode(h.net, h.labeling) for h in pair))}")
     prefix = args.out_prefix
     if prefix is None:
         prefix = os.path.splitext(args.file)[0]
-    path1 = f"{prefix}.factor1.json"
-    path2 = f"{prefix}.factor2.json"
-    Path(path1).write_text(fileio.dumps(fileio.net_document(first1.net, first1.labeling)))
-    Path(path2).write_text(fileio.dumps(fileio.net_document(first2.net, first2.labeling)))
-    _note(f"wrote {path1} and {path2}")
-    prod = net_product(first1.net, first2.net)
-    emap, cmap = net_isomorphic(prod, doc.obj)
-    smap = fileio.string_ids(list(prod.events) + list(prod.conditions))
+    paths = [f"{prefix}.factor{k}.json" for k in (1, 2)]
+    for path, half in zip(paths, pairs[0]):
+        Path(path).write_text(fileio.dumps(fileio.net_document(half.net, half.labeling)))
+    _note(f"wrote {paths[0]} and {paths[1]}")
+    emap, cmap = witness(doc.obj, labels, *pairs[0])
+    smap = fileio.string_ids(list(emap) + list(cmap))
     cert = {
         "event_map": {smap[k]: v for k, v in emap.items()},
         "condition_map": {smap[k]: v for k, v in cmap.items()},

@@ -1,0 +1,352 @@
+"""One bipartite core for undirected graphs, directed graphs and nets.
+
+Each of the three is a u part, a v part that carries the labels, and for
+every u-vertex a tuple of v-subsets, its slots: one slot (the neighborhood)
+for an undirected graph, two (pre and post) for a directed graph or a net.
+Encoding sums 2**label over each slot, so a slot becomes the bit support of
+an exponent and repeated slot tuples pile up in the coefficient:
+
+    encoding = [1 for a net's idle event] + sum over u of x**(slot 0) [* y**(slot 1)]
+
+One slot gives a polynomial in N[x], two give one in N[x,y].  Decoding reads
+the bits back, which is lossless because an injective labeling never lets
+two slots carry.  Labels of v-vertices no slot mentions are invisible to the
+polynomial; round-trip statements therefore assume every v-vertex is used.
+
+Everything here is written once for both arities: encode and decode, the
+isomorphism search, the canonical form, and products and sums on the
+polynomial route, the direct route and the plain unlabeled route.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from itertools import permutations
+
+from ._match import find_bijections
+from .bits import from_bits, tau, tau_poly
+from .errors import LabelingError, SizeGuardError
+from .poly import Poly1, Poly2, add, mul
+
+
+class Bipartite:
+    """Immutable u ids, v ids, and for each u-vertex its tuple of slots."""
+
+    __slots__ = ("_u", "_v", "_sig")
+    arity = 1
+    poly = Poly1
+    idle = False  # nets: the encoding holds one unit for the idle event
+    v_word = "v-part id"  # what labeling errors call a v-vertex
+    # Set by each kind: the public class whose instances compare equal with
+    # these and that constructions build, and the class decoding builds.
+    family = None
+    decoded = None
+
+    def _init(self, u, v, sig):
+        self._u = u
+        self._v = v
+        self._sig = sig
+
+    @classmethod
+    def _build(cls, u, v, sig):
+        """Instance from parts already known to be consistent."""
+        obj = object.__new__(cls)
+        obj._init(u, v, sig)
+        return obj
+
+    @property
+    def u_vertices(self):
+        return self._u
+
+    @property
+    def v_vertices(self):
+        return self._v
+
+    def slots(self, u):
+        """The v-sets of u: (neighbors,) or (pre, post)."""
+        return self._sig[u]
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, self.family)
+            and self._u == other._u
+            and self._v == other._v
+            and self._sig == other._sig
+        )
+
+    def __hash__(self):
+        return hash((self._u, self._v, tuple(self._sig[x] for x in self._u)))
+
+    def __repr__(self):
+        links = sum(len(part) for slots in self._sig.values() for part in slots)
+        return f"{type(self).__name__}(|u|={len(self._u)}, |v|={len(self._v)}, |links|={links})"
+
+
+class Directed(Bipartite):
+    """Two slots per u-vertex: the v-vertices feeding it, and those it feeds."""
+
+    __slots__ = ()
+    arity = 2
+    poly = Poly2
+
+    def pre(self, u):
+        """v-vertices with an arc into u (the conditions an event consumes)."""
+        return self._sig[u][0]
+
+    def post(self, u):
+        """v-vertices u has an arc into (the conditions an event produces)."""
+        return self._sig[u][1]
+
+
+class Decoded:
+    """Decode output: v-ids are the bit positions themselves."""
+
+    __slots__ = ()
+
+    @property
+    def natural_labeling(self):
+        return {v: v for v in self.v_vertices}
+
+
+def parts(u_ids, v_ids, u_word="u-part", v_word="v-part"):
+    """The two id tuples, checked for repeats and for ids in both parts."""
+    u = tuple(u_ids)
+    v = tuple(v_ids)
+    if len(set(u)) != len(u):
+        raise ValueError(f"duplicate {u_word} ids")
+    if len(set(v)) != len(v):
+        raise ValueError(f"duplicate {v_word} ids")
+    both = set(u) & set(v)
+    if both:
+        raise ValueError(f"ids appear in both parts: {sorted(map(repr, both))}")
+    return u, v
+
+
+# ---------------------------------------------------------------------------
+# Labelings.
+
+def check_labeling(g, labeling):
+    """Require a total injection from the v part into the naturals."""
+    what = g.v_word
+    missing = [x for x in g.v_vertices if x not in labeling]
+    if missing:
+        raise LabelingError(f"unlabeled {what}s: {missing[:5]!r}")
+    seen = {}
+    for x in g.v_vertices:
+        val = labeling[x]
+        if not isinstance(val, int) or isinstance(val, bool) or val < 0:
+            raise LabelingError(f"label of {what} {x!r} must be a natural, got {val!r}")
+        if val in seen:
+            raise LabelingError(
+                f"label {val} given to both {seen[val]!r} and {x!r}"
+            )
+        seen[val] = x
+
+
+def compact_labeling(g) -> dict:
+    """Labels 0..|v|-1 in declared v order."""
+    return {v: i for i, v in enumerate(g.v_vertices)}
+
+
+def identity_labeling(g) -> dict:
+    """For graphs whose v-ids already are naturals, label each by itself."""
+    return {v: v for v in g.v_vertices}
+
+
+# ---------------------------------------------------------------------------
+# Encoding and decoding.
+
+def _term(exps):
+    """Term key of one u-vertex's packed slots: an int or an (x, y) pair."""
+    return exps[0] if len(exps) == 1 else exps
+
+
+def encode(g: Bipartite, labeling, width=None):
+    """One term per u-vertex, each slot packed into one exponent.
+
+    A u-vertex with empty slots contributes the constant 1, so it shows up in
+    the constant coefficient rather than vanishing; a net adds one more unit
+    for its idle event.
+    """
+    check_labeling(g, labeling)
+    terms = {g.poly.zero: 1} if g.idle else {}
+    for sig in g._sig.values():
+        e = _term(tuple(from_bits((labeling[v] for v in part), width) for part in sig))
+        terms[e] = terms.get(e, 0) + 1
+    return g.poly(terms)
+
+
+def decode(p, cls):
+    """Instance of cls whose encoding under the identity labeling is p.
+
+    v-vertices are the bit positions in p's support.  Each term n * x**i
+    [* y**j] yields n u-vertices whose slots are the bits of its exponents;
+    u-ids are (bit set or (pre bits, post bits), copy index) pairs.  A net
+    absorbs one unit of the constant term into its idle event.
+    """
+    if not isinstance(p, cls.poly):
+        raise TypeError(
+            f"{cls.__name__} decodes from {cls.poly.__name__}, got {type(p).__name__}"
+        )
+    if cls.idle and p.constant_coeff() < 1:
+        raise ValueError(
+            "not a net encoding: the constant term must be at least 1 (idle slot)"
+        )
+    sig = {}
+    for exp, c in p.terms.items():
+        slots = tuple(tau(e) for e in ((exp,) if cls.arity == 1 else exp))
+        if cls.idle and not any(slots):
+            c -= 1
+        for k in range(1, c + 1):
+            sig[(_term(slots), k)] = slots
+    return cls._build(tuple(sig), tuple(sorted(tau_poly(p))), sig)
+
+
+# ---------------------------------------------------------------------------
+# Isomorphism and canonical form.
+
+def is_isomorphic(g1: Bipartite, g2: Bipartite, size_guard=12):
+    """Part- and slot-respecting isomorphism witness (u map, v map), or None.
+
+    For nets that is (event map, condition map).  Raises SizeGuardError when
+    the v part outgrows the guard.
+    """
+    return find_bijections(
+        list(g1.v_vertices), g1._sig, list(g2.v_vertices), g2._sig, size_guard
+    )
+
+
+def canonical_poly(g: Bipartite, size_guard=8):
+    """Least encoding over all labelings by 0..|v|-1.
+
+    Term lists in descending exponent order compare lexicographically by
+    (exponent, coefficient) pairs, as poly_key does; the minimum is a
+    labeling-independent invariant, equal for isomorphic graphs.  Brute
+    force over |v|! labelings, hence the guard.
+    """
+    vs = g.v_vertices
+    n = len(vs)
+    if n > size_guard:
+        raise SizeGuardError(
+            f"{n} v-vertices exceed the canonical-form guard {size_guard}"
+        )
+    # One integer per term: slot s of v-index k is the bit at k's label plus
+    # (arity - 1 - s) * n, so with two slots the integer is x_exp * 2**n +
+    # y_exp and integers order exactly as (x, y) exponent pairs do.
+    pos = {v: i for i, v in enumerate(vs)}
+    shapes = list(Counter(
+        tuple(s * n + pos[v] for s, part in enumerate(sig) for v in part)
+        for sig in g._sig.values()
+    ).items())
+    best = None
+    for w in permutations([1 << label for label in range(n)]):
+        if g.arity == 2:
+            w = tuple(x << n for x in w) + w
+        terms = {0: 1} if g.idle else {}
+        for shape, m in shapes:
+            e = sum([w[i] for i in shape])
+            terms[e] = terms.get(e, 0) + m
+        key = sorted(terms.items(), reverse=True)
+        if best is None or key < best:
+            best = key
+    mask = (1 << n) - 1
+    if g.arity == 1:
+        return Poly1(dict(best))
+    return Poly2({(e >> n, e & mask): c for e, c in best})
+
+
+# ---------------------------------------------------------------------------
+# Products and sums.  The polynomial route multiplies or adds the encodings
+# and decodes the result.  The direct route builds the same answer on
+# vertices alone, with bit positions as v-ids like decode, so
+# identity_labeling applies to its output: product u-vertices are pairs
+# whose packed slots add, sum u-vertices are a tagged union over the
+# v-quotient by equal labels.  When the two label images are disjoint,
+# exponent sums never carry, and both collapse to the plain unlabeled
+# constructions.
+
+def poly_product(g1, l1, g2, l2, width=None):
+    return decode(mul(encode(g1, l1), encode(g2, l2), width), g1.decoded)
+
+
+def poly_sum(g1, l1, g2, l2, width=None):
+    return decode(add(encode(g1, l1), encode(g2, l2), width), g1.decoded)
+
+
+def _packed(g, labeling):
+    check_labeling(g, labeling)
+    return {
+        u: tuple(from_bits(labeling[v] for v in part) for part in sig)
+        for u, sig in g._sig.items()
+    }
+
+
+def direct_product(g1, l1, g2, l2):
+    """u-vertices are pairs; each pair's slots are read off the bits of the
+    sums of the two packed slots."""
+    d1 = _packed(g1, l1)
+    d2 = _packed(g2, l2)
+    sig = {
+        (a, b): tuple(tau(x + y) for x, y in zip(ea, eb))
+        for a, ea in d1.items()
+        for b, eb in d2.items()
+    }
+    vs = set()
+    for slots in sig.values():
+        vs.update(*slots)
+    return g1.family._build(tuple(sig), tuple(sorted(vs)), sig)
+
+
+def direct_sum(g1, l1, g2, l2):
+    """Tagged union of u parts over the v-quotient by equal labels."""
+    check_labeling(g1, l1)
+    check_labeling(g2, l2)
+    sig = {
+        (side, u): tuple(frozenset(lab[v] for v in part) for part in slots)
+        for side, (g, lab) in enumerate(((g1, l1), (g2, l2)))
+        for u, slots in g._sig.items()
+    }
+    vs = sorted({l1[v] for v in g1.v_vertices} | {l2[v] for v in g2.v_vertices})
+    return g1.family._build(tuple(sig), tuple(vs), sig)
+
+
+def _tagged(g, side):
+    return {
+        u: tuple(frozenset((side, v) for v in part) for part in slots)
+        for u, slots in g._sig.items()
+    }
+
+
+def _tagged_v(g1, g2):
+    return tuple((0, v) for v in g1.v_vertices) + tuple((1, v) for v in g2.v_vertices)
+
+
+def plain_product(g1, g2):
+    """u pairs over the tagged v union; a pair joins both slot tuples.
+
+    For nets this is the pointed product: each side also offers its idle
+    event None, so an event may fire alone, and the all-idle pair is left
+    out.
+    """
+    s1 = _tagged(g1, 0)
+    s2 = _tagged(g2, 1)
+    if g1.idle:
+        s1[None] = s2[None] = (frozenset(),) * g1.arity
+    sig = {
+        (a, b): tuple(x | y for x, y in zip(sa, sb))
+        for a, sa in s1.items()
+        for b, sb in s2.items()
+    }
+    if g1.idle:
+        del sig[(None, None)]
+    return g1.family._build(tuple(sig), _tagged_v(g1, g2), sig)
+
+
+def plain_coproduct(g1, g2):
+    """Disjoint union with side tags."""
+    sig = {
+        (side, u): slots
+        for side, g in enumerate((g1, g2))
+        for u, slots in _tagged(g, side).items()
+    }
+    return g1.family._build(tuple(sig), _tagged_v(g1, g2), sig)

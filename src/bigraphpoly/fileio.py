@@ -30,9 +30,9 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .bigraph import Bigraph
+from .bigraph import Bigraph, DiBigraph
 from .bits import from_bits
-from .digraph import DiBigraph
+from .core import Bipartite
 from .errors import FileFormatError
 from .petri import PetriNet
 
@@ -228,37 +228,31 @@ def string_ids(ids) -> dict:
     return out
 
 
-def bigraph_document(g: Bigraph, labels=None) -> dict:
+def graph_document(g, labels=None) -> dict:
+    """Document of a graph or, with edges that carry their direction, of a
+    digraph."""
     smap = string_ids(list(g.u_vertices) + list(g.v_vertices))
-    doc = {
-        "u": [smap[u] for u in g.u_vertices],
-        "v": [smap[v] for v in g.v_vertices],
-        "edges": sorted([smap[a], smap[b]] for a, b in g.edges),
-    }
+    doc = {"directed": True} if g.arity == 2 else {}
+    doc["u"] = [smap[u] for u in g.u_vertices]
+    doc["v"] = [smap[v] for v in g.v_vertices]
+    if g.arity == 1:
+        doc["edges"] = sorted([smap[a], smap[b]] for a, b in g.edges)
+    else:
+        doc["edges"] = sorted(
+            (
+                {"u": smap[u], "v": smap[v], "dir": way}
+                for u in g.u_vertices
+                for way, part in zip(("v_to_u", "u_to_v"), g.slots(u))
+                for v in part
+            ),
+            key=lambda e: (e["u"], e["v"], e["dir"]),
+        )
     if labels is not None:
         doc["labels"] = {smap[v]: labels[v] for v in g.v_vertices}
     return doc
 
 
-def digraph_document(g: DiBigraph, labels=None) -> dict:
-    smap = string_ids(list(g.u_vertices) + list(g.v_vertices))
-    vset = set(g.v_vertices)
-    edges = []
-    for a, b in g.arcs:
-        if a in vset:
-            edges.append({"u": smap[b], "v": smap[a], "dir": "v_to_u"})
-        else:
-            edges.append({"u": smap[a], "v": smap[b], "dir": "u_to_v"})
-    edges.sort(key=lambda e: (e["u"], e["v"], e["dir"]))
-    doc = {
-        "directed": True,
-        "u": [smap[u] for u in g.u_vertices],
-        "v": [smap[v] for v in g.v_vertices],
-        "edges": edges,
-    }
-    if labels is not None:
-        doc["labels"] = {smap[v]: labels[v] for v in g.v_vertices}
-    return doc
+bigraph_document = digraph_document = graph_document
 
 
 def net_document(net: PetriNet, labels=None) -> dict:
@@ -282,10 +276,8 @@ def net_document(net: PetriNet, labels=None) -> dict:
 def document_for(obj, labels=None) -> dict:
     if isinstance(obj, PetriNet):
         return net_document(obj, labels)
-    if isinstance(obj, DiBigraph):
-        return digraph_document(obj, labels)
-    if isinstance(obj, Bigraph):
-        return bigraph_document(obj, labels)
+    if isinstance(obj, Bipartite):
+        return graph_document(obj, labels)
     raise TypeError(f"no document form for {type(obj).__name__}")
 
 
@@ -311,48 +303,24 @@ def to_dot(obj, labels=None) -> str:
     """GraphViz text; node and edge lines are sorted, so output is stable.
 
     u-vertices and events are boxes, v-vertices and conditions circles.
-    Net arrows follow the flow: condition to event for pre, event to
-    condition for post.  Labels, when given, are shown on the circle nodes.
+    Arrows follow the arcs, which for a net is the flow: condition to event
+    for pre, event to condition for post.  Labels, when given, are shown on
+    the circle nodes.
     """
-    if isinstance(obj, PetriNet):
-        smap = string_ids(list(obj.conditions) + list(obj.events))
-        lines = ["digraph {"]
-        lines += sorted(
-            _node(smap[b], "circle",
-                  None if labels is None else f"{smap[b]}={labels[b]}")
-            for b in obj.conditions
-        )
-        lines += sorted(_node(smap[e], "box") for e in obj.events)
-        arrows = []
-        for e in obj.events:
-            arrows += [f"  {_quote(smap[b])} -> {_quote(smap[e])};" for b in obj.pre(e)]
-            arrows += [f"  {_quote(smap[e])} -> {_quote(smap[b])};" for b in obj.post(e)]
-        lines += sorted(arrows)
-        return "\n".join(lines + ["}"]) + "\n"
-    if isinstance(obj, DiBigraph):
-        smap = string_ids(list(obj.u_vertices) + list(obj.v_vertices))
-        lines = ["digraph {"]
-        lines += sorted(_node(smap[u], "box") for u in obj.u_vertices)
-        lines += sorted(
-            _node(smap[v], "circle",
-                  None if labels is None else f"{smap[v]}={labels[v]}")
-            for v in obj.v_vertices
-        )
-        lines += sorted(
-            f"  {_quote(smap[a])} -> {_quote(smap[b])};" for a, b in obj.arcs
-        )
-        return "\n".join(lines + ["}"]) + "\n"
-    if isinstance(obj, Bigraph):
-        smap = string_ids(list(obj.u_vertices) + list(obj.v_vertices))
-        lines = ["graph {"]
-        lines += sorted(_node(smap[u], "box") for u in obj.u_vertices)
-        lines += sorted(
-            _node(smap[v], "circle",
-                  None if labels is None else f"{smap[v]}={labels[v]}")
-            for v in obj.v_vertices
-        )
-        lines += sorted(
-            f"  {_quote(smap[a])} -- {_quote(smap[b])};" for a, b in obj.edges
-        )
-        return "\n".join(lines + ["}"]) + "\n"
-    raise TypeError(f"no DOT form for {type(obj).__name__}")
+    if not isinstance(obj, Bipartite):
+        raise TypeError(f"no DOT form for {type(obj).__name__}")
+    smap = string_ids(list(obj.u_vertices) + list(obj.v_vertices))
+    lines = sorted(_node(smap[u], "box") for u in obj.u_vertices)
+    lines += sorted(
+        _node(smap[v], "circle", None if labels is None else f"{smap[v]}={labels[v]}")
+        for v in obj.v_vertices
+    )
+    link = " -- " if obj.arity == 1 else " -> "
+    links = []
+    for u in obj.u_vertices:
+        for slot, part in enumerate(obj.slots(u)):
+            for v in part:
+                a, b = (v, u) if obj.arity == 2 and slot == 0 else (u, v)
+                links.append(f"  {_quote(smap[a])}{link}{_quote(smap[b])};")
+    head = "graph {" if obj.arity == 1 else "digraph {"
+    return "\n".join([head, *lines, *sorted(links), "}"]) + "\n"

@@ -1,11 +1,14 @@
 """Factoring a labeled graph through its polynomial.
 
 A product of two nonconstant polynomials decodes to a pair of labeled
-graphs whose product is isomorphic to the original, and every two-factor
-graph decomposition shows up this way.  Factorability therefore depends on
-the labeling: a graph can split under one labeling and resist another, so
-irreducibility verdicts carry their scope, either the single labeling that
-was tried or the whole sweep of compact labelings.
+graphs, and every two-factor graph decomposition shows up this way.  The
+product of the decoded factors encodes back to the graph's encoding
+exactly, so it is the graph itself up to isomorphism whenever every
+v-vertex meets an edge; that single check stands in for any isomorphism
+search.  Factorability depends on the labeling: a graph can split under one
+labeling and resist another, so irreducibility verdicts carry their scope,
+either the single labeling that was tried or the whole sweep of compact
+labelings.
 """
 
 from __future__ import annotations
@@ -13,9 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .bigraph import compact_labeling, decode, encode, is_isomorphic
+from .bigraph import decode
+from .bits import tau_poly
+from .core import compact_labeling, encode
 from .errors import BudgetExceededError, SizeGuardError
-from .graphops import poly_product
 from .polyfactor import Budget, factor_pairs
 
 
@@ -27,25 +31,18 @@ class IrreducibilityReport:
     detail: str = ""
 
 
-def factor_graph(g, labeling, budget: Budget = Budget(), size_guard=12) -> list:
+def factor_graph(g, labeling, budget: Budget = Budget()) -> list:
     """All pairs of labeled graphs whose product is isomorphic to g.
 
     Factors come back as decoded graphs carrying their natural labeling.
-    Each pair is verified by rebuilding the product and checking the
-    isomorphism before it is returned, so v-vertices no edge touches, which
-    the polynomial cannot see, never produce a bogus pair.  Empty means no
+    v-vertices no edge touches are invisible to the polynomial, so a graph
+    with one gets no pair rather than a bogus one.  Empty means no
     two-factor split exists under this labeling.
     """
     p = encode(g, labeling)
-    if not p:
+    if not p or len(tau_poly(p)) != len(g.v_vertices):
         return []
-    out = []
-    for q, r in factor_pairs(p, budget):
-        gq, gr = decode(q), decode(r)
-        product = poly_product(gq, gq.natural_labeling, gr, gr.natural_labeling)
-        if is_isomorphic(product, g, size_guard=size_guard) is not None:
-            out.append((gq, gr))
-    return out
+    return [(decode(q), decode(r)) for q, r in factor_pairs(p, budget)]
 
 
 def is_irreducible(

@@ -1,10 +1,11 @@
 """Petri nets, their two-variable encoding, and product decomposition.
 
 A net here is the static structure: conditions, events, and for each event
-the set of conditions it consumes (pre) and produces (post).  Encoding packs
-an event's pre set into the x exponent and its post set into the y exponent,
-exactly like the directed graph encoding, then adds the constant term 1: an
-idle slot standing for the event that touches nothing.
+the set of conditions it consumes (pre) and produces (post).  It is the
+two-slot bipartite core with events as the u part and conditions as the v
+part, so encoding packs an event's pre set into the x exponent and its post
+set into the y exponent, exactly like a directed graph, then adds the
+constant term 1: an idle slot standing for the event that touches nothing.
 
 The idle slot is what makes the pointed product work.  The product runs two
 nets side by side; its events are pairs that fire jointly, and pairing with
@@ -13,46 +14,45 @@ multiplication: product polynomial = product of the factor polynomials.
 
 Decoding absorbs exactly one constant unit back into the idle slot; each
 further constant unit becomes a real event with empty pre and post sets.
-Conditions no event touches are invisible to the polynomial, so decompose
-verifies every candidate split by rebuilding the product net and checking
-isomorphism before reporting it.
+A split p = p1 * p2 of the encoding into bit-disjoint factors therefore
+rebuilds p exactly as the product of the decoded factors, and that product
+is isomorphic to the net as soon as every condition meets an event, since
+conditions no event touches are invisible to the polynomial.  The
+isomorphism itself is read off the construction (``witness``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
 
-from ._match import find_bijections
-from .bigraph import check_label_map
-from .bits import from_bits, tau, tau_poly
-from .errors import SizeGuardError
+from ._match import _match_right
+from .bits import tau_poly
+from .core import (
+    Directed,
+    compact_labeling,
+    decode,
+    encode,
+    is_isomorphic,
+    parts,
+    plain_product,
+)
 from .poly import Poly2
 from .polyfactor import Budget, bit_disjoint_factor
 
 
-class PetriNet:
+class PetriNet(Directed):
     """Immutable net structure; pre and post sets may be empty."""
 
-    __slots__ = ("_conditions", "_events", "_pre", "_post")
+    __slots__ = ()
+    idle = True
+    v_word = "condition"
 
     def __init__(self, conditions=(), events=(), pre=None, post=None):
-        conds = tuple(conditions)
-        evs = tuple(events)
-        if len(set(conds)) != len(conds):
-            raise ValueError("duplicate condition ids")
-        if len(set(evs)) != len(evs):
-            raise ValueError("duplicate event ids")
-        both = set(conds) & set(evs)
-        if both:
-            raise ValueError(
-                f"ids appear as both condition and event: {sorted(map(repr, both))}"
-            )
+        evs, conds = parts(events, conditions, "event", "condition")
         cset = set(conds)
-        self._pre = self._side(pre or {}, evs, cset, "pre")
-        self._post = self._side(post or {}, evs, cset, "post")
-        self._conditions = conds
-        self._events = evs
+        pre = self._side(pre or {}, evs, cset, "pre")
+        post = self._side(post or {}, evs, cset, "post")
+        self._init(evs, conds, {e: (pre[e], post[e]) for e in evs})
 
     @staticmethod
     def _side(mapping, evs, cset, name):
@@ -74,42 +74,14 @@ class PetriNet:
 
     @property
     def conditions(self):
-        return self._conditions
+        return self._v
 
     @property
     def events(self):
-        return self._events
+        return self._u
 
-    def pre(self, event):
-        return self._pre[event]
 
-    def post(self, event):
-        return self._post[event]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PetriNet)
-            and self._conditions == other._conditions
-            and self._events == other._events
-            and self._pre == other._pre
-            and self._post == other._post
-        )
-
-    def __hash__(self):
-        return hash(
-            (
-                self._conditions,
-                self._events,
-                tuple(sorted(self._pre.items(), key=repr)),
-                tuple(sorted(self._post.items(), key=repr)),
-            )
-        )
-
-    def __repr__(self):
-        return (
-            f"PetriNet(|conditions|={len(self._conditions)}, "
-            f"|events|={len(self._events)})"
-        )
+PetriNet.family = PetriNet.decoded = PetriNet
 
 
 @dataclass(frozen=True, eq=True)
@@ -120,26 +92,6 @@ class LabeledPetriNet:
     labeling: dict = field(default_factory=dict)
 
 
-def check_net_labeling(net, labeling):
-    check_label_map(net.conditions, labeling, what="condition")
-
-
-def compact_net_labeling(net) -> dict:
-    return {b: i for i, b in enumerate(net.conditions)}
-
-
-def encode_net(net: PetriNet, labeling, width=None) -> Poly2:
-    """Constant 1 for the idle slot, plus one term per event:
-    x**(packed pre labels) * y**(packed post labels)."""
-    check_net_labeling(net, labeling)
-    terms = {(0, 0): 1}
-    for e in net.events:
-        i = from_bits((labeling[b] for b in net.pre(e)), width)
-        j = from_bits((labeling[b] for b in net.post(e)), width)
-        terms[(i, j)] = terms.get((i, j), 0) + 1
-    return Poly2(terms)
-
-
 def decode_net(p: Poly2) -> LabeledPetriNet:
     """Net whose encoding under the identity labeling is p.
 
@@ -148,26 +100,8 @@ def decode_net(p: Poly2) -> LabeledPetriNet:
     support, labeled by themselves.  Event ids are ((pre bits, post bits),
     copy index) pairs.
     """
-    if not isinstance(p, Poly2):
-        raise TypeError("decode_net takes a two-variable polynomial")
-    if p.constant_coeff() < 1:
-        raise ValueError(
-            "not a net encoding: the constant term must be at least 1 (idle slot)"
-        )
-    conditions = sorted(tau_poly(p))
-    events = []
-    pre = {}
-    post = {}
-    for (i, j), c in p.terms.items():
-        copies = c - 1 if (i, j) == (0, 0) else c
-        ti, tj = tau(i), tau(j)
-        for k in range(1, copies + 1):
-            eid = ((ti, tj), k)
-            events.append(eid)
-            pre[eid] = ti
-            post[eid] = tj
-    net = PetriNet(conditions, events, pre, post)
-    return LabeledPetriNet(net, {b: b for b in conditions})
+    net = decode(p, PetriNet)
+    return LabeledPetriNet(net, {b: b for b in net.conditions})
 
 
 def net_product(n1: PetriNet, n2: PetriNet) -> PetriNet:
@@ -177,74 +111,50 @@ def net_product(n1: PetriNet, n2: PetriNet) -> PetriNet:
     event sets each extended by the idle None, minus the all-idle pair; a
     pair's pre and post sets are the tagged unions of its halves'.
     """
-    conditions = [(0, b) for b in n1.conditions] + [(1, b) for b in n2.conditions]
-    events = []
-    pre = {}
-    post = {}
-    for a in (*n1.events, None):
-        for b in (*n2.events, None):
-            if a is None and b is None:
-                continue
-            eid = (a, b)
-            events.append(eid)
-            pa = n1.pre(a) if a is not None else frozenset()
-            qa = n1.post(a) if a is not None else frozenset()
-            pb = n2.pre(b) if b is not None else frozenset()
-            qb = n2.post(b) if b is not None else frozenset()
-            pre[eid] = frozenset((0, x) for x in pa) | frozenset((1, y) for y in pb)
-            post[eid] = frozenset((0, x) for x in qa) | frozenset((1, y) for y in qb)
-    return PetriNet(conditions, events, pre, post)
+    return plain_product(n1, n2)
 
 
-def net_isomorphic(n1: PetriNet, n2: PetriNet, size_guard=12):
-    """Witness (event map, condition map) preserving pre and post, or None."""
-    sig1 = {e: (n1.pre(e), n1.post(e)) for e in n1.events}
-    sig2 = {e: (n2.pre(e), n2.post(e)) for e in n2.events}
-    return find_bijections(
-        list(n1.conditions), sig1, list(n2.conditions), sig2, size_guard
-    )
-
-
-def decompose(
-    net: PetriNet, labeling, budget: Budget = Budget(), size_guard=12
-) -> list:
+def decompose(net: PetriNet, labeling, budget: Budget = Budget()) -> list:
     """All splittings of net into a product of two smaller nets, as seen
     through this labeling's bit structure.
 
-    Factors the encoding into bit-disjoint pairs, keeps those where both
-    sides hold an idle unit, decodes, and verifies each candidate by
-    rebuilding the product and checking net isomorphism.  Returns a list of
+    Factors the encoding into bit-disjoint pairs and keeps those where both
+    sides hold an idle unit.  The product of each pair's decoded nets
+    encodes back to the net's encoding exactly, so it is the net itself up
+    to isomorphism once every condition meets an event; a net with an
+    untouched condition gets no split.  Returns a list of
     (LabeledPetriNet, LabeledPetriNet) pairs; empty means no split is
     visible under this labeling.
     """
-    p = encode_net(net, labeling)
-    out = []
-    for p1, p2 in bit_disjoint_factor(p, budget):
-        if p1.constant_coeff() < 1 or p2.constant_coeff() < 1:
-            continue
-        ln1, ln2 = decode_net(p1), decode_net(p2)
-        if net_isomorphic(net_product(ln1.net, ln2.net), net, size_guard) is not None:
-            out.append((ln1, ln2))
-    return out
+    p = encode(net, labeling)
+    if len(tau_poly(p)) != len(net.conditions):
+        return []
+    return [
+        (decode_net(p1), decode_net(p2))
+        for p1, p2 in bit_disjoint_factor(p, budget)
+        if p1.constant_coeff() >= 1 and p2.constant_coeff() >= 1
+    ]
 
 
-def find_decomposing_labeling(
-    net: PetriNet, budget: Budget = Budget(), size_guard=12, sweep_guard=8
-):
-    """Heuristic sweep: first compact labeling under which net decomposes.
+def witness(net: PetriNet, labeling, first: LabeledPetriNet, second: LabeledPetriNet):
+    """(event map, condition map) from net_product(first.net, second.net)
+    onto net, for a pair that decompose returned under this labeling.
 
-    Returns (labeling, pairs) or None.  Decomposability can depend on the
-    labeling; sweeping all of 0..|conditions|-1 covers only the compact
-    ones, so None here is not a proof that no labeling works.
+    Read off the construction, with no search: a product condition (side,
+    b) is the net's condition carrying that side's label of b, and events
+    follow by matching their pre and post sets through that map.
     """
-    conds = net.conditions
-    if len(conds) > sweep_guard:
-        raise SizeGuardError(
-            f"{len(conds)} conditions exceed the sweep guard {sweep_guard}"
-        )
-    for perm in permutations(range(len(conds))):
-        lab = dict(zip(conds, perm))
-        pairs = decompose(net, lab, budget, size_guard)
-        if pairs:
-            return lab, pairs
-    return None
+    prod = net_product(first.net, second.net)
+    by_label = {lab: b for b, lab in labeling.items()}
+    cmap = {
+        (side, b): by_label[half.labeling[b]]
+        for side, half in enumerate((first, second))
+        for b in half.net.conditions
+    }
+    return _match_right(prod._sig, net._sig, cmap), cmap
+
+
+# The net spellings of operations the core writes once.
+encode_net = encode
+net_isomorphic = is_isomorphic
+compact_net_labeling = compact_labeling

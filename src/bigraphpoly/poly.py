@@ -51,55 +51,43 @@ def _clean_terms(items, arity):
     return dict(sorted(terms.items(), reverse=True))
 
 
-class Poly1:
-    """Polynomial in x alone: {exponent: coefficient}, coefficients > 0."""
+class _Poly:
+    """What both arities share: an immutable map from exponents to positive
+    coefficients, kept in descending exponent order."""
 
     __slots__ = ("_terms",)
+    arity = 1
+    zero = 0  # the exponent of the constant term
 
     def __init__(self, terms=()):
         items = terms.items() if hasattr(terms, "items") else terms
-        self._terms = _clean_terms(items, 1)
-
-    @classmethod
-    def monomial(cls, exp, coeff=1):
-        return cls({exp: coeff})
+        self._terms = _clean_terms(items, self.arity)
 
     @property
     def terms(self):
         return MappingProxyType(self._terms)
 
-    @property
-    def degree(self):
-        """Largest exponent; -1 for the zero polynomial."""
-        return max(self._terms) if self._terms else -1
-
     def constant_coeff(self):
-        return self._terms.get(0, 0)
-
-    def is_constant(self):
-        return self.degree <= 0
+        return self._terms.get(self.zero, 0)
 
     def __bool__(self):
         return bool(self._terms)
 
     def __eq__(self, other):
-        return isinstance(other, Poly1) and self._terms == other._terms
+        return type(other) is type(self) and self._terms == other._terms
 
     def __hash__(self):
         return hash(tuple(self._terms.items()))
 
     def __add__(self, other):
-        if not isinstance(other, Poly1):
+        if type(other) is not type(self):
             return NotImplemented
         return add(self, other)
 
     def __mul__(self, other):
-        if not isinstance(other, Poly1):
+        if type(other) is not type(self):
             return NotImplemented
         return mul(self, other)
-
-    def __call__(self, t):
-        return evaluate(self, t)
 
     def render(self):
         return render(self)
@@ -108,25 +96,40 @@ class Poly1:
         return render(self)
 
     def __repr__(self):
-        return f"Poly1({render(self)!r})"
+        return f"{type(self).__name__}({render(self)!r})"
 
 
-class Poly2:
+class Poly1(_Poly):
+    """Polynomial in x alone: {exponent: coefficient}, coefficients > 0."""
+
+    __slots__ = ()
+
+    @classmethod
+    def monomial(cls, exp, coeff=1):
+        return cls({exp: coeff})
+
+    @property
+    def degree(self):
+        """Largest exponent; -1 for the zero polynomial."""
+        return max(self._terms) if self._terms else -1
+
+    def is_constant(self):
+        return self.degree <= 0
+
+    def __call__(self, t):
+        return evaluate(self, t)
+
+
+class Poly2(_Poly):
     """Polynomial in x and y: {(x-exponent, y-exponent): coefficient}."""
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms=()):
-        items = terms.items() if hasattr(terms, "items") else terms
-        self._terms = _clean_terms(items, 2)
+    __slots__ = ()
+    arity = 2
+    zero = (0, 0)
 
     @classmethod
     def monomial(cls, xexp, yexp, coeff=1):
         return cls({(xexp, yexp): coeff})
-
-    @property
-    def terms(self):
-        return MappingProxyType(self._terms)
 
     @property
     def degrees(self):
@@ -135,42 +138,11 @@ class Poly2:
             return (-1, -1)
         return (max(i for i, _ in self._terms), max(j for _, j in self._terms))
 
-    def constant_coeff(self):
-        return self._terms.get((0, 0), 0)
-
     def is_constant(self):
         return all(e == (0, 0) for e in self._terms)
 
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __eq__(self, other):
-        return isinstance(other, Poly2) and self._terms == other._terms
-
-    def __hash__(self):
-        return hash(tuple(self._terms.items()))
-
-    def __add__(self, other):
-        if not isinstance(other, Poly2):
-            return NotImplemented
-        return add(self, other)
-
-    def __mul__(self, other):
-        if not isinstance(other, Poly2):
-            return NotImplemented
-        return mul(self, other)
-
     def __call__(self, tx, ty):
         return evaluate2(self, tx, ty)
-
-    def render(self):
-        return render(self)
-
-    def __str__(self):
-        return render(self)
-
-    def __repr__(self):
-        return f"Poly2({render(self)!r})"
 
 
 def _check_width(poly, width):
@@ -320,38 +292,47 @@ def divide_exact(p, q):
 
 
 # ---------------------------------------------------------------------------
-# Text form.
+# Text form.  Python refuses to convert an int of more than 4,300 digits to
+# or from decimal text in one go, so long numbers go through in pieces.
 
-def _mono_x(e):
-    return "x" if e == 1 else f"x^{e}"
+_CHUNK = 1000  # decimal digits per piece
+_BASE = 10**_CHUNK
 
 
-def _mono_y(e):
-    return "y" if e == 1 else f"y^{e}"
+def int_text(n: int) -> str:
+    """Decimal text of a natural, however many digits it has."""
+    pieces = []
+    while n >= _BASE:
+        n, low = divmod(n, _BASE)
+        pieces.append(str(low).zfill(_CHUNK))
+    pieces.append(str(n))
+    return "".join(reversed(pieces))
+
+
+def _text_int(digits: str) -> int:
+    n = 0
+    for i in range(0, len(digits), _CHUNK):
+        piece = digits[i:i + _CHUNK]
+        n = n * 10**len(piece) + int(piece)
+    return n
+
+
+def _power(var, e):
+    return "" if e == 0 else var if e == 1 else f"{var}^{int_text(e)}"
 
 
 def render(p) -> str:
     """Canonical text: terms joined by " + ", descending exponent order."""
     parts = []
-    if isinstance(p, Poly1):
-        for e, c in p.terms.items():
-            if e == 0:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(_mono_x(e))
-            else:
-                parts.append(f"{c}*{_mono_x(e)}")
-    else:
-        for (i, j), c in p.terms.items():
-            mono = "*".join(
-                ([_mono_x(i)] if i else []) + ([_mono_y(j)] if j else [])
-            )
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            else:
-                parts.append(f"{c}*{mono}")
+    for exp, c in p.terms.items():
+        i, j = (exp, 0) if isinstance(p, Poly1) else exp
+        mono = "*".join(m for m in (_power("x", i), _power("y", j)) if m)
+        if not mono:
+            parts.append(int_text(c))
+        elif c == 1:
+            parts.append(mono)
+        else:
+            parts.append(f"{int_text(c)}*{mono}")
     return " + ".join(parts) if parts else "0"
 
 
@@ -384,7 +365,7 @@ def _parse_exponent(toks, i, pos_caret):
     tok, pos = toks[i]
     if not tok.isdigit():
         _fail_token(tok, pos, "exponent")
-    return int(tok), i + 1
+    return _text_int(tok), i + 1
 
 
 def _parse_term(toks, i):
@@ -393,7 +374,7 @@ def _parse_term(toks, i):
     xe = ye = 0
     saw_y = False
     if tok.isdigit():
-        coeff = int(tok)
+        coeff = _text_int(tok)
         i += 1
         if i < len(toks) and toks[i][0] == "*":
             if i + 1 >= len(toks):

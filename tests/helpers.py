@@ -9,6 +9,7 @@ package internals on purpose: dense lists and dicts only.
 from __future__ import annotations
 
 import random
+from itertools import permutations
 
 from bigraphpoly import Bigraph, DiBigraph, PetriNet, Poly1, Poly2
 
@@ -168,3 +169,25 @@ def factor_pair_table(max_deg=4, max_sum=12) -> dict:
                     pair = tuple(sorted((kq, dense_key(r))))
                     table.setdefault(dense_key(prod), set()).add(pair)
     return table
+
+
+def least_encoding(g, arity=1) -> dict:
+    """Brute-force canonical form: over every labeling by 0..|v|-1, the
+    encoding whose descending (exponent, coefficient) list is least."""
+    vs = list(g.v_vertices)
+    if arity == 1:
+        slots = [(g.neighbors(u),) for u in g.u_vertices]
+    else:
+        slots = [(g.pre(u), g.post(u)) for u in g.u_vertices]
+    best = None
+    for perm in permutations(range(len(vs))):
+        lab = dict(zip(vs, perm))
+        terms = {}
+        for parts in slots:
+            exps = tuple(sum(1 << lab[v] for v in part) for part in parts)
+            e = exps[0] if arity == 1 else exps
+            terms[e] = terms.get(e, 0) + 1
+        key = sorted(terms.items(), reverse=True)
+        if best is None or key < best:
+            best = key
+    return dict(best)

@@ -8,11 +8,13 @@ import pytest
 from bigraphpoly import (
     Bigraph,
     BitWidthError,
+    DiBigraph,
     LabelingError,
     Poly1,
     Poly2,
     SizeGuardError,
     canonical_poly,
+    canonical_poly_directed,
     check_labeling,
     compact_labeling,
     decode,
@@ -23,7 +25,7 @@ from bigraphpoly import (
     render,
 )
 
-from helpers import random_bigraph, random_labeling
+from helpers import least_encoding, random_bigraph, random_digraph, random_labeling
 
 
 def hub_graph():
@@ -182,6 +184,19 @@ def test_canonical_poly_separates_nonisomorphic_pairs():
     g1 = Bigraph(["a", "b"], ["x", "y"], [("a", "x"), ("a", "y")])
     g2 = Bigraph(["c", "d"], ["x", "y"], [("c", "x"), ("d", "x")])
     assert canonical_poly(g1) != canonical_poly(g2)
+
+
+def test_canonical_poly_matches_brute_force_reference():
+    """Both arities, |v| <= 6, some graphs with a v-vertex no edge meets."""
+    rng = random.Random(43)
+    for k in range(40):
+        g = random_bigraph(rng, max_u=6, max_v=5)
+        d = random_digraph(rng, max_u=6, max_v=5)
+        if k % 2:
+            g = Bigraph(g.u_vertices, (*g.v_vertices, "lone"), g.edges)
+            d = DiBigraph(d.u_vertices, (*d.v_vertices, "lone"), d.arcs)
+        assert dict(canonical_poly(g).terms) == least_encoding(g, 1)
+        assert dict(canonical_poly_directed(d).terms) == least_encoding(d, 2)
 
 
 def test_canonical_poly_size_guard():

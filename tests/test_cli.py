@@ -11,10 +11,13 @@ from bigraphpoly import (
     DiBigraph,
     PetriNet,
     canonical_poly_directed,
+    compact_net_labeling,
     decode,
     decode_directed,
+    decompose,
     encode_directed,
     mul,
+    net_product,
     parse_poly1,
     render,
 )
@@ -479,6 +482,34 @@ def test_net_decompose_negative(capsys, tmp_path):
     code, out, err = run(capsys, "net-decompose", path)
     assert code == 1
     assert out == "no decomposition under this labeling\n"
+
+
+def test_net_decompose_certificate_past_the_isomorphism_guard(capsys, tmp_path):
+    """14 conditions: the certificate comes from the construction, and each
+    product event's pre and post sets map onto its image's."""
+    one = PetriNet(["c0", "c1"], ["e"], pre={"e": ["c0"]}, post={"e": ["c1"]})
+    net = one
+    for _ in range(6):
+        net = net_product(net, one)
+    doc = fileio.net_document(net)
+    labels = {b: i for i, b in enumerate(doc["conditions"])}
+    path = write(tmp_path / "chain.json", {**doc, "labels": labels})
+    code, out, err = run(capsys, "net-decompose", path)
+    assert code == 0
+    lines = out.splitlines()
+    assert all(" = (" in line for line in lines[:63])
+    cert = json.loads("\n".join(lines[63:]))
+    first, second = decompose(net, compact_net_labeling(net))[0]
+    prod = net_product(first.net, second.net)
+    names = fileio.string_ids(list(prod.events) + list(prod.conditions))
+    given = fileio.load_document(path).obj
+    e_map = {e: cert["event_map"][names[e]] for e in prod.events}
+    c_map = {b: cert["condition_map"][names[b]] for b in prod.conditions}
+    assert sorted(e_map.values()) == sorted(given.events)
+    assert sorted(c_map.values()) == sorted(given.conditions)
+    for e in prod.events:
+        assert {c_map[b] for b in prod.pre(e)} == set(given.pre(e_map[e]))
+        assert {c_map[b] for b in prod.post(e)} == set(given.post(e_map[e]))
 
 
 def test_net_decompose_budget_zero_is_inconclusive(capsys, branch_file):

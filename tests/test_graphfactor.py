@@ -1,5 +1,7 @@
 """Graph factorization through the polynomial, and irreducibility reports."""
 
+import time
+
 import pytest
 
 from bigraphpoly import (
@@ -9,6 +11,7 @@ from bigraphpoly import (
     IrreducibilityReport,
     Poly1,
     SizeGuardError,
+    compact_labeling,
     decode,
     encode,
     factor_graph,
@@ -16,6 +19,7 @@ from bigraphpoly import (
     is_irreducible,
     is_isomorphic,
     parse_poly1,
+    plain_product,
     poly_product,
 )
 
@@ -54,6 +58,26 @@ def test_uncovered_v_blocks_a_polynomial_only_split():
     report = is_irreducible(g, exhaustive=True)
     assert report.verdict == "irreducible"
     assert report.scope == "compact-labelings"
+
+
+def test_factor_graph_past_the_isomorphism_guard():
+    """13 v-vertices, one past the guard of 12 that no longer applies: the
+    planted pair of a plain product comes back within a second."""
+    g1 = Bigraph(["a", "b"], [f"p{i}" for i in range(6)],
+                 [("a", "p0"), ("a", "p2")] + [("b", f"p{i}") for i in range(1, 6)])
+    g2 = Bigraph(["c", "d"], [f"q{i}" for i in range(7)],
+                 [("d", f"q{i}") for i in range(7)])  # c is isolated
+    g = plain_product(g1, g2)
+    labeling = compact_labeling(g)
+    planted = (encode(g1, compact_labeling(g1)),
+               encode(g2, {f"q{i}": 6 + i for i in range(7)}))
+    assert planted[0] * planted[1] == encode(g, labeling)
+    start = time.perf_counter()
+    pairs = factor_graph(g, labeling)
+    assert time.perf_counter() - start < 1.0
+    got = {(encode(gq, gq.natural_labeling), encode(gr, gr.natural_labeling))
+           for gq, gr in pairs}
+    assert planted in got
 
 
 def test_factor_trivial_graphs():

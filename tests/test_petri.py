@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from itertools import permutations
 
 import pytest
 
@@ -17,7 +18,6 @@ from bigraphpoly import (
     decode_net,
     decompose,
     encode_net,
-    find_decomposing_labeling,
     mul,
     net_isomorphic,
     net_product,
@@ -231,23 +231,69 @@ def test_decompose_certifies_the_interlocked_net():
         {(9, 6): 1, (6, 9): 1, (40, 20): 1, (20, 40): 1, (0, 0): 1}
     )
     assert decompose(net, CYCLE_LABELS) == []
-    assert find_decomposing_labeling(net) is None
+    assert decompose(net, {f"b{i}": 5 - i for i in range(6)}) == []
 
 
-def test_find_decomposing_labeling_golden():
-    got = find_decomposing_labeling(branching_net())
-    assert got is not None
-    labeling, pairs = got
+def test_decompose_compact_labeling_golden():
+    net = branching_net()
+    labeling = compact_net_labeling(net)
     assert labeling == {"b0": 0, "b1": 1}
+    pairs = decompose(net, labeling)
     assert len(pairs) == 1
-    rebuilt = net_product(pairs[0][0].net, pairs[0][1].net)
-    assert net_isomorphic(rebuilt, branching_net()) is not None
+    first, second = pairs[0]
+    assert encode_net(first.net, first.labeling) == Poly2({(0, 2): 1, (0, 0): 1})
+    assert encode_net(second.net, second.labeling) == Poly2({(1, 0): 1, (0, 0): 1})
+    rebuilt = net_product(first.net, second.net)
+    assert net_isomorphic(rebuilt, net) is not None
 
 
-def test_find_decomposing_labeling_sweep_guard():
-    net = PetriNet([f"b{i}" for i in range(9)], [])
-    with pytest.raises(SizeGuardError):
-        find_decomposing_labeling(net)
+def test_decomposability_does_not_depend_on_the_labeling():
+    """A bit-disjoint split is a partition of the conditions, so a net
+    splits under every injective labeling or under none."""
+    rng = random.Random(74)
+    seen = Counter()
+    for k in range(30):
+        if k % 2:
+            net = random_net(rng, max_events=3, max_conditions=5)
+        else:
+            net = net_product(random_net(rng, max_events=2, max_conditions=2),
+                              random_net(rng, max_events=2, max_conditions=3))
+        conds = net.conditions
+        labelings = [dict(zip(conds, perm)) for perm in permutations(range(len(conds)))]
+        labelings += [random_labeling(rng, conds, 12) for _ in range(5)]
+        verdicts = {bool(decompose(net, lab)) for lab in labelings}
+        assert len(verdicts) == 1
+        seen[verdicts.pop()] += 1
+    assert seen[True] and seen[False]
+
+
+def chain_net(k):
+    """k-fold pointed product of the one-event net c0 -> c1."""
+    one = PetriNet(["c0", "c1"], ["e"], pre={"e": ["c0"]}, post={"e": ["c1"]})
+    net = one
+    for _ in range(k - 1):
+        net = net_product(net, one)
+    return net
+
+
+def test_decompose_fourteen_conditions_returns_every_split():
+    """Past the isomorphism guard of 12: the seven prime factors group
+    into 2**6 - 1 = 63 unordered splits."""
+    net = chain_net(7)
+    assert len(net.conditions) == 14
+    labeling = compact_net_labeling(net)
+    p = encode_net(net, labeling)
+    pairs = decompose(net, labeling)
+    assert len(pairs) == 63
+    seen = set()
+    for first, second in pairs:
+        p1 = encode_net(first.net, first.labeling)
+        p2 = encode_net(second.net, second.labeling)
+        assert mul(p1, p2) == p
+        assert not set(first.net.conditions) & set(second.net.conditions)
+        assert len(first.net.conditions) % 2 == 0 and len(second.net.conditions) % 2 == 0
+        seen.add(frozenset((p1, p2)))
+    assert len(seen) == 63
 
 
 def test_decompose_round_trips_random_products():

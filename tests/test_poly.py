@@ -256,6 +256,19 @@ def test_parse_render_round_trip_hypothesis(terms):
     assert parse_poly1(render(p)) == p
 
 
+def test_long_coefficients_render_and_parse_back():
+    """Python converts at most 4,300 digits between int and str in one
+    call; text conversion must go past that in both directions."""
+    big = 10**5000 + 1
+    for p in (Poly1({3: big, 0: 1}), Poly2({(1, 2): big, (0, 0): big})):
+        text = render(p)
+        assert len(text) > 5000
+        assert parse_poly(text) == p
+        assert text in repr(p)
+    assert str(Poly1({0: big})) == "1" + "0" * 4999 + "1"
+    assert parse_poly("x^" + "9" * 5000) == Poly1({10**5000 - 1: 1})
+
+
 def test_parse_error_positions():
     with pytest.raises(PolyParseError) as e:
         parse_poly("")
