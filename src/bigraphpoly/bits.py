@@ -8,8 +8,6 @@ reversibility is what every decoding in this package rests on.
 
 from __future__ import annotations
 
-from .errors import BitWidthError
-
 # A bit support is a frozenset of bit positions; the empty set encodes 0.
 BitExp = frozenset
 
@@ -28,19 +26,13 @@ def tau(k: int) -> frozenset:
     return frozenset(bits)
 
 
-def from_bits(bits, width: int | None = None) -> int:
-    """Natural with 1-bits exactly at the given positions: sum of 2**t.
-
-    With ``width`` set, a result needing more than ``width`` bits raises
-    BitWidthError instead of growing without bound.
-    """
+def from_bits(bits) -> int:
+    """Natural with 1-bits exactly at the given positions: sum of 2**t."""
     n = 0
     for t in bits:
         if t < 0:
             raise ValueError(f"bit positions are naturals, got {t}")
         n |= 1 << t
-    if width is not None and n.bit_length() > width:
-        raise BitWidthError(f"value needs {n.bit_length()} bits, width is {width}")
     return n
 
 

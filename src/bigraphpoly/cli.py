@@ -26,7 +26,7 @@ from .errors import BudgetExceededError, SizeGuardError
 from .graphfactor import factor_graph, is_irreducible
 from .petri import decode_net, decompose, net_product, witness
 from .poly import Poly1, Poly2, content, int_text, lift, parse_poly, render
-from .polyfactor import Budget, bit_disjoint_factor, factor_pairs
+from .polyfactor import Budget, factor_pairs
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,7 +72,7 @@ def _load(path, net=False):
 def _budget(args) -> Budget:
     if getattr(args, "budget", None) is None:
         return Budget()
-    return Budget(max_divisor_tuples=args.budget, max_bipartitions=args.budget)
+    return Budget(max_steps=args.budget)
 
 
 # ---------------------------------------------------------------------------
@@ -136,28 +136,31 @@ def _cmd_factor(args):
         if args.exhaustive_labels:
             raise ValueError("--exhaustive-labels needs a graph file input")
         p = parse_poly(args.input)
+        if not p:
+            raise ValueError("cannot factor the zero polynomial")
         c = content(p)
         if c > 1:
             print(f"content: {int_text(c)}")
         if isinstance(p, Poly1):
             return _print_pairs(factor_pairs(p, budget), "irreducible")
-        return _print_pairs(bit_disjoint_factor(p, budget), "no bit-disjoint factor pairs")
-    doc = _load(args.input)
-    labels = _labels_for(doc, args.input)
-    if doc.kind == "digraph":
-        # No general two-variable factor search; report bit-disjoint pairs.
-        pairs = bit_disjoint_factor(encode(doc.obj, labels), budget)
-        return _print_pairs(pairs, "no bit-disjoint factor pairs")
-    if args.exhaustive_labels:
-        report = is_irreducible(doc.obj, exhaustive=True, budget=budget)
+        # A two-variable polynomial is the encoding of the digraph it decodes to.
+        g = decode_directed(p)
+        kind, labels = "digraph", g.natural_labeling
+    else:
+        doc = _load(args.input)
+        g, kind, labels = doc.obj, doc.kind, _labels_for(doc, args.input)
+    if kind == "bigraph" and args.exhaustive_labels:
+        report = is_irreducible(g, exhaustive=True, budget=budget)
         if report.verdict == "reducible":
             lab, pair = report.witness
             print(f"reducible over compact labelings; witness labeling {lab}")
             return _print_pairs([_encoded(pair)], "")
         print(f"{report.verdict} over compact labelings")
         return 1 if report.verdict == "irreducible" else 2
-    pairs = [_encoded(pair) for pair in factor_graph(doc.obj, labels, budget)]
-    return _print_pairs(pairs, "irreducible under this labeling")
+    pairs = [_encoded(pair) for pair in factor_graph(g, labels, budget)]
+    if kind == "bigraph":
+        return _print_pairs(pairs, "irreducible under this labeling")
+    return _print_pairs(pairs, "no bit-disjoint factor pairs")
 
 
 def _cmd_canon(args):

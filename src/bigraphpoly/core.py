@@ -161,7 +161,7 @@ def _term(exps):
     return exps[0] if len(exps) == 1 else exps
 
 
-def encode(g: Bipartite, labeling, width=None):
+def encode(g: Bipartite, labeling):
     """One term per u-vertex, each slot packed into one exponent.
 
     A u-vertex with empty slots contributes the constant 1, so it shows up in
@@ -171,7 +171,7 @@ def encode(g: Bipartite, labeling, width=None):
     check_labeling(g, labeling)
     terms = {g.poly.zero: 1} if g.idle else {}
     for sig in g._sig.values():
-        e = _term(tuple(from_bits((labeling[v] for v in part), width) for part in sig))
+        e = _term(tuple(from_bits(labeling[v] for v in part) for part in sig))
         terms[e] = terms.get(e, 0) + 1
     return g.poly(terms)
 
@@ -265,12 +265,12 @@ def canonical_poly(g: Bipartite, size_guard=8):
 # exponent sums never carry, and both collapse to the plain unlabeled
 # constructions.
 
-def poly_product(g1, l1, g2, l2, width=None):
-    return decode(mul(encode(g1, l1), encode(g2, l2), width), g1.decoded)
+def poly_product(g1, l1, g2, l2):
+    return decode(mul(encode(g1, l1), encode(g2, l2)), g1.decoded)
 
 
-def poly_sum(g1, l1, g2, l2, width=None):
-    return decode(add(encode(g1, l1), encode(g2, l2), width), g1.decoded)
+def poly_sum(g1, l1, g2, l2):
+    return decode(add(encode(g1, l1), encode(g2, l2)), g1.decoded)
 
 
 def _packed(g, labeling):

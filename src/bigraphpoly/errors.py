@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class BitWidthError(OverflowError):
-    """A value does not fit in the configured bit width."""
-
-
 class PolyParseError(ValueError):
     """Polynomial text rejected; carries the character position."""
 

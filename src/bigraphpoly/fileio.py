@@ -77,6 +77,30 @@ def _get_labels(doc, valid_ids, source):
     return out
 
 
+def _link(e, directed, source):
+    """One entry of "edges" as an (a, b) pair: an edge from u to v, or an
+    arc from a to b."""
+    if not directed:
+        if not isinstance(e, list) or len(e) != 2:
+            raise FileFormatError(
+                f"{source}: undirected edges are [u, v] pairs: {e!r}"
+            )
+        return _check_id(e[0], source), _check_id(e[1], source)
+    if not isinstance(e, dict) or not {"u", "v", "dir"} <= set(e):
+        raise FileFormatError(
+            f"{source}: directed edges are objects with u, v and dir: {e!r}"
+        )
+    u = _check_id(e["u"], source)
+    v = _check_id(e["v"], source)
+    if e["dir"] == "v_to_u":
+        return v, u
+    if e["dir"] == "u_to_v":
+        return u, v
+    raise FileFormatError(
+        f"{source}: dir must be 'v_to_u' or 'u_to_v', got {e['dir']!r}"
+    )
+
+
 def _parse_graph(doc, source):
     us = _id_list(doc, "u", source)
     vs = _id_list(doc, "v", source)
@@ -89,36 +113,10 @@ def _parse_graph(doc, source):
             raise FileFormatError(f"{source}: 'directed' must be true or false")
     else:
         directed = any(isinstance(e, dict) for e in edges_raw)
+    links = [_link(e, directed, source) for e in edges_raw]
+    kind, cls = ("digraph", DiBigraph) if directed else ("bigraph", Bigraph)
     try:
-        if directed:
-            arcs = []
-            for e in edges_raw:
-                if not isinstance(e, dict) or not {"u", "v", "dir"} <= set(e):
-                    raise FileFormatError(
-                        f"{source}: directed edges are objects with u, v and dir: {e!r}"
-                    )
-                u = _check_id(e["u"], source)
-                v = _check_id(e["v"], source)
-                if e["dir"] == "v_to_u":
-                    arcs.append((v, u))
-                elif e["dir"] == "u_to_v":
-                    arcs.append((u, v))
-                else:
-                    raise FileFormatError(
-                        f"{source}: dir must be 'v_to_u' or 'u_to_v', got {e['dir']!r}"
-                    )
-            obj = DiBigraph(us, vs, arcs)
-            kind = "digraph"
-        else:
-            edges = []
-            for e in edges_raw:
-                if not isinstance(e, list) or len(e) != 2:
-                    raise FileFormatError(
-                        f"{source}: undirected edges are [u, v] pairs: {e!r}"
-                    )
-                edges.append((_check_id(e[0], source), _check_id(e[1], source)))
-            obj = Bigraph(us, vs, edges)
-            kind = "bigraph"
+        obj = cls(us, vs, links)
     except ValueError as exc:
         raise FileFormatError(f"{source}: {exc}") from exc
     return Document(kind, obj, _get_labels(doc, set(vs), source))

@@ -1,14 +1,15 @@
-"""Factoring a labeled graph through its polynomial.
+"""Factoring a labeled graph, digraph or net through its polynomial.
 
-A product of two nonconstant polynomials decodes to a pair of labeled
-graphs, and every two-factor graph decomposition shows up this way.  The
-product of the decoded factors encodes back to the graph's encoding
-exactly, so it is the graph itself up to isomorphism whenever every
-v-vertex meets an edge; that single check stands in for any isomorphism
-search.  Factorability depends on the labeling: a graph can split under one
-labeling and resist another, so irreducibility verdicts carry their scope,
-either the single labeling that was tried or the whole sweep of compact
-labelings.
+A factor pair of the encoding decodes to a pair of labeled structures, and
+every two-factor decomposition shows up this way: a graph's encoding splits
+over N[x] by the full coefficient search, a digraph's or net's over N[x,y]
+into bit-disjoint pairs.  The product of the decoded factors encodes back to
+the encoding exactly, so it is the input itself up to isomorphism whenever
+every v-vertex meets an edge; that single check stands in for any
+isomorphism search.  Factorability depends on the labeling: a graph can
+split under one labeling and resist another, so irreducibility verdicts
+carry their scope, either the single labeling that was tried or the whole
+sweep of compact labelings.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .bigraph import decode
 from .bits import tau_poly
-from .core import compact_labeling, encode
+from .core import compact_labeling, decode, encode
 from .errors import BudgetExceededError, SizeGuardError
-from .polyfactor import Budget, factor_pairs
+from .polyfactor import Budget, bit_disjoint_factor, factor_pairs
 
 
 @dataclass(frozen=True)
@@ -32,17 +32,25 @@ class IrreducibilityReport:
 
 
 def factor_graph(g, labeling, budget: Budget = Budget()) -> list:
-    """All pairs of labeled graphs whose product is isomorphic to g.
+    """All pairs of labeled graphs, digraphs or nets whose product is
+    isomorphic to g.
 
-    Factors come back as decoded graphs carrying their natural labeling.
-    v-vertices no edge touches are invisible to the polynomial, so a graph
+    A graph splits by factor_pairs, a digraph or net into bit-disjoint pairs
+    by bit_disjoint_factor; a net keeps the pairs whose halves both hold an
+    idle unit.  Factors come back decoded, carrying their natural labeling.
+    v-vertices no edge touches are invisible to the polynomial, so an input
     with one gets no pair rather than a bogus one.  Empty means no
     two-factor split exists under this labeling.
     """
     p = encode(g, labeling)
     if not p or len(tau_poly(p)) != len(g.v_vertices):
         return []
-    return [(decode(q), decode(r)) for q, r in factor_pairs(p, budget)]
+    search = factor_pairs if g.arity == 1 else bit_disjoint_factor
+    return [
+        (decode(q, g.decoded), decode(r, g.decoded))
+        for q, r in search(p, budget)
+        if not g.idle or (q.constant_coeff() and r.constant_coeff())
+    ]
 
 
 def is_irreducible(

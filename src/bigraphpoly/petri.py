@@ -26,18 +26,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ._match import _match_right
-from .bits import tau_poly
 from .core import (
     Directed,
     compact_labeling,
     decode,
     encode,
+    identity_labeling,
     is_isomorphic,
     parts,
     plain_product,
 )
+from .graphfactor import factor_graph
 from .poly import Poly2
-from .polyfactor import Budget, bit_disjoint_factor
+from .polyfactor import Budget
 
 
 class PetriNet(Directed):
@@ -101,7 +102,7 @@ def decode_net(p: Poly2) -> LabeledPetriNet:
     copy index) pairs.
     """
     net = decode(p, PetriNet)
-    return LabeledPetriNet(net, {b: b for b in net.conditions})
+    return LabeledPetriNet(net, identity_labeling(net))
 
 
 def net_product(n1: PetriNet, n2: PetriNet) -> PetriNet:
@@ -118,21 +119,17 @@ def decompose(net: PetriNet, labeling, budget: Budget = Budget()) -> list:
     """All splittings of net into a product of two smaller nets, as seen
     through this labeling's bit structure.
 
-    Factors the encoding into bit-disjoint pairs and keeps those where both
-    sides hold an idle unit.  The product of each pair's decoded nets
+    The pairs are factor_graph's: bit-disjoint factors of the encoding
+    whose halves both hold an idle unit.  The product of each pair's nets
     encodes back to the net's encoding exactly, so it is the net itself up
     to isomorphism once every condition meets an event; a net with an
     untouched condition gets no split.  Returns a list of
-    (LabeledPetriNet, LabeledPetriNet) pairs; empty means no split is
-    visible under this labeling.
+    (LabeledPetriNet, LabeledPetriNet) pairs under the identity labeling;
+    empty means no split is visible under this labeling.
     """
-    p = encode(net, labeling)
-    if len(tau_poly(p)) != len(net.conditions):
-        return []
     return [
-        (decode_net(p1), decode_net(p2))
-        for p1, p2 in bit_disjoint_factor(p, budget)
-        if p1.constant_coeff() >= 1 and p2.constant_coeff() >= 1
+        tuple(LabeledPetriNet(half, identity_labeling(half)) for half in pair)
+        for pair in factor_graph(net, labeling, budget)
     ]
 
 

@@ -25,7 +25,7 @@ import re
 from math import gcd
 from types import MappingProxyType
 
-from .errors import BitWidthError, PolyParseError
+from .errors import PolyParseError
 
 
 def _clean_terms(items, arity):
@@ -145,35 +145,22 @@ class Poly2(_Poly):
         return evaluate2(self, tx, ty)
 
 
-def _check_width(poly, width):
-    if width is None:
-        return poly
-    for exp, coeff in poly.terms.items():
-        parts = (exp,) if isinstance(exp, int) else exp
-        for e in parts:
-            if e.bit_length() > width:
-                raise BitWidthError(f"exponent needs {e.bit_length()} bits, width is {width}")
-        if coeff.bit_length() > width:
-            raise BitWidthError(f"coefficient needs {coeff.bit_length()} bits, width is {width}")
-    return poly
-
-
 def _same_arity(p, q):
     if type(p) is not type(q):
         raise TypeError(f"mixed polynomial arities: {type(p).__name__} and {type(q).__name__}")
 
 
-def add(p, q, width=None):
-    """Sum in the same semiring; optional bit-width bound on the result."""
+def add(p, q):
+    """Sum in the same semiring."""
     _same_arity(p, q)
     out = dict(p.terms)
     for exp, coeff in q.terms.items():
         out[exp] = out.get(exp, 0) + coeff
-    return _check_width(type(p)(out), width)
+    return type(p)(out)
 
 
-def mul(p, q, width=None):
-    """Product in the same semiring; optional bit-width bound on the result."""
+def mul(p, q):
+    """Product in the same semiring."""
     _same_arity(p, q)
     out = {}
     if isinstance(p, Poly1):
@@ -186,27 +173,21 @@ def mul(p, q, width=None):
             for (i2, j2), c2 in q.terms.items():
                 e = (i1 + i2, j1 + j2)
                 out[e] = out.get(e, 0) + c1 * c2
-    return _check_width(type(p)(out), width)
+    return type(p)(out)
 
 
-def evaluate(p, t, width=None):
+def evaluate(p, t):
     """Value of a one-variable polynomial at a natural t."""
     if not isinstance(p, Poly1):
         raise TypeError("evaluate takes a one-variable polynomial; use evaluate2")
-    val = sum(c * t**e for e, c in p.terms.items())
-    if width is not None and val.bit_length() > width:
-        raise BitWidthError(f"value needs {val.bit_length()} bits, width is {width}")
-    return val
+    return sum(c * t**e for e, c in p.terms.items())
 
 
-def evaluate2(p, tx, ty, width=None):
+def evaluate2(p, tx, ty):
     """Value of a two-variable polynomial at naturals (tx, ty)."""
     if not isinstance(p, Poly2):
         raise TypeError("evaluate2 takes a two-variable polynomial")
-    val = sum(c * tx**i * ty**j for (i, j), c in p.terms.items())
-    if width is not None and val.bit_length() > width:
-        raise BitWidthError(f"value needs {val.bit_length()} bits, width is {width}")
-    return val
+    return sum(c * tx**i * ty**j for (i, j), c in p.terms.items())
 
 
 def lift(p: Poly1) -> Poly2:

@@ -17,7 +17,7 @@ terms, not the degree.
 ``bit_disjoint_factor`` restricts to factor pairs whose exponent bit
 supports do not meet.  With no carries between the parts, a bipartition of
 the support splits every exponent uniquely, and the coefficient grid must be
-an outer product; scaling a reference row recovers the factors.
+an outer product; the primitive first row and column recover the factors.
 """
 
 from __future__ import annotations
@@ -33,20 +33,16 @@ from .poly import Poly1, Poly2, content, poly_key
 
 @dataclass(frozen=True)
 class Budget:
-    """Work allowances for the exhaustive searches.
+    """The work allowance of the exhaustive searches.
 
-    max_divisor_tuples is the step allowance of factor_pairs.  A step is one
-    node of the coefficient search, one coefficient value tried there, one
-    coefficient read by its recurrence or support checks, or one trial
-    division while listing the divisors of the content, of p(0) or of p(1).
-    max_bipartitions bounds the support bipartitions scanned by
-    bit_disjoint_factor and caps the divisor scan of any one coefficient on
-    the way.  Exceeding either raises BudgetExceededError, so an empty
-    result is always a completed-search certificate.
+    max_steps counts the same unit on both searches: a step is one
+    coefficient read, one search node or coefficient value tried, or one
+    trial division while listing the divisors of the content, of p(0) or of
+    p(1).  Exceeding it raises BudgetExceededError, so an empty result is
+    always a completed-search certificate.
     """
 
-    max_divisor_tuples: int = 10_000_000
-    max_bipartitions: int = 1 << 20
+    max_steps: int = 10_000_000
 
 
 def _show(n):
@@ -245,7 +241,7 @@ def factor_pairs(p: Poly1, budget: Budget = Budget()) -> list:
     m = min(p.terms)
     c = content(p)
     core = Poly1({e - m: v // c for e, v in p.terms.items()})
-    remaining = budget.max_divisor_tuples
+    remaining = budget.max_steps
     if c > 1:
         cdivs = _divisors(c, remaining)
         remaining -= _scan_cost(c)
@@ -253,7 +249,7 @@ def factor_pairs(p: Poly1, budget: Budget = Budget()) -> list:
         cdivs = (1,)
     splits = [(Poly1({0: 1}), core)]
     if core.degree >= 2:
-        splits.extend(_splits(core, remaining, budget.max_divisor_tuples))
+        splits.extend(_splits(core, remaining, budget.max_steps))
     out = {}
     for split in splits:
         for small, big in (split, split[::-1]):
@@ -274,54 +270,25 @@ def _project(exp, mask, bivariate):
     return exp & mask
 
 
-def _is_one(p):
-    return p.is_constant() and p.constant_coeff() == 1
-
-
-def _outer_splits(p, mask1, mask2, bivariate, cap):
-    rows = {}
-    for exp, cv in p.terms.items():
-        a = _project(exp, mask1, bivariate)
-        b = _project(exp, mask2, bivariate)
-        rows.setdefault(a, {})[b] = cv
-    col_keys = None
-    for row in rows.values():
-        keys = frozenset(row)
-        if col_keys is None:
-            col_keys = keys
-        elif keys != col_keys:
-            return []  # not a full grid, no outer product possible
-    a0 = min(rows)
-    b0 = min(col_keys)
-    make = Poly2 if bivariate else Poly1
-    results = []
-    for g in _divisors(rows[a0][b0], cap):
-        dvec = {}
-        for b in col_keys:
-            v = rows[a0][b]
-            if v % g:
-                dvec = None
-                break
-            dvec[b] = v // g
-        if dvec is None:
-            continue
-        d0 = dvec[b0]
-        cvec = {}
-        for a in rows:
-            v = rows[a][b0]
-            if v % d0:
-                cvec = None
-                break
-            cvec[a] = v // d0
-        if cvec is None:
-            continue
-        if all(
-            cvec[a] * dvec[b] == rows[a][b] for a in rows for b in col_keys
-        ):
-            p1, p2 = make(cvec), make(dvec)
-            if not _is_one(p1) and not _is_one(p2):
-                results.append((p1, p2))
-    return results
+def _outer(terms, mask1, mask2, bivariate):
+    """(column, row) when the grid of a primitive p over the two masks is the
+    outer product of its primitive first column and primitive first row,
+    else None; both come back as exponent -> coefficient maps."""
+    grid = {
+        (_project(e, mask1, bivariate), _project(e, mask2, bivariate)): v
+        for e, v in terms.items()
+    }
+    a0, b0 = next(iter(grid))
+    col = {a: v for (a, b), v in grid.items() if b == b0}
+    row = {b: v for (a, b), v in grid.items() if a == a0}
+    if len(col) * len(row) != len(grid):
+        return None  # not a full grid
+    gc, gr = gcd(*col.values()), gcd(*row.values())
+    col = {a: v // gc for a, v in col.items()}
+    row = {b: v // gr for b, v in row.items()}
+    if any(col.get(a, 0) * row.get(b, 0) != v for (a, b), v in grid.items()):
+        return None
+    return col, row
 
 
 def bit_disjoint_factor(p, budget: Budget = Budget()) -> list:
@@ -329,27 +296,46 @@ def bit_disjoint_factor(p, budget: Budget = Budget()) -> list:
     disjoint exponent bit supports.
 
     Works for either arity; a two-variable support pools the bits of both
-    exponent components.  Scans every bipartition of the support, so the
-    count 2**|support| must fit the budget.  An empty result certifies that
-    no bit-disjoint pair exists.
+    exponent components.  Each unordered bipartition of the support is
+    visited once, with the top bit on the second side, and every visit reads
+    each term, so 2**(|support| - 1) * terms steps, plus the divisor scan of
+    the content, must fit the budget; that is charged before the scan
+    starts.  An empty result certifies that no bit-disjoint pair exists.
+
+    By Gauss's lemma a split of p is its content c = c1 * c2 spread over the
+    two sides times a split of the primitive part, and that split is unique
+    for a bipartition: the outer product of the primitive first row and
+    column of the coefficient grid.
     """
     if not p:
         raise ValueError("cannot factor the zero polynomial")
     support = sorted(tau_poly(p))
-    nparts = 1 << len(support)
-    if nparts > budget.max_bipartitions:
+    c = content(p)
+    terms = {e: v // c for e, v in p.terms.items()}
+    nparts = 1 << max(len(support) - 1, 0)
+    cost = nparts * len(terms) + (_scan_cost(c) if c > 1 else 0)
+    if cost > budget.max_steps:
         raise BudgetExceededError(
-            f"{nparts} support bipartitions exceed the allowance "
-            f"{budget.max_bipartitions}"
+            f"{_show(nparts)} support bipartitions of {len(terms)} terms and "
+            f"the divisors of the content {_show(c)} take {_show(cost)} steps, "
+            f"more than the allowance of {_show(budget.max_steps)}"
         )
+    cdivs = _divisors(c, cost) if c > 1 else (1,)
+    make = type(p)
+    one = {p.zero: 1}
     bivariate = isinstance(p, Poly2)
     full = from_bits(support)
     out = {}
     for pick in range(nparts):
         mask1 = from_bits(b for t, b in enumerate(support) if pick >> t & 1)
-        mask2 = full ^ mask1
-        for p1, p2 in _outer_splits(
-            p, mask1, mask2, bivariate, budget.max_bipartitions
-        ):
+        split = _outer(terms, mask1, full ^ mask1, bivariate)
+        if split is None:
+            continue
+        col, row = split
+        for c1 in cdivs:
+            if (c1 == 1 and col == one) or (c1 == c and row == one):
+                continue
+            p1 = make({a: v * c1 for a, v in col.items()})
+            p2 = make({b: v * (c // c1) for b, v in row.items()})
             out[tuple(sorted((poly_key(p1), poly_key(p2))))] = _ordered(p1, p2)
     return [out[k] for k in sorted(out)]

@@ -171,6 +171,51 @@ def factor_pair_table(max_deg=4, max_sum=12) -> dict:
     return table
 
 
+def bit_disjoint_reference(terms: dict) -> set:
+    """Brute-force bit-disjoint splits of {exponent: coefficient}, exponents
+    ints or (x, y) pairs: every ordered bipartition of the exponent bits,
+    both halves of each, and every divisor of the grid's corner coefficient
+    as the scale of its first row.  Returns the unordered pairs, neither the
+    constant 1, as sorted pairs of descending (exponent, coefficient) lists."""
+    bivariate = isinstance(next(iter(terms)), tuple)
+
+    def parts(e):
+        return e if bivariate else (e,)
+
+    def project(e, mask):
+        return tuple(x & mask for x in e) if bivariate else e & mask
+
+    def key(t):
+        return tuple(sorted(t.items(), reverse=True))
+
+    one = {(0, 0) if bivariate else 0: 1}
+    bits = sorted(set().union(*(bits_of(x) for e in terms for x in parts(e))))
+    full = sum(1 << b for b in bits)
+    out = set()
+    for pick in range(1 << len(bits)):
+        mask1 = sum(1 << b for t, b in enumerate(bits) if pick >> t & 1)
+        rows = {}
+        for e, c in terms.items():
+            rows.setdefault(project(e, mask1), {})[project(e, full ^ mask1)] = c
+        if len({frozenset(row) for row in rows.values()}) != 1:
+            continue  # not a full grid
+        a0 = min(rows)
+        b0 = min(rows[a0])
+        corner = rows[a0][b0]
+        for g in range(1, corner + 1):
+            if any(v % g for v in rows[a0].values()):
+                continue
+            second = {b: v // g for b, v in rows[a0].items()}
+            if any(rows[a][b0] % second[b0] for a in rows):
+                continue
+            first = {a: rows[a][b0] // second[b0] for a in rows}
+            if any(first[a] * second[b] != rows[a][b] for a in rows for b in second):
+                continue
+            if first != one and second != one:
+                out.add(tuple(sorted((key(first), key(second)))))
+    return out
+
+
 def least_encoding(g, arity=1) -> dict:
     """Brute-force canonical form: over every labeling by 0..|v|-1, the
     encoding whose descending (exponent, coefficient) list is least."""

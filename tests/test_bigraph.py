@@ -7,7 +7,6 @@ import pytest
 
 from bigraphpoly import (
     Bigraph,
-    BitWidthError,
     DiBigraph,
     LabelingError,
     Poly1,
@@ -64,13 +63,6 @@ def test_encode_piles_equal_neighborhoods_into_coefficients():
 def test_encode_respects_labeling_choice():
     g = hub_graph()
     assert encode(g, {"v1": 1, "v2": 0, "v3": 2}) == Poly1({7: 1, 6: 1, 0: 1})
-
-
-def test_encode_width_guard():
-    g = Bigraph(["a"], ["v"], [("a", "v")])
-    assert encode(g, {"v": 7}, width=8) == Poly1({128: 1})
-    with pytest.raises(BitWidthError):
-        encode(g, {"v": 8}, width=8)
 
 
 def test_decode_golden():

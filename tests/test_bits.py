@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bigraphpoly import BitWidthError, Poly1, Poly2, from_bits, tau, tau_poly
+from bigraphpoly import Poly1, Poly2, from_bits, tau, tau_poly
 
 from helpers import bits_of
 
@@ -51,14 +51,6 @@ def test_from_bits_golden():
 def test_from_bits_rejects_negative_positions():
     with pytest.raises(ValueError):
         from_bits([3, -1])
-
-
-def test_from_bits_width_guard():
-    assert from_bits([7], width=8) == 128
-    with pytest.raises(BitWidthError):
-        from_bits([8], width=8)
-    with pytest.raises(BitWidthError):
-        from_bits(range(64), width=60)
 
 
 def test_disjoint_supports_add_carry_free():

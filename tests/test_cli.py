@@ -1,11 +1,14 @@
 """Command line behavior: printed output, exit codes, and file handling."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import bigraphpoly
 from bigraphpoly import (
     Bigraph,
     DiBigraph,
@@ -347,6 +350,19 @@ def test_factor_digraph_file(capsys, tmp_path):
     assert out == "(y^2 + 1) * (x + 1)\n"
 
 
+def test_factor_digraph_file_with_an_isolated_v_vertex(capsys, tmp_path):
+    """The encoding (x + 1)(y^2 + 1) splits, but no product of the decoded
+    halves has the isolated v-vertex c, so the digraph does not."""
+    g = DiBigraph(["e", "p", "q", "pq"], ["a", "b", "c"],
+                  [("a", "p"), ("q", "b"), ("a", "pq"), ("pq", "b")])
+    labels = {"a": 0, "b": 1, "c": 2}
+    assert encode_directed(g, labels) == parse_poly("x*y^2 + x + y^2 + 1")
+    path = write(tmp_path / "dp.json", fileio.digraph_document(g, labels))
+    code, out, err = run(capsys, "factor", path)
+    assert code == 1
+    assert out == "no bit-disjoint factor pairs\n"
+
+
 def test_factor_digraph_file_without_pairs(capsys, tmp_path):
     path = write(tmp_path / "r.json",
                  fileio.digraph_document(relay_graph(), {"v1": 0, "v2": 1}))
@@ -559,9 +575,12 @@ def test_usage_errors_exit_3(capsys):
 
 
 def test_module_entry_point(hub_file):
+    # The child imports the package under test, wherever pytest found it.
+    here = str(Path(bigraphpoly.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [here, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "bigraphpoly.cli", "encode", hub_file],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == "x^7 + x^5 + 1\n"

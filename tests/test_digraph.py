@@ -6,7 +6,6 @@ from collections import Counter
 import pytest
 
 from bigraphpoly import (
-    BitWidthError,
     DiBigraph,
     LabelingError,
     Poly1,
@@ -58,13 +57,6 @@ def test_encode_separates_in_from_out():
 def test_encode_two_way_arc_pair():
     g = DiBigraph(["u"], ["v"], [("u", "v"), ("v", "u")])
     assert encode_directed(g, {"v": 2}) == Poly2({(4, 4): 1})
-
-
-def test_encode_width_guard():
-    g = DiBigraph(["u"], ["v"], [("u", "v")])
-    assert encode_directed(g, {"v": 7}, width=8) == Poly2({(0, 128): 1})
-    with pytest.raises(BitWidthError):
-        encode_directed(g, {"v": 8}, width=8)
 
 
 def test_decode_golden():

@@ -17,7 +17,7 @@ from bigraphpoly import (
     tau_poly,
 )
 
-from helpers import dense_key, factor_pair_table, poly_on_bits
+from helpers import bit_disjoint_reference, dense_key, factor_pair_table, poly_on_bits
 
 
 def P(terms):
@@ -79,13 +79,13 @@ def test_factor_pairs_rejects_zero_and_wrong_arity():
 
 def test_zero_budget_raises_only_when_work_is_needed():
     with pytest.raises(BudgetExceededError):
-        factor_pairs(P({2: 1, 0: 1}), Budget(max_divisor_tuples=0))
+        factor_pairs(P({2: 1, 0: 1}), Budget(max_steps=0))
     with pytest.raises(BudgetExceededError):
         # the content's divisor scan is metered work too
-        factor_pairs(P({2: 2, 1: 2}), Budget(max_divisor_tuples=0))
-    assert len(factor_pairs(P({2: 2, 1: 2}), Budget(max_divisor_tuples=10))) == 2
+        factor_pairs(P({2: 2, 1: 2}), Budget(max_steps=0))
+    assert len(factor_pairs(P({2: 2, 1: 2}), Budget(max_steps=10))) == 2
     # primitive with a degree-1 core: nothing to scan or enumerate
-    assert factor_pairs(P({2: 1, 1: 1}), Budget(max_divisor_tuples=0)) == [
+    assert factor_pairs(P({2: 1, 1: 1}), Budget(max_steps=0)) == [
         (P({1: 1}), P({1: 1, 0: 1}))
     ]
 
@@ -96,7 +96,7 @@ def test_budget_interrupts_huge_evaluation_values():
     of stalling."""
     p = P({32: 1, 0: 10**20 + 1})  # p(1) = 10^20 + 2
     with pytest.raises(BudgetExceededError) as err:
-        factor_pairs(p, Budget(max_divisor_tuples=10**6))
+        factor_pairs(p, Budget(max_steps=10**6))
     assert len(str(err.value)) < 300
 
 
@@ -106,13 +106,13 @@ def test_sparse_binomial_is_certified_and_dense_search_is_metered():
     assert factor_pairs(P({32: 1, 0: 1})) == []
     binomial = P({k: comb(14, k) for k in range(15)})
     with pytest.raises(BudgetExceededError):
-        factor_pairs(binomial, Budget(max_divisor_tuples=10**4))
+        factor_pairs(binomial, Budget(max_steps=10**4))
 
 
 def test_huge_values_give_short_budget_errors():
     p = P({1: 10**5000, 0: 10**5000})
     for search in (
-        lambda: factor_pairs(p, Budget(max_divisor_tuples=10**6)),
+        lambda: factor_pairs(p, Budget(max_steps=10**6)),
         lambda: bit_disjoint_factor(p),
     ):
         with pytest.raises(BudgetExceededError) as err:
@@ -292,10 +292,29 @@ def test_bit_disjoint_rejects_zero():
 
 
 def test_bit_disjoint_budget():
-    p = P({15: 1, 12: 1, 7: 1, 4: 1})  # 4 support bits, 16 bipartitions
+    # 4 support bits: 8 unordered bipartitions, each reading the 4 terms
+    p = P({15: 1, 12: 1, 7: 1, 4: 1})
     with pytest.raises(BudgetExceededError):
-        bit_disjoint_factor(p, Budget(max_bipartitions=2))
-    assert len(bit_disjoint_factor(p, Budget(max_bipartitions=16))) == 3
+        bit_disjoint_factor(p, Budget(max_steps=2))
+    with pytest.raises(BudgetExceededError):
+        bit_disjoint_factor(p, Budget(max_steps=31))
+    assert len(bit_disjoint_factor(p, Budget(max_steps=32))) == 3
+
+
+def test_bit_disjoint_matches_the_full_scan_reference():
+    """Random products over one to three bit groups, a group possibly
+    empty (a constant factor), times a content of 1, 2, 6 or 12."""
+    rng = random.Random(33)
+    for arity, make in ((1, Poly1), (2, Poly2)):
+        for _ in range(120):
+            bits = rng.sample(range(7), rng.randint(0, 6))
+            cuts = sorted(rng.randint(0, len(bits)) for _ in range(rng.randint(0, 2)))
+            groups = [bits[i:j] for i, j in zip([0, *cuts], [*cuts, len(bits)])]
+            p = make({make.zero: rng.choice((1, 2, 6, 12))})
+            for group in groups:
+                p = p * poly_on_bits(rng, group, arity=arity)
+            got = [tuple(sorted((poly_key(a), poly_key(b)))) for a, b in bit_disjoint_factor(p)]
+            assert got == sorted(bit_disjoint_reference(dict(p.terms))), p
 
 
 def test_bit_disjoint_recovers_random_products():

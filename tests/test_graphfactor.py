@@ -8,9 +8,11 @@ from bigraphpoly import (
     Bigraph,
     Budget,
     BudgetExceededError,
+    DiBigraph,
     IrreducibilityReport,
     Poly1,
     SizeGuardError,
+    bit_disjoint_factor,
     compact_labeling,
     decode,
     encode,
@@ -58,6 +60,22 @@ def test_uncovered_v_blocks_a_polynomial_only_split():
     report = is_irreducible(g, exhaustive=True)
     assert report.verdict == "irreducible"
     assert report.scope == "compact-labelings"
+
+
+def test_factor_graph_splits_a_digraph_into_its_bit_disjoint_pairs():
+    # (x + 1)(y^2 + 1)(x^4 + y^8) under a=0, b=1, c=2, d=3: 3 pairs
+    slots = {"ac_b": ("ac", "b"), "ac_": ("ac", ""), "c_b": ("c", "b"),
+             "c_": ("c", ""), "a_bd": ("a", "bd"), "a_d": ("a", "d"),
+             "_bd": ("", "bd"), "_d": ("", "d")}
+    arcs = [(v, u) for u, (pre, _) in slots.items() for v in pre]
+    arcs += [(u, v) for u, (_, post) in slots.items() for v in post]
+    g = DiBigraph(slots, "abcd", arcs)
+    labels = {"a": 0, "b": 1, "c": 2, "d": 3}
+    expected = bit_disjoint_factor(encode(g, labels))
+    assert len(expected) == 3
+    pairs = factor_graph(g, labels)
+    assert [tuple(encode(h, h.natural_labeling) for h in pair) for pair in pairs] == expected
+    assert all(isinstance(h, DiBigraph) for pair in pairs for h in pair)
 
 
 def test_factor_graph_past_the_isomorphism_guard():
@@ -132,11 +150,11 @@ def test_default_labeling_is_compact():
 
 def test_budget_starvation_is_reported_not_raised():
     g = decode(CUBIC)
-    report = is_irreducible(g, budget=Budget(max_divisor_tuples=0))
+    report = is_irreducible(g, budget=Budget(max_steps=0))
     assert report.verdict == "inconclusive"
     assert report.scope == "labeling"
     assert report.detail
-    sweep = is_irreducible(g, exhaustive=True, budget=Budget(max_divisor_tuples=0))
+    sweep = is_irreducible(g, exhaustive=True, budget=Budget(max_steps=0))
     assert sweep.verdict == "inconclusive"
     assert "budget" in sweep.detail
 
@@ -144,7 +162,7 @@ def test_budget_starvation_is_reported_not_raised():
 def test_factor_graph_propagates_budget_errors():
     g = decode(CUBIC)
     with pytest.raises(BudgetExceededError):
-        factor_graph(g, identity_labeling(g), Budget(max_divisor_tuples=0))
+        factor_graph(g, identity_labeling(g), Budget(max_steps=0))
 
 
 def test_exhaustive_sweep_guard():

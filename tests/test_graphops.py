@@ -3,11 +3,8 @@
 import random
 from collections import Counter
 
-import pytest
-
 from bigraphpoly import (
     Bigraph,
-    BitWidthError,
     DiBigraph,
     Poly1,
     Poly2,
@@ -221,13 +218,6 @@ def test_overlapping_labels_change_the_product():
     product differs from the plain one."""
     g = direct_product(g_path(), L1, g_fork(), L2_NEAR)
     assert is_isomorphic(g, plain_product(g_path(), g_fork())) is None
-
-
-def test_product_width_guard():
-    with pytest.raises(BitWidthError):
-        poly_product(g_path(), L1, g_fork(), L2_FAR, width=3)
-    g = poly_product(g_path(), L1, g_fork(), L2_FAR, width=4)
-    assert len(g.u_vertices) == 4
 
 
 def test_product_with_empty_graph_is_empty():

@@ -168,6 +168,19 @@ def test_constructor_errors_carry_the_source_name():
         parse_document(doc, source="bad.json")
 
 
+def test_graph_errors_name_the_source_once():
+    for doc in (
+        {"u": ["a"], "v": ["x"], "edges": [["a", "x", "x"]]},
+        {"u": ["a"], "v": ["x"], "directed": True, "edges": [["a", "x"]]},
+        {"u": ["a"], "v": ["x"], "edges": [{"u": "a", "v": "x", "dir": "uv"}]},
+        {"u": ["a"], "v": ["x"], "edges": [["a", "x y"]]},
+        {"u": ["a"], "v": ["x"], "edges": [["a", "nope"]]},
+    ):
+        with pytest.raises(FileFormatError) as err:
+            parse_document(doc, source="dp.json")
+        assert str(err.value).count("dp.json") == 1, str(err.value)
+
+
 def test_net_event_errors():
     with pytest.raises(FileFormatError, match="'id'"):
         parse_document({"conditions": [], "events": [{"pre": []}]})

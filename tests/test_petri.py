@@ -7,7 +7,6 @@ from itertools import permutations
 import pytest
 
 from bigraphpoly import (
-    BitWidthError,
     LabeledPetriNet,
     LabelingError,
     PetriNet,
@@ -86,13 +85,6 @@ def test_encode_always_holds_an_idle_unit():
     assert encode_net(empty, {}) == Poly2({(0, 0): 1})
     silent = PetriNet([], ["e"])  # an event with empty pre and post
     assert encode_net(silent, {}) == Poly2({(0, 0): 2})
-
-
-def test_encode_width_guard():
-    net = PetriNet(["b"], ["e"], pre={"e": ["b"]})
-    assert encode_net(net, {"b": 7}, width=8) == Poly2({(128, 0): 1, (0, 0): 1})
-    with pytest.raises(BitWidthError):
-        encode_net(net, {"b": 8}, width=8)
 
 
 def test_decode_golden():

@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bigraphpoly import (
-    BitWidthError,
     Poly1,
     Poly2,
     PolyParseError,
@@ -164,17 +163,6 @@ def test_evaluate_rejects_wrong_arity():
         evaluate(Poly2({(1, 0): 1}), 2)
     with pytest.raises(TypeError):
         evaluate2(Poly1({1: 1}), 2, 3)
-
-
-def test_width_guard_on_operations():
-    big = Poly1({2**40: 1})
-    with pytest.raises(BitWidthError):
-        add(big, big, width=32)
-    with pytest.raises(BitWidthError):
-        mul(Poly1({0: 2**20}), Poly1({0: 2**20}), width=32)
-    with pytest.raises(BitWidthError):
-        evaluate(Poly1({8: 1}), 2**5, width=32)
-    assert add(Poly1({3: 1}), Poly1({1: 1}), width=8) == Poly1({3: 1, 1: 1})
 
 
 def test_lift_and_content():
