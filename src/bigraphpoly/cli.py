@@ -149,7 +149,7 @@ def _cmd_factor(args):
     else:
         doc = _load(args.input)
         g, kind, labels = doc.obj, doc.kind, _labels_for(doc, args.input)
-    if kind == "bigraph" and args.exhaustive_labels:
+    if args.exhaustive_labels:
         report = is_irreducible(g, exhaustive=True, budget=budget)
         if report.verdict == "reducible":
             lab, pair = report.witness
@@ -277,7 +277,7 @@ def _build_parser():
     p = sub.add_parser("factor", help="all two-factor splits of a polynomial or graph file")
     p.add_argument("input")
     p.add_argument("--exhaustive-labels", action="store_true",
-                   help="graph input: sweep every compact labeling")
+                   help="graph input: answer for every compact labeling")
     p.add_argument("--budget", type=int, help="search allowance override")
     p.set_defaults(func=_cmd_factor)
 

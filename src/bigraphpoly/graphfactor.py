@@ -6,10 +6,11 @@ over N[x] by the full coefficient search, a digraph's or net's over N[x,y]
 into bit-disjoint pairs.  The product of the decoded factors encodes back to
 the encoding exactly, so it is the input itself up to isomorphism whenever
 every v-vertex meets an edge; that single check stands in for any
-isomorphism search.  Factorability depends on the labeling: a graph can
-split under one labeling and resist another, so irreducibility verdicts
-carry their scope, either the single labeling that was tried or the whole
-sweep of compact labelings.
+isomorphism search.  A graph's factorability depends on the labeling: it
+can split under one labeling and resist another, so irreducibility verdicts
+carry their scope, either the single labeling that was tried or every
+compact labeling.  A bit-disjoint split of a digraph or net is a partition
+of its v part, so whether one exists does not depend on the labeling.
 """
 
 from __future__ import annotations
@@ -64,12 +65,17 @@ def is_irreducible(
     """Decide two-factor splittability of g.
 
     Single-labeling mode tries the given labeling (compact by default) and
-    scopes its verdict to it.  Exhaustive mode sweeps every labeling by
-    0..|v|-1; "irreducible" then means no compact labeling splits g, which
-    says nothing about labelings using larger naturals.  Budget exhaustion
-    downgrades the verdict to "inconclusive" instead of raising.
+    scopes its verdict to it.  Exhaustive mode answers for every labeling by
+    0..|v|-1: for a graph it sweeps them all, so "irreducible" says nothing
+    about labelings using larger naturals; for a digraph or net one compact
+    labeling answers for every injective labeling, with no sweep and no size
+    guard.  Budget exhaustion downgrades the verdict to "inconclusive"
+    instead of raising.
     """
-    if exhaustive:
+    scope = "labeling"
+    if exhaustive and g.arity == 2:
+        labeling, scope = compact_labeling(g), "compact-labelings"
+    elif exhaustive:
         vs = g.v_vertices
         if len(vs) > size_guard:
             raise SizeGuardError(
@@ -99,7 +105,7 @@ def is_irreducible(
     try:
         pairs = factor_graph(g, labeling, budget)
     except BudgetExceededError as e:
-        return IrreducibilityReport("inconclusive", "labeling", detail=str(e))
+        return IrreducibilityReport("inconclusive", scope, detail=str(e))
     if pairs:
-        return IrreducibilityReport("reducible", "labeling", (labeling, pairs[0]))
-    return IrreducibilityReport("irreducible", "labeling")
+        return IrreducibilityReport("reducible", scope, (labeling, pairs[0]))
+    return IrreducibilityReport("irreducible", scope)

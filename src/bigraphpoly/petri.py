@@ -116,16 +116,18 @@ def net_product(n1: PetriNet, n2: PetriNet) -> PetriNet:
 
 
 def decompose(net: PetriNet, labeling, budget: Budget = Budget()) -> list:
-    """All splittings of net into a product of two smaller nets, as seen
-    through this labeling's bit structure.
+    """All splittings of net into a product of two smaller nets.
 
     The pairs are factor_graph's: bit-disjoint factors of the encoding
     whose halves both hold an idle unit.  The product of each pair's nets
     encodes back to the net's encoding exactly, so it is the net itself up
     to isomorphism once every condition meets an event; a net with an
-    untouched condition gets no split.  Returns a list of
-    (LabeledPetriNet, LabeledPetriNet) pairs under the identity labeling;
-    empty means no split is visible under this labeling.
+    untouched condition gets no split.  A split is a partition of the
+    conditions, so which splits exist does not depend on the injective
+    labeling; the labeling only sets the bits that the halves' conditions
+    are decoded from.  Returns a list of (LabeledPetriNet, LabeledPetriNet)
+    pairs under the identity labeling; empty certifies that the net does
+    not split.
     """
     return [
         tuple(LabeledPetriNet(half, identity_labeling(half)) for half in pair)

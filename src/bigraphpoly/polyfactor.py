@@ -15,13 +15,25 @@ of q and r are bounded by s and p(1)/s.  The work follows the number of
 terms, not the degree.
 
 ``bit_disjoint_factor`` restricts to factor pairs whose exponent bit
-supports do not meet.  With no carries between the parts, a bipartition of
-the support splits every exponent uniquely, and the coefficient grid must be
-an outer product; the primitive first row and column recover the factors.
+supports do not meet.  Reading each exponent bit as a variable (a pre and
+a post variable per bit for two-variable input) makes p a multilinear
+polynomial, and a bit-disjoint split a variable-disjoint factorization.
+Such factorizations are unions of one finest partition into prime blocks,
+and two variables lie in different blocks iff P * d_uw P = d_u P * d_w P
+(Shpilka & Volkovich, "On the relation between polynomial identity testing
+and finding variable disjoint factors", ICALP 2010).  The search tests that
+identity for every pair of bits at a random point modulo 2**61 - 1, merges
+the dependent bits with union-find, and verifies the blocks exactly: split
+off one at a time, the coefficient grid over a block and the bits left must
+be an outer product, whose primitive first row and column are the factors.
+A point that misses a dependency fails that check and another is drawn.
+The work is about |support|**2 * terms plus the size of the output, where
+a scan of the bipartitions took 2**(|support| - 1) * terms.
 """
 
 from __future__ import annotations
 
+import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd, isqrt, log10
@@ -291,51 +303,176 @@ def _outer(terms, mask1, mask2, bivariate):
     return col, row
 
 
+_PRIME = (1 << 61) - 1
+_SEED = 2010  # fixed, so that answers and step counts repeat exactly
+
+
+def _point(rng, count):
+    """The values of count bit variables at one random point: nonzero
+    residues modulo 2**61 - 1."""
+    return [rng.randrange(1, _PRIME) for _ in range(count)]
+
+
+def _blocks(terms, support, bivariate, point, modulus, spend):
+    """The support bits grouped by union-find over the pairs that the
+    dependency test at this point proves dependent, as bit lists ordered by
+    their top bit.  Never coarser than the prime blocks; finer when the point
+    misses a dependency.
+
+    Each support bit is one variable group: its pre variable and, for two
+    slots, its post variable.  For variables u and w of two bits, let S sum
+    the terms' values at the point, R_u and R_w the values of the terms
+    holding u or w, and D those holding both.  Then S*D - R_u*R_w is the
+    2x2 minor of the grid of p over the states of u and w, with u's and w's
+    own values left in, which only scales its rows and columns by units:
+    P * d_uw P - d_u P * d_w P at the point, times z_u * z_w.  It vanishes
+    identically iff u and w lie in different variable-disjoint factors, so
+    a nonzero value proves their bits share a prime block.
+    """
+    n = len(support)
+    position = {b: t for t, b in enumerate(support)}
+    spend(len(terms), "the dependency test")
+    values = []
+    holders = {}  # variable -> indices of the terms holding it
+    for i, (e, v) in enumerate(terms.items()):
+        value = v % modulus
+        for slot, x in enumerate(e if bivariate else (e,)):
+            while x:
+                low = x & -x
+                u = position[low.bit_length() - 1] + slot * n
+                value = value * point[u] % modulus
+                holders.setdefault(u, set()).add(i)
+                x ^= low
+        values.append(value)
+    total = sum(values)
+    held = {u: sum(values[i] for i in rows) for u, rows in holders.items()}
+    owned = [[u for u in (t, t + n) if u in holders] for t in range(n)]
+
+    def dependent(u, w):
+        both = holders[u] & holders[w]
+        spend(1 + len(both), "the dependency test")
+        return (total * sum(values[i] for i in both) - held[u] * held[w]) % modulus
+
+    parent = list(range(n))
+
+    def find(t):
+        while parent[t] != t:
+            parent[t] = parent[parent[t]]
+            t = parent[t]
+        return t
+
+    for s in range(n):
+        for t in range(s + 1, n):
+            if find(s) != find(t) and any(
+                dependent(u, w) for u in owned[s] for w in owned[t]
+            ):
+                parent[find(s)] = find(t)
+    groups = {}
+    for t, b in enumerate(support):
+        groups.setdefault(find(t), []).append(b)
+    return sorted(groups.values(), key=lambda bits: bits[-1])
+
+
+def _peel(terms, masks, bivariate, spend):
+    """The primitive factors of primitive terms on the given bit masks, read
+    off by splitting one mask at a time from the bits that remain, or None
+    once a split fails."""
+    factors = []
+    rest = sum(masks)
+    for mask in masks[:-1]:
+        rest ^= mask
+        spend(len(terms), "the verification")
+        split = _outer(terms, mask, rest, bivariate)
+        if split is None:
+            return None
+        col, terms = split
+        factors.append(col)
+    return factors + [terms]
+
+
+def _times(f, g, bivariate):
+    """Product of two exponent maps on disjoint bits: no terms collide."""
+    if bivariate:
+        return {(a[0] + b[0], a[1] + b[1]): u * w for a, u in f.items() for b, w in g.items()}
+    return {a + b: u * w for a, u in f.items() for b, w in g.items()}
+
+
 def bit_disjoint_factor(p, budget: Budget = Budget()) -> list:
     """Unordered pairs (p1, p2), neither the constant 1, with p1*p2 == p and
     disjoint exponent bit supports.
 
     Works for either arity; a two-variable support pools the bits of both
-    exponent components.  Each unordered bipartition of the support is
-    visited once, with the top bit on the second side, and every visit reads
-    each term, so 2**(|support| - 1) * terms steps, plus the divisor scan of
-    the content, must fit the budget; that is charged before the scan
-    starts.  An empty result certifies that no bit-disjoint pair exists.
+    exponent components.  Each support bit is one variable group, so a split
+    is a variable-disjoint factorization of the primitive part, and every
+    such split is a union of its prime blocks (Shpilka & Volkovich, ICALP
+    2010).  The blocks come from a dependency test on pairs of bits at a
+    random point; peeling them off one at a time with the exact grid test
+    verifies them, and a failed verification draws a new point.  So the
+    time is random but an answer never is, and a fixed seed makes both
+    repeat.  A step is one term read by the pair tests or the verification,
+    one term of an emitted factor, or one trial division of the content.
+    An empty result certifies that no bit-disjoint pair exists.
 
     By Gauss's lemma a split of p is its content c = c1 * c2 spread over the
     two sides times a split of the primitive part, and that split is unique
-    for a bipartition: the outer product of the primitive first row and
-    column of the coefficient grid.
+    for a union of blocks: the product of their primitive factors.
     """
     if not p:
         raise ValueError("cannot factor the zero polynomial")
     support = sorted(tau_poly(p))
     c = content(p)
     terms = {e: v // c for e, v in p.terms.items()}
-    nparts = 1 << max(len(support) - 1, 0)
-    cost = nparts * len(terms) + (_scan_cost(c) if c > 1 else 0)
-    if cost > budget.max_steps:
-        raise BudgetExceededError(
-            f"{_show(nparts)} support bipartitions of {len(terms)} terms and "
-            f"the divisors of the content {_show(c)} take {_show(cost)} steps, "
-            f"more than the allowance of {_show(budget.max_steps)}"
-        )
-    cdivs = _divisors(c, cost) if c > 1 else (1,)
+    left = budget.max_steps
+
+    def spend(steps, phase):
+        nonlocal left
+        left -= steps
+        if left < 0:
+            raise BudgetExceededError(
+                f"bit-disjoint factoring of {len(terms)} terms on "
+                f"{len(support)} support bits used up the allowance of "
+                f"{_show(budget.max_steps)} steps in {phase}"
+            )
+
+    cdivs = _divisors(c, left) if c > 1 else (1,)
+    left -= _scan_cost(c) if c > 1 else 0
     make = type(p)
     one = {p.zero: 1}
     bivariate = isinstance(p, Poly2)
-    full = from_bits(support)
+    # A minor whose integer coefficients 2**61 - 1 divides vanishes at every
+    # point modulo that prime, so each new point takes the next power as its
+    # modulus, up to the first one above the coefficients' bound 2 * p(1)**2.
+    top = 2 + 2 * sum(terms.values()).bit_length() // 61
+    rng = random.Random(_SEED)
+    draw = 0
+    factors = None
+    while factors is None:
+        draw += 1
+        point = _point(rng, len(support) * (1 + bivariate))
+        modulus = _PRIME ** min(draw, top)
+        blocks = _blocks(terms, support, bivariate, point, modulus, spend)
+        factors = _peel(terms, [from_bits(bits) for bits in blocks], bivariate, spend)
+    # products[m]: the product of the factors in the subset m of the blocks,
+    # built when a split first needs it.
+    k = len(factors)
+    whole = (1 << k) - 1
+    products = {0: one, whole: terms}
+
+    def product(m):
+        if m not in products:
+            low = m & -m
+            products[m] = _times(product(m ^ low), factors[low.bit_length() - 1], bivariate)
+        return products[m]
+
     out = {}
-    for pick in range(nparts):
-        mask1 = from_bits(b for t, b in enumerate(support) if pick >> t & 1)
-        split = _outer(terms, mask1, full ^ mask1, bivariate)
-        if split is None:
-            continue
-        col, row = split
+    # The top block stays on the second side.
+    for pick in range(1 << (k - 1)):
+        col, row = product(pick), product(whole ^ pick)
         for c1 in cdivs:
             if (c1 == 1 and col == one) or (c1 == c and row == one):
                 continue
+            spend(len(col) + len(row), "emitting the factors")
             p1 = make({a: v * c1 for a, v in col.items()})
             p2 = make({b: v * (c // c1) for b, v in row.items()})
             out[tuple(sorted((poly_key(p1), poly_key(p2))))] = _ordered(p1, p2)
-    return [out[k] for k in sorted(out)]
+    return [out[key] for key in sorted(out)]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from itertools import permutations
 
-from bigraphpoly import Bigraph, DiBigraph, PetriNet, Poly1, Poly2
+from bigraphpoly import Bigraph, DiBigraph, PetriNet, Poly1, Poly2, net_product
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +65,20 @@ def random_net(rng: random.Random, max_events=3, max_conditions=3) -> PetriNet:
             side = pre if rng.random() < 0.5 else post
             side[rng.choice(evs)].add(b)
     return PetriNet(conds, evs, pre, post)
+
+
+def three_prime_nets() -> PetriNet:
+    """Pointed product of three prime nets with 8 conditions and 2 events
+    each: 24 conditions and 27 terms.  Each factor's encoding has 3 terms;
+    both halves of a split keep a constant term, so a nonconstant half has at
+    least 2 terms and a bit-disjoint product at least 4.  So each factor is
+    prime and the product splits in exactly 3 ways."""
+    def prime(tag):
+        b = [f"{tag}{i}" for i in range(8)]
+        return PetriNet(b, ["e", "f"], pre={"e": b[:4], "f": [b[6]]},
+                        post={"e": b[4:6], "f": [b[7], b[0]]})
+
+    return net_product(net_product(prime("a"), prime("b")), prime("c"))
 
 
 def random_poly1(rng: random.Random, max_deg=6, max_coeff=4, allow_zero=False) -> Poly1:

@@ -28,6 +28,8 @@ from bigraphpoly import fileio
 from bigraphpoly.cli import main
 from bigraphpoly.poly import parse_poly
 
+from helpers import three_prime_nets
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -350,6 +352,24 @@ def test_factor_digraph_file(capsys, tmp_path):
     assert out == "(y^2 + 1) * (x + 1)\n"
 
 
+def test_factor_exhaustive_on_a_digraph_file(capsys, tmp_path):
+    """A bit-disjoint split is a partition of the v part, so one labeling
+    answers for every compact labeling: the flag gives the undirected
+    lines and exit codes."""
+    g = decode_directed(parse_poly("x*y^2 + x + y^2 + 1"))
+    path = write(tmp_path / "d.json", fileio.digraph_document(g, g.natural_labeling))
+    code, out, err = run(capsys, "factor", "--exhaustive-labels", path)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("reducible over compact labelings; witness labeling")
+    assert lines[1:] == ["(y^2 + 1) * (x + 1)"]
+    path = write(tmp_path / "r.json",
+                 fileio.digraph_document(relay_graph(), {"v1": 0, "v2": 1}))
+    code, out, err = run(capsys, "factor", "--exhaustive-labels", path)
+    assert code == 1
+    assert out == "irreducible over compact labelings\n"
+
+
 def test_factor_digraph_file_with_an_isolated_v_vertex(capsys, tmp_path):
     """The encoding (x + 1)(y^2 + 1) splits, but no product of the decoded
     halves has the isolated v-vertex c, so the digraph does not."""
@@ -500,6 +520,24 @@ def test_net_decompose_negative(capsys, tmp_path):
     assert out == "no decomposition under this labeling\n"
 
 
+def assert_certificate(lines, net, path):
+    """The certificate after the split lines maps net_product of the first
+    split's halves onto the net in the file: every event's pre and post sets
+    land on its image's."""
+    cert = json.loads("\n".join(lines))
+    first, second = decompose(net, compact_net_labeling(net))[0]
+    prod = net_product(first.net, second.net)
+    names = fileio.string_ids(list(prod.events) + list(prod.conditions))
+    given = fileio.load_document(path).obj
+    e_map = {e: cert["event_map"][names[e]] for e in prod.events}
+    c_map = {b: cert["condition_map"][names[b]] for b in prod.conditions}
+    assert sorted(e_map.values()) == sorted(given.events)
+    assert sorted(c_map.values()) == sorted(given.conditions)
+    for e in prod.events:
+        assert {c_map[b] for b in prod.pre(e)} == set(given.pre(e_map[e]))
+        assert {c_map[b] for b in prod.post(e)} == set(given.post(e_map[e]))
+
+
 def test_net_decompose_certificate_past_the_isomorphism_guard(capsys, tmp_path):
     """14 conditions: the certificate comes from the construction, and each
     product event's pre and post sets map onto its image's."""
@@ -514,18 +552,19 @@ def test_net_decompose_certificate_past_the_isomorphism_guard(capsys, tmp_path):
     assert code == 0
     lines = out.splitlines()
     assert all(" = (" in line for line in lines[:63])
-    cert = json.loads("\n".join(lines[63:]))
-    first, second = decompose(net, compact_net_labeling(net))[0]
-    prod = net_product(first.net, second.net)
-    names = fileio.string_ids(list(prod.events) + list(prod.conditions))
-    given = fileio.load_document(path).obj
-    e_map = {e: cert["event_map"][names[e]] for e in prod.events}
-    c_map = {b: cert["condition_map"][names[b]] for b in prod.conditions}
-    assert sorted(e_map.values()) == sorted(given.events)
-    assert sorted(c_map.values()) == sorted(given.conditions)
-    for e in prod.events:
-        assert {c_map[b] for b in prod.pre(e)} == set(given.pre(e_map[e]))
-        assert {c_map[b] for b in prod.post(e)} == set(given.post(e_map[e]))
+    assert_certificate(lines[63:], net, path)
+
+
+def test_net_decompose_three_eight_condition_prime_nets(capsys, tmp_path):
+    net = three_prime_nets()
+    doc = fileio.net_document(net)
+    labels = {b: i for i, b in enumerate(doc["conditions"])}
+    path = write(tmp_path / "three.json", {**doc, "labels": labels})
+    code, out, err = run(capsys, "net-decompose", path)
+    assert code == 0
+    lines = out.splitlines()
+    assert all(" = (" in line for line in lines[:3])
+    assert_certificate(lines[3:], net, path)
 
 
 def test_net_decompose_budget_zero_is_inconclusive(capsys, branch_file):

@@ -14,6 +14,7 @@ from bigraphpoly import (
     factor_pairs,
     parse_poly1,
     poly_key,
+    polyfactor,
     tau_poly,
 )
 
@@ -292,13 +293,16 @@ def test_bit_disjoint_rejects_zero():
 
 
 def test_bit_disjoint_budget():
-    # 4 support bits: 8 unordered bipartitions, each reading the 4 terms
+    # x^4 (x^3 + 1)(x^8 + 1), blocks {0, 1}, {2} and {3}: evaluating the 4
+    # terms, 6 bit-pair tests (one step each plus the 10 terms they read),
+    # peeling {0, 1} and then {2} off (4 + 2 terms read) and the 13 terms of
+    # the 3 emitted pairs come to 4 + 16 + 6 + 13 = 39 steps
     p = P({15: 1, 12: 1, 7: 1, 4: 1})
     with pytest.raises(BudgetExceededError):
         bit_disjoint_factor(p, Budget(max_steps=2))
     with pytest.raises(BudgetExceededError):
-        bit_disjoint_factor(p, Budget(max_steps=31))
-    assert len(bit_disjoint_factor(p, Budget(max_steps=32))) == 3
+        bit_disjoint_factor(p, Budget(max_steps=38))
+    assert len(bit_disjoint_factor(p, Budget(max_steps=39))) == 3
 
 
 def test_bit_disjoint_matches_the_full_scan_reference():
@@ -315,6 +319,63 @@ def test_bit_disjoint_matches_the_full_scan_reference():
                 p = p * poly_on_bits(rng, group, arity=arity)
             got = [tuple(sorted((poly_key(a), poly_key(b)))) for a, b in bit_disjoint_factor(p)]
             assert got == sorted(bit_disjoint_reference(dict(p.terms))), p
+
+
+def test_bit_disjoint_matches_the_reference_on_up_to_ten_bits():
+    """Products over up to ten bits in zero to four groups, times a content
+    of 1, 2, 6 or 12; one in ten has a coefficient raised so that it is no
+    longer such a product."""
+    rng = random.Random(34)
+    for arity, make in ((1, Poly1), (2, Poly2)):
+        for _ in range(100):
+            bits = rng.sample(range(12), rng.randint(0, 10))
+            cuts = sorted(rng.randint(0, len(bits)) for _ in range(rng.randint(0, 3)))
+            groups = [bits[i:j] for i, j in zip([0, *cuts], [*cuts, len(bits)])]
+            p = make({make.zero: rng.choice((1, 2, 6, 12))})
+            for group in groups:
+                p = p * poly_on_bits(rng, group, arity=arity)
+            if rng.random() < 0.1:
+                p = p + make({rng.choice(list(p.terms)): rng.randint(1, 3)})
+            got = [tuple(sorted((poly_key(a), poly_key(b)))) for a, b in bit_disjoint_factor(p)]
+            assert got == sorted(bit_disjoint_reference(dict(p.terms))), p
+
+
+def test_bit_disjoint_verification_rejects_a_point_that_misses_a_dependency(monkeypatch):
+    """At (z0, z1, z2) = (-1, -1, 1) every pairwise minor of the prime
+    1 + x + x^2 + x^7 vanishes, so the first point reports singleton blocks.
+    The exact check must reject them, and a second point must give the
+    reference's answer, alone and times x^8 + 1."""
+    real_point, real_peel = polyfactor._point, polyfactor._peel
+    peels = []
+
+    def point(rng, count):
+        if not peels:
+            return [polyfactor._PRIME - 1, polyfactor._PRIME - 1, 1] + real_point(rng, count - 3)
+        return real_point(rng, count)
+
+    def peel(*args):
+        peels.append(real_peel(*args))
+        return peels[-1]
+
+    monkeypatch.setattr(polyfactor, "_point", point)
+    monkeypatch.setattr(polyfactor, "_peel", peel)
+    for p in (P({7: 1, 2: 1, 1: 1, 0: 1}), P({7: 1, 2: 1, 1: 1, 0: 1}) * P({8: 1, 0: 1})):
+        peels.clear()
+        got = [tuple(sorted((poly_key(a), poly_key(b)))) for a, b in bit_disjoint_factor(p)]
+        assert got == sorted(bit_disjoint_reference(dict(p.terms)))
+        assert peels[0] is None and peels[1] is not None and len(peels) == 2
+    assert got  # the product splits once: (x^8 + 1) * (x^7 + x^2 + x + 1)
+
+
+def test_bit_disjoint_dependency_hidden_modulo_the_prime():
+    """1 + x + x^2 + (m + 1) x^3 with m = 2**61 - 1 is prime, but its one
+    minor is m * z0 * z1, zero at every point modulo m; the next point is
+    taken modulo m**2, where it shows."""
+    m = polyfactor._PRIME
+    p = P({3: m + 1, 2: 1, 1: 1, 0: 1})
+    assert bit_disjoint_factor(p, Budget(max_steps=1000)) == []
+    q = p * P({4: 1, 0: 1})
+    assert bit_disjoint_factor(q, Budget(max_steps=1000)) == [(p, P({4: 1, 0: 1}))]
 
 
 def test_bit_disjoint_recovers_random_products():

@@ -1,6 +1,7 @@
 """Petri nets, the pointed product, and product decomposition."""
 
 import random
+import time
 from collections import Counter
 from itertools import permutations
 
@@ -17,13 +18,14 @@ from bigraphpoly import (
     decode_net,
     decompose,
     encode_net,
+    is_irreducible,
     mul,
     net_isomorphic,
     net_product,
     render,
 )
 
-from helpers import random_labeling, random_net
+from helpers import random_labeling, random_net, three_prime_nets
 
 
 def branching_net():
@@ -286,6 +288,31 @@ def test_decompose_fourteen_conditions_returns_every_split():
         assert len(first.net.conditions) % 2 == 0 and len(second.net.conditions) % 2 == 0
         seen.add(frozenset((p1, p2)))
     assert len(seen) == 63
+
+
+def test_decompose_three_eight_condition_prime_nets():
+    """24 conditions: well under a second, where a scan of the 2**23
+    bipartitions would charge 27 terms at each.  The three prime factors
+    give exactly 2**2 - 1 = 3 splits, each one 8-condition factor against
+    the product of the other two."""
+    net = three_prime_nets()
+    labeling = compact_net_labeling(net)
+    p = encode_net(net, labeling)
+    assert (len(net.conditions), len(p.terms)) == (24, 27)
+    start = time.perf_counter()
+    pairs = decompose(net, labeling)
+    assert time.perf_counter() - start < 1.0
+    assert len(pairs) == 3
+    primes = set()
+    for first, second in pairs:
+        p1 = encode_net(first.net, first.labeling)
+        p2 = encode_net(second.net, second.labeling)
+        assert mul(p1, p2) == p
+        assert sorted((len(p1.terms), len(p2.terms))) == [3, 9]
+        primes.add(min(p1, p2, key=lambda q: len(q.terms)))
+    assert len(primes) == 3
+    report = is_irreducible(net, exhaustive=True)
+    assert (report.verdict, report.scope) == ("reducible", "compact-labelings")
 
 
 def test_decompose_round_trips_random_products():
