@@ -21,7 +21,7 @@ from itertools import permutations
 from .bits import tau_poly
 from .core import compact_labeling, decode, encode
 from .errors import BudgetExceededError, SizeGuardError
-from .polyfactor import Budget, bit_disjoint_factor, factor_pairs
+from .polyfactor import Budget, _bit_disjoint_factor, _factor_pairs, _Meter
 
 
 @dataclass(frozen=True)
@@ -43,13 +43,17 @@ def factor_graph(g, labeling, budget: Budget = Budget()) -> list:
     with one gets no pair rather than a bogus one.  Empty means no
     two-factor split exists under this labeling.
     """
+    return _factor_graph(g, labeling, _Meter(budget))
+
+
+def _factor_graph(g, labeling, meter):
     p = encode(g, labeling)
     if not p or len(tau_poly(p)) != len(g.v_vertices):
         return []
-    search = factor_pairs if g.arity == 1 else bit_disjoint_factor
+    search = _factor_pairs if g.arity == 1 else _bit_disjoint_factor
     return [
         (decode(q, g.decoded), decode(r, g.decoded))
-        for q, r in search(p, budget)
+        for q, r in search(p, meter)
         if not g.idle or (q.constant_coeff() and r.constant_coeff())
     ]
 
@@ -66,46 +70,31 @@ def is_irreducible(
 
     Single-labeling mode tries the given labeling (compact by default) and
     scopes its verdict to it.  Exhaustive mode answers for every labeling by
-    0..|v|-1: for a graph it sweeps them all, so "irreducible" says nothing
-    about labelings using larger naturals; for a digraph or net one compact
-    labeling answers for every injective labeling, with no sweep and no size
-    guard.  Budget exhaustion downgrades the verdict to "inconclusive"
-    instead of raising.
+    0..|v|-1.  One compact labeling answers for all of them, except on an
+    undirected graph with an isolated u-vertex, where all |v|! labelings are
+    swept up to the size guard and "irreducible" says nothing about labels
+    past |v|-1.  A split of a digraph or net is a partition of its v part.
+    A graph whose every u-vertex has a neighbour has p(0) = 0, so under
+    every labeling x splits off iff every v-vertex meets an edge and
+    |v| >= 2.  All labelings tried share one allowance; running out of it
+    gives "inconclusive".
     """
-    scope = "labeling"
-    if exhaustive and g.arity == 2:
-        labeling, scope = compact_labeling(g), "compact-labelings"
-    elif exhaustive:
+    scope = "compact-labelings" if exhaustive else "labeling"
+    if exhaustive and g.arity == 1 and not all(g.slots(u)[0] for u in g.u_vertices):
         vs = g.v_vertices
         if len(vs) > size_guard:
             raise SizeGuardError(
                 f"{len(vs)} v-vertices exceed the exhaustive-sweep guard {size_guard}"
             )
-        starved = False
-        for perm in permutations(range(len(vs))):
-            lab = dict(zip(vs, perm))
-            try:
-                pairs = factor_graph(g, lab, budget)
-            except BudgetExceededError:
-                starved = True
-                continue
-            if pairs:
-                return IrreducibilityReport(
-                    "reducible", "compact-labelings", (lab, pairs[0])
-                )
-        if starved:
-            return IrreducibilityReport(
-                "inconclusive",
-                "compact-labelings",
-                detail="budget ran out on at least one labeling",
-            )
-        return IrreducibilityReport("irreducible", "compact-labelings")
-    if labeling is None:
-        labeling = compact_labeling(g)
+        labelings = (dict(zip(vs, perm)) for perm in permutations(range(len(vs))))
+    else:
+        labelings = [compact_labeling(g) if exhaustive or labeling is None else labeling]
+    meter = _Meter(budget)
     try:
-        pairs = factor_graph(g, labeling, budget)
+        for lab in labelings:
+            pairs = _factor_graph(g, lab, meter)
+            if pairs:
+                return IrreducibilityReport("reducible", scope, (lab, pairs[0]))
     except BudgetExceededError as e:
         return IrreducibilityReport("inconclusive", scope, detail=str(e))
-    if pairs:
-        return IrreducibilityReport("reducible", scope, (labeling, pairs[0]))
     return IrreducibilityReport("irreducible", scope)

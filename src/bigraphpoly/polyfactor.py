@@ -45,16 +45,24 @@ from .poly import Poly1, Poly2, content, poly_key
 
 @dataclass(frozen=True)
 class Budget:
-    """The work allowance of the exhaustive searches.
+    """The work allowance of one call to a factor search.
 
-    max_steps counts the same unit on both searches: a step is one
-    coefficient read, one search node or coefficient value tried, or one
-    trial division while listing the divisors of the content, of p(0) or of
-    p(1).  Exceeding it raises BudgetExceededError, so an empty result is
-    always a completed-search certificate.
+    max_steps, a natural number, counts the same unit on both searches: a
+    step is one coefficient read, one search node or coefficient value
+    tried, one trial division while listing the divisors of the content, of
+    p(0) or of p(1), or one term of an emitted factor pair.  A call that
+    runs several searches, such as the labeling sweep of is_irreducible,
+    spends one allowance on all of them.  Exceeding it raises
+    BudgetExceededError, so an empty result is always a completed-search
+    certificate.
     """
 
     max_steps: int = 10_000_000
+
+    def __post_init__(self):
+        steps = self.max_steps
+        if isinstance(steps, bool) or not isinstance(steps, int) or steps < 0:
+            raise ValueError(f"max_steps must be a natural number, not {steps!r}")
 
 
 def _show(n):
@@ -68,23 +76,32 @@ def _show(n):
     return f"a {digits}-digit number"
 
 
-def _scan_cost(n):
-    """Trial-division steps _divisors(n) will take."""
-    return isqrt(n) + 1
+class _Meter:
+    """The steps left of one call's Budget.  Every search the call runs
+    charges its work here, and search names the one now running."""
+
+    __slots__ = ("allowance", "left", "search")
+
+    def __init__(self, budget: Budget):
+        self.allowance = self.left = budget.max_steps
+        self.search = "the search"
+
+    def charge(self, steps, phase):
+        self.left -= steps
+        if self.left < 0:
+            raise BudgetExceededError(
+                f"{self.search} used up the budget of "
+                f"{_show(self.allowance)} steps in {phase}"
+            )
 
 
-def _divisors(n, cap):
+def _divisors(n, meter):
     """Positive divisors of a positive integer, ascending.
 
-    A scan that would take more than cap trial-division steps raises
-    BudgetExceededError up front instead of running away on a huge value.
+    The whole scan is charged before it starts, so a huge value overdraws
+    the allowance at once instead of running away.
     """
-    cost = _scan_cost(n)
-    if cost > cap:
-        raise BudgetExceededError(
-            f"listing the divisors of {_show(n)} takes {_show(cost)} steps, "
-            f"only {_show(cap)} are left of the allowance"
-        )
+    meter.charge(isqrt(n) + 1, f"listing the divisors of {_show(n)}")
     small, large = [], []
     i = 1
     while i * i <= n:
@@ -101,10 +118,9 @@ def _ordered(q, r):
     return (q, r) if poly_key(q) <= poly_key(r) else (r, q)
 
 
-def _splits(p: Poly1, left: int, allowance: int) -> list:
+def _splits(p: Poly1, meter: _Meter) -> list:
     """Unordered nonconstant splits of a primitive p with p(0) > 0 and
-    degree at least 2, by the coefficient search; left is what remains of
-    the step allowance."""
+    degree at least 2, by the coefficient search."""
     coef = dict(p.terms)
     exps = sorted(coef)
     m = len(exps)
@@ -113,23 +129,12 @@ def _splits(p: Poly1, left: int, allowance: int) -> list:
     # On a mostly filled support, the sumset checks look for a gap instead.
     gaps = sorted(set(range(n)).difference(coef)) if n < 2 * m else None
     p0, total = coef[0], sum(coef.values())
-    sums = _divisors(total, left)
-    left -= _scan_cost(total)
+    sums = _divisors(total, meter)
     # A nonconstant factor with a nonzero constant term has q(1) >= 2.
     if nq < 2 or len(sums) < 3:
         return []
-    heads = _divisors(p0, left)
-    left -= _scan_cost(p0)
-
-    def spend(steps):
-        nonlocal left
-        left -= steps
-        if left < 0:
-            raise BudgetExceededError(
-                f"the coefficient search on {m} terms of degree "
-                f"{_show(n)} used up the allowance of "
-                f"{_show(allowance)} steps"
-            )
+    heads = _divisors(p0, meter)
+    charge = meter.charge
 
     def fits(e, part):
         """Whether e + supp(part) stays inside supp(p), charging the entries
@@ -142,9 +147,9 @@ def _splits(p: Poly1, left: int, allowance: int) -> list:
         if gaps is not None:
             window = gaps[bisect_right(gaps, e):bisect_right(gaps, top)]
             if len(window) < len(part):
-                spend(len(window))
+                charge(len(window), "the coefficient search")
                 return not any(h - e in part for h in window)
-        spend(len(part))
+        charge(len(part), "the coefficient search")
         return all(e + j in coef for j in part)
 
     def node(t, qsum, rsum):
@@ -169,7 +174,7 @@ def _splits(p: Poly1, left: int, allowance: int) -> list:
         if first <= hi and not fits(e, q):
             first, hi = max(first, -(-big // r0)), min(hi, big // r0)  # r_e = 0
         values = range(first, hi + 1, step)
-        spend(1 + len(values) + len(q))
+        charge(1 + len(values) + len(q), "the coefficient search")
         return iter(values), big, e + e in coef, qsum, rsum
 
     def cofactor(t, rsum):
@@ -177,7 +182,7 @@ def _splits(p: Poly1, left: int, allowance: int) -> list:
         full = dict(r)
         rleft = rs - rsum
         for e in exps[t:]:
-            spend(1 + len(q))
+            charge(1 + len(q), "the coefficient search")
             big = coef[e] - sum([c * full.get(e - i, 0) for i, c in q.items()])
             if big < 0 or big % q0:
                 return None
@@ -244,35 +249,39 @@ def factor_pairs(p: Poly1, budget: Budget = Budget()) -> list:
     between the two sides, so every admissible distribution of both appears;
     pairs where either side degenerates to a constant are dropped.  The
     result is sorted canonically.  An empty list certifies that no such pair
-    exists; running out of budget raises BudgetExceededError instead.
+    exists; running out of budget raises BudgetExceededError instead.  Each
+    emitted pair costs one step per term, so a large power of x or a content
+    with many divisors spends the allowance like any other work.
     """
+    return _factor_pairs(p, _Meter(budget))
+
+
+def _factor_pairs(p, meter):
     if not isinstance(p, Poly1):
         raise TypeError("factor_pairs takes a one-variable polynomial")
     if not p:
         raise ValueError("cannot factor the zero polynomial")
+    meter.search = f"factoring {len(p.terms)} terms of degree {_show(p.degree)}"
     m = min(p.terms)
     c = content(p)
     core = Poly1({e - m: v // c for e, v in p.terms.items()})
-    remaining = budget.max_steps
-    if c > 1:
-        cdivs = _divisors(c, remaining)
-        remaining -= _scan_cost(c)
-    else:
-        cdivs = (1,)
+    cdivs = _divisors(c, meter) if c > 1 else (1,)
     splits = [(Poly1({0: 1}), core)]
     if core.degree >= 2:
-        splits.extend(_splits(core, remaining, budget.max_steps))
+        splits.extend(_splits(core, meter))
     out = {}
-    for split in splits:
-        for small, big in (split, split[::-1]):
-            for a in range(m + 1):
-                for c1 in cdivs:
-                    q = Poly1({e + a: v * c1 for e, v in small.terms.items()})
-                    r = Poly1({e + m - a: v * (c // c1) for e, v in big.terms.items()})
-                    if q.is_constant() or r.is_constant():
-                        continue
-                    pair = _ordered(q, r)
-                    out[tuple(sorted((poly_key(q), poly_key(r))))] = pair
+    # Spreading x^m and c over (big, small) gives the same pairs as over
+    # (small, big), so each split is spread one way only.
+    for small, big in splits:
+        shifts = range(small.is_constant(), m + 1 - big.is_constant())  # no constant side
+        # Every pair of the split costs its terms, charged before any is built.
+        size = len(small.terms) + len(big.terms)
+        meter.charge(len(shifts) * len(cdivs) * size, "emitting the factors")
+        for a in shifts:
+            for c1 in cdivs:
+                q = Poly1({e + a: v * c1 for e, v in small.terms.items()})
+                r = Poly1({e + m - a: v * (c // c1) for e, v in big.terms.items()})
+                out[tuple(sorted((poly_key(q), poly_key(r))))] = _ordered(q, r)
     return [out[k] for k in sorted(out)]
 
 
@@ -313,7 +322,7 @@ def _point(rng, count):
     return [rng.randrange(1, _PRIME) for _ in range(count)]
 
 
-def _blocks(terms, support, bivariate, point, modulus, spend):
+def _blocks(terms, support, bivariate, point, modulus, meter):
     """The support bits grouped by union-find over the pairs that the
     dependency test at this point proves dependent, as bit lists ordered by
     their top bit.  Never coarser than the prime blocks; finer when the point
@@ -331,7 +340,7 @@ def _blocks(terms, support, bivariate, point, modulus, spend):
     """
     n = len(support)
     position = {b: t for t, b in enumerate(support)}
-    spend(len(terms), "the dependency test")
+    meter.charge(len(terms), "the dependency test")
     values = []
     holders = {}  # variable -> indices of the terms holding it
     for i, (e, v) in enumerate(terms.items()):
@@ -350,7 +359,7 @@ def _blocks(terms, support, bivariate, point, modulus, spend):
 
     def dependent(u, w):
         both = holders[u] & holders[w]
-        spend(1 + len(both), "the dependency test")
+        meter.charge(1 + len(both), "the dependency test")
         return (total * sum(values[i] for i in both) - held[u] * held[w]) % modulus
 
     parent = list(range(n))
@@ -373,7 +382,7 @@ def _blocks(terms, support, bivariate, point, modulus, spend):
     return sorted(groups.values(), key=lambda bits: bits[-1])
 
 
-def _peel(terms, masks, bivariate, spend):
+def _peel(terms, masks, bivariate, meter):
     """The primitive factors of primitive terms on the given bit masks, read
     off by splitting one mask at a time from the bits that remain, or None
     once a split fails."""
@@ -381,7 +390,7 @@ def _peel(terms, masks, bivariate, spend):
     rest = sum(masks)
     for mask in masks[:-1]:
         rest ^= mask
-        spend(len(terms), "the verification")
+        meter.charge(len(terms), "the verification")
         split = _outer(terms, mask, rest, bivariate)
         if split is None:
             return None
@@ -417,25 +426,19 @@ def bit_disjoint_factor(p, budget: Budget = Budget()) -> list:
     two sides times a split of the primitive part, and that split is unique
     for a union of blocks: the product of their primitive factors.
     """
+    return _bit_disjoint_factor(p, _Meter(budget))
+
+
+def _bit_disjoint_factor(p, meter):
     if not p:
         raise ValueError("cannot factor the zero polynomial")
     support = sorted(tau_poly(p))
     c = content(p)
     terms = {e: v // c for e, v in p.terms.items()}
-    left = budget.max_steps
-
-    def spend(steps, phase):
-        nonlocal left
-        left -= steps
-        if left < 0:
-            raise BudgetExceededError(
-                f"bit-disjoint factoring of {len(terms)} terms on "
-                f"{len(support)} support bits used up the allowance of "
-                f"{_show(budget.max_steps)} steps in {phase}"
-            )
-
-    cdivs = _divisors(c, left) if c > 1 else (1,)
-    left -= _scan_cost(c) if c > 1 else 0
+    meter.search = (
+        f"bit-disjoint factoring of {len(terms)} terms on {len(support)} support bits"
+    )
+    cdivs = _divisors(c, meter) if c > 1 else (1,)
     make = type(p)
     one = {p.zero: 1}
     bivariate = isinstance(p, Poly2)
@@ -450,8 +453,8 @@ def bit_disjoint_factor(p, budget: Budget = Budget()) -> list:
         draw += 1
         point = _point(rng, len(support) * (1 + bivariate))
         modulus = _PRIME ** min(draw, top)
-        blocks = _blocks(terms, support, bivariate, point, modulus, spend)
-        factors = _peel(terms, [from_bits(bits) for bits in blocks], bivariate, spend)
+        blocks = _blocks(terms, support, bivariate, point, modulus, meter)
+        factors = _peel(terms, [from_bits(bits) for bits in blocks], bivariate, meter)
     # products[m]: the product of the factors in the subset m of the blocks,
     # built when a split first needs it.
     k = len(factors)
@@ -471,7 +474,7 @@ def bit_disjoint_factor(p, budget: Budget = Budget()) -> list:
         for c1 in cdivs:
             if (c1 == 1 and col == one) or (c1 == c and row == one):
                 continue
-            spend(len(col) + len(row), "emitting the factors")
+            meter.charge(len(col) + len(row), "emitting the factors")
             p1 = make({a: v * c1 for a, v in col.items()})
             p2 = make({b: v * (c // c1) for b, v in row.items()})
             out[tuple(sorted((poly_key(p1), poly_key(p2))))] = _ordered(p1, p2)

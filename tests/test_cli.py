@@ -567,6 +567,13 @@ def test_net_decompose_three_eight_condition_prime_nets(capsys, tmp_path):
     assert_certificate(lines[3:], net, path)
 
 
+def test_negative_budget_is_an_input_error(capsys):
+    code, out, err = run(capsys, "factor", "x^2 + x", "--budget", "-5")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "-5" in err
+
+
 def test_net_decompose_budget_zero_is_inconclusive(capsys, branch_file):
     code, out, err = run(capsys, "net-decompose", branch_file, "--budget", "0")
     assert code == 2

@@ -1,6 +1,7 @@
 """Exhaustive two-factor searches: goldens, oracle sweeps, budget behavior."""
 
 import random
+import time
 from math import comb
 
 import pytest
@@ -84,11 +85,43 @@ def test_zero_budget_raises_only_when_work_is_needed():
     with pytest.raises(BudgetExceededError):
         # the content's divisor scan is metered work too
         factor_pairs(P({2: 2, 1: 2}), Budget(max_steps=0))
-    assert len(factor_pairs(P({2: 2, 1: 2}), Budget(max_steps=10))) == 2
-    # primitive with a degree-1 core: nothing to scan or enumerate
-    assert factor_pairs(P({2: 1, 1: 1}), Budget(max_steps=0)) == [
+    # 2 trial divisions of the content 2, then 3 terms for each of the two
+    # pairs x * (2x + 2) and 2x * (x + 1)
+    with pytest.raises(BudgetExceededError):
+        factor_pairs(P({2: 2, 1: 2}), Budget(max_steps=7))
+    assert len(factor_pairs(P({2: 2, 1: 2}), Budget(max_steps=8))) == 2
+    # primitive with a degree-1 core: nothing to scan or enumerate, only the
+    # 3 terms of the one pair to emit
+    with pytest.raises(BudgetExceededError):
+        factor_pairs(P({2: 1, 1: 1}), Budget(max_steps=2))
+    assert factor_pairs(P({2: 1, 1: 1}), Budget(max_steps=3)) == [
         (P({1: 1}), P({1: 1, 0: 1}))
     ]
+
+
+@pytest.mark.parametrize("c", [1, 720720])
+def test_spreading_a_large_power_of_x_is_metered(c):
+    """Every pair emitted costs its terms, so the x^100000 shifts of the
+    trivial split stop at the allowance instead of all being built."""
+    p = P({100001: c, 100000: c})
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        factor_pairs(p, Budget(max_steps=10))
+    assert time.perf_counter() - start < 0.1
+
+
+def test_spreading_a_huge_power_of_x_is_metered():
+    m = 1 << 40
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="emitting the factors"):
+        factor_pairs(P({m + 1: 1, m: 1}), Budget(max_steps=10**5))
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("steps", [-5, 1.5, True, "10"])
+def test_budget_rejects_a_non_natural_allowance(steps):
+    with pytest.raises(ValueError):
+        Budget(max_steps=steps)
 
 
 def test_budget_interrupts_huge_evaluation_values():

@@ -1,6 +1,8 @@
 """Graph factorization through the polynomial, and irreducibility reports."""
 
+import random
 import time
+from itertools import permutations
 
 import pytest
 
@@ -166,9 +168,66 @@ def test_factor_graph_propagates_budget_errors():
 
 
 def test_exhaustive_sweep_guard():
-    g = Bigraph([], [f"v{i}" for i in range(9)], [])
+    # the isolated u-vertex gives p(0) = 1, so only a sweep can answer
+    g = Bigraph(["u"], [f"v{i}" for i in range(9)], [])
     with pytest.raises(SizeGuardError):
         is_irreducible(g, exhaustive=True)
+
+
+def test_sweep_shares_one_allowance():
+    """Both labelings encode to 1 + x + x^2, whose search lists the 2
+    divisors of p(1) = 3 in 2 steps; the sweep pays for both."""
+    g = Bigraph(["a", "b", "c"], ["p", "q"], [("b", "p"), ("c", "q")])
+    alone = is_irreducible(g, {"p": 0, "q": 1}, budget=Budget(max_steps=3))
+    assert alone.verdict == "irreducible"
+    sweep = is_irreducible(g, exhaustive=True, budget=Budget(max_steps=3))
+    assert sweep.verdict == "inconclusive"
+    assert "budget of 3 steps" in sweep.detail
+    sweep = is_irreducible(g, exhaustive=True, budget=Budget(max_steps=4))
+    assert sweep.verdict == "irreducible"
+
+
+def test_no_isolated_u_vertex_answers_like_the_sweep():
+    """The reference tries every labeling by 0..|v|-1 through factor_graph;
+    with no isolated u-vertex the compact labeling must agree with it.
+    Every u-vertex gets a neighbour; v-vertices may be left uncovered."""
+    rng = random.Random(6)
+    verdicts = set()
+    for _ in range(150):
+        us = [f"u{i}" for i in range(rng.randint(1, 4))]
+        vs = [f"v{j}" for j in range(rng.randint(1, 5))]
+        edges = {(u, rng.choice(vs)) for u in us}
+        edges |= {(u, v) for u in us for v in vs if rng.random() < 0.3}
+        g = Bigraph(us, vs, edges)
+        splits = any(
+            factor_graph(g, dict(zip(vs, perm)))
+            for perm in permutations(range(len(vs)))
+        )
+        report = is_irreducible(g, exhaustive=True)
+        assert report.scope == "compact-labelings"
+        assert report.verdict == ("reducible" if splits else "irreducible"), g
+        verdicts.add(report.verdict)
+    assert verdicts == {"reducible", "irreducible"}
+
+
+def test_twelve_v_vertices_without_an_isolated_u_vertex_need_no_sweep():
+    """Past the sweep's guard of 8 v-vertices one compact labeling answers."""
+    rng = random.Random(12)
+    us = [f"u{i}" for i in range(8)]
+    vs = [f"v{j}" for j in range(12)]
+    for _ in range(6):
+        edges = {(u, rng.choice(vs)) for u in us} | {(rng.choice(us), v) for v in vs}
+        edges |= {(u, v) for u in us for v in vs if rng.random() < 0.3}
+        g = Bigraph(us, vs, edges)
+        start = time.perf_counter()
+        report = is_irreducible(g, exhaustive=True)
+        assert time.perf_counter() - start < 1
+        assert (report.verdict, report.scope) == ("reducible", "compact-labelings")
+        lab, (gq, gr) = report.witness
+        assert encode(gq, gq.natural_labeling) * encode(gr, gr.natural_labeling) == encode(g, lab)
+        # a v-vertex that no edge meets rules out a split under every labeling
+        bare = Bigraph(us, vs + ["w"], edges)
+        assert is_irreducible(bare, exhaustive=True).verdict == "irreducible"
 
 
 def test_report_is_frozen():
