@@ -16,13 +16,11 @@ def tau(k: int) -> frozenset:
     """Set of 1-bit positions of a natural, e.g. tau(5) == {0, 2}."""
     if k < 0:
         raise ValueError(f"bit support is defined for naturals, got {k}")
-    bits = set()
-    t = 0
+    bits = []
     while k:
-        if k & 1:
-            bits.add(t)
-        k >>= 1
-        t += 1
+        low = k & -k  # the lowest set bit alone
+        bits.append(low.bit_length() - 1)
+        k ^= low
     return frozenset(bits)
 
 

@@ -21,7 +21,6 @@ polynomial route, the direct route and the plain unlabeled route.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import permutations
 
 from ._match import find_bijections
 from .bits import from_bits, tau, tau_poly
@@ -173,7 +172,7 @@ def encode(g: Bipartite, labeling):
     for sig in g._sig.values():
         e = _term(tuple(from_bits(labeling[v] for v in part) for part in sig))
         terms[e] = terms.get(e, 0) + 1
-    return g.poly(terms)
+    return g.poly._trusted(terms)
 
 
 def decode(p, cls):
@@ -221,8 +220,22 @@ def canonical_poly(g: Bipartite, size_guard=8):
 
     Term lists in descending exponent order compare lexicographically by
     (exponent, coefficient) pairs, as poly_key does; the minimum is a
-    labeling-independent invariant, equal for isomorphic graphs.  Brute
-    force over |v|! labelings, hence the guard.
+    labeling-independent invariant, equal for isomorphic graphs.
+
+    The search is an exact depth-first branch and bound that gives label
+    n-1 first, then n-2, and so on, and returns what trying all |v|!
+    labelings would.  Three rules prune it:
+
+    1. Twin classes: of the unlabeled v-vertices with the same membership
+       in every slot of every u-vertex, only one is tried per label.
+    2. Elementwise bound: a branch whose sorted term lower bounds are
+       already no less than the best leaf found is dropped.
+    3. Repeated states: a partial labeling whose multiset of (fixed bits,
+       unlabeled members, multiplicity) per term was met before at the same
+       depth is dropped.
+
+    The guard stays: on inputs with many symmetries the search still visits
+    a large share of the |v|! labelings.
     """
     vs = g.v_vertices
     n = len(vs)
@@ -230,29 +243,101 @@ def canonical_poly(g: Bipartite, size_guard=8):
         raise SizeGuardError(
             f"{n} v-vertices exceed the canonical-form guard {size_guard}"
         )
-    # One integer per term: slot s of v-index k is the bit at k's label plus
-    # (arity - 1 - s) * n, so with two slots the integer is x_exp * 2**n +
-    # y_exp and integers order exactly as (x, y) exponent pairs do.
+    # One integer per term: slot s holds its bits (arity - 1 - s) * n places
+    # up, so with two slots the integer is x_exp * 2**n + y_exp and integers
+    # order exactly as (x, y) exponent pairs do.  A term's state is (fixed,
+    # open): the bits of its labeled members, packed so, and the v-index
+    # bits of its unlabeled members, packed the same way.  Giving label L to
+    # v-index i moves i's bits b = open & (unit << i) over as (b >> i) << L.
+    unit = 1 if g.arity == 1 else 1 | 1 << n
     pos = {v: i for i, v in enumerate(vs)}
-    shapes = list(Counter(
-        tuple(s * n + pos[v] for s, part in enumerate(sig) for v in part)
+    root = Counter({(0, 0): 1} if g.idle else {})
+    top = g.arity - 1
+    root.update(
+        (0, sum(1 << (top - s) * n + pos[v] for s, part in enumerate(sig) for v in part))
         for sig in g._sig.values()
-    ).items())
-    best = None
-    for w in permutations([1 << label for label in range(n)]):
-        if g.arity == 2:
-            w = tuple(x << n for x in w) + w
-        terms = {0: 1} if g.idle else {}
-        for shape, m in shapes:
-            e = sum([w[i] for i in shape])
-            terms[e] = terms.get(e, 0) + m
-        key = sorted(terms.items(), reverse=True)
-        if best is None or key < best:
-            best = key
-    mask = (1 << n) - 1
+    )
+    # Rule 1.  Swapping two twins maps every slot to itself, so a labeling
+    # that gives L to one has the encoding of the one that gives L to the
+    # other.  Twins are always labeled in index order, so the unlabeled ones
+    # of a class are a tail of it: i is tried when its previous twin is not
+    # unlabeled.
+    previous = {}
+    last = {}
+    for i in range(n):
+        key = tuple(mask >> i & unit for _, mask in root)
+        previous[i] = last.get(key)
+        last[key] = i
+
+    # Rule 2.  With m labels 0..m-1 left, a slot with r unlabeled members
+    # gains between 2**r - 1 and 2**m - 2**(m - r) on top of its fixed bits,
+    # so each term of every completion is at least fixed + floor(open).
+    # Repeat each term by its multiplicity and sort descending: comparing
+    # such lists compares the (exponent, coefficient) lists, and all have
+    # the same length.  A list elementwise no greater than another is no
+    # greater lexicographically, and the k-th largest of termwise greater
+    # values is no smaller, so the sorted floors are at most every
+    # completion's list: once they reach the best leaf, nothing below beats
+    # it.
+    floors = {}
+
+    def floor(mask):
+        if mask not in floors:
+            floors[mask] = sum(
+                ((1 << (mask >> s * n & ((1 << n) - 1)).bit_count()) - 1) << s * n
+                for s in range(g.arity)
+            )
+        return floors[mask]
+
+    def bound(state):
+        out = []
+        for (fixed, mask), c in state.items():
+            out += [fixed + floor(mask)] * c
+        out.sort(reverse=True)
+        return out
+
+    # Rule 3.  What completions a partial labeling has depends only on the
+    # multiset of term states and the labels left, not on which u-vertex
+    # holds which state: two partial labelings that agree there have the
+    # same completions, and the first visit already found or bounded them.
+    seen = set()
+    # The compact labeling, label i for v-index i, is the first leaf: its
+    # term integers are the open bits themselves.
+    best = sorted((mask for _, mask in root.elements()), reverse=True)
+
+    def search(state, m, free):
+        nonlocal best
+        label = m - 1
+        children = []
+        for i in range(n):
+            if not free >> i & 1 or (previous[i] is not None and free >> previous[i] & 1):
+                continue
+            bit = unit << i
+            child = {}
+            for (fixed, mask), c in state.items():
+                b = mask & bit
+                key = (fixed + (b >> i << label), mask ^ b) if b else (fixed, mask)
+                child[key] = child.get(key, 0) + c
+            key = (m, frozenset(child.items()))
+            if key in seen:
+                continue
+            seen.add(key)
+            children.append((bound(child), i, child))
+        children.sort()
+        for floor_list, i, child in children:
+            if floor_list >= best:
+                break
+            if any(mask for _, mask in child):
+                search(child, label, free & ~(1 << i))
+            else:
+                best = floor_list  # every slot fixed: a better leaf
+
+    search(root, n, (1 << n) - 1)
+    terms = Counter(best)
     if g.arity == 1:
-        return Poly1(dict(best))
-    return Poly2({(e >> n, e & mask): c for e, c in best})
+        return Poly1._trusted(terms)
+    mask = (1 << n) - 1
+    return Poly2._trusted({(e >> n, e & mask): c for e, c in terms.items()})
 
 
 # ---------------------------------------------------------------------------

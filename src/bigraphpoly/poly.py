@@ -63,6 +63,15 @@ class _Poly:
         items = terms.items() if hasattr(terms, "items") else terms
         self._terms = _clean_terms(items, self.arity)
 
+    @classmethod
+    def _trusted(cls, terms):
+        """Instance from an {exponent: coefficient} dict the package built
+        itself, so already of this arity with positive coefficients: the
+        terms are sorted but not checked again."""
+        obj = object.__new__(cls)
+        obj._terms = dict(sorted(terms.items(), reverse=True))
+        return obj
+
     @property
     def terms(self):
         return MappingProxyType(self._terms)
@@ -156,7 +165,7 @@ def add(p, q):
     out = dict(p.terms)
     for exp, coeff in q.terms.items():
         out[exp] = out.get(exp, 0) + coeff
-    return type(p)(out)
+    return type(p)._trusted(out)
 
 
 def mul(p, q):
@@ -173,7 +182,7 @@ def mul(p, q):
             for (i2, j2), c2 in q.terms.items():
                 e = (i1 + i2, j1 + j2)
                 out[e] = out.get(e, 0) + c1 * c2
-    return type(p)(out)
+    return type(p)._trusted(out)
 
 
 def evaluate(p, t):

@@ -279,8 +279,8 @@ def _factor_pairs(p, meter):
         meter.charge(len(shifts) * len(cdivs) * size, "emitting the factors")
         for a in shifts:
             for c1 in cdivs:
-                q = Poly1({e + a: v * c1 for e, v in small.terms.items()})
-                r = Poly1({e + m - a: v * (c // c1) for e, v in big.terms.items()})
+                q = Poly1._trusted({e + a: v * c1 for e, v in small.terms.items()})
+                r = Poly1._trusted({e + m - a: v * (c // c1) for e, v in big.terms.items()})
                 out[tuple(sorted((poly_key(q), poly_key(r))))] = _ordered(q, r)
     return [out[k] for k in sorted(out)]
 
@@ -439,7 +439,7 @@ def _bit_disjoint_factor(p, meter):
         f"bit-disjoint factoring of {len(terms)} terms on {len(support)} support bits"
     )
     cdivs = _divisors(c, meter) if c > 1 else (1,)
-    make = type(p)
+    make = type(p)._trusted
     one = {p.zero: 1}
     bivariate = isinstance(p, Poly2)
     # A minor whose integer coefficients 2**61 - 1 divides vanishes at every

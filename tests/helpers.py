@@ -81,6 +81,38 @@ def three_prime_nets() -> PetriNet:
     return net_product(net_product(prime("a"), prime("b")), prime("c"))
 
 
+def random_canon_case(rng: random.Random, kind: str, max_v=7):
+    """A "graph", "digraph" or "net" with at most max_v v-vertices that puts
+    the canonical-form search on its edge cases: now and then two v-vertices
+    are twins (the same membership in every slot), a v-vertex lies in no
+    slot, and u-vertices have every slot empty; a net adds its idle unit."""
+    nv = rng.randint(0, max_v)
+    vs = [f"v{j}" for j in range(nv)]
+    us = [f"u{i}" for i in range(rng.randint(0, 8))]
+    width = 1 if kind == "graph" else 2
+    p = rng.choice((0.15, 0.3, 0.5, 0.75)) / width
+    sig = {u: [{v for v in vs if rng.random() < p} for _ in range(width)] for u in us}
+    if nv >= 2 and rng.random() < 0.5:  # b becomes a twin of a
+        a, b = rng.sample(vs, 2)
+        for part in (part for slots in sig.values() for part in slots):
+            part.discard(b)
+            if a in part:
+                part.add(b)
+    if nv and rng.random() < 0.3:  # a v-vertex no slot mentions
+        lone = rng.choice(vs)
+        for part in (part for slots in sig.values() for part in slots):
+            part.discard(lone)
+    for u in us:
+        if rng.random() < 0.15:  # a u-vertex with every slot empty
+            sig[u] = [set() for _ in range(width)]
+    if kind == "graph":
+        return Bigraph(us, vs, [(u, v) for u in us for v in sig[u][0]])
+    if kind == "digraph":
+        return DiBigraph(us, vs, [(v, u) for u in us for v in sig[u][0]]
+                         + [(u, v) for u in us for v in sig[u][1]])
+    return PetriNet(vs, us, pre={u: sig[u][0] for u in us}, post={u: sig[u][1] for u in us})
+
+
 def random_poly1(rng: random.Random, max_deg=6, max_coeff=4, allow_zero=False) -> Poly1:
     terms = {
         e: rng.randint(1, max_coeff)
@@ -232,7 +264,8 @@ def bit_disjoint_reference(terms: dict) -> set:
 
 def least_encoding(g, arity=1) -> dict:
     """Brute-force canonical form: over every labeling by 0..|v|-1, the
-    encoding whose descending (exponent, coefficient) list is least."""
+    encoding whose descending (exponent, coefficient) list is least.  A net
+    also counts its idle event in the constant term."""
     vs = list(g.v_vertices)
     if arity == 1:
         slots = [(g.neighbors(u),) for u in g.u_vertices]
@@ -241,7 +274,7 @@ def least_encoding(g, arity=1) -> dict:
     best = None
     for perm in permutations(range(len(vs))):
         lab = dict(zip(vs, perm))
-        terms = {}
+        terms = {(0, 0): 1} if isinstance(g, PetriNet) else {}  # the idle unit
         for parts in slots:
             exps = tuple(sum(1 << lab[v] for v in part) for part in parts)
             e = exps[0] if arity == 1 else exps

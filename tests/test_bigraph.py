@@ -1,7 +1,9 @@
 """Undirected bipartite graphs and their polynomial encoding."""
 
 import random
+import time
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -24,7 +26,13 @@ from bigraphpoly import (
     render,
 )
 
-from helpers import least_encoding, random_bigraph, random_digraph, random_labeling
+from helpers import (
+    least_encoding,
+    random_bigraph,
+    random_canon_case,
+    random_digraph,
+    random_labeling,
+)
 
 
 def hub_graph():
@@ -195,6 +203,105 @@ def test_canonical_poly_size_guard():
     g = Bigraph([], [f"v{i}" for i in range(9)], [])
     with pytest.raises(SizeGuardError):
         canonical_poly(g)
+
+
+def test_canonical_poly_matches_least_encoding_on_edge_cases():
+    """|v| <= 7 with twins, v-vertices no edge meets and u-vertices with no
+    edge at all."""
+    rng = random.Random(44)
+    for _ in range(120):
+        g = random_canon_case(rng, "graph")
+        assert dict(canonical_poly(g).terms) == least_encoding(g, 1), g
+
+
+# |v| = 8 inputs with many automorphisms: u-vertex i meets the v-indices of
+# row i.
+SYMMETRIC = {
+    "8-cycle": [(i, (i + 1) % 8) for i in range(8)],
+    "circulant 0,1,3": [(i, (i + 1) % 8, (i + 3) % 8) for i in range(8)],
+    "perfect matching": [(i,) for i in range(8)],
+    "K_8,8": [range(8)] * 8,
+    "2 x C4": [(i, i - i % 4 + (i + 1) % 4) for i in range(8)],
+    "2-subsets": list(combinations(range(8), 2)),
+}
+
+
+def timed(f, *args):
+    start = time.perf_counter()
+    out = f(*args)
+    return out, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("name", SYMMETRIC)
+def test_canonical_poly_on_symmetric_eight_vertex_inputs(name):
+    rows = SYMMETRIC[name]
+    g = Bigraph(
+        [f"u{i}" for i in range(len(rows))],
+        [f"v{j}" for j in range(8)],
+        [(f"u{i}", f"v{j}") for i, row in enumerate(rows) for j in row],
+    )
+    want, seconds = timed(canonical_poly, g)
+    assert seconds < 1
+    rng = random.Random(name)
+    for _ in range(5):
+        relabeled = decode(encode(g, random_labeling(rng, g.v_vertices, max_label=7)))
+        got, seconds = timed(canonical_poly, relabeled)
+        assert got == want
+        assert seconds < 1
+
+
+def test_canonical_poly_golden_on_symmetric_inputs():
+    """Every labeling of a perfect matching or of K_8,8 encodes the same."""
+    matching = Bigraph([f"u{i}" for i in range(8)], range(8), [(f"u{i}", i) for i in range(8)])
+    assert canonical_poly(matching) == Poly1({1 << i: 1 for i in range(8)})
+    full = Bigraph([f"u{i}" for i in range(8)], range(8), [(f"u{i}", j) for i in range(8) for j in range(8)])
+    assert canonical_poly(full) == Poly1({255: 8})
+
+
+def test_canonical_poly_answers_a_random_eight_vertex_graph_fast():
+    rng = random.Random(46)
+    us = [f"u{i}" for i in range(4)]
+    g = Bigraph(us, [f"v{j}" for j in range(8)],
+                [(rng.choice(us), f"v{j}") for j in range(8)]
+                + [(u, f"v{j}") for u in us for j in range(8) if rng.random() < 0.4])
+    _, seconds = timed(canonical_poly, g)
+    assert seconds < 0.02
+
+
+def test_canonical_poly_agrees_with_networkx_past_brute_force():
+    """At |v| = 8, canonical forms agree exactly when networkx finds a
+    part-respecting isomorphism, on relabeled copies and on near misses with
+    one edge moved."""
+    nx = pytest.importorskip("networkx")
+
+    def nx_graph(g):
+        out = nx.Graph()
+        out.add_nodes_from(g.u_vertices, part="u")
+        out.add_nodes_from(g.v_vertices, part="v")
+        out.add_edges_from(g.edges)
+        return out
+
+    rng = random.Random(47)
+    verdicts = Counter()
+    for k in range(40):
+        us = [f"u{i}" for i in range(rng.randint(3, 6))]
+        vs = [f"v{j}" for j in range(8)]
+        edges = {(u, v) for u in us for v in vs if rng.random() < 0.4}
+        if k % 2:
+            umap = dict(zip(us, rng.sample(range(100, 200), len(us))))
+            vmap = dict(zip(vs, rng.sample(range(8), 8)))
+            h = Bigraph(sorted(umap.values()), range(8), [(umap[u], vmap[v]) for u, v in edges])
+        else:
+            missing = sorted({(u, v) for u in us for v in vs} - edges)
+            moved = (edges - {rng.choice(sorted(edges))}) | {rng.choice(missing)}
+            h = Bigraph(us, vs, moved)
+        g = Bigraph(us, vs, edges)
+        same = nx.is_isomorphic(
+            nx_graph(g), nx_graph(h), node_match=lambda a, b: a["part"] == b["part"]
+        )
+        assert (canonical_poly(g) == canonical_poly(h)) == same, k
+        verdicts[same] += 1
+    assert verdicts[True] >= 20 and verdicts[False]
 
 
 def test_labeling_validation():

@@ -25,9 +25,24 @@ def test_tau_matches_binary_string_oracle():
         assert tau(k) == bits_of(k), k
 
 
+def test_tau_matches_binary_string_oracle_on_wide_and_sparse_ints():
+    rng = random.Random(8)
+    wide = [rng.getrandbits(rng.randint(1, 300)) for _ in range(300)]
+    sparse = [
+        (1 << 40) + sum(1 << rng.randrange(41) for _ in range(rng.randint(0, 3)))
+        for _ in range(300)
+    ]
+    for k in [0, *wide, *sparse]:
+        got = tau(k)
+        assert type(got) is frozenset
+        assert got == bits_of(k), k
+
+
 def test_tau_rejects_negatives():
     with pytest.raises(ValueError):
         tau(-1)
+    with pytest.raises(ValueError):
+        tau(-(1 << 40))
 
 
 @given(st.integers(min_value=0, max_value=10**30))

@@ -1,6 +1,7 @@
 """Directed bipartite graphs and the two-variable encoding."""
 
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -18,7 +19,7 @@ from bigraphpoly import (
     render,
 )
 
-from helpers import random_digraph, random_labeling
+from helpers import least_encoding, random_canon_case, random_digraph, random_labeling
 
 
 def relay_graph():
@@ -140,6 +141,34 @@ def test_canonical_poly_directed_size_guard():
     g = DiBigraph([], [f"v{i}" for i in range(9)], [])
     with pytest.raises(SizeGuardError):
         canonical_poly_directed(g)
+
+
+@pytest.mark.parametrize("kind", ["digraph", "net"])
+def test_canonical_poly_directed_matches_least_encoding_on_edge_cases(kind):
+    """|v| <= 7 with twins, v-vertices no arc meets, u-vertices with both
+    slots empty and, for nets, the idle unit."""
+    rng = random.Random(53 if kind == "net" else 54)
+    for _ in range(120):
+        g = random_canon_case(rng, kind)
+        assert dict(canonical_poly_directed(g).terms) == least_encoding(g, 2), g
+
+
+def test_canonical_poly_directed_on_a_directed_eight_cycle():
+    """v_i feeds u_i, which feeds v_(i+1): relabeled copies agree, fast."""
+    g = DiBigraph(
+        [f"u{i}" for i in range(8)],
+        [f"v{i}" for i in range(8)],
+        [(f"v{i}", f"u{i}") for i in range(8)] + [(f"u{i}", f"v{(i + 1) % 8}") for i in range(8)],
+    )
+    want = canonical_poly_directed(g)
+    rng = random.Random(55)
+    for _ in range(5):
+        relabeled = decode_directed(
+            encode_directed(g, random_labeling(rng, g.v_vertices, max_label=7))
+        )
+        start = time.perf_counter()
+        assert canonical_poly_directed(relabeled) == want
+        assert time.perf_counter() - start < 1
 
 
 def test_constructor_validation():

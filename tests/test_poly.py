@@ -63,6 +63,23 @@ def test_rejects_bad_coefficients_and_exponents():
         Poly2({(1, 2, 3): 1})
 
 
+def test_public_constructors_validate_what_arithmetic_skips():
+    """Sums and products build their terms unchecked; Poly1 and Poly2 still
+    check every term given to them."""
+    for bad in ({2: -1}, {True: 1}, {(1, 2): 1}):
+        with pytest.raises(ValueError):
+            Poly1(bad)
+    for bad in ({(1, 2): -1}, {(True, 0): 1}, {(0, False): 1}, {3: 1}, {(1, 2, 3): 1}):
+        with pytest.raises(ValueError):
+            Poly2(bad)
+    p = Poly2({(1, 0): 2, (0, 3): 1})
+    q = Poly2({(0, 0): 1, (2, 1): 1})
+    for built in (mul(p, q), add(p, q)):
+        checked = Poly2(dict(built.terms))
+        assert built == checked and hash(built) == hash(checked)
+        assert list(built.terms) == list(checked.terms)
+
+
 def test_degree_and_constants():
     assert Poly1().degree == -1
     assert Poly1({0: 4}).degree == 0
