@@ -38,13 +38,14 @@ def tau_poly(p) -> frozenset:
     """Union of the bit supports of every exponent occurring in ``p``.
 
     Accepts either polynomial arity; both exponent components of a
-    two-variable term contribute.
+    two-variable term contribute.  The support of an OR is the union of the
+    supports, so the exponents are OR-ed first and tau runs once.
     """
-    out = set()
+    acc = 0
     for exp in p.terms:
         if isinstance(exp, int):
-            out |= tau(exp)
+            acc |= exp
         else:
             for part in exp:
-                out |= tau(part)
-    return frozenset(out)
+                acc |= part
+    return tau(acc)

@@ -14,7 +14,6 @@ a file, the rest parses as a polynomial.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -184,7 +183,7 @@ def _cmd_iso(args):
         print("not isomorphic")
         return 1
     names = ("event_map", "condition_map") if d1.kind == "net" else ("u_map", "v_map")
-    print(json.dumps(dict(zip(names, found)), indent=2))
+    sys.stdout.write(fileio.dumps(dict(zip(names, found))))
     return 0
 
 
@@ -241,7 +240,7 @@ def _cmd_net_decompose(args):
         "event_map": {smap[k]: v for k, v in emap.items()},
         "condition_map": {smap[k]: v for k, v in cmap.items()},
     }
-    print(json.dumps(cert, indent=2))
+    sys.stdout.write(fileio.dumps(cert))
     return 0
 
 

@@ -124,12 +124,17 @@ def parts(u_ids, v_ids, u_word="u-part", v_word="v-part"):
 # ---------------------------------------------------------------------------
 # Labelings.
 
-def check_labeling(g, labeling):
-    """Require a total injection from the v part into the naturals."""
-    what = g.v_word
+def check_labeled(g, labeling):
+    """Require a label for every v-vertex."""
     missing = [x for x in g.v_vertices if x not in labeling]
     if missing:
-        raise LabelingError(f"unlabeled {what}s: {missing[:5]!r}")
+        raise LabelingError(f"unlabeled {g.v_word}s: {missing[:5]!r}")
+
+
+def check_labeling(g, labeling):
+    """Require a total injection from the v part into the naturals."""
+    check_labeled(g, labeling)
+    what = g.v_word
     seen = {}
     for x in g.v_vertices:
         val = labeling[x]
@@ -371,14 +376,19 @@ def direct_product(g1, l1, g2, l2):
     sums of the two packed slots."""
     d1 = _packed(g1, l1)
     d2 = _packed(g2, l2)
+    bits = {}  # packed sum -> its bit support; many pairs share a sum
+
+    def support(n):
+        if n not in bits:
+            bits[n] = tau(n)
+        return bits[n]
+
     sig = {
-        (a, b): tuple(tau(x + y) for x, y in zip(ea, eb))
+        (a, b): tuple(support(x + y) for x, y in zip(ea, eb))
         for a, ea in d1.items()
         for b, eb in d2.items()
     }
-    vs = set()
-    for slots in sig.values():
-        vs.update(*slots)
+    vs = set().union(*bits.values())
     return g1.family._build(tuple(sig), tuple(sorted(vs)), sig)
 
 

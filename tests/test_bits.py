@@ -93,3 +93,30 @@ def test_tau_poly_bivariate_pools_both_exponents():
     assert tau_poly(Poly2({(5, 3): 1})) == {0, 1, 2}
     assert tau_poly(Poly2({(1, 0): 1, (0, 2): 3})) == {0, 1}
     assert tau_poly(Poly2({(0, 0): 4})) == frozenset()
+
+
+def test_tau_poly_matches_the_union_of_per_term_supports():
+    rng = random.Random(83)
+
+    def union(p):
+        out = set()
+        for exp in p.terms:
+            for part in (exp,) if isinstance(exp, int) else exp:
+                out |= bits_of(part)
+        return out
+
+    def exps():
+        return [rng.getrandbits(rng.randint(1, 60)) for _ in range(rng.randint(1, 6))]
+
+    polys = [Poly1(), Poly2()]
+    for _ in range(200):
+        polys.append(Poly1(dict.fromkeys(exps(), 1)))
+        polys.append(Poly2(dict.fromkeys(zip(exps(), exps()), 2)))
+    for top in (40, 200):
+        near = [(1 << top) + rng.getrandbits(top - 1) >> rng.randrange(2) for _ in range(5)]
+        polys.append(Poly1(dict.fromkeys(near, 1)))
+        polys.append(Poly2({(e, near[0]): 1 for e in near}))
+    for p in polys:
+        got = tau_poly(p)
+        assert type(got) is frozenset
+        assert got == union(p), p

@@ -592,6 +592,16 @@ def test_dot_runs_on_graphs_and_nets(capsys, hub_file, branch_file):
     assert "->" in out
 
 
+def test_dot_with_an_unlabeled_v_vertex_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(
+        {"u": ["a"], "v": ["x", "y"], "edges": [["a", "x"]], "labels": {"x": 0}}
+    ))
+    want = "error: unlabeled v-part ids: ['y']\n"
+    for command in ("dot", "encode"):
+        assert run(capsys, command, str(path)) == (3, "", want)
+
+
 def test_missing_file_is_an_input_error(capsys, tmp_path):
     code, out, err = run(capsys, "encode", str(tmp_path / "nope.json"))
     assert code == 3
@@ -620,13 +630,24 @@ def test_usage_errors_exit_3(capsys):
         capsys.readouterr()
 
 
-def test_module_entry_point(hub_file):
+def run_module(module, *argv):
     # The child imports the package under test, wherever pytest found it.
     here = str(Path(bigraphpoly.__file__).parents[1])
     path = os.pathsep.join(filter(None, [here, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "bigraphpoly.cli", "encode", hub_file],
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point(hub_file):
+    proc = run_module("bigraphpoly.cli", "encode", hub_file)
     assert proc.returncode == 0
     assert proc.stdout == "x^7 + x^5 + 1\n"
+
+
+def test_package_entry_point(hub_file):
+    proc = run_module("bigraphpoly", "encode", hub_file)
+    assert (proc.returncode, proc.stdout) == (0, "x^7 + x^5 + 1\n")
+    proc = run_module("bigraphpoly", "bogus")
+    assert proc.returncode == 3

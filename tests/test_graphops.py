@@ -139,6 +139,25 @@ def test_route_equivalence_product():
         assert len(b.u_vertices) == len(g1.u_vertices) * len(g2.u_vertices)
 
 
+def test_direct_product_of_two_100_u_graphs_with_overlapping_labels():
+    # Labels from 0..8 on two 6-vertex v parts overlap, so the packed sums
+    # carry and many u pairs share one.
+    rng = random.Random(64)
+    gs = []
+    for side in "ab":
+        us = [f"{side}u{i}" for i in range(100)]
+        vs = [f"{side}v{j}" for j in range(6)]
+        edges = [(u, v) for u in us for v in vs if rng.random() < 0.4]
+        gs.append((Bigraph(us, vs, edges), random_labeling(rng, vs, 8)))
+    (g1, l1), (g2, l2) = gs
+    b = direct_product(g1, l1, g2, l2)
+    a = poly_product(g1, l1, g2, l2)
+    assert encode(b, identity_labeling(b)) == encode(a, a.natural_labeling)
+    assert b.u_vertices == tuple((x, y) for x in g1.u_vertices for y in g2.u_vertices)
+    used = set().union(*map(b.neighbors, b.u_vertices))
+    assert b.v_vertices == tuple(sorted(used))
+
+
 def test_route_equivalence_sum():
     rng = random.Random(62)
     for _ in range(20):

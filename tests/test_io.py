@@ -11,13 +11,17 @@ from bigraphpoly import (
     FileFormatError,
     PetriNet,
     decode,
+    decode_directed,
     encode,
     is_isomorphic,
+    net_product,
+    poly_product,
 )
 from bigraphpoly.fileio import (
     Document,
     _fmt_id,
     document_for,
+    graph_document,
     dumps,
     load_document,
     parse_document,
@@ -25,7 +29,14 @@ from bigraphpoly.fileio import (
     to_dot,
 )
 
-from helpers import random_bigraph, random_digraph, random_labeling, random_net
+from helpers import (
+    random_bigraph,
+    random_digraph,
+    random_labeling,
+    random_net,
+    random_poly1,
+    random_poly2,
+)
 
 
 def sample_graph():
@@ -232,6 +243,92 @@ def test_dumps_is_deterministic_with_trailing_newline():
     b = dumps(document_for(sample_net(), {"b0": 0, "b1": 1}))
     assert a == b
     assert a.endswith("}\n")
+
+
+def json_oracle(doc):
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def test_dumps_matches_json_dumps_on_documents():
+    rng = random.Random(84)
+    docs = []
+    for _ in range(30):
+        for obj in (random_bigraph(rng), random_digraph(rng), random_net(rng)):
+            labels = random_labeling(rng, obj.v_vertices, 12)
+            docs += [document_for(obj), document_for(obj, labels)]
+        for g in (decode(random_poly1(rng)), decode_directed(random_poly2(rng))):
+            docs.append(document_for(g, g.natural_labeling))
+        g1, g2 = random_bigraph(rng), random_bigraph(rng)
+        prod = poly_product(
+            g1, random_labeling(rng, g1.v_vertices, 6),
+            g2, random_labeling(rng, g2.v_vertices, 6),
+        )
+        docs.append(document_for(prod, prod.natural_labeling))
+        docs.append(document_for(net_product(random_net(rng), random_net(rng))))
+    for doc in docs:
+        assert dumps(doc) == json_oracle(doc)
+
+
+def test_dumps_matches_json_dumps_on_edge_cases():
+    odd = ["é", "日本", 'say "hi"', "back\\slash", "tab\there", "\u0001", ""]
+    cases = [
+        {}, [], "", 0, -7, 2**64 + 1, -(2**70), True, False, None,
+        {"a": {}}, {"a": []}, {"a": [[]]}, {"a": [{}]}, {"a": [[], ["x"], []]},
+        {"a": {"b": {"c": []}}}, [[[]]], [{}, [], [[]]], [[{}]],
+        {"u": odd, "edges": [odd[:2], odd[2:]], "labels": dict.fromkeys(odd, 3)},
+        {"flags": [True, False, None], "big": [2**64, 2**200, -1, 0]},
+        [["a", 1], ["b", None]], [[True]], ["x", ["y"]], [["x"], "y"],
+        {"k": [["a", "b"], ["c"]], "n": {"m": [["d"]]}},
+        # Handed to json as they are: floats, tuples, non-string keys.
+        {"f": 1.5, "t": ("a", ["b"]), "e": ()}, {1: "a", "b": [2.0]},
+        {"deep": [{None: [True], "z": ()}]},
+    ]
+    for doc in cases:
+        assert dumps(doc) == json_oracle(doc), doc
+    with pytest.raises(TypeError):
+        dumps({"a": [object()]})
+
+
+def test_graph_document_edges_match_the_sorted_reference():
+    def reference(g, smap):
+        if g.arity == 1:
+            return sorted([smap[a], smap[b]] for a, b in g.edges)
+        return sorted(
+            (
+                {"u": smap[u], "v": smap[v], "dir": way}
+                for u in g.u_vertices
+                for way, part in zip(("v_to_u", "u_to_v"), g.slots(u))
+                for v in part
+            ),
+            key=lambda e: (e["u"], e["v"], e["dir"]),
+        )
+
+    rng = random.Random(85)
+    # u10 sorts before u9; "a b" and "a_b" collide and one becomes "a_b.2".
+    us = ["u9", "u10", "a b", "a_b", 3, (0, "z")]
+    vs = ["v10", "v9", "w x", "w_x", 2]
+    graphs = []
+    for _ in range(30):
+        edges = [(u, v) for u in us for v in vs if rng.random() < 0.5]
+        graphs.append(Bigraph(us, vs, edges))
+        arcs = []
+        for u in us:
+            for v in vs:
+                way = rng.randrange(4)  # none, v to u, u to v, both
+                if way & 1:
+                    arcs.append((v, u))
+                if way & 2:
+                    arcs.append((u, v))
+        graphs.append(DiBigraph(us, vs, arcs))
+        graphs += [random_bigraph(rng, 12, 12), random_digraph(rng, 12, 12)]
+        g = decode(random_poly1(rng))
+        graphs.append(g)
+    assert any(
+        g.arity == 2 and any(p & q for p, q in map(g.slots, g.u_vertices)) for g in graphs
+    )
+    for g in graphs:
+        smap = string_ids(list(g.u_vertices) + list(g.v_vertices))
+        assert graph_document(g)["edges"] == reference(g, smap)
 
 
 def test_document_for_rejects_unknown_types():
