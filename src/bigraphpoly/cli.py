@@ -321,7 +321,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (BudgetExceededError, SizeGuardError) as e:
+    except BudgetExceededError as e:
+        # Only the searches behind factor and net-decompose take a budget.
+        print(f"inconclusive: {e}; raise it with --budget", file=sys.stderr)
+        return 2
+    except SizeGuardError as e:
         print(f"inconclusive: {e}", file=sys.stderr)
         return 2
     except (ValueError, ZeroDivisionError, OSError) as e:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import Counter
 
 from ._match import find_bijections
-from .bits import from_bits, tau, tau_poly
+from .bits import from_bits, tau
 from .errors import LabelingError, SizeGuardError
 from .poly import Poly1, Poly2, add, mul
 
@@ -107,6 +107,15 @@ class Decoded:
         return {v: v for v in self.v_vertices}
 
 
+def _first_few(items, limit=5):
+    """The first limit items as a list literal, with their number when there
+    are more, so that error text stays short however many there are."""
+    items = list(items)
+    if len(items) <= limit:
+        return repr(items)
+    return f"{repr(items[:limit])[:-1]}, ...] ({len(items)} in all)"
+
+
 def parts(u_ids, v_ids, u_word="u-part", v_word="v-part"):
     """The two id tuples, checked for repeats and for ids in both parts."""
     u = tuple(u_ids)
@@ -117,7 +126,9 @@ def parts(u_ids, v_ids, u_word="u-part", v_word="v-part"):
         raise ValueError(f"duplicate {v_word} ids")
     both = set(u) & set(v)
     if both:
-        raise ValueError(f"ids appear in both parts: {sorted(map(repr, both))}")
+        raise ValueError(
+            f"ids appear in both parts: {_first_few(sorted(map(repr, both)))}"
+        )
     return u, v
 
 
@@ -128,7 +139,7 @@ def check_labeled(g, labeling):
     """Require a label for every v-vertex."""
     missing = [x for x in g.v_vertices if x not in labeling]
     if missing:
-        raise LabelingError(f"unlabeled {g.v_word}s: {missing[:5]!r}")
+        raise LabelingError(f"unlabeled {g.v_word}s: {_first_few(missing)}")
 
 
 def check_labeling(g, labeling):
@@ -188,6 +199,13 @@ def decode(p, cls):
     u-ids are (bit set or (pre bits, post bits), copy index) pairs.  A net
     absorbs one unit of the constant term into its idle event.
     """
+    return _decode(p, cls, {})
+
+
+def _decode(p, cls, supports):
+    """decode, reading each exponent's term key and slots from supports: a
+    dict from exponent to (term key, slot bit supports) that the decodes of
+    one search share, filled as new exponents turn up."""
     if not isinstance(p, cls.poly):
         raise TypeError(
             f"{cls.__name__} decodes from {cls.poly.__name__}, got {type(p).__name__}"
@@ -196,14 +214,21 @@ def decode(p, cls):
         raise ValueError(
             "not a net encoding: the constant term must be at least 1 (idle slot)"
         )
+    idle = p.zero if cls.idle else None
     sig = {}
+    vs = set()
     for exp, c in p.terms.items():
-        slots = tuple(tau(e) for e in ((exp,) if cls.arity == 1 else exp))
-        if cls.idle and not any(slots):
+        row = supports.get(exp)
+        if row is None:
+            slots = (tau(exp),) if cls.arity == 1 else tuple(map(tau, exp))
+            row = supports[exp] = (_term(slots), slots)
+        term, slots = row
+        vs.update(*slots)
+        if exp == idle:
             c -= 1
         for k in range(1, c + 1):
-            sig[(_term(slots), k)] = slots
-    return cls._build(tuple(sig), tuple(sorted(tau_poly(p))), sig)
+            sig[(term, k)] = slots
+    return cls._build(tuple(sig), tuple(sorted(vs)), sig)
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,22 @@ def load_document(path) -> Document:
 _SPACE = re.compile(r"\s+")
 
 
+def _head(a):
+    """"u<bits>" or "u<pre>-<post>" when a is the slot part of a decoded
+    u-vertex id (a, copy), else None."""
+    if isinstance(a, frozenset):
+        return f"u{from_bits(a)}"  # decoded undirected u-vertex
+    if (
+        isinstance(a, tuple)
+        and len(a) == 2
+        and isinstance(a[0], frozenset)
+        and isinstance(a[1], frozenset)
+    ):
+        # decoded directed u-vertex or net event: (pre bits, post bits)
+        return f"u{from_bits(a[0])}-{from_bits(a[1])}"
+    return None
+
+
 def _fmt_id(x):
     if isinstance(x, str):
         return x
@@ -199,17 +215,10 @@ def _fmt_id(x):
         return "b" + "-".join(map(str, sorted(x)))
     if isinstance(x, tuple) and len(x) == 2:
         a, b = x
-        if isinstance(a, frozenset) and isinstance(b, int):
-            return f"u{from_bits(a)}_{b}"  # decoded undirected u-vertex
-        if (
-            isinstance(a, tuple)
-            and len(a) == 2
-            and isinstance(a[0], frozenset)
-            and isinstance(a[1], frozenset)
-            and isinstance(b, int)
-        ):
-            # decoded directed u-vertex or net event: (pre bits, post bits, copy)
-            return f"u{from_bits(a[0])}-{from_bits(a[1])}_{b}"
+        if isinstance(b, int):
+            head = _head(a)
+            if head is not None:
+                return f"{head}_{b}"
         if a is None or b is None:
             left = "*" if a is None else _fmt_id(a)
             right = "*" if b is None else _fmt_id(b)
@@ -224,10 +233,22 @@ def string_ids(ids) -> dict:
     """Deterministic unique string form for every id, in one shared scope."""
     out = {}
     taken = set()
+    heads = {}  # slot part of a 2-tuple id with an int copy -> _head of it
     for x in ids:
-        # Every separator _fmt_id inserts is printable, so no whitespace run
-        # spans two parts and one pass over the whole form suffices.
-        s = _SPACE.sub("_", _fmt_id(x)) or "id"
+        if type(x) is tuple and len(x) == 2 and type(x[1]) is int:
+            a = x[0]
+            if a not in heads:
+                heads[a] = _head(a)
+            head = heads[a]
+        else:
+            head = None
+        if head is not None:
+            # A decoded u-vertex: digits, "u", "-" and "_", no whitespace.
+            s = f"{head}_{x[1]}"
+        else:
+            # Every separator _fmt_id inserts is printable, so no whitespace
+            # run spans two parts and one pass over the whole form suffices.
+            s = _SPACE.sub("_", _fmt_id(x)) or "id"
         base = s
         n = 2
         while s in taken:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .bits import tau_poly
-from .core import compact_labeling, decode, encode
+from .core import _decode, compact_labeling, encode
 from .errors import BudgetExceededError, SizeGuardError
 from .polyfactor import Budget, _bit_disjoint_factor, _factor_pairs, _Meter
 
@@ -43,19 +43,25 @@ def factor_graph(g, labeling, budget: Budget = Budget()) -> list:
     with one gets no pair rather than a bogus one.  Empty means no
     two-factor split exists under this labeling.
     """
-    return _factor_graph(g, labeling, _Meter(budget))
+    return list(_factor_graph(g, labeling, _Meter(budget)))
 
 
 def _factor_graph(g, labeling, meter):
+    """The pairs of factor_graph, each decoded when it is read.
+
+    The search runs and charges in full before the first pair comes out.
+    Its halves share one table from exponent to slot supports, so each
+    distinct term is decoded once per call; a net keeps its idle unit, so
+    most terms of its halves are terms of p.
+    """
     p = encode(g, labeling)
     if not p or len(tau_poly(p)) != len(g.v_vertices):
-        return []
+        return
     search = _factor_pairs if g.arity == 1 else _bit_disjoint_factor
-    return [
-        (decode(q, g.decoded), decode(r, g.decoded))
-        for q, r in search(p, meter)
-        if not g.idle or (q.constant_coeff() and r.constant_coeff())
-    ]
+    supports = {}
+    for q, r in search(p, meter):
+        if not g.idle or (q.constant_coeff() and r.constant_coeff()):
+            yield _decode(q, g.decoded, supports), _decode(r, g.decoded, supports)
 
 
 def is_irreducible(
@@ -92,9 +98,9 @@ def is_irreducible(
     meter = _Meter(budget)
     try:
         for lab in labelings:
-            pairs = _factor_graph(g, lab, meter)
-            if pairs:
-                return IrreducibilityReport("reducible", scope, (lab, pairs[0]))
+            pair = next(_factor_graph(g, lab, meter), None)
+            if pair is not None:
+                return IrreducibilityReport("reducible", scope, (lab, pair))
     except BudgetExceededError as e:
         return IrreducibilityReport("inconclusive", scope, detail=str(e))
     return IrreducibilityReport("irreducible", scope)

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from ._match import _match_right
 from .core import (
     Directed,
+    _first_few,
     compact_labeling,
     decode,
     encode,
@@ -68,7 +69,7 @@ class PetriNet(Directed):
             if bad:
                 raise ValueError(
                     f"{name} set of {e!r} mentions non-conditions: "
-                    f"{sorted(map(repr, bad))}"
+                    f"{_first_few(sorted(map(repr, bad)))}"
                 )
             out[e] = members
         return out
@@ -130,7 +131,7 @@ def decompose(net: PetriNet, labeling, budget: Budget = Budget()) -> list:
     not split.
     """
     return [
-        tuple(LabeledPetriNet(half, identity_labeling(half)) for half in pair)
+        tuple(LabeledPetriNet(half, dict(zip(half._v, half._v))) for half in pair)
         for pair in factor_graph(net, labeling, budget)
     ]
 

@@ -89,9 +89,10 @@ class _Meter:
     def charge(self, steps, phase):
         self.left -= steps
         if self.left < 0:
+            asked = self.allowance - self.left  # all steps charged, this one included
             raise BudgetExceededError(
                 f"{self.search} used up the budget of "
-                f"{_show(self.allowance)} steps in {phase}"
+                f"{_show(self.allowance)} steps in {phase} ({_show(asked)} asked for)"
             )
 
 
@@ -114,8 +115,11 @@ def _divisors(n, meter):
     return small + large
 
 
-def _ordered(q, r):
-    return (q, r) if poly_key(q) <= poly_key(r) else (r, q)
+def _keyed(q, r):
+    """(key, pair) of the unordered pair q, r: the two poly_keys in order,
+    and the pair in the same order; each poly_key is computed once."""
+    a, b = poly_key(q), poly_key(r)
+    return ((a, b), (q, r)) if a <= b else ((b, a), (r, q))
 
 
 def _splits(p: Poly1, meter: _Meter) -> list:
@@ -238,7 +242,8 @@ def _splits(p: Poly1, meter: _Meter) -> list:
                 # q(1) = s and r(1) <= p(1)/s no mass is left for any other.
                 if full is not None:
                     qp, rp = Poly1({0: q0, **q}), Poly1({0: r0, **full})
-                    found[tuple(sorted((poly_key(qp), poly_key(rp))))] = _ordered(qp, rp)
+                    key, pair = _keyed(qp, rp)
+                    found[key] = pair
     return list(found.values())
 
 
@@ -281,7 +286,8 @@ def _factor_pairs(p, meter):
             for c1 in cdivs:
                 q = Poly1._trusted({e + a: v * c1 for e, v in small.terms.items()})
                 r = Poly1._trusted({e + m - a: v * (c // c1) for e, v in big.terms.items()})
-                out[tuple(sorted((poly_key(q), poly_key(r))))] = _ordered(q, r)
+                key, pair = _keyed(q, r)
+                out[key] = pair
     return [out[k] for k in sorted(out)]
 
 
@@ -477,5 +483,6 @@ def _bit_disjoint_factor(p, meter):
             meter.charge(len(col) + len(row), "emitting the factors")
             p1 = make({a: v * c1 for a, v in col.items()})
             p2 = make({b: v * (c // c1) for b, v in row.items()})
-            out[tuple(sorted((poly_key(p1), poly_key(p2))))] = _ordered(p1, p2)
+            key, pair = _keyed(p1, p2)
+            out[key] = pair
     return [out[key] for key in sorted(out)]

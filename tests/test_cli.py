@@ -580,6 +580,19 @@ def test_net_decompose_budget_zero_is_inconclusive(capsys, branch_file):
     assert err.startswith("inconclusive:")
 
 
+def test_inconclusive_says_what_was_used_and_how_to_raise_it(capsys, branch_file):
+    code, out, err = run(capsys, "factor", "--budget", "10", "x^5 + x^4")
+    assert (code, out) == (2, "")
+    assert err == (
+        "inconclusive: factoring 2 terms of degree 5 used up the budget of 10 steps"
+        " in emitting the factors (12 asked for); raise it with --budget\n"
+    )
+    code, out, err = run(capsys, "net-decompose", branch_file, "--budget", "0")
+    assert code == 2
+    assert err.startswith("inconclusive:")
+    assert err.endswith(" asked for); raise it with --budget\n")
+
+
 # ---------------------------------------------------------------------------
 # dot / errors / entry point.
 
@@ -600,6 +613,22 @@ def test_dot_with_an_unlabeled_v_vertex_is_an_input_error(capsys, tmp_path):
     want = "error: unlabeled v-part ids: ['y']\n"
     for command in ("dot", "encode"):
         assert run(capsys, command, str(path)) == (3, "", want)
+
+
+def test_error_text_stays_short_for_thousands_of_ids(capsys, tmp_path):
+    ids = [f"n{i}" for i in range(3000)]
+    both = write(tmp_path / "both.json", {"u": ids, "v": ids, "edges": []})
+    code, out, err = run(capsys, "encode", both)
+    assert (code, out) == (3, "")
+    assert "ids appear in both parts" in err and "(3000 in all)" in err
+    assert len(err) < 500
+    net = write(tmp_path / "net.json", {
+        "conditions": ["c"], "events": [{"id": "e", "pre": ids, "post": []}]
+    })
+    code, out, err = run(capsys, "net-encode", net)
+    assert (code, out) == (3, "")
+    assert "non-conditions" in err and "(3000 in all)" in err
+    assert len(err) < 500
 
 
 def test_missing_file_is_an_input_error(capsys, tmp_path):

@@ -17,15 +17,20 @@ from bigraphpoly import (
     bit_disjoint_factor,
     compact_labeling,
     decode,
+    decode_directed,
     encode,
     factor_graph,
+    factor_pairs,
     identity_labeling,
     is_irreducible,
     is_isomorphic,
     parse_poly1,
     plain_product,
     poly_product,
+    tau_poly,
 )
+
+from helpers import random_bigraph, random_digraph, random_labeling
 
 CUBIC = parse_poly1("x^3 + 2*x^2 + 2*x + 1")
 
@@ -234,3 +239,119 @@ def test_report_is_frozen():
     report = IrreducibilityReport("irreducible", "labeling")
     with pytest.raises(Exception):
         report.verdict = "reducible"
+
+
+# ---------------------------------------------------------------------------
+# Agreement with the public search and decode, pair by pair.
+
+def reference_factor_graph(g, labeling):
+    """factor_graph rebuilt from the public searches and decoders."""
+    p = encode(g, labeling)
+    if not p or len(tau_poly(p)) != len(g.v_vertices):
+        return []
+    if g.arity == 1:
+        return [(decode(q), decode(r)) for q, r in factor_pairs(p)]
+    return [(decode_directed(q), decode_directed(r)) for q, r in bit_disjoint_factor(p)]
+
+
+def assert_same_pairs(got, want):
+    """Same pairs in the same order, down to u order and labelings; equal
+    structures have equal u and v tuples and equal slots."""
+    assert len(got) == len(want)
+    for pair, ref in zip(got, want):
+        for h, w in zip(pair, ref):
+            assert type(h) is type(w)
+            assert h == w
+            assert list(h.natural_labeling.items()) == list(w.natural_labeling.items())
+
+
+def doubled(g):
+    """Every u-vertex twice over, so the encoding has content 2."""
+    us = [(u, k) for u in g.u_vertices for k in (0, 1)]
+    if g.arity == 1:
+        return Bigraph(us, g.v_vertices, [((u, k), v) for u, k in us for v in g.slots(u)[0]])
+    arcs = [(v, (u, k)) for u, k in us for v in g.pre(u)]
+    arcs += [((u, k), v) for u, k in us for v in g.post(u)]
+    return DiBigraph(us, g.v_vertices, arcs)
+
+
+def agreement_cases(rng, kind):
+    make = random_bigraph if kind == "graph" else random_digraph
+    for _ in range(40):
+        g = make(rng, max_u=4, max_v=4)
+        yield g, random_labeling(rng, g.v_vertices, 7)
+    for _ in range(25):  # planted products, labeled so that bits may carry
+        g1, g2 = make(rng, max_u=3, max_v=3), make(rng, max_u=3, max_v=3)
+        prod = plain_product(g1, g2)
+        yield prod, random_labeling(rng, prod.v_vertices, 8)
+        yield prod, compact_labeling(prod)
+    for _ in range(15):  # content > 1
+        g = doubled(make(rng, max_u=3, max_v=4))
+        yield g, random_labeling(rng, g.v_vertices, 6)
+
+
+@pytest.mark.parametrize("kind", ["graph", "digraph"])
+def test_factor_graph_agrees_with_the_public_search_and_decode(kind):
+    rng = random.Random(909)
+    split = 0
+    for g, labeling in agreement_cases(rng, kind):
+        got = factor_graph(g, labeling)
+        assert_same_pairs(got, reference_factor_graph(g, labeling))
+        split += bool(got)
+        report = is_irreducible(g, labeling)
+        assert report.verdict == ("reducible" if got else "irreducible")
+        if got:
+            assert report.witness == (labeling, got[0])
+    assert split > 20
+
+
+def test_irreducible_witness_is_the_first_pair():
+    """Both modes try the compact labeling first, so when it splits their
+    witness is factor_graph's first pair under it."""
+    rng = random.Random(910)
+    reducible = 0
+    for make in (random_bigraph, random_digraph):
+        for _ in range(30):
+            g = make(rng, max_u=4, max_v=5)
+            compact = compact_labeling(g)
+            pairs = factor_graph(g, compact)
+            report = is_irreducible(g)
+            assert report.verdict == ("reducible" if pairs else "irreducible")
+            if pairs:
+                reducible += 1
+                assert report.witness[0] == compact
+                assert_same_pairs([report.witness[1]], pairs[:1])
+                assert is_irreducible(g, exhaustive=True).witness == report.witness
+    assert reducible > 10
+
+
+def test_is_irreducible_decodes_only_its_witness():
+    """8 u-vertices on 18 v-vertices, none isolated: x^a splits off for
+    every a up to the lowest exponent, 63,590, so the search emits that many
+    pairs, but the verdict decodes only the first."""
+    rng = random.Random(15)
+    us = [f"u{i}" for i in range(8)]
+    vs = [f"v{j}" for j in range(18)]
+    edges = {(u, rng.choice(vs)) for u in us} | {(rng.choice(us), v) for v in vs}
+    edges |= {(u, v) for u in us for v in vs if rng.random() < 0.3}
+    g = Bigraph(us, vs, edges)
+    start = time.perf_counter()
+    report = is_irreducible(g)
+    assert time.perf_counter() - start < 3
+    assert report.verdict == "reducible"
+    lab, (gq, gr) = report.witness
+    assert lab == compact_labeling(g)
+    assert min(encode(g, lab).terms) == 63590
+    assert encode(gq, gq.natural_labeling) * encode(gr, gr.natural_labeling) == encode(g, lab)
+
+
+def test_budget_error_says_how_much_was_asked_for():
+    g = decode(parse_poly1("x^5 + x^4"))
+    with pytest.raises(BudgetExceededError) as caught:
+        factor_graph(g, identity_labeling(g), Budget(max_steps=10))
+    message = str(caught.value)
+    assert "used up the budget of 10 steps in emitting the factors" in message
+    asked = int(message.rsplit("(", 1)[1].split()[0])
+    assert asked > 10
+    report = is_irreducible(g, identity_labeling(g), budget=Budget(max_steps=10))
+    assert (report.verdict, report.detail) == ("inconclusive", message)

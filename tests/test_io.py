@@ -238,6 +238,29 @@ def test_string_ids_are_unique_and_whitespace_free():
     assert len(set(smap.values())) == len(smap)
 
 
+def test_string_ids_of_decoded_u_vertices_match_fmt_id():
+    """string_ids formats a decoded u-vertex's slots once per distinct slot
+    tuple; the text must be _fmt_id's, collisions and odd copies included."""
+    a, b = frozenset({0, 2}), frozenset({1})
+    ids = [(a, 1), (a, 2), ((a, b), 1), ((a, b), 3), ((b, a), 1), (a, True),
+           (frozenset(), 1), "u5_1", (None, 1), ((a, "x"), 1), ((a, b, a), 1), (3, 4)]
+    got = string_ids(ids)
+    assert got == {
+        (a, 1): "u5_1", (a, 2): "u5_2", ((a, b), 1): "u5-2_1",
+        ((a, b), 3): "u5-2_3", ((b, a), 1): "u2-5_1", (a, True): "u5_True",
+        (frozenset(), 1): "u0_1", "u5_1": "u5_1.2", (None, 1): "*|1",
+        ((a, "x"), 1): "b0-2|x|1",
+        ((a, b, a), 1): "(frozenset({0,_2}),_frozenset({1}),_frozenset({0,_2}))|1",
+        (3, 4): "3|4",
+    }
+    rng = random.Random(83)
+    for _ in range(20):
+        base = random_digraph(rng)
+        g = decode_directed(encode(base, random_labeling(rng, base.v_vertices, 6)))
+        ids = list(g.u_vertices) + list(g.v_vertices)
+        assert list(string_ids(ids).values()) == [_fmt_id(x) for x in ids]
+
+
 def test_dumps_is_deterministic_with_trailing_newline():
     a = dumps(document_for(sample_net(), {"b0": 0, "b1": 1}))
     b = dumps(document_for(sample_net(), {"b0": 0, "b1": 1}))

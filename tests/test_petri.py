@@ -14,6 +14,7 @@ from bigraphpoly import (
     Poly1,
     Poly2,
     SizeGuardError,
+    bit_disjoint_factor,
     compact_net_labeling,
     decode_net,
     decompose,
@@ -23,6 +24,7 @@ from bigraphpoly import (
     net_isomorphic,
     net_product,
     render,
+    tau_poly,
 )
 
 from helpers import random_labeling, random_net, three_prime_nets
@@ -371,3 +373,70 @@ def test_labeled_net_dataclass():
     net = branching_net()
     assert LabeledPetriNet(net, BRANCH_LABELS) == LabeledPetriNet(net, BRANCH_LABELS)
     assert LabeledPetriNet(net).labeling == {}
+
+
+def reference_decompose(net, labeling):
+    """decompose rebuilt from the public search and decode_net, pair by pair."""
+    p = encode_net(net, labeling)
+    if len(tau_poly(p)) != len(net.conditions):
+        return []
+    return [
+        (decode_net(q), decode_net(r))
+        for q, r in bit_disjoint_factor(p)
+        if q.constant_coeff() and r.constant_coeff()
+    ]
+
+
+def with_empty_events(net, copies=2, empty=1):
+    """Every event repeated copies times, plus empty events that touch
+    nothing; with copies = empty + 1 the encoding has content copies."""
+    evs = [(e, k) for e in net.events for k in range(copies)]
+    pre = {(e, k): net.pre(e) for e, k in evs}
+    post = {(e, k): net.post(e) for e, k in evs}
+    evs += [("idle", k) for k in range(empty)]
+    return PetriNet(net.conditions, evs, pre, post)
+
+
+def test_decompose_agrees_with_the_public_search_and_decode():
+    rng = random.Random(911)
+    cases = []
+    for _ in range(30):
+        net = random_net(rng, max_events=3, max_conditions=4)
+        cases.append((net, random_labeling(rng, net.conditions, 7)))
+    for _ in range(20):  # planted products, two or three factors
+        nets = [random_net(rng, max_events=2, max_conditions=2) for _ in range(rng.randint(2, 3))]
+        prod = nets[0]
+        for other in nets[1:]:
+            prod = net_product(prod, other)
+        cases.append((prod, random_labeling(rng, prod.conditions, 9)))
+        cases.append((prod, compact_net_labeling(prod)))
+    for _ in range(15):  # content > 1, and events with empty pre and post
+        base = net_product(random_net(rng, 2, 2), random_net(rng, 2, 2))
+        net = with_empty_events(base, *rng.choice([(2, 1), (3, 2), (1, 2)]))
+        cases.append((net, random_labeling(rng, net.conditions, 6)))
+    split = 0
+    for net, labeling in cases:
+        got = decompose(net, labeling)
+        want = reference_decompose(net, labeling)
+        # Equal nets have equal event and condition tuples and slots.
+        assert got == want
+        for pair, ref in zip(got, want):
+            for half, w in zip(pair, ref):
+                assert list(half.labeling.items()) == list(w.labeling.items())
+        split += bool(got)
+    assert split > 40
+
+
+def test_validation_errors_stay_short():
+    ids = [f"n{i}" for i in range(3000)]
+    with pytest.raises(ValueError) as caught:
+        PetriNet(ids, ids)
+    assert len(str(caught.value)) < 500
+    assert "3000 in all" in str(caught.value)
+    with pytest.raises(ValueError, match="non-conditions") as caught:
+        PetriNet(["b"], ["e"], pre={"e": ids})
+    assert len(str(caught.value)) < 500
+    assert "3000 in all" in str(caught.value)
+    with pytest.raises(LabelingError) as caught:
+        encode_net(PetriNet(ids, ["e"], pre={"e": ids}), {})
+    assert len(str(caught.value)) < 500
