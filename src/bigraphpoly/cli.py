@@ -14,6 +14,7 @@ a file, the rest parses as a polynomial.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -246,7 +247,11 @@ def _cmd_net_decompose(args):
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first call and shared after it:
+    parsing leaves it unchanged, and each parse_args returns a new
+    Namespace."""
     top = _Parser(prog="bigraphpoly", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 

@@ -21,6 +21,7 @@ polynomial route, the direct route and the plain unlabeled route.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import repeat
 
 from ._match import find_bijections
 from .bits import from_bits, tau
@@ -408,11 +409,18 @@ def direct_product(g1, l1, g2, l2):
             bits[n] = tau(n)
         return bits[n]
 
-    sig = {
-        (a, b): tuple(support(x + y) for x, y in zip(ea, eb))
-        for a, ea in d1.items()
-        for b, eb in d2.items()
-    }
+    # Many u-vertices share packed slots, so the slot tuple of each distinct
+    # (packed a, packed b) is worked out once and every u-pair maps to it.
+    distinct2 = set(d2.values())
+    rows = {}  # packed slots of a -> {packed slots of b: slot tuple}
+    sig = {}
+    for a, ea in d1.items():
+        row = rows.get(ea)
+        if row is None:
+            row = rows[ea] = {
+                eb: tuple(support(x + y) for x, y in zip(ea, eb)) for eb in distinct2
+            }
+        sig.update(zip(zip(repeat(a), d2), map(row.__getitem__, d2.values())))
     vs = set().union(*bits.values())
     return g1.family._build(tuple(sig), tuple(sorted(vs)), sig)
 

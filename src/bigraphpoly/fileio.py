@@ -25,7 +25,12 @@ and emit keys in a fixed order, so equal objects serialize byte-identically.
 newline.  It is built by hand because ``indent`` sends ``json.dumps`` to its
 pure-Python encoder, which writes the 1.6 MB product of two 100-u graphs in
 about 20 times the time the product itself takes; here every string leaf
-goes through the C escaper and each list is one ``str.join``.
+goes through the C escaper and each list is one ``str.join``.  A list of
+string rows all of one nonzero width, such as the edges of a graph, is
+written with no Python step per row: its leaves are escaped in one pass,
+regrouped into rows through ``zip``, and joined at once.  ``graph_document``
+works out the ordered row of v strings once per distinct slot tuple, which
+the copies of a decoded term share.
 """
 
 from __future__ import annotations
@@ -259,9 +264,26 @@ def string_ids(ids) -> dict:
     return out
 
 
+def _edge_row(slots, name):
+    """A u-vertex's v strings in order: sorted neighbors, or sorted (v, dir)
+    pairs for (pre, post) slots."""
+    if len(slots) == 1:
+        return sorted(map(name, slots[0]))
+    pre, post = (set(map(name, part)) for part in slots)
+    row = []
+    for sv in sorted(pre | post):
+        if sv in post:
+            row.append((sv, "u_to_v"))
+        if sv in pre:
+            row.append((sv, "v_to_u"))
+    return row
+
+
 def graph_document(g, labels=None) -> dict:
     """Document of a graph or, with edges that carry their direction, of a
     digraph."""
+    if labels is not None:
+        check_labeled(g, labels)
     smap = string_ids(list(g.u_vertices) + list(g.v_vertices))
     doc = {"directed": True} if g.arity == 2 else {}
     doc["u"] = [smap[u] for u in g.u_vertices]
@@ -269,19 +291,21 @@ def graph_document(g, labels=None) -> dict:
     # Edges come sorted by (u string, v string[, dir]).  smap is injective,
     # so walking the u-vertices in string order and each one's v-vertices in
     # string order gives that order with no global sort; a digraph's u-v pair
-    # with arcs both ways lists "u_to_v" before "v_to_u".
+    # with arcs both ways lists "u_to_v" before "v_to_u".  Decoded copies of
+    # one term share one slot tuple, so each distinct tuple's row of v
+    # strings (with directions) is worked out once.
     name = smap.__getitem__
+    rows = {}
     edges = doc["edges"] = []
-    for su, u in sorted(zip(map(name, g.u_vertices), g.u_vertices)):
+    for su, u in sorted(zip(doc["u"], g.u_vertices)):
+        slots = g.slots(u)
+        row = rows.get(slots)
+        if row is None:
+            row = rows[slots] = _edge_row(slots, name)
         if g.arity == 1:
-            edges += [[su, sv] for sv in sorted(map(name, g.slots(u)[0]))]
-            continue
-        pre, post = (set(map(name, part)) for part in g.slots(u))
-        for sv in sorted(pre | post):
-            if sv in post:
-                edges.append({"u": su, "v": sv, "dir": "u_to_v"})
-            if sv in pre:
-                edges.append({"u": su, "v": sv, "dir": "v_to_u"})
+            edges += [[su, sv] for sv in row]
+        else:
+            edges += [{"u": su, "v": sv, "dir": way} for sv, way in row]
     if labels is not None:
         doc["labels"] = {smap[v]: labels[v] for v in g.v_vertices}
     return doc
@@ -291,6 +315,8 @@ bigraph_document = digraph_document = graph_document
 
 
 def net_document(net: PetriNet, labels=None) -> dict:
+    if labels is not None:
+        check_labeled(net, labels)
     smap = string_ids(list(net.conditions) + list(net.events))
     doc = {
         "conditions": [smap[b] for b in net.conditions],
@@ -341,6 +367,14 @@ def _text(x, level):
             start = "[" + inner + "  "
             sep = "," + inner + "  "
             end = inner + "]"
+            widths = set(map(len, x))
+            if len(widths) == 1 and 0 not in widths:
+                # All rows w wide: escape every leaf, regroup them w at a
+                # time, and join all rows in one step.
+                leaves = map(_esc, chain.from_iterable(x))
+                rows = map(sep.join, zip(*[leaves] * widths.pop()))
+                between = end + "," + inner + start
+                return "[" + inner + start + between.join(rows) + end + close + "]"
             items = [start + sep.join(map(_esc, s)) + end if s else "[]" for s in x]
         else:
             items = [_text(s, level + 1) for s in x]

@@ -596,6 +596,41 @@ def test_inconclusive_says_what_was_used_and_how_to_raise_it(capsys, branch_file
 # ---------------------------------------------------------------------------
 # dot / errors / entry point.
 
+def test_parser_reuse_leaks_nothing_between_calls(capsys, tmp_path):
+    """main builds its parser once per process, so each call must answer as
+    it would first, whatever ran before it: forward and reversed, every argv
+    gives the same exit code, stdout, stderr and written file."""
+    target = tmp_path / "d.json"
+    calls = [
+        ["decode", "--directed", "x^3 + 2*x + 1"],
+        ["decode", "x^3 + 2*x + 1"],
+        ["factor", "--budget", "1", "x^2 + 2*x + 1"],
+        ["factor", "x^2 + 2*x + 1"],
+        ["decode", "-o", str(target), "2*x^5 + x^3"],
+        ["decode", "2*x^5 + x^3"],
+        ["canon", "x^3 + x"],
+        ["decode"],  # usage error: no polynomial
+        ["factor", "x^3 + 1"],
+    ]
+
+    def call(argv):
+        target.unlink(missing_ok=True)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err, target.read_text() if target.exists() else None
+
+    forward = [call(argv) for argv in calls]
+    backward = [call(argv) for argv in reversed(calls)][::-1]
+    assert forward == backward
+    codes = [got[0] for got in forward]
+    assert codes == [0, 0, 2, 0, 0, 0, 0, 3, 1]
+    assert forward[0][1] != forward[1][1]
+    assert forward[4][1:] == ("", "", forward[5][1])
+
+
 def test_dot_runs_on_graphs_and_nets(capsys, hub_file, branch_file):
     code, out, err = run(capsys, "dot", hub_file)
     assert code == 0

@@ -9,9 +9,12 @@ from bigraphpoly import (
     Bigraph,
     DiBigraph,
     FileFormatError,
+    LabelingError,
     PetriNet,
     decode,
     decode_directed,
+    direct_product,
+    direct_product_directed,
     encode,
     is_isomorphic,
     net_product,
@@ -24,6 +27,7 @@ from bigraphpoly.fileio import (
     graph_document,
     dumps,
     load_document,
+    net_document,
     parse_document,
     string_ids,
     to_dot,
@@ -302,6 +306,10 @@ def test_dumps_matches_json_dumps_on_edge_cases():
         {"flags": [True, False, None], "big": [2**64, 2**200, -1, 0]},
         [["a", 1], ["b", None]], [[True]], ["x", ["y"]], [["x"], "y"],
         {"k": [["a", "b"], ["c"]], "n": {"m": [["d"]]}},
+        # Rows of one width are joined in one step; ragged ones row by row.
+        [["a"], ["b"], ["c"]], {"e": [["a", "b", "c"], ["d", "e", "f"]]},
+        [odd[:2], odd[2:4], odd[4:6]], {"e": [[s] for s in odd]}, [["x", ""]],
+        [["a"], [], ["b", "c"]], [["a", "b"], ["c", "d"], ["e"]],
         # Handed to json as they are: floats, tuples, non-string keys.
         {"f": 1.5, "t": ("a", ["b"]), "e": ()}, {1: "a", "b": [2.0]},
         {"deep": [{None: [True], "z": ()}]},
@@ -344,10 +352,20 @@ def test_graph_document_edges_match_the_sorted_reference():
                     arcs.append((u, v))
         graphs.append(DiBigraph(us, vs, arcs))
         graphs += [random_bigraph(rng, 12, 12), random_digraph(rng, 12, 12)]
-        g = decode(random_poly1(rng))
-        graphs.append(g)
+        # Copies of a term with coefficient 3 or more share one slot tuple.
+        graphs += [decode(random_poly1(rng, max_coeff=6)),
+                   decode_directed(random_poly2(rng, max_coeff=6))]
+        for product, make in ((direct_product, random_bigraph),
+                              (direct_product_directed, random_digraph)):
+            g1, g2 = make(rng), make(rng)
+            graphs.append(product(g1, random_labeling(rng, g1.v_vertices, 5),
+                                  g2, random_labeling(rng, g2.v_vertices, 5)))
     assert any(
         g.arity == 2 and any(p & q for p, q in map(g.slots, g.u_vertices)) for g in graphs
+    )
+    assert any(
+        len(set(map(g.slots, g.u_vertices))) <= len(g.u_vertices) - 2
+        for g in graphs if g.arity == 2
     )
     for g in graphs:
         smap = string_ids(list(g.u_vertices) + list(g.v_vertices))
@@ -359,6 +377,21 @@ def test_document_for_rejects_unknown_types():
         document_for("not a graph")
     with pytest.raises(TypeError):
         to_dot(42)
+
+
+def test_writers_require_a_label_for_every_v_vertex():
+    cases = (
+        (sample_graph(), {"v1": 0}, graph_document),
+        (sample_digraph(), {"x": 0}, graph_document),
+        (sample_net(), {"b0": 0}, net_document),
+    )
+    for obj, labels, writer in cases:
+        with pytest.raises(LabelingError) as dot:
+            to_dot(obj, labels)
+        for write in (writer, document_for):
+            with pytest.raises(LabelingError) as doc:
+                write(obj, labels)
+            assert str(doc.value) == str(dot.value)
 
 
 def test_to_dot_bigraph_golden():
