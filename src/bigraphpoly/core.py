@@ -24,7 +24,7 @@ from collections import Counter
 from itertools import repeat
 
 from ._match import find_bijections
-from .bits import from_bits, tau
+from .bits import tau
 from .errors import LabelingError, SizeGuardError
 from .poly import Poly1, Poly2, add, mul
 
@@ -184,10 +184,8 @@ def encode(g: Bipartite, labeling):
     the constant coefficient rather than vanishing; a net adds one more unit
     for its idle event.
     """
-    check_labeling(g, labeling)
     terms = {g.poly.zero: 1} if g.idle else {}
-    for sig in g._sig.values():
-        e = _term(tuple(from_bits(labeling[v] for v in part) for part in sig))
+    for e in map(_term, _packed(g, labeling).values()):
         terms[e] = terms.get(e, 0) + 1
     return g.poly._trusted(terms)
 
@@ -227,8 +225,11 @@ def _decode(p, cls, supports):
         vs.update(*slots)
         if exp == idle:
             c -= 1
-        for k in range(1, c + 1):
-            sig[(term, k)] = slots
+        if c == 1:
+            sig[(term, 1)] = slots
+        else:
+            for k in range(1, c + 1):
+                sig[(term, k)] = slots
     return cls._build(tuple(sig), tuple(sorted(vs)), sig)
 
 
@@ -390,10 +391,13 @@ def poly_sum(g1, l1, g2, l2):
 
 
 def _packed(g, labeling):
+    """u -> its slots packed into exponents: each slot sums 2**label over
+    its members, whose bits are distinct because the labeling is checked to
+    be injective."""
     check_labeling(g, labeling)
+    bit = {v: 1 << labeling[v] for v in g.v_vertices}.__getitem__
     return {
-        u: tuple(from_bits(labeling[v] for v in part) for part in sig)
-        for u, sig in g._sig.items()
+        u: tuple([sum(map(bit, part)) for part in sig]) for u, sig in g._sig.items()
     }
 
 

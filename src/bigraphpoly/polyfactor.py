@@ -21,14 +21,18 @@ polynomial, and a bit-disjoint split a variable-disjoint factorization.
 Such factorizations are unions of one finest partition into prime blocks,
 and two variables lie in different blocks iff P * d_uw P = d_u P * d_w P
 (Shpilka & Volkovich, "On the relation between polynomial identity testing
-and finding variable disjoint factors", ICALP 2010).  The search tests that
-identity for every pair of bits at a random point modulo 2**61 - 1, merges
-the dependent bits with union-find, and verifies the blocks exactly: split
-off one at a time, the coefficient grid over a block and the bits left must
-be an outer product, whose primitive first row and column are the factors.
-A point that misses a dependency fails that check and another is drawn.
-The work is about |support|**2 * terms plus the size of the output, where
-a scan of the bipartitions took 2**(|support| - 1) * terms.
+and finding variable disjoint factors", ICALP 2010), so lying in one block
+is an equivalence relation on the variables.  The search tests that
+identity at a random point modulo 2**61 - 1 between each variable and one
+representative of each class found so far, joins the bits of each class
+and the two variables of each bit with union-find, and verifies the blocks
+exactly: split off one at a time, the coefficient grid over a block and the
+bits left must be an outer product, whose primitive first row and column
+are the factors.  A point that misses a dependency fails that check and
+another is drawn.  The work is about |support| * classes * terms plus the
+size of the output, where testing every pair of bits took
+|support|**2 * terms and a scan of the bipartitions
+2**(|support| - 1) * terms.
 """
 
 from __future__ import annotations
@@ -291,20 +295,17 @@ def _factor_pairs(p, meter):
     return [out[k] for k in sorted(out)]
 
 
-def _project(exp, mask, bivariate):
-    if bivariate:
-        return (exp[0] & mask, exp[1] & mask)
-    return exp & mask
-
-
 def _outer(terms, mask1, mask2, bivariate):
     """(column, row) when the grid of a primitive p over the two masks is the
     outer product of its primitive first column and primitive first row,
     else None; both come back as exponent -> coefficient maps."""
-    grid = {
-        (_project(e, mask1, bivariate), _project(e, mask2, bivariate)): v
-        for e, v in terms.items()
-    }
+    if bivariate:
+        grid = {
+            ((x & mask1, y & mask1), (x & mask2, y & mask2)): v
+            for (x, y), v in terms.items()
+        }
+    else:
+        grid = {(e & mask1, e & mask2): v for e, v in terms.items()}
     a0, b0 = next(iter(grid))
     col = {a: v for (a, b), v in grid.items() if b == b0}
     row = {b: v for (a, b), v in grid.items() if a == a0}
@@ -329,44 +330,55 @@ def _point(rng, count):
 
 
 def _blocks(terms, support, bivariate, point, modulus, meter):
-    """The support bits grouped by union-find over the pairs that the
+    """The support bits grouped by union-find over the variables that the
     dependency test at this point proves dependent, as bit lists ordered by
-    their top bit.  Never coarser than the prime blocks; finer when the point
-    misses a dependency.
+    their top bit.
 
     Each support bit is one variable group: its pre variable and, for two
-    slots, its post variable.  For variables u and w of two bits, let S sum
-    the terms' values at the point, R_u and R_w the values of the terms
-    holding u or w, and D those holding both.  Then S*D - R_u*R_w is the
-    2x2 minor of the grid of p over the states of u and w, with u's and w's
-    own values left in, which only scales its rows and columns by units:
-    P * d_uw P - d_u P * d_w P at the point, times z_u * z_w.  It vanishes
-    identically iff u and w lie in different variable-disjoint factors, so
-    a nonzero value proves their bits share a prime block.
+    slots, its post variable.  For variables u and w, let S sum the terms'
+    values at the point, R_u and R_w the values of the terms holding u or
+    w, and D those holding both.  Then S*D - R_u*R_w is the 2x2 minor of the
+    grid of p over the states of u and w, with u's and w's own values left
+    in, which only scales its rows and columns by units: P * d_uw P -
+    d_u P * d_w P at the point, times z_u * z_w.  It vanishes identically
+    iff u and w lie in different variable-disjoint factors, so lying in one
+    prime block is an equivalence relation on the variables, and a nonzero
+    value proves that u and w lie in one.
+
+    So each variable, pre variables before post ones, is tested against one
+    representative of each class found so far, in the order they were
+    found; the first nonzero minor joins its bits to that representative's,
+    and a variable with none starts a class of its own.  A variable is
+    tested at most once per class, not once per bit.  A bit's two variables
+    may fall into different classes; union-find joins all bits of a class
+    and both variables of a bit, since a bit-disjoint split keeps a bit's
+    pre and post on one side.
+
+    Every join rests on a nonzero minor, so the blocks are never coarser
+    than the prime blocks.  A point where a minor of a dependent pair
+    happens to vanish can only leave a variable outside its class, and the
+    blocks finer; _peel then fails to verify them and a new point is drawn.
     """
     n = len(support)
-    position = {b: t for t, b in enumerate(support)}
+    # Slot s of bit support[t] is variable t + s*n, looked up by 2**support[t].
+    indexes = [{1 << b: t + s * n for t, b in enumerate(support)} for s in range(1 + bivariate)]
     meter.charge(len(terms), "the dependency test")
     values = []
-    holders = {}  # variable -> indices of the terms holding it
+    holding = [[] for _ in point]  # variable -> indices of the terms holding it
     for i, (e, v) in enumerate(terms.items()):
         value = v % modulus
-        for slot, x in enumerate(e if bivariate else (e,)):
+        for x, index in zip(e if bivariate else (e,), indexes):
             while x:
                 low = x & -x
-                u = position[low.bit_length() - 1] + slot * n
-                value = value * point[u] % modulus
-                holders.setdefault(u, set()).add(i)
+                u = index[low]
+                value *= point[u]
+                holding[u].append(i)
                 x ^= low
-        values.append(value)
+        values.append(value % modulus)
     total = sum(values)
-    held = {u: sum(values[i] for i in rows) for u, rows in holders.items()}
-    owned = [[u for u in (t, t + n) if u in holders] for t in range(n)]
-
-    def dependent(u, w):
-        both = holders[u] & holders[w]
-        meter.charge(1 + len(both), "the dependency test")
-        return (total * sum(values[i] for i in both) - held[u] * held[w]) % modulus
+    term_value = values.__getitem__
+    holders = {u: set(rows) for u, rows in enumerate(holding) if rows}
+    held = {u: sum(map(term_value, rows)) for u, rows in holders.items()}
 
     parent = list(range(n))
 
@@ -376,12 +388,17 @@ def _blocks(terms, support, bivariate, point, modulus, meter):
             t = parent[t]
         return t
 
-    for s in range(n):
-        for t in range(s + 1, n):
-            if find(s) != find(t) and any(
-                dependent(u, w) for u in owned[s] for w in owned[t]
-            ):
-                parent[find(s)] = find(t)
+    representatives = []
+    for u, rows in holders.items():
+        scale = held[u]
+        for w in representatives:
+            both = rows & holders[w]
+            meter.charge(1 + len(both), "the dependency test")
+            if (total * sum(map(term_value, both)) - scale * held[w]) % modulus:
+                parent[find(u % n)] = find(w % n)
+                break
+        else:
+            representatives.append(u)
     groups = {}
     for t, b in enumerate(support):
         groups.setdefault(find(t), []).append(b)
@@ -420,12 +437,14 @@ def bit_disjoint_factor(p, budget: Budget = Budget()) -> list:
     exponent components.  Each support bit is one variable group, so a split
     is a variable-disjoint factorization of the primitive part, and every
     such split is a union of its prime blocks (Shpilka & Volkovich, ICALP
-    2010).  The blocks come from a dependency test on pairs of bits at a
-    random point; peeling them off one at a time with the exact grid test
-    verifies them, and a failed verification draws a new point.  So the
-    time is random but an answer never is, and a fixed seed makes both
-    repeat.  A step is one term read by the pair tests or the verification,
-    one term of an emitted factor, or one trial division of the content.
+    2010).  The blocks come from a dependency test at a random point of
+    each variable against one representative of each class found so far;
+    peeling them off one at a time with the exact grid test verifies them,
+    and a failed verification draws a new point.  So the time is random but
+    an answer never is, and a fixed seed makes both repeat.  A step is one
+    term evaluated, one dependency test or one term it reads, one term read
+    by the verification, one term of an emitted factor, or one trial
+    division of the content.
     An empty result certifies that no bit-disjoint pair exists.
 
     By Gauss's lemma a split of p is its content c = c1 * c2 spread over the
@@ -481,8 +500,9 @@ def _bit_disjoint_factor(p, meter):
             if (c1 == 1 and col == one) or (c1 == c and row == one):
                 continue
             meter.charge(len(col) + len(row), "emitting the factors")
-            p1 = make({a: v * c1 for a, v in col.items()})
-            p2 = make({b: v * (c // c1) for b, v in row.items()})
+            c2 = c // c1
+            p1 = make(col if c1 == 1 else {a: v * c1 for a, v in col.items()})
+            p2 = make(row if c2 == 1 else {b: v * c2 for b, v in row.items()})
             key, pair = _keyed(p1, p2)
             out[key] = pair
     return [out[key] for key in sorted(out)]

@@ -327,15 +327,30 @@ def test_bit_disjoint_rejects_zero():
 
 def test_bit_disjoint_budget():
     # x^4 (x^3 + 1)(x^8 + 1), blocks {0, 1}, {2} and {3}: evaluating the 4
-    # terms, 6 bit-pair tests (one step each plus the 10 terms they read),
-    # peeling {0, 1} and then {2} off (4 + 2 terms read) and the 13 terms of
-    # the 3 emitted pairs come to 4 + 16 + 6 + 13 = 39 steps
+    # terms; 4 dependency tests, one step each plus the terms they read
+    # (bit 1 against bit 0's variable: 2 terms, joined; bit 2 against bit 0:
+    # 2, a new class; bit 3 against bits 0 and 2: 1 + 2, a new class), so
+    # 4 + 7 = 11; peeling {0, 1} and then {2} off (4 + 2 terms read); and the
+    # 13 terms of the 3 emitted pairs come to 4 + 11 + 6 + 13 = 34 steps
     p = P({15: 1, 12: 1, 7: 1, 4: 1})
     with pytest.raises(BudgetExceededError):
         bit_disjoint_factor(p, Budget(max_steps=2))
     with pytest.raises(BudgetExceededError):
-        bit_disjoint_factor(p, Budget(max_steps=38))
-    assert len(bit_disjoint_factor(p, Budget(max_steps=39))) == 3
+        bit_disjoint_factor(p, Budget(max_steps=33))
+    assert len(bit_disjoint_factor(p, Budget(max_steps=34))) == 3
+
+
+def test_bit_disjoint_joins_the_two_variables_of_each_bit():
+    """(1 + X0*Y1)(1 + X1*Y0), with Xt and Yt bit t of the x and y exponents:
+    the variables fall into the classes {X0, Y1} and {X1, Y0}, but bits 0
+    and 1 each have a variable in both, so they form one block and there is
+    no bit-disjoint split.  Times x^16*y^16 + 1, on bit 4, it splits once."""
+    p = Poly2({(0, 0): 1, (1, 2): 1, (2, 1): 1, (3, 3): 1})
+    assert p == Poly2({(0, 0): 1, (1, 2): 1}) * Poly2({(0, 0): 1, (2, 1): 1})
+    assert bit_disjoint_factor(p) == []
+    q = Poly2({(16, 16): 1, (0, 0): 1})
+    pairs = bit_disjoint_factor(p * q)
+    assert len(pairs) == 1 and set(pairs[0]) == {p, q}
 
 
 def test_bit_disjoint_matches_the_full_scan_reference():

@@ -1,4 +1,5 @@
-"""Products and sums of labeled graphs: polynomial route vs direct route."""
+"""Products and sums of labeled graphs: polynomial route vs direct route,
+and the encoding and decoding both routes rest on."""
 
 import random
 from collections import Counter
@@ -6,14 +7,19 @@ from collections import Counter
 from bigraphpoly import (
     Bigraph,
     DiBigraph,
+    PetriNet,
     Poly1,
     Poly2,
+    decode,
+    decode_directed,
+    decode_net,
     direct_product,
     direct_product_directed,
     direct_sum,
     direct_sum_directed,
     encode,
     encode_directed,
+    from_bits,
     identity_labeling,
     is_isomorphic,
     is_isomorphic_directed,
@@ -27,9 +33,17 @@ from bigraphpoly import (
     poly_sum,
     poly_sum_directed,
     render,
+    tau_poly,
 )
 
-from helpers import random_bigraph, random_digraph, random_labeling
+from helpers import (
+    random_bigraph,
+    random_digraph,
+    random_labeling,
+    random_net,
+    random_poly1,
+    random_poly2,
+)
 
 
 # Two small fixtures used throughout: a path piece and a fork piece.
@@ -256,3 +270,65 @@ def test_sum_quotients_equal_labels():
     d = direct_sum(g, L1, g, L1)
     assert Counter(d.v_vertices) == Counter([0, 1])
     assert len(d.u_vertices) == 4
+
+
+def with_an_empty_u_vertex(g):
+    """g with one more u-vertex, whose slots are all empty."""
+    if isinstance(g, PetriNet):
+        return PetriNet(
+            g.conditions,
+            [*g.events, "quiet"],
+            {e: g.pre(e) for e in g.events},
+            {e: g.post(e) for e in g.events},
+        )
+    if g.arity == 1:
+        edges = [(u, v) for u in g.u_vertices for v in g.slots(u)[0]]
+        return Bigraph([*g.u_vertices, "lone"], g.v_vertices, edges)
+    arcs = [(v, u) for u in g.u_vertices for v in g.pre(u)]
+    arcs += [(u, v) for u in g.u_vertices for v in g.post(u)]
+    return DiBigraph([*g.u_vertices, "lone"], g.v_vertices, arcs)
+
+
+def reference_encoding(g, labeling):
+    """Exponent -> coefficient, each slot packed by from_bits, plus a net's
+    idle unit."""
+    terms = Counter()
+    if isinstance(g, PetriNet):
+        terms[(0, 0)] += 1
+    for u in g.u_vertices:
+        exps = tuple(from_bits(labeling[v] for v in part) for part in g.slots(u))
+        terms[exps[0] if len(exps) == 1 else exps] += 1
+    return dict(terms)
+
+
+def test_encode_matches_packing_by_from_bits():
+    rng = random.Random(61)
+    for _ in range(150):
+        for g in (random_bigraph(rng), random_digraph(rng), random_net(rng)):
+            if rng.random() < 0.5:
+                g = with_an_empty_u_vertex(g)
+            labeling = random_labeling(rng, g.v_vertices, rng.choice((8, 80)))
+            assert dict(encode(g, labeling).terms) == reference_encoding(g, labeling)
+    # The net with no events is the idle unit alone.
+    assert dict(encode(PetriNet(), {}).terms) == {(0, 0): 1}
+
+
+def test_decode_v_part_is_the_union_of_the_slot_supports():
+    rng = random.Random(62)
+    one = Poly2({(0, 0): 1})
+    for _ in range(150):
+        for p, back in (
+            (random_poly1(rng, max_deg=40), decode),
+            (random_poly2(rng, max_deg=40), decode_directed),
+            (random_poly2(rng, max_deg=40) + one, lambda q: decode_net(q).net),
+        ):
+            g = back(p)
+            union = set().union(*(part for u in g.u_vertices for part in g.slots(u)))
+            assert g.v_vertices == tuple(sorted(union)) == tuple(sorted(tau_poly(p)))
+    # A net polynomial whose only term is the idle unit: no events beyond
+    # the constant's extra units, and no conditions.
+    for c in (1, 3):
+        net = decode_net(Poly2({(0, 0): c})).net
+        assert net.v_vertices == ()
+        assert len(net.u_vertices) == c - 1
+        assert all(net.slots(e) == (frozenset(), frozenset()) for e in net.u_vertices)

@@ -230,6 +230,30 @@ def test_decompose_certifies_the_interlocked_net():
     assert decompose(net, {f"b{i}": 5 - i for i in range(6)}) == []
 
 
+def test_decompose_keeps_each_condition_on_one_side():
+    """a moves b0 to b1, b moves b1 to b0, c consumes and produces both: the
+    encoding (1 + x*y^2)(1 + x^2*y) splits over N[x,y], but each factor
+    consumes one condition and produces the other, so the net does not
+    split.  Its product with a one-condition loop splits once, into the two."""
+    cross = PetriNet(
+        ["b0", "b1"],
+        ["a", "b", "c"],
+        pre={"a": ["b0"], "b": ["b1"], "c": ["b0", "b1"]},
+        post={"a": ["b1"], "b": ["b0"], "c": ["b0", "b1"]},
+    )
+    labels = {"b0": 0, "b1": 1}
+    p = encode_net(cross, labels)
+    assert p == Poly2({(0, 0): 1, (1, 2): 1, (2, 1): 1, (3, 3): 1})
+    assert decompose(cross, labels) == []
+    loop = PetriNet(["d"], ["e"], pre={"e": ["d"]}, post={"e": ["d"]})
+    net = net_product(cross, loop)
+    pairs = decompose(net, {(0, "b0"): 0, (0, "b1"): 1, (1, "d"): 4})
+    assert len(pairs) == 1
+    halves = {encode_net(half.net, half.labeling) for half in pairs[0]}
+    assert halves == {p, Poly2({(16, 16): 1, (0, 0): 1})}
+    assert net_isomorphic(net_product(*(half.net for half in pairs[0])), net) is not None
+
+
 def test_decompose_compact_labeling_golden():
     net = branching_net()
     labeling = compact_net_labeling(net)
