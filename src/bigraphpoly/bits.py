@@ -8,10 +8,6 @@ reversibility is what every decoding in this package rests on.
 
 from __future__ import annotations
 
-from functools import reduce
-from itertools import chain
-from operator import or_
-
 # A bit support is a frozenset of bit positions; the empty set encodes 0.
 BitExp = frozenset
 
@@ -45,7 +41,11 @@ def tau_poly(p) -> frozenset:
     two-variable term contribute.  The support of an OR is the union of the
     supports, so the exponents are OR-ed first and tau runs once.
     """
-    exps = p.terms
-    if exps and not isinstance(next(iter(exps)), int):
-        exps = chain.from_iterable(exps)
-    return tau(reduce(or_, exps, 0))
+    acc = 0
+    for exp in p.terms:
+        if isinstance(exp, int):
+            acc |= exp
+        else:
+            for part in exp:
+                acc |= part
+    return tau(acc)

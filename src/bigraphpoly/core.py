@@ -225,11 +225,8 @@ def _decode(p, cls, supports):
         vs.update(*slots)
         if exp == idle:
             c -= 1
-        if c == 1:
-            sig[(term, 1)] = slots
-        else:
-            for k in range(1, c + 1):
-                sig[(term, k)] = slots
+        for k in range(1, c + 1):
+            sig[(term, k)] = slots
     return cls._build(tuple(sig), tuple(sorted(vs)), sig)
 
 

@@ -28,12 +28,9 @@ about 20 times the time the product itself takes; here every string leaf
 goes through the C escaper and each list is one ``str.join``.  A list of
 string rows all of one nonzero width, such as the edges of a graph, is
 written with no Python step per row: its leaves are escaped in one pass,
-regrouped into rows through ``zip``, and joined at once.  So is a list of
-objects that share one key tuple and hold only strings, such as the arcs
-of a digraph: its values are escaped in one pass and joined at once with
-the pieces of one template.  ``graph_document`` works out the ordered row
-of v strings once per distinct slot tuple, which the copies of a decoded
-term share.
+regrouped into rows through ``zip``, and joined at once.  ``graph_document``
+works out the ordered row of v strings once per distinct slot tuple, which
+the copies of a decoded term share.
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from itertools import chain, cycle
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _esc
 from pathlib import Path
 
@@ -345,20 +342,6 @@ def document_for(obj, labels=None) -> dict:
     raise TypeError(f"no document form for {type(obj).__name__}")
 
 
-def _row_keys(rows):
-    """The key tuple that every dict of rows has, in order, when it is not
-    empty and all its keys and all the values are strings, else None."""
-    shapes = set(map(tuple, rows))
-    if len(shapes) != 1:
-        return None
-    keys = shapes.pop()
-    if not keys or set(map(type, keys)) != {str}:
-        return None
-    if set(map(type, chain.from_iterable(map(dict.values, rows)))) != {str}:
-        return None
-    return keys
-
-
 def _text(x, level):
     """JSON of x as json.dumps(x, indent=2) writes it at nesting depth level."""
     if isinstance(x, str):
@@ -393,19 +376,6 @@ def _text(x, level):
                 between = end + "," + inner + start
                 return "[" + inner + start + between.join(rows) + end + close + "]"
             items = [start + sep.join(map(_esc, s)) + end if s else "[]" for s in x]
-        elif kinds == {dict} and (keys := _row_keys(x)):
-            # Objects of one key tuple with string values, such as the arcs
-            # of a digraph: every object is one template around a leaf per
-            # key.  Escape every leaf and join leaves and the template's
-            # pieces in one step; the piece after each object's last leaf
-            # closes it and opens the next.
-            fields = [inner + "  " + _esc(k) + ": " for k in keys]
-            start, end = "{" + fields[0], inner + "}"
-            between = end + "," + inner + start
-            seps = cycle(["," + f for f in fields[1:]] + [between])
-            leaves = map(_esc, chain.from_iterable(map(dict.values, x)))
-            text = "".join(chain.from_iterable(zip(leaves, seps)))
-            return "[" + inner + start + text[: -len(between)] + end + close + "]"
         else:
             items = [_text(s, level + 1) for s in x]
         return "[" + inner + ("," + inner).join(items) + close + "]"

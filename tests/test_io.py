@@ -19,7 +19,6 @@ from bigraphpoly import (
     is_isomorphic,
     net_product,
     poly_product,
-    poly_product_directed,
 )
 from bigraphpoly.fileio import (
     Document,
@@ -277,20 +276,6 @@ def json_oracle(doc):
     return json.dumps(doc, indent=2) + "\n"
 
 
-def hundred_u_digraph(rng):
-    """100 u-vertices and 6 v-vertices, every v meeting an arc."""
-    us = [f"u{i}" for i in range(100)]
-    vs = [f"v{j}" for j in range(6)]
-    arcs = {(v, rng.choice(us)) for v in vs}
-    for u in us:
-        for v in vs:
-            if rng.random() < 0.2:
-                arcs.add((v, u))
-            if rng.random() < 0.2:
-                arcs.add((u, v))
-    return DiBigraph(us, vs, arcs)
-
-
 def test_dumps_matches_json_dumps_on_documents():
     rng = random.Random(84)
     docs = []
@@ -307,15 +292,6 @@ def test_dumps_matches_json_dumps_on_documents():
         )
         docs.append(document_for(prod, prod.natural_labeling))
         docs.append(document_for(net_product(random_net(rng), random_net(rng))))
-    # The directed product of two 100-u digraphs: tens of thousands of arc
-    # objects of one key tuple, written through one template.
-    g1, g2 = hundred_u_digraph(rng), hundred_u_digraph(rng)
-    prod = poly_product_directed(
-        g1, {v: i for i, v in enumerate(g1.v_vertices)},
-        g2, {v: 6 + i for i, v in enumerate(g2.v_vertices)},
-    )
-    docs.append(document_for(prod, prod.natural_labeling))
-    assert len(prod.u_vertices) == 10**4 and len(docs[-1]["edges"]) > 10**4
     for doc in docs:
         assert dumps(doc) == json_oracle(doc)
 
@@ -334,15 +310,14 @@ def test_dumps_matches_json_dumps_on_edge_cases():
         [["a"], ["b"], ["c"]], {"e": [["a", "b", "c"], ["d", "e", "f"]]},
         [odd[:2], odd[2:4], odd[4:6]], {"e": [[s] for s in odd]}, [["x", ""]],
         [["a"], [], ["b", "c"]], [["a", "b"], ["c", "d"], ["e"]],
-        # Handed to json as they are: floats, tuples, non-string keys.
-        # Objects of one key tuple with string values share one template;
-        # others, and objects with other values, are written one by one.
+        # Lists of objects: one key tuple or several, string values or not.
         [{"a": "x"}], [{"u": "a", "v": "b"}, {"u": "c", "v": "d"}],
         [dict(zip(odd, odd)), dict(zip(odd, reversed(odd)))], [{"%s": "%d"}] * 3,
         [{"a": "x", "b": "y"}, {"b": "y", "a": "x"}], [{"a": "x"}, {"b": "x"}],
         [{"a": "x"}, {"a": 1}], [{"a": ["x"]}], [{}, {}], [{"a": "x"}, {}],
         [{1: "a"}, {1: "b"}],
         {"e": [{"k": "x"}], "n": [{"k": None}]}, [[{"a": "b"}], {"a": "b"}],
+        # Handed to json as they are: floats, tuples, non-string keys.
         {"f": 1.5, "t": ("a", ["b"]), "e": ()}, {1: "a", "b": [2.0]},
         {"deep": [{None: [True], "z": ()}]},
     ]
