@@ -8,18 +8,16 @@ bijection is a witness when it carries the right signatures onto each other
 as multisets; the right bijection then falls out by bucket matching.
 
 Candidates are pruned with iterated color refinement run over both objects
-at once, then completed by backtracking inside color classes.  The left
-part drives the search, so the guard is on its size.
+at once, then completed by backtracking inside color classes, charging
+the caller's step meter as it goes.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .errors import SizeGuardError
 
-
-def _refine(v1, sig1, v2, sig2):
+def _refine(v1, sig1, v2, sig2, meter):
     table = {}
 
     def intern(x):
@@ -34,6 +32,7 @@ def _refine(v1, sig1, v2, sig2):
     ucols = [{}, {}]
     prev = -1
     while True:
+        meter.charge(1, "color refinement")
         for side in (0, 1):
             vc = vcols[side]
             ucols[side] = {
@@ -73,12 +72,12 @@ def _match_right(sig1, sig2, vmap):
     return out
 
 
-def find_bijections(v1, sig1, v2, sig2, size_guard=12):
+def find_bijections(v1, sig1, v2, sig2, meter):
     """Witness pair (right map, left map) or None.
 
     v1/v2 list the left parts; sig1/sig2 map each right-part id to its
-    tuple of left-part subsets.  Raises SizeGuardError when the left part
-    outgrows the guard, unless part sizes or slot sizes already differ.
+    tuple of left-part subsets.  meter is charged a step per refinement
+    round and backtracking node, and len(sig1) per complete assignment.
     """
     if len(v1) != len(v2) or len(sig1) != len(sig2):
         return None
@@ -86,11 +85,8 @@ def find_bijections(v1, sig1, v2, sig2, size_guard=12):
     shape2 = Counter(tuple(len(part) for part in sig) for sig in sig2.values())
     if shape1 != shape2:
         return None
-    if len(v1) > size_guard:
-        raise SizeGuardError(
-            f"left part has {len(v1)} vertices, isomorphism guard is {size_guard}"
-        )
-    vcol1, vcol2, ucol1, ucol2 = _refine(v1, sig1, v2, sig2)
+    meter.search = f"the isomorphism search on {len(v1)} v-vertices"
+    vcol1, vcol2, ucol1, ucol2 = _refine(v1, sig1, v2, sig2, meter)
     if Counter(vcol1.values()) != Counter(vcol2.values()):
         return None
     if Counter(ucol1.values()) != Counter(ucol2.values()):
@@ -99,24 +95,35 @@ def find_bijections(v1, sig1, v2, sig2, size_guard=12):
     for w in v2:
         by_color.setdefault(vcol2[w], []).append(w)
     order = sorted(v1, key=lambda v: len(by_color.get(vcol1[v], ())))
-    assign = {}
+    candidates = [by_color.get(vcol1[v], ()) for v in order]
     used = set()
-
-    def place(i):
-        if i == len(order):
+    charge = meter.charge
+    # Depth-first on explicit stacks, so |v1| is not limited by the
+    # recursion limit: chosen[k] is the image of order[k], and stack[k]
+    # yields the candidates for it not tried yet.
+    chosen = []
+    stack = []
+    while True:
+        charge(1, "the backtracking")
+        if len(chosen) < len(order):
+            stack.append(iter(candidates[len(chosen)]))
+        else:
+            charge(len(sig1), "checking a witness")
+            assign = dict(zip(order, chosen))
             umap = _match_right(sig1, sig2, assign)
-            return None if umap is None else (umap, dict(assign))
-        v = order[i]
-        for w in by_color.get(vcol1[v], ()):
-            if w in used:
+            if umap is not None:
+                return umap, assign
+        while stack:
+            if len(chosen) == len(stack):
+                used.discard(chosen.pop())
+            for w in stack[-1]:
+                if w not in used:
+                    chosen.append(w)
+                    used.add(w)
+                    break
+            else:
+                stack.pop()
                 continue
-            assign[v] = w
-            used.add(w)
-            got = place(i + 1)
-            if got is not None:
-                return got
-            used.discard(w)
-            del assign[v]
-        return None
-
-    return place(0)
+            break
+        else:
+            return None

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (or positive answer), 1 certified negative answer
 (not isomorphic, nothing factors, no decomposition), 2 inconclusive (a
-search budget or size guard stopped the run), 3 bad input or usage.
+search ran out of its budget), 3 bad input or usage.
 
 Commands that need labels use the ones embedded in the file; without them
 the compact labeling 0..|v|-1 in declared order is used and announced on
@@ -22,7 +22,7 @@ from pathlib import Path
 from . import fileio
 from .bigraph import decode, decode_directed
 from .core import canonical_poly, encode, is_isomorphic, poly_product, poly_sum
-from .errors import BudgetExceededError, SizeGuardError
+from .errors import BudgetExceededError
 from .graphfactor import factor_graph, is_irreducible
 from .petri import decode_net, decompose, net_product, witness
 from .poly import Poly1, Poly2, content, int_text, lift, parse_poly, render
@@ -327,11 +327,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except BudgetExceededError as e:
-        # Only the searches behind factor and net-decompose take a budget.
-        print(f"inconclusive: {e}; raise it with --budget", file=sys.stderr)
-        return 2
-    except SizeGuardError as e:
-        print(f"inconclusive: {e}", file=sys.stderr)
+        hint = "; raise it with --budget" if hasattr(args, "budget") else ""
+        print(f"inconclusive: {e}{hint}", file=sys.stderr)
         return 2
     except (ValueError, ZeroDivisionError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -25,8 +25,9 @@ from itertools import repeat
 
 from ._match import find_bijections
 from .bits import tau
-from .errors import LabelingError, SizeGuardError
+from .errors import LabelingError
 from .poly import Poly1, Poly2, add, mul
+from .polyfactor import Budget, _Meter
 
 
 class Bipartite:
@@ -233,18 +234,18 @@ def _decode(p, cls, supports):
 # ---------------------------------------------------------------------------
 # Isomorphism and canonical form.
 
-def is_isomorphic(g1: Bipartite, g2: Bipartite, size_guard=12):
+def is_isomorphic(g1: Bipartite, g2: Bipartite, budget: Budget = Budget()):
     """Part- and slot-respecting isomorphism witness (u map, v map), or None.
 
-    For nets that is (event map, condition map).  Raises SizeGuardError when
-    the v part outgrows the guard.
+    For nets that is (event map, condition map).  A step is a refinement
+    round, a backtracking node or a u-vertex of a complete assignment.
     """
     return find_bijections(
-        list(g1.v_vertices), g1._sig, list(g2.v_vertices), g2._sig, size_guard
+        list(g1.v_vertices), g1._sig, list(g2.v_vertices), g2._sig, _Meter(budget)
     )
 
 
-def canonical_poly(g: Bipartite, size_guard=8):
+def canonical_poly(g: Bipartite, budget: Budget = Budget()):
     """Least encoding over all labelings by 0..|v|-1.
 
     Term lists in descending exponent order compare lexicographically by
@@ -263,15 +264,14 @@ def canonical_poly(g: Bipartite, size_guard=8):
        unlabeled members, multiplicity) per term was met before at the same
        depth is dropped.
 
-    The guard stays: on inputs with many symmetries the search still visits
-    a large share of the |v|! labelings.
+    Symmetric inputs still visit a large share of the |v|! labelings.  A
+    step is a unit of building a child state: one for the child, one per
+    distinct term of its parent and one per term counted with multiplicity.
     """
     vs = g.v_vertices
     n = len(vs)
-    if n > size_guard:
-        raise SizeGuardError(
-            f"{n} v-vertices exceed the canonical-form guard {size_guard}"
-        )
+    meter = _Meter(budget)
+    meter.search = f"the canonical form of {n} v-vertices"
     # One integer per term: slot s holds its bits (arity - 1 - s) * n places
     # up, so with two slots the integer is x_exp * 2**n + y_exp and integers
     # order exactly as (x, y) exponent pairs do.  A term's state is (fixed,
@@ -333,35 +333,44 @@ def canonical_poly(g: Bipartite, size_guard=8):
     # The compact labeling, label i for v-index i, is the first leaf: its
     # term integers are the open bits themselves.
     best = sorted((mask for _, mask in root.elements()), reverse=True)
+    width = len(best)  # terms of every state, counted with multiplicity
 
-    def search(state, m, free):
-        nonlocal best
-        label = m - 1
-        children = []
+    def children(state, free):
+        """The unseen children of a state, least bound first.  Each costs
+        1 + len(state) + width steps, the size of what building it makes."""
+        label = free.bit_count() - 1
+        out = []
         for i in range(n):
             if not free >> i & 1 or (previous[i] is not None and free >> previous[i] & 1):
                 continue
+            meter.charge(1 + len(state) + width, "building states")
             bit = unit << i
             child = {}
             for (fixed, mask), c in state.items():
                 b = mask & bit
                 key = (fixed + (b >> i << label), mask ^ b) if b else (fixed, mask)
                 child[key] = child.get(key, 0) + c
-            key = (m, frozenset(child.items()))
+            key = (label, frozenset(child.items()))
             if key in seen:
                 continue
             seen.add(key)
-            children.append((bound(child), i, child))
-        children.sort()
-        for floor_list, i, child in children:
+            out.append((bound(child), i, child))
+        out.sort()
+        return iter(out)
+
+    # Depth-first on a stack of (children left, unlabeled v-indices), so
+    # |v| is not limited by the recursion limit.
+    stack = [(children(root, (1 << n) - 1), (1 << n) - 1)]
+    while stack:
+        rest, free = stack.pop()
+        for floor_list, i, child in rest:
             if floor_list >= best:
                 break
             if any(mask for _, mask in child):
-                search(child, label, free & ~(1 << i))
-            else:
-                best = floor_list  # every slot fixed: a better leaf
+                stack += [(rest, free), (children(child, free ^ 1 << i), free ^ 1 << i)]
+                break
+            best = floor_list  # every slot fixed: a better leaf
 
-    search(root, n, (1 << n) - 1)
     terms = Counter(best)
     if g.arity == 1:
         return Poly1._trusted(terms)

@@ -20,7 +20,7 @@ from itertools import permutations
 
 from .bits import tau_poly
 from .core import _decode, compact_labeling, encode
-from .errors import BudgetExceededError, SizeGuardError
+from .errors import BudgetExceededError
 from .polyfactor import Budget, _bit_disjoint_factor, _factor_pairs, _Meter
 
 
@@ -70,31 +70,27 @@ def is_irreducible(
     *,
     exhaustive=False,
     budget: Budget = Budget(),
-    size_guard=8,
 ) -> IrreducibilityReport:
     """Decide two-factor splittability of g.
 
     Single-labeling mode tries the given labeling (compact by default) and
     scopes its verdict to it.  Exhaustive mode answers for every labeling by
     0..|v|-1.  One compact labeling answers for all of them, except on an
-    undirected graph with an isolated u-vertex, where all |v|! labelings are
-    swept up to the size guard and "irreducible" says nothing about labels
-    past |v|-1.  A split of a digraph or net is a partition of its v part.
+    undirected graph with an isolated u-vertex and every v-vertex on an
+    edge, where all |v|! labelings are swept and "irreducible" says nothing
+    about labels past |v|-1; no labeling splits a graph with a v-vertex no
+    edge meets.  A split of a digraph or net is a partition of its v part.
     A graph whose every u-vertex has a neighbour has p(0) = 0, so under
     every labeling x splits off iff every v-vertex meets an edge and
-    |v| >= 2.  All labelings tried share one allowance; running out of it
-    gives "inconclusive".
+    |v| >= 2.  All labelings tried share one allowance, and past one each
+    costs at least the divisor scan of p(1); running out gives "inconclusive".
     """
     scope = "compact-labelings" if exhaustive else "labeling"
-    if exhaustive and g.arity == 1 and not all(g.slots(u)[0] for u in g.u_vertices):
-        vs = g.v_vertices
-        if len(vs) > size_guard:
-            raise SizeGuardError(
-                f"{len(vs)} v-vertices exceed the exhaustive-sweep guard {size_guard}"
-            )
-        labelings = (dict(zip(vs, perm)) for perm in permutations(range(len(vs))))
-    else:
-        labelings = [compact_labeling(g) if exhaustive or labeling is None else labeling]
+    labelings = [compact_labeling(g) if exhaustive or labeling is None else labeling]
+    if exhaustive and g.arity == 1:
+        vs, nbrs = g.v_vertices, [g.slots(u)[0] for u in g.u_vertices]
+        if not all(nbrs) and len(set().union(*nbrs)) == len(vs):
+            labelings = (dict(zip(vs, perm)) for perm in permutations(range(len(vs))))
     meter = _Meter(budget)
     try:
         for lab in labelings:

@@ -49,16 +49,18 @@ from .poly import Poly1, Poly2, content, poly_key
 
 @dataclass(frozen=True)
 class Budget:
-    """The work allowance of one call to a factor search.
+    """The work allowance of one call to any search: the factor searches,
+    the isomorphism search and the canonical form.
 
-    max_steps, a natural number, counts the same unit on both searches: a
-    step is one coefficient read, one search node or coefficient value
-    tried, one trial division while listing the divisors of the content, of
-    p(0) or of p(1), or one term of an emitted factor pair.  A call that
-    runs several searches, such as the labeling sweep of is_irreducible,
-    spends one allowance on all of them.  Exceeding it raises
-    BudgetExceededError, so an empty result is always a completed-search
-    certificate.
+    max_steps is a natural number.  In the factor searches a step is one
+    coefficient read, one search node or coefficient value tried, one trial
+    division while listing the divisors of the content, of p(0) or of p(1),
+    or one term of an emitted factor pair.  core.is_isomorphic and
+    core.canonical_poly define their steps in their docstrings.  A call
+    that runs several searches, such as the labeling sweep of
+    is_irreducible, spends one allowance on all of them.  Exceeding it
+    raises BudgetExceededError, so an empty result is always a
+    completed-search certificate.
     """
 
     max_steps: int = 10_000_000

@@ -9,11 +9,12 @@ import pytest
 
 from bigraphpoly import (
     Bigraph,
+    Budget,
+    BudgetExceededError,
     DiBigraph,
     LabelingError,
     Poly1,
     Poly2,
-    SizeGuardError,
     canonical_poly,
     canonical_poly_directed,
     check_labeling,
@@ -155,11 +156,27 @@ def test_is_isomorphic_ignores_id_spelling():
 
 
 def test_is_isomorphic_size_guard():
+    """13 v-vertices, past the vertex-count guard this search once had: it
+    stops on its budget alone.  Two refinement rounds, 14 backtracking nodes
+    and a witness check of one u-vertex make 17 steps."""
     n = 13
     g = Bigraph(["u"], [f"v{i}" for i in range(n)], [("u", f"v{i}") for i in range(n)])
-    with pytest.raises(SizeGuardError):
-        is_isomorphic(g, g)
-    assert is_isomorphic(g, g, size_guard=13) is not None
+    with pytest.raises(BudgetExceededError, match="budget of 16 steps in checking a witness"):
+        is_isomorphic(g, g, Budget(max_steps=16))
+    assert_valid_iso(g, g, is_isomorphic(g, g, Budget(max_steps=17)))
+
+
+def test_searches_go_deeper_than_the_recursion_limit():
+    """Both searches walk a stack of their own: a star on 2,000 leaves
+    places 2,000 v-vertices one below the other, and a pendant u-vertex on
+    the last leaf makes the canonical form give a label at each depth."""
+    n = 2000
+    vs = [f"v{i}" for i in range(n)]
+    star = Bigraph(["u"], vs, [("u", v) for v in vs])
+    flipped = Bigraph(["w"], vs[::-1], [("w", v) for v in vs])
+    assert_valid_iso(star, flipped, is_isomorphic(star, flipped))
+    pendant = Bigraph(["u", "w"], vs, [*star.edges, ("w", vs[-1])])
+    assert canonical_poly(pendant) == Poly1({(1 << n) - 1: 1, 1: 1})
 
 
 def test_canonical_poly_golden():
@@ -200,9 +217,21 @@ def test_canonical_poly_matches_brute_force_reference():
 
 
 def test_canonical_poly_size_guard():
+    """|v| = 9, past the vertex-count guard this search once had: it stops
+    on its budget alone.  Nine twins need one child state of no terms, one
+    step; the random graph needs 342 steps."""
     g = Bigraph([], [f"v{i}" for i in range(9)], [])
-    with pytest.raises(SizeGuardError):
-        canonical_poly(g)
+    with pytest.raises(BudgetExceededError, match="budget of 0 steps in building states"):
+        canonical_poly(g, Budget(max_steps=0))
+    assert canonical_poly(g, Budget(max_steps=1)) == Poly1({})
+    rng = random.Random(46)
+    us = [f"u{i}" for i in range(4)]
+    g = Bigraph(us, [f"v{j}" for j in range(9)],
+                [(rng.choice(us), f"v{j}") for j in range(9)]
+                + [(u, f"v{j}") for u in us for j in range(9) if rng.random() < 0.4])
+    with pytest.raises(BudgetExceededError, match="budget of 341 steps"):
+        canonical_poly(g, Budget(max_steps=341))
+    assert canonical_poly(g, Budget(max_steps=342)) == canonical_poly(g)
 
 
 def test_canonical_poly_matches_least_encoding_on_edge_cases():
@@ -268,19 +297,55 @@ def test_canonical_poly_answers_a_random_eight_vertex_graph_fast():
     assert seconds < 0.02
 
 
+def edge_set(g):
+    """The edges of a graph, or the arcs of a digraph, as (tail, head)."""
+    return set(g.arcs if isinstance(g, DiBigraph) else g.edges)
+
+
+def nx_graph(nx, g):
+    """g as a networkx graph whose nodes carry their part; a digraph keeps
+    the direction of each arc."""
+    out = nx.DiGraph() if isinstance(g, DiBigraph) else nx.Graph()
+    out.add_nodes_from(g.u_vertices, part="u")
+    out.add_nodes_from(g.v_vertices, part="v")
+    out.add_edges_from(edge_set(g))
+    return out
+
+
+def nx_isomorphic(nx, g, h):
+    return nx.is_isomorphic(
+        nx_graph(nx, g), nx_graph(nx, h), node_match=lambda a, b: a["part"] == b["part"]
+    )
+
+
+def relabeled_or_near_miss(rng, g, near_miss):
+    """A copy of g under fresh shuffled ids, or g with one edge or arc moved
+    to a place it did not hold."""
+    kind = type(g)
+    edges = edge_set(g)
+    if near_miss:
+        pairs = [(u, v) for u in g.u_vertices for v in g.v_vertices]
+        if kind is DiBigraph:
+            pairs += [(v, u) for u, v in pairs]
+        gone = rng.choice(sorted(edges))
+        edges = (edges - {gone}) | {rng.choice(sorted(set(pairs) - edges))}
+        return kind(g.u_vertices, g.v_vertices, edges)
+    names = {u: f"a{k}" for k, u in enumerate(rng.sample(g.u_vertices, len(g.u_vertices)))}
+    names.update(
+        {v: f"b{k}" for k, v in enumerate(rng.sample(g.v_vertices, len(g.v_vertices)))}
+    )
+    return kind(
+        rng.sample([names[u] for u in g.u_vertices], len(g.u_vertices)),
+        rng.sample([names[v] for v in g.v_vertices], len(g.v_vertices)),
+        [(names[a], names[b]) for a, b in edges],
+    )
+
+
 def test_canonical_poly_agrees_with_networkx_past_brute_force():
     """At |v| = 8, canonical forms agree exactly when networkx finds a
     part-respecting isomorphism, on relabeled copies and on near misses with
     one edge moved."""
     nx = pytest.importorskip("networkx")
-
-    def nx_graph(g):
-        out = nx.Graph()
-        out.add_nodes_from(g.u_vertices, part="u")
-        out.add_nodes_from(g.v_vertices, part="v")
-        out.add_edges_from(g.edges)
-        return out
-
     rng = random.Random(47)
     verdicts = Counter()
     for k in range(40):
@@ -296,12 +361,58 @@ def test_canonical_poly_agrees_with_networkx_past_brute_force():
             moved = (edges - {rng.choice(sorted(edges))}) | {rng.choice(missing)}
             h = Bigraph(us, vs, moved)
         g = Bigraph(us, vs, edges)
-        same = nx.is_isomorphic(
-            nx_graph(g), nx_graph(h), node_match=lambda a, b: a["part"] == b["part"]
-        )
+        same = nx_isomorphic(nx, g, h)
         assert (canonical_poly(g) == canonical_poly(h)) == same, k
         verdicts[same] += 1
     assert verdicts[True] >= 20 and verdicts[False]
+
+
+def random_pair_past_the_old_guards(rng, kind, nv, nu, density):
+    us = [f"u{i}" for i in range(nu)]
+    vs = [f"v{j}" for j in range(nv)]
+    pairs = [(u, v) for u in us for v in vs if rng.random() < density]
+    if kind is DiBigraph:
+        pairs = [p if rng.random() < 0.5 else p[::-1] for p in pairs]
+    g = kind(us, vs, pairs)
+    return g, relabeled_or_near_miss(rng, g, rng.random() < 0.5)
+
+
+@pytest.mark.parametrize("kind", [Bigraph, DiBigraph], ids=["graph", "digraph"])
+def test_is_isomorphic_agrees_with_networkx_past_the_old_guard(kind):
+    """|v| = 13..16, past the vertex-count guard of 12 the search once had:
+    a witness exactly when networkx finds a part-respecting isomorphism, and
+    every witness maps each edge or arc onto one."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(48)
+    verdicts = Counter()
+    for k in range(40):
+        g, h = random_pair_past_the_old_guards(rng, kind, 13 + k % 4, rng.randint(8, 20), 0.3)
+        found = is_isomorphic(g, h)
+        assert (found is not None) == nx_isomorphic(nx, g, h), k
+        if found is not None:
+            u_map, v_map = found
+            m = {**u_map, **v_map}
+            assert Counter(u_map.keys()) == Counter(g.u_vertices)
+            assert Counter(u_map.values()) == Counter(h.u_vertices)
+            assert Counter(v_map.keys()) == Counter(g.v_vertices)
+            assert Counter(v_map.values()) == Counter(h.v_vertices)
+            assert {(m[a], m[b]) for a, b in edge_set(g)} == edge_set(h)
+        verdicts[found is not None] += 1
+    assert verdicts[True] >= 15 and verdicts[False] >= 15
+
+
+def test_canonical_poly_agrees_with_networkx_past_the_old_guard():
+    """|v| = 9..11, past the guard of 8 the canonical form once had: equal
+    forms exactly when networkx finds a part-respecting isomorphism."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(49)
+    verdicts = Counter()
+    for k in range(30):
+        g, h = random_pair_past_the_old_guards(rng, Bigraph, 9 + k % 3, rng.randint(3, 6), 0.4)
+        same = nx_isomorphic(nx, g, h)
+        assert (canonical_poly(g) == canonical_poly(h)) == same, k
+        verdicts[same] += 1
+    assert verdicts[True] >= 10 and verdicts[False] >= 10
 
 
 def test_labeling_validation():

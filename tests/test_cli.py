@@ -1,5 +1,6 @@
 """Command line behavior: printed output, exit codes, and file handling."""
 
+import functools
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 import bigraphpoly
 from bigraphpoly import (
     Bigraph,
+    Budget,
     DiBigraph,
     PetriNet,
     canonical_poly_directed,
@@ -24,7 +26,7 @@ from bigraphpoly import (
     parse_poly1,
     render,
 )
-from bigraphpoly import fileio
+from bigraphpoly import cli, core, fileio
 from bigraphpoly.cli import main
 from bigraphpoly.poly import parse_poly
 
@@ -431,6 +433,40 @@ def test_iso_negative(capsys, tmp_path):
     code, out, err = run(capsys, "iso", f1, f2)
     assert code == 1
     assert out == "not isomorphic\n"
+
+
+@pytest.mark.parametrize("command, search, message", [
+    ("canon", "canonical_poly",
+     "the canonical form of 3 v-vertices used up the budget of 1 steps"
+     " in building states (7 asked for)"),
+    ("iso", "is_isomorphic",
+     "the isomorphism search on 3 v-vertices used up the budget of 1 steps"
+     " in color refinement (2 asked for)"),
+])
+def test_canon_and_iso_out_of_budget_are_inconclusive(
+    capsys, monkeypatch, hub_file, command, search, message
+):
+    """Neither subcommand takes --budget, so the line names no flag."""
+    small = functools.partial(getattr(core, search), budget=Budget(max_steps=1))
+    monkeypatch.setattr(cli, search, small)
+    files = (hub_file,) * (1 if command == "canon" else 2)
+    code, out, err = run(capsys, command, *files)
+    assert (code, out, err) == (2, "", f"inconclusive: {message}\n")
+
+
+def test_canon_and_iso_answer_past_the_recursion_limit(capsys, tmp_path):
+    """A star on 2,000 leaves with a pendant u-vertex on the last one."""
+    n = 2000
+    vs = [f"v{i}" for i in range(n)]
+    g = Bigraph(["u", "w"], vs, [("u", v) for v in vs] + [("w", vs[-1])])
+    path = write(tmp_path / "star.json", fileio.bigraph_document(g))
+    code, out, err = run(capsys, "canon", path)
+    assert (code, out) == (0, f"x^{(1 << n) - 1} + x\n")
+    code, out, err = run(capsys, "iso", path, path)
+    assert code == 0
+    witness = json.loads(out)
+    u_map, v_map = witness["u_map"], witness["v_map"]
+    assert {(u_map[u], v_map[v]) for u, v in g.edges} == set(g.edges)
 
 
 def test_iso_mixed_kinds_is_an_input_error(capsys, hub_file, branch_file):

@@ -7,11 +7,12 @@ from collections import Counter
 import pytest
 
 from bigraphpoly import (
+    Budget,
+    BudgetExceededError,
     DiBigraph,
     LabelingError,
     Poly1,
     Poly2,
-    SizeGuardError,
     canonical_poly_directed,
     decode_directed,
     encode_directed,
@@ -114,10 +115,13 @@ def test_is_isomorphic_directed_ignores_id_spelling():
 
 
 def test_is_isomorphic_directed_size_guard():
+    """13 v-vertices, past the old vertex-count guard: 17 steps, as for the
+    undirected star."""
     n = 13
     g = DiBigraph(["u"], [f"v{i}" for i in range(n)], [("u", f"v{i}") for i in range(n)])
-    with pytest.raises(SizeGuardError):
-        is_isomorphic_directed(g, g)
+    with pytest.raises(BudgetExceededError, match="budget of 16 steps"):
+        is_isomorphic_directed(g, g, Budget(max_steps=16))
+    assert_valid_iso(g, g, is_isomorphic_directed(g, g, Budget(max_steps=17)))
 
 
 def test_canonical_poly_directed_golden():
@@ -138,9 +142,12 @@ def test_canonical_poly_directed_is_labeling_invariant():
 
 
 def test_canonical_poly_directed_size_guard():
+    """|v| = 9, past the old vertex-count guard: nine twins need one child
+    state, of one step."""
     g = DiBigraph([], [f"v{i}" for i in range(9)], [])
-    with pytest.raises(SizeGuardError):
-        canonical_poly_directed(g)
+    with pytest.raises(BudgetExceededError, match="budget of 0 steps"):
+        canonical_poly_directed(g, Budget(max_steps=0))
+    assert canonical_poly_directed(g, Budget(max_steps=1)) == Poly2({})
 
 
 @pytest.mark.parametrize("kind", ["digraph", "net"])

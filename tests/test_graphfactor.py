@@ -1,11 +1,13 @@
 """Graph factorization through the polynomial, and irreducibility reports."""
 
+import inspect
 import random
 import time
 from itertools import permutations
 
 import pytest
 
+import bigraphpoly
 from bigraphpoly import (
     Bigraph,
     Budget,
@@ -13,7 +15,6 @@ from bigraphpoly import (
     DiBigraph,
     IrreducibilityReport,
     Poly1,
-    SizeGuardError,
     bit_disjoint_factor,
     compact_labeling,
     decode,
@@ -173,10 +174,27 @@ def test_factor_graph_propagates_budget_errors():
 
 
 def test_exhaustive_sweep_guard():
-    # the isolated u-vertex gives p(0) = 1, so only a sweep can answer
-    g = Bigraph(["u"], [f"v{i}" for i in range(9)], [])
-    with pytest.raises(SizeGuardError):
-        is_irreducible(g, exhaustive=True)
+    """An isolated u-vertex and v-vertices no edge meets: no labeling splits
+    the graph, so the answer needs no sweep, at 9 v-vertices or at 20."""
+    for n in (9, 20):
+        g = Bigraph(["u"], [f"v{i}" for i in range(n)], [])
+        start = time.perf_counter()
+        report = is_irreducible(g, exhaustive=True, budget=Budget(max_steps=0))
+        assert time.perf_counter() - start < 0.1
+        assert (report.verdict, report.scope) == ("irreducible", "compact-labelings")
+
+
+def test_sweep_of_ten_v_vertices_runs_out_of_budget():
+    """With an isolated u-vertex and every v-vertex on an edge the sweep
+    tries labelings until the allowance runs out; each costs at least the
+    divisor scan of p(1)."""
+    us = [f"u{i}" for i in range(10)]
+    vs = [f"v{j}" for j in range(10)]
+    g = Bigraph(us, vs, [(f"u{j}", f"v{j}") for j in range(9)] + [("u8", "v9")])
+    assert is_irreducible(g, budget=Budget(max_steps=1000)).verdict == "irreducible"
+    report = is_irreducible(g, exhaustive=True, budget=Budget(max_steps=1000))
+    assert (report.verdict, report.scope) == ("inconclusive", "compact-labelings")
+    assert "budget of 1000 steps" in report.detail
 
 
 def test_sweep_shares_one_allowance():
@@ -233,6 +251,17 @@ def test_twelve_v_vertices_without_an_isolated_u_vertex_need_no_sweep():
         # a v-vertex that no edge meets rules out a split under every labeling
         bare = Bigraph(us, vs + ["w"], edges)
         assert is_irreducible(bare, exhaustive=True).verdict == "irreducible"
+
+
+@pytest.mark.parametrize("name", [
+    "factor_pairs", "bit_disjoint_factor", "factor_graph", "decompose",
+    "is_irreducible", "is_isomorphic", "is_isomorphic_directed", "net_isomorphic",
+    "canonical_poly", "canonical_poly_directed",
+])
+def test_every_search_takes_a_budget_and_no_size_guard(name):
+    params = inspect.signature(getattr(bigraphpoly, name)).parameters
+    assert params["budget"].default == Budget()
+    assert "size_guard" not in params
 
 
 def test_report_is_frozen():

@@ -8,12 +8,13 @@ from itertools import permutations
 import pytest
 
 from bigraphpoly import (
+    Budget,
+    BudgetExceededError,
     LabeledPetriNet,
     LabelingError,
     PetriNet,
     Poly1,
     Poly2,
-    SizeGuardError,
     bit_disjoint_factor,
     compact_net_labeling,
     decode_net,
@@ -359,9 +360,12 @@ def test_decompose_round_trips_random_products():
 
 
 def test_net_isomorphic_guard_and_negatives():
+    # 13 conditions and no event: 2 refinement rounds and 14 backtracking
+    # nodes; the witness check has no event to read.
     big = PetriNet([f"b{i}" for i in range(13)], [])
-    with pytest.raises(SizeGuardError):
-        net_isomorphic(big, big)
+    with pytest.raises(BudgetExceededError, match="budget of 15 steps"):
+        net_isomorphic(big, big, Budget(max_steps=15))
+    assert net_isomorphic(big, big, Budget(max_steps=16)) is not None
     n1 = PetriNet(["b"], ["e"], pre={"e": ["b"]})
     n2 = PetriNet(["b"], ["e"], post={"e": ["b"]})
     assert net_isomorphic(n1, n2) is None
