@@ -53,8 +53,7 @@ def _looks_like_file(arg: str) -> bool:
     return os.path.exists(arg) or os.sep in arg or arg.endswith(".json")
 
 
-def _emit(doc: dict, output):
-    text = fileio.dumps(doc)
+def _emit(text: str, output):
     if output:
         Path(output).write_text(text)
     else:
@@ -89,7 +88,7 @@ def _cmd_decode(args):
     if args.directed:
         p = lift(p)
     g = decode_directed(p) if isinstance(p, Poly2) else decode(p)
-    _emit(fileio.document_for(g, g.natural_labeling), args.output)
+    _emit(fileio.graph_text(g, g.natural_labeling), args.output)
     return 0
 
 
@@ -101,7 +100,7 @@ def _binary_graph_op(args, op):
     if args.directed and d1.kind != "digraph":
         raise ValueError("--directed needs directed graph files")
     g = op(d1.obj, _labels_for(d1, args.file1), d2.obj, _labels_for(d2, args.file2))
-    _emit(fileio.document_for(g, g.natural_labeling), args.output)
+    _emit(fileio.graph_text(g, g.natural_labeling), args.output)
     return 0
 
 
@@ -207,14 +206,16 @@ def _cmd_net_encode(args):
 def _cmd_net_decode(args):
     p = lift(parse_poly(args.poly))
     labeled = decode_net(p)
-    _emit(fileio.net_document(labeled.net, labeled.labeling), args.output)
+    doc = fileio.net_document(labeled.net, labeled.labeling)
+    _emit(fileio.dumps(doc), args.output)
     return 0
 
 
 def _cmd_net_product(args):
     d1 = _load(args.file1, net=True)
     d2 = _load(args.file2, net=True)
-    _emit(fileio.net_document(net_product(d1.obj, d2.obj)), args.output)
+    doc = fileio.net_document(net_product(d1.obj, d2.obj))
+    _emit(fileio.dumps(doc), args.output)
     return 0
 
 

@@ -138,21 +138,24 @@ def parts(u_ids, v_ids, u_word="u-part", v_word="v-part"):
 # Labelings.
 
 def check_labeled(g, labeling):
-    """Require a label for every v-vertex."""
+    """Require a natural label for every v-vertex, as a file's reader does."""
     missing = [x for x in g.v_vertices if x not in labeling]
     if missing:
         raise LabelingError(f"unlabeled {g.v_word}s: {_first_few(missing)}")
+    for x in g.v_vertices:
+        val = labeling[x]
+        if not isinstance(val, int) or isinstance(val, bool) or val < 0:
+            raise LabelingError(
+                f"label of {g.v_word} {x!r} must be a natural, got {val!r}"
+            )
 
 
 def check_labeling(g, labeling):
     """Require a total injection from the v part into the naturals."""
     check_labeled(g, labeling)
-    what = g.v_word
     seen = {}
     for x in g.v_vertices:
         val = labeling[x]
-        if not isinstance(val, int) or isinstance(val, bool) or val < 0:
-            raise LabelingError(f"label of {what} {x!r} must be a natural, got {val!r}")
         if val in seen:
             raise LabelingError(
                 f"label {val} given to both {seen[val]!r} and {x!r}"

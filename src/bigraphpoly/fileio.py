@@ -20,17 +20,14 @@ means net; otherwise an explicit "directed" flag decides, else edge objects
 mean directed and edge pairs mean undirected.
 
 Writers stringify in-memory ids (decoded vertices are tuples over bit sets)
-and emit keys in a fixed order, so equal objects serialize byte-identically.
-``dumps`` gives exactly the bytes of ``json.dumps(doc, indent=2)`` plus a
-newline.  It is built by hand because ``indent`` sends ``json.dumps`` to its
-pure-Python encoder, which writes the 1.6 MB product of two 100-u graphs in
-about 20 times the time the product itself takes; here every string leaf
-goes through the C escaper and each list is one ``str.join``.  A list of
-string rows all of one nonzero width, such as the edges of a graph, is
-written with no Python step per row: its leaves are escaped in one pass,
-regrouped into rows through ``zip``, and joined at once.  ``graph_document``
-works out the ordered row of v strings once per distinct slot tuple, which
-the copies of a decoded term share.
+and emit keys in a fixed order, so equal objects serialize byte-identically,
+and they take only labels the reader takes.  The text is exactly that of
+``json.dumps(doc, indent=2)`` plus a newline, written by hand: ``indent``
+sends ``json.dumps`` to its pure-Python encoder.  ``graph_text`` writes a
+graph's text straight from its slot tuples, with one ``str.join`` per
+u-vertex and no object per edge; ``graph_document`` parses that text.
+``dumps`` writes any other document, such as a net's, escaping every
+string leaf in C and joining each list at once.
 """
 
 from __future__ import annotations
@@ -264,51 +261,58 @@ def string_ids(ids) -> dict:
     return out
 
 
-def _edge_row(slots, name):
-    """A u-vertex's v strings in order: sorted neighbors, or sorted (v, dir)
-    pairs for (pre, post) slots."""
-    if len(slots) == 1:
-        return sorted(map(name, slots[0]))
-    pre, post = (set(map(name, part)) for part in slots)
-    row = []
-    for sv in sorted(pre | post):
-        if sv in post:
-            row.append((sv, "u_to_v"))
-        if sv in pre:
-            row.append((sv, "v_to_u"))
-    return row
+def graph_text(g, labels=None) -> str:
+    """JSON text of a graph or, with edges that carry their direction, of a
+    digraph: exactly json.dumps(graph_document(g, labels), indent=2) + "\n".
+
+    Edges come sorted by (u string, v string[, dir]), "u_to_v" before
+    "v_to_u".  An edge's text is a fixed head, the u id, and a tail set by
+    the v-vertex and direction alone.  Copies of a decoded term share one
+    slot tuple, so each distinct tuple's tails are sorted once; the ids are
+    unique, so each u-vertex's edges, in the order of its string, are then
+    one join on its escaped id.
+    """
+    if labels is not None:
+        check_labeled(g, labels)
+    smap = string_ids(list(g.u_vertices) + list(g.v_vertices))
+    name = smap.__getitem__
+    vs = sorted(g.v_vertices, key=name)
+    if g.arity == 1:
+        head = "    [\n      "
+        tails = [f",\n      {_esc(name(v))}\n    ]" for v in vs]
+        index = [{v: i for i, v in enumerate(vs)}]
+    else:
+        head = '    {\n      "u": '
+        tails = [f',\n      "v": {_esc(name(v))},\n      "dir": "{way}"\n    }}'
+                 for v in vs for way in ("u_to_v", "v_to_u")]
+        # slot 0 holds the v-vertices with an arc into u, slot 1 the others
+        index = [{v: 2 * i + way for i, v in enumerate(vs)} for way in (1, 0)]
+    # Every tail links on to the next edge's head; the last link is cut.
+    link = ",\n" + head
+    tails = [tail + link for tail in tails]
+    place = [k.__getitem__ for k in index]
+    us = list(map(name, g.u_vertices))
+    slots = dict(zip(us, map(g.slots, g.u_vertices)))
+    # A row joined on a u id gives the id before each of its tails.
+    rows = {s: ["", *map(tails.__getitem__, sorted(chain.from_iterable(map(map, place, s))))]
+            for s in set(slots.values())}
+    order = sorted(us)
+    edges = "".join(map(str.join, map(_esc, order), map(rows.get, map(slots.get, order))))
+    parts = ['"directed": true'] if g.arity == 2 else []
+    parts += [
+        '"u": ' + _text(us, 1),
+        '"v": ' + _text(list(map(name, g.v_vertices)), 1),
+        '"edges": ' + ("[\n" + head + edges[: -len(link)] + "\n  ]" if edges else "[]"),
+    ]
+    if labels is not None:
+        parts.append('"labels": ' + _text({name(v): labels[v] for v in g.v_vertices}, 1))
+    return "{\n  " + ",\n  ".join(parts) + "\n}\n"
 
 
 def graph_document(g, labels=None) -> dict:
     """Document of a graph or, with edges that carry their direction, of a
-    digraph."""
-    if labels is not None:
-        check_labeled(g, labels)
-    smap = string_ids(list(g.u_vertices) + list(g.v_vertices))
-    doc = {"directed": True} if g.arity == 2 else {}
-    doc["u"] = [smap[u] for u in g.u_vertices]
-    doc["v"] = [smap[v] for v in g.v_vertices]
-    # Edges come sorted by (u string, v string[, dir]).  smap is injective,
-    # so walking the u-vertices in string order and each one's v-vertices in
-    # string order gives that order with no global sort; a digraph's u-v pair
-    # with arcs both ways lists "u_to_v" before "v_to_u".  Decoded copies of
-    # one term share one slot tuple, so each distinct tuple's row of v
-    # strings (with directions) is worked out once.
-    name = smap.__getitem__
-    rows = {}
-    edges = doc["edges"] = []
-    for su, u in sorted(zip(doc["u"], g.u_vertices)):
-        slots = g.slots(u)
-        row = rows.get(slots)
-        if row is None:
-            row = rows[slots] = _edge_row(slots, name)
-        if g.arity == 1:
-            edges += [[su, sv] for sv in row]
-        else:
-            edges += [{"u": su, "v": sv, "dir": way} for sv, way in row]
-    if labels is not None:
-        doc["labels"] = {smap[v]: labels[v] for v in g.v_vertices}
-    return doc
+    digraph: the parse of graph_text."""
+    return json.loads(graph_text(g, labels))
 
 
 bigraph_document = digraph_document = graph_document
@@ -359,23 +363,8 @@ def _text(x, level):
     if isinstance(x, list):
         if not x:
             return "[]"
-        kinds = set(map(type, x))
-        if kinds == {str}:
+        if set(map(type, x)) == {str}:
             items = map(_esc, x)
-        elif kinds == {list} and set(map(type, chain.from_iterable(x))) <= {str}:
-            # A list of string lists, such as the edges of a graph.
-            start = "[" + inner + "  "
-            sep = "," + inner + "  "
-            end = inner + "]"
-            widths = set(map(len, x))
-            if len(widths) == 1 and 0 not in widths:
-                # All rows w wide: escape every leaf, regroup them w at a
-                # time, and join all rows in one step.
-                leaves = map(_esc, chain.from_iterable(x))
-                rows = map(sep.join, zip(*[leaves] * widths.pop()))
-                between = end + "," + inner + start
-                return "[" + inner + start + between.join(rows) + end + close + "]"
-            items = [start + sep.join(map(_esc, s)) + end if s else "[]" for s in x]
         else:
             items = [_text(s, level + 1) for s in x]
         return "[" + inner + ("," + inner).join(items) + close + "]"

@@ -82,18 +82,24 @@ def is_irreducible(
     edge meets.  A split of a digraph or net is a partition of its v part.
     A graph whose every u-vertex has a neighbour has p(0) = 0, so under
     every labeling x splits off iff every v-vertex meets an edge and
-    |v| >= 2.  All labelings tried share one allowance, and past one each
-    costs at least the divisor scan of p(1); running out gives "inconclusive".
+    |v| >= 2.  All labelings tried share one allowance; a swept labeling
+    costs one step per u-vertex to encode, then at least the divisor scan of
+    p(1).  Running out gives "inconclusive".
     """
     scope = "compact-labelings" if exhaustive else "labeling"
     labelings = [compact_labeling(g) if exhaustive or labeling is None else labeling]
+    setup = 0  # steps charged per labeling swept, for encoding it
     if exhaustive and g.arity == 1:
         vs, nbrs = g.v_vertices, [g.slots(u)[0] for u in g.u_vertices]
         if not all(nbrs) and len(set().union(*nbrs)) == len(vs):
             labelings = (dict(zip(vs, perm)) for perm in permutations(range(len(vs))))
+            setup = len(nbrs)
     meter = _Meter(budget)
     try:
-        for lab in labelings:
+        for k, lab in enumerate(labelings, 1):
+            if setup:
+                meter.search = f"the sweep of {len(vs)}! labelings"
+                meter.charge(setup, f"encoding labeling {k}")
             pair = next(_factor_graph(g, lab, meter), None)
             if pair is not None:
                 return IrreducibilityReport("reducible", scope, (lab, pair))

@@ -12,6 +12,7 @@ import random
 from itertools import permutations
 
 from bigraphpoly import Bigraph, DiBigraph, PetriNet, Poly1, Poly2, net_product
+from bigraphpoly.fileio import string_ids
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +66,25 @@ def random_net(rng: random.Random, max_events=3, max_conditions=3) -> PetriNet:
             side = pre if rng.random() < 0.5 else post
             side[rng.choice(evs)].add(b)
     return PetriNet(conds, evs, pre, post)
+
+
+def wide_graph(rng: random.Random, n_u=100, n_v=6, directed=False, p=0.4):
+    """n_u u-vertices and n_v v-vertices, every v meeting an edge or arc;
+    a digraph gets each arc with probability p/2 in each direction."""
+    us = [f"u{i}" for i in range(n_u)]
+    vs = [f"v{j}" for j in range(n_v)]
+    if not directed:
+        edges = {(rng.choice(us), v) for v in vs}
+        edges |= {(u, v) for u in us for v in vs if rng.random() < p}
+        return Bigraph(us, vs, edges)
+    arcs = {(v, rng.choice(us)) for v in vs}
+    for u in us:
+        for v in vs:
+            if rng.random() < p / 2:
+                arcs.add((v, u))
+            if rng.random() < p / 2:
+                arcs.add((u, v))
+    return DiBigraph(us, vs, arcs)
 
 
 def three_prime_nets() -> PetriNet:
@@ -283,3 +303,39 @@ def least_encoding(g, arity=1) -> dict:
         if best is None or key < best:
             best = key
     return dict(best)
+
+
+def reference_document(g, labels=None) -> dict:
+    """The file document of a graph or digraph, built the plain way: every
+    edge listed, then the whole list sorted.  Ids come from the package's
+    string_ids, the one shared piece."""
+    smap = string_ids(list(g.u_vertices) + list(g.v_vertices))
+    doc = {"directed": True} if g.arity == 2 else {}
+    doc["u"] = [smap[u] for u in g.u_vertices]
+    doc["v"] = [smap[v] for v in g.v_vertices]
+    if g.arity == 1:
+        doc["edges"] = sorted([smap[a], smap[b]] for a, b in g.edges)
+    else:
+        doc["edges"] = sorted(
+            (
+                {"u": smap[u], "v": smap[v], "dir": way}
+                for u in g.u_vertices
+                for way, part in zip(("v_to_u", "u_to_v"), g.slots(u))
+                for v in part
+            ),
+            key=lambda e: (e["u"], e["v"], e["dir"]),
+        )
+    if labels is not None:
+        doc["labels"] = {smap[v]: labels[v] for v in g.v_vertices}
+    return doc
+
+
+def first_difference(got: str, want: str):
+    """None when the texts are equal, else a short note of where they first
+    differ, so that a failing comparison of megabytes reports at once."""
+    if got == want:
+        return None
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+              min(len(got), len(want)))
+    around = slice(max(at - 40, 0), at + 40)
+    return f"char {at} of {len(got)} and {len(want)}: {got[around]!r} != {want[around]!r}"

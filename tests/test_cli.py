@@ -3,6 +3,7 @@
 import functools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -30,7 +31,13 @@ from bigraphpoly import cli, core, fileio
 from bigraphpoly.cli import main
 from bigraphpoly.poly import parse_poly
 
-from helpers import three_prime_nets
+from helpers import (
+    first_difference,
+    random_labeling,
+    reference_document,
+    three_prime_nets,
+    wide_graph,
+)
 
 
 def run(capsys, *argv):
@@ -243,6 +250,35 @@ def test_directed_product_matches_the_library(capsys, tmp_path):
     p = encode_directed(relay_graph(), labels)
     code, out, err = run(capsys, "encode", target)
     assert (code, out) == (0, render(mul(p, p)) + "\n")
+
+
+def _same_bytes_both_ways(capsys, tmp_path, argv, want):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert first_difference(out, want) is None
+    target = tmp_path / "out.json"
+    code, out, err = run(capsys, *argv, "-o", str(target))
+    assert (code, out, err) == (0, "", "")
+    assert first_difference(target.read_text(), want) is None
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_product_sum_and_decode_print_the_reference_bytes(capsys, tmp_path, directed):
+    """The bytes of json.dumps(indent=2) on the document built by sorting
+    every edge, on stdout and through -o."""
+    rng = random.Random(87 + directed)
+    graphs = [wide_graph(rng, 30, 5, directed) for _ in range(2)]
+    labels = [random_labeling(rng, g.v_vertices, 9) for g in graphs]
+    files = [write(tmp_path / f"g{k}.json", fileio.document_for(g, lab))
+             for k, (g, lab) in enumerate(zip(graphs, labels))]
+    for name, op in (("product", core.poly_product), ("sum", core.poly_sum)):
+        g = op(graphs[0], labels[0], graphs[1], labels[1])
+        want = json.dumps(reference_document(g, g.natural_labeling), indent=2) + "\n"
+        _same_bytes_both_ways(capsys, tmp_path, [name, *files], want)
+        p = core.encode(g, g.natural_labeling)
+        g = decode_directed(p) if directed else decode(p)
+        want = json.dumps(reference_document(g, g.natural_labeling), indent=2) + "\n"
+        _same_bytes_both_ways(capsys, tmp_path, ["decode", render(p)], want)
 
 
 # ---------------------------------------------------------------------------

@@ -199,15 +199,31 @@ def test_sweep_of_ten_v_vertices_runs_out_of_budget():
 
 def test_sweep_shares_one_allowance():
     """Both labelings encode to 1 + x + x^2, whose search lists the 2
-    divisors of p(1) = 3 in 2 steps; the sweep pays for both."""
+    divisors of p(1) = 3 in 2 steps; the sweep pays for both, plus 3 steps
+    per labeling to encode it."""
     g = Bigraph(["a", "b", "c"], ["p", "q"], [("b", "p"), ("c", "q")])
-    alone = is_irreducible(g, {"p": 0, "q": 1}, budget=Budget(max_steps=3))
+    alone = is_irreducible(g, {"p": 0, "q": 1}, budget=Budget(max_steps=2))
     assert alone.verdict == "irreducible"
-    sweep = is_irreducible(g, exhaustive=True, budget=Budget(max_steps=3))
+    sweep = is_irreducible(g, exhaustive=True, budget=Budget(max_steps=9))
     assert sweep.verdict == "inconclusive"
-    assert "budget of 3 steps" in sweep.detail
-    sweep = is_irreducible(g, exhaustive=True, budget=Budget(max_steps=4))
+    assert "budget of 9 steps" in sweep.detail
+    sweep = is_irreducible(g, exhaustive=True, budget=Budget(max_steps=10))
     assert sweep.verdict == "irreducible"
+
+
+def test_sweep_charges_each_labeling_it_encodes():
+    """One step per u-vertex for each labeling, before its search runs."""
+    g = Bigraph(["a", "b", "c"], ["p", "q"], [("b", "p"), ("c", "q")])
+    first = is_irreducible(g, exhaustive=True, budget=Budget(max_steps=2))
+    assert first.detail == (
+        "the sweep of 2! labelings used up the budget of 2 steps"
+        " in encoding labeling 1 (3 asked for)"
+    )
+    second = is_irreducible(g, exhaustive=True, budget=Budget(max_steps=7))
+    assert second.detail == (
+        "the sweep of 2! labelings used up the budget of 7 steps"
+        " in encoding labeling 2 (8 asked for)"
+    )
 
 
 def test_no_isolated_u_vertex_answers_like_the_sweep():

@@ -19,12 +19,14 @@ from bigraphpoly import (
     is_isomorphic,
     net_product,
     poly_product,
+    poly_product_directed,
 )
 from bigraphpoly.fileio import (
     Document,
     _fmt_id,
     document_for,
     graph_document,
+    graph_text,
     dumps,
     load_document,
     net_document,
@@ -34,12 +36,15 @@ from bigraphpoly.fileio import (
 )
 
 from helpers import (
+    first_difference,
     random_bigraph,
     random_digraph,
     random_labeling,
     random_net,
     random_poly1,
     random_poly2,
+    reference_document,
+    wide_graph,
 )
 
 
@@ -294,6 +299,8 @@ def test_dumps_matches_json_dumps_on_documents():
         docs.append(document_for(net_product(random_net(rng), random_net(rng))))
     for doc in docs:
         assert dumps(doc) == json_oracle(doc)
+        if "labels" in doc:
+            assert parse_document(doc).labels == doc["labels"]
 
 
 def test_dumps_matches_json_dumps_on_edge_cases():
@@ -306,7 +313,7 @@ def test_dumps_matches_json_dumps_on_edge_cases():
         {"flags": [True, False, None], "big": [2**64, 2**200, -1, 0]},
         [["a", 1], ["b", None]], [[True]], ["x", ["y"]], [["x"], "y"],
         {"k": [["a", "b"], ["c"]], "n": {"m": [["d"]]}},
-        # Rows of one width are joined in one step; ragged ones row by row.
+        # Lists of string rows, of one width or ragged.
         [["a"], ["b"], ["c"]], {"e": [["a", "b", "c"], ["d", "e", "f"]]},
         [odd[:2], odd[2:4], odd[4:6]], {"e": [[s] for s in odd]}, [["x", ""]],
         [["a"], [], ["b", "c"]], [["a", "b"], ["c", "d"], ["e"]],
@@ -328,19 +335,6 @@ def test_dumps_matches_json_dumps_on_edge_cases():
 
 
 def test_graph_document_edges_match_the_sorted_reference():
-    def reference(g, smap):
-        if g.arity == 1:
-            return sorted([smap[a], smap[b]] for a, b in g.edges)
-        return sorted(
-            (
-                {"u": smap[u], "v": smap[v], "dir": way}
-                for u in g.u_vertices
-                for way, part in zip(("v_to_u", "u_to_v"), g.slots(u))
-                for v in part
-            ),
-            key=lambda e: (e["u"], e["v"], e["dir"]),
-        )
-
     rng = random.Random(85)
     # u10 sorts before u9; "a b" and "a_b" collide and one becomes "a_b.2".
     us = ["u9", "u10", "a b", "a_b", 3, (0, "z")]
@@ -375,8 +369,50 @@ def test_graph_document_edges_match_the_sorted_reference():
         for g in graphs if g.arity == 2
     )
     for g in graphs:
-        smap = string_ids(list(g.u_vertices) + list(g.v_vertices))
-        assert graph_document(g)["edges"] == reference(g, smap)
+        want = reference_document(g)
+        assert graph_document(g) == want
+        assert first_difference(graph_text(g), json_oracle(want)) is None
+        labels = random_labeling(rng, g.v_vertices, 20)
+        doc = reference_document(g, labels)
+        assert first_difference(graph_text(g, labels), json_oracle(doc)) is None
+        assert parse_document(doc).labels == doc["labels"]
+
+
+def test_graph_text_matches_the_reference_on_hundred_u_products():
+    """The benchmark's product of two 100-u graphs with 6 v-vertices each,
+    labels drawn from range(9), and the directed product of that size."""
+    rng = random.Random(86)
+    for directed, product in ((False, poly_product), (True, poly_product_directed)):
+        g1, g2 = wide_graph(rng, directed=directed), wide_graph(rng, directed=directed)
+        g = product(g1, random_labeling(rng, g1.v_vertices, 8),
+                    g2, random_labeling(rng, g2.v_vertices, 8))
+        want = reference_document(g, g.natural_labeling)
+        assert len(g.u_vertices) == 10**4 and len(want["edges"]) > 10**4
+        assert first_difference(graph_text(g, g.natural_labeling), json_oracle(want)) is None
+
+
+def test_graph_text_edge_cases():
+    # ids that need escaping, and ones that collide once whitespace goes
+    us = ["é", '"', "a b", "a_b", "back\\slash", "日本"]
+    vs = ["ü", "'", "x y", "x_y", 'q"q']
+    graphs = [
+        Bigraph([], [], []),
+        Bigraph([], ["v"], []),
+        Bigraph(["u"], [], []),
+        Bigraph(["u", "w"], ["v"], []),
+        DiBigraph(["u"], ["v"], []),
+        # u-vertices with empty slots before, between and after ones with edges
+        Bigraph(["a", "b", "c", "d"], ["v"], [("b", "v"), ("d", "v")]),
+        DiBigraph(["a", "b", "c"], ["v", "w"], [("b", "v"), ("v", "b"), ("w", "c")]),
+        Bigraph(us, vs, [(u, v) for u in us[1:] for v in vs[:3]]),
+        DiBigraph(us, vs, [(us[0], v) for v in vs] + [(v, us[1]) for v in vs[2:]]),
+    ]
+    doc = graph_document(graphs[-1])
+    assert {"a_b.2", "x_y.2"} <= set(doc["u"] + doc["v"])
+    for g in graphs:
+        for labels in (None, dict.fromkeys(g.v_vertices, 0)):
+            want = json_oracle(reference_document(g, labels))
+            assert first_difference(graph_text(g, labels), want) is None, g
 
 
 def test_document_for_rejects_unknown_types():
@@ -399,6 +435,27 @@ def test_writers_require_a_label_for_every_v_vertex():
             with pytest.raises(LabelingError) as doc:
                 write(obj, labels)
             assert str(doc.value) == str(dot.value)
+
+
+def test_writers_reject_labels_the_reader_rejects():
+    cases = (
+        (sample_graph(), ("v1", "v2"), graph_document),
+        (sample_graph(), ("v1", "v2"), graph_text),
+        (sample_digraph(), ("x", "y"), graph_text),
+        (sample_net(), ("b0", "b1"), net_document),
+    )
+    for obj, (a, b), writer in cases:
+        unlabeled = json.loads(dumps(document_for(obj)))
+        for bad in (-1, True, False, 1.5, "x", None):
+            labels = {a: 0, b: bad}
+            for write in (writer, document_for, to_dot):
+                with pytest.raises(LabelingError, match="must be a natural"):
+                    write(obj, labels)
+            with pytest.raises(FileFormatError, match="must be a natural"):
+                parse_document({**unlabeled, "labels": {a: 0, b: bad}})
+        # The reader does not ask for injective labels, so neither do writers.
+        doc = document_for(obj, {a: 2, b: 2})
+        assert parse_document(doc).labels == {a: 2, b: 2}
 
 
 def test_to_dot_bigraph_golden():
