@@ -206,23 +206,22 @@ def _cmd_net_encode(args):
 def _cmd_net_decode(args):
     p = lift(parse_poly(args.poly))
     labeled = decode_net(p)
-    doc = fileio.net_document(labeled.net, labeled.labeling)
-    _emit(fileio.dumps(doc), args.output)
+    _emit(fileio.net_text(labeled.net, labeled.labeling), args.output)
     return 0
 
 
 def _cmd_net_product(args):
     d1 = _load(args.file1, net=True)
     d2 = _load(args.file2, net=True)
-    doc = fileio.net_document(net_product(d1.obj, d2.obj))
-    _emit(fileio.dumps(doc), args.output)
+    _emit(fileio.net_text(net_product(d1.obj, d2.obj)), args.output)
     return 0
 
 
 def _cmd_net_decompose(args):
+    budget = _budget(args)
     doc = _load(args.file, net=True)
     labels = _labels_for(doc, args.file)
-    pairs = decompose(doc.obj, labels, _budget(args))
+    pairs = decompose(doc.obj, labels, budget)
     if not pairs:
         print("no decomposition under this labeling")
         return 1
@@ -234,7 +233,7 @@ def _cmd_net_decompose(args):
         prefix = os.path.splitext(args.file)[0]
     paths = [f"{prefix}.factor{k}.json" for k in (1, 2)]
     for path, half in zip(paths, pairs[0]):
-        Path(path).write_text(fileio.dumps(fileio.net_document(half.net, half.labeling)))
+        Path(path).write_text(fileio.net_text(half.net, half.labeling))
     _note(f"wrote {paths[0]} and {paths[1]}")
     emap, cmap = witness(doc.obj, labels, *pairs[0])
     smap = fileio.string_ids(list(emap) + list(cmap))

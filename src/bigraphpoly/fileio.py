@@ -21,13 +21,11 @@ mean directed and edge pairs mean undirected.
 
 Writers stringify in-memory ids (decoded vertices are tuples over bit sets)
 and emit keys in a fixed order, so equal objects serialize byte-identically,
-and they take only labels the reader takes.  The text is exactly that of
-``json.dumps(doc, indent=2)`` plus a newline, written by hand: ``indent``
-sends ``json.dumps`` to its pure-Python encoder.  ``graph_text`` writes a
-graph's text straight from its slot tuples, with one ``str.join`` per
-u-vertex and no object per edge; ``graph_document`` parses that text.
-``dumps`` writes any other document, such as a net's, escaping every
-string leaf in C and joining each list at once.
+and they take only labels the reader takes.  The text format is that of
+``dumps``: ``json.dumps(doc, indent=2)`` plus a newline.  ``graph_text`` and
+``net_text`` write graph and net files in it straight from their slot tuples,
+each distinct slot's text once and no object per edge; ``graph_document``
+and ``net_document`` parse that text.
 """
 
 from __future__ import annotations
@@ -174,13 +172,12 @@ def parse_document(doc, source="<document>") -> Document:
 
 
 def load_document(path) -> Document:
-    text = Path(path).read_text()
     try:
-        doc = json.loads(text)
+        doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as e:
-        raise FileFormatError(
-            f"{path}: line {e.lineno} column {e.colno}: {e.msg}"
-        ) from e
+        raise FileFormatError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from e
+    except (ValueError, RecursionError) as e:  # not UTF-8, too deep, or too many digits
+        raise FileFormatError(f"{path}: {e}") from e
     return parse_document(doc, source=str(path))
 
 
@@ -261,9 +258,26 @@ def string_ids(ids) -> dict:
     return out
 
 
+def _items(texts, brackets, depth) -> str:
+    """The JSON list or object ("[]" or "{}") of the given item texts, laid
+    out as json.dumps(indent=2) lays it out at nesting depth depth."""
+    if not texts:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    return brackets[0] + inner + ("," + inner).join(texts) + inner[:-2] + brackets[1]
+
+
+def _file_text(parts, g, name, labels):
+    """The file text of the given top-level items, then of g's labels."""
+    if labels is not None:
+        parts.append('"labels": ' + _items(
+            [f"{_esc(name(v))}: {int.__repr__(labels[v])}" for v in g.v_vertices], "{}", 1))
+    return _items(parts, "{}", 0) + "\n"
+
+
 def graph_text(g, labels=None) -> str:
     """JSON text of a graph or, with edges that carry their direction, of a
-    digraph: exactly json.dumps(graph_document(g, labels), indent=2) + "\n".
+    digraph, in the format of dumps.
 
     Edges come sorted by (u string, v string[, dir]), "u_to_v" before
     "v_to_u".  An edge's text is a fixed head, the u id, and a tail set by
@@ -300,13 +314,11 @@ def graph_text(g, labels=None) -> str:
     edges = "".join(map(str.join, map(_esc, order), map(rows.get, map(slots.get, order))))
     parts = ['"directed": true'] if g.arity == 2 else []
     parts += [
-        '"u": ' + _text(us, 1),
-        '"v": ' + _text(list(map(name, g.v_vertices)), 1),
+        '"u": ' + _items(list(map(_esc, us)), "[]", 1),
+        '"v": ' + _items([_esc(name(v)) for v in g.v_vertices], "[]", 1),
         '"edges": ' + ("[\n" + head + edges[: -len(link)] + "\n  ]" if edges else "[]"),
     ]
-    if labels is not None:
-        parts.append('"labels": ' + _text({name(v): labels[v] for v in g.v_vertices}, 1))
-    return "{\n  " + ",\n  ".join(parts) + "\n}\n"
+    return _file_text(parts, g, name, labels)
 
 
 def graph_document(g, labels=None) -> dict:
@@ -318,24 +330,29 @@ def graph_document(g, labels=None) -> dict:
 bigraph_document = digraph_document = graph_document
 
 
-def net_document(net: PetriNet, labels=None) -> dict:
+def net_text(net: PetriNet, labels=None) -> str:
+    """JSON text of a net, in the format of dumps.  Each event's pre and post
+    ids come sorted; each distinct pre or post set's text is written once."""
     if labels is not None:
         check_labeled(net, labels)
     smap = string_ids(list(net.conditions) + list(net.events))
-    doc = {
-        "conditions": [smap[b] for b in net.conditions],
-        "events": [
-            {
-                "id": smap[e],
-                "pre": sorted(smap[b] for b in net.pre(e)),
-                "post": sorted(smap[b] for b in net.post(e)),
-            }
-            for e in net.events
-        ],
-    }
-    if labels is not None:
-        doc["labels"] = {smap[b]: labels[b] for b in net.conditions}
-    return doc
+    name = smap.__getitem__
+    slots = list(map(net.slots, net.events))
+    text = {part: _items([_esc(x) for x in sorted(map(name, part))], "[]", 3)
+            for part in set(chain.from_iterable(slots))}
+    events = [f'{{\n      "id": {_esc(name(e))},\n      "pre": {text[pre]},'
+              f'\n      "post": {text[post]}\n    }}'
+              for e, (pre, post) in zip(net.events, slots)]
+    parts = [
+        '"conditions": ' + _items([_esc(name(b)) for b in net.conditions], "[]", 1),
+        '"events": ' + _items(events, "[]", 1),
+    ]
+    return _file_text(parts, net, name, labels)
+
+
+def net_document(net: PetriNet, labels=None) -> dict:
+    """Document of a net: the parse of net_text."""
+    return json.loads(net_text(net, labels))
 
 
 def document_for(obj, labels=None) -> dict:
@@ -346,41 +363,8 @@ def document_for(obj, labels=None) -> dict:
     raise TypeError(f"no document form for {type(obj).__name__}")
 
 
-def _text(x, level):
-    """JSON of x as json.dumps(x, indent=2) writes it at nesting depth level."""
-    if isinstance(x, str):
-        return _esc(x)
-    if x is None:
-        return "null"
-    if x is True:
-        return "true"
-    if x is False:
-        return "false"
-    if isinstance(x, int):
-        return int.__repr__(x)
-    close = "\n" + "  " * level
-    inner = close + "  "
-    if isinstance(x, list):
-        if not x:
-            return "[]"
-        if set(map(type, x)) == {str}:
-            items = map(_esc, x)
-        else:
-            items = [_text(s, level + 1) for s in x]
-        return "[" + inner + ("," + inner).join(items) + close + "]"
-    if isinstance(x, dict) and all(isinstance(k, str) for k in x):
-        if not x:
-            return "{}"
-        items = [_esc(k) + ": " + _text(v, level + 1) for k, v in x.items()]
-        return "{" + inner + ("," + inner).join(items) + close + "}"
-    # Anything else (floats, tuples, dicts with non-string keys): json's own
-    # text, indented to this depth.  Its strings hold no raw newline.
-    return json.dumps(x, indent=2).replace("\n", close)
-
-
 def dumps(doc: dict) -> str:
-    """Exactly json.dumps(doc, indent=2) + "\\n", written in linear time."""
-    return _text(doc, 0) + "\n"
+    return json.dumps(doc, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

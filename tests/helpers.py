@@ -8,6 +8,7 @@ package internals on purpose: dense lists and dicts only.
 
 from __future__ import annotations
 
+import json
 import random
 from itertools import permutations
 
@@ -306,9 +307,26 @@ def least_encoding(g, arity=1) -> dict:
 
 
 def reference_document(g, labels=None) -> dict:
-    """The file document of a graph or digraph, built the plain way: every
-    edge listed, then the whole list sorted.  Ids come from the package's
+    """The file document of a graph, digraph or net, built the plain way: a
+    graph's edges all listed, then the whole list sorted; a net's events one
+    dict each, with sorted pre and post lists.  Ids come from the package's
     string_ids, the one shared piece."""
+    if isinstance(g, PetriNet):
+        smap = string_ids(list(g.conditions) + list(g.events))
+        doc = {
+            "conditions": [smap[b] for b in g.conditions],
+            "events": [
+                {
+                    "id": smap[e],
+                    "pre": sorted(smap[b] for b in g.pre(e)),
+                    "post": sorted(smap[b] for b in g.post(e)),
+                }
+                for e in g.events
+            ],
+        }
+        if labels is not None:
+            doc["labels"] = {smap[b]: labels[b] for b in g.conditions}
+        return doc
     smap = string_ids(list(g.u_vertices) + list(g.v_vertices))
     doc = {"directed": True} if g.arity == 2 else {}
     doc["u"] = [smap[u] for u in g.u_vertices]
@@ -328,6 +346,12 @@ def reference_document(g, labels=None) -> dict:
     if labels is not None:
         doc["labels"] = {smap[v]: labels[v] for v in g.v_vertices}
     return doc
+
+
+def reference_text(g, labels=None) -> str:
+    """The file text of reference_document: json.dumps(indent=2) and a
+    newline."""
+    return json.dumps(reference_document(g, labels), indent=2) + "\n"
 
 
 def first_difference(got: str, want: str):

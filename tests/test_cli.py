@@ -16,10 +16,12 @@ from bigraphpoly import (
     Budget,
     DiBigraph,
     PetriNet,
+    Poly2,
     canonical_poly_directed,
     compact_net_labeling,
     decode,
     decode_directed,
+    decode_net,
     decompose,
     encode_directed,
     mul,
@@ -29,12 +31,16 @@ from bigraphpoly import (
 )
 from bigraphpoly import cli, core, fileio
 from bigraphpoly.cli import main
+from bigraphpoly.petri import witness
 from bigraphpoly.poly import parse_poly
 
 from helpers import (
     first_difference,
+    random_bigraph,
     random_labeling,
+    random_net,
     reference_document,
+    reference_text,
     three_prime_nets,
     wide_graph,
 )
@@ -281,6 +287,54 @@ def test_product_sum_and_decode_print_the_reference_bytes(capsys, tmp_path, dire
         _same_bytes_both_ways(capsys, tmp_path, ["decode", render(p)], want)
 
 
+def test_net_commands_print_the_reference_bytes(capsys, tmp_path):
+    """net-product and net-decode print json.dumps(indent=2) of the document
+    built one dict per event, on stdout and through -o; net-decompose writes
+    its factor files and certificate in the same format."""
+    rng = random.Random(89)
+    nets = [random_net(rng, 6, 5) for _ in range(2)]
+    files = [write(tmp_path / f"n{k}.json", fileio.net_document(n)) for k, n in enumerate(nets)]
+    prod = net_product(*nets)
+    _same_bytes_both_ways(capsys, tmp_path, ["net-product", *files], reference_text(prod))
+    # a second constant unit decodes to an event with empty pre and post sets
+    p = encode_directed(prod, compact_net_labeling(prod)) + Poly2({(0, 0): 1})
+    labeled = decode_net(p)
+    _same_bytes_both_ways(capsys, tmp_path, ["net-decode", render(p)],
+                          reference_text(labeled.net, labeled.labeling))
+    net = three_prime_nets()
+    path = write(tmp_path / "three.json", fileio.net_document(net, compact_net_labeling(net)))
+    code, out, err = run(capsys, "net-decompose", path, "--out-prefix", str(tmp_path / "f"))
+    assert code == 0
+    doc = fileio.load_document(path)
+    net, labels = doc.obj, doc.labels
+    pairs = decompose(net, labels)
+    whole = render(encode_directed(net, labels))
+    lines = [f"{whole} = ({render(encode_directed(h1.net, h1.labeling))})"
+             f" * ({render(encode_directed(h2.net, h2.labeling))})\n" for h1, h2 in pairs]
+    emap, cmap = witness(net, labels, *pairs[0])
+    names = fileio.string_ids(list(emap) + list(cmap))
+    cert = {"event_map": {names[k]: v for k, v in emap.items()},
+            "condition_map": {names[k]: v for k, v in cmap.items()}}
+    assert out == "".join(lines) + json.dumps(cert, indent=2) + "\n"
+    for k, half in enumerate(pairs[0], 1):
+        got = (tmp_path / f"f.factor{k}.json").read_text()
+        assert got == reference_text(half.net, half.labeling)
+
+
+def test_iso_prints_json_dumps_of_its_maps(capsys, tmp_path):
+    rng = random.Random(90)
+    for make, names in ((random_bigraph, ("u_map", "v_map")),
+                        (random_net, ("event_map", "condition_map"))):
+        obj = make(rng)
+        files = [write(tmp_path / f"{k}.json", fileio.document_for(obj)) for k in (1, 2)]
+        code, out, err = run(capsys, "iso", *files)
+        found = core.is_isomorphic(obj, obj)
+        assert (code, err) == (0, "")
+        assert out == json.dumps(dict(zip(names, found)), indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# factor.
 # ---------------------------------------------------------------------------
 # factor.
 
@@ -646,6 +700,16 @@ def test_negative_budget_is_an_input_error(capsys):
     assert err.startswith("error:") and "-5" in err
 
 
+def test_net_decompose_negative_budget_is_one_error_line(capsys, tmp_path):
+    """The budget is checked before the file is read, so an unlabeled file
+    adds no note."""
+    path = write(tmp_path / "n.json", fileio.net_document(branching_net()))
+    code, out, err = run(capsys, "net-decompose", path, "--budget", "-5")
+    assert (code, out) == (3, "")
+    assert err == "error: max_steps must be a natural number, not -5\n"
+    assert not list(tmp_path.glob("*.factor*"))
+
+
 def test_net_decompose_budget_zero_is_inconclusive(capsys, branch_file):
     code, out, err = run(capsys, "net-decompose", branch_file, "--budget", "0")
     assert code == 2
@@ -750,6 +814,22 @@ def test_invalid_json_is_an_input_error(capsys, tmp_path):
     code, out, err = run(capsys, "encode", str(path))
     assert code == 3
     assert "bad.json" in err
+
+
+def test_unreadable_json_is_one_error_line(capsys, tmp_path):
+    """A file nested past the recursion limit or holding a label of 5,000
+    digits exits 3 with one line that names it, in every file subcommand."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000)
+    digits = tmp_path / "digits.json"
+    digits.write_text('{"u": [], "v": ["b"], "labels": {"b": ' + "9" * 5000 + "}}")
+    for path in map(str, (deep, digits)):
+        for argv in (["encode", path], ["net-encode", path], ["iso", path, path],
+                     ["dot", path], ["product", path, path], ["net-decompose", path],
+                     ["factor", path], ["canon", path]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (3, ""), argv
+            assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, argv
 
 
 def test_bad_polynomial_is_an_input_error(capsys):

@@ -11,8 +11,11 @@ from bigraphpoly import (
     FileFormatError,
     LabelingError,
     PetriNet,
+    Poly2,
     decode,
     decode_directed,
+    decode_net,
+    decompose,
     direct_product,
     direct_product_directed,
     encode,
@@ -30,6 +33,7 @@ from bigraphpoly.fileio import (
     dumps,
     load_document,
     net_document,
+    net_text,
     parse_document,
     string_ids,
     to_dot,
@@ -38,12 +42,14 @@ from bigraphpoly.fileio import (
 from helpers import (
     first_difference,
     random_bigraph,
+    random_canon_case,
     random_digraph,
     random_labeling,
     random_net,
     random_poly1,
     random_poly2,
     reference_document,
+    three_prime_nets,
     wide_graph,
 )
 
@@ -223,6 +229,23 @@ def test_load_document_reports_json_position(tmp_path):
         load_document(path)
 
 
+def test_load_document_turns_every_json_failure_into_a_format_error(tmp_path):
+    """Nesting past the recursion limit, an int past Python's digit limit
+    and bytes that are not UTF-8 each name the file, as a syntax error does."""
+    texts = {
+        "deep.json": "[" * 200000,
+        "digits.json": '{"u": [], "v": ["b"], "labels": {"b": ' + "9" * 5000 + "}}",
+    }
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / "latin.json").write_bytes(b'{"u": ["\xe9"], "v": []}')
+    for name in (*texts, "latin.json"):
+        path = tmp_path / name
+        with pytest.raises(FileFormatError) as info:
+            load_document(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+
 def test_fmt_id_forms():
     assert _fmt_id("plain") == "plain"
     assert _fmt_id(7) == "7"
@@ -282,56 +305,82 @@ def json_oracle(doc):
 
 
 def test_dumps_matches_json_dumps_on_documents():
+    """Each writer's text is json.dumps of the plainly built reference
+    document, and document_for gives that document."""
     rng = random.Random(84)
-    docs = []
+    cases = []
     for _ in range(30):
         for obj in (random_bigraph(rng), random_digraph(rng), random_net(rng)):
-            labels = random_labeling(rng, obj.v_vertices, 12)
-            docs += [document_for(obj), document_for(obj, labels)]
+            cases += [(obj, None), (obj, random_labeling(rng, obj.v_vertices, 12))]
         for g in (decode(random_poly1(rng)), decode_directed(random_poly2(rng))):
-            docs.append(document_for(g, g.natural_labeling))
+            cases.append((g, g.natural_labeling))
         g1, g2 = random_bigraph(rng), random_bigraph(rng)
         prod = poly_product(
             g1, random_labeling(rng, g1.v_vertices, 6),
             g2, random_labeling(rng, g2.v_vertices, 6),
         )
-        docs.append(document_for(prod, prod.natural_labeling))
-        docs.append(document_for(net_product(random_net(rng), random_net(rng))))
-    for doc in docs:
-        assert dumps(doc) == json_oracle(doc)
-        if "labels" in doc:
-            assert parse_document(doc).labels == doc["labels"]
+        cases.append((prod, prod.natural_labeling))
+        cases.append((net_product(random_net(rng), random_net(rng)), None))
+    for obj, labels in cases:
+        want = reference_document(obj, labels)
+        write = net_text if isinstance(obj, PetriNet) else graph_text
+        assert write(obj, labels) == json_oracle(want)
+        assert document_for(obj, labels) == want
+        if labels is not None:
+            assert parse_document(want).labels == want["labels"]
 
 
-def test_dumps_matches_json_dumps_on_edge_cases():
-    odd = ["é", "日本", 'say "hi"', "back\\slash", "tab\there", "\u0001", ""]
-    cases = [
-        {}, [], "", 0, -7, 2**64 + 1, -(2**70), True, False, None,
-        {"a": {}}, {"a": []}, {"a": [[]]}, {"a": [{}]}, {"a": [[], ["x"], []]},
-        {"a": {"b": {"c": []}}}, [[[]]], [{}, [], [[]]], [[{}]],
-        {"u": odd, "edges": [odd[:2], odd[2:]], "labels": dict.fromkeys(odd, 3)},
-        {"flags": [True, False, None], "big": [2**64, 2**200, -1, 0]},
-        [["a", 1], ["b", None]], [[True]], ["x", ["y"]], [["x"], "y"],
-        {"k": [["a", "b"], ["c"]], "n": {"m": [["d"]]}},
-        # Lists of string rows, of one width or ragged.
-        [["a"], ["b"], ["c"]], {"e": [["a", "b", "c"], ["d", "e", "f"]]},
-        [odd[:2], odd[2:4], odd[4:6]], {"e": [[s] for s in odd]}, [["x", ""]],
-        [["a"], [], ["b", "c"]], [["a", "b"], ["c", "d"], ["e"]],
-        # Lists of objects: one key tuple or several, string values or not.
-        [{"a": "x"}], [{"u": "a", "v": "b"}, {"u": "c", "v": "d"}],
-        [dict(zip(odd, odd)), dict(zip(odd, reversed(odd)))], [{"%s": "%d"}] * 3,
-        [{"a": "x", "b": "y"}, {"b": "y", "a": "x"}], [{"a": "x"}, {"b": "x"}],
-        [{"a": "x"}, {"a": 1}], [{"a": ["x"]}], [{}, {}], [{"a": "x"}, {}],
-        [{1: "a"}, {1: "b"}],
-        {"e": [{"k": "x"}], "n": [{"k": None}]}, [[{"a": "b"}], {"a": "b"}],
-        # Handed to json as they are: floats, tuples, non-string keys.
-        {"f": 1.5, "t": ("a", ["b"]), "e": ()}, {1: "a", "b": [2.0]},
-        {"deep": [{None: [True], "z": ()}]},
+def _net_text_cases(rng):
+    """Random nets, products, decoded nets and decompose halves, each
+    unlabeled, compactly labeled, randomly labeled and labeled past 2^64."""
+    nets = []
+    for _ in range(100):
+        nets += [random_net(rng), random_net(rng, 8, 8), random_canon_case(rng, "net")]
+        nets.append(net_product(random_net(rng), random_net(rng)))
+        terms = {(rng.randrange(16), rng.randrange(16)): rng.randint(1, 3) for _ in range(4)}
+        terms[0, 0] = rng.randint(1, 3)
+        nets.append(decode_net(Poly2(terms)).net)
+    for _ in range(12):
+        base = net_product(random_net(rng, 2, 2), random_net(rng, 2, 2))
+        for pair in decompose(base, random_labeling(rng, base.conditions, 8)):
+            nets += [half.net for half in pair]
+    nets.append(net_product(three_prime_nets(), random_net(rng)))
+    for net in nets:
+        yield net, None
+        yield net, {b: i for i, b in enumerate(net.conditions)}
+        yield net, random_labeling(rng, net.conditions, 40)
+        yield net, {b: 2**64 + rng.randrange(2**70) for b in net.conditions}
+
+
+def test_net_text_matches_the_reference():
+    cases = list(_net_text_cases(random.Random(88)))
+    assert len(cases) > 2000
+    assert any(not net.pre(e) and net.post(e) for net, _ in cases for e in net.events)
+    for net, labels in cases:
+        want = reference_document(net, labels)
+        assert first_difference(net_text(net, labels), json_oracle(want)) is None
+        assert net_document(net, labels) == want
+
+
+def test_net_text_edge_cases():
+    # ids that need escaping, and ones that collide once whitespace goes
+    odd = ["é", "日本", 'say"hi"', "back\\slash", "tab\there", "\u0001", "a b", "a_b"]
+    nets = [
+        PetriNet([], []),
+        PetriNet(["b"], []),
+        PetriNet([], ["e"]),
+        PetriNet(["b"], ["e", "f"]),
+        PetriNet(["b", "c"], ["e", "f", "g"], pre={"f": ["c", "b"]}, post={"g": ["b"]}),
+        PetriNet(odd, ["e" + s for s in odd], pre={"e" + s: odd[k:] for k, s in enumerate(odd)},
+                 post={"e" + s: odd[:k] for k, s in enumerate(odd)}),
     ]
-    for doc in cases:
-        assert dumps(doc) == json_oracle(doc), doc
-    with pytest.raises(TypeError):
-        dumps({"a": [object()]})
+    doc = net_document(nets[-1])
+    assert {"a_b.2", "tab_here"} <= set(doc["conditions"])
+    assert "ea_b.2" in {ev["id"] for ev in doc["events"]}
+    for net in nets:
+        for labels in (None, dict.fromkeys(net.conditions, 0)):
+            want = json_oracle(reference_document(net, labels))
+            assert first_difference(net_text(net, labels), want) is None, net
 
 
 def test_graph_document_edges_match_the_sorted_reference():
@@ -443,6 +492,7 @@ def test_writers_reject_labels_the_reader_rejects():
         (sample_graph(), ("v1", "v2"), graph_text),
         (sample_digraph(), ("x", "y"), graph_text),
         (sample_net(), ("b0", "b1"), net_document),
+        (sample_net(), ("b0", "b1"), net_text),
     )
     for obj, (a, b), writer in cases:
         unlabeled = json.loads(dumps(document_for(obj)))
