@@ -34,6 +34,7 @@ from .core import (
     poly_product,
     poly_sum,
 )
+from .errors import _brief
 from .poly import Poly1, Poly2
 
 
@@ -50,7 +51,7 @@ class Bigraph(Bipartite):
             a, b = edge
             if a not in uset or b not in vset:
                 raise ValueError(
-                    f"edge ({a!r}, {b!r}) must join a u-part id to a v-part id"
+                    f"edge {_brief((a, b))} must join a u-part id to a v-part id"
                 )
             adj[a].add(b)
         self._init(u, v, {x: (frozenset(nb),) for x, nb in adj.items()})
@@ -81,7 +82,7 @@ class DiBigraph(Directed):
                 post[a].add(b)
             else:
                 raise ValueError(
-                    f"arc ({a!r}, {b!r}) must join the u part and the v part"
+                    f"arc {_brief((a, b))} must join the u part and the v part"
                 )
         self._init(u, v, {x: (frozenset(pre[x]), frozenset(post[x])) for x in u})
 

@@ -21,12 +21,13 @@ from pathlib import Path
 
 from . import fileio
 from .bigraph import decode, decode_directed
-from .core import canonical_poly, encode, is_isomorphic, poly_product, poly_sum
+from .core import canonical_poly, compact_labeling, encode, is_isomorphic
+from .core import poly_product, poly_sum
 from .errors import BudgetExceededError
 from .graphfactor import factor_graph, is_irreducible
 from .petri import decode_net, decompose, net_product, witness
 from .poly import Poly1, Poly2, content, int_text, lift, parse_poly, render
-from .polyfactor import Budget, factor_pairs
+from .polyfactor import Budget, bit_disjoint_factor, factor_pairs
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,7 +47,7 @@ def _labels_for(doc: fileio.Document, name: str) -> dict:
     ids = doc.obj.v_vertices
     if ids:
         _note(f"{name}: no labels given, using 0..{len(ids) - 1} in declared order")
-    return {x: i for i, x in enumerate(ids)}
+    return compact_labeling(doc.obj)
 
 
 def _looks_like_file(arg: str) -> bool:
@@ -78,7 +79,7 @@ def _budget(args) -> Budget:
 # Graph commands.
 
 def _cmd_encode(args):
-    doc = _load(args.file)
+    doc = _load(args.file, args.net)
     print(render(encode(doc.obj, _labels_for(doc, args.file))))
     return 0
 
@@ -135,19 +136,14 @@ def _cmd_factor(args):
         if args.exhaustive_labels:
             raise ValueError("--exhaustive-labels needs a graph file input")
         p = parse_poly(args.input)
-        if not p:
-            raise ValueError("cannot factor the zero polynomial")
         c = content(p)
         if c > 1:
             print(f"content: {int_text(c)}")
         if isinstance(p, Poly1):
             return _print_pairs(factor_pairs(p, budget), "irreducible")
-        # A two-variable polynomial is the encoding of the digraph it decodes to.
-        g = decode_directed(p)
-        kind, labels = "digraph", g.natural_labeling
-    else:
-        doc = _load(args.input)
-        g, kind, labels = doc.obj, doc.kind, _labels_for(doc, args.input)
+        return _print_pairs(bit_disjoint_factor(p, budget), "no bit-disjoint factor pairs")
+    doc = _load(args.input)
+    g, labels = doc.obj, _labels_for(doc, args.input)
     if args.exhaustive_labels:
         report = is_irreducible(g, exhaustive=True, budget=budget)
         if report.verdict == "reducible":
@@ -157,7 +153,7 @@ def _cmd_factor(args):
         print(f"{report.verdict} over compact labelings")
         return 1 if report.verdict == "irreducible" else 2
     pairs = [_encoded(pair) for pair in factor_graph(g, labels, budget)]
-    if kind == "bigraph":
+    if doc.kind == "bigraph":
         return _print_pairs(pairs, "irreducible under this labeling")
     return _print_pairs(pairs, "no bit-disjoint factor pairs")
 
@@ -195,13 +191,6 @@ def _cmd_dot(args):
 
 # ---------------------------------------------------------------------------
 # Net commands.
-
-def _cmd_net_encode(args):
-    doc = _load(args.file, net=True)
-    labels = _labels_for(doc, args.file)
-    print(render(encode(doc.obj, labels)))
-    return 0
-
 
 def _cmd_net_decode(args):
     p = lift(parse_poly(args.poly))
@@ -257,7 +246,7 @@ def _build_parser():
 
     p = sub.add_parser("encode", help="graph file to polynomial")
     p.add_argument("file")
-    p.set_defaults(func=_cmd_encode)
+    p.set_defaults(func=_cmd_encode, net=False)
 
     p = sub.add_parser("decode", help="polynomial to graph file")
     p.add_argument("poly")
@@ -296,7 +285,7 @@ def _build_parser():
 
     p = sub.add_parser("net-encode", help="net file to polynomial")
     p.add_argument("file")
-    p.set_defaults(func=_cmd_net_encode)
+    p.set_defaults(func=_cmd_encode, net=True)
 
     p = sub.add_parser("net-decode", help="polynomial to net file")
     p.add_argument("poly")

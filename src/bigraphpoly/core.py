@@ -25,7 +25,7 @@ from itertools import repeat
 
 from ._match import find_bijections
 from .bits import tau
-from .errors import LabelingError
+from .errors import LabelingError, _brief
 from .poly import Poly1, Poly2, add, mul
 from .polyfactor import Budget, _Meter
 
@@ -110,12 +110,11 @@ class Decoded:
 
 
 def _first_few(items, limit=5):
-    """The first limit items as a list literal, with their number when there
-    are more, so that error text stays short however many there are."""
+    """The first limit items as a list literal, each abbreviated, and their
+    number when there are more: error text stays short whatever the items."""
     items = list(items)
-    if len(items) <= limit:
-        return repr(items)
-    return f"{repr(items[:limit])[:-1]}, ...] ({len(items)} in all)"
+    text = "[" + ", ".join(map(_brief, items[:limit]))
+    return text + "]" if len(items) <= limit else f"{text}, ...] ({len(items)} in all)"
 
 
 def parts(u_ids, v_ids, u_word="u-part", v_word="v-part"):
@@ -146,7 +145,7 @@ def check_labeled(g, labeling):
         val = labeling[x]
         if not isinstance(val, int) or isinstance(val, bool) or val < 0:
             raise LabelingError(
-                f"label of {g.v_word} {x!r} must be a natural, got {val!r}"
+                f"label of {g.v_word} {_brief(x)} must be a natural, got {_brief(val)}"
             )
 
 
@@ -158,7 +157,7 @@ def check_labeling(g, labeling):
         val = labeling[x]
         if val in seen:
             raise LabelingError(
-                f"label {val} given to both {seen[val]!r} and {x!r}"
+                f"label {_brief(val)} given to both {_brief(seen[val])} and {_brief(x)}"
             )
         seen[val] = x
 

@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+import reprlib
+
+# Error text quotes rejected values through this: containers to one level and
+# a few items, strings and numbers to a few dozen characters.
+_abbreviator = reprlib.Repr()
+_abbreviator.maxlevel = 1
+_brief = _abbreviator.repr
+
 
 class PolyParseError(ValueError):
     """Polynomial text rejected; carries the character position."""

@@ -40,7 +40,7 @@ from pathlib import Path
 from .bigraph import Bigraph, DiBigraph
 from .bits import from_bits
 from .core import Bipartite, check_labeled
-from .errors import FileFormatError
+from .errors import FileFormatError, _brief
 from .petri import PetriNet
 
 
@@ -52,9 +52,9 @@ class Document:
 
 
 def _check_id(x, source):
-    if not isinstance(x, str) or not x or any(ch.isspace() for ch in x):
+    if not (isinstance(x, str) and x.split() == [x]):
         raise FileFormatError(
-            f"{source}: ids must be nonempty whitespace-free strings, got {x!r}"
+            f"{source}: ids must be nonempty whitespace-free strings, got {_brief(x)}"
         )
     return x
 
@@ -75,10 +75,10 @@ def _get_labels(doc, valid_ids, source):
     out = {}
     for k, val in labels.items():
         if k not in valid_ids:
-            raise FileFormatError(f"{source}: label given for unknown id {k!r}")
+            raise FileFormatError(f"{source}: label given for unknown id {_brief(k)}")
         if not isinstance(val, int) or isinstance(val, bool) or val < 0:
             raise FileFormatError(
-                f"{source}: label of {k!r} must be a natural, got {val!r}"
+                f"{source}: label of {_brief(k)} must be a natural, got {_brief(val)}"
             )
         out[k] = val
     return out
@@ -90,12 +90,12 @@ def _link(e, directed, source):
     if not directed:
         if not isinstance(e, list) or len(e) != 2:
             raise FileFormatError(
-                f"{source}: undirected edges are [u, v] pairs: {e!r}"
+                f"{source}: undirected edges are [u, v] pairs: {_brief(e)}"
             )
         return _check_id(e[0], source), _check_id(e[1], source)
     if not isinstance(e, dict) or not {"u", "v", "dir"} <= set(e):
         raise FileFormatError(
-            f"{source}: directed edges are objects with u, v and dir: {e!r}"
+            f"{source}: directed edges are objects with u, v and dir: {_brief(e)}"
         )
     u = _check_id(e["u"], source)
     v = _check_id(e["v"], source)
@@ -104,7 +104,7 @@ def _link(e, directed, source):
     if e["dir"] == "u_to_v":
         return u, v
     raise FileFormatError(
-        f"{source}: dir must be 'v_to_u' or 'u_to_v', got {e['dir']!r}"
+        f"{source}: dir must be 'v_to_u' or 'u_to_v', got {_brief(e['dir'])}"
     )
 
 
@@ -140,15 +140,15 @@ def _parse_net(doc, source):
     for ev in events_raw:
         if not isinstance(ev, dict) or "id" not in ev:
             raise FileFormatError(
-                f"{source}: events are objects with an 'id': {ev!r}"
+                f"{source}: events are objects with an 'id': {_brief(ev)}"
             )
         eid = _check_id(ev["id"], source)
         if eid in pre:
-            raise FileFormatError(f"{source}: duplicate event id {eid!r}")
+            raise FileFormatError(f"{source}: duplicate event id {_brief(eid)}")
         for side in ("pre", "post"):
             got = ev.get(side, [])
             if not isinstance(got, list):
-                raise FileFormatError(f"{source}: {side!r} of {eid!r} must be a list")
+                raise FileFormatError(f"{source}: {side!r} of {_brief(eid)} must be a list")
         evs.append(eid)
         pre[eid] = [_check_id(x, source) for x in ev.get("pre", [])]
         post[eid] = [_check_id(x, source) for x in ev.get("post", [])]

@@ -37,8 +37,8 @@ def factor_graph(g, labeling, budget: Budget = Budget()) -> list:
     isomorphic to g.
 
     A graph splits by factor_pairs, a digraph or net into bit-disjoint pairs
-    by bit_disjoint_factor; a net keeps the pairs whose halves both hold an
-    idle unit.  Factors come back decoded, carrying their natural labeling.
+    by bit_disjoint_factor; a net's halves are nets, as q(0) * r(0) = p(0) >= 1.
+    Factors come back decoded, carrying their natural labeling.
     v-vertices no edge touches are invisible to the polynomial, so an input
     with one gets no pair rather than a bogus one.  Empty means no
     two-factor split exists under this labeling.
@@ -60,8 +60,7 @@ def _factor_graph(g, labeling, meter):
     search = _factor_pairs if g.arity == 1 else _bit_disjoint_factor
     supports = {}
     for q, r in search(p, meter):
-        if not g.idle or (q.constant_coeff() and r.constant_coeff()):
-            yield _decode(q, g.decoded, supports), _decode(r, g.decoded, supports)
+        yield _decode(q, g.decoded, supports), _decode(r, g.decoded, supports)
 
 
 def is_irreducible(

@@ -37,6 +37,7 @@ from .core import (
     parts,
     plain_product,
 )
+from .errors import _brief
 from .graphfactor import factor_graph
 from .poly import Poly2
 from .polyfactor import Budget
@@ -61,14 +62,14 @@ class PetriNet(Directed):
         eset = set(evs)
         for e in mapping:
             if e not in eset:
-                raise ValueError(f"{name} set given for unknown event {e!r}")
+                raise ValueError(f"{name} set given for unknown event {_brief(e)}")
         out = {}
         for e in evs:
             members = frozenset(mapping.get(e, ()))
             bad = members - cset
             if bad:
                 raise ValueError(
-                    f"{name} set of {e!r} mentions non-conditions: "
+                    f"{name} set of {_brief(e)} mentions non-conditions: "
                     f"{_first_few(sorted(map(repr, bad)))}"
                 )
             out[e] = members
@@ -106,23 +107,13 @@ def decode_net(p: Poly2) -> LabeledPetriNet:
     return LabeledPetriNet(net, identity_labeling(net))
 
 
-def net_product(n1: PetriNet, n2: PetriNet) -> PetriNet:
-    """Pointed product: events are joint firings, idle pairings included.
-
-    Conditions are the side-tagged union.  Events are pairs over the two
-    event sets each extended by the idle None, minus the all-idle pair; a
-    pair's pre and post sets are the tagged unions of its halves'.
-    """
-    return plain_product(n1, n2)
-
-
 def decompose(net: PetriNet, labeling, budget: Budget = Budget()) -> list:
     """All splittings of net into a product of two smaller nets.
 
-    The pairs are factor_graph's: bit-disjoint factors of the encoding
-    whose halves both hold an idle unit.  The product of each pair's nets
-    encodes back to the net's encoding exactly, so it is the net itself up
-    to isomorphism once every condition meets an event; a net with an
+    The pairs are factor_graph's: bit-disjoint factors of the encoding,
+    each half a net as q(0) * r(0) = p(0) >= 1.  The product of each pair's
+    nets encodes back to the net's encoding exactly, so it is the net itself
+    up to isomorphism once every condition meets an event; a net with an
     untouched condition gets no split.  A split is a partition of the
     conditions, so which splits exist does not depend on the injective
     labeling; the labeling only sets the bits that the halves' conditions
@@ -131,7 +122,7 @@ def decompose(net: PetriNet, labeling, budget: Budget = Budget()) -> list:
     not split.
     """
     return [
-        tuple(LabeledPetriNet(half, dict(zip(half._v, half._v))) for half in pair)
+        tuple(LabeledPetriNet(half, identity_labeling(half)) for half in pair)
         for pair in factor_graph(net, labeling, budget)
     ]
 
@@ -156,5 +147,6 @@ def witness(net: PetriNet, labeling, first: LabeledPetriNet, second: LabeledPetr
 
 # The net spellings of operations the core writes once.
 encode_net = encode
+net_product = plain_product
 net_isomorphic = is_isomorphic
 compact_net_labeling = compact_labeling

@@ -25,7 +25,7 @@ import re
 from math import gcd
 from types import MappingProxyType
 
-from .errors import PolyParseError
+from .errors import PolyParseError, _brief
 
 
 def _clean_terms(items, arity):
@@ -346,7 +346,7 @@ def _fail_token(tok, pos, expected):
         raise PolyParseError(
             "'-' is not allowed: coefficients are nonnegative", pos
         )
-    raise PolyParseError(f"expected {expected}, found {tok!r}", pos)
+    raise PolyParseError(f"expected {expected}, found {_brief(tok)}", pos)
 
 
 def _parse_exponent(toks, i, pos_caret):

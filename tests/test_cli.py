@@ -14,16 +14,19 @@ import bigraphpoly
 from bigraphpoly import (
     Bigraph,
     Budget,
+    BudgetExceededError,
     DiBigraph,
     PetriNet,
     Poly2,
     canonical_poly_directed,
     compact_net_labeling,
+    content,
     decode,
     decode_directed,
     decode_net,
     decompose,
     encode_directed,
+    factor_graph,
     mul,
     net_product,
     parse_poly1,
@@ -234,6 +237,15 @@ def test_sum_golden(capsys, tmp_path):
     assert (code, out) == (0, "x^12 + x^4 + x^3 + 1\n")
 
 
+@pytest.mark.parametrize("command, make, want", [
+    ("encode", lambda: fileio.net_document(branching_net()), "a graph file, got a net"),
+    ("net-encode", lambda: fileio.bigraph_document(hub_graph()), "a net file, got a bigraph"),
+])
+def test_encode_of_the_other_kind_is_one_error_line(capsys, tmp_path, command, make, want):
+    path = write(tmp_path / "other.json", make())
+    assert run(capsys, command, path) == (3, "", f"error: {path}: expected {want}\n")
+
+
 def test_product_mixed_kinds_is_an_input_error(capsys, tmp_path, hub_file):
     d = write(tmp_path / "d.json", fileio.digraph_document(relay_graph()))
     code, out, err = run(capsys, "product", hub_file, d)
@@ -391,6 +403,44 @@ def test_factor_bivariate_without_pairs_exits_1(capsys):
     code, out, err = run(capsys, "factor", "x*y + 1")
     assert code == 1
     assert out == "no bit-disjoint factor pairs\n"
+
+
+def digraph_route(text, budget):
+    """(exit code, stdout, stderr) of factor on two-variable text when it
+    went by way of the digraph the text decodes to: factor_graph on that
+    digraph under its natural labeling, each half encoded back."""
+    p = parse_poly(text)
+    if not p:
+        return 3, "", "error: cannot factor the zero polynomial\n"
+    out = f"content: {content(p)}\n" if content(p) > 1 else ""
+    g = decode_directed(p)
+    try:
+        pairs = factor_graph(g, g.natural_labeling, budget)
+    except BudgetExceededError as e:
+        return 2, out, f"inconclusive: {e}; raise it with --budget\n"
+    for pair in pairs:
+        q, r = (render(encode_directed(h, h.natural_labeling)) for h in pair)
+        out += f"({q}) * ({r})\n"
+    return (0, out, "") if pairs else (1, out + "no bit-disjoint factor pairs\n", "")
+
+
+SPLITS_THREE_WAYS = "x^5*y^6 + x^5*y^2 + x^4*y^6 + x^4*y^2 + x*y^6 + x*y^2 + y^6 + y^2"
+
+
+@pytest.mark.parametrize("text, steps, code", [
+    ("x^2*y^2 + 2*x*y + 1", None, 1),
+    ("6*x*y + 6", None, 0),
+    ("12*x^3*y^5 + 12*x^3 + 12*y^5 + 12", None, 0),
+    (SPLITS_THREE_WAYS, None, 0),
+    ("0*y", None, 3),
+    ("12*x^3*y^5 + 12*x^3 + 12*y^5 + 12", 8, 2),
+    (SPLITS_THREE_WAYS, 20, 2),
+])
+def test_factor_bivariate_prints_what_the_digraph_route_printed(capsys, text, steps, code):
+    argv = ["factor", text] + ([] if steps is None else ["--budget", str(steps)])
+    want = digraph_route(text, Budget() if steps is None else Budget(max_steps=steps))
+    assert want[0] == code
+    assert run(capsys, *argv) == want
 
 
 def _cubic_graph_file(tmp_path):
@@ -802,6 +852,41 @@ def test_error_text_stays_short_for_thousands_of_ids(capsys, tmp_path):
     assert len(err) < 500
 
 
+BIG = list(range(100_000))
+LONG = "x" * 100_000
+DEEP = functools.reduce(lambda inner, _: [inner] * 7, range(4), "x" * 40)  # 2,401 leaves
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["encode"], {"u": [], "v": [], "edges": [BIG]}),
+    (["encode"], {"u": [], "v": [], "edges": [DEEP]}),
+    (["encode"], {"u": [], "v": ["b"], "labels": {"b": BIG}}),
+    (["net-encode"], {"conditions": [], "events": [BIG]}),
+    (["encode"], {"u": ["a"], "v": ["b"], "edges": [{"u": "a", "v": "b", "dir": LONG}]}),
+    (["encode"], {"u": [], "v": ["b"], "labels": {LONG: 0}}),
+    (["encode"], {"u": [LONG + " "], "v": []}),
+    (["encode"], {"u": [BIG], "v": []}),
+    (["encode"], {"u": ["a"], "v": ["b"], "edges": [["a", LONG]]}),
+    (["encode"], {"u": ["a"], "v": ["b"], "edges": [{"u": "a", "v": LONG, "dir": "u_to_v"}]}),
+    (["encode"], {"u": [LONG], "v": [LONG]}),
+    (["encode"], {"u": ["a"], "v": [LONG], "edges": [["a", LONG]], "labels": {}}),
+    (["encode"], {"u": ["a"], "v": [LONG, "b"], "edges": [["a", LONG], ["a", "b"]],
+                  "labels": {LONG: 0, "b": 0}}),
+    (["net-encode"], {"conditions": ["c"], "events": [{"id": "e", "pre": [LONG]}]}),
+    (["net-encode"], {"conditions": [], "events": [{"id": LONG}, {"id": LONG}]}),
+    (["net-encode"], {"conditions": [], "events": [{"id": LONG, "pre": 3}]}),
+    (["decode", "x " + "9" * 100_000], None),
+])
+def test_error_text_stays_short_for_long_values(capsys, tmp_path, argv, doc):
+    """Rejected values are quoted abbreviated, however long they are."""
+    if doc is not None:
+        argv = argv + [write(tmp_path / "long.json", doc)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 300
+
+
 def test_missing_file_is_an_input_error(capsys, tmp_path):
     code, out, err = run(capsys, "encode", str(tmp_path / "nope.json"))
     assert code == 3
@@ -860,6 +945,38 @@ def test_module_entry_point(hub_file):
     proc = run_module("bigraphpoly.cli", "encode", hub_file)
     assert proc.returncode == 0
     assert proc.stdout == "x^7 + x^5 + 1\n"
+
+
+RUNTIME_CHECK = """
+import json, sys
+from bigraphpoly import cli
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] in
+                                ("sympy", "networkx"))]))
+"""
+
+
+def test_runtime_imports_only_the_standard_library(tmp_path, hub_file, branch_file):
+    """sympy and networkx are test oracles: no subcommand loads them."""
+    prefix = str(tmp_path / "split")
+    argvs = [
+        ["encode", hub_file], ["decode", "x^3 + x"], ["product", hub_file, hub_file],
+        ["sum", hub_file, hub_file], ["factor", hub_file], ["canon", hub_file],
+        ["iso", hub_file, hub_file], ["dot", hub_file], ["net-encode", branch_file],
+        ["net-decode", "x*y + 1"], ["net-product", branch_file, branch_file],
+        ["net-decompose", branch_file, "--out-prefix", prefix],
+    ]
+    here = str(Path(bigraphpoly.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [here, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", RUNTIME_CHECK, json.dumps(argvs)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert len({argv[0] for argv in argvs}) == 12
+    assert codes == [0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0]
+    assert loaded == []
 
 
 def test_package_entry_point(hub_file):

@@ -14,11 +14,13 @@ from bigraphpoly import (
     BudgetExceededError,
     DiBigraph,
     IrreducibilityReport,
+    PetriNet,
     Poly1,
     bit_disjoint_factor,
     compact_labeling,
     decode,
     decode_directed,
+    decode_net,
     encode,
     factor_graph,
     factor_pairs,
@@ -31,7 +33,7 @@ from bigraphpoly import (
     tau_poly,
 )
 
-from helpers import random_bigraph, random_digraph, random_labeling
+from helpers import random_bigraph, random_digraph, random_labeling, random_net
 
 CUBIC = parse_poly1("x^3 + 2*x^2 + 2*x + 1")
 
@@ -296,6 +298,8 @@ def reference_factor_graph(g, labeling):
         return []
     if g.arity == 1:
         return [(decode(q), decode(r)) for q, r in factor_pairs(p)]
+    if isinstance(g, PetriNet):
+        return [(decode_net(q).net, decode_net(r).net) for q, r in bit_disjoint_factor(p)]
     return [(decode_directed(q), decode_directed(r)) for q, r in bit_disjoint_factor(p)]
 
 
@@ -307,12 +311,16 @@ def assert_same_pairs(got, want):
         for h, w in zip(pair, ref):
             assert type(h) is type(w)
             assert h == w
-            assert list(h.natural_labeling.items()) == list(w.natural_labeling.items())
+            assert list(identity_labeling(h).items()) == list(identity_labeling(w).items())
 
 
 def doubled(g):
-    """Every u-vertex twice over, so the encoding has content 2."""
+    """Every u-vertex twice over, so the encoding of a graph or digraph has
+    content 2; a net's idle unit stays single."""
     us = [(u, k) for u in g.u_vertices for k in (0, 1)]
+    if isinstance(g, PetriNet):
+        return PetriNet(g.conditions, us, {(u, k): g.pre(u) for u, k in us},
+                        {(u, k): g.post(u) for u, k in us})
     if g.arity == 1:
         return Bigraph(us, g.v_vertices, [((u, k), v) for u, k in us for v in g.slots(u)[0]])
     arcs = [(v, (u, k)) for u, k in us for v in g.pre(u)]
@@ -321,22 +329,29 @@ def doubled(g):
 
 
 def agreement_cases(rng, kind):
-    make = random_bigraph if kind == "graph" else random_digraph
+    make = {
+        "graph": random_bigraph,
+        "digraph": random_digraph,
+        "net": lambda rng, max_u, max_v: random_net(rng, max_u, max_v),
+    }[kind]
     for _ in range(40):
         g = make(rng, max_u=4, max_v=4)
         yield g, random_labeling(rng, g.v_vertices, 7)
-    for _ in range(25):  # planted products, labeled so that bits may carry
+    for _ in range(25):  # planted (for nets pointed) products, labeled so that bits may carry
         g1, g2 = make(rng, max_u=3, max_v=3), make(rng, max_u=3, max_v=3)
         prod = plain_product(g1, g2)
         yield prod, random_labeling(rng, prod.v_vertices, 8)
         yield prod, compact_labeling(prod)
-    for _ in range(15):  # content > 1
+    for _ in range(15):  # content > 1, or for nets every event twice
         g = doubled(make(rng, max_u=3, max_v=4))
         yield g, random_labeling(rng, g.v_vertices, 6)
 
 
-@pytest.mark.parametrize("kind", ["graph", "digraph"])
+@pytest.mark.parametrize("kind", ["graph", "digraph", "net"])
 def test_factor_graph_agrees_with_the_public_search_and_decode(kind):
+    """factor_graph returns the decoded pairs of the public search, in its
+    order.  On a net that is every bit-disjoint pair: q(0) * r(0) = p(0) >= 1,
+    so both halves keep a constant term and decode to nets."""
     rng = random.Random(909)
     split = 0
     for g, labeling in agreement_cases(rng, kind):

@@ -155,6 +155,13 @@ def test_id_validation_errors():
         parse_document({"u": [3], "v": []})
     with pytest.raises(FileFormatError, match="whitespace-free"):
         parse_document({"u": [""], "v": []})
+    # Whitespace is what str.isspace says it is, beyond ASCII too.
+    for ws in ("\u3000", "\u2028", "\x85", "\x1c"):
+        with pytest.raises(FileFormatError, match="whitespace-free"):
+            parse_document({"u": [f"a{ws}b"], "v": []})
+    with pytest.raises(FileFormatError, match="whitespace-free"):
+        parse_document({"u": [" \t\u3000"], "v": []})
+    assert parse_document({"u": ["a\u200bb"], "v": []}).obj.u_vertices == ("a\u200bb",)
 
 
 def test_label_validation_errors():
