@@ -22,11 +22,10 @@ from pathlib import Path
 from . import fileio
 from .bigraph import decode, decode_directed
 from .core import canonical_poly, compact_labeling, encode, is_isomorphic
-from .core import poly_product, poly_sum
-from .errors import BudgetExceededError
-from .graphfactor import factor_graph, is_irreducible
+from .errors import BudgetExceededError, _brief
+from .graphfactor import graph_factor_pairs, is_irreducible
 from .petri import decode_net, decompose, net_product, witness
-from .poly import Poly1, Poly2, content, int_text, lift, parse_poly, render
+from .poly import Poly1, Poly2, add, content, int_text, lift, mul, parse_poly, render
 from .polyfactor import Budget, bit_disjoint_factor, factor_pairs
 
 
@@ -69,6 +68,14 @@ def _load(path, net=False):
     return doc
 
 
+def _steps(text) -> int:
+    """The --budget argument as an int, with error text of bounded size."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_brief(text)}") from None
+
+
 def _budget(args) -> Budget:
     if getattr(args, "budget", None) is None:
         return Budget()
@@ -88,8 +95,7 @@ def _cmd_decode(args):
     p = parse_poly(args.poly)
     if args.directed:
         p = lift(p)
-    g = decode_directed(p) if isinstance(p, Poly2) else decode(p)
-    _emit(fileio.graph_text(g, g.natural_labeling), args.output)
+    _emit(fileio.decoded_text(p), args.output)
     return 0
 
 
@@ -100,17 +106,17 @@ def _binary_graph_op(args, op):
         raise ValueError(f"mixed graph kinds: {d1.kind} and {d2.kind}")
     if args.directed and d1.kind != "digraph":
         raise ValueError("--directed needs directed graph files")
-    g = op(d1.obj, _labels_for(d1, args.file1), d2.obj, _labels_for(d2, args.file2))
-    _emit(fileio.graph_text(g, g.natural_labeling), args.output)
+    l1, l2 = _labels_for(d1, args.file1), _labels_for(d2, args.file2)
+    _emit(fileio.decoded_text(op(encode(d1.obj, l1), encode(d2.obj, l2))), args.output)
     return 0
 
 
 def _cmd_product(args):
-    return _binary_graph_op(args, poly_product)
+    return _binary_graph_op(args, mul)
 
 
 def _cmd_sum(args):
-    return _binary_graph_op(args, poly_sum)
+    return _binary_graph_op(args, add)
 
 
 def _pair_line(q, r):
@@ -124,10 +130,6 @@ def _print_pairs(pairs, empty_msg):
         print(empty_msg)
         return 1
     return 0
-
-
-def _encoded(pair):
-    return tuple(encode(g, g.natural_labeling) for g in pair)
 
 
 def _cmd_factor(args):
@@ -149,10 +151,10 @@ def _cmd_factor(args):
         if report.verdict == "reducible":
             lab, pair = report.witness
             print(f"reducible over compact labelings; witness labeling {lab}")
-            return _print_pairs([_encoded(pair)], "")
+            return _print_pairs([[encode(h, h.natural_labeling) for h in pair]], "")
         print(f"{report.verdict} over compact labelings")
         return 1 if report.verdict == "irreducible" else 2
-    pairs = [_encoded(pair) for pair in factor_graph(g, labels, budget)]
+    pairs = graph_factor_pairs(g, labels, budget)
     if doc.kind == "bigraph":
         return _print_pairs(pairs, "irreducible under this labeling")
     return _print_pairs(pairs, "no bit-disjoint factor pairs")
@@ -271,7 +273,7 @@ def _build_parser():
     p.add_argument("input")
     p.add_argument("--exhaustive-labels", action="store_true",
                    help="graph input: answer for every compact labeling")
-    p.add_argument("--budget", type=int, help="search allowance override")
+    p.add_argument("--budget", type=_steps, help="search allowance override")
     p.set_defaults(func=_cmd_factor)
 
     p = sub.add_parser("canon", help="canonical polynomial of a graph file or polynomial")
@@ -300,7 +302,7 @@ def _build_parser():
 
     p = sub.add_parser("net-decompose", help="split a net file into a product")
     p.add_argument("file")
-    p.add_argument("--budget", type=int, help="search allowance override")
+    p.add_argument("--budget", type=_steps, help="search allowance override")
     p.add_argument("--out-prefix", help="factor files prefix (default: input name)")
     p.set_defaults(func=_cmd_net_decompose)
 

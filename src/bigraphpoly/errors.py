@@ -1,10 +1,30 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the short forms that error
+text quotes values in."""
 
 import reprlib
+from math import log10
+
+
+def _show(n):
+    """n in decimal, or by its number of digits once that gets long, so
+    error text stays short however large the values are."""
+    if -10**15 < n < 10**15:
+        return str(n)
+    m = abs(n)
+    digits = int(m.bit_length() * log10(2))
+    if m >= 10**digits:
+        digits += 1
+    return f"a {'negative ' if n < 0 else ''}{digits}-digit number"
+
+
+class _Abbreviator(reprlib.Repr):
+    def repr_int(self, x, level):
+        return _show(x)
+
 
 # Error text quotes rejected values through this: containers to one level and
-# a few items, strings and numbers to a few dozen characters.
-_abbreviator = reprlib.Repr()
+# a few items, strings to a few dozen characters and ints by _show.
+_abbreviator = _Abbreviator()
 _abbreviator.maxlevel = 1
 _brief = _abbreviator.repr
 

@@ -24,8 +24,8 @@ and emit keys in a fixed order, so equal objects serialize byte-identically,
 and they take only labels the reader takes.  The text format is that of
 ``dumps``: ``json.dumps(doc, indent=2)`` plus a newline.  ``graph_text`` and
 ``net_text`` write graph and net files in it straight from their slot tuples,
-each distinct slot's text once and no object per edge; ``graph_document``
-and ``net_document`` parse that text.
+each distinct slot's text once and no object per edge; ``decoded_text``
+writes the graph file of a polynomial's decoding from its terms alone.
 """
 
 from __future__ import annotations
@@ -33,15 +33,16 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _esc
 from pathlib import Path
 
 from .bigraph import Bigraph, DiBigraph
-from .bits import from_bits
+from .bits import from_bits, tau
 from .core import Bipartite, check_labeled
 from .errors import FileFormatError, _brief
 from .petri import PetriNet
+from .poly import Poly1, Poly2
 
 
 @dataclass
@@ -275,6 +276,39 @@ def _file_text(parts, g, name, labels):
     return _items(parts, "{}", 0) + "\n"
 
 
+def _edge_parts(vs, quoted, arity):
+    """What the edges of a graph with v-vertices vs, in the order of their
+    strings, are written from: the head that opens every edge's text; each
+    v's tails, one, or "u_to_v" then "v_to_u" when arity is 2; and per slot
+    a dict from v to the index of its tail.  quoted holds the vs' escaped
+    ids.  Every tail ends in the link on to the next edge's head."""
+    if arity == 1:
+        head = "    [\n      "
+        tails = [f",\n      {q}\n    ]" for q in quoted]
+        index = [{v: i for i, v in enumerate(vs)}]
+    else:
+        head = '    {\n      "u": '
+        tails = [f',\n      "v": {q},\n      "dir": "{way}"\n    }}'
+                 for q in quoted for way in ("u_to_v", "v_to_u")]
+        # slot 0 holds the v-vertices with an arc into u, slot 1 the others
+        index = [{v: 2 * i + way for i, v in enumerate(vs)} for way in (1, 0)]
+    link = ",\n" + head
+    return head, [tail + link for tail in tails], index
+
+
+def _graph_parts(arity, us, vs, head, edges):
+    """The top-level items of a graph file but its labels, from the quoted u
+    and v ids and a list of texts of the edges in order, each text ending
+    in a link to the next edge's head; the last link is cut.  The edges are
+    copied once, in one join."""
+    text = "[]"
+    if edges:
+        text = "".join(["[\n", head, *edges[:-1], edges[-1][: -len(head) - 2], "\n  ]"])
+    parts = ['"directed": true'] if arity == 2 else []
+    return parts + ['"u": ' + _items(us, "[]", 1), '"v": ' + _items(vs, "[]", 1),
+                    '"edges": ' + text]
+
+
 def graph_text(g, labels=None) -> str:
     """JSON text of a graph or, with edges that carry their direction, of a
     digraph, in the format of dumps.
@@ -291,19 +325,7 @@ def graph_text(g, labels=None) -> str:
     smap = string_ids(list(g.u_vertices) + list(g.v_vertices))
     name = smap.__getitem__
     vs = sorted(g.v_vertices, key=name)
-    if g.arity == 1:
-        head = "    [\n      "
-        tails = [f",\n      {_esc(name(v))}\n    ]" for v in vs]
-        index = [{v: i for i, v in enumerate(vs)}]
-    else:
-        head = '    {\n      "u": '
-        tails = [f',\n      "v": {_esc(name(v))},\n      "dir": "{way}"\n    }}'
-                 for v in vs for way in ("u_to_v", "v_to_u")]
-        # slot 0 holds the v-vertices with an arc into u, slot 1 the others
-        index = [{v: 2 * i + way for i, v in enumerate(vs)} for way in (1, 0)]
-    # Every tail links on to the next edge's head; the last link is cut.
-    link = ",\n" + head
-    tails = [tail + link for tail in tails]
+    head, tails, index = _edge_parts(vs, [_esc(name(v)) for v in vs], g.arity)
     place = [k.__getitem__ for k in index]
     us = list(map(name, g.u_vertices))
     slots = dict(zip(us, map(g.slots, g.u_vertices)))
@@ -312,22 +334,62 @@ def graph_text(g, labels=None) -> str:
             for s in set(slots.values())}
     order = sorted(us)
     edges = "".join(map(str.join, map(_esc, order), map(rows.get, map(slots.get, order))))
-    parts = ['"directed": true'] if g.arity == 2 else []
-    parts += [
-        '"u": ' + _items(list(map(_esc, us)), "[]", 1),
-        '"v": ' + _items([_esc(name(v)) for v in g.v_vertices], "[]", 1),
-        '"edges": ' + ("[\n" + head + edges[: -len(link)] + "\n  ]" if edges else "[]"),
-    ]
+    parts = _graph_parts(g.arity, list(map(_esc, us)),
+                         [_esc(name(v)) for v in g.v_vertices], head, [edges] if edges else [])
     return _file_text(parts, g, name, labels)
 
 
-def graph_document(g, labels=None) -> dict:
-    """Document of a graph or, with edges that carry their direction, of a
-    digraph: the parse of graph_text."""
-    return json.loads(graph_text(g, labels))
+def decoded_text(p) -> str:
+    """graph_text(g, g.natural_labeling) for the decoding g of p, byte for
+    byte: decode(p) for a Poly1, decode_directed(p) for a Poly2.
 
+    It is written from p's terms, never building g.  A term c * x**e
+    [* y**f] decodes to c u-vertices with ids "u<e>_k" ["u<e>-<f>_k"] for k
+    = 1..c, all with the slots tau(e) [and tau(f)], and the v ids are the
+    bit positions in decimal.  These ids are unique by construction, and
+    only u ids hold a "u", so each term's head (its ids up to the "_"), its
+    bits and its row of edge tails are made once, and a copy's quoted id is
+    the head and a shared closing suffix 'k"'.
 
-bigraph_document = digraph_document = graph_document
+    graph_text orders edges by u string.  No head holds a "_" before its
+    last character, so no head is a prefix of another, and ids of two terms
+    compare as their heads do; ids of one term compare as the decimal
+    strings of their copy numbers, 1, 10, 11, ..., 2, ....  So the edges
+    are the terms in head order, each term's copies in that order.
+    """
+    if not isinstance(p, (Poly1, Poly2)):
+        raise TypeError(f"decoded_text takes a Poly1 or a Poly2, got {type(p).__name__}")
+    arity = 2 if isinstance(p, Poly2) else 1
+    terms = p.terms
+    if arity == 1:
+        heads = [f'"u{e}_' for e in terms]
+        slots = [(tau(e),) for e in terms]
+    else:
+        heads = [f'"u{e}-{f}_' for e, f in terms]
+        slots = [(tau(e), tau(f)) for e, f in terms]
+    vs = sorted(set().union(*chain.from_iterable(slots)))
+    by_text = sorted(vs, key=str)
+    head, tails, index = _edge_parts(by_text, [f'"{v}"' for v in by_text], arity)
+    place = [k.__getitem__ for k in index]
+    rows = [["", *map(tails.__getitem__, sorted(chain.from_iterable(map(map, place, s))))]
+            for s in slots]
+    suffixes = [f'{k}"' for k in range(1, max(terms.values(), default=0) + 1)]
+    ids = [[h + k for k in suffixes[:c]] for h, c in zip(heads, terms.values())]
+    # copy count -> copy indices in the order of their strings, which is
+    # that of the suffixes, as '"' sorts before every digit
+    orders = {}
+    edges = []
+    for t in sorted(range(len(heads)), key=heads.__getitem__):
+        row, copies = rows[t], ids[t]
+        if len(row) > 1:
+            c = len(copies)
+            if c not in orders:
+                orders[c] = sorted(range(c), key=suffixes.__getitem__)
+            edges += map(str.join, map(copies.__getitem__, orders[c]), repeat(row))
+    parts = _graph_parts(arity, list(chain.from_iterable(ids)),
+                         [f'"{v}"' for v in vs], head, edges)
+    parts.append('"labels": ' + _items([f'"{v}": {v}' for v in vs], "{}", 1))
+    return _items(parts, "{}", 0) + "\n"
 
 
 def net_text(net: PetriNet, labels=None) -> str:
@@ -348,19 +410,6 @@ def net_text(net: PetriNet, labels=None) -> str:
         '"events": ' + _items(events, "[]", 1),
     ]
     return _file_text(parts, net, name, labels)
-
-
-def net_document(net: PetriNet, labels=None) -> dict:
-    """Document of a net: the parse of net_text."""
-    return json.loads(net_text(net, labels))
-
-
-def document_for(obj, labels=None) -> dict:
-    if isinstance(obj, PetriNet):
-        return net_document(obj, labels)
-    if isinstance(obj, Bipartite):
-        return graph_document(obj, labels)
-    raise TypeError(f"no document form for {type(obj).__name__}")
 
 
 def dumps(doc: dict) -> str:

@@ -46,6 +46,22 @@ def factor_graph(g, labeling, budget: Budget = Budget()) -> list:
     return list(_factor_graph(g, labeling, _Meter(budget)))
 
 
+def graph_factor_pairs(g, labeling, budget: Budget = Budget()) -> list:
+    """The pairs of factor_graph as the polynomials they decode from: the
+    factor pairs of g's encoding under labeling, none when some v-vertex
+    meets no edge.  Each half encodes back to itself under its decoding's
+    natural labeling."""
+    return _encoded_pairs(g, labeling, _Meter(budget))
+
+
+def _encoded_pairs(g, labeling, meter):
+    p = encode(g, labeling)
+    if not p or len(tau_poly(p)) != len(g.v_vertices):
+        return []
+    search = _factor_pairs if g.arity == 1 else _bit_disjoint_factor
+    return search(p, meter)
+
+
 def _factor_graph(g, labeling, meter):
     """The pairs of factor_graph, each decoded when it is read.
 
@@ -54,12 +70,8 @@ def _factor_graph(g, labeling, meter):
     distinct term is decoded once per call; a net keeps its idle unit, so
     most terms of its halves are terms of p.
     """
-    p = encode(g, labeling)
-    if not p or len(tau_poly(p)) != len(g.v_vertices):
-        return
-    search = _factor_pairs if g.arity == 1 else _bit_disjoint_factor
     supports = {}
-    for q, r in search(p, meter):
+    for q, r in _encoded_pairs(g, labeling, meter):
         yield _decode(q, g.decoded, supports), _decode(r, g.decoded, supports)
 
 

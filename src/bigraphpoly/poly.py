@@ -40,11 +40,11 @@ def _clean_terms(items, arity):
                 and all(isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in exp)
             )
         if not ok:
-            raise ValueError(f"bad exponent {exp!r} for a {arity}-variable polynomial")
+            raise ValueError(f"bad exponent {_brief(exp)} for a {arity}-variable polynomial")
         if not isinstance(coeff, int) or isinstance(coeff, bool):
-            raise ValueError(f"coefficient must be an integer, got {coeff!r}")
+            raise ValueError(f"coefficient must be an integer, got {_brief(coeff)}")
         if coeff < 0:
-            raise ValueError(f"coefficient must be nonnegative, got {coeff}")
+            raise ValueError(f"coefficient must be nonnegative, got {_brief(coeff)}")
         if coeff:
             terms[exp] = terms.get(exp, 0) + coeff
     # Descending exponent order; iteration order is then canonical everywhere.

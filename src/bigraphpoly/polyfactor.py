@@ -40,10 +40,10 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import gcd, isqrt, log10
+from math import gcd, isqrt
 
 from .bits import from_bits, tau_poly
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, _brief, _show
 from .poly import Poly1, Poly2, content, poly_key
 
 
@@ -68,18 +68,7 @@ class Budget:
     def __post_init__(self):
         steps = self.max_steps
         if isinstance(steps, bool) or not isinstance(steps, int) or steps < 0:
-            raise ValueError(f"max_steps must be a natural number, not {steps!r}")
-
-
-def _show(n):
-    """n in decimal, or by its number of digits once that gets long, so
-    error text stays short however large the values are."""
-    if n < 10**15:
-        return str(n)
-    digits = int(n.bit_length() * log10(2))
-    if n >= 10**digits:
-        digits += 1
-    return f"a {digits}-digit number"
+            raise ValueError(f"max_steps must be a natural number, not {_brief(steps)}")
 
 
 class _Meter:

@@ -13,7 +13,8 @@ import random
 from itertools import permutations
 
 from bigraphpoly import Bigraph, DiBigraph, PetriNet, Poly1, Poly2, net_product
-from bigraphpoly.fileio import string_ids
+from bigraphpoly.core import Bipartite
+from bigraphpoly.fileio import graph_text, net_text, string_ids
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +347,29 @@ def reference_document(g, labels=None) -> dict:
     if labels is not None:
         doc["labels"] = {smap[v]: labels[v] for v in g.v_vertices}
     return doc
+
+
+def graph_document(g, labels=None) -> dict:
+    """Document of a graph or, with edges that carry their direction, of a
+    digraph: the parse of graph_text."""
+    return json.loads(graph_text(g, labels))
+
+
+bigraph_document = digraph_document = graph_document
+
+
+def net_document(net: PetriNet, labels=None) -> dict:
+    """Document of a net: the parse of net_text."""
+    return json.loads(net_text(net, labels))
+
+
+def document_for(obj, labels=None) -> dict:
+    """The parse of the file text the package writes for obj."""
+    if isinstance(obj, PetriNet):
+        return net_document(obj, labels)
+    if isinstance(obj, Bipartite):
+        return graph_document(obj, labels)
+    raise TypeError(f"no document form for {type(obj).__name__}")
 
 
 def reference_text(g, labels=None) -> str:

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -25,8 +26,10 @@ from bigraphpoly import (
     decode_directed,
     decode_net,
     decompose,
+    encode,
     encode_directed,
     factor_graph,
+    factor_pairs,
     mul,
     net_product,
     parse_poly1,
@@ -38,7 +41,11 @@ from bigraphpoly.petri import witness
 from bigraphpoly.poly import parse_poly
 
 from helpers import (
+    bigraph_document,
+    digraph_document,
+    document_for,
     first_difference,
+    net_document,
     random_bigraph,
     random_labeling,
     random_net,
@@ -145,13 +152,13 @@ def two_squares():
 
 @pytest.fixture
 def hub_file(tmp_path):
-    return write(tmp_path / "hub.json", fileio.bigraph_document(hub_graph(), HUB_LABELS))
+    return write(tmp_path / "hub.json", bigraph_document(hub_graph(), HUB_LABELS))
 
 
 @pytest.fixture
 def branch_file(tmp_path):
     return write(tmp_path / "branch.json",
-                 fileio.net_document(branching_net(), BRANCH_LABELS))
+                 net_document(branching_net(), BRANCH_LABELS))
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +172,7 @@ def test_encode_golden(capsys, hub_file):
 
 
 def test_encode_without_labels_notes_the_default(capsys, tmp_path):
-    path = write(tmp_path / "hub.json", fileio.bigraph_document(hub_graph()))
+    path = write(tmp_path / "hub.json", bigraph_document(hub_graph()))
     code, out, err = run(capsys, "encode", path)
     assert code == 0
     # Declared order happens to match the explicit labeling.
@@ -212,9 +219,9 @@ def test_decode_bivariate_string_makes_a_digraph(capsys, tmp_path):
 
 def _piece_files(tmp_path):
     f1 = write(tmp_path / "p1.json",
-               fileio.bigraph_document(path_piece(), {"v11": 0, "v12": 1}))
+               bigraph_document(path_piece(), {"v11": 0, "v12": 1}))
     f2 = write(tmp_path / "p2.json",
-               fileio.bigraph_document(fork_piece(), {"v21": 2, "v22": 3}))
+               bigraph_document(fork_piece(), {"v21": 2, "v22": 3}))
     return f1, f2
 
 
@@ -238,8 +245,8 @@ def test_sum_golden(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("command, make, want", [
-    ("encode", lambda: fileio.net_document(branching_net()), "a graph file, got a net"),
-    ("net-encode", lambda: fileio.bigraph_document(hub_graph()), "a net file, got a bigraph"),
+    ("encode", lambda: net_document(branching_net()), "a graph file, got a net"),
+    ("net-encode", lambda: bigraph_document(hub_graph()), "a net file, got a bigraph"),
 ])
 def test_encode_of_the_other_kind_is_one_error_line(capsys, tmp_path, command, make, want):
     path = write(tmp_path / "other.json", make())
@@ -247,7 +254,7 @@ def test_encode_of_the_other_kind_is_one_error_line(capsys, tmp_path, command, m
 
 
 def test_product_mixed_kinds_is_an_input_error(capsys, tmp_path, hub_file):
-    d = write(tmp_path / "d.json", fileio.digraph_document(relay_graph()))
+    d = write(tmp_path / "d.json", digraph_document(relay_graph()))
     code, out, err = run(capsys, "product", hub_file, d)
     assert code == 3
     assert "mixed graph kinds" in err
@@ -262,7 +269,7 @@ def test_product_directed_flag_requires_directed_files(capsys, tmp_path):
 
 def test_directed_product_matches_the_library(capsys, tmp_path):
     labels = {"v1": 0, "v2": 1}
-    f = write(tmp_path / "r.json", fileio.digraph_document(relay_graph(), labels))
+    f = write(tmp_path / "r.json", digraph_document(relay_graph(), labels))
     target = str(tmp_path / "prod.json")
     assert run(capsys, "product", f, f, "-o", target)[0] == 0
     p = encode_directed(relay_graph(), labels)
@@ -281,13 +288,30 @@ def _same_bytes_both_ways(capsys, tmp_path, argv, want):
 
 
 @pytest.mark.parametrize("directed", [False, True])
+def test_product_and_sum_of_hundred_u_graphs_are_graph_text_bytes(capsys, tmp_path, directed):
+    """The benchmark's size: two graphs of 100 u-vertices on 6 v-vertices,
+    labels drawn from range(9), so the product has 10,000 u-vertices."""
+    rng = random.Random(89 + directed)
+    graphs = [wide_graph(rng, directed=directed) for _ in range(2)]
+    labels = [random_labeling(rng, g.v_vertices, 8) for g in graphs]
+    files = [write(tmp_path / f"g{k}.json", document_for(g, lab))
+             for k, (g, lab) in enumerate(zip(graphs, labels))]
+    for name, op in (("product", core.poly_product), ("sum", core.poly_sum)):
+        g = op(graphs[0], labels[0], graphs[1], labels[1])
+        assert len(g.u_vertices) == (10**4 if name == "product" else 200)
+        code, out, err = run(capsys, name, *files)
+        assert (code, err) == (0, "")
+        assert first_difference(out, fileio.graph_text(g, g.natural_labeling)) is None
+
+
+@pytest.mark.parametrize("directed", [False, True])
 def test_product_sum_and_decode_print_the_reference_bytes(capsys, tmp_path, directed):
     """The bytes of json.dumps(indent=2) on the document built by sorting
     every edge, on stdout and through -o."""
     rng = random.Random(87 + directed)
     graphs = [wide_graph(rng, 30, 5, directed) for _ in range(2)]
     labels = [random_labeling(rng, g.v_vertices, 9) for g in graphs]
-    files = [write(tmp_path / f"g{k}.json", fileio.document_for(g, lab))
+    files = [write(tmp_path / f"g{k}.json", document_for(g, lab))
              for k, (g, lab) in enumerate(zip(graphs, labels))]
     for name, op in (("product", core.poly_product), ("sum", core.poly_sum)):
         g = op(graphs[0], labels[0], graphs[1], labels[1])
@@ -305,7 +329,7 @@ def test_net_commands_print_the_reference_bytes(capsys, tmp_path):
     its factor files and certificate in the same format."""
     rng = random.Random(89)
     nets = [random_net(rng, 6, 5) for _ in range(2)]
-    files = [write(tmp_path / f"n{k}.json", fileio.net_document(n)) for k, n in enumerate(nets)]
+    files = [write(tmp_path / f"n{k}.json", net_document(n)) for k, n in enumerate(nets)]
     prod = net_product(*nets)
     _same_bytes_both_ways(capsys, tmp_path, ["net-product", *files], reference_text(prod))
     # a second constant unit decodes to an event with empty pre and post sets
@@ -314,7 +338,7 @@ def test_net_commands_print_the_reference_bytes(capsys, tmp_path):
     _same_bytes_both_ways(capsys, tmp_path, ["net-decode", render(p)],
                           reference_text(labeled.net, labeled.labeling))
     net = three_prime_nets()
-    path = write(tmp_path / "three.json", fileio.net_document(net, compact_net_labeling(net)))
+    path = write(tmp_path / "three.json", net_document(net, compact_net_labeling(net)))
     code, out, err = run(capsys, "net-decompose", path, "--out-prefix", str(tmp_path / "f"))
     assert code == 0
     doc = fileio.load_document(path)
@@ -338,7 +362,7 @@ def test_iso_prints_json_dumps_of_its_maps(capsys, tmp_path):
     for make, names in ((random_bigraph, ("u_map", "v_map")),
                         (random_net, ("event_map", "condition_map"))):
         obj = make(rng)
-        files = [write(tmp_path / f"{k}.json", fileio.document_for(obj)) for k in (1, 2)]
+        files = [write(tmp_path / f"{k}.json", document_for(obj)) for k in (1, 2)]
         code, out, err = run(capsys, "iso", *files)
         found = core.is_isomorphic(obj, obj)
         assert (code, err) == (0, "")
@@ -446,7 +470,7 @@ def test_factor_bivariate_prints_what_the_digraph_route_printed(capsys, text, st
 def _cubic_graph_file(tmp_path):
     g = decode(parse_poly1("x^3 + 2*x^2 + 2*x + 1"))
     return write(tmp_path / "cubic.json",
-                 fileio.bigraph_document(g, g.natural_labeling))
+                 bigraph_document(g, g.natural_labeling))
 
 
 def test_factor_graph_file_golden(capsys, tmp_path):
@@ -457,10 +481,67 @@ def test_factor_graph_file_golden(capsys, tmp_path):
 
 def test_factor_graph_file_irreducible(capsys, tmp_path):
     g = decode(parse_poly1("x^3 + 1"))
-    path = write(tmp_path / "g.json", fileio.bigraph_document(g, g.natural_labeling))
+    path = write(tmp_path / "g.json", bigraph_document(g, g.natural_labeling))
     code, out, err = run(capsys, "factor", path)
     assert code == 1
     assert out == "irreducible under this labeling\n"
+
+
+def decoded_route(g, labels, budget, empty):
+    """(exit code, stdout, stderr) of factor on a file of g when it went by
+    way of factor_graph: each decoded half encoded back under its natural
+    labeling."""
+    try:
+        pairs = factor_graph(g, labels, budget)
+    except BudgetExceededError as e:
+        return 2, "", f"inconclusive: {e}; raise it with --budget\n"
+    out = "".join(f"({render(encode(q, q.natural_labeling))}) * "
+                  f"({render(encode(r, r.natural_labeling))})\n" for q, r in pairs)
+    return (0, out, "") if pairs else (1, empty + "\n", "")
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_factor_file_prints_what_the_decoded_route_printed(capsys, tmp_path, directed):
+    """On random graphs and on products of two, which split, under budgets
+    that do and do not suffice."""
+    rng = random.Random(90 + directed)
+    empty = "no bit-disjoint factor pairs" if directed else "irreducible under this labeling"
+    codes = set()
+    for k in range(16):
+        g1, g2 = (wide_graph(rng, rng.randint(1, 4), rng.randint(1, 3), directed, 0.5)
+                  for _ in range(2))
+        if k % 2:
+            g = core.poly_product(g1, core.compact_labeling(g1), g2,
+                                  {v: len(g1.v_vertices) + i for i, v in enumerate(g2.v_vertices)})
+            labels = g.natural_labeling
+        else:
+            g = g1
+            labels = random_labeling(rng, g.v_vertices, 6)
+        path = write(tmp_path / f"{k}.json", document_for(g, labels))
+        for steps in (None, 0, 30):
+            budget = Budget() if steps is None else Budget(max_steps=steps)
+            argv = ["factor", path] + ([] if steps is None else ["--budget", str(steps)])
+            want = decoded_route(g, labels, budget, empty)
+            assert run(capsys, *argv) == want, (k, steps)
+            codes.add(want[0])
+    assert codes == {0, 1, 2}
+
+
+def test_factor_graph_file_with_thirty_thousand_pairs_is_quick(capsys, tmp_path):
+    """8 u-vertices on 20 v-vertices, each pair an edge with probability 1/2:
+    30,953 factor pairs, printed straight from the search."""
+    rng = random.Random(1)
+    us, vs = [f"u{i}" for i in range(8)], [f"v{j}" for j in range(20)]
+    g = Bigraph(us, vs, [(u, v) for u in us for v in vs if rng.random() < 0.5])
+    labels = core.compact_labeling(g)
+    path = write(tmp_path / "g.json", document_for(g, labels))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "factor", path)
+    assert time.perf_counter() - start < 5
+    want = factor_pairs(core.encode(g, labels))
+    assert len(want) == 30_953
+    assert (code, err) == (0, "")
+    assert out == "".join(f"({render(q)}) * ({render(r)})\n" for q, r in want)
 
 
 def test_factor_exhaustive_reducible(capsys, tmp_path):
@@ -474,7 +555,7 @@ def test_factor_exhaustive_reducible(capsys, tmp_path):
 
 def test_factor_exhaustive_irreducible(capsys, tmp_path):
     g = decode(parse_poly1("x^3 + 1"))
-    path = write(tmp_path / "g.json", fileio.bigraph_document(g, g.natural_labeling))
+    path = write(tmp_path / "g.json", bigraph_document(g, g.natural_labeling))
     code, out, err = run(capsys, "factor", "--exhaustive-labels", path)
     assert code == 1
     assert out == "irreducible over compact labelings\n"
@@ -488,7 +569,7 @@ def test_factor_exhaustive_needs_a_file(capsys):
 
 def test_factor_digraph_file(capsys, tmp_path):
     g = decode_directed(parse_poly("x*y^2 + x + y^2 + 1"))
-    path = write(tmp_path / "d.json", fileio.digraph_document(g, g.natural_labeling))
+    path = write(tmp_path / "d.json", digraph_document(g, g.natural_labeling))
     code, out, err = run(capsys, "factor", path)
     assert code == 0
     assert out == "(y^2 + 1) * (x + 1)\n"
@@ -499,14 +580,14 @@ def test_factor_exhaustive_on_a_digraph_file(capsys, tmp_path):
     answers for every compact labeling: the flag gives the undirected
     lines and exit codes."""
     g = decode_directed(parse_poly("x*y^2 + x + y^2 + 1"))
-    path = write(tmp_path / "d.json", fileio.digraph_document(g, g.natural_labeling))
+    path = write(tmp_path / "d.json", digraph_document(g, g.natural_labeling))
     code, out, err = run(capsys, "factor", "--exhaustive-labels", path)
     assert code == 0
     lines = out.splitlines()
     assert lines[0].startswith("reducible over compact labelings; witness labeling")
     assert lines[1:] == ["(y^2 + 1) * (x + 1)"]
     path = write(tmp_path / "r.json",
-                 fileio.digraph_document(relay_graph(), {"v1": 0, "v2": 1}))
+                 digraph_document(relay_graph(), {"v1": 0, "v2": 1}))
     code, out, err = run(capsys, "factor", "--exhaustive-labels", path)
     assert code == 1
     assert out == "irreducible over compact labelings\n"
@@ -519,7 +600,7 @@ def test_factor_digraph_file_with_an_isolated_v_vertex(capsys, tmp_path):
                   [("a", "p"), ("q", "b"), ("a", "pq"), ("pq", "b")])
     labels = {"a": 0, "b": 1, "c": 2}
     assert encode_directed(g, labels) == parse_poly("x*y^2 + x + y^2 + 1")
-    path = write(tmp_path / "dp.json", fileio.digraph_document(g, labels))
+    path = write(tmp_path / "dp.json", digraph_document(g, labels))
     code, out, err = run(capsys, "factor", path)
     assert code == 1
     assert out == "no bit-disjoint factor pairs\n"
@@ -527,7 +608,7 @@ def test_factor_digraph_file_with_an_isolated_v_vertex(capsys, tmp_path):
 
 def test_factor_digraph_file_without_pairs(capsys, tmp_path):
     path = write(tmp_path / "r.json",
-                 fileio.digraph_document(relay_graph(), {"v1": 0, "v2": 1}))
+                 digraph_document(relay_graph(), {"v1": 0, "v2": 1}))
     code, out, err = run(capsys, "factor", path)
     assert code == 1
     assert out == "no bit-disjoint factor pairs\n"
@@ -544,7 +625,7 @@ def test_canon_on_a_file_and_a_string_agree(capsys, hub_file):
 
 
 def test_canon_directed_file_matches_the_library(capsys, tmp_path):
-    path = write(tmp_path / "r.json", fileio.digraph_document(relay_graph()))
+    path = write(tmp_path / "r.json", digraph_document(relay_graph()))
     code, out, err = run(capsys, "canon", path)
     assert code == 0
     assert out == render(canonical_poly_directed(relay_graph())) + "\n"
@@ -556,7 +637,7 @@ def test_iso_witness_json(capsys, tmp_path, hub_file):
         ["q", "r", "p"],
         [("A", "p"), ("A", "q"), ("A", "r"), ("C", "p"), ("C", "r")],
     )
-    f2 = write(tmp_path / "twin.json", fileio.bigraph_document(twin))
+    f2 = write(tmp_path / "twin.json", bigraph_document(twin))
     code, out, err = run(capsys, "iso", hub_file, f2)
     assert code == 0
     witness = json.loads(out)
@@ -568,8 +649,8 @@ def test_iso_witness_json(capsys, tmp_path, hub_file):
 
 
 def test_iso_negative(capsys, tmp_path):
-    f1 = write(tmp_path / "c8.json", fileio.bigraph_document(eight_cycle()))
-    f2 = write(tmp_path / "c44.json", fileio.bigraph_document(two_squares()))
+    f1 = write(tmp_path / "c8.json", bigraph_document(eight_cycle()))
+    f2 = write(tmp_path / "c44.json", bigraph_document(two_squares()))
     code, out, err = run(capsys, "iso", f1, f2)
     assert code == 1
     assert out == "not isomorphic\n"
@@ -599,7 +680,7 @@ def test_canon_and_iso_answer_past_the_recursion_limit(capsys, tmp_path):
     n = 2000
     vs = [f"v{i}" for i in range(n)]
     g = Bigraph(["u", "w"], vs, [("u", v) for v in vs] + [("w", vs[-1])])
-    path = write(tmp_path / "star.json", fileio.bigraph_document(g))
+    path = write(tmp_path / "star.json", bigraph_document(g))
     code, out, err = run(capsys, "canon", path)
     assert (code, out) == (0, f"x^{(1 << n) - 1} + x\n")
     code, out, err = run(capsys, "iso", path, path)
@@ -622,7 +703,7 @@ def test_iso_nets(capsys, tmp_path, branch_file):
         pre={"w": ["k0"], "y": ["k0"]},
         post={"y": ["k1"], "z": ["k1"]},
     )
-    f2 = write(tmp_path / "twin.json", fileio.net_document(twin))
+    f2 = write(tmp_path / "twin.json", net_document(twin))
     code, out, err = run(capsys, "iso", branch_file, f2)
     assert code == 0
     witness = json.loads(out)
@@ -642,7 +723,7 @@ def test_net_encode_golden(capsys, branch_file):
 
 
 def test_net_encode_without_labels_notes_the_default(capsys, tmp_path):
-    path = write(tmp_path / "n.json", fileio.net_document(branching_net()))
+    path = write(tmp_path / "n.json", net_document(branching_net()))
     code, out, err = run(capsys, "net-encode", path)
     assert (code, out) == (0, "x*y^2 + x + y^2 + 1\n")
     assert "no labels given" in err
@@ -690,7 +771,7 @@ def test_net_decompose_default_prefix(capsys, tmp_path, branch_file):
 
 def test_net_decompose_negative(capsys, tmp_path):
     path = write(tmp_path / "cycle.json",
-                 fileio.net_document(cycle_net(), {f"b{i}": i for i in range(6)}))
+                 net_document(cycle_net(), {f"b{i}": i for i in range(6)}))
     code, out, err = run(capsys, "net-decompose", path)
     assert code == 1
     assert out == "no decomposition under this labeling\n"
@@ -721,7 +802,7 @@ def test_net_decompose_certificate_past_the_isomorphism_guard(capsys, tmp_path):
     net = one
     for _ in range(6):
         net = net_product(net, one)
-    doc = fileio.net_document(net)
+    doc = net_document(net)
     labels = {b: i for i, b in enumerate(doc["conditions"])}
     path = write(tmp_path / "chain.json", {**doc, "labels": labels})
     code, out, err = run(capsys, "net-decompose", path)
@@ -733,7 +814,7 @@ def test_net_decompose_certificate_past_the_isomorphism_guard(capsys, tmp_path):
 
 def test_net_decompose_three_eight_condition_prime_nets(capsys, tmp_path):
     net = three_prime_nets()
-    doc = fileio.net_document(net)
+    doc = net_document(net)
     labels = {b: i for i, b in enumerate(doc["conditions"])}
     path = write(tmp_path / "three.json", {**doc, "labels": labels})
     code, out, err = run(capsys, "net-decompose", path)
@@ -753,7 +834,7 @@ def test_negative_budget_is_an_input_error(capsys):
 def test_net_decompose_negative_budget_is_one_error_line(capsys, tmp_path):
     """The budget is checked before the file is read, so an unlabeled file
     adds no note."""
-    path = write(tmp_path / "n.json", fileio.net_document(branching_net()))
+    path = write(tmp_path / "n.json", net_document(branching_net()))
     code, out, err = run(capsys, "net-decompose", path, "--budget", "-5")
     assert (code, out) == (3, "")
     assert err == "error: max_steps must be a natural number, not -5\n"
@@ -885,6 +966,33 @@ def test_error_text_stays_short_for_long_values(capsys, tmp_path, argv, doc):
     assert (code, out) == (3, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert len(err.encode()) < 300
+
+
+@pytest.mark.parametrize("argv", [
+    ["factor", "x^2 + 1", "--budget", LONG],
+    ["factor", "x^2 + 1", "--budget", "9" * 5000],
+    ["factor", "x^2 + 1", "--budget", "-" + "9" * 4000],
+    ["net-decompose", "n.json", "--budget", LONG],
+])
+def test_budget_error_text_stays_short(capsys, argv):
+    """A --budget that is no int is a usage error, a negative one an input
+    error; either way the value is quoted abbreviated."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert "error: max_steps" in err or "error: argument --budget: invalid int value" in err
+    assert all(len(line.encode()) < 300 for line in err.splitlines())
+
+
+def test_budget_that_is_no_int_names_the_value(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["factor", "x^2 + 1", "--budget", "abc"])
+    assert info.value.code == 3
+    assert capsys.readouterr().err.endswith(
+        "error: argument --budget: invalid int value: 'abc'\n")
 
 
 def test_missing_file_is_an_input_error(capsys, tmp_path):

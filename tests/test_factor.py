@@ -124,6 +124,14 @@ def test_budget_rejects_a_non_natural_allowance(steps):
         Budget(max_steps=steps)
 
 
+@pytest.mark.parametrize("steps", ["9" * 100_000, -10**5000, 10.0**300, [0] * 100_000],
+                         ids=["digit-string", "huge-negative", "float", "long-list"])
+def test_budget_error_text_stays_short(steps):
+    with pytest.raises(ValueError, match="max_steps must be a natural number") as err:
+        Budget(max_steps=steps)
+    assert len(str(err.value)) < 300
+
+
 def test_budget_interrupts_huge_evaluation_values():
     """The search lists the divisors of p(1); when that value is
     astronomically large the scan must charge the budget and stop instead

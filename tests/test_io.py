@@ -11,6 +11,7 @@ from bigraphpoly import (
     FileFormatError,
     LabelingError,
     PetriNet,
+    Poly1,
     Poly2,
     decode,
     decode_directed,
@@ -24,15 +25,14 @@ from bigraphpoly import (
     poly_product,
     poly_product_directed,
 )
+from bigraphpoly.errors import _brief
 from bigraphpoly.fileio import (
     Document,
     _fmt_id,
-    document_for,
-    graph_document,
+    decoded_text,
     graph_text,
     dumps,
     load_document,
-    net_document,
     net_text,
     parse_document,
     string_ids,
@@ -40,7 +40,10 @@ from bigraphpoly.fileio import (
 )
 
 from helpers import (
+    document_for,
     first_difference,
+    graph_document,
+    net_document,
     random_bigraph,
     random_canon_case,
     random_digraph,
@@ -471,6 +474,54 @@ def test_graph_text_edge_cases():
             assert first_difference(graph_text(g, labels), want) is None, g
 
 
+def natural_text(p):
+    """graph_text of p's decoding under its natural labeling."""
+    g = decode_directed(p) if isinstance(p, Poly2) else decode(p)
+    return graph_text(g, g.natural_labeling)
+
+
+def test_decoded_text_is_graph_text_of_the_decoding():
+    """Byte for byte on random polynomials: exponents up to 2**13, so bit
+    positions 10 to 12 sort before 2 as strings, and coefficients past 10, so
+    copy 10 sorts before copy 2."""
+    rng = random.Random(88)
+    polys = []
+    for _ in range(150):
+        polys.append(random_poly1(rng, max_deg=rng.choice((6, 40)), max_coeff=13))
+        polys.append(random_poly2(rng, max_deg=rng.choice((5, 40)), max_coeff=13))
+        polys.append(Poly1({rng.randrange(1 << 13): rng.randint(1, 25)
+                            for _ in range(rng.randint(0, 12))}))
+        polys.append(Poly2({(rng.randrange(1 << 13), rng.randrange(1 << 13)): rng.randint(1, 25)
+                            for _ in range(rng.randint(0, 12))}))
+    assert any(max(p.terms.values(), default=0) >= 10 for p in polys)
+    for p in polys:
+        assert first_difference(decoded_text(p), natural_text(p)) is None, p
+
+
+def test_decoded_text_edge_cases():
+    polys = [
+        Poly1({}), Poly2({}),  # nothing at all
+        Poly1({0: 1}), Poly1({0: 12}), Poly2({(0, 0): 3}),  # u-vertices with no edge
+        Poly1({1: 12, 0: 2}),  # copies 1, 10, 11, 12, 2, ...
+        Poly1({5: 1, 50: 2}), Poly1({5: 11, 50: 11, 505: 1}),  # u5_ and u50_
+        Poly2({(5, 3): 11, (5, 31): 2, (53, 1): 1}),  # u5-3_ and u5-31_
+        Poly2({(1, 1): 2, (3, 0): 1}),  # an arc either way on one v-vertex
+    ]
+    for p in polys:
+        assert first_difference(decoded_text(p), natural_text(p)) is None, p
+    edges = json.loads(decoded_text(Poly1({1: 12, 0: 2})))["edges"]
+    assert [u for u, _ in edges] == [f"u1_{k}" for k in (1, 10, 11, 12, 2, 3, 4, 5, 6, 7, 8, 9)]
+    doc = json.loads(decoded_text(Poly1({5: 1, 50: 2})))
+    assert doc["u"] == ["u50_1", "u50_2", "u5_1"]
+    assert [u for u, _ in doc["edges"]] == ["u50_1"] * 3 + ["u50_2"] * 3 + ["u5_1"] * 2
+    assert doc["labels"] == {"0": 0, "1": 1, "2": 2, "4": 4, "5": 5}
+    doc = json.loads(decoded_text(Poly2({(5, 3): 1, (5, 31): 1})))
+    assert list(dict.fromkeys(e["u"] for e in doc["edges"])) == ["u5-31_1", "u5-3_1"]
+    assert decoded_text(Poly1({})) == dumps({"u": [], "v": [], "edges": [], "labels": {}})
+    with pytest.raises(TypeError):
+        decoded_text(decode(Poly1({1: 1})))
+
+
 def test_document_for_rejects_unknown_types():
     with pytest.raises(TypeError):
         document_for("not a graph")
@@ -513,6 +564,16 @@ def test_writers_reject_labels_the_reader_rejects():
         # The reader does not ask for injective labels, so neither do writers.
         doc = document_for(obj, {a: 2, b: 2})
         assert parse_document(doc).labels == {a: 2, b: 2}
+
+
+def test_huge_ints_are_quoted_by_their_number_of_digits():
+    assert _brief(10**5000) == "a 5001-digit number"
+    assert _brief([-10**5000, 7]) == "[a negative 5001-digit number, 7]"
+    assert _brief(10**15 - 1) == "999999999999999" and _brief(True) == "True"
+    for write in (graph_text, to_dot, document_for):
+        with pytest.raises(LabelingError, match="got a negative 5001-digit number") as err:
+            write(sample_graph(), {"v1": 0, "v2": -10**5000})
+        assert len(str(err.value)) < 300
 
 
 def test_to_dot_bigraph_golden():

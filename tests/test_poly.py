@@ -408,3 +408,16 @@ def test_divide_exact_rejects_near_multiples():
         bumped = prod + Poly1({rng.randint(0, prod.degree): 1})
         got = divide_exact(bumped, q)
         assert got is None or got * q == bumped
+
+
+@pytest.mark.parametrize("make, terms, match", [
+    (Poly1, {"9" * 100_000: 1}, "bad exponent"),
+    (Poly1, {-10**5000: 1}, "bad exponent"),
+    (Poly2, {(1, -10**5000): 1}, "bad exponent"),
+    (Poly1, {1: "9" * 100_000}, "must be an integer"),
+    (Poly1, {1: -10**5000}, "must be nonnegative, got a negative 5001-digit number"),
+])
+def test_term_error_text_stays_short(make, terms, match):
+    with pytest.raises(ValueError, match=match) as err:
+        make(terms)
+    assert len(str(err.value)) < 300
