@@ -24,7 +24,7 @@ from .bigraph import decode, decode_directed
 from .core import canonical_poly, compact_labeling, encode, is_isomorphic
 from .errors import BudgetExceededError, _brief
 from .graphfactor import graph_factor_pairs, is_irreducible
-from .petri import decode_net, decompose, net_product, witness
+from .petri import decode_net, net_product, witness
 from .poly import Poly1, Poly2, add, content, int_text, lift, mul, parse_poly, render
 from .polyfactor import Budget, bit_disjoint_factor, factor_pairs
 
@@ -212,21 +212,24 @@ def _cmd_net_decompose(args):
     budget = _budget(args)
     doc = _load(args.file, net=True)
     labels = _labels_for(doc, args.file)
-    pairs = decompose(doc.obj, labels, budget)
+    # The encoded pairs are the encodings of decompose's halves; only the
+    # first pair is decoded, for the factor files and the certificate.
+    pairs = graph_factor_pairs(doc.obj, labels, budget)
     if not pairs:
         print("no decomposition under this labeling")
         return 1
     whole = render(encode(doc.obj, labels))
-    for pair in pairs:
-        print(f"{whole} = {_pair_line(*(encode(h.net, h.labeling) for h in pair))}")
+    for q, r in pairs:
+        print(f"{whole} = {_pair_line(q, r)}")
+    halves = [decode_net(h) for h in pairs[0]]
     prefix = args.out_prefix
     if prefix is None:
         prefix = os.path.splitext(args.file)[0]
     paths = [f"{prefix}.factor{k}.json" for k in (1, 2)]
-    for path, half in zip(paths, pairs[0]):
+    for path, half in zip(paths, halves):
         Path(path).write_text(fileio.net_text(half.net, half.labeling))
     _note(f"wrote {paths[0]} and {paths[1]}")
-    emap, cmap = witness(doc.obj, labels, *pairs[0])
+    emap, cmap = witness(doc.obj, labels, *halves)
     smap = fileio.string_ids(list(emap) + list(cmap))
     cert = {
         "event_map": {smap[k]: v for k, v in emap.items()},

@@ -26,7 +26,7 @@ from itertools import repeat
 from ._match import find_bijections
 from .bits import tau
 from .errors import LabelingError, _brief
-from .poly import Poly1, Poly2, add, mul
+from .poly import Poly1, Poly2, add, mul, poly_key
 from .polyfactor import Budget, _Meter
 
 
@@ -201,13 +201,6 @@ def decode(p, cls):
     u-ids are (bit set or (pre bits, post bits), copy index) pairs.  A net
     absorbs one unit of the constant term into its idle event.
     """
-    return _decode(p, cls, {})
-
-
-def _decode(p, cls, supports):
-    """decode, reading each exponent's term key and slots from supports: a
-    dict from exponent to (term key, slot bit supports) that the decodes of
-    one search share, filled as new exponents turn up."""
     if not isinstance(p, cls.poly):
         raise TypeError(
             f"{cls.__name__} decodes from {cls.poly.__name__}, got {type(p).__name__}"
@@ -216,21 +209,45 @@ def _decode(p, cls, supports):
         raise ValueError(
             "not a net encoding: the constant term must be at least 1 (idle slot)"
         )
-    idle = p.zero if cls.idle else None
+    return _decode(poly_key(p), cls, {})
+
+
+def _decode(key, cls, supports):
+    """decode of the polynomial whose poly_key is key, with no checks: the
+    factor searches emit their halves as such keys, and a net's halves hold
+    a constant term.
+
+    supports maps an exponent to its term key, its slots' bit supports and
+    the OR of its parts; the decodes of one search share it, so each
+    distinct exponent is split into bits once.  One pass over the items
+    builds the slots, and one tau of the OR of all exponents gives the v
+    part.  The constant term comes last, so a net takes its idle unit off
+    that item alone.
+    """
+    if cls.idle:
+        zero, c = key[-1]
+        key = key[:-1] + ((zero, c - 1),) if c > 1 else key[:-1]
+    two = cls.arity == 2
     sig = {}
-    vs = set()
-    for exp, c in p.terms.items():
+    ors = 0
+    for exp, c in key:
         row = supports.get(exp)
         if row is None:
-            slots = (tau(exp),) if cls.arity == 1 else tuple(map(tau, exp))
-            row = supports[exp] = (_term(slots), slots)
-        term, slots = row
-        vs.update(*slots)
-        if exp == idle:
-            c -= 1
-        for k in range(1, c + 1):
-            sig[(term, k)] = slots
-    return cls._build(tuple(sig), tuple(sorted(vs)), sig)
+            if two:
+                x, y = exp
+                slots = (tau(x), tau(y))
+                row = supports[exp] = (slots, slots, x | y)
+            else:
+                slots = (tau(exp),)
+                row = supports[exp] = (slots[0], slots, exp)
+        term, slots, bits = row
+        ors |= bits
+        if c == 1:
+            sig[(term, 1)] = slots
+        else:
+            for k in range(1, c + 1):
+                sig[(term, k)] = slots
+    return cls._build(tuple(sig), tuple(sorted(tau(ors))), sig)
 
 
 # ---------------------------------------------------------------------------

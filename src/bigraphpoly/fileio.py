@@ -204,7 +204,9 @@ def _head(a):
     return None
 
 
-def _fmt_id(x):
+def _fmt_id(x, part=None):
+    """The text of an id; part gives the text of each component of a 2-tuple
+    id, by default _fmt_id itself."""
     if isinstance(x, str):
         return x
     if isinstance(x, bool):
@@ -215,17 +217,18 @@ def _fmt_id(x):
         return "b" + "-".join(map(str, sorted(x)))
     if isinstance(x, tuple) and len(x) == 2:
         a, b = x
+        part = part or _fmt_id
         if isinstance(b, int):
             head = _head(a)
             if head is not None:
                 return f"{head}_{b}"
         if a is None or b is None:
-            left = "*" if a is None else _fmt_id(a)
-            right = "*" if b is None else _fmt_id(b)
+            left = "*" if a is None else part(a)
+            right = "*" if b is None else part(b)
             return f"{left}|{right}"  # product event paired with idle
         if a in (0, 1) and not isinstance(b, int):
-            return f"{_fmt_id(b)}@{a + 1}"  # side-tagged id from a sum or product
-        return f"{_fmt_id(a)}|{_fmt_id(b)}"
+            return f"{part(b)}@{a + 1}"  # side-tagged id from a sum or product
+        return f"{part(a)}|{part(b)}"
     return str(x)
 
 
@@ -234,6 +237,19 @@ def string_ids(ids) -> dict:
     out = {}
     taken = set()
     heads = {}  # slot part of a 2-tuple id with an int copy -> _head of it
+    # A nested product id repeats its components across many ids, so each
+    # tuple component is formatted once per call: id() of it -> (it, its
+    # text), the component kept alive so that its id() is not reused.
+    parts = {}
+
+    def part(x):
+        if not isinstance(x, tuple):
+            return _fmt_id(x, part)
+        known = parts.get(id(x))
+        if known is None:
+            known = parts[id(x)] = (x, _fmt_id(x, part))
+        return known[1]
+
     for x in ids:
         if type(x) is tuple and len(x) == 2 and type(x[1]) is int:
             a = x[0]
@@ -248,7 +264,7 @@ def string_ids(ids) -> dict:
         else:
             # Every separator _fmt_id inserts is printable, so no whitespace
             # run spans two parts and one pass over the whole form suffices.
-            s = _SPACE.sub("_", _fmt_id(x)) or "id"
+            s = _SPACE.sub("_", _fmt_id(x, part)) or "id"
         base = s
         n = 2
         while s in taken:

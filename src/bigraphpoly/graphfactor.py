@@ -21,7 +21,7 @@ from itertools import permutations
 from .bits import tau_poly
 from .core import _decode, compact_labeling, encode
 from .errors import BudgetExceededError
-from .polyfactor import Budget, _bit_disjoint_factor, _factor_pairs, _Meter
+from .polyfactor import Budget, _bit_disjoint_factor, _factor_pairs, _Meter, _polys
 
 
 @dataclass(frozen=True)
@@ -51,28 +51,36 @@ def graph_factor_pairs(g, labeling, budget: Budget = Budget()) -> list:
     factor pairs of g's encoding under labeling, none when some v-vertex
     meets no edge.  Each half encodes back to itself under its decoding's
     natural labeling."""
-    return _encoded_pairs(g, labeling, _Meter(budget))
+    return _polys(g.poly, _encoded_pairs(g, labeling, _Meter(budget)))
 
 
 def _encoded_pairs(g, labeling, meter):
+    """The search's pairs for g under labeling as sorted pairs of poly_keys,
+    none when some v-vertex meets no edge; the coverage check and the
+    bit-disjoint search share one support."""
     p = encode(g, labeling)
-    if not p or len(tau_poly(p)) != len(g.v_vertices):
+    support = tau_poly(p)
+    if not p or len(support) != len(g.v_vertices):
         return []
-    search = _factor_pairs if g.arity == 1 else _bit_disjoint_factor
-    return search(p, meter)
+    if g.arity == 1:
+        return _factor_pairs(p, meter)
+    return _bit_disjoint_factor(p, sorted(support), meter)
 
 
 def _factor_graph(g, labeling, meter):
     """The pairs of factor_graph, each decoded when it is read.
 
     The search runs and charges in full before the first pair comes out.
-    Its halves share one table from exponent to slot supports, so each
-    distinct term is decoded once per call; a net keeps its idle unit, so
-    most terms of its halves are terms of p.
+    Each half goes from the search to the decoder as its poly_key, the
+    sorted (exponent, coefficient) items that also ordered the pairs, so no
+    polynomial is built.  The halves share one table from exponent to slot
+    supports, so each distinct term is decoded once per call; a net keeps
+    its idle unit, so most terms of its halves are terms of p.
     """
     supports = {}
+    cls = g.decoded
     for q, r in _encoded_pairs(g, labeling, meter):
-        yield _decode(q, g.decoded, supports), _decode(r, g.decoded, supports)
+        yield _decode(q, cls, supports), _decode(r, cls, supports)
 
 
 def is_irreducible(

@@ -122,8 +122,8 @@ def decompose(net: PetriNet, labeling, budget: Budget = Budget()) -> list:
     not split.
     """
     return [
-        tuple(LabeledPetriNet(half, identity_labeling(half)) for half in pair)
-        for pair in factor_graph(net, labeling, budget)
+        (LabeledPetriNet(q, identity_labeling(q)), LabeledPetriNet(r, identity_labeling(r)))
+        for q, r in factor_graph(net, labeling, budget)
     ]
 
 

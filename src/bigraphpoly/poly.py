@@ -72,6 +72,14 @@ class _Poly:
         obj._terms = dict(sorted(terms.items(), reverse=True))
         return obj
 
+    @classmethod
+    def _from_key(cls, key):
+        """Instance whose poly_key is key: (exponent, coefficient) items the
+        package built itself, already in descending exponent order."""
+        obj = object.__new__(cls)
+        obj._terms = dict(key)
+        return obj
+
     @property
     def terms(self):
         return MappingProxyType(self._terms)

@@ -33,18 +33,24 @@ another is drawn.  The work is about |support| * classes * terms plus the
 size of the output, where testing every pair of bits took
 |support|**2 * terms and a scan of the bipartitions
 2**(|support| - 1) * terms.
+
+Both searches emit each half as its poly_key, the (exponent, coefficient)
+items in descending exponent order, and sort the pairs by those keys; the
+graph route decodes the keys directly, and only the public functions build
+polynomials from them.
 """
 
 from __future__ import annotations
 
 import random
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .bits import from_bits, tau_poly
 from .errors import BudgetExceededError, _brief, _show
-from .poly import Poly1, Poly2, content, poly_key
+from .poly import Poly1, Poly2, content
 
 
 @dataclass(frozen=True)
@@ -110,17 +116,28 @@ def _divisors(n, meter):
     return small + large
 
 
-def _keyed(q, r):
-    """(key, pair) of the unordered pair q, r: the two poly_keys in order,
-    and the pair in the same order; each poly_key is computed once."""
-    a, b = poly_key(q), poly_key(r)
-    return ((a, b), (q, r)) if a <= b else ((b, a), (r, q))
+def _key(terms):
+    """The poly_key of the polynomial with these {exponent: coefficient}
+    terms: its items in descending exponent order."""
+    return tuple(sorted(terms.items(), reverse=True))
 
 
-def _splits(p: Poly1, meter: _Meter) -> list:
+def _pair(a, b):
+    """The unordered pair of the poly_keys a and b, the lesser first: the
+    form in which both searches emit their pairs and sort them."""
+    return (a, b) if a <= b else (b, a)
+
+
+def _polys(cls, pairs):
+    """The emitted key pairs as pairs of cls polynomials, in their order."""
+    make = cls._from_key
+    return [(make(a), make(b)) for a, b in pairs]
+
+
+def _splits(coef, meter: _Meter) -> set:
     """Unordered nonconstant splits of a primitive p with p(0) > 0 and
-    degree at least 2, by the coefficient search."""
-    coef = dict(p.terms)
+    degree at least 2, given as its {exponent: coefficient} terms, by the
+    coefficient search; each split is a _pair of poly_keys."""
     exps = sorted(coef)
     m = len(exps)
     n = exps[-1]
@@ -193,7 +210,7 @@ def _splits(p: Poly1, meter: _Meter) -> list:
                 rleft -= rk
         return full
 
-    found = {}
+    found = set()
     for s in sums[1:-1]:
         rs = total // s
         for q0 in heads:
@@ -236,10 +253,8 @@ def _splits(p: Poly1, meter: _Meter) -> list:
                 # q*r == p: they agree at every exponent of supp(p), and with
                 # q(1) = s and r(1) <= p(1)/s no mass is left for any other.
                 if full is not None:
-                    qp, rp = Poly1({0: q0, **q}), Poly1({0: r0, **full})
-                    key, pair = _keyed(qp, rp)
-                    found[key] = pair
-    return list(found.values())
+                    found.add(_pair(_key({0: q0, **q}), _key({0: r0, **full})))
+    return found
 
 
 def factor_pairs(p: Poly1, budget: Budget = Budget()) -> list:
@@ -253,10 +268,11 @@ def factor_pairs(p: Poly1, budget: Budget = Budget()) -> list:
     emitted pair costs one step per term, so a large power of x or a content
     with many divisors spends the allowance like any other work.
     """
-    return _factor_pairs(p, _Meter(budget))
+    return _polys(Poly1, _factor_pairs(p, _Meter(budget)))
 
 
 def _factor_pairs(p, meter):
+    """The pairs of factor_pairs as sorted _pairs of poly_keys."""
     if not isinstance(p, Poly1):
         raise TypeError("factor_pairs takes a one-variable polynomial")
     if not p:
@@ -264,26 +280,27 @@ def _factor_pairs(p, meter):
     meter.search = f"factoring {len(p.terms)} terms of degree {_show(p.degree)}"
     m = min(p.terms)
     c = content(p)
-    core = Poly1({e - m: v // c for e, v in p.terms.items()})
+    core = {e - m: v // c for e, v in p.terms.items()}  # descending, as p's terms
     cdivs = _divisors(c, meter) if c > 1 else (1,)
-    splits = [(Poly1({0: 1}), core)]
-    if core.degree >= 2:
+    splits = [(((0, 1),), tuple(core.items()))]
+    if next(iter(core)) >= 2:
         splits.extend(_splits(core, meter))
-    out = {}
+    out = set()
     # Spreading x^m and c over (big, small) gives the same pairs as over
     # (small, big), so each split is spread one way only.
     for small, big in splits:
-        shifts = range(small.is_constant(), m + 1 - big.is_constant())  # no constant side
+        # No constant side: a key's first exponent is the degree.
+        shifts = range(small[0][0] == 0, m + 1 - (big[0][0] == 0))
         # Every pair of the split costs its terms, charged before any is built.
-        size = len(small.terms) + len(big.terms)
+        size = len(small) + len(big)
         meter.charge(len(shifts) * len(cdivs) * size, "emitting the factors")
         for a in shifts:
             for c1 in cdivs:
-                q = Poly1._trusted({e + a: v * c1 for e, v in small.terms.items()})
-                r = Poly1._trusted({e + m - a: v * (c // c1) for e, v in big.terms.items()})
-                key, pair = _keyed(q, r)
-                out[key] = pair
-    return [out[k] for k in sorted(out)]
+                c2 = c // c1
+                q = tuple([(e + a, v * c1) for e, v in small])
+                r = tuple([(e + m - a, v * c2) for e, v in big])
+                out.add(_pair(q, r))
+    return sorted(out)
 
 
 def _outer(terms, mask1, mask2, bivariate):
@@ -314,10 +331,36 @@ _PRIME = (1 << 61) - 1
 _SEED = 2010  # fixed, so that answers and step counts repeat exactly
 
 
-def _point(rng, count):
-    """The values of count bit variables at one random point: nonzero
-    residues modulo 2**61 - 1."""
-    return [rng.randrange(1, _PRIME) for _ in range(count)]
+class _Stream:
+    """The values of random.Random(_SEED).randrange(1, _PRIME) in order,
+    drawn the first time a search needs them and kept for the process.
+
+    A search on count variables takes values (draw - 1) * count up to
+    draw * count as its point number draw, which is the point a generator
+    seeded afresh for the search would give it, without seeding one per
+    call.  It keeps max(draw * count) values: the widest support times the
+    most draws.  One thread at a time draws under the lock; the list only
+    grows, so a stretch once drawn is read without it.
+    """
+
+    def __init__(self):
+        self._rng = random.Random(_SEED)
+        self._values = []
+        self._lock = threading.Lock()
+
+    def point(self, draw, count):
+        """The values of count bit variables at the search's point number
+        draw (from 1): nonzero residues modulo 2**61 - 1."""
+        values = self._values
+        stop = draw * count
+        if len(values) < stop:
+            with self._lock:
+                while len(values) < stop:
+                    values.append(self._rng.randrange(1, _PRIME))
+        return values[stop - count:stop]
+
+
+_point = _Stream().point
 
 
 def _blocks(terms, support, bivariate, point, modulus, meter):
@@ -432,42 +475,41 @@ def bit_disjoint_factor(p, budget: Budget = Budget()) -> list:
     each variable against one representative of each class found so far;
     peeling them off one at a time with the exact grid test verifies them,
     and a failed verification draws a new point.  So the time is random but
-    an answer never is, and a fixed seed makes both repeat.  A step is one
-    term evaluated, one dependency test or one term it reads, one term read
-    by the verification, one term of an emitted factor, or one trial
-    division of the content.
+    an answer never is.  The points come from one stream of a fixed seed,
+    drawn once per process and shared by every call, so both repeat.  A
+    step is one term evaluated, one dependency test or one term it reads,
+    one term read by the verification, one term of an emitted factor, or
+    one trial division of the content.
     An empty result certifies that no bit-disjoint pair exists.
 
     By Gauss's lemma a split of p is its content c = c1 * c2 spread over the
     two sides times a split of the primitive part, and that split is unique
     for a union of blocks: the product of their primitive factors.
     """
-    return _bit_disjoint_factor(p, _Meter(budget))
+    return _polys(type(p), _bit_disjoint_factor(p, sorted(tau_poly(p)), _Meter(budget)))
 
 
-def _bit_disjoint_factor(p, meter):
+def _bit_disjoint_factor(p, support, meter):
+    """The pairs of bit_disjoint_factor as sorted _pairs of poly_keys; support
+    lists the bits of tau_poly(p) in ascending order."""
     if not p:
         raise ValueError("cannot factor the zero polynomial")
-    support = sorted(tau_poly(p))
     c = content(p)
     terms = {e: v // c for e, v in p.terms.items()}
     meter.search = (
         f"bit-disjoint factoring of {len(terms)} terms on {len(support)} support bits"
     )
     cdivs = _divisors(c, meter) if c > 1 else (1,)
-    make = type(p)._trusted
-    one = {p.zero: 1}
     bivariate = isinstance(p, Poly2)
     # A minor whose integer coefficients 2**61 - 1 divides vanishes at every
     # point modulo that prime, so each new point takes the next power as its
     # modulus, up to the first one above the coefficients' bound 2 * p(1)**2.
     top = 2 + 2 * sum(terms.values()).bit_length() // 61
-    rng = random.Random(_SEED)
     draw = 0
     factors = None
     while factors is None:
         draw += 1
-        point = _point(rng, len(support) * (1 + bivariate))
+        point = _point(draw, len(support) * (1 + bivariate))
         modulus = _PRIME ** min(draw, top)
         blocks = _blocks(terms, support, bivariate, point, modulus, meter)
         factors = _peel(terms, [from_bits(bits) for bits in blocks], bivariate, meter)
@@ -475,7 +517,7 @@ def _bit_disjoint_factor(p, meter):
     # built when a split first needs it.
     k = len(factors)
     whole = (1 << k) - 1
-    products = {0: one, whole: terms}
+    products = {0: {p.zero: 1}, whole: terms}
 
     def product(m):
         if m not in products:
@@ -483,17 +525,18 @@ def _bit_disjoint_factor(p, meter):
             products[m] = _times(product(m ^ low), factors[low.bit_length() - 1], bivariate)
         return products[m]
 
-    out = {}
-    # The top block stays on the second side.
+    one = ((p.zero, 1),)
+    out = set()
+    # The top block stays on the second side, so each subset of the blocks
+    # is keyed once: as a pick or as the rest of one.
     for pick in range(1 << (k - 1)):
-        col, row = product(pick), product(whole ^ pick)
+        col, row = _key(product(pick)), _key(product(whole ^ pick))
         for c1 in cdivs:
             if (c1 == 1 and col == one) or (c1 == c and row == one):
                 continue
             meter.charge(len(col) + len(row), "emitting the factors")
             c2 = c // c1
-            p1 = make(col if c1 == 1 else {a: v * c1 for a, v in col.items()})
-            p2 = make(row if c2 == 1 else {b: v * c2 for b, v in row.items()})
-            key, pair = _keyed(p1, p2)
-            out[key] = pair
-    return [out[key] for key in sorted(out)]
+            q = col if c1 == 1 else tuple([(e, v * c1) for e, v in col])
+            r = row if c2 == 1 else tuple([(e, v * c2) for e, v in row])
+            out.add(_pair(q, r))
+    return sorted(out)

@@ -404,10 +404,10 @@ def test_bit_disjoint_verification_rejects_a_point_that_misses_a_dependency(monk
     real_point, real_peel = polyfactor._point, polyfactor._peel
     peels = []
 
-    def point(rng, count):
-        if not peels:
-            return [polyfactor._PRIME - 1, polyfactor._PRIME - 1, 1] + real_point(rng, count - 3)
-        return real_point(rng, count)
+    def point(draw, count):
+        if draw == 1:
+            return [polyfactor._PRIME - 1, polyfactor._PRIME - 1, 1] + real_point(draw, count)[3:]
+        return real_point(draw, count)
 
     def peel(*args):
         peels.append(real_peel(*args))

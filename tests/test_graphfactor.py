@@ -32,6 +32,7 @@ from bigraphpoly import (
     poly_product,
     tau_poly,
 )
+from bigraphpoly.graphfactor import graph_factor_pairs
 
 from helpers import random_bigraph, random_digraph, random_labeling, random_net
 
@@ -291,16 +292,23 @@ def test_report_is_frozen():
 # ---------------------------------------------------------------------------
 # Agreement with the public search and decode, pair by pair.
 
-def reference_factor_graph(g, labeling):
-    """factor_graph rebuilt from the public searches and decoders."""
+def reference_pairs(g, labeling):
+    """graph_factor_pairs rebuilt from the public searches."""
     p = encode(g, labeling)
     if not p or len(tau_poly(p)) != len(g.v_vertices):
         return []
+    return (factor_pairs if g.arity == 1 else bit_disjoint_factor)(p)
+
+
+def reference_factor_graph(g, labeling):
+    """factor_graph rebuilt from the public searches and decoders."""
     if g.arity == 1:
-        return [(decode(q), decode(r)) for q, r in factor_pairs(p)]
-    if isinstance(g, PetriNet):
-        return [(decode_net(q).net, decode_net(r).net) for q, r in bit_disjoint_factor(p)]
-    return [(decode_directed(q), decode_directed(r)) for q, r in bit_disjoint_factor(p)]
+        dec = decode
+    elif isinstance(g, PetriNet):
+        dec = lambda p: decode_net(p).net  # noqa: E731
+    else:
+        dec = decode_directed
+    return [(dec(q), dec(r)) for q, r in reference_pairs(g, labeling)]
 
 
 def assert_same_pairs(got, want):
@@ -310,16 +318,19 @@ def assert_same_pairs(got, want):
     for pair, ref in zip(got, want):
         for h, w in zip(pair, ref):
             assert type(h) is type(w)
+            assert h.u_vertices == w.u_vertices
             assert h == w
             assert list(identity_labeling(h).items()) == list(identity_labeling(w).items())
 
 
-def doubled(g):
+def doubled(g, empty=0):
     """Every u-vertex twice over, so the encoding of a graph or digraph has
-    content 2; a net's idle unit stays single."""
+    content 2; a net's idle unit stays single, so its coefficients pass 1
+    with content 1, unless one empty event makes the content 2."""
     us = [(u, k) for u in g.u_vertices for k in (0, 1)]
     if isinstance(g, PetriNet):
-        return PetriNet(g.conditions, us, {(u, k): g.pre(u) for u, k in us},
+        return PetriNet(g.conditions, us + [("empty", k) for k in range(empty)],
+                        {(u, k): g.pre(u) for u, k in us},
                         {(u, k): g.post(u) for u, k in us})
     if g.arity == 1:
         return Bigraph(us, g.v_vertices, [((u, k), v) for u, k in us for v in g.slots(u)[0]])
@@ -345,6 +356,23 @@ def agreement_cases(rng, kind):
     for _ in range(15):  # content > 1, or for nets every event twice
         g = doubled(make(rng, max_u=3, max_v=4))
         yield g, random_labeling(rng, g.v_vertices, 6)
+    if kind == "graph":
+        return
+    for _ in range(15):  # a monomial factor: every u-vertex consumes one v-vertex
+        g = make(rng, max_u=3, max_v=3)
+        vs = [*g.v_vertices, "m"]
+        slots = {u: (g.pre(u) | {"m"}, g.post(u)) for u in g.u_vertices}
+        if kind == "net":
+            g = PetriNet(vs, g.u_vertices, {u: a for u, (a, _) in slots.items()},
+                         {u: b for u, (_, b) in slots.items()})
+        else:
+            arcs = [(v, u) for u, (a, _) in slots.items() for v in a]
+            g = DiBigraph(g.u_vertices, vs, arcs + [(u, v) for u, (_, b) in slots.items() for v in b])
+        yield g, random_labeling(rng, vs, 7)
+    if kind == "net":
+        for _ in range(15):  # content 2: every event twice and one empty event
+            g = doubled(plain_product(make(rng, 2, 3), make(rng, 2, 3)), empty=1)
+            yield g, random_labeling(rng, g.v_vertices, 8)
 
 
 @pytest.mark.parametrize("kind", ["graph", "digraph", "net"])
@@ -357,6 +385,9 @@ def test_factor_graph_agrees_with_the_public_search_and_decode(kind):
     for g, labeling in agreement_cases(rng, kind):
         got = factor_graph(g, labeling)
         assert_same_pairs(got, reference_factor_graph(g, labeling))
+        pairs = graph_factor_pairs(g, labeling)
+        assert pairs == reference_pairs(g, labeling)
+        assert all(type(h) is g.poly for pair in pairs for h in pair)
         split += bool(got)
         report = is_irreducible(g, labeling)
         assert report.verdict == ("reducible" if got else "irreducible")

@@ -1,0 +1,214 @@
+"""Step counts and answers of the bit-disjoint search pinned on a seeded
+corpus, its points against the seeded random stream, and decompose run by
+several threads at once.
+
+The pinned figures are the least Budget under which each call answers and
+a digest of its pairs.  They fix the search's charges and, with the point
+stream, its draws: a change to either moves a figure.
+"""
+
+import hashlib
+import random
+import sys
+import threading
+
+from bigraphpoly import (
+    Budget,
+    BudgetExceededError,
+    DiBigraph,
+    PetriNet,
+    Poly1,
+    bit_disjoint_factor,
+    compact_labeling,
+    decompose,
+    encode,
+    net_product,
+    polyfactor,
+    render,
+)
+
+from helpers import random_digraph, random_labeling, random_net
+
+
+def chain(k):
+    """The k-fold pointed product of the prime net c0 -> e -> c1."""
+    prime = PetriNet(["c0", "c1"], ["e"], pre={"e": ["c0"]}, post={"e": ["c1"]})
+    net = prime
+    for _ in range(k - 1):
+        net = net_product(net, prime)
+    return net
+
+
+def repeated(net, copies, empty):
+    """Every event copies times over plus empty events touching nothing; with
+    copies = empty + 1 the encoding has content copies."""
+    evs = [(e, k) for e in net.events for k in range(copies)]
+    pre = {(e, k): net.pre(e) for e, k in evs}
+    post = {(e, k): net.post(e) for e, k in evs}
+    return PetriNet(net.conditions, evs + [("idle", k) for k in range(empty)], pre, post)
+
+
+def net_cases():
+    """(name, net, labeling) for decompose."""
+    cases = [(f"chain{k}", chain(k), None) for k in (4, 5, 6)]
+    rng = random.Random(1717)
+    primes = 0
+    while primes < 4:
+        net = random_net(rng, max_events=4, max_conditions=5)
+        labeling = random_labeling(rng, net.conditions, 8)
+        if len(net.conditions) >= 3 and not decompose(net, labeling):
+            primes += 1
+            cases.append((f"prime{primes}", net, labeling))
+    product = net_product(random_net(rng, 3, 3), random_net(rng, 3, 3))
+    cases.append(("content3", repeated(product, 3, 2), None))
+    return [
+        (name, net, compact_labeling(net) if lab is None else lab)
+        for name, net, lab in cases
+    ]
+
+
+def monomial_digraph():
+    """A random digraph whose every u-vertex consumes the v-vertex m, so its
+    encoding has the monomial factor x**(2**label(m))."""
+    g = random_digraph(random.Random(1718), max_u=4, max_v=4)
+    arcs = [(v, u) for u in g.u_vertices for v in g.pre(u)]
+    arcs += [(u, v) for u in g.u_vertices for v in g.post(u)]
+    arcs += [("m", u) for u in g.u_vertices]
+    return DiBigraph(g.u_vertices, [*g.v_vertices, "m"], arcs)
+
+
+def draws_of(monkeypatch, p):
+    """How many points bit_disjoint_factor draws for p."""
+    calls = []
+    real = polyfactor._point
+
+    def point(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polyfactor, "_point", point)
+    bit_disjoint_factor(p)
+    monkeypatch.setattr(polyfactor, "_point", real)
+    return len(calls)
+
+
+def second_point_poly(monkeypatch):
+    """The first polynomial of a seeded scan whose search needs a second
+    point, times 1 + x**4.  A candidate is 1 + b x + c x^2 + d x^3 with
+    d = b c + k (2**61 - 1): k = 0 gives (1 + b x)(1 + c x^2), one point;
+    k > 0 gives a prime whose one minor k (2**61 - 1) z0 z1 vanishes at every
+    first point, taken modulo 2**61 - 1."""
+    rng = random.Random(1719)
+    while True:
+        b, c, k = rng.randint(1, 5), rng.randint(1, 5), rng.randint(0, 2)
+        p = Poly1({0: 1, 1: b, 2: c, 3: b * c + k * polyfactor._PRIME})
+        if draws_of(monkeypatch, p) > 1:
+            return p * Poly1({0: 1, 4: 1})
+
+
+def digest(pairs):
+    text = "\n".join(f"({render(q)}) * ({render(r)})" for q, r in pairs)
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
+def least_budget_is(call, steps):
+    """call(Budget(steps)) answers and call(Budget(steps - 1)) runs out, so
+    steps is the least passing allowance; returns the answer."""
+    try:
+        call(Budget(steps - 1))
+    except BudgetExceededError:
+        pass
+    else:
+        raise AssertionError(f"answers within {steps - 1} steps")
+    return call(Budget(steps))
+
+
+# name -> (least budget, number of pairs, digest of the pairs), measured
+# before the search emitted its halves as sorted terms and drew its points
+# once per process.  decompose and bit_disjoint_factor on the net's encoding
+# charge the same steps, as decompose's encoding and coverage check are free.
+PINNED = {
+    "chain4": (204, 7, "65cd043b05d7"),
+    "chain5": (567, 15, "9089b68ab3f9"),
+    "chain6": (1560, 31, "64e831618479"),
+    "prime1": (14, 0, "e3b0c44298fc"),
+    "prime2": (12, 0, "e3b0c44298fc"),
+    "prime3": (17, 0, "e3b0c44298fc"),
+    "prime4": (14, 0, "e3b0c44298fc"),
+    "content3": (37, 3, "a0fa371afb77"),
+    "digraph": (15, 1, "ced8123f4b89"),
+    "second_point": (53, 1, "1d48a3cdd291"),
+}
+
+
+def test_least_budgets_and_answers_are_pinned(monkeypatch):
+    seen = {}
+    for name, net, labeling in net_cases():
+        p = encode(net, labeling)
+        pairs = least_budget_is(lambda b: bit_disjoint_factor(p, b), PINNED[name][0])
+        halves = least_budget_is(lambda b: decompose(net, labeling, b), PINNED[name][0])
+        assert [tuple(encode(h.net, h.labeling) for h in pair) for pair in halves] == pairs
+        seen[name] = (PINNED[name][0], len(pairs), digest(pairs))
+    g = monomial_digraph()
+    p = encode(g, compact_labeling(g))
+    pairs = least_budget_is(lambda b: bit_disjoint_factor(p, b), PINNED["digraph"][0])
+    monomial = {(1 << len(g.v_vertices) - 1, 0)}
+    assert any(h.terms.keys() == monomial for pair in pairs for h in pair)
+    seen["digraph"] = (PINNED["digraph"][0], len(pairs), digest(pairs))
+    p = second_point_poly(monkeypatch)
+    assert draws_of(monkeypatch, p) == 2
+    pairs = least_budget_is(lambda b: bit_disjoint_factor(p, b), PINNED["second_point"][0])
+    seen["second_point"] = (PINNED["second_point"][0], len(pairs), digest(pairs))
+    assert seen == PINNED
+    assert sum(pins[1] for pins in PINNED.values()) > 50
+
+
+def test_points_are_the_seeded_stream():
+    """Point number d of a search on n variables is values (d - 1) n up to
+    d n of one Random(2010) stream of nonzero residues modulo 2**61 - 1,
+    whatever points other searches took before."""
+    rng = random.Random(2010)
+    stream = [rng.randrange(1, polyfactor._PRIME) for _ in range(40)]
+    fresh = polyfactor._Stream().point
+    for draw, count in ((1, 4), (3, 5), (2, 7), (1, 12), (4, 10), (1, 0)):
+        want = stream[(draw - 1) * count:draw * count]
+        assert fresh(draw, count) == want
+        assert polyfactor._point(draw, count) == want
+
+
+def test_threads_decompose_as_a_serial_run(monkeypatch):
+    """Four threads decomposing the same nets at once, on a point stream
+    none has drawn yet, get the serial run's pairs under the same least
+    budgets, and the stream they drew together is the seeded one.  Three
+    rounds, each on a fresh stream, with threads switching often."""
+    cases = net_cases()
+    cases.sort(key=lambda case: len(case[1].conditions))  # the stream grows as they go
+    serial = [decompose(net, labeling) for _, net, labeling in cases]
+    rng = random.Random(2010)
+    seeded = [rng.randrange(1, polyfactor._PRIME) for _ in range(24)]
+
+    def work(slot):
+        start.wait()
+        results[slot] = [
+            least_budget_is(lambda b: decompose(net, labeling, b), PINNED[name][0])
+            for name, net, labeling in cases
+        ]
+
+    interval = sys.getswitchinterval()
+    for _ in range(3):
+        stream = polyfactor._Stream()
+        monkeypatch.setattr(polyfactor, "_point", stream.point)
+        start = threading.Barrier(4)
+        results = [None] * 4
+        threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [serial] * 4
+        assert stream.point(1, 24) == seeded
