@@ -24,7 +24,7 @@ from collections import Counter
 from itertools import repeat
 
 from ._match import find_bijections
-from .bits import tau
+from .bits import pack_slots, tau
 from .errors import LabelingError, _brief
 from .poly import Poly1, Poly2, add, mul, poly_key
 from .polyfactor import Budget, _Meter
@@ -175,11 +175,6 @@ def identity_labeling(g) -> dict:
 # ---------------------------------------------------------------------------
 # Encoding and decoding.
 
-def _term(exps):
-    """Term key of one u-vertex's packed slots: an int or an (x, y) pair."""
-    return exps[0] if len(exps) == 1 else exps
-
-
 def encode(g: Bipartite, labeling):
     """One term per u-vertex, each slot packed into one exponent.
 
@@ -187,9 +182,9 @@ def encode(g: Bipartite, labeling):
     the constant coefficient rather than vanishing; a net adds one more unit
     for its idle event.
     """
-    terms = {g.poly.zero: 1} if g.idle else {}
-    for e in map(_term, _packed(g, labeling).values()):
-        terms[e] = terms.get(e, 0) + 1
+    terms = Counter(_packed(g, labeling).values())
+    if g.idle:
+        terms[g.poly.zero] += 1
     return g.poly._trusted(terms)
 
 
@@ -416,14 +411,11 @@ def poly_sum(g1, l1, g2, l2):
 
 
 def _packed(g, labeling):
-    """u -> its slots packed into exponents: each slot sums 2**label over
-    its members, whose bits are distinct because the labeling is checked to
-    be injective."""
+    """u -> the term key of its slots packed into exponents: each slot sums
+    2**label over its members, whose bits are distinct because the labeling
+    is checked to be injective."""
     check_labeling(g, labeling)
-    bit = {v: 1 << labeling[v] for v in g.v_vertices}.__getitem__
-    return {
-        u: tuple([sum(map(bit, part)) for part in sig]) for u, sig in g._sig.items()
-    }
+    return pack_slots(g._sig, {v: labeling[v] for v in g.v_vertices}, g.arity)
 
 
 def direct_product(g1, l1, g2, l2):
@@ -446,9 +438,12 @@ def direct_product(g1, l1, g2, l2):
     for a, ea in d1.items():
         row = rows.get(ea)
         if row is None:
-            row = rows[ea] = {
-                eb: tuple(support(x + y) for x, y in zip(ea, eb)) for eb in distinct2
-            }
+            if g1.arity == 1:
+                row = {eb: (support(ea + eb),) for eb in distinct2}
+            else:
+                x, y = ea
+                row = {eb: (support(x + eb[0]), support(y + eb[1])) for eb in distinct2}
+            rows[ea] = row
         sig.update(zip(zip(repeat(a), d2), map(row.__getitem__, d2.values())))
     vs = set().union(*bits.values())
     return g1.family._build(tuple(sig), tuple(sorted(vs)), sig)

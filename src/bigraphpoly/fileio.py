@@ -42,7 +42,7 @@ from .bits import from_bits, tau
 from .core import Bipartite, check_labeled
 from .errors import FileFormatError, _brief
 from .petri import PetriNet
-from .poly import Poly1, Poly2
+from .poly import Poly1, Poly2, int_text
 
 
 @dataclass
@@ -192,7 +192,7 @@ def _head(a):
     """"u<bits>" or "u<pre>-<post>" when a is the slot part of a decoded
     u-vertex id (a, copy), else None."""
     if isinstance(a, frozenset):
-        return f"u{from_bits(a)}"  # decoded undirected u-vertex
+        return f"u{int_text(from_bits(a))}"  # decoded undirected u-vertex
     if (
         isinstance(a, tuple)
         and len(a) == 2
@@ -200,7 +200,7 @@ def _head(a):
         and isinstance(a[1], frozenset)
     ):
         # decoded directed u-vertex or net event: (pre bits, post bits)
-        return f"u{from_bits(a[0])}-{from_bits(a[1])}"
+        return f"u{int_text(from_bits(a[0]))}-{int_text(from_bits(a[1]))}"
     return None
 
 
@@ -378,10 +378,10 @@ def decoded_text(p) -> str:
     arity = 2 if isinstance(p, Poly2) else 1
     terms = p.terms
     if arity == 1:
-        heads = [f'"u{e}_' for e in terms]
+        heads = [f'"u{int_text(e)}_' for e in terms]
         slots = [(tau(e),) for e in terms]
     else:
-        heads = [f'"u{e}-{f}_' for e, f in terms]
+        heads = [f'"u{int_text(e)}-{int_text(f)}_' for e, f in terms]
         slots = [(tau(e), tau(f)) for e, f in terms]
     vs = sorted(set().union(*chain.from_iterable(slots)))
     by_text = sorted(vs, key=str)
@@ -410,19 +410,27 @@ def decoded_text(p) -> str:
 
 def net_text(net: PetriNet, labels=None) -> str:
     """JSON text of a net, in the format of dumps.  Each event's pre and post
-    ids come sorted; each distinct pre or post set's text is written once."""
+    ids come sorted; each distinct pre or post set's text is written once.
+
+    Each condition's id is escaped once, and a set is ordered by the rank
+    of its members' ids, not by their escaped texts: escaping reorders ids
+    that hold non-ASCII characters, '"' or '\\'."""
     if labels is not None:
         check_labeled(net, labels)
     smap = string_ids(list(net.conditions) + list(net.events))
     name = smap.__getitem__
+    by_name = sorted(net.conditions, key=name)
+    rank = dict(zip(by_name, range(len(by_name)))).__getitem__
+    quoted = [_esc(name(b)) for b in by_name]
     slots = list(map(net.slots, net.events))
-    text = {part: _items([_esc(x) for x in sorted(map(name, part))], "[]", 3)
+    text = {part: _items(list(map(quoted.__getitem__, sorted(map(rank, part)))), "[]", 3)
             for part in set(chain.from_iterable(slots))}
     events = [f'{{\n      "id": {_esc(name(e))},\n      "pre": {text[pre]},'
               f'\n      "post": {text[post]}\n    }}'
               for e, (pre, post) in zip(net.events, slots)]
     parts = [
-        '"conditions": ' + _items([_esc(name(b)) for b in net.conditions], "[]", 1),
+        '"conditions": ' + _items(list(map(quoted.__getitem__, map(rank, net.conditions))),
+                                  "[]", 1),
         '"events": ' + _items(events, "[]", 1),
     ]
     return _file_text(parts, net, name, labels)

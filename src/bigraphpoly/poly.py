@@ -299,6 +299,8 @@ _BASE = 10**_CHUNK
 
 def int_text(n: int) -> str:
     """Decimal text of a natural, however many digits it has."""
+    if n < _BASE:
+        return str(n)
     pieces = []
     while n >= _BASE:
         n, low = divmod(n, _BASE)
@@ -319,19 +321,29 @@ def _power(var, e):
     return "" if e == 0 else var if e == 1 else f"{var}^{int_text(e)}"
 
 
+def _term_text(c, mono):
+    """A term's text from its coefficient and its monomial's text."""
+    if not mono:
+        return int_text(c)
+    return mono if c == 1 else f"{int_text(c)}*{mono}"
+
+
+def _x_term(e, c):
+    return _term_text(c, _power("x", e))
+
+
+def _xy_term(exp, c):
+    x, y = _power("x", exp[0]), _power("y", exp[1])
+    return _term_text(c, f"{x}*{y}" if x and y else x or y)
+
+
 def render(p) -> str:
     """Canonical text: terms joined by " + ", descending exponent order."""
-    parts = []
-    for exp, c in p.terms.items():
-        i, j = (exp, 0) if isinstance(p, Poly1) else exp
-        mono = "*".join(m for m in (_power("x", i), _power("y", j)) if m)
-        if not mono:
-            parts.append(int_text(c))
-        elif c == 1:
-            parts.append(mono)
-        else:
-            parts.append(f"{int_text(c)}*{mono}")
-    return " + ".join(parts) if parts else "0"
+    terms = p.terms
+    if not terms:
+        return "0"
+    term = _x_term if isinstance(p, Poly1) else _xy_term
+    return " + ".join(map(term, terms.keys(), terms.values()))
 
 
 _TOKEN = re.compile(r"\s*(\d+|[xy^*+]|\S)")

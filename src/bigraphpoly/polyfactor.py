@@ -48,7 +48,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .bits import from_bits, tau_poly
+from .bits import from_bits, tau, tau_poly
 from .errors import BudgetExceededError, _brief, _show
 from .poly import Poly1, Poly2, content
 
@@ -394,20 +394,23 @@ def _blocks(terms, support, bivariate, point, modulus, meter):
     blocks finer; _peel then fails to verify them and a new point is drawn.
     """
     n = len(support)
-    # Slot s of bit support[t] is variable t + s*n, looked up by 2**support[t].
-    indexes = [{1 << b: t + s * n for t, b in enumerate(support)} for s in range(1 + bivariate)]
+    # Bit support[t] is pre variable t and post variable t + n.
+    pre = {b: t for t, b in enumerate(support)}
+    post = {b: t + n for t, b in enumerate(support)}
     meter.charge(len(terms), "the dependency test")
     values = []
     holding = [[] for _ in point]  # variable -> indices of the terms holding it
-    for i, (e, v) in enumerate(terms.items()):
-        value = v % modulus
-        for x, index in zip(e if bivariate else (e,), indexes):
-            while x:
-                low = x & -x
-                u = index[low]
-                value *= point[u]
-                holding[u].append(i)
-                x ^= low
+    for i, (e, value) in enumerate(terms.items()):
+        value %= modulus
+        x, y = e if bivariate else (e, 0)
+        for b in tau(x):
+            u = pre[b]
+            value *= point[u]
+            holding[u].append(i)
+        for b in tau(y):
+            u = post[b]
+            value *= point[u]
+            holding[u].append(i)
         values.append(value % modulus)
     total = sum(values)
     term_value = values.__getitem__
@@ -495,7 +498,7 @@ def _bit_disjoint_factor(p, support, meter):
     if not p:
         raise ValueError("cannot factor the zero polynomial")
     c = content(p)
-    terms = {e: v // c for e, v in p.terms.items()}
+    terms = p.terms if c == 1 else {e: v // c for e, v in p.terms.items()}
     meter.search = (
         f"bit-disjoint factoring of {len(terms)} terms on {len(support)} support bits"
     )

@@ -178,6 +178,37 @@ def bits_of(k: int) -> set:
     return {i for i, ch in enumerate(reversed(bin(k)[2:])) if ch == "1"} if k else set()
 
 
+def peel_bits(k: int) -> set:
+    """1-bit positions taken off one at a time, lowest first, by k & -k."""
+    bits = set()
+    while k:
+        low = k & -k
+        bits.add(low.bit_length() - 1)
+        k ^= low
+    return bits
+
+
+def render_reference(p) -> str:
+    """Polynomial text built term by term from the grammar in poly.py, with
+    exponents and coefficients through str in digit pieces of 1,000."""
+    def text(n):
+        digits = []
+        while n >= 10**1000:
+            n, low = divmod(n, 10**1000)
+            digits.append(str(low).zfill(1000))
+        return str(n) + "".join(reversed(digits))
+
+    parts = []
+    for exp, c in p.terms.items():
+        i, j = (exp, 0) if isinstance(p, Poly1) else exp
+        mono = [var if e == 1 else f"{var}^{text(e)}" for var, e in (("x", i), ("y", j)) if e]
+        if not mono:
+            parts.append(text(c))
+        else:
+            parts.append("*".join(mono) if c == 1 else f"{text(c)}*{'*'.join(mono)}")
+    return " + ".join(parts) if parts else "0"
+
+
 def mul_terms(t1: dict, t2: dict) -> dict:
     out = {}
     for e1, c1 in t1.items():

@@ -115,6 +115,25 @@ def test_round_trip_random_graphs():
         assert_valid_iso(g, h, is_isomorphic(g, h))
 
 
+def test_round_trip_on_ten_thousand_v_vertices_is_quick():
+    """300 u-vertices, each on 1,000 of 10,000 v-vertices: exponents of
+    10,000 bits with 1,000 set, packed and unpacked in linear time."""
+    rng = random.Random(10)
+    vs = [f"v{j}" for j in range(10_000)]
+    us = [f"u{i}" for i in range(300)]
+    g = Bigraph(us, vs, [(u, vs[j]) for u in us for j in rng.sample(range(10_000), 1000)])
+    labeling = compact_labeling(g)
+    start = time.perf_counter()
+    p = encode(g, labeling)
+    h = decode(p)
+    assert time.perf_counter() - start < 4
+    assert len(h.v_vertices) == 10_000
+    assert Counter(h.slots(u)[0] for u in h.u_vertices) == Counter(
+        frozenset(labeling[v] for v in g.slots(u)[0]) for u in us
+    )
+    assert encode(h, h.natural_labeling) == p
+
+
 def test_encode_decode_fixed_point_on_parsed_poly():
     p = parse_poly1("x^12 + 3*x^9 + 2*x^3 + 5")
     assert encode(decode(p), identity_labeling(decode(p))) == p

@@ -393,6 +393,22 @@ def test_net_text_edge_cases():
             assert first_difference(net_text(net, labels), want) is None, net
 
 
+def test_net_text_orders_sets_by_the_ids_not_their_escaped_text():
+    """Escaping moves "é" before "z" and 'a"' after "a#": the sets must
+    still come in the order of the raw ids, as json.dumps of the sorted
+    lists has them."""
+    conds = ["z", "é", 'a"', "a#", "b\\", "b]", "日"]
+    net = PetriNet(conds, ["e", "f"], pre={"e": conds, "f": ["z", "é"]},
+                   post={"e": ['a"', "a#", "b\\", "b]"]})
+    doc = net_document(net)
+    assert doc["events"][0]["pre"] == sorted(conds)
+    assert doc["events"][1]["pre"] == ["z", "é"]
+    assert doc["events"][0]["post"] == ['a"', "a#", "b\\", "b]"]
+    for labels in (None, {b: i for i, b in enumerate(conds)}):
+        want = json_oracle(reference_document(net, labels))
+        assert first_difference(net_text(net, labels), want) is None
+
+
 def test_graph_document_edges_match_the_sorted_reference():
     rng = random.Random(85)
     # u10 sorts before u9; "a b" and "a_b" collide and one becomes "a_b.2".
@@ -506,6 +522,8 @@ def test_decoded_text_edge_cases():
         Poly1({5: 1, 50: 2}), Poly1({5: 11, 50: 11, 505: 1}),  # u5_ and u50_
         Poly2({(5, 3): 11, (5, 31): 2, (53, 1): 1}),  # u5-3_ and u5-31_
         Poly2({(1, 1): 2, (3, 0): 1}),  # an arc either way on one v-vertex
+        # exponents past the 4,300 digits Python converts to text in one go
+        Poly1({2**15000 + 1: 2, 3: 1}), Poly2({(2**15000, 2**14300 + 4): 1, (0, 0): 1}),
     ]
     for p in polys:
         assert first_difference(decoded_text(p), natural_text(p)) is None, p

@@ -25,7 +25,7 @@ from bigraphpoly import (
     render,
 )
 
-from helpers import mul_terms, random_poly1, random_poly2
+from helpers import mul_terms, random_poly1, random_poly2, render_reference
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +272,23 @@ def test_long_coefficients_render_and_parse_back():
         assert text in repr(p)
     assert str(Poly1({0: big})) == "1" + "0" * 4999 + "1"
     assert parse_poly("x^" + "9" * 5000) == Poly1({10**5000 - 1: 1})
+
+
+def test_render_matches_the_reference_text():
+    """Every shape of term: constant, x, y, powers, both variables,
+    coefficient 1 and more, and numbers on both sides of 10**1000."""
+    rng = random.Random(61)
+    numbers = [0, 1, 2, 9, 10, 10**999, 10**1000 - 1, 10**1000, 10**1000 + 7, 10**2500 + 3]
+
+    def natural():
+        return rng.choice(numbers) if rng.random() < 0.3 else rng.randrange(40)
+
+    cases = [Poly1(), Poly2()]
+    for _ in range(300):
+        cases.append(Poly1({natural(): natural() for _ in range(rng.randint(1, 5))}))
+        cases.append(Poly2({(natural(), natural()): natural() for _ in range(rng.randint(1, 5))}))
+    for p in cases:
+        assert render(p) == render_reference(p), poly_key(p)
 
 
 def test_parse_error_positions():
