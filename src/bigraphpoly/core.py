@@ -264,28 +264,40 @@ def canonical_poly(g: Bipartite, budget: Budget = Budget()):
 
     Term lists in descending exponent order compare lexicographically by
     (exponent, coefficient) pairs, as poly_key does; the minimum is a
-    labeling-independent invariant, equal for isomorphic graphs.
+    labeling-independent invariant, equal for isomorphic graphs.  It is the
+    last encoding of _encodings' least mode, so it is what trying all |v|!
+    labelings would give, and its steps are the walk's.  Symmetric inputs
+    still visit a large share of the |v|! labelings.
+    """
+    search = f"the canonical form of {len(g.v_vertices)} v-vertices"
+    for p, _ in _encodings(g, _Meter(budget), search, least=True):
+        pass
+    return p
 
-    The search is an exact depth-first branch and bound that gives label
-    n-1 first, then n-2, and so on, and returns what trying all |v|!
-    labelings would.  Three rules prune it:
+
+def _encodings(g: Bipartite, meter, search, least):
+    """(encoding, labeling) pairs of g under labelings by 0..|v|-1, the
+    compact labeling's first.  search names the walk in budget errors; it
+    is set again after each yield, as the consumer may search on the meter.
+
+    Least mode yields only encodings below all it yielded before, so its
+    last is the least encoding.  Every mode yields each distinct encoding
+    once.  The walk is depth-first and gives label n-1 first, then n-2, and
+    so on; a labeling is given in declared v order.  Three rules prune it:
 
     1. Twin classes: of the unlabeled v-vertices with the same membership
        in every slot of every u-vertex, only one is tried per label.
-    2. Elementwise bound: a branch whose sorted term lower bounds are
-       already no less than the best leaf found is dropped.
+    2. Elementwise bound, least mode only: a branch whose sorted term lower
+       bounds are already no less than the best leaf found is dropped.
     3. Repeated states: a partial labeling whose multiset of (fixed bits,
        unlabeled members, multiplicity) per term was met before at the same
        depth is dropped.
 
-    Symmetric inputs still visit a large share of the |v|! labelings.  A
-    step is a unit of building a child state: one for the child, one per
+    A step is a unit of building a child state: one for the child, one per
     distinct term of its parent and one per term counted with multiplicity.
     """
     vs = g.v_vertices
     n = len(vs)
-    meter = _Meter(budget)
-    meter.search = f"the canonical form of {n} v-vertices"
     # One integer per term: slot s holds its bits (arity - 1 - s) * n places
     # up, so with two slots the integer is x_exp * 2**n + y_exp and integers
     # order exactly as (x, y) exponent pairs do.  A term's state is (fixed,
@@ -321,7 +333,7 @@ def canonical_poly(g: Bipartite, budget: Budget = Budget()):
     # greater lexicographically, and the k-th largest of termwise greater
     # values is no smaller, so the sorted floors are at most every
     # completion's list: once they reach the best leaf, nothing below beats
-    # it.
+    # it.  At a leaf, where nothing is open, the list is the encoding's.
     floors = {}
 
     def floor(mask):
@@ -343,15 +355,18 @@ def canonical_poly(g: Bipartite, budget: Budget = Budget()):
     # multiset of term states and the labels left, not on which u-vertex
     # holds which state: two partial labelings that agree there have the
     # same completions, and the first visit already found or bounded them.
+    # Equal encodings leave equal leaf states at the same depth, the one
+    # that labels their least bit, so every mode meets each encoding once.
     seen = set()
     # The compact labeling, label i for v-index i, is the first leaf: its
     # term integers are the open bits themselves.
-    best = sorted((mask for _, mask in root.elements()), reverse=True)
+    best = compact = sorted((mask for _, mask in root.elements()), reverse=True)
     width = len(best)  # terms of every state, counted with multiplicity
 
     def children(state, free):
-        """The unseen children of a state, least bound first.  Each costs
-        1 + len(state) + width steps, the size of what building it makes."""
+        """The unseen children of a state, in least mode least bound first.
+        Each costs 1 + len(state) + width steps, the size of what building
+        it makes."""
         label = free.bit_count() - 1
         out = []
         for i in range(n):
@@ -368,28 +383,41 @@ def canonical_poly(g: Bipartite, budget: Budget = Budget()):
             if key in seen:
                 continue
             seen.add(key)
-            out.append((bound(child), i, child))
-        out.sort()
+            out.append((bound(child) if least else None, i, child))
+        if least:
+            out.sort()
         return iter(out)
 
-    # Depth-first on a stack of (children left, unlabeled v-indices), so
-    # |v| is not limited by the recursion limit.
-    stack = [(children(root, (1 << n) - 1), (1 << n) - 1)]
-    while stack:
-        rest, free = stack.pop()
-        for floor_list, i, child in rest:
-            if floor_list >= best:
-                break
-            if any(mask for _, mask in child):
-                stack += [(rest, free), (children(child, free ^ 1 << i), free ^ 1 << i)]
-                break
-            best = floor_list  # every slot fixed: a better leaf
+    def encoding(terms):
+        if g.arity == 2:
+            terms = [(e >> n, e & (1 << n) - 1) for e in terms]
+        return g.poly._trusted(Counter(terms))
 
-    terms = Counter(best)
-    if g.arity == 1:
-        return Poly1._trusted(terms)
-    mask = (1 << n) - 1
-    return Poly2._trusted({(e >> n, e & mask): c for e, c in terms.items()})
+    yield encoding(compact), dict(zip(vs, range(n)))
+    meter.search = search
+    # Depth-first on a stack of (children left, unlabeled v-indices, the
+    # v-indices labeled so far, least label first), so |v| is not limited
+    # by the recursion limit.
+    stack = [(children(root, (1 << n) - 1), (1 << n) - 1, ())]
+    while stack:
+        rest, free, path = stack.pop()
+        for terms, i, child in rest:
+            if least and terms >= best:
+                break
+            left = free ^ 1 << i
+            if any(mask for _, mask in child):
+                stack += [(rest, free, path), (children(child, left), left, (i, *path))]
+                break
+            if not least:  # a leaf, whose list least mode built already
+                terms = bound(child)
+                if terms == compact:
+                    continue
+            best = terms
+            # order[k] is the v-index labeled k; v-indices still unlabeled
+            # are in no slot and take the labels left in index order.
+            order = [j for j in range(n) if left >> j & 1] + [i, *path]
+            yield encoding(terms), dict(zip(vs, sorted(range(n), key=order.__getitem__)))
+            meter.search = search
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +441,17 @@ def poly_sum(g1, l1, g2, l2):
 def _packed(g, labeling):
     """u -> the term key of its slots packed into exponents: each slot sums
     2**label over its members, whose bits are distinct because the labeling
-    is checked to be injective."""
+    is checked to be injective.  A label past the largest byte buffer the
+    platform can index is rejected."""
     check_labeling(g, labeling)
-    return pack_slots(g._sig, {v: labeling[v] for v in g.v_vertices}, g.arity)
+    position = {v: labeling[v] for v in g.v_vertices}
+    try:
+        return pack_slots(g._sig, position, g.arity)
+    except OverflowError:
+        v = max(position, key=position.get)
+        raise LabelingError(
+            f"label of {g.v_word} {_brief(v)} is too large to encode: {_brief(position[v])}"
+        ) from None
 
 
 def direct_product(g1, l1, g2, l2):

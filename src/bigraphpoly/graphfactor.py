@@ -16,10 +16,9 @@ of its v part, so whether one exists does not depend on the labeling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 from .bits import tau_poly
-from .core import _decode, compact_labeling, encode
+from .core import _decode, _encodings, compact_labeling, encode
 from .errors import BudgetExceededError
 from .polyfactor import Budget, _bit_disjoint_factor, _factor_pairs, _Meter, _polys
 
@@ -43,7 +42,7 @@ def factor_graph(g, labeling, budget: Budget = Budget()) -> list:
     with one gets no pair rather than a bogus one.  Empty means no
     two-factor split exists under this labeling.
     """
-    return list(_factor_graph(g, labeling, _Meter(budget)))
+    return list(_factor_graph(g, encode(g, labeling), _Meter(budget)))
 
 
 def graph_factor_pairs(g, labeling, budget: Budget = Budget()) -> list:
@@ -51,14 +50,13 @@ def graph_factor_pairs(g, labeling, budget: Budget = Budget()) -> list:
     factor pairs of g's encoding under labeling, none when some v-vertex
     meets no edge.  Each half encodes back to itself under its decoding's
     natural labeling."""
-    return _polys(g.poly, _encoded_pairs(g, labeling, _Meter(budget)))
+    return _polys(g.poly, _encoded_pairs(g, encode(g, labeling), _Meter(budget)))
 
 
-def _encoded_pairs(g, labeling, meter):
-    """The search's pairs for g under labeling as sorted pairs of poly_keys,
+def _encoded_pairs(g, p, meter):
+    """The search's pairs for g's encoding p as sorted pairs of poly_keys,
     none when some v-vertex meets no edge; the coverage check and the
     bit-disjoint search share one support."""
-    p = encode(g, labeling)
     support = tau_poly(p)
     if not p or len(support) != len(g.v_vertices):
         return []
@@ -67,8 +65,9 @@ def _encoded_pairs(g, labeling, meter):
     return _bit_disjoint_factor(p, sorted(support), meter)
 
 
-def _factor_graph(g, labeling, meter):
-    """The pairs of factor_graph, each decoded when it is read.
+def _factor_graph(g, p, meter):
+    """The pairs of factor_graph for g's encoding p, each decoded when it
+    is read.
 
     The search runs and charges in full before the first pair comes out.
     Each half goes from the search to the decoder as its poly_key, the
@@ -79,7 +78,7 @@ def _factor_graph(g, labeling, meter):
     """
     supports = {}
     cls = g.decoded
-    for q, r in _encoded_pairs(g, labeling, meter):
+    for q, r in _encoded_pairs(g, p, meter):
         yield _decode(q, cls, supports), _decode(r, cls, supports)
 
 
@@ -96,30 +95,29 @@ def is_irreducible(
     scopes its verdict to it.  Exhaustive mode answers for every labeling by
     0..|v|-1.  One compact labeling answers for all of them, except on an
     undirected graph with an isolated u-vertex and every v-vertex on an
-    edge, where all |v|! labelings are swept and "irreducible" says nothing
-    about labels past |v|-1; no labeling splits a graph with a v-vertex no
-    edge meets.  A split of a digraph or net is a partition of its v part.
-    A graph whose every u-vertex has a neighbour has p(0) = 0, so under
-    every labeling x splits off iff every v-vertex meets an edge and
-    |v| >= 2.  All labelings tried share one allowance; a swept labeling
-    costs one step per u-vertex to encode, then at least the divisor scan of
-    p(1).  Running out gives "inconclusive".
+    edge, where the sweep walks those labelings as canonical_poly does,
+    with no bound, and searches each distinct encoding once, the compact
+    one first; "irreducible" says nothing about labels past |v|-1.  No
+    labeling splits a graph with a v-vertex no edge meets.  A split of a
+    digraph or net is a partition of its v part.  A graph whose every
+    u-vertex has a neighbour has p(0) = 0, so under every labeling x
+    splits off iff every v-vertex meets an edge and |v| >= 2.  The walk
+    and the searches share one allowance: the walk charges the states it
+    builds, and each encoding costs at least the divisor scan of p(1).
+    Running out gives "inconclusive".
     """
     scope = "compact-labelings" if exhaustive else "labeling"
-    labelings = [compact_labeling(g) if exhaustive or labeling is None else labeling]
-    setup = 0  # steps charged per labeling swept, for encoding it
-    if exhaustive and g.arity == 1:
-        vs, nbrs = g.v_vertices, [g.slots(u)[0] for u in g.u_vertices]
-        if not all(nbrs) and len(set().union(*nbrs)) == len(vs):
-            labelings = (dict(zip(vs, perm)) for perm in permutations(range(len(vs))))
-            setup = len(nbrs)
     meter = _Meter(budget)
+    lab = compact_labeling(g) if exhaustive or labeling is None else labeling
+    encodings = [(encode(g, lab), lab)]
+    if exhaustive and g.arity == 1:
+        nbrs = [g.slots(u)[0] for u in g.u_vertices]
+        if not all(nbrs) and len(set().union(*nbrs)) == len(g.v_vertices):
+            search = f"the sweep over the labelings of {len(g.v_vertices)} v-vertices"
+            encodings = _encodings(g, meter, search, least=False)
     try:
-        for k, lab in enumerate(labelings, 1):
-            if setup:
-                meter.search = f"the sweep of {len(vs)}! labelings"
-                meter.charge(setup, f"encoding labeling {k}")
-            pair = next(_factor_graph(g, lab, meter), None)
+        for p, lab in encodings:
+            pair = next(_factor_graph(g, p, meter), None)
             if pair is not None:
                 return IrreducibilityReport("reducible", scope, (lab, pair))
     except BudgetExceededError as e:

@@ -12,7 +12,7 @@ import json
 import random
 from itertools import permutations
 
-from bigraphpoly import Bigraph, DiBigraph, PetriNet, Poly1, Poly2, net_product
+from bigraphpoly import Bigraph, DiBigraph, PetriNet, Poly1, Poly2, factor_graph, net_product
 from bigraphpoly.core import Bipartite
 from bigraphpoly.fileio import graph_text, net_text, string_ids
 
@@ -336,6 +336,19 @@ def least_encoding(g, arity=1) -> dict:
         if best is None or key < best:
             best = key
     return dict(best)
+
+
+def sweep_reference(g):
+    """The exhaustive sweep the plain way: every labeling by 0..|v|-1, in
+    permutations order, encoded and searched in turn.  The first labeling
+    under which g splits and its first pair, or None."""
+    vs = g.v_vertices
+    for perm in permutations(range(len(vs))):
+        lab = dict(zip(vs, perm))
+        pairs = factor_graph(g, lab)
+        if pairs:
+            return lab, pairs[0]
+    return None
 
 
 def reference_document(g, labels=None) -> dict:

@@ -26,10 +26,12 @@ from bigraphpoly import (
     decode_directed,
     decode_net,
     decompose,
+    direct_product,
     encode,
     encode_directed,
     factor_graph,
     factor_pairs,
+    LabelingError,
     mul,
     net_product,
     parse_poly1,
@@ -966,6 +968,26 @@ def test_error_text_stays_short_for_long_values(capsys, tmp_path, argv, doc):
     assert (code, out) == (3, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert len(err.encode()) < 300
+
+
+@pytest.mark.parametrize("command", ["encode", "factor", "product"])
+def test_a_label_too_large_to_encode_is_an_input_error(capsys, tmp_path, command):
+    """A label of 2**70 cannot size the byte buffer its exponent is packed
+    into: that is bad input, exit 3 with one short line, and never exit 1,
+    which would read as a certified negative answer."""
+    doc = {"u": ["a"], "v": ["p"], "edges": [["a", "p"]], "labels": {"p": 2**70}}
+    path = write(tmp_path / "huge.json", doc)
+    code, out, err = run(capsys, command, *[path] * (2 if command == "product" else 1))
+    assert (code, out) == (3, "")
+    assert err == "error: label of v-part id 'p' is too large to encode: a 22-digit number\n"
+    g = fileio.load_document(path)
+    for call in (
+        lambda: encode(g.obj, g.labels),
+        lambda: factor_graph(g.obj, g.labels),
+        lambda: direct_product(g.obj, g.labels, g.obj, g.labels),
+    ):
+        with pytest.raises(LabelingError, match="too large to encode"):
+            call()
 
 
 @pytest.mark.parametrize("argv", [

@@ -18,6 +18,7 @@ from bigraphpoly import (
     Poly1,
     bit_disjoint_factor,
     compact_labeling,
+    core,
     decode,
     decode_directed,
     decode_net,
@@ -33,8 +34,16 @@ from bigraphpoly import (
     tau_poly,
 )
 from bigraphpoly.graphfactor import graph_factor_pairs
+from bigraphpoly.polyfactor import _Meter
 
-from helpers import random_bigraph, random_digraph, random_labeling, random_net
+from helpers import (
+    random_bigraph,
+    random_canon_case,
+    random_digraph,
+    random_labeling,
+    random_net,
+    sweep_reference,
+)
 
 CUBIC = parse_poly1("x^3 + 2*x^2 + 2*x + 1")
 
@@ -200,33 +209,97 @@ def test_sweep_of_ten_v_vertices_runs_out_of_budget():
     assert "budget of 1000 steps" in report.detail
 
 
+def test_sweep_of_ten_v_vertices_answers_at_the_default_budget():
+    """The graph has 10! labelings but 45 distinct encodings, one for each
+    pair of labels its two twin v-vertices take; the sweep searches each
+    once and certifies that none splits."""
+    us = [f"u{i}" for i in range(10)]
+    vs = [f"v{j}" for j in range(10)]
+    g = Bigraph(us, vs, [(f"u{j}", f"v{j}") for j in range(9)] + [("u8", "v9")])
+    start = time.perf_counter()
+    report = is_irreducible(g, exhaustive=True)
+    assert time.perf_counter() - start < 1
+    assert (report.verdict, report.scope) == ("irreducible", "compact-labelings")
+
+
 def test_sweep_shares_one_allowance():
     """Both labelings encode to 1 + x + x^2, whose search lists the 2
-    divisors of p(1) = 3 in 2 steps; the sweep pays for both, plus 3 steps
-    per labeling to encode it."""
+    divisors of p(1) = 3 in 2 steps.  The sweep searches that encoding once
+    and builds 4 states at 1 + 3 + 3 = 7 steps each (the child, the 3
+    distinct terms of its parent, the 3 terms), so 30 steps answer."""
     g = Bigraph(["a", "b", "c"], ["p", "q"], [("b", "p"), ("c", "q")])
     alone = is_irreducible(g, {"p": 0, "q": 1}, budget=Budget(max_steps=2))
     assert alone.verdict == "irreducible"
-    sweep = is_irreducible(g, exhaustive=True, budget=Budget(max_steps=9))
+    sweep = is_irreducible(g, exhaustive=True, budget=Budget(max_steps=29))
     assert sweep.verdict == "inconclusive"
-    assert "budget of 9 steps" in sweep.detail
-    sweep = is_irreducible(g, exhaustive=True, budget=Budget(max_steps=10))
+    assert "budget of 29 steps" in sweep.detail
+    sweep = is_irreducible(g, exhaustive=True, budget=Budget(max_steps=30))
     assert sweep.verdict == "irreducible"
 
 
-def test_sweep_charges_each_labeling_it_encodes():
-    """One step per u-vertex for each labeling, before its search runs."""
+def test_sweep_charges_each_state_it_builds():
+    """The compact encoding is searched first, in 2 steps; the walk then
+    charges 7 steps per state, and running out names the sweep, not the
+    factor search that ran before it."""
     g = Bigraph(["a", "b", "c"], ["p", "q"], [("b", "p"), ("c", "q")])
     first = is_irreducible(g, exhaustive=True, budget=Budget(max_steps=2))
     assert first.detail == (
-        "the sweep of 2! labelings used up the budget of 2 steps"
-        " in encoding labeling 1 (3 asked for)"
+        "the sweep over the labelings of 2 v-vertices used up the budget of 2 steps"
+        " in building states (9 asked for)"
     )
-    second = is_irreducible(g, exhaustive=True, budget=Budget(max_steps=7))
+    second = is_irreducible(g, exhaustive=True, budget=Budget(max_steps=16))
     assert second.detail == (
-        "the sweep of 2! labelings used up the budget of 7 steps"
-        " in encoding labeling 2 (8 asked for)"
+        "the sweep over the labelings of 2 v-vertices used up the budget of 16 steps"
+        " in building states (23 asked for)"
     )
+
+
+def test_sweep_matches_the_permutations_reference():
+    """On random graphs with an isolated u-vertex and up to 6 v-vertices,
+    all on edges, the sweep over distinct encodings gives the verdict of
+    searching every labeling.  A witness labeling is a bijection onto
+    0..|v|-1 in declared v order, and its pair multiplies back to the
+    encoding under it.  With no or one v-vertex the encoding has degree at
+    most 1, so no labeling splits it, whatever its content."""
+    rng = random.Random(19)
+    verdicts = set()
+    for _ in range(120):
+        us = [f"u{i}" for i in range(rng.randint(1, 4))]
+        vs = [f"v{j}" for j in range(rng.randint(0, 6))]
+        edges = {(rng.choice(us), v) for v in vs}
+        edges |= {(u, v) for u in us for v in vs if rng.random() < 0.3}
+        g = Bigraph(us + ["lone"], vs, edges)
+        report = is_irreducible(g, exhaustive=True)
+        want = sweep_reference(g)
+        assert report.verdict == ("reducible" if want else "irreducible"), g
+        verdicts.add((len(vs) > 1, report.verdict))
+        if want:
+            lab, (gq, gr) = report.witness
+            assert list(lab) == vs and sorted(lab.values()) == list(range(len(vs)))
+            assert encode(gq, gq.natural_labeling) * encode(gr, gr.natural_labeling) == encode(g, lab)
+    assert verdicts == {(False, "irreducible"), (True, "irreducible"), (True, "reducible")}
+
+
+def test_the_walk_meets_each_distinct_encoding_once():
+    """The every mode of the walk behind the sweep and canonical_poly yields
+    the compact encoding first and then each other encoding of a labeling
+    by 0..|v|-1 once, each with a labeling that gives it, as the least
+    mode's labelings do too.  The cases have twins, v-vertices in no slot
+    and u-vertices with every slot empty."""
+    rng = random.Random(1919)
+    for _ in range(150):
+        g = random_canon_case(rng, rng.choice(["graph", "digraph", "net"]), max_v=5)
+        vs = list(g.v_vertices)
+        every = list(core._encodings(g, _Meter(Budget()), "the walk", least=False))
+        assert every[0] == (encode(g, compact_labeling(g)), compact_labeling(g))
+        for p, lab in every:
+            assert list(lab) == vs and sorted(lab.values()) == list(range(len(vs)))
+            assert encode(g, lab) == p
+        got = [p for p, _ in every]
+        want = {encode(g, dict(zip(vs, perm))) for perm in permutations(range(len(vs)))}
+        assert len(got) == len(set(got)) and set(got) == want
+        for p, lab in core._encodings(g, _Meter(Budget()), "the walk", least=True):
+            assert encode(g, lab) == p
 
 
 def test_no_isolated_u_vertex_answers_like_the_sweep():
@@ -253,7 +326,8 @@ def test_no_isolated_u_vertex_answers_like_the_sweep():
 
 
 def test_twelve_v_vertices_without_an_isolated_u_vertex_need_no_sweep():
-    """Past the sweep's guard of 8 v-vertices one compact labeling answers."""
+    """With no isolated u-vertex one compact labeling answers, with no
+    sweep, at 12 v-vertices."""
     rng = random.Random(12)
     us = [f"u{i}" for i in range(8)]
     vs = [f"v{j}" for j in range(12)]
