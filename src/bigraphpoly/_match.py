@@ -7,9 +7,8 @@ undirected adjacency; pre and post slots for directed objects).  A left
 bijection is a witness when it carries the right signatures onto each other
 as multisets; the right bijection then falls out by bucket matching.
 
-Candidates are pruned with iterated color refinement run over both objects
-at once, then completed by backtracking inside color classes, charging
-the caller's step meter as it goes.
+The search individualizes and refines (McKay & Piperno, "Practical graph
+isomorphism, II", J. Symbolic Comput. 2014), charging the caller's meter.
 """
 
 from __future__ import annotations
@@ -17,17 +16,15 @@ from __future__ import annotations
 from collections import Counter
 
 
-def _refine(v1, sig1, v2, sig2, meter):
+def _refine(sig1, sig2, vcol1, vcol2, meter):
+    """The v- and u-colorings of both sides refined from vcol1 and vcol2,
+    jointly: colors come from one table, so they compare across sides."""
     table = {}
 
     def intern(x):
-        got = table.get(x)
-        if got is None:
-            got = len(table)
-            table[x] = got
-        return got
+        return table.setdefault(x, len(table))
 
-    vcols = [{v: 0 for v in v1}, {v: 0 for v in v2}]
+    vcols = [vcol1, vcol2]
     sigs = (sig1, sig2)
     ucols = [{}, {}]
     prev = -1
@@ -72,58 +69,58 @@ def _match_right(sig1, sig2, vmap):
     return out
 
 
+def _children(vcol1, vcol2, v, cell):
+    """Give v and each w of cell in turn one fresh color: refined colors
+    are never negative."""
+    for w in cell:
+        yield {**vcol1, v: -1}, {**vcol2, w: -1}
+
+
 def find_bijections(v1, sig1, v2, sig2, meter):
     """Witness pair (right map, left map) or None.
 
     v1/v2 list the left parts; sig1/sig2 map each right-part id to its
-    tuple of left-part subsets.  meter is charged a step per refinement
-    round and backtracking node, and len(sig1) per complete assignment.
+    tuple of left-part subsets.  The search walks one stack of coloring
+    pairs, all-zero at the root.  Each node refines its pair and is dropped
+    if the class counts of either part differ between the sides (at the
+    root, the first round colors each u-vertex by its slot sizes).  Then
+    the members of each class are paired in declared order and checked as
+    a witness; failing that, the first v of a class of two or more gets one
+    fresh color with each w of its class on side 2, one child each.
+
+    Complete: refinement is joint, so an isomorphism that respects a node's
+    starting colorings respects the refined ones, and it maps the branching
+    v to some w of its class, so it respects the child for (v, w).  Each
+    child has one more singleton class, so a branch ends at discrete
+    colorings, whose pairing is the only assignment left.  A step is a
+    node or a refinement round; a witness check costs len(sig1).
     """
-    if len(v1) != len(v2) or len(sig1) != len(sig2):
-        return None
-    shape1 = Counter(tuple(len(part) for part in sig) for sig in sig1.values())
-    shape2 = Counter(tuple(len(part) for part in sig) for sig in sig2.values())
-    if shape1 != shape2:
-        return None
     meter.search = f"the isomorphism search on {len(v1)} v-vertices"
-    vcol1, vcol2, ucol1, ucol2 = _refine(v1, sig1, v2, sig2, meter)
-    if Counter(vcol1.values()) != Counter(vcol2.values()):
-        return None
-    if Counter(ucol1.values()) != Counter(ucol2.values()):
-        return None
-    by_color = {}
-    for w in v2:
-        by_color.setdefault(vcol2[w], []).append(w)
-    order = sorted(v1, key=lambda v: len(by_color.get(vcol1[v], ())))
-    candidates = [by_color.get(vcol1[v], ()) for v in order]
-    used = set()
     charge = meter.charge
-    # Depth-first on explicit stacks, so |v1| is not limited by the
-    # recursion limit: chosen[k] is the image of order[k], and stack[k]
-    # yields the candidates for it not tried yet.
-    chosen = []
-    stack = []
-    while True:
-        charge(1, "the backtracking")
-        if len(chosen) < len(order):
-            stack.append(iter(candidates[len(chosen)]))
-        else:
-            charge(len(sig1), "checking a witness")
-            assign = dict(zip(order, chosen))
-            umap = _match_right(sig1, sig2, assign)
-            if umap is not None:
-                return umap, assign
-        while stack:
-            if len(chosen) == len(stack):
-                used.discard(chosen.pop())
-            for w in stack[-1]:
-                if w not in used:
-                    chosen.append(w)
-                    used.add(w)
-                    break
-            else:
-                stack.pop()
-                continue
-            break
-        else:
-            return None
+    stack = [iter([(dict.fromkeys(v1, 0), dict.fromkeys(v2, 0))])]
+    while stack:
+        start = next(stack[-1], None)
+        if start is None:
+            stack.pop()
+            continue
+        charge(1, "the search tree")
+        cols = _refine(sig1, sig2, *start, meter)
+        counts = [Counter(col.values()) for col in cols]
+        if counts[0] != counts[1] or counts[2] != counts[3]:
+            continue
+        vcol1, vcol2 = cols[:2]
+        cells = {}
+        for w in v2:
+            cells.setdefault(vcol2[w], []).append(w)
+        firsts = {color: iter(cell) for color, cell in cells.items()}
+        vmap = {v: next(firsts[vcol1[v]]) for v in v1}
+        charge(len(sig1), "checking a witness")
+        umap = _match_right(sig1, sig2, vmap)
+        if umap is not None:
+            return umap, vmap
+        for v in v1:
+            cell = cells[vcol1[v]]
+            if len(cell) > 1:
+                stack.append(_children(vcol1, vcol2, v, cell))
+                break
+    return None

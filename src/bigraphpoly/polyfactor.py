@@ -46,7 +46,7 @@ import random
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .bits import from_bits, tau, tau_poly
 from .errors import BudgetExceededError, _brief, _show
@@ -290,11 +290,12 @@ def _factor_pairs(p, meter):
     # (small, big), so each split is spread one way only.
     for small, big in splits:
         # No constant side: a key's first exponent is the degree.
-        shifts = range(small[0][0] == 0, m + 1 - (big[0][0] == 0))
-        # Every pair of the split costs its terms, charged before any is built.
+        lo, hi = small[0][0] == 0, m + 1 - (big[0][0] == 0)
+        # Every pair of the split costs its terms, charged before any is built;
+        # the count is arithmetic, as a range longer than 2**63 has no len.
         size = len(small) + len(big)
-        meter.charge(len(shifts) * len(cdivs) * size, "emitting the factors")
-        for a in shifts:
+        meter.charge(max(0, hi - lo) * len(cdivs) * size, "emitting the factors")
+        for a in range(lo, hi):
             for c1 in cdivs:
                 c2 = c // c1
                 q = tuple([(e + a, v * c1) for e, v in small])
@@ -529,6 +530,14 @@ def _bit_disjoint_factor(p, support, meter):
         return products[m]
 
     one = ((p.zero, 1),)
+    # Every pair costs its terms, charged before any is built.  Blocks have
+    # disjoint bits, so a product of factors has the product of their term
+    # counts, and the picks with their rests hold prod(1 + t_i) terms over
+    # the blocks' term counts t_i.  The pair (1, p) is skipped, and so is
+    # (p, 1) when p is a constant c > 1.
+    size = prod(1 + len(f) for f in factors)
+    skipped = 1 + len(terms) + (2 if c > 1 and terms == {p.zero: 1} else 0)
+    meter.charge(len(cdivs) * size - skipped, "emitting the factors")
     out = set()
     # The top block stays on the second side, so each subset of the blocks
     # is keyed once: as a pick or as the rest of one.
@@ -537,7 +546,6 @@ def _bit_disjoint_factor(p, support, meter):
         for c1 in cdivs:
             if (c1 == 1 and col == one) or (c1 == c and row == one):
                 continue
-            meter.charge(len(col) + len(row), "emitting the factors")
             c2 = c // c1
             q = col if c1 == 1 else tuple([(e, v * c1) for e, v in col])
             r = row if c2 == 1 else tuple([(e, v * c2) for e, v in row])

@@ -176,13 +176,14 @@ def test_is_isomorphic_ignores_id_spelling():
 
 def test_is_isomorphic_size_guard():
     """13 v-vertices, past the vertex-count guard this search once had: it
-    stops on its budget alone.  Two refinement rounds, 14 backtracking nodes
-    and a witness check of one u-vertex make 17 steps."""
+    stops on its budget alone.  The root node, its two refinement rounds and
+    a witness check of one u-vertex make 4 steps: the 13 twins are paired
+    in declared order, with no branching."""
     n = 13
     g = Bigraph(["u"], [f"v{i}" for i in range(n)], [("u", f"v{i}") for i in range(n)])
-    with pytest.raises(BudgetExceededError, match="budget of 16 steps in checking a witness"):
-        is_isomorphic(g, g, Budget(max_steps=16))
-    assert_valid_iso(g, g, is_isomorphic(g, g, Budget(max_steps=17)))
+    with pytest.raises(BudgetExceededError, match="budget of 3 steps in checking a witness"):
+        is_isomorphic(g, g, Budget(max_steps=3))
+    assert_valid_iso(g, g, is_isomorphic(g, g, Budget(max_steps=4)))
 
 
 def test_searches_go_deeper_than_the_recursion_limit():
@@ -418,6 +419,69 @@ def test_is_isomorphic_agrees_with_networkx_past_the_old_guard(kind):
             assert {(m[a], m[b]) for a, b in edge_set(g)} == edge_set(h)
         verdicts[found is not None] += 1
     assert verdicts[True] >= 15 and verdicts[False] >= 15
+
+
+def cycles(*sizes):
+    """Disjoint cycles, one per size n: u-vertex i of a cycle is on its
+    v-vertices i and i + 1 mod n, so every vertex has degree 2."""
+    us, vs, edges = [], [], []
+    for c, n in enumerate(sizes):
+        us += [f"u{c}_{i}" for i in range(n)]
+        vs += [f"v{c}_{i}" for i in range(n)]
+        edges += [(f"u{c}_{i}", f"v{c}_{(i + j) % n}") for i in range(n) for j in (0, 1)]
+    return Bigraph(us, vs, edges)
+
+
+@pytest.mark.parametrize("n", [10, 12, 16])
+def test_is_isomorphic_answers_regular_cycles(n):
+    """Refinement splits nothing on a cycle: the n-cycle against two
+    n/2-cycles and against a relabeled copy of itself both need branching,
+    and both answer under the default budget well inside a second."""
+    g = cycles(n)
+    start = time.perf_counter()
+    assert is_isomorphic(g, cycles(n // 2, n // 2)) is None
+    h = relabeled_or_near_miss(random.Random(n), g, False)
+    assert_valid_iso(g, h, is_isomorphic(g, h))
+    assert time.perf_counter() - start < 1
+
+
+def random_regular(rng, kind, n, d):
+    """n u- and n v-vertices joined by d disjoint random perfect matchings,
+    so every vertex has degree d; a digraph points the even matchings from
+    u to v and the odd ones back, so in- and out-degrees are regular too."""
+    us = [f"u{i}" for i in range(n)]
+    vs = [f"v{i}" for i in range(n)]
+    matchings = []
+    while len(matchings) < d:
+        m = set(zip(us, rng.sample(vs, n)))
+        if not any(m & other for other in matchings):
+            matchings.append(m)
+    if kind is Bigraph:
+        return Bigraph(us, vs, set().union(*matchings))
+    arcs = [(a, b) if k % 2 == 0 else (b, a) for k, m in enumerate(matchings) for a, b in m]
+    return DiBigraph(us, vs, arcs)
+
+
+@pytest.mark.parametrize("kind", [Bigraph, DiBigraph], ids=["graph", "digraph"])
+def test_is_isomorphic_agrees_with_networkx_on_regular_inputs(kind):
+    """Regular inputs, where refinement alone splits nothing: a relabeled
+    copy or an independent draw of the same size and degree.  A witness
+    exactly when networkx finds a part-respecting isomorphism."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(20)
+    verdicts = Counter()
+    for k in range(30):
+        n, d = rng.randint(8, 20), rng.randint(2, 4)
+        g = random_regular(rng, kind, n, d)
+        h = relabeled_or_near_miss(rng, g, False) if k % 2 else random_regular(rng, kind, n, d)
+        found = is_isomorphic(g, h)
+        assert (found is not None) == nx_isomorphic(nx, g, h), k
+        if found is not None:
+            u_map, v_map = found
+            m = {**u_map, **v_map}
+            assert {(m[a], m[b]) for a, b in edge_set(g)} == edge_set(h)
+        verdicts[found is not None] += 1
+    assert verdicts[True] >= 15 and verdicts[False] >= 5
 
 
 def test_canonical_poly_agrees_with_networkx_past_the_old_guard():

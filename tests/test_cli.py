@@ -862,6 +862,24 @@ def test_inconclusive_says_what_was_used_and_how_to_raise_it(capsys, branch_file
     assert err.endswith(" asked for); raise it with --budget\n")
 
 
+@pytest.mark.parametrize(
+    "arg", ["x^99999999999999999999", "2*x^99999999999999999999", "x^99999999999999999999*y"]
+)
+def test_factor_on_a_huge_exponent_is_inconclusive(capsys, arg):
+    code, out, err = run(capsys, "factor", arg)
+    assert code == 2
+    assert err.startswith("inconclusive:") and err.count("\n") == 1
+
+
+def test_factor_on_a_graph_file_with_a_huge_label_is_inconclusive(capsys, tmp_path):
+    """One edge on v label 70 encodes to x^(2^70)."""
+    g = Bigraph(["a"], ["b"], [("a", "b")])
+    path = write(tmp_path / "g.json", bigraph_document(g, {"b": 70}))
+    code, out, err = run(capsys, "factor", path)
+    assert (code, out) == (2, "")
+    assert err.startswith("inconclusive:") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # dot / errors / entry point.
 

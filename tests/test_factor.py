@@ -258,6 +258,23 @@ def test_bipartition_budget_interrupts_huge_coefficients():
         bit_disjoint_factor(P({1: 2**70, 0: 2**70}))
 
 
+@pytest.mark.parametrize("c", [1, 2])
+def test_huge_power_of_x_overdraws_at_once(c):
+    """The shifts of x^(10^20) number about 10^20, more than a range has a
+    len for: they are counted, not measured, so the budget stops it."""
+    with pytest.raises(BudgetExceededError, match="emitting the factors"):
+        factor_pairs(P({10**20: c}))
+
+
+def test_bit_disjoint_charges_every_pair_before_building_one():
+    """x^(2^24 - 1) has 24 one-term blocks and 2^23 - 1 pairs of 2 terms:
+    the count overdraws the default budget before a product is built."""
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=r"\(16777790 asked for\)"):
+        bit_disjoint_factor(P({2**24 - 1: 1}))
+    assert time.perf_counter() - start < 1
+
+
 def test_large_content_distributes_exactly():
     c = 2**30
     p = P({2: c, 1: 2 * c, 0: c})  # c * (x + 1)^2
