@@ -16,20 +16,31 @@ from __future__ import annotations
 from collections import Counter
 
 
-def _refine(sig1, sig2, vcol1, vcol2, meter):
+def _size(vs, sig):
+    """What one refinement round reads of one side: its v-vertices, its
+    u-vertices and their slot members."""
+    return len(vs) + sum(1 + sum(map(len, parts)) for parts in sig.values())
+
+
+def _refine(sig1, sig2, vcol1, vcol2, cost, meter):
     """The v- and u-colorings of both sides refined from vcol1 and vcol2,
-    jointly: colors come from one table, so they compare across sides."""
+    jointly: colors come from one table, so they compare across sides.
+    Each round charges cost steps."""
     table = {}
 
     def intern(x):
-        return table.setdefault(x, len(table))
+        got = table.get(x)
+        if got is None:
+            got = len(table)
+            table[x] = got
+        return got
 
     vcols = [vcol1, vcol2]
     sigs = (sig1, sig2)
     ucols = [{}, {}]
     prev = -1
     while True:
-        meter.charge(1, "color refinement")
+        meter.charge(cost, "color refinement")
         for side in (0, 1):
             vc = vcols[side]
             ucols[side] = {
@@ -93,10 +104,12 @@ def find_bijections(v1, sig1, v2, sig2, meter):
     v to some w of its class, so it respects the child for (v, w).  Each
     child has one more singleton class, so a branch ends at discrete
     colorings, whose pairing is the only assignment left.  A step is a
-    node or a refinement round; a witness check costs len(sig1).
+    node, or one vertex or slot member read by a refinement round on either
+    side; a witness check costs len(sig1).
     """
     meter.search = f"the isomorphism search on {len(v1)} v-vertices"
     charge = meter.charge
+    cost = _size(v1, sig1) + _size(v2, sig2)
     stack = [iter([(dict.fromkeys(v1, 0), dict.fromkeys(v2, 0))])]
     while stack:
         start = next(stack[-1], None)
@@ -104,7 +117,7 @@ def find_bijections(v1, sig1, v2, sig2, meter):
             stack.pop()
             continue
         charge(1, "the search tree")
-        cols = _refine(sig1, sig2, *start, meter)
+        cols = _refine(sig1, sig2, *start, cost, meter)
         counts = [Counter(col.values()) for col in cols]
         if counts[0] != counts[1] or counts[2] != counts[3]:
             continue

@@ -252,8 +252,8 @@ def is_isomorphic(g1: Bipartite, g2: Bipartite, budget: Budget = Budget()):
     """Part- and slot-respecting isomorphism witness (u map, v map), or None.
 
     For nets that is (event map, condition map).  A step is a node of the
-    individualize-and-refine search tree, a refinement round or a u-vertex
-    of an assignment checked as a witness.
+    individualize-and-refine search tree, a vertex or slot member read by a
+    refinement round, or a u-vertex of an assignment checked as a witness.
     """
     return find_bijections(
         list(g1.v_vertices), g1._sig, list(g2.v_vertices), g2._sig, _Meter(budget)

@@ -82,24 +82,6 @@ def _factor_graph(g, p, meter):
         yield _decode(q, cls, supports), _decode(r, cls, supports)
 
 
-def _first_pair(g, p, meter):
-    """The first pair of _factor_graph(g, p, meter), or None.
-
-    On a graph with p(0) = 0, degree at least 2 and every v-vertex on an
-    edge, that is (x, p/x): x divides p, and ((1, 1),) is the least
-    nonconstant poly_key.  It is decoded from its keys with no search,
-    for the steps of its terms.
-    """
-    if g.arity == 1 and p and p.degree >= 2 and not p.constant_coeff():
-        if len(tau_poly(p)) == len(g.v_vertices):
-            rest = tuple([(e - 1, v) for e, v in p.terms.items()])
-            meter.search = f"the witness (x, p/x) of {len(rest)} terms"
-            meter.charge(1 + len(rest), "emitting the factors")
-            supports = {}
-            return _decode(((1, 1),), g.decoded, supports), _decode(rest, g.decoded, supports)
-    return next(_factor_graph(g, p, meter), None)
-
-
 def is_irreducible(
     g,
     labeling=None,
@@ -119,8 +101,7 @@ def is_irreducible(
     labeling splits a graph with a v-vertex no edge meets.  A split of a
     digraph or net is a partition of its v part.  A graph whose every
     u-vertex has a neighbour has p(0) = 0, so under every labeling x
-    splits off iff every v-vertex meets an edge and |v| >= 2; that witness
-    is built with no search.  The walk
+    splits off iff every v-vertex meets an edge and |v| >= 2.  The walk
     and the searches share one allowance: the walk charges the states it
     builds, and each encoding costs at least the divisor scan of p(1).
     Running out gives "inconclusive".
@@ -136,7 +117,7 @@ def is_irreducible(
             encodings = _encodings(g, meter, search, least=False)
     try:
         for p, lab in encodings:
-            pair = _first_pair(g, p, meter)
+            pair = next(_factor_graph(g, p, meter), None)
             if pair is not None:
                 return IrreducibilityReport("reducible", scope, (lab, pair))
     except BudgetExceededError as e:

@@ -176,14 +176,15 @@ def test_is_isomorphic_ignores_id_spelling():
 
 def test_is_isomorphic_size_guard():
     """13 v-vertices, past the vertex-count guard this search once had: it
-    stops on its budget alone.  The root node, its two refinement rounds and
-    a witness check of one u-vertex make 4 steps: the 13 twins are paired
-    in declared order, with no branching."""
+    stops on its budget alone.  The root node, its two refinement rounds of
+    54 reads each (13 v-vertices, one u-vertex and its 13 slot members, on
+    both sides) and a witness check of one u-vertex make 110 steps: the 13
+    twins are paired in declared order, with no branching."""
     n = 13
     g = Bigraph(["u"], [f"v{i}" for i in range(n)], [("u", f"v{i}") for i in range(n)])
-    with pytest.raises(BudgetExceededError, match="budget of 3 steps in checking a witness"):
-        is_isomorphic(g, g, Budget(max_steps=3))
-    assert_valid_iso(g, g, is_isomorphic(g, g, Budget(max_steps=4)))
+    with pytest.raises(BudgetExceededError, match="budget of 109 steps in checking a witness"):
+        is_isomorphic(g, g, Budget(max_steps=109))
+    assert_valid_iso(g, g, is_isomorphic(g, g, Budget(max_steps=110)))
 
 
 def test_searches_go_deeper_than_the_recursion_limit():
@@ -442,6 +443,18 @@ def test_is_isomorphic_answers_regular_cycles(n):
     assert is_isomorphic(g, cycles(n // 2, n // 2)) is None
     h = relabeled_or_near_miss(random.Random(n), g, False)
     assert_valid_iso(g, h, is_isomorphic(g, h))
+    assert time.perf_counter() - start < 1
+
+
+def test_is_isomorphic_charges_each_round_what_it_reads():
+    """Every node of the search refines anew, so a round costs one step per
+    vertex and slot member it reads: the 64-cycle against two 32-cycles
+    needs about a million steps, and 10^5 of them run out in well under a
+    second, as they would on a small input."""
+    g, h = cycles(64), cycles(32, 32)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="budget of 100000 steps"):
+        is_isomorphic(g, h, Budget(max_steps=10**5))
     assert time.perf_counter() - start < 1
 
 

@@ -664,7 +664,7 @@ def test_iso_negative(capsys, tmp_path):
      " in building states (7 asked for)"),
     ("iso", "is_isomorphic",
      "the isomorphism search on 3 v-vertices used up the budget of 1 steps"
-     " in color refinement (2 asked for)"),
+     " in color refinement (23 asked for)"),
 ])
 def test_canon_and_iso_out_of_budget_are_inconclusive(
     capsys, monkeypatch, hub_file, command, search, message

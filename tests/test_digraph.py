@@ -115,13 +115,13 @@ def test_is_isomorphic_directed_ignores_id_spelling():
 
 
 def test_is_isomorphic_directed_size_guard():
-    """13 v-vertices, past the old vertex-count guard: 4 steps, as for the
+    """13 v-vertices, past the old vertex-count guard: 110 steps, as for the
     undirected star."""
     n = 13
     g = DiBigraph(["u"], [f"v{i}" for i in range(n)], [("u", f"v{i}") for i in range(n)])
-    with pytest.raises(BudgetExceededError, match="budget of 3 steps"):
-        is_isomorphic_directed(g, g, Budget(max_steps=3))
-    assert_valid_iso(g, g, is_isomorphic_directed(g, g, Budget(max_steps=4)))
+    with pytest.raises(BudgetExceededError, match="budget of 109 steps"):
+        is_isomorphic_directed(g, g, Budget(max_steps=109))
+    assert_valid_iso(g, g, is_isomorphic_directed(g, g, Budget(max_steps=110)))
 
 
 def test_canonical_poly_directed_golden():

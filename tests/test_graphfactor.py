@@ -510,34 +510,8 @@ def test_is_irreducible_decodes_only_its_witness():
     assert encode(gq, gq.natural_labeling) * encode(gr, gr.natural_labeling) == encode(g, lab)
 
 
-def test_is_irreducible_builds_the_fixed_witness_without_a_search():
-    """With p(0) = 0, degree at least 2 and every v-vertex on an edge, the
-    search's first pair is (x, p/x), since ((1, 1),) is the least nonconstant
-    poly_key: is_irreducible builds it for the 1 + |terms| steps of its terms,
-    where the search itself mostly overruns that budget."""
-    rng = random.Random(24)
-    overruns = 0
-    for _ in range(300):
-        g = random_bigraph(rng, max_u=5, max_v=6)
-        g = Bigraph([*g.u_vertices, "w"], g.v_vertices, g.edges) if rng.random() < 0.2 else g
-        lab = random_labeling(rng, g.v_vertices)
-        pairs = factor_graph(g, lab)
-        report = is_irreducible(g, lab)
-        assert report.witness == ((lab, pairs[0]) if pairs else None)
-        p = encode(g, lab)
-        if pairs and not p.constant_coeff():
-            steps = Budget(max_steps=1 + len(p.terms))
-            assert is_irreducible(g, lab, budget=steps).witness == report.witness
-            try:
-                factor_graph(g, lab, steps)
-            except BudgetExceededError:
-                overruns += 1
-    assert overruns > 100
-
-
 def test_budget_error_says_how_much_was_asked_for():
-    """(x + 1)^2 has p(0) = 1, so is_irreducible runs the search too."""
-    g = decode(parse_poly1("x^2 + 2*x + 1"))
+    g = decode(parse_poly1("x^5 + x^4"))
     with pytest.raises(BudgetExceededError) as caught:
         factor_graph(g, identity_labeling(g), Budget(max_steps=10))
     message = str(caught.value)

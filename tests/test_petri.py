@@ -361,11 +361,12 @@ def test_decompose_round_trips_random_products():
 
 def test_net_isomorphic_guard_and_negatives():
     # 13 conditions and no event: the root node and its 2 refinement
-    # rounds; the witness check has no event to read.
+    # rounds of 26 reads (13 conditions a side); the witness check has no
+    # event to read.
     big = PetriNet([f"b{i}" for i in range(13)], [])
-    with pytest.raises(BudgetExceededError, match="budget of 2 steps"):
-        net_isomorphic(big, big, Budget(max_steps=2))
-    assert net_isomorphic(big, big, Budget(max_steps=3)) is not None
+    with pytest.raises(BudgetExceededError, match="budget of 52 steps"):
+        net_isomorphic(big, big, Budget(max_steps=52))
+    assert net_isomorphic(big, big, Budget(max_steps=53)) is not None
     n1 = PetriNet(["b"], ["e"], pre={"e": ["b"]})
     n2 = PetriNet(["b"], ["e"], post={"e": ["b"]})
     assert net_isomorphic(n1, n2) is None
