@@ -365,9 +365,9 @@ def _encodings(g: Bipartite, meter, search, least):
     width = len(best)  # terms of every state, counted with multiplicity
 
     def children(state, free):
-        """The unseen children of a state, in least mode least bound first.
-        Each costs 1 + len(state) + width steps, the size of what building
-        it makes."""
+        """The children of a state, in least mode least bound first.  Each
+        costs 1 + len(state) + width steps, the size of what building it
+        makes."""
         label = free.bit_count() - 1
         out = []
         for i in range(n):
@@ -380,10 +380,6 @@ def _encodings(g: Bipartite, meter, search, least):
                 b = mask & bit
                 key = (fixed + (b >> i << label), mask ^ b) if b else (fixed, mask)
                 child[key] = child.get(key, 0) + c
-            key = (label, frozenset(child.items()))
-            if key in seen:
-                continue
-            seen.add(key)
             out.append((bound(child) if least else None, i, child))
         if least:
             out.sort()
@@ -405,6 +401,12 @@ def _encodings(g: Bipartite, meter, search, least):
         for terms, i, child in rest:
             if least and terms >= best:
                 break
+            # Rule 3 keeps the states visited, not all children built: in
+            # least mode the bound cuts most of them.
+            key = (free.bit_count(), frozenset(child.items()))
+            if key in seen:
+                continue
+            seen.add(key)
             left = free ^ 1 << i
             if any(mask for _, mask in child):
                 stack += [(rest, free, path), (children(child, left), left, (i, *path))]

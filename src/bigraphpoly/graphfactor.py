@@ -93,15 +93,14 @@ def is_irreducible(
 
     Single-labeling mode tries the given labeling (compact by default) and
     scopes its verdict to it.  Exhaustive mode answers for every labeling by
-    0..|v|-1.  One compact labeling answers for all of them, except on an
-    undirected graph with an isolated u-vertex and every v-vertex on an
-    edge, where the sweep walks those labelings as canonical_poly does,
-    with no bound, and searches each distinct encoding once, the compact
-    one first; "irreducible" says nothing about labels past |v|-1.  No
-    labeling splits a graph with a v-vertex no edge meets.  A split of a
-    digraph or net is a partition of its v part.  A graph whose every
-    u-vertex has a neighbour has p(0) = 0, so under every labeling x
-    splits off iff every v-vertex meets an edge and |v| >= 2.  The walk
+    0..|v|-1.  No labeling splits a graph with a v-vertex no edge meets,
+    and a split of a digraph or net is a partition of its v part, so there
+    one compact labeling answers for all of them.  On an undirected graph
+    with every v-vertex on an edge, the sweep walks those labelings as
+    canonical_poly does, with no bound, and searches each distinct encoding
+    once, the compact one first; "irreducible" says nothing about labels
+    past |v|-1.  A graph whose every u-vertex has a neighbour has p(0) = 0,
+    so its first encoding already splits off x when |v| >= 2.  The walk
     and the searches share one allowance: the walk charges the states it
     builds, and each encoding costs at least the divisor scan of p(1).
     Running out gives "inconclusive".
@@ -109,12 +108,11 @@ def is_irreducible(
     scope = "compact-labelings" if exhaustive else "labeling"
     meter = _Meter(budget)
     lab = compact_labeling(g) if exhaustive or labeling is None else labeling
-    encodings = [(encode(g, lab), lab)]
-    if exhaustive and g.arity == 1:
-        nbrs = [g.slots(u)[0] for u in g.u_vertices]
-        if not all(nbrs) and len(set().union(*nbrs)) == len(g.v_vertices):
-            search = f"the sweep over the labelings of {len(g.v_vertices)} v-vertices"
-            encodings = _encodings(g, meter, search, least=False)
+    p = encode(g, lab)
+    encodings = [(p, lab)]
+    if exhaustive and g.arity == 1 and len(tau_poly(p)) == len(g.v_vertices):
+        search = f"the sweep over the labelings of {len(g.v_vertices)} v-vertices"
+        encodings = _encodings(g, meter, search, least=False)
     try:
         for p, lab in encodings:
             pair = next(_factor_graph(g, p, meter), None)

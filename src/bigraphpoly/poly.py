@@ -6,14 +6,14 @@ a value like 2**label stays exact no matter how large the label is.  The
 ``bits`` module translates between an exponent and its set of binary digit
 positions when the bit-level view is needed.
 
-Univariate terms are keyed by the x-exponent, bivariate terms by an
+One-variable terms are keyed by the x-exponent, two-variable terms by an
 (x-exponent, y-exponent) pair.  Text form follows the grammar
 
     poly  := term (" + " term)*
     term  := coeff | mono | coeff "*" mono
     mono  := var ("^" nat)? ("*" var ("^" nat)?)?
 
-with terms rendered in strictly decreasing exponent order (bivariate:
+with terms rendered in strictly decreasing exponent order (two variables:
 lexicographic on the (x, y) exponent pair) and "0" for the zero polynomial.
 ``parse_poly`` accepts the same grammar back, is lenient about whitespace,
 and merges duplicate monomials.
@@ -234,24 +234,25 @@ def poly_key(p):
 # ---------------------------------------------------------------------------
 # Long division.
 
-def _divide_terms(r, q, divides, sub, combine):
+def _divide_terms(r, q):
     # If q * s == p over the naturals, every remainder is q times the rest of
     # s: natural coefficients on a support inside supp(p).  A negative
     # leading coefficient or a leading exponent outside supp(p) settles None.
+    # Exponents are (x, y) pairs, led in lexicographic order.
     support = set(r)
-    qlead = max(q)
+    qlead = qx, qy = max(q)
     qc = q[qlead]
     quo = {}
     while r:
-        rlead = max(r)
+        rlead = rx, ry = max(r)
         rc = r[rlead]
-        if rc < 0 or rc % qc or rlead not in support or not divides(qlead, rlead):
+        if rc < 0 or rc % qc or rlead not in support or rx < qx or ry < qy:
             return None
         c = rc // qc
-        e = sub(rlead, qlead)
+        ex, ey = e = (rx - qx, ry - qy)
         quo[e] = c
-        for eq, cq in q.items():
-            k = combine(e, eq)
+        for (x, y), cq in q.items():
+            k = (ex + x, ey + y)
             nv = r.get(k, 0) - c * cq
             if nv:
                 r[k] = nv
@@ -263,30 +264,23 @@ def _divide_terms(r, q, divides, sub, combine):
 def divide_exact(p, q):
     """Quotient r with q * r == p, staying in the same semiring, else None.
 
-    Plain long division over the integers under the canonical monomial order
-    (degree for one variable, lexicographic x-then-y for two).  The quotient
-    over the integers is unique, so p is divisible in the nonnegative world
-    exactly when the remainder vanishes and no quotient coefficient is
-    negative.  Dividing by the zero polynomial raises ZeroDivisionError.
+    Plain long division over the integers under the lexicographic x-then-y
+    monomial order.  One-variable operands are divided as their lifts, whose
+    y-exponents are all 0, so the order is the degree order there and the
+    quotient is read back with the y dropped.  The quotient over the
+    integers is unique, so p is divisible in the nonnegative world exactly
+    when the remainder vanishes and no quotient coefficient is negative.
+    Dividing by the zero polynomial raises ZeroDivisionError.
     """
     _same_arity(p, q)
     if not q:
         raise ZeroDivisionError("division by the zero polynomial")
+    quo = _divide_terms(dict(lift(p).terms), dict(lift(q).terms))
+    if quo is None:
+        return None
     if isinstance(p, Poly1):
-        quo = _divide_terms(
-            dict(p.terms), dict(q.terms),
-            divides=lambda qe, re: qe <= re,
-            sub=lambda a, b: a - b,
-            combine=lambda a, b: a + b,
-        )
-        return None if quo is None else Poly1(quo)
-    quo = _divide_terms(
-        dict(p.terms), dict(q.terms),
-        divides=lambda qe, re: qe[0] <= re[0] and qe[1] <= re[1],
-        sub=lambda a, b: (a[0] - b[0], a[1] - b[1]),
-        combine=lambda a, b: (a[0] + b[0], a[1] + b[1]),
-    )
-    return None if quo is None else Poly2(quo)
+        return Poly1({x: c for (x, _), c in quo.items()})
+    return Poly2(quo)
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +419,11 @@ def parse_poly(text: str):
     if not toks:
         raise PolyParseError("empty polynomial", 0)
     terms = []
-    bivariate = False
+    any_y = False
     i = 0
     while True:
         (coeff, xe, ye, saw_y), i = _parse_term(toks, i)
-        bivariate = bivariate or saw_y
+        any_y = any_y or saw_y
         terms.append((coeff, xe, ye))
         if i == len(toks):
             break
@@ -439,7 +433,7 @@ def parse_poly(text: str):
         i += 1
         if i == len(toks):
             raise PolyParseError("dangling '+'", pos)
-    if bivariate:
+    if any_y:
         return Poly2([((xe, ye), c) for c, xe, ye in terms])
     return Poly1([(xe, c) for c, xe, ye in terms])
 

@@ -15,9 +15,12 @@ of q and r are bounded by s and p(1)/s.  The work follows the number of
 terms, not the degree.
 
 ``bit_disjoint_factor`` restricts to factor pairs whose exponent bit
-supports do not meet.  Reading each exponent bit as a variable (a pre and
-a post variable per bit for two-variable input) makes p a multilinear
-polynomial, and a bit-disjoint split a variable-disjoint factorization.
+supports do not meet.  It works on (x, y) exponents only: N[x] is the
+y-degree-0 part of N[x,y], as an undirected graph is a directed one whose
+out-sets are empty, so a one-variable p is searched as its lift.  Reading
+each exponent bit as two variables, a pre variable for x and a post
+variable for y, makes p a multilinear polynomial, and a bit-disjoint split
+a variable-disjoint factorization.
 Such factorizations are unions of one finest partition into prime blocks,
 and two variables lie in different blocks iff P * d_uw P = d_u P * d_w P
 (Shpilka & Volkovich, "On the relation between polynomial identity testing
@@ -50,7 +53,7 @@ from math import gcd, isqrt, prod
 
 from .bits import from_bits, tau, tau_poly
 from .errors import BudgetExceededError, _brief, _show
-from .poly import Poly1, Poly2, content
+from .poly import Poly1, content, lift
 
 
 @dataclass(frozen=True)
@@ -304,17 +307,14 @@ def _factor_pairs(p, meter):
     return sorted(out)
 
 
-def _outer(terms, mask1, mask2, bivariate):
+def _outer(terms, mask1, mask2):
     """(column, row) when the grid of a primitive p over the two masks is the
     outer product of its primitive first column and primitive first row,
     else None; both come back as exponent -> coefficient maps."""
-    if bivariate:
-        grid = {
-            ((x & mask1, y & mask1), (x & mask2, y & mask2)): v
-            for (x, y), v in terms.items()
-        }
-    else:
-        grid = {(e & mask1, e & mask2): v for e, v in terms.items()}
+    grid = {
+        ((x & mask1, y & mask1), (x & mask2, y & mask2)): v
+        for (x, y), v in terms.items()
+    }
     a0, b0 = next(iter(grid))
     col = {a: v for (a, b), v in grid.items() if b == b0}
     row = {b: v for (a, b), v in grid.items() if a == a0}
@@ -364,21 +364,22 @@ class _Stream:
 _point = _Stream().point
 
 
-def _blocks(terms, support, bivariate, point, modulus, meter):
+def _blocks(terms, support, point, modulus, meter):
     """The support bits grouped by union-find over the variables that the
     dependency test at this point proves dependent, as bit lists ordered by
     their top bit.
 
-    Each support bit is one variable group: its pre variable and, for two
-    slots, its post variable.  For variables u and w, let S sum the terms'
-    values at the point, R_u and R_w the values of the terms holding u or
-    w, and D those holding both.  Then S*D - R_u*R_w is the 2x2 minor of the
-    grid of p over the states of u and w, with u's and w's own values left
-    in, which only scales its rows and columns by units: P * d_uw P -
-    d_u P * d_w P at the point, times z_u * z_w.  It vanishes identically
-    iff u and w lie in different variable-disjoint factors, so lying in one
-    prime block is an equivalence relation on the variables, and a nonzero
-    value proves that u and w lie in one.
+    Each support bit is one variable group: its pre variable, read in the
+    x-exponents, and its post variable, read in the y-exponents.  For
+    variables u and w, let S sum the terms' values at the point, R_u and
+    R_w the values of the terms holding u or w, and D those holding both.
+    Then S*D - R_u*R_w is the 2x2 minor of the grid of p over the states of
+    u and w, with u's and w's own values left in, which only scales its
+    rows and columns by units: P * d_uw P - d_u P * d_w P at the point,
+    times z_u * z_w.  It vanishes identically iff u and w lie in different
+    variable-disjoint factors, so lying in one prime block is an
+    equivalence relation on the variables, and a nonzero value proves that
+    u and w lie in one.
 
     So each variable, pre variables before post ones, is tested against one
     representative of each class found so far, in the order they were
@@ -401,9 +402,8 @@ def _blocks(terms, support, bivariate, point, modulus, meter):
     meter.charge(len(terms), "the dependency test")
     values = []
     holding = [[] for _ in point]  # variable -> indices of the terms holding it
-    for i, (e, value) in enumerate(terms.items()):
+    for i, ((x, y), value) in enumerate(terms.items()):
         value %= modulus
-        x, y = e if bivariate else (e, 0)
         for b in tau(x):
             u = pre[b]
             value *= point[u]
@@ -443,7 +443,7 @@ def _blocks(terms, support, bivariate, point, modulus, meter):
     return sorted(groups.values(), key=lambda bits: bits[-1])
 
 
-def _peel(terms, masks, bivariate, meter):
+def _peel(terms, masks, meter):
     """The primitive factors of primitive terms on the given bit masks, read
     off by splitting one mask at a time from the bits that remain, or None
     once a split fails."""
@@ -452,7 +452,7 @@ def _peel(terms, masks, bivariate, meter):
     for mask in masks[:-1]:
         rest ^= mask
         meter.charge(len(terms), "the verification")
-        split = _outer(terms, mask, rest, bivariate)
+        split = _outer(terms, mask, rest)
         if split is None:
             return None
         col, terms = split
@@ -460,19 +460,20 @@ def _peel(terms, masks, bivariate, meter):
     return factors + [terms]
 
 
-def _times(f, g, bivariate):
+def _times(f, g):
     """Product of two exponent maps on disjoint bits: no terms collide."""
-    if bivariate:
-        return {(a[0] + b[0], a[1] + b[1]): u * w for a, u in f.items() for b, w in g.items()}
-    return {a + b: u * w for a, u in f.items() for b, w in g.items()}
+    return {(a[0] + b[0], a[1] + b[1]): u * w for a, u in f.items() for b, w in g.items()}
 
 
 def bit_disjoint_factor(p, budget: Budget = Budget()) -> list:
     """Unordered pairs (p1, p2), neither the constant 1, with p1*p2 == p and
     disjoint exponent bit supports.
 
-    Works for either arity; a two-variable support pools the bits of both
-    exponent components.  Each support bit is one variable group, so a split
+    Works for either arity.  A one-variable p is searched as the
+    two-variable polynomial with y-exponent 0 (its lift), and each emitted
+    half is read back with the y dropped; (x, 0) sorts as x does, so the
+    pairs keep their order.  The support pools the bits of both exponent
+    components.  Each support bit is one variable group, so a split
     is a variable-disjoint factorization of the primitive part, and every
     such split is a union of its prime blocks (Shpilka & Volkovich, ICALP
     2010).  The blocks come from a dependency test at a random point of
@@ -490,12 +491,15 @@ def bit_disjoint_factor(p, budget: Budget = Budget()) -> list:
     two sides times a split of the primitive part, and that split is unique
     for a union of blocks: the product of their primitive factors.
     """
-    return _polys(type(p), _bit_disjoint_factor(p, sorted(tau_poly(p)), _Meter(budget)))
+    pairs = _bit_disjoint_factor(lift(p), sorted(tau_poly(p)), _Meter(budget))
+    if isinstance(p, Poly1):
+        pairs = [[tuple((x, c) for (x, _), c in half) for half in pair] for pair in pairs]
+    return _polys(type(p), pairs)
 
 
 def _bit_disjoint_factor(p, support, meter):
-    """The pairs of bit_disjoint_factor as sorted _pairs of poly_keys; support
-    lists the bits of tau_poly(p) in ascending order."""
+    """The pairs of bit_disjoint_factor for a Poly2 p as sorted _pairs of
+    poly_keys; support lists the bits of tau_poly(p) in ascending order."""
     if not p:
         raise ValueError("cannot factor the zero polynomial")
     c = content(p)
@@ -504,7 +508,6 @@ def _bit_disjoint_factor(p, support, meter):
         f"bit-disjoint factoring of {len(terms)} terms on {len(support)} support bits"
     )
     cdivs = _divisors(c, meter) if c > 1 else (1,)
-    bivariate = isinstance(p, Poly2)
     # A minor whose integer coefficients 2**61 - 1 divides vanishes at every
     # point modulo that prime, so each new point takes the next power as its
     # modulus, up to the first one above the coefficients' bound 2 * p(1)**2.
@@ -513,10 +516,10 @@ def _bit_disjoint_factor(p, support, meter):
     factors = None
     while factors is None:
         draw += 1
-        point = _point(draw, len(support) * (1 + bivariate))
+        point = _point(draw, 2 * len(support))
         modulus = _PRIME ** min(draw, top)
-        blocks = _blocks(terms, support, bivariate, point, modulus, meter)
-        factors = _peel(terms, [from_bits(bits) for bits in blocks], bivariate, meter)
+        blocks = _blocks(terms, support, point, modulus, meter)
+        factors = _peel(terms, [from_bits(bits) for bits in blocks], meter)
     # products[m]: the product of the factors in the subset m of the blocks,
     # built when a split first needs it.
     k = len(factors)
@@ -526,7 +529,7 @@ def _bit_disjoint_factor(p, support, meter):
     def product(m):
         if m not in products:
             low = m & -m
-            products[m] = _times(product(m ^ low), factors[low.bit_length() - 1], bivariate)
+            products[m] = _times(product(m ^ low), factors[low.bit_length() - 1])
         return products[m]
 
     one = ((p.zero, 1),)

@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -431,6 +432,20 @@ def cycles(*sizes):
         vs += [f"v{c}_{i}" for i in range(n)]
         edges += [(f"u{c}_{i}", f"v{c}_{(i + j) % n}") for i in range(n) for j in (0, 1)]
     return Bigraph(us, vs, edges)
+
+
+def test_canonical_form_keeps_only_the_states_it_visits():
+    """The repeated-state rule keeps the states the walk visits, not every
+    child it builds: the 8-cycle's canonical form peaks under 8 MB of
+    Python allocations, where keeping every child took about 11 MB."""
+    g = cycles(8)
+    tracemalloc.start()
+    try:
+        canonical_poly(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("n", [10, 12, 16])

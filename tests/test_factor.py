@@ -13,6 +13,7 @@ from bigraphpoly import (
     Poly2,
     bit_disjoint_factor,
     factor_pairs,
+    lift,
     parse_poly1,
     poly_key,
     polyfactor,
@@ -411,6 +412,33 @@ def test_bit_disjoint_matches_the_reference_on_up_to_ten_bits():
                 p = p + make({rng.choice(list(p.terms)): rng.randint(1, 3)})
             got = [tuple(sorted((poly_key(a), poly_key(b)))) for a, b in bit_disjoint_factor(p)]
             assert got == sorted(bit_disjoint_reference(dict(p.terms))), p
+
+
+def drop_y(p):
+    """The Poly1 of a Poly2 whose y-exponents are all 0."""
+    assert all(y == 0 for _, y in p.terms)
+    return Poly1({x: c for (x, _), c in p.terms.items()})
+
+
+def test_one_variable_search_is_the_lift_read_back():
+    """N[x] is the y-degree-0 part of N[x,y]: on one-variable input the
+    search gives the pairs of its lift with the y dropped, in the same
+    order, prime inputs and raised coefficients included."""
+    rng = random.Random(35)
+    split = 0
+    for _ in range(300):
+        bits = rng.sample(range(10), rng.randint(0, 8))
+        cuts = sorted(rng.randint(0, len(bits)) for _ in range(rng.randint(0, 3)))
+        groups = [bits[i:j] for i, j in zip([0, *cuts], [*cuts, len(bits)])]
+        p = P({0: rng.choice((1, 2, 6, 12))})
+        for group in groups:
+            p = p * poly_on_bits(rng, group)
+        if rng.random() < 0.2:
+            p = p + P({rng.choice(list(p.terms)): rng.randint(1, 3)})
+        pairs = bit_disjoint_factor(p)
+        assert pairs == [(drop_y(a), drop_y(b)) for a, b in bit_disjoint_factor(lift(p))], p
+        split += bool(pairs)
+    assert split > 100
 
 
 def test_bit_disjoint_verification_rejects_a_point_that_misses_a_dependency(monkeypatch):

@@ -273,6 +273,8 @@ def test_fmt_id_forms():
 def test_string_ids_are_unique_and_whitespace_free():
     got = string_ids(["a b", "a_b", ""])
     assert got == {"a b": "a_b", "a_b": "a_b.2", "": "id"}
+    # A bool id is written as its digit, and a clash gets a suffix.
+    assert string_ids(["1", True, False]) == {"1": "1", True: "1.2", False: "0"}
     rng = random.Random(82)
     base = random_bigraph(rng)
     g = decode(encode(base, random_labeling(rng, base.v_vertices, 6)))

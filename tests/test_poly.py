@@ -305,6 +305,14 @@ def test_parse_error_positions():
     with pytest.raises(PolyParseError) as e:
         parse_poly("x + ")
     assert "dangling '+'" in str(e.value)
+    with pytest.raises(PolyParseError) as e:
+        parse_poly("x^y")
+    assert str(e.value).startswith("expected exponent, found 'y'")
+    assert e.value.position == 2
+    with pytest.raises(PolyParseError) as e:
+        parse_poly("2*+")
+    assert str(e.value).startswith("expected variable after '*', found '+'")
+    assert e.value.position == 2
 
 
 def test_parse_rejects_minus_with_hint():
@@ -414,6 +422,27 @@ def test_divide_exact_round_trip():
         p2 = random_poly2(rng, allow_zero=True)
         q2 = random_poly2(rng)
         assert divide_exact(p2 * q2, q2) == p2
+
+
+def test_divide_exact_of_one_variable_is_the_lifted_division_read_back():
+    """A Poly1 pair divides as its lift does, with the y dropped from the
+    quotient: exact multiples, near misses and None alike."""
+    rng = random.Random(18)
+    answered = 0
+    for _ in range(400):
+        q = random_poly1(rng)
+        p = random_poly1(rng, allow_zero=True) * q
+        if rng.random() < 0.5:
+            p = p + Poly1({rng.randint(0, max(p.degree, 0) + 2): 1})
+        got = divide_exact(p, q)
+        lifted = divide_exact(lift(p), lift(q))
+        if lifted is None:
+            assert got is None
+        else:
+            assert all(y == 0 for _, y in lifted.terms)
+            assert got == Poly1({x: c for (x, _), c in lifted.terms.items()})
+            answered += 1
+    assert 100 < answered < 350
 
 
 def test_divide_exact_rejects_near_multiples():
