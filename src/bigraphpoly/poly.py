@@ -11,12 +11,13 @@ One-variable terms are keyed by the x-exponent, two-variable terms by an
 
     poly  := term (" + " term)*
     term  := coeff | mono | coeff "*" mono
-    mono  := var ("^" nat)? ("*" var ("^" nat)?)?
+    mono  := var ("^" nat)? ("*" var ("^" nat)?)*
 
 with terms rendered in strictly decreasing exponent order (two variables:
 lexicographic on the (x, y) exponent pair) and "0" for the zero polynomial.
 ``parse_poly`` accepts the same grammar back, is lenient about whitespace,
-and merges duplicate monomials.
+multiplies the factors of a mono (x*x*y is x^2*y) and merges duplicate
+monomials.
 """
 
 from __future__ import annotations
@@ -341,18 +342,7 @@ def render(p) -> str:
 
 
 _TOKEN = re.compile(r"\s*(\d+|[xy^*+]|\S)")
-
-
-def _tokens(text):
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            break  # only trailing whitespace left
-        out.append((m.group(1), m.start(1)))
-        pos = m.end()
-    return out
+_VARS = ("x", "y")
 
 
 def _fail_token(tok, pos, expected):
@@ -363,50 +353,16 @@ def _fail_token(tok, pos, expected):
     raise PolyParseError(f"expected {expected}, found {_brief(tok)}", pos)
 
 
-def _parse_exponent(toks, i, pos_caret):
-    if i >= len(toks):
-        raise PolyParseError("expected exponent after '^'", pos_caret + 1)
-    tok, pos = toks[i]
-    if not tok.isdigit():
-        _fail_token(tok, pos, "exponent")
-    return _text_int(tok), i + 1
-
-
-def _parse_term(toks, i):
-    tok, pos = toks[i]
-    coeff = 1
-    xe = ye = 0
-    saw_y = False
-    if tok.isdigit():
-        coeff = _text_int(tok)
-        i += 1
-        if i < len(toks) and toks[i][0] == "*":
-            if i + 1 >= len(toks):
-                raise PolyParseError("expected variable after '*'", toks[i][1] + 1)
-            if toks[i + 1][0] not in ("x", "y"):
-                _fail_token(toks[i + 1][0], toks[i + 1][1], "variable after '*'")
-            i += 1
-        else:
-            return (coeff, 0, 0, False), i  # bare coefficient term
-        tok, pos = toks[i]
-    if tok not in ("x", "y"):
-        _fail_token(tok, pos, "coefficient or variable")
-    while True:
-        var, pos = toks[i]
-        i += 1
-        e = 1
-        if i < len(toks) and toks[i][0] == "^":
-            e, i = _parse_exponent(toks, i + 1, toks[i][1])
-        if var == "x":
-            xe += e
-        else:
-            ye += e
-            saw_y = True
-        if i < len(toks) and toks[i][0] == "*" and i + 1 < len(toks) and toks[i + 1][0] in ("x", "y"):
-            i += 1
-            continue
-        break
-    return (coeff, xe, ye, saw_y), i
+def _operand(toks, op_pos, ok, missing, expected):
+    """The token after the operator at op_pos, which must pass ok.  The
+    text ending there is "expected <missing>" one column past the operator;
+    a token that fails ok is "expected <expected>" at that token."""
+    tok, pos = next(toks)
+    if not tok:
+        raise PolyParseError(f"expected {missing}", op_pos + 1)
+    if not ok(tok):
+        _fail_token(tok, pos, expected)
+    return tok
 
 
 def parse_poly(text: str):
@@ -415,27 +371,46 @@ def parse_poly(text: str):
     Whitespace around tokens is ignored; everything else is strict.  Errors
     carry the 0-based character position in ``.position``.
     """
-    toks = _tokens(text)
-    if not toks:
-        raise PolyParseError("empty polynomial", 0)
+    toks = iter([(m[1], m.start(1)) for m in _TOKEN.finditer(text)] + [("", len(text))])
     terms = []
     any_y = False
-    i = 0
-    while True:
-        (coeff, xe, ye, saw_y), i = _parse_term(toks, i)
-        any_y = any_y or saw_y
-        terms.append((coeff, xe, ye))
-        if i == len(toks):
-            break
-        tok, pos = toks[i]
+    tok, pos = "+", 0  # read as if a '+' opened the text
+    while tok:  # "" ends the tokens
         if tok != "+":
             _fail_token(tok, pos, "'+' or end of input")
-        i += 1
-        if i == len(toks):
-            raise PolyParseError("dangling '+'", pos)
+        plus = pos
+        tok, pos = next(toks)
+        if not tok:
+            raise PolyParseError("dangling '+'" if terms else "empty polynomial", plus)
+        coeff, exps, mono = 1, [0, 0], True  # exps[False] is x's, exps[True] y's
+        if tok.isdecimal():
+            coeff = _text_int(tok)
+            tok, pos = next(toks)
+            mono = tok == "*"
+            if mono:
+                tok = _operand(
+                    toks, pos, _VARS.__contains__, "variable after '*'", "variable after '*'"
+                )
+        elif tok not in _VARS:
+            _fail_token(tok, pos, "coefficient or variable")
+        while mono:  # tok is a variable
+            y = tok == "y"
+            any_y = any_y or y
+            e = 1
+            tok, pos = next(toks)
+            if tok == "^":
+                e = _text_int(_operand(toks, pos, str.isdecimal, "exponent after '^'", "exponent"))
+                tok, pos = next(toks)
+            exps[y] += e
+            mono = tok == "*"
+            if mono:
+                tok, _ = next(toks)
+                if tok not in _VARS:
+                    _fail_token("*", pos, "'+' or end of input")
+        terms.append((tuple(exps), coeff))
     if any_y:
-        return Poly2([((xe, ye), c) for c, xe, ye in terms])
-    return Poly1([(xe, c) for c, xe, ye in terms])
+        return Poly2(terms)
+    return Poly1([(xe, c) for (xe, _), c in terms])
 
 
 def parse_poly1(text: str) -> Poly1:

@@ -33,9 +33,7 @@ exactly: split off one at a time, the coefficient grid over a block and the
 bits left must be an outer product, whose primitive first row and column
 are the factors.  A point that misses a dependency fails that check and
 another is drawn.  The work is about |support| * classes * terms plus the
-size of the output, where testing every pair of bits took
-|support|**2 * terms and a scan of the bipartitions
-2**(|support| - 1) * terms.
+size of the output.
 
 Both searches emit each half as its poly_key, the (exponent, coefficient)
 items in descending exponent order, and sort the pairs by those keys; the
@@ -129,6 +127,22 @@ def _pair(a, b):
     """The unordered pair of the poly_keys a and b, the lesser first: the
     form in which both searches emit their pairs and sort them."""
     return (a, b) if a <= b else (b, a)
+
+
+def _spread(cores, c, cdivs, one):
+    """The sorted _pairs from spreading the content c = c1 * c2 over each
+    pair of primitive halves in cores, c1 over the first; cdivs lists the
+    divisors of c, and a pair with a half equal to one, the unit key, is
+    left out."""
+    out = set()
+    for f, g in cores:
+        for c1 in cdivs:
+            c2 = c // c1
+            q = f if c1 == 1 else tuple([(e, v * c1) for e, v in f])
+            r = g if c2 == 1 else tuple([(e, v * c2) for e, v in g])
+            if q != one and r != one:
+                out.add(_pair(q, r))
+    return sorted(out)
 
 
 def _polys(cls, pairs):
@@ -288,7 +302,7 @@ def _factor_pairs(p, meter):
     splits = [(((0, 1),), tuple(core.items()))]
     if next(iter(core)) >= 2:
         splits.extend(_splits(core, meter))
-    out = set()
+    cores = []
     # Spreading x^m and c over (big, small) gives the same pairs as over
     # (small, big), so each split is spread one way only.
     for small, big in splits:
@@ -298,13 +312,11 @@ def _factor_pairs(p, meter):
         # the count is arithmetic, as a range longer than 2**63 has no len.
         size = len(small) + len(big)
         meter.charge(max(0, hi - lo) * len(cdivs) * size, "emitting the factors")
-        for a in range(lo, hi):
-            for c1 in cdivs:
-                c2 = c // c1
-                q = tuple([(e + a, v * c1) for e, v in small])
-                r = tuple([(e + m - a, v * c2) for e, v in big])
-                out.add(_pair(q, r))
-    return sorted(out)
+        cores += [
+            (tuple([(e + a, v) for e, v in small]), tuple([(e + m - a, v) for e, v in big]))
+            for a in range(lo, hi)
+        ]
+    return _spread(cores, c, cdivs, ((0, 1),))
 
 
 def _outer(terms, mask1, mask2):
@@ -532,7 +544,6 @@ def _bit_disjoint_factor(p, support, meter):
             products[m] = _times(product(m ^ low), factors[low.bit_length() - 1])
         return products[m]
 
-    one = ((p.zero, 1),)
     # Every pair costs its terms, charged before any is built.  Blocks have
     # disjoint bits, so a product of factors has the product of their term
     # counts, and the picks with their rests hold prod(1 + t_i) terms over
@@ -541,16 +552,7 @@ def _bit_disjoint_factor(p, support, meter):
     size = prod(1 + len(f) for f in factors)
     skipped = 1 + len(terms) + (2 if c > 1 and terms == {p.zero: 1} else 0)
     meter.charge(len(cdivs) * size - skipped, "emitting the factors")
-    out = set()
     # The top block stays on the second side, so each subset of the blocks
     # is keyed once: as a pick or as the rest of one.
-    for pick in range(1 << (k - 1)):
-        col, row = _key(product(pick)), _key(product(whole ^ pick))
-        for c1 in cdivs:
-            if (c1 == 1 and col == one) or (c1 == c and row == one):
-                continue
-            c2 = c // c1
-            q = col if c1 == 1 else tuple([(e, v * c1) for e, v in col])
-            r = row if c2 == 1 else tuple([(e, v * c2) for e, v in row])
-            out.add(_pair(q, r))
-    return sorted(out)
+    cores = ((_key(product(m)), _key(product(whole ^ m))) for m in range(1 << (k - 1)))
+    return _spread(cores, c, cdivs, ((p.zero, 1),))

@@ -1069,6 +1069,9 @@ def test_bad_polynomial_is_an_input_error(capsys):
     code, out, err = run(capsys, "decode", "x +* 2")
     assert code == 3
     assert err.startswith("error:")
+    # A superscript digit is a stray character, not a number int() refuses.
+    assert run(capsys, "factor", "x^\u00b2") == (
+        3, "", "error: expected exponent, found '\u00b2' (column 3)\n")
 
 
 def test_usage_errors_exit_3(capsys):

@@ -238,6 +238,8 @@ def test_parse_golden():
 def test_parse_is_whitespace_tolerant():
     assert parse_poly("  x ^ 2+ 1 ") == Poly1({2: 1, 0: 1})
     assert parse_poly("2 * x") == Poly1({1: 2})
+    assert parse_poly("x\u3000+\u30001") == Poly1({1: 1, 0: 1})  # ideographic space
+    assert parse_poly("x^\u0663") == Poly1({3: 1})  # Arabic-Indic digit three
 
 
 def test_parse_render_round_trip():
@@ -313,6 +315,22 @@ def test_parse_error_positions():
         parse_poly("2*+")
     assert str(e.value).startswith("expected variable after '*', found '+'")
     assert e.value.position == 2
+    # Superscript digits pass str.isdigit but not int(): they are stray
+    # characters, reported where they stand.
+    for text, message, position in [
+        ("2*", "expected variable after '*'", 2),
+        ("2x", "expected '+' or end of input, found 'x'", 1),
+        ("x y", "expected '+' or end of input, found 'y'", 2),
+        ("x*2", "expected '+' or end of input, found '*'", 1),
+        ("2^3", "expected '+' or end of input, found '^'", 1),
+        ("x^\u00b2", "expected exponent, found '\u00b2'", 2),
+        ("\u00b2", "expected coefficient or variable, found '\u00b2'", 0),
+        ("x + \u00b3", "expected coefficient or variable, found '\u00b3'", 4),
+    ]:
+        with pytest.raises(PolyParseError) as e:
+            parse_poly(text)
+        assert str(e.value).startswith(message), text
+        assert e.value.position == position, text
 
 
 def test_parse_rejects_minus_with_hint():
