@@ -382,18 +382,19 @@ def parse_poly(text: str):
         tok, pos = next(toks)
         if not tok:
             raise PolyParseError("dangling '+'" if terms else "empty polynomial", plus)
-        coeff, exps, mono = 1, [0, 0], True  # exps[False] is x's, exps[True] y's
+        coeff, exps = 1, [0, 0]  # exps[False] is x's, exps[True] y's
+        var = tok in _VARS  # the term opens with a variable, not a coefficient
         if tok.isdecimal():
             coeff = _text_int(tok)
             tok, pos = next(toks)
-            mono = tok == "*"
-            if mono:
+        elif not var:
+            _fail_token(tok, pos, "coefficient or variable")
+        while var or tok == "*":
+            if not var:  # a variable must follow each '*'
                 tok = _operand(
                     toks, pos, _VARS.__contains__, "variable after '*'", "variable after '*'"
                 )
-        elif tok not in _VARS:
-            _fail_token(tok, pos, "coefficient or variable")
-        while mono:  # tok is a variable
+            var = False
             y = tok == "y"
             any_y = any_y or y
             e = 1
@@ -402,11 +403,6 @@ def parse_poly(text: str):
                 e = _text_int(_operand(toks, pos, str.isdecimal, "exponent after '^'", "exponent"))
                 tok, pos = next(toks)
             exps[y] += e
-            mono = tok == "*"
-            if mono:
-                tok, _ = next(toks)
-                if tok not in _VARS:
-                    _fail_token("*", pos, "'+' or end of input")
         terms.append((tuple(exps), coeff))
     if any_y:
         return Poly2(terms)

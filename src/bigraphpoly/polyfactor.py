@@ -9,10 +9,13 @@ polynomial p with p(0) > 0 therefore live on supp(p).  The search sets the
 factor q of degree at most deg(p)/2 one coefficient at a time, at the
 exponents of supp(p) in ascending order; the low-end recurrence
 p_k = sum_i q_i * r_(k-i) then fixes each cofactor coefficient r_k, which
-must be a natural number and keep supp(q) + supp(r) inside supp(p).  With
-q(1) fixed in turn to each divisor s of p(1), the running coefficient sums
-of q and r are bounded by s and p(1)/s.  The work follows the number of
-terms, not the degree.
+must be a natural number and keep supp(q) + supp(r) inside supp(p).  One
+walk per q(0) serves every divisor s of p(1) that q(1) may come to: a
+partial q is kept while its coefficient sum is below some such s and r's
+is at most p(1)/s, so each prefix is built once for all of them.  On a
+mostly filled support p(2) is small, and q(2) * r(2) = p(2), so a
+completed q whose q(2) does not divide p(2) gets no cofactor pass.  The
+work follows the number of terms, not the degree.
 
 ``bit_disjoint_factor`` restricts to factor pairs whose exponent bit
 supports do not meet.  It works on (x, y) exponents only: N[x] is the
@@ -154,13 +157,25 @@ def _polys(cls, pairs):
 def _splits(coef, meter: _Meter) -> set:
     """Unordered nonconstant splits of a primitive p with p(0) > 0 and
     degree at least 2, given as its {exponent: coefficient} terms, by the
-    coefficient search; each split is a _pair of poly_keys."""
+    coefficient search; each split is a _pair of poly_keys.
+
+    One depth-first walk per divisor q0 of p(0) sets q's coefficients.  Its
+    targets are the divisors s of p(1) that leave q and r nonconstant,
+    q0 < s and r0 < p(1)/s, and every target shares the walk, so each
+    prefix of q is built once.  A value of q_e is kept when it completes q,
+    bringing q(1) to a target s with r(1) still at most p(1)/s, or when a
+    later place of q can still bring q(1) to a larger target s' with r(1)
+    at most p(1)/s'.  A completed q gets the cofactor pass, on a dense
+    support only when q(2) divides p(2).
+    """
     exps = sorted(coef)
     m = len(exps)
     n = exps[-1]
     nq = bisect_right(exps, n // 2)  # q sits on exps[:nq]
     # On a mostly filled support, the sumset checks look for a gap instead.
     gaps = sorted(set(range(n)).difference(coef)) if n < 2 * m else None
+    # There p(2) is small, and q * r = p needs q(2) to divide it.
+    p2 = sum([v << e for e, v in coef.items()]) if gaps is not None else 0
     p0, total = coef[0], sum(coef.values())
     sums = _divisors(total, meter)
     # A nonconstant factor with a nonzero constant term has q(1) >= 2.
@@ -187,18 +202,18 @@ def _splits(coef, meter: _Meter) -> set:
 
     def node(t, qsum, rsum):
         """The choices at e = exps[t] after q and r summed to qsum and rsum
-        below e: the q_e values to try, what the recurrence at e leaves for
+        below e, while some target s in (qsum, p(1) // rsum] is open: the
+        q_e values to try, what the recurrence at e leaves for
         q_e * r0 + q0 * r_e, and whether q_e and r_e may both be positive."""
         e = exps[t]
         big = coef[e] - sum([c * r.get(e - i, 0) for i, c in q.items()])
-        rleft = rs - rsum
-        if t == nq - 1:
-            first = hi = s - qsum  # q's last place: q(1) must come to s
-        elif big % g:
+        i, j = bisect_right(targets, qsum), bisect_right(targets, total // rsum)
+        if big % g:
             first, hi = 1, 0
         else:
-            hi = min(s - qsum, big // r0)
-            lo = max(0, -((q0 * rleft - big) // r0))  # r_e fits in r(1)
+            hi = min(targets[j - 1] - qsum, big // r0)
+            # r_e fits in r(1) under the open target that leaves r the most room.
+            lo = max(0, -((q0 * (room[targets[i]] - rsum) - big) // r0))
             # q0 must divide big - q_e * r0: one residue class mod step.
             first = lo + (big // g * inv - lo) % step
         # supp(q) + supp(r) must stay inside supp(p).
@@ -207,13 +222,20 @@ def _splits(coef, meter: _Meter) -> set:
         if first <= hi and not fits(e, q):
             first, hi = max(first, -(-big // r0)), min(hi, big // r0)  # r_e = 0
         values = range(first, hi + 1, step)
+        if t == nq - 1:  # q's last place: q(1) must come to an open target
+            values = [s - qsum for s in targets[i:j] if s - qsum in values]
         charge(1 + len(values) + len(q), "the coefficient search")
         return iter(values), big, e + e in coef, qsum, rsum
 
-    def cofactor(t, rsum):
-        """r completed on exps[t:] once q is complete, or None."""
+    def cofactor(t, rleft):
+        """r completed on exps[t:] with at most rleft more mass once q is
+        complete, or None; on a dense support, None at once when q(2) does
+        not divide p(2)."""
+        if p2:
+            charge(1, "the coefficient search")
+            if p2 % sum([v << i for i, v in q.items()], q0):
+                return None
         full = dict(r)
-        rleft = rs - rsum
         for e in exps[t:]:
             charge(1 + len(q), "the coefficient search")
             big = coef[e] - sum([c * full.get(e - i, 0) for i, c in q.items()])
@@ -228,49 +250,53 @@ def _splits(coef, meter: _Meter) -> set:
         return full
 
     found = set()
-    for s in sums[1:-1]:
-        rs = total // s
-        for q0 in heads:
-            r0 = p0 // q0
-            if q0 >= s or r0 >= rs:
+    for q0 in heads:
+        r0 = p0 // q0
+        # room[s] = p(1)/s bounds r(1) when q(1) comes to the target s.
+        room = {d: total // d for d in sums if q0 < d and r0 * d < total}
+        if not room:
+            continue
+        targets = [*room, total + 1]  # p(1) + 1 closes the list: no r(1) fits under it
+        g = gcd(q0, r0)
+        step = q0 // g
+        inv = pow(r0 // g, -1, step)
+        # The positive coefficients above the constant terms.
+        q, r = {}, {}
+        # frames[t - 1] holds the choices at exps[t], for t < nq.
+        frames = [node(1, q0, r0)]
+        t = 1
+        while t:
+            e = exps[t]
+            q.pop(e, None)
+            r.pop(e, None)
+            values, big, both, qsum, rsum = frames[-1]
+            for qk in values:
+                rest = big - qk * r0
+                if rest < 0 or rest % q0 or qk and rest and not both:
+                    continue
+                qs, rs = qsum + qk, rsum + rest // q0
+                # Keep q_e if it completes q at a target, or if a later place
+                # can still bring q(1) to a larger target that leaves r room.
+                done = qk and rs <= room.get(qs, 0)
+                deeper = t + 1 < nq and targets[bisect_right(targets, qs)] * rs <= total
+                if done or deeper:
+                    break
+            else:
+                frames.pop()
+                t -= 1
                 continue
-            g = gcd(q0, r0)
-            step = q0 // g
-            inv = pow(r0 // g, -1, step)
-            # The positive coefficients above the constant terms.
-            q, r = {}, {}
-            # frames[t - 1] holds the choices at exps[t], for t < nq.
-            frames = [node(1, q0, r0)]
-            t = 1
-            while t:
-                e = exps[t]
-                q.pop(e, None)
-                r.pop(e, None)
-                values, big, both, qsum, rsum = frames[-1]
-                for qk in values:
-                    rest = big - qk * r0
-                    if rest < 0 or rest % q0:
-                        continue
-                    rk = rest // q0
-                    if rsum + rk <= rs and (both or not qk or not rk):
-                        break
-                else:
-                    frames.pop()
-                    t -= 1
-                    continue
-                if qk:
-                    q[e] = qk
-                if rk:
-                    r[e] = rk
-                if t + 1 < nq and qsum + qk < s:
-                    t += 1
-                    frames.append(node(t, qsum + qk, rsum + rk))
-                    continue
-                full = cofactor(t + 1, rsum + rk)
-                # q*r == p: they agree at every exponent of supp(p), and with
-                # q(1) = s and r(1) <= p(1)/s no mass is left for any other.
-                if full is not None:
-                    found.add(_pair(_key({0: q0, **q}), _key({0: r0, **full})))
+            if qk:
+                q[e] = qk
+            if rest:
+                r[e] = rest // q0
+            # q*r == p: they agree at every exponent of supp(p), and with
+            # q(1) = qs and r(1) <= p(1)/qs no mass is left for any other.
+            full = cofactor(t + 1, room[qs] - rs) if done else None
+            if full is not None:
+                found.add(_pair(_key({0: q0, **q}), _key({0: r0, **full})))
+            if deeper:
+                t += 1
+                frames.append(node(t, qs, rs))
     return found
 
 

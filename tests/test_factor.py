@@ -12,11 +12,13 @@ from bigraphpoly import (
     Poly1,
     Poly2,
     bit_disjoint_factor,
+    content,
     factor_pairs,
     lift,
     parse_poly1,
     poly_key,
     polyfactor,
+    render,
     tau_poly,
 )
 
@@ -186,17 +188,27 @@ def _sparse_mul(f, g):
     return {e: c for e, c in out.items() if c}
 
 
-def _complete_splits(binomials, c, m):
-    """Every N-split of c * x^m * prod(x^a + 1 for a in binomials), from the
-    irreducible factors over Z that sympy reports for each binomial."""
+def _z_factors(*polys):
+    """The irreducible factors over Z of the product of polys, as
+    {((exponent, coefficient), ...): multiplicity}, from sympy.factor_list
+    of each; the content of each must be 1."""
     sympy = pytest.importorskip("sympy")
     x = sympy.symbols("x")
     irreducible = {}
-    for a in binomials:
-        _, factors = sympy.factor_list(sympy.Poly(x**a + 1, x))
+    for p in polys:
+        c, factors = sympy.factor_list(sympy.Poly(p, x))
+        assert c == 1, p
         for f, e in factors:
             key = tuple(sorted((int(k[0]), int(v)) for k, v in f.terms()))
             irreducible[key] = irreducible.get(key, 0) + e
+    return irreducible
+
+
+def _complete_splits(irreducible, c, m):
+    """Every N-split of c * x^m times the product of the irreducible
+    factors over Z, given as {terms: multiplicity}: every grouping of them
+    into two sides with no negative coefficient, with c and x^m spread
+    over both sides."""
     keys = list(irreducible)
     splits = set()
 
@@ -251,7 +263,31 @@ def test_factor_pairs_matches_sympy_on_sparse_products():
                 p = p * P({a: 1, 0: 1})
             assert 1 << 5 <= p.degree <= 1 << 14
             got = {tuple(sorted((poly_key(q), poly_key(r)))) for q, r in factor_pairs(p)}
-            assert got == _complete_splits(binomials, c, m), (binomials, c, m)
+            irreducible = _z_factors(*(f"x**{a} + 1" for a in binomials))
+            assert got == _complete_splits(irreducible, c, m), (binomials, c, m)
+
+
+def test_factor_pairs_matches_sympy_on_dense_products():
+    """Products of two or three dense factors with coefficients 1 to 4, of
+    degree 5 to 10 in all, some multiplied by 2 or 6: past the brute-force
+    oracle's degree 4, checked against every grouping of their irreducible
+    factors over Z."""
+    pytest.importorskip("sympy")
+    rng = random.Random(2019)
+    for _ in range(40):
+        degree = rng.randint(5, 10)
+        cuts = sorted(rng.sample(range(1, degree), rng.randint(1, 2)))
+        degrees = [b - a for a, b in zip([0, *cuts], [*cuts, degree])]
+        factors = [P({i: rng.randint(1, 4) for i in range(d + 1)}) for d in degrees]
+        p = P({0: rng.choice((1, 1, 2, 6))})
+        for f in factors:
+            p = p * f
+        assert p.degree == degree
+        c = content(p)  # a factor may bring content of its own
+        core = {e: v // c for e, v in p.terms.items()}
+        irreducible = _z_factors(" + ".join(f"{v}*x**{e}" for e, v in core.items()))
+        got = {tuple(sorted((poly_key(q), poly_key(r)))) for q, r in factor_pairs(p)}
+        assert got == _complete_splits(irreducible, c, 0), render(p)
 
 
 def test_bipartition_budget_interrupts_huge_coefficients():

@@ -321,7 +321,9 @@ def test_parse_error_positions():
         ("2*", "expected variable after '*'", 2),
         ("2x", "expected '+' or end of input, found 'x'", 1),
         ("x y", "expected '+' or end of input, found 'y'", 2),
-        ("x*2", "expected '+' or end of input, found '*'", 1),
+        ("x*", "expected variable after '*'", 2),
+        ("x*-1", "'-' is not allowed: coefficients are nonnegative", 2),
+        ("x*2", "expected variable after '*', found '2'", 2),
         ("2^3", "expected '+' or end of input, found '^'", 1),
         ("x^\u00b2", "expected exponent, found '\u00b2'", 2),
         ("\u00b2", "expected coefficient or variable, found '\u00b2'", 0),

@@ -1,16 +1,20 @@
-"""Step counts and answers of the bit-disjoint search pinned on a seeded
-corpus, its points against the seeded random stream, and decompose run by
-several threads at once.
+"""Step counts and answers of the bit-disjoint search and of the
+coefficient search pinned on seeded corpora, the bit-disjoint search's
+points against the seeded random stream, and decompose run by several
+threads at once.
 
 The pinned figures are the least Budget under which each call answers and
-a digest of its pairs.  They fix the search's charges and, with the point
-stream, its draws: a change to either moves a figure.
+a digest of its pairs.  They fix the bit-disjoint search's charges and,
+with the point stream, its draws, and the charges of the coefficient
+search's walk: one walk per q(0) shared by every divisor of p(1), with the
+q(2) | p(2) test on dense supports.  A change to any of them moves a figure.
 """
 
 import hashlib
 import random
 import sys
 import threading
+from math import comb
 
 from bigraphpoly import (
     Budget,
@@ -22,6 +26,7 @@ from bigraphpoly import (
     compact_labeling,
     decompose,
     encode,
+    factor_pairs,
     net_product,
     polyfactor,
     render,
@@ -161,6 +166,60 @@ def test_least_budgets_and_answers_are_pinned(monkeypatch):
     seen["second_point"] = (PINNED["second_point"][0], len(pairs), digest(pairs))
     assert seen == PINNED
     assert sum(pins[1] for pins in PINNED.values()) > 50
+
+
+def factor_cases():
+    """(name, p) for factor_pairs: six seeded dense products of degree 5 to
+    9, two dense polynomials with a composite p(1) that do not split,
+    (1 + x)^10, a sparse product of degree 2^13, and a product with
+    content 6 and an x^2 shift."""
+    rng = random.Random(1720)
+    cases = []
+    for k in range(6):
+        degree = rng.randint(5, 9)
+        a = rng.randint(1, degree // 2)
+        q = Poly1({e: rng.randint(1, 4) for e in range(a + 1)})
+        r = Poly1({e: rng.randint(1, 4) for e in range(degree - a + 1)})
+        cases.append((f"dense{k + 1}", q * r))
+    negatives = 0
+    while negatives < 2:
+        p = Poly1({e: rng.randint(1, 3) for e in range(rng.randint(6, 8) + 1)})
+        total = sum(p.terms.values())
+        if any(total % d == 0 for d in range(2, total)) and not factor_pairs(p):
+            negatives += 1
+            cases.append((f"negative{negatives}", p))
+    cases.append(("binomial10", Poly1({e: comb(10, e) for e in range(11)})))
+    a = 1 << 10
+    cases.append(("sparse", Poly1({3 * a: 1, 0: 1}) * Poly1({5 * a: 1, a: 1, 0: 1})))
+    shifted = Poly1({2: 6}) * Poly1({3: 1, 1: 2, 0: 1}) * Poly1({2: 3, 1: 1, 0: 2})
+    cases.append(("content6", shifted))
+    return cases
+
+
+# name -> (least budget, number of pairs, digest of the pairs) of
+# factor_pairs on factor_cases.
+PINNED_FACTOR = {
+    "dense1": (412, 6, "239bdbc10972"),
+    "dense2": (77, 1, "8d3539604edf"),
+    "dense3": (128, 1, "2590c0ea6d93"),
+    "dense4": (65, 1, "3489ba5616ca"),
+    "dense5": (525, 1, "4e2a1cfaf5c8"),
+    "dense6": (103, 1, "5e06c5ccc6e9"),
+    "negative1": (33, 0, "e3b0c44298fc"),
+    "negative2": (17, 0, "e3b0c44298fc"),
+    "binomial10": (12730, 5, "826e0a4da200"),
+    "sparse": (51, 1, "57b40405a3d5"),
+    "content6": (193, 20, "4daa11bea107"),
+}
+
+
+def test_factor_pairs_least_budgets_and_answers_are_pinned():
+    seen = {}
+    for name, p in factor_cases():
+        pairs = least_budget_is(lambda b: factor_pairs(p, b), PINNED_FACTOR[name][0])
+        assert all(q * r == p for q, r in pairs)
+        seen[name] = (PINNED_FACTOR[name][0], len(pairs), digest(pairs))
+    assert seen == PINNED_FACTOR
 
 
 def test_points_are_the_seeded_stream():
