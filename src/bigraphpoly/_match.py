@@ -16,54 +16,40 @@ from __future__ import annotations
 from collections import Counter
 
 
-def _size(vs, sig):
-    """What one refinement round reads of one side: its v-vertices, its
-    u-vertices and their slot members."""
-    return len(vs) + sum(1 + sum(map(len, parts)) for parts in sig.values())
-
-
 def _refine(sig1, sig2, vcol1, vcol2, cost, meter):
-    """The v- and u-colorings of both sides refined from vcol1 and vcol2,
-    jointly: colors come from one table, so they compare across sides.
-    Each round charges cost steps."""
+    """The v- and u-colorings of both sides refined from vcol1 and vcol2.
+
+    A round recolors each u-vertex by the sorted v-colors of each of its
+    slots, then each v-vertex by its color and the sorted (slot, u-color)
+    pairs of the slots it lies in.  Colors come from one table shared by
+    the sides, so they compare across them; within a round the u-colors of
+    side 1, then of side 2, then the v-colors of side 1, then of side 2
+    take the next free ids.  Rounds repeat until the number of v-colors of
+    the two sides together stops growing, and each charges cost steps.
+    """
     table = {}
-
-    def intern(x):
-        got = table.get(x)
-        if got is None:
-            got = len(table)
-            table[x] = got
-        return got
-
-    vcols = [vcol1, vcol2]
-    sigs = (sig1, sig2)
-    ucols = [{}, {}]
+    vcols = (vcol1, vcol2)
     prev = -1
     while True:
         meter.charge(cost, "color refinement")
-        for side in (0, 1):
-            vc = vcols[side]
-            ucols[side] = {
-                u: intern(tuple(tuple(sorted(vc[v] for v in part)) for part in sig))
-                for u, sig in sigs[side].items()
-            }
-        newv = []
-        for side in (0, 1):
-            acc = {v: [] for v in vcols[side]}
-            for u, sig in sigs[side].items():
-                uc = ucols[side][u]
-                for slot, part in enumerate(sig):
+        ucols, accs = ({}, {}), []
+        for sig, vcol, ucol in zip((sig1, sig2), vcols, ucols):
+            acc = {v: [] for v in vcol}
+            for u, slots in sig.items():
+                key = tuple(tuple(sorted(vcol[v] for v in part)) for part in slots)
+                ucol[u] = uc = table.setdefault(key, len(table))
+                for slot, part in enumerate(slots):
                     for v in part:
                         acc[v].append((slot, uc))
-            newv.append(
-                {v: intern((vcols[side][v], tuple(sorted(acc[v])))) for v in acc}
-            )
-        vcols = newv
+            accs.append(acc)
+        vcols = [
+            {v: table.setdefault((vcol[v], tuple(sorted(a))), len(table)) for v, a in acc.items()}
+            for vcol, acc in zip(vcols, accs)
+        ]
         ncolors = len(set(vcols[0].values()) | set(vcols[1].values()))
         if ncolors == prev:
-            break
+            return (*vcols, *ucols)
         prev = ncolors
-    return vcols[0], vcols[1], ucols[0], ucols[1]
 
 
 def _match_right(sig1, sig2, vmap):
@@ -109,7 +95,10 @@ def find_bijections(v1, sig1, v2, sig2, meter):
     """
     meter.search = f"the isomorphism search on {len(v1)} v-vertices"
     charge = meter.charge
-    cost = _size(v1, sig1) + _size(v2, sig2)
+    # What one round reads: every v-vertex, u-vertex and slot member.
+    cost = len(v1) + len(v2) + sum(
+        1 + sum(map(len, slots)) for sig in (sig1, sig2) for slots in sig.values()
+    )
     stack = [iter([(dict.fromkeys(v1, 0), dict.fromkeys(v2, 0))])]
     while stack:
         start = next(stack[-1], None)

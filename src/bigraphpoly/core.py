@@ -117,6 +117,13 @@ def _first_few(items, limit=5):
     return text + "]" if len(items) <= limit else f"{text}, ...] ({len(items)} in all)"
 
 
+def _same_kind(g1, g2):
+    """Reject a graph, digraph or net paired with another kind; a decoded
+    structure is of its public class's kind."""
+    if g1.family is not g2.family:
+        raise TypeError(f"mixed kinds: {g1.family.__name__} and {g2.family.__name__}")
+
+
 def parts(u_ids, v_ids, u_word="u-part", v_word="v-part"):
     """The two id tuples, checked for repeats and for ids in both parts."""
     u = tuple(u_ids)
@@ -254,7 +261,9 @@ def is_isomorphic(g1: Bipartite, g2: Bipartite, budget: Budget = Budget()):
     For nets that is (event map, condition map).  A step is a node of the
     individualize-and-refine search tree, a vertex or slot member read by a
     refinement round, or a u-vertex of an assignment checked as a witness.
+    Mixed kinds raise TypeError.
     """
+    _same_kind(g1, g2)
     return find_bijections(
         list(g1.v_vertices), g1._sig, list(g2.v_vertices), g2._sig, _Meter(budget)
     )
@@ -431,13 +440,16 @@ def _encodings(g: Bipartite, meter, search, least):
 # whose packed slots add, sum u-vertices are a tagged union over the
 # v-quotient by equal labels.  When the two label images are disjoint,
 # exponent sums never carry, and both collapse to the plain unlabeled
-# constructions.
+# constructions.  Every one takes two structures of one kind and raises
+# TypeError on mixed kinds.
 
 def poly_product(g1, l1, g2, l2):
+    _same_kind(g1, g2)
     return decode(mul(encode(g1, l1), encode(g2, l2)), g1.decoded)
 
 
 def poly_sum(g1, l1, g2, l2):
+    _same_kind(g1, g2)
     return decode(add(encode(g1, l1), encode(g2, l2)), g1.decoded)
 
 
@@ -460,6 +472,7 @@ def _packed(g, labeling):
 def direct_product(g1, l1, g2, l2):
     """u-vertices are pairs; each pair's slots are read off the bits of the
     sums of the two packed slots."""
+    _same_kind(g1, g2)
     d1 = _packed(g1, l1)
     d2 = _packed(g2, l2)
     bits = {}  # packed sum -> its bit support; many pairs share a sum
@@ -490,6 +503,7 @@ def direct_product(g1, l1, g2, l2):
 
 def direct_sum(g1, l1, g2, l2):
     """Tagged union of u parts over the v-quotient by equal labels."""
+    _same_kind(g1, g2)
     check_labeling(g1, l1)
     check_labeling(g2, l2)
     sig = {
@@ -519,6 +533,7 @@ def plain_product(g1, g2):
     event None, so an event may fire alone, and the all-idle pair is left
     out.
     """
+    _same_kind(g1, g2)
     s1 = _tagged(g1, 0)
     s2 = _tagged(g2, 1)
     if g1.idle:
@@ -535,6 +550,7 @@ def plain_product(g1, g2):
 
 def plain_coproduct(g1, g2):
     """Disjoint union with side tags."""
+    _same_kind(g1, g2)
     sig = {
         (side, u): slots
         for side, g in enumerate((g1, g2))

@@ -15,7 +15,7 @@ of its v part, so whether one exists does not depend on the labeling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .bits import tau_poly
 from .core import _decode, _encodings, compact_labeling, encode
@@ -27,7 +27,9 @@ from .polyfactor import Budget, _bit_disjoint_factor, _factor_pairs, _Meter, _po
 class IrreducibilityReport:
     verdict: str  # "reducible" | "irreducible" | "inconclusive"
     scope: str  # "labeling" | "compact-labelings"
-    witness: tuple | None = None  # (labeling, (factor, cofactor)) if reducible
+    # (labeling, (factor, cofactor)) if reducible; the labeling is a dict,
+    # so the witness takes no part in the hash.
+    witness: tuple | None = field(default=None, hash=False)
     detail: str = ""
 
 

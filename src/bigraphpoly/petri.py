@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 from ._match import _match_right
 from .core import (
+    Decoded,
     Directed,
     _first_few,
     compact_labeling,
@@ -84,26 +85,34 @@ class PetriNet(Directed):
         return self._u
 
 
-PetriNet.family = PetriNet.decoded = PetriNet
+class DecodedPetriNet(Decoded, PetriNet):
+    """Decode output: conditions are the bit positions themselves."""
+
+    __slots__ = ()
+
+
+PetriNet.family, PetriNet.decoded = PetriNet, DecodedPetriNet
 
 
 @dataclass(frozen=True, eq=True)
 class LabeledPetriNet:
-    """A net bundled with an injective condition labeling."""
+    """A net bundled with an injective condition labeling; the labeling
+    takes no part in the hash, so equal records hash equal."""
 
     net: PetriNet
-    labeling: dict = field(default_factory=dict)
+    labeling: dict = field(default_factory=dict, hash=False)
 
 
 def decode_net(p: Poly2) -> LabeledPetriNet:
-    """Net whose encoding under the identity labeling is p.
+    """Decoded net whose encoding under the identity labeling is p, with
+    that labeling.
 
     Requires a constant term of at least 1; one unit of it is the idle slot
     and is not materialized.  Conditions are the bit positions of p's
     support, labeled by themselves.  Event ids are ((pre bits, post bits),
     copy index) pairs.
     """
-    net = decode(p, PetriNet)
+    net = decode(p, DecodedPetriNet)
     return LabeledPetriNet(net, identity_labeling(net))
 
 

@@ -127,12 +127,29 @@ def random_canon_case(rng: random.Random, kind: str, max_v=7):
     for u in us:
         if rng.random() < 0.15:  # a u-vertex with every slot empty
             sig[u] = [set() for _ in range(width)]
-    if kind == "graph":
+    return from_slots({"graph": Bigraph, "digraph": DiBigraph, "net": PetriNet}[kind], us, vs, sig)
+
+
+def from_slots(kind, us, vs, sig):
+    """The Bigraph, DiBigraph or PetriNet with u part us, v part vs and,
+    for each u-vertex, the v-sets sig[u]: (neighbors,) or (pre, post)."""
+    if kind is Bigraph:
         return Bigraph(us, vs, [(u, v) for u in us for v in sig[u][0]])
-    if kind == "digraph":
+    if kind is DiBigraph:
         return DiBigraph(us, vs, [(v, u) for u in us for v in sig[u][0]]
                          + [(u, v) for u in us for v in sig[u][1]])
     return PetriNet(vs, us, pre={u: sig[u][0] for u in us}, post={u: sig[u][1] for u in us})
+
+
+def cycles(*sizes):
+    """Disjoint cycles, one per size n: u-vertex i of a cycle is on its
+    v-vertices i and i + 1 mod n, so every vertex has degree 2."""
+    us, vs, edges = [], [], []
+    for c, n in enumerate(sizes):
+        us += [f"u{c}_{i}" for i in range(n)]
+        vs += [f"v{c}_{i}" for i in range(n)]
+        edges += [(f"u{c}_{i}", f"v{c}_{(i + j) % n}") for i in range(n) for j in (0, 1)]
+    return Bigraph(us, vs, edges)
 
 
 def random_poly1(rng: random.Random, max_deg=6, max_coeff=4, allow_zero=False) -> Poly1:

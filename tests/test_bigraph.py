@@ -29,6 +29,7 @@ from bigraphpoly import (
 )
 
 from helpers import (
+    cycles,
     least_encoding,
     random_bigraph,
     random_canon_case,
@@ -421,17 +422,6 @@ def test_is_isomorphic_agrees_with_networkx_past_the_old_guard(kind):
             assert {(m[a], m[b]) for a, b in edge_set(g)} == edge_set(h)
         verdicts[found is not None] += 1
     assert verdicts[True] >= 15 and verdicts[False] >= 15
-
-
-def cycles(*sizes):
-    """Disjoint cycles, one per size n: u-vertex i of a cycle is on its
-    v-vertices i and i + 1 mod n, so every vertex has degree 2."""
-    us, vs, edges = [], [], []
-    for c, n in enumerate(sizes):
-        us += [f"u{c}_{i}" for i in range(n)]
-        vs += [f"v{c}_{i}" for i in range(n)]
-        edges += [(f"u{c}_{i}", f"v{c}_{(i + j) % n}") for i in range(n) for j in (0, 1)]
-    return Bigraph(us, vs, edges)
 
 
 def test_canonical_form_keeps_only_the_states_it_visits():

@@ -28,6 +28,7 @@ from bigraphpoly import (
     identity_labeling,
     is_irreducible,
     is_isomorphic,
+    mul,
     parse_poly1,
     plain_product,
     poly_product,
@@ -520,3 +521,33 @@ def test_budget_error_says_how_much_was_asked_for():
     assert asked > 10
     report = is_irreducible(g, identity_labeling(g), budget=Budget(max_steps=10))
     assert (report.verdict, report.detail) == ("inconclusive", message)
+
+
+def test_net_halves_carry_their_natural_labeling():
+    """A net's halves are decoded nets, from factor_graph and in
+    is_irreducible's witness alike: each natural labeling is the half's
+    identity labeling, and the halves encoded under it multiply back to
+    the net's encoding."""
+    rng = random.Random(909)
+    split = 0
+    for g, labeling in agreement_cases(rng, "net"):
+        pairs = factor_graph(g, labeling)
+        report = is_irreducible(g, labeling)
+        if report.witness is not None:
+            pairs.append(report.witness[1])
+        for pair in pairs:
+            assert all(half.natural_labeling == identity_labeling(half) for half in pair)
+            q, r = (encode(half, half.natural_labeling) for half in pair)
+            assert mul(q, r) == encode(g, labeling)
+        split += bool(pairs)
+    assert split > 20
+
+
+def test_irreducibility_reports_hash_as_they_compare():
+    """The witness holds a labeling dict and takes no part in the hash:
+    equal reports hash equal and a set keeps one of them."""
+    g = decode(parse_poly1("x^3 + x^2"))
+    a, copy = is_irreducible(g), is_irreducible(g)
+    assert a.verdict == "reducible" and a.witness is not None
+    assert copy == a and hash(copy) == hash(a)
+    assert len({a, copy}) == 1

@@ -3,6 +3,9 @@ and the encoding and decoding both routes rest on."""
 
 import random
 from collections import Counter
+from itertools import permutations
+
+import pytest
 
 from bigraphpoly import (
     Bigraph,
@@ -18,6 +21,7 @@ from bigraphpoly import (
     direct_sum,
     direct_sum_directed,
     encode,
+    encode_net,
     encode_directed,
     from_bits,
     identity_labeling,
@@ -332,3 +336,48 @@ def test_decode_v_part_is_the_union_of_the_slot_supports():
         assert net.v_vertices == ()
         assert len(net.u_vertices) == c - 1
         assert all(net.slots(e) == (frozenset(), frozenset()) for e in net.u_vertices)
+
+
+def test_mixed_kinds_raise_on_every_binary_operation():
+    """A graph, a digraph and a net on the same v part and labeling: every
+    ordered pair of two kinds raises TypeError naming both classes, on all
+    seven operations that take two structures."""
+    lab = {"v0": 0, "v1": 1}
+    kinds = [
+        Bigraph(["a"], ["v0", "v1"], [("a", "v0"), ("a", "v1")]),
+        DiBigraph(["a"], ["v0", "v1"], [("v0", "a"), ("a", "v1")]),
+        PetriNet(["v0", "v1"], ["a"], pre={"a": ["v0"]}, post={"a": ["v1"]}),
+    ]
+    ops = [
+        lambda g1, g2: poly_product(g1, lab, g2, lab),
+        lambda g1, g2: poly_sum(g1, lab, g2, lab),
+        lambda g1, g2: direct_product(g1, lab, g2, lab),
+        lambda g1, g2: direct_sum(g1, lab, g2, lab),
+        plain_product,
+        plain_coproduct,
+        is_isomorphic,
+    ]
+    for g1, g2 in permutations(kinds, 2):
+        message = f"^mixed kinds: {type(g1).__name__} and {type(g2).__name__}$"
+        for op in ops:
+            with pytest.raises(TypeError, match=message):
+                op(g1, g2)
+
+
+def test_decoded_structures_combine_with_their_public_class():
+    """decode's output is of its public class's kind: it multiplies with
+    and compares to structures built directly."""
+    g = g_path()
+    p = encode(g, L1)
+    h = decode(Poly1({3: 1, 0: 1}))
+    got = direct_product(h, identity_labeling(h), g, L1)
+    assert encode(got, identity_labeling(got)) == mul(Poly1({3: 1, 0: 1}), p)
+    assert is_isomorphic(decode(p), g) is not None
+    net = PetriNet(["b0", "b1"], ["e"], pre={"e": ["b0"]}, post={"e": ["b1"]})
+    q = encode_net(net, {"b0": 0, "b1": 1})
+    decoded = decode_net(q).net
+    assert is_isomorphic(decoded, net) is not None
+    got = plain_product(decoded, net)
+    assert encode_net(got, {v: i for i, v in enumerate(got.v_vertices)}) == mul(
+        q, encode_net(net, {"b0": 2, "b1": 3})
+    )

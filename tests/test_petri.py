@@ -3,6 +3,7 @@
 import random
 import time
 from collections import Counter
+from dataclasses import replace
 from itertools import permutations
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from bigraphpoly import (
     Budget,
     BudgetExceededError,
+    DecodedPetriNet,
     LabeledPetriNet,
     LabelingError,
     PetriNet,
@@ -24,6 +26,7 @@ from bigraphpoly import (
     mul,
     net_isomorphic,
     net_product,
+    parse_poly2,
     render,
     tau_poly,
 )
@@ -469,3 +472,14 @@ def test_validation_errors_stay_short():
     with pytest.raises(LabelingError) as caught:
         encode_net(PetriNet(ids, ["e"], pre={"e": ids}), {})
     assert len(str(caught.value)) < 500
+
+
+def test_labeled_nets_hash_as_they_compare():
+    """The labeling dict takes no part in the hash: equal records hash
+    equal and a set keeps one of them."""
+    a = decode_net(parse_poly2("x*y + 1"))
+    copy = replace(a, labeling=dict(a.labeling))
+    assert type(a.net) is DecodedPetriNet
+    assert a.net.natural_labeling == a.labeling == {0: 0}
+    assert copy == a and hash(copy) == hash(a)
+    assert len({a, copy}) == 1

@@ -1,5 +1,6 @@
-"""Step counts and answers of the bit-disjoint search and of the
-coefficient search pinned on seeded corpora, the bit-disjoint search's
+"""Step counts and answers of the bit-disjoint search, of the coefficient
+search and of the isomorphism search pinned on seeded corpora, the
+bit-disjoint search's
 points against the seeded random stream, and decompose run by several
 threads at once.
 
@@ -14,9 +15,11 @@ import hashlib
 import random
 import sys
 import threading
+from collections import Counter
 from math import comb
 
 from bigraphpoly import (
+    Bigraph,
     Budget,
     BudgetExceededError,
     DiBigraph,
@@ -27,12 +30,13 @@ from bigraphpoly import (
     decompose,
     encode,
     factor_pairs,
+    is_isomorphic,
     net_product,
     polyfactor,
     render,
 )
 
-from helpers import random_digraph, random_labeling, random_net
+from helpers import cycles, from_slots, random_digraph, random_labeling, random_net
 
 
 def chain(k):
@@ -271,3 +275,107 @@ def test_threads_decompose_as_a_serial_run(monkeypatch):
         assert not any(thread.is_alive() for thread in threads)
         assert results == [serial] * 4
         assert stream.point(1, 24) == seeded
+
+
+def random_slots(rng, kind, nu, nv):
+    """A kind with nu u- and nv v-vertices, each slot holding each v-vertex
+    with probability 0.4 over the number of slots, and every v-vertex in
+    some slot."""
+    us = [f"u{i}" for i in range(nu)]
+    vs = [f"v{j}" for j in range(nv)]
+    width = 1 if kind is Bigraph else 2
+    sig = {u: [{v for v in vs if rng.random() < 0.4 / width} for _ in range(width)] for u in us}
+    for v in vs:
+        if not any(v in part for slots in sig.values() for part in slots):
+            rng.choice(sig[rng.choice(us)]).add(v)
+    return from_slots(kind, us, vs, sig)
+
+
+def relabeled(rng, g, moved=None):
+    """g under fresh ids in shuffled order; moved = (u, slot, v, w) takes v
+    out of that slot of u and puts w in."""
+    us = rng.sample(g.u_vertices, len(g.u_vertices))
+    vs = rng.sample(g.v_vertices, len(g.v_vertices))
+    name = {x: f"{x}'" for x in (*us, *vs)}
+    sig = {u: [set(part) for part in g.slots(u)] for u in us}
+    if moved:
+        u, slot, v, w = moved
+        sig[u][slot] ^= {v, w}
+    sig = {name[u]: [{name[v] for v in part} for part in slots] for u, slots in sig.items()}
+    return from_slots(type(g), [name[u] for u in us], [name[v] for v in vs], sig)
+
+
+def near_miss(rng, g):
+    """g relabeled with one slot member moved to a v-vertex the slot did not
+    hold, so that the multiset of that slot's v-degrees changes: no
+    isomorphism maps g onto it."""
+    while True:
+        u = rng.choice(g.u_vertices)
+        slot = rng.randrange(len(g.slots(u)))
+        part = g.slots(u)[slot]
+        outside = [w for w in g.v_vertices if w not in part]
+        if not part or not outside:
+            continue
+        v, w = rng.choice(sorted(part)), rng.choice(outside)
+        degree = Counter(x for other in g.u_vertices for x in g.slots(other)[slot])
+        if degree[w] != degree[v] - 1:
+            return relabeled(rng, g, (u, slot, v, w))
+
+
+def iso_cases():
+    """(name, g, h) for is_isomorphic: for each kind two relabeled copies
+    and one near miss of 10 to 30 u-vertices and 6 to 13 v-vertices, the
+    benchmark's isomorphism ops in shape, then the 12-cycle against a
+    relabeled copy and against two 6-cycles, where refinement splits
+    nothing and the search branches."""
+    rng = random.Random(1721)
+    cases = []
+    for kind in (Bigraph, DiBigraph, PetriNet):
+        for case in ("copy1", "copy2", "miss"):
+            g = random_slots(rng, kind, rng.randint(10, 30), rng.randint(6, 13))
+            h = near_miss(rng, g) if case == "miss" else relabeled(rng, g)
+            cases.append((f"{kind.__name__}_{case}", g, h))
+    g = cycles(12)
+    cases.append(("cycle12_copy", g, relabeled(rng, g)))
+    cases.append(("cycle12_two6", g, cycles(6, 6)))
+    return cases
+
+
+def witness_digest(found):
+    text = repr(found if found is None else [sorted(m.items()) for m in found])
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
+# name -> (least budget, digest of the witness maps or of None) of
+# is_isomorphic on iso_cases.  They fix the charges of each refinement
+# round and node, the shape of the search tree and the witness found first.
+PINNED_ISO = {
+    "Bigraph_copy1": (403, "431fa70a72e4"),
+    "Bigraph_copy2": (419, "e51931936f8b"),
+    "Bigraph_miss": (481, "dc937b598926"),
+    "DiBigraph_copy1": (420, "e1dddfa17bff"),
+    "DiBigraph_copy2": (457, "0d115b7e6b75"),
+    "DiBigraph_miss": (425, "dc937b598926"),
+    "PetriNet_copy1": (443, "e685cd742be2"),
+    "PetriNet_copy2": (596, "d7f2fa957926"),
+    "PetriNet_miss": (349, "dc937b598926"),
+    "cycle12_copy": (1287, "ab23eb1ec73d"),
+    "cycle12_two6": (8281, "dc937b598926"),
+}
+
+
+def test_is_isomorphic_least_budgets_and_witnesses_are_pinned():
+    seen = {}
+    for name, g, h in iso_cases():
+        found = least_budget_is(lambda b: is_isomorphic(g, h, b), PINNED_ISO[name][0])
+        assert (found is not None) == ("copy" in name)
+        if found is not None:
+            umap, vmap = found
+            assert sorted(umap.values()) == sorted(h.u_vertices)
+            assert sorted(vmap.values()) == sorted(h.v_vertices)
+            for u in g.u_vertices:
+                assert h.slots(umap[u]) == tuple(
+                    frozenset(map(vmap.__getitem__, part)) for part in g.slots(u)
+                )
+        seen[name] = (PINNED_ISO[name][0], witness_digest(found))
+    assert seen == PINNED_ISO
