@@ -18,6 +18,8 @@ spellings of it.  Graphs are immutable.
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from .core import (
     Bipartite,
     Decoded,
@@ -28,13 +30,11 @@ from .core import (
     direct_sum,
     encode,
     is_isomorphic,
-    parts,
     plain_coproduct,
     plain_product,
     poly_product,
     poly_sum,
 )
-from .errors import _brief
 from .poly import Poly1, Poly2
 
 
@@ -44,17 +44,10 @@ class Bigraph(Bipartite):
     __slots__ = ()
 
     def __init__(self, u_vertices=(), v_vertices=(), edges=()):
-        u, v = parts(u_vertices, v_vertices)
-        uset, vset = set(u), set(v)
-        adj = {x: set() for x in u}
-        for edge in edges:
-            a, b = edge
-            if a not in uset or b not in vset:
-                raise ValueError(
-                    f"edge {_brief((a, b))} must join a u-part id to a v-part id"
-                )
-            adj[a].add(b)
-        self._init(u, v, {x: (frozenset(nb),) for x, nb in adj.items()})
+        neighbors = defaultdict(list)
+        for a, b in edges:
+            neighbors[a].append(b)
+        self._check_init(u_vertices, v_vertices, {a: (nb,) for a, nb in neighbors.items()})
 
     @property
     def edges(self):
@@ -70,21 +63,17 @@ class DiBigraph(Directed):
     __slots__ = ()
 
     def __init__(self, u_vertices=(), v_vertices=(), arcs=()):
-        u, v = parts(u_vertices, v_vertices)
-        uset, vset = set(u), set(v)
-        pre = {x: set() for x in u}
-        post = {x: set() for x in u}
-        for arc in arcs:
-            a, b = arc
-            if a in vset and b in uset:
-                pre[b].add(a)
-            elif a in uset and b in vset:
-                post[a].add(b)
+        u = tuple(u_vertices)
+        uset = set(u)
+        given = defaultdict(lambda: ([], []))
+        for a, b in arcs:
+            # an arc into a u-vertex is in its pre set, any other in the
+            # post set of its tail
+            if b in uset:
+                given[b][0].append(a)
             else:
-                raise ValueError(
-                    f"arc {_brief((a, b))} must join the u part and the v part"
-                )
-        self._init(u, v, {x: (frozenset(pre[x]), frozenset(post[x])) for x in u})
+                given[a][1].append(b)
+        self._check_init(u, v_vertices, given)
 
     @property
     def arcs(self):

@@ -38,21 +38,52 @@ class Bipartite:
     poly = Poly1
     idle = False  # nets: the encoding holds one unit for the idle event
     v_word = "v-part id"  # what labeling errors call a v-vertex
+    _u_word = "u-part id"  # what construction errors call a u-vertex,
+    _slot_words = ("neighborhood",)  # and each of its slots
     # Set by each kind: the public class whose instances compare equal with
     # these and that constructions build, and the class decoding builds.
     family = None
     decoded = None
 
-    def _init(self, u, v, sig):
-        self._u = u
-        self._v = v
-        self._sig = sig
+    def _check_init(self, u_ids, v_ids, given):
+        """Check the two parts and set the slots, in declared u order.
+
+        given maps a u-vertex to its slot tuple of v-id collections; a
+        u-vertex it leaves out has empty slots.  Ids must be unique and in
+        one part only, every key of given a u-vertex, and every slot member
+        a v-vertex.
+        """
+        u, v = tuple(u_ids), tuple(v_ids)
+        uset, vset = set(u), set(v)
+        if len(uset) != len(u):
+            raise ValueError(f"duplicate {self._u_word}s")
+        if len(vset) != len(v):
+            raise ValueError(f"duplicate {self.v_word}s")
+        both = uset & vset
+        if both:
+            raise ValueError(f"ids appear in both parts: {_first_few(sorted(both, key=repr))}")
+        unknown = given.keys() - uset
+        if unknown:
+            raise ValueError(
+                f"slots given for unknown {self._u_word}s: {_first_few(sorted(unknown, key=repr))}"
+            )
+        empty = (frozenset(),) * self.arity
+        sig = {}
+        for x in u:
+            sig[x] = slots = tuple(map(frozenset, given.get(x, empty)))
+            for word, part in zip(self._slot_words, slots):
+                if not part <= vset:
+                    raise ValueError(
+                        f"{word} of {_brief(x)} mentions non-{self.v_word}s: "
+                        f"{_first_few(sorted(part - vset, key=repr))}"
+                    )
+        self._u, self._v, self._sig = u, v, sig
 
     @classmethod
     def _build(cls, u, v, sig):
         """Instance from parts already known to be consistent."""
         obj = object.__new__(cls)
-        obj._init(u, v, sig)
+        obj._u, obj._v, obj._sig = u, v, sig
         return obj
 
     @property
@@ -89,6 +120,7 @@ class Directed(Bipartite):
     __slots__ = ()
     arity = 2
     poly = Poly2
+    _slot_words = ("pre set", "post set")
 
     def pre(self, u):
         """v-vertices with an arc into u (the conditions an event consumes)."""
@@ -122,22 +154,6 @@ def _same_kind(g1, g2):
     structure is of its public class's kind."""
     if g1.family is not g2.family:
         raise TypeError(f"mixed kinds: {g1.family.__name__} and {g2.family.__name__}")
-
-
-def parts(u_ids, v_ids, u_word="u-part", v_word="v-part"):
-    """The two id tuples, checked for repeats and for ids in both parts."""
-    u = tuple(u_ids)
-    v = tuple(v_ids)
-    if len(set(u)) != len(u):
-        raise ValueError(f"duplicate {u_word} ids")
-    if len(set(v)) != len(v):
-        raise ValueError(f"duplicate {v_word} ids")
-    both = set(u) & set(v)
-    if both:
-        raise ValueError(
-            f"ids appear in both parts: {_first_few(sorted(map(repr, both)))}"
-        )
-    return u, v
 
 
 # ---------------------------------------------------------------------------

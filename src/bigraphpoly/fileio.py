@@ -19,6 +19,14 @@ net
 means net; otherwise an explicit "directed" flag decides, else edge objects
 mean directed and edge pairs mean undirected.
 
+Ids are checked once, where they are declared: the "u" and "v" lists, the
+conditions and the event ids must be nonempty whitespace-free strings.  The
+readers then put each edge in a slot of its u end, which must be in the u
+list: a directed edge's "u" names a u-vertex whatever its "dir", and its
+"dir" picks the slot, pre for "v_to_u" and post for "u_to_v".  The core's
+slot builder checks the rest against the declared lists: repeated ids, ids
+in both parts, and edge ends and pre or post members outside the v part.
+
 Writers stringify in-memory ids (decoded vertices are tuples over bit sets)
 and emit keys in a fixed order, so equal objects serialize byte-identically,
 and they take only labels the reader takes.  The text format is that of
@@ -85,28 +93,23 @@ def _get_labels(doc, valid_ids, source):
     return out
 
 
-def _link(e, directed, source):
-    """One entry of "edges" as an (a, b) pair: an edge from u to v, or an
-    arc from a to b."""
-    if not directed:
-        if not isinstance(e, list) or len(e) != 2:
-            raise FileFormatError(
-                f"{source}: undirected edges are [u, v] pairs: {_brief(e)}"
-            )
-        return _check_id(e[0], source), _check_id(e[1], source)
-    if not isinstance(e, dict) or not {"u", "v", "dir"} <= set(e):
-        raise FileFormatError(
-            f"{source}: directed edges are objects with u, v and dir: {_brief(e)}"
-        )
-    u = _check_id(e["u"], source)
-    v = _check_id(e["v"], source)
-    if e["dir"] == "v_to_u":
-        return v, u
-    if e["dir"] == "u_to_v":
-        return u, v
-    raise FileFormatError(
-        f"{source}: dir must be 'v_to_u' or 'u_to_v', got {_brief(e['dir'])}"
-    )
+# A directed edge's "dir" at the index of the slot it goes in: pre, post.
+_WAYS = ("v_to_u", "u_to_v")
+
+
+def _build(cls, source, u, v, given):
+    """cls from its parts and given slots through the core's checks, its
+    errors naming the source."""
+    obj = object.__new__(cls)
+    try:
+        obj._check_init(u, v, given)
+    except ValueError as exc:
+        raise FileFormatError(f"{source}: {exc}") from exc
+    except TypeError:  # an unhashable slot member: quote it as a bad id
+        for x in chain.from_iterable(chain.from_iterable(given.values())):
+            _check_id(x, source)
+        raise
+    return obj
 
 
 def _parse_graph(doc, source):
@@ -115,18 +118,38 @@ def _parse_graph(doc, source):
     edges_raw = doc.get("edges", [])
     if not isinstance(edges_raw, list):
         raise FileFormatError(f"{source}: 'edges' must be a list")
-    if "directed" in doc:
-        directed = doc["directed"]
-        if not isinstance(directed, bool):
-            raise FileFormatError(f"{source}: 'directed' must be true or false")
-    else:
-        directed = any(isinstance(e, dict) for e in edges_raw)
-    links = [_link(e, directed, source) for e in edges_raw]
+    directed = doc["directed"] if "directed" in doc else any(
+        isinstance(e, dict) for e in edges_raw)
+    if not isinstance(directed, bool):
+        raise FileFormatError(f"{source}: 'directed' must be true or false")
+    # Each edge is put in a slot of its u end, which must be in the u list;
+    # the core checks its v end against the v list.
+    given = {x: ([], []) if directed else ([],) for x in us}
+    for e in edges_raw:
+        if not directed:
+            if not isinstance(e, list) or len(e) != 2:
+                raise FileFormatError(
+                    f"{source}: undirected edges are [u, v] pairs: {_brief(e)}"
+                )
+            (a, b), slot = e, 0
+        elif not isinstance(e, dict) or not {"u", "v", "dir"} <= e.keys():
+            raise FileFormatError(
+                f"{source}: directed edges are objects with u, v and dir: {_brief(e)}"
+            )
+        elif e["dir"] not in _WAYS:
+            raise FileFormatError(
+                f"{source}: dir must be 'v_to_u' or 'u_to_v', got {_brief(e['dir'])}"
+            )
+        else:
+            a, b, slot = e["u"], e["v"], _WAYS.index(e["dir"])
+        row = given.get(a) if isinstance(a, str) else None
+        if row is None:
+            raise FileFormatError(
+                f"{source}: edge {_brief(e)} must join a u-part id to a v-part id"
+            )
+        row[slot].append(b)
     kind, cls = ("digraph", DiBigraph) if directed else ("bigraph", Bigraph)
-    try:
-        obj = cls(us, vs, links)
-    except ValueError as exc:
-        raise FileFormatError(f"{source}: {exc}") from exc
+    obj = _build(cls, source, us, vs, given)
     return Document(kind, obj, _get_labels(doc, set(vs), source))
 
 
@@ -135,28 +158,20 @@ def _parse_net(doc, source):
     events_raw = doc.get("events", [])
     if not isinstance(events_raw, list):
         raise FileFormatError(f"{source}: 'events' must be a list")
-    evs = []
-    pre = {}
-    post = {}
+    given = {}
     for ev in events_raw:
         if not isinstance(ev, dict) or "id" not in ev:
             raise FileFormatError(
                 f"{source}: events are objects with an 'id': {_brief(ev)}"
             )
         eid = _check_id(ev["id"], source)
-        if eid in pre:
+        if eid in given:
             raise FileFormatError(f"{source}: duplicate event id {_brief(eid)}")
-        for side in ("pre", "post"):
-            got = ev.get(side, [])
+        given[eid] = slots = (ev.get("pre", []), ev.get("post", []))
+        for side, got in zip(("pre", "post"), slots):
             if not isinstance(got, list):
                 raise FileFormatError(f"{source}: {side!r} of {_brief(eid)} must be a list")
-        evs.append(eid)
-        pre[eid] = [_check_id(x, source) for x in ev.get("pre", [])]
-        post[eid] = [_check_id(x, source) for x in ev.get("post", [])]
-    try:
-        net = PetriNet(conds, evs, pre, post)
-    except ValueError as exc:
-        raise FileFormatError(f"{source}: {exc}") from exc
+    net = _build(PetriNet, source, given, conds, given)
     return Document("net", net, _get_labels(doc, set(conds), source))
 
 

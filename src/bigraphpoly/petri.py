@@ -29,16 +29,13 @@ from ._match import _match_right
 from .core import (
     Decoded,
     Directed,
-    _first_few,
     compact_labeling,
     decode,
     encode,
     identity_labeling,
     is_isomorphic,
-    parts,
     plain_product,
 )
-from .errors import _brief
 from .graphfactor import factor_graph
 from .poly import Poly2
 from .polyfactor import Budget
@@ -50,31 +47,12 @@ class PetriNet(Directed):
     __slots__ = ()
     idle = True
     v_word = "condition"
+    _u_word = "event"
 
     def __init__(self, conditions=(), events=(), pre=None, post=None):
-        evs, conds = parts(events, conditions, "event", "condition")
-        cset = set(conds)
-        pre = self._side(pre or {}, evs, cset, "pre")
-        post = self._side(post or {}, evs, cset, "post")
-        self._init(evs, conds, {e: (pre[e], post[e]) for e in evs})
-
-    @staticmethod
-    def _side(mapping, evs, cset, name):
-        eset = set(evs)
-        for e in mapping:
-            if e not in eset:
-                raise ValueError(f"{name} set given for unknown event {_brief(e)}")
-        out = {}
-        for e in evs:
-            members = frozenset(mapping.get(e, ()))
-            bad = members - cset
-            if bad:
-                raise ValueError(
-                    f"{name} set of {_brief(e)} mentions non-conditions: "
-                    f"{_first_few(sorted(map(repr, bad)))}"
-                )
-            out[e] = members
-        return out
+        pre, post = pre or {}, post or {}
+        given = {e: (pre.get(e, ()), post.get(e, ())) for e in (*pre, *post)}
+        self._check_init(events, conditions, given)
 
     @property
     def conditions(self):

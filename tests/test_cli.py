@@ -951,6 +951,30 @@ def test_error_text_stays_short_for_thousands_of_ids(capsys, tmp_path):
     assert (code, out) == (3, "")
     assert "non-conditions" in err and "(3000 in all)" in err
     assert len(err) < 500
+    graph = write(tmp_path / "graph.json", {
+        "u": ["a"], "v": ["x"], "edges": [["a", n] for n in ids]
+    })
+    arcs = [{"u": "a", "v": n, "dir": way} for n in ids for way in ("u_to_v", "v_to_u")]
+    digraph = write(tmp_path / "digraph.json", {"u": ["a"], "v": ["x"], "edges": arcs})
+    for path, slot in ((graph, "neighborhood"), (digraph, "pre set")):
+        code, out, err = run(capsys, "encode", path)
+        assert (code, out) == (3, "")
+        assert f"{slot} of 'a' mentions non-v-part ids" in err and "(3000 in all)" in err
+        assert len(err) < 500
+
+
+def test_a_directed_edge_against_its_dir_is_an_input_error(capsys, tmp_path):
+    """A directed edge whose "u" is a v-id and whose "v" is a u-id used to
+    be read as an arc against its dir; it is bad input, exit 3."""
+    path = write(tmp_path / "reversed.json", {
+        "u": ["a"], "v": ["x"], "edges": [{"u": "x", "v": "a", "dir": "u_to_v"}]
+    })
+    code, out, err = run(capsys, "encode", path)
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: {path}: edge {{'dir': 'u_to_v', 'u': 'x', 'v': 'a'}} "
+        "must join a u-part id to a v-part id\n"
+    )
 
 
 BIG = list(range(100_000))
@@ -977,6 +1001,11 @@ DEEP = functools.reduce(lambda inner, _: [inner] * 7, range(4), "x" * 40)  # 2,4
     (["net-encode"], {"conditions": [], "events": [{"id": LONG}, {"id": LONG}]}),
     (["net-encode"], {"conditions": [], "events": [{"id": LONG, "pre": 3}]}),
     (["decode", "x " + "9" * 100_000], None),
+    # unhashable ends and members are bad ids, never an uncaught TypeError
+    (["encode"], {"u": ["a"], "v": ["b"], "edges": [[["a"], "b"]]}),
+    (["encode"], {"u": ["a"], "v": ["b"], "edges": [["a", ["b"]]]}),
+    (["encode"], {"u": ["a"], "v": ["b"], "edges": [{"u": {}, "v": "b", "dir": "u_to_v"}]}),
+    (["net-encode"], {"conditions": ["c"], "events": [{"id": "e", "pre": [["c"]]}]}),
 ])
 def test_error_text_stays_short_for_long_values(capsys, tmp_path, argv, doc):
     """Rejected values are quoted abbreviated, however long they are."""

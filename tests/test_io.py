@@ -211,10 +211,31 @@ def test_graph_errors_name_the_source_once():
         {"u": ["a"], "v": ["x"], "edges": [{"u": "a", "v": "x", "dir": "uv"}]},
         {"u": ["a"], "v": ["x"], "edges": [["a", "x y"]]},
         {"u": ["a"], "v": ["x"], "edges": [["a", "nope"]]},
+        # unhashable endpoints and members are bad ids, not a TypeError
+        {"u": ["a"], "v": ["x"], "edges": [[["a"], "x"]]},
+        {"u": ["a"], "v": ["x"], "edges": [["a", ["x"]]]},
+        {"u": ["a"], "v": ["x"], "edges": [{"u": {}, "v": "x", "dir": "u_to_v"}]},
+        {"u": ["a"], "v": ["x"], "edges": [{"u": "a", "v": {}, "dir": "v_to_u"}]},
+        {"conditions": ["b"], "events": [{"id": "e", "pre": [["b"]]}]},
+        {"conditions": ["b"], "events": [{"id": "e", "pre": ["b"], "post": [{}]}]},
+        # a directed edge's "u" names a u-vertex whatever its dir
+        {"u": ["a"], "v": ["x"], "edges": [{"u": "x", "v": "a", "dir": "u_to_v"}]},
     ):
         with pytest.raises(FileFormatError) as err:
             parse_document(doc, source="dp.json")
         assert str(err.value).count("dp.json") == 1, str(err.value)
+
+
+def test_a_directed_edge_runs_the_way_its_dir_says():
+    """A directed edge's "u" names a u-vertex: an edge whose "u" is a
+    v-id is rejected, not read as an arc against its dir."""
+    for way in ("u_to_v", "v_to_u"):
+        doc = {"u": ["a"], "v": ["x"], "edges": [{"u": "x", "v": "a", "dir": way}]}
+        with pytest.raises(FileFormatError, match="must join a u-part id to a v-part id"):
+            parse_document(doc)
+        doc["edges"][0].update(u="a", v="x")
+        g = parse_document(doc).obj
+        assert g.arcs == {("a", "x") if way == "u_to_v" else ("x", "a")}
 
 
 def test_net_event_errors():

@@ -9,9 +9,11 @@ from itertools import permutations
 import pytest
 
 from bigraphpoly import (
+    Bigraph,
     Budget,
     BudgetExceededError,
     DecodedPetriNet,
+    DiBigraph,
     LabeledPetriNet,
     LabelingError,
     PetriNet,
@@ -472,6 +474,16 @@ def test_validation_errors_stay_short():
     with pytest.raises(LabelingError) as caught:
         encode_net(PetriNet(ids, ["e"], pre={"e": ids}), {})
     assert len(str(caught.value)) < 500
+    # Graphs and digraphs are checked by the same builder.
+    for make, slot in (
+        (lambda: Bigraph(["a"], ["x"], [("a", n) for n in ids]), "neighborhood"),
+        (lambda: DiBigraph(["a"], ["x"], [(n, "a") for n in ids]), "pre set"),
+        (lambda: DiBigraph(["a"], ["x"], [("a", n) for n in ids]), "post set"),
+    ):
+        with pytest.raises(ValueError, match=f"{slot} of 'a' mentions non-v-part ids") as caught:
+            make()
+        assert len(str(caught.value)) < 500
+        assert "3000 in all" in str(caught.value)
 
 
 def test_labeled_nets_hash_as_they_compare():
