@@ -22,7 +22,6 @@ from collections import defaultdict
 
 from .core import (
     Bipartite,
-    Decoded,
     Directed,
     canonical_poly,
     decode as decode_as,
@@ -83,35 +82,23 @@ class DiBigraph(Directed):
         )
 
 
-class DecodedBigraph(Decoded, Bigraph):
-    """Decode output: v-ids are the bit positions themselves."""
-
-    __slots__ = ()
-
-
-class DecodedDiBigraph(Decoded, DiBigraph):
-    """Decode output: v-ids are the bit positions themselves."""
-
-    __slots__ = ()
+def decode(p: Poly1) -> Bigraph:
+    """Bigraph whose encoding under its natural labeling is p: v-ids are
+    the bit positions of p's support, u-ids (bit set, copy index) pairs."""
+    return decode_as(p, Bigraph)
 
 
-Bigraph.family, Bigraph.decoded = Bigraph, DecodedBigraph
-DiBigraph.family, DiBigraph.decoded = DiBigraph, DecodedDiBigraph
+def decode_directed(p: Poly2) -> DiBigraph:
+    """DiBigraph whose encoding under its natural labeling is p: v-ids are
+    the bit positions of p's support, u-ids ((in bits, out bits), copy
+    index) pairs."""
+    return decode_as(p, DiBigraph)
 
 
-def decode(p: Poly1) -> DecodedBigraph:
-    """Graph whose encoding under the identity labeling is p; u-ids are
-    (bit set, copy index) pairs."""
-    return decode_as(p, DecodedBigraph)
-
-
-def decode_directed(p: Poly2) -> DecodedDiBigraph:
-    """Digraph whose encoding under the identity labeling is p; u-ids are
-    ((in bits, out bits), copy index) pairs."""
-    return decode_as(p, DecodedDiBigraph)
-
-
-# The directed spellings of the operations, which the core writes once.
+# Other names for the two classes, kept for code that imports them, and the
+# directed spellings of the operations, which the core writes once.
+DecodedBigraph = Bigraph
+DecodedDiBigraph = DiBigraph
 encode_directed = encode
 is_isomorphic_directed = is_isomorphic
 canonical_poly_directed = canonical_poly

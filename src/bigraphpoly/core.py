@@ -15,7 +15,11 @@ polynomial; round-trip statements therefore assume every v-vertex is used.
 
 Everything here is written once for both arities: encode and decode, the
 isomorphism search, the canonical form, and products and sums on the
-polynomial route, the direct route and the plain unlabeled route.
+polynomial route, the direct route and the plain unlabeled route.  There is
+one class per kind: decoding builds the class it is given, and every
+product and sum builds the class of its inputs.  Every structure has
+natural_labeling, which labels each v-vertex by its own id; it is a labeling
+when the v-ids are naturals, as on all of those outputs but the plain ones.
 """
 
 from __future__ import annotations
@@ -40,10 +44,6 @@ class Bipartite:
     v_word = "v-part id"  # what labeling errors call a v-vertex
     _u_word = "u-part id"  # what construction errors call a u-vertex,
     _slot_words = ("neighborhood",)  # and each of its slots
-    # Set by each kind: the public class whose instances compare equal with
-    # these and that constructions build, and the class decoding builds.
-    family = None
-    decoded = None
 
     def _check_init(self, u_ids, v_ids, given):
         """Check the two parts and set the slots, in declared u order.
@@ -98,9 +98,16 @@ class Bipartite:
         """The v-sets of u: (neighbors,) or (pre, post)."""
         return self._sig[u]
 
+    @property
+    def natural_labeling(self):
+        """Each v-vertex labeled by its own id: a labeling when the v-ids
+        are naturals, as they are on the output of decoding and of the
+        polynomial and direct products and sums."""
+        return {v: v for v in self._v}
+
     def __eq__(self, other):
         return (
-            isinstance(other, self.family)
+            type(other) is type(self)
             and self._u == other._u
             and self._v == other._v
             and self._sig == other._sig
@@ -131,16 +138,6 @@ class Directed(Bipartite):
         return self._sig[u][1]
 
 
-class Decoded:
-    """Decode output: v-ids are the bit positions themselves."""
-
-    __slots__ = ()
-
-    @property
-    def natural_labeling(self):
-        return {v: v for v in self.v_vertices}
-
-
 def _first_few(items, limit=5):
     """The first limit items as a list literal, each abbreviated, and their
     number when there are more: error text stays short whatever the items."""
@@ -150,10 +147,9 @@ def _first_few(items, limit=5):
 
 
 def _same_kind(g1, g2):
-    """Reject a graph, digraph or net paired with another kind; a decoded
-    structure is of its public class's kind."""
-    if g1.family is not g2.family:
-        raise TypeError(f"mixed kinds: {g1.family.__name__} and {g2.family.__name__}")
+    """Reject a graph, digraph or net paired with another kind."""
+    if type(g1) is not type(g2):
+        raise TypeError(f"mixed kinds: {type(g1).__name__} and {type(g2).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +188,7 @@ def compact_labeling(g) -> dict:
 
 def identity_labeling(g) -> dict:
     """For graphs whose v-ids already are naturals, label each by itself."""
-    return {v: v for v in g.v_vertices}
+    return g.natural_labeling
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +448,7 @@ def _encodings(g: Bipartite, meter, search, least):
 # Products and sums.  The polynomial route multiplies or adds the encodings
 # and decodes the result.  The direct route builds the same answer on
 # vertices alone, with bit positions as v-ids like decode, so
-# identity_labeling applies to its output: product u-vertices are pairs
+# natural_labeling applies to its output: product u-vertices are pairs
 # whose packed slots add, sum u-vertices are a tagged union over the
 # v-quotient by equal labels.  When the two label images are disjoint,
 # exponent sums never carry, and both collapse to the plain unlabeled
@@ -461,12 +457,12 @@ def _encodings(g: Bipartite, meter, search, least):
 
 def poly_product(g1, l1, g2, l2):
     _same_kind(g1, g2)
-    return decode(mul(encode(g1, l1), encode(g2, l2)), g1.decoded)
+    return decode(mul(encode(g1, l1), encode(g2, l2)), type(g1))
 
 
 def poly_sum(g1, l1, g2, l2):
     _same_kind(g1, g2)
-    return decode(add(encode(g1, l1), encode(g2, l2)), g1.decoded)
+    return decode(add(encode(g1, l1), encode(g2, l2)), type(g1))
 
 
 def _packed(g, labeling):
@@ -514,7 +510,7 @@ def direct_product(g1, l1, g2, l2):
             rows[ea] = row
         sig.update(zip(zip(repeat(a), d2), map(row.__getitem__, d2.values())))
     vs = set().union(*bits.values())
-    return g1.family._build(tuple(sig), tuple(sorted(vs)), sig)
+    return type(g1)._build(tuple(sig), tuple(sorted(vs)), sig)
 
 
 def direct_sum(g1, l1, g2, l2):
@@ -528,7 +524,7 @@ def direct_sum(g1, l1, g2, l2):
         for u, slots in g._sig.items()
     }
     vs = sorted({l1[v] for v in g1.v_vertices} | {l2[v] for v in g2.v_vertices})
-    return g1.family._build(tuple(sig), tuple(vs), sig)
+    return type(g1)._build(tuple(sig), tuple(vs), sig)
 
 
 def _tagged(g, side):
@@ -561,7 +557,7 @@ def plain_product(g1, g2):
     }
     if g1.idle:
         del sig[(None, None)]
-    return g1.family._build(tuple(sig), _tagged_v(g1, g2), sig)
+    return type(g1)._build(tuple(sig), _tagged_v(g1, g2), sig)
 
 
 def plain_coproduct(g1, g2):
@@ -572,4 +568,4 @@ def plain_coproduct(g1, g2):
         for side, g in enumerate((g1, g2))
         for u, slots in _tagged(g, side).items()
     }
-    return g1.family._build(tuple(sig), _tagged_v(g1, g2), sig)
+    return type(g1)._build(tuple(sig), _tagged_v(g1, g2), sig)

@@ -39,7 +39,8 @@ def factor_graph(g, labeling, budget: Budget = Budget()) -> list:
 
     A graph splits by factor_pairs, a digraph or net into bit-disjoint pairs
     by bit_disjoint_factor; a net's halves are nets, as q(0) * r(0) = p(0) >= 1.
-    Factors come back decoded, carrying their natural labeling.
+    Factors come back decoded as g's own class, labeled by their
+    natural_labeling.
     v-vertices no edge touches are invisible to the polynomial, so an input
     with one gets no pair rather than a bogus one.  Empty means no
     two-factor split exists under this labeling.
@@ -79,7 +80,7 @@ def _factor_graph(g, p, meter):
     its idle unit, so most terms of its halves are terms of p.
     """
     supports = {}
-    cls = g.decoded
+    cls = type(g)
     for q, r in _encoded_pairs(g, p, meter):
         yield _decode(q, cls, supports), _decode(r, cls, supports)
 

@@ -27,12 +27,10 @@ from dataclasses import dataclass, field
 
 from ._match import _match_right
 from .core import (
-    Decoded,
     Directed,
     compact_labeling,
     decode,
     encode,
-    identity_labeling,
     is_isomorphic,
     plain_product,
 )
@@ -63,15 +61,6 @@ class PetriNet(Directed):
         return self._u
 
 
-class DecodedPetriNet(Decoded, PetriNet):
-    """Decode output: conditions are the bit positions themselves."""
-
-    __slots__ = ()
-
-
-PetriNet.family, PetriNet.decoded = PetriNet, DecodedPetriNet
-
-
 @dataclass(frozen=True, eq=True)
 class LabeledPetriNet:
     """A net bundled with an injective condition labeling; the labeling
@@ -82,16 +71,16 @@ class LabeledPetriNet:
 
 
 def decode_net(p: Poly2) -> LabeledPetriNet:
-    """Decoded net whose encoding under the identity labeling is p, with
-    that labeling.
+    """PetriNet whose encoding under its natural labeling is p, with that
+    labeling.
 
     Requires a constant term of at least 1; one unit of it is the idle slot
     and is not materialized.  Conditions are the bit positions of p's
     support, labeled by themselves.  Event ids are ((pre bits, post bits),
     copy index) pairs.
     """
-    net = decode(p, DecodedPetriNet)
-    return LabeledPetriNet(net, identity_labeling(net))
+    net = decode(p, PetriNet)
+    return LabeledPetriNet(net, net.natural_labeling)
 
 
 def decompose(net: PetriNet, labeling, budget: Budget = Budget()) -> list:
@@ -105,11 +94,11 @@ def decompose(net: PetriNet, labeling, budget: Budget = Budget()) -> list:
     conditions, so which splits exist does not depend on the injective
     labeling; the labeling only sets the bits that the halves' conditions
     are decoded from.  Returns a list of (LabeledPetriNet, LabeledPetriNet)
-    pairs under the identity labeling; empty certifies that the net does
+    pairs under their natural labeling; empty certifies that the net does
     not split.
     """
     return [
-        (LabeledPetriNet(q, identity_labeling(q)), LabeledPetriNet(r, identity_labeling(r)))
+        (LabeledPetriNet(q, q.natural_labeling), LabeledPetriNet(r, r.natural_labeling))
         for q, r in factor_graph(net, labeling, budget)
     ]
 
@@ -132,7 +121,9 @@ def witness(net: PetriNet, labeling, first: LabeledPetriNet, second: LabeledPetr
     return _match_right(prod._sig, net._sig, cmap), cmap
 
 
-# The net spellings of operations the core writes once.
+# Another name for the class, kept for code that imports it, and the net
+# spellings of operations the core writes once.
+DecodedPetriNet = PetriNet
 encode_net = encode
 net_product = plain_product
 net_isomorphic = is_isomorphic

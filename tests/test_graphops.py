@@ -9,10 +9,14 @@ import pytest
 
 from bigraphpoly import (
     Bigraph,
+    DecodedBigraph,
+    DecodedDiBigraph,
+    DecodedPetriNet,
     DiBigraph,
     PetriNet,
     Poly1,
     Poly2,
+    check_labeling,
     decode,
     decode_directed,
     decode_net,
@@ -23,6 +27,7 @@ from bigraphpoly import (
     encode,
     encode_net,
     encode_directed,
+    factor_graph,
     from_bits,
     identity_labeling,
     is_isomorphic,
@@ -152,7 +157,7 @@ def test_route_equivalence_product():
         l2 = random_labeling(rng, g2.v_vertices, 5)
         a = poly_product(g1, l1, g2, l2)
         b = direct_product(g1, l1, g2, l2)
-        assert encode(a, a.natural_labeling) == encode(b, identity_labeling(b))
+        assert encode(a, a.natural_labeling) == encode(b, b.natural_labeling)
         assert is_isomorphic(a, b) is not None
         assert len(b.u_vertices) == len(g1.u_vertices) * len(g2.u_vertices)
 
@@ -185,7 +190,7 @@ def test_route_equivalence_sum():
         l2 = random_labeling(rng, g2.v_vertices, 5)
         a = poly_sum(g1, l1, g2, l2)
         b = direct_sum(g1, l1, g2, l2)
-        assert encode(a, a.natural_labeling) == encode(b, identity_labeling(b))
+        assert encode(a, a.natural_labeling) == encode(b, b.natural_labeling)
         assert is_isomorphic(a, b) is not None
         assert len(b.u_vertices) == len(g1.u_vertices) + len(g2.u_vertices)
 
@@ -200,7 +205,7 @@ def test_route_equivalence_product_directed():
         a = poly_product_directed(g1, l1, g2, l2)
         b = direct_product_directed(g1, l1, g2, l2)
         assert encode_directed(a, a.natural_labeling) == encode_directed(
-            b, identity_labeling(b)
+            b, b.natural_labeling
         )
         assert is_isomorphic_directed(a, b) is not None
 
@@ -215,7 +220,7 @@ def test_route_equivalence_sum_directed():
         a = poly_sum_directed(g1, l1, g2, l2)
         b = direct_sum_directed(g1, l1, g2, l2)
         assert encode_directed(a, a.natural_labeling) == encode_directed(
-            b, identity_labeling(b)
+            b, b.natural_labeling
         )
         assert is_isomorphic_directed(a, b) is not None
 
@@ -365,8 +370,9 @@ def test_mixed_kinds_raise_on_every_binary_operation():
 
 
 def test_decoded_structures_combine_with_their_public_class():
-    """decode's output is of its public class's kind: it multiplies with
-    and compares to structures built directly."""
+    """decode's output is of its public class: it multiplies with and
+    compares to structures built directly, and every route builds the class
+    of its inputs."""
     g = g_path()
     p = encode(g, L1)
     h = decode(Poly1({3: 1, 0: 1}))
@@ -381,3 +387,26 @@ def test_decoded_structures_combine_with_their_public_class():
     assert encode_net(got, {v: i for i, v in enumerate(got.v_vertices)}) == mul(
         q, encode_net(net, {"b0": 2, "b1": 3})
     )
+    assert DecodedBigraph is Bigraph
+    assert DecodedDiBigraph is DiBigraph
+    assert DecodedPetriNet is PetriNet
+    p1 = Poly1({3: 1, 2: 1, 1: 1, 0: 1})  # (x + 1)(x^2 + 1)
+    p2 = Poly2({(1, 2): 1, (1, 0): 1, (0, 2): 1, (0, 0): 1})  # (x + 1)(y^2 + 1)
+    for cls, h in (
+        (Bigraph, decode(p1)),
+        (DiBigraph, decode_directed(p2)),
+        (PetriNet, decode_net(p2).net),
+    ):
+        lab = h.natural_labeling
+        pairs = factor_graph(h, lab)
+        assert pairs
+        natural = [
+            h,
+            *(half for pair in pairs for half in pair),
+            *(route(h, lab, h, lab) for route in (poly_product, poly_sum, direct_product, direct_sum)),
+        ]
+        for out in natural + [plain_product(h, h), plain_coproduct(h, h)]:
+            assert type(out) is cls
+            assert identity_labeling(out) == out.natural_labeling
+        for out in natural:
+            check_labeling(out, out.natural_labeling)

@@ -177,6 +177,10 @@ def test_label_validation_errors():
         parse_document({**base, "labels": {"x": True}})
     with pytest.raises(FileFormatError, match="'labels' must be an object"):
         parse_document({**base, "labels": [0]})
+    # Every structure has natural_labeling; on string v-ids it is no labeling.
+    g = parse_document(base).obj
+    with pytest.raises(LabelingError, match="^label of v-part id 'x' must be a natural, got 'x'$"):
+        encode(g, g.natural_labeling)
 
 
 def test_edge_shape_errors():
