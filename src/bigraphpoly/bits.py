@@ -130,13 +130,14 @@ def tau_poly(p) -> frozenset:
 
     Accepts either polynomial arity; both exponent components of a
     two-variable term contribute.  The support of an OR is the union of the
-    supports, so the exponents are OR-ed first and tau runs once.
+    supports, so the exponents are OR-ed first, in one loop per arity, and
+    tau runs once.
     """
     acc = 0
-    for exp in p.terms:
-        if isinstance(exp, int):
+    if p.arity == 1:
+        for exp in p.terms:
             acc |= exp
-        else:
-            for part in exp:
-                acc |= part
+    else:
+        for x, y in p.terms:
+            acc |= x | y
     return tau(acc)

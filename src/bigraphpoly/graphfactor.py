@@ -76,8 +76,9 @@ def _factor_graph(g, p, meter):
     Each half goes from the search to the decoder as its poly_key, the
     sorted (exponent, coefficient) items that also ordered the pairs, so no
     polynomial is built.  The halves share one table from exponent to slot
-    supports, so each distinct term is decoded once per call; a net keeps
-    its idle unit, so most terms of its halves are terms of p.
+    supports, so each distinct term is decoded once per call.  When
+    p(0) >= 1, as for every net, every term of a half is a term of p, so
+    the table holds at most len(p) exponents.
     """
     supports = {}
     cls = type(g)

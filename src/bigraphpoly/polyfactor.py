@@ -30,13 +30,17 @@ and two variables lie in different blocks iff P * d_uw P = d_u P * d_w P
 and finding variable disjoint factors", ICALP 2010), so lying in one block
 is an equivalence relation on the variables.  The search tests that
 identity at a random point modulo 2**61 - 1 between each variable and one
-representative of each class found so far, joins the bits of each class
-and the two variables of each bit with union-find, and verifies the blocks
-exactly: split off one at a time, the coefficient grid over a block and the
-bits left must be an outer product, whose primitive first row and column
-are the factors.  A point that misses a dependency fails that check and
-another is drawn.  The work is about |support| * classes * terms plus the
-size of the output.
+representative of each class found so far, once per set of terms holding
+a variable, joins the bits of each class and the two variables of each
+bit with union-find, and verifies the blocks exactly on p's own terms:
+split off one at a time, the terms left must form a full grid of rank 1
+over the block and the bits left.  A point that misses a dependency fails
+that check and another is drawn.  Every half is then read off p's terms:
+the terms that agree with p's least term off the half's blocks, read on
+its bits and divided by their content, are the half's, so no product is
+built; for a net, whose least term is the constant term, they are terms
+of p.  The work is about |support| * classes * terms plus a small
+multiple of the size of the output.
 
 Both searches emit each half as its poly_key, the (exponent, coefficient)
 items in descending exponent order, and sort the pairs by those keys; the
@@ -345,27 +349,6 @@ def _factor_pairs(p, meter):
     return _spread(cores, c, cdivs, ((0, 1),))
 
 
-def _outer(terms, mask1, mask2):
-    """(column, row) when the grid of a primitive p over the two masks is the
-    outer product of its primitive first column and primitive first row,
-    else None; both come back as exponent -> coefficient maps."""
-    grid = {
-        ((x & mask1, y & mask1), (x & mask2, y & mask2)): v
-        for (x, y), v in terms.items()
-    }
-    a0, b0 = next(iter(grid))
-    col = {a: v for (a, b), v in grid.items() if b == b0}
-    row = {b: v for (a, b), v in grid.items() if a == a0}
-    if len(col) * len(row) != len(grid):
-        return None  # not a full grid
-    gc, gr = gcd(*col.values()), gcd(*row.values())
-    col = {a: v // gc for a, v in col.items()}
-    row = {b: v // gr for b, v in row.items()}
-    if any(col.get(a, 0) * row.get(b, 0) != v for (a, b), v in grid.items()):
-        return None
-    return col, row
-
-
 _PRIME = (1 << 61) - 1
 _SEED = 2010  # fixed, so that answers and step counts repeat exactly
 
@@ -428,10 +411,18 @@ def _blocks(terms, support, point, modulus, meter):
     and both variables of a bit, since a bit-disjoint split keeps a bit's
     pre and post on one side.
 
-    Every join rests on a nonzero minor, so the blocks are never coarser
-    than the prime blocks.  A point where a minor of a dependent pair
-    happens to vanish can only leave a variable outside its class, and the
-    blocks finer; _peel then fails to verify them and a new point is drawn.
+    A variable that holds the same terms as an earlier one, but not every
+    term, joins the earlier one's class untested.  For if P = A * B with u
+    in A and w in B, every term of P is a term of A times one of B, and u
+    being in a term exactly when w is would put u in every term of A and w
+    in every term of B: both in every term of P.  So one test is made per
+    holder set, and term sets are built for representatives only.
+
+    Every join rests on a nonzero minor or on that rule, so the blocks are
+    never coarser than the prime blocks.  A point where a minor of a
+    dependent pair happens to vanish can only leave a variable outside its
+    class, and the blocks finer; _peel then fails to verify them and a new
+    point is drawn.
     """
     n = len(support)
     # Bit support[t] is pre variable t and post variable t + n.
@@ -453,8 +444,7 @@ def _blocks(terms, support, point, modulus, meter):
         values.append(value % modulus)
     total = sum(values)
     term_value = values.__getitem__
-    holders = {u: set(rows) for u, rows in enumerate(holding) if rows}
-    held = {u: sum(map(term_value, rows)) for u, rows in holders.items()}
+    everywhere = len(values)
 
     parent = list(range(n))
 
@@ -464,17 +454,24 @@ def _blocks(terms, support, point, modulus, meter):
             t = parent[t]
         return t
 
-    representatives = []
-    for u, rows in holders.items():
-        scale = held[u]
-        for w in representatives:
-            both = rows & holders[w]
+    first = {}  # holder set -> the first variable holding it
+    representatives = []  # (variable, the sum of its terms' values, their set)
+    for u, rows in enumerate(holding):
+        if not rows:
+            continue
+        w = first.setdefault(tuple(rows), u)
+        if w != u and len(rows) < everywhere:
+            parent[find(u % n)] = find(w % n)
+            continue
+        scale = sum(map(term_value, rows))
+        for w, held, rep in representatives:
+            both = rep.intersection(rows)
             meter.charge(1 + len(both), "the dependency test")
-            if (total * sum(map(term_value, both)) - scale * held[w]) % modulus:
+            if (total * sum(map(term_value, both)) - scale * held) % modulus:
                 parent[find(u % n)] = find(w % n)
                 break
         else:
-            representatives.append(u)
+            representatives.append((u, scale, set(rows)))
     groups = {}
     for t, b in enumerate(support):
         groups.setdefault(find(t), []).append(b)
@@ -482,25 +479,42 @@ def _blocks(terms, support, point, modulus, meter):
 
 
 def _peel(terms, masks, meter):
-    """The primitive factors of primitive terms on the given bit masks, read
-    off by splitting one mask at a time from the bits that remain, or None
-    once a split fails."""
-    factors = []
+    """The term counts of the primitive factors of terms on the given bit
+    masks, or None once a split fails: the masks are split off one at a
+    time from the bits that remain, each checked on the terms left.
+
+    Let t be the least term, e_m the part of an exponent e on the mask m
+    and e_r its part on the rest.  The terms left, q, are the product of a
+    factor on m and one on the rest exactly when the terms that agree with t
+    off m, times those that agree with t on m, number len(q), and every
+    term e has q(e) * q(t) = q(e_m | t_r) * q(t_m | e_r): then each term
+    is a distinct cell of the full grid over those two sets, and the grid
+    has rank 1.  The terms that agree with t on m are the next q.
+    """
+    items = terms.items()
+    (tx, ty), tv = next(reversed(items))
+    counts = []
     rest = sum(masks)
     for mask in masks[:-1]:
         rest ^= mask
-        meter.charge(len(terms), "the verification")
-        split = _outer(terms, mask, rest)
-        if split is None:
+        meter.charge(len(items), "the verification")
+        col, row = {}, {}  # e_m and e_r -> coefficient, along t's row and column
+        for (x, y), v in items:
+            off = (x ^ tx) | (y ^ ty)  # the bits where e differs from t
+            if not off & rest:
+                col[x & mask, y & mask] = v
+            if not off & mask:
+                row[x & rest, y & rest] = v
+        if len(col) * len(row) != len(items):
             return None
-        col, terms = split
-        factors.append(col)
-    return factors + [terms]
-
-
-def _times(f, g):
-    """Product of two exponent maps on disjoint bits: no terms collide."""
-    return {(a[0] + b[0], a[1] + b[1]): u * w for a, u in f.items() for b, w in g.items()}
+        for (x, y), v in items:
+            if v * tv != col.get((x & mask, y & mask), 0) * row.get((x & rest, y & rest), 0):
+                return None
+        counts.append(len(col))
+        items = row.items()
+        tx &= rest
+        ty &= rest
+    return counts + [len(items)]
 
 
 def bit_disjoint_factor(p, budget: Budget = Budget()) -> list:
@@ -516,18 +530,20 @@ def bit_disjoint_factor(p, budget: Budget = Budget()) -> list:
     such split is a union of its prime blocks (Shpilka & Volkovich, ICALP
     2010).  The blocks come from a dependency test at a random point of
     each variable against one representative of each class found so far;
-    peeling them off one at a time with the exact grid test verifies them,
-    and a failed verification draws a new point.  So the time is random but
-    an answer never is.  The points come from one stream of a fixed seed,
-    drawn once per process and shared by every call, so both repeat.  A
-    step is one term evaluated, one dependency test or one term it reads,
-    one term read by the verification, one term of an emitted factor, or
-    one trial division of the content.
+    peeling them off one at a time with an exact test on p's own terms
+    verifies them, and a failed verification draws a new point.  So the
+    time is random but an answer never is.  The points come from one stream
+    of a fixed seed, drawn once per process and shared by every call, so
+    both repeat.  A step is one term evaluated, one dependency test or one
+    term it reads, one term read by the verification, one term of an
+    emitted factor, or one trial division of the content.
     An empty result certifies that no bit-disjoint pair exists.
 
     By Gauss's lemma a split of p is its content c = c1 * c2 spread over the
     two sides times a split of the primitive part, and that split is unique
-    for a union of blocks: the product of their primitive factors.
+    for a union of blocks: the product of their primitive factors.  That
+    product is read off p's terms, those that agree with p's least term
+    off its blocks, and is never multiplied out.
     """
     pairs = _bit_disjoint_factor(lift(p), sorted(tau_poly(p)), _Meter(budget))
     if isinstance(p, Poly1):
@@ -537,7 +553,12 @@ def bit_disjoint_factor(p, budget: Budget = Budget()) -> list:
 
 def _bit_disjoint_factor(p, support, meter):
     """The pairs of bit_disjoint_factor for a Poly2 p as sorted _pairs of
-    poly_keys; support lists the bits of tau_poly(p) in ascending order."""
+    poly_keys; support lists the bits of tau_poly(p) in ascending order.
+
+    Once the blocks are verified, each half is read off p's own terms in
+    their poly_key order: when p(0) >= 1 every term of a half is a term of
+    p, its coefficient divided by the half's content.  A prime primitive p
+    answers [] as soon as the emission is charged."""
     if not p:
         raise ValueError("cannot factor the zero polynomial")
     c = content(p)
@@ -551,34 +572,61 @@ def _bit_disjoint_factor(p, support, meter):
     # modulus, up to the first one above the coefficients' bound 2 * p(1)**2.
     top = 2 + 2 * sum(terms.values()).bit_length() // 61
     draw = 0
-    factors = None
-    while factors is None:
+    counts = None
+    while counts is None:
         draw += 1
         point = _point(draw, 2 * len(support))
         modulus = _PRIME ** min(draw, top)
-        blocks = _blocks(terms, support, point, modulus, meter)
-        factors = _peel(terms, [from_bits(bits) for bits in blocks], meter)
-    # products[m]: the product of the factors in the subset m of the blocks,
-    # built when a split first needs it.
-    k = len(factors)
-    whole = (1 << k) - 1
-    products = {0: {p.zero: 1}, whole: terms}
-
-    def product(m):
-        if m not in products:
-            low = m & -m
-            products[m] = _times(product(m ^ low), factors[low.bit_length() - 1])
-        return products[m]
-
+        masks = [from_bits(bits) for bits in _blocks(terms, support, point, modulus, meter)]
+        counts = _peel(terms, masks, meter)
     # Every pair costs its terms, charged before any is built.  Blocks have
     # disjoint bits, so a product of factors has the product of their term
     # counts, and the picks with their rests hold prod(1 + t_i) terms over
     # the blocks' term counts t_i.  The pair (1, p) is skipped, and so is
     # (p, 1) when p is a constant c > 1.
-    size = prod(1 + len(f) for f in factors)
+    size = prod(1 + t for t in counts)
     skipped = 1 + len(terms) + (2 if c > 1 and terms == {p.zero: 1} else 0)
     meter.charge(len(cdivs) * size - skipped, "emitting the factors")
-    # The top block stays on the second side, so each subset of the blocks
-    # is keyed once: as a pick or as the rest of one.
-    cores = ((_key(product(m)), _key(product(whole ^ m))) for m in range(1 << (k - 1)))
-    return _spread(cores, c, cdivs, ((p.zero, 1),))
+    if len(counts) == 1 and c == 1:
+        return []  # p is prime and primitive: its one split is (1, p)
+    # Let t be p's least term, the anchor: a net's idle event.  The terms
+    # that agree with t off the bits of a set of blocks are those of the
+    # product of its factors times one constant, the other factors' value
+    # at t.  Read on its bits and divided by their content, they are that
+    # product, already in poly_key order; when t = 1 they are terms of p as
+    # they stand.  Each term's signature is the bits where it differs from t.
+    (tx, ty), tv = next(reversed(terms.items()))
+    signed = [((x, y), v, (x ^ tx) | (y ^ ty)) for (x, y), v in terms.items()]
+
+    def half(items, bits):
+        """The poly_key of the primitive product of the factors on bits,
+        given the signed terms that agree with t off them."""
+        if tx or ty:
+            key = [((x & bits, y & bits), v) for (x, y), v, _ in items]
+        else:
+            key = [(e, v) for e, v, _ in items]
+        if tv > 1:  # t is in every half, so a half's content divides tv
+            g = gcd(*[v for _, v in key])
+            if g > 1:
+                key = [(e, v // g) for e, v in key]
+        return tuple(key)
+
+    def splits(j, pick, rest, bits):
+        """The pairs that send blocks j and up to either side, the blocks
+        below j already sent: bits holds those sent to the pick, pick the
+        signed terms that agree with t on every block sent to the rest, and
+        rest those that agree with t on every block sent to the pick.  Each
+        block sent filters the other side's terms, so the work follows the
+        size of the output, not the number of splits times len(p)."""
+        if j == len(masks):
+            yield half(pick, bits), half(rest, full ^ bits)
+            return
+        mask = masks[j]
+        # The top block stays on the second side, so each subset of the
+        # blocks is read once: as a pick or as the rest of one.
+        if j < len(masks) - 1:
+            yield from splits(j + 1, pick, [s for s in rest if not s[2] & mask], bits | mask)
+        yield from splits(j + 1, [s for s in pick if not s[2] & mask], rest, bits)
+
+    full = sum(masks)
+    return _spread(splits(0, signed, signed, 0), c, cdivs, ((p.zero, 1),))

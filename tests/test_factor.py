@@ -389,17 +389,18 @@ def test_bit_disjoint_rejects_zero():
 
 def test_bit_disjoint_budget():
     # x^4 (x^3 + 1)(x^8 + 1), blocks {0, 1}, {2} and {3}: evaluating the 4
-    # terms; 4 dependency tests, one step each plus the terms they read
-    # (bit 1 against bit 0's variable: 2 terms, joined; bit 2 against bit 0:
-    # 2, a new class; bit 3 against bits 0 and 2: 1 + 2, a new class), so
-    # 4 + 7 = 11; peeling {0, 1} and then {2} off (4 + 2 terms read); and the
-    # 13 terms of the 3 emitted pairs come to 4 + 11 + 6 + 13 = 34 steps
+    # terms; bit 1's variable holds the same two terms as bit 0's, not all
+    # four, so it joins bit 0's class untested; 3 dependency tests, one step
+    # each plus the terms they read (bit 2 against bit 0: 2, a new class;
+    # bit 3 against bits 0 and 2: 1 + 2, a new class), so 3 + 5 = 8; peeling
+    # {0, 1} and then {2} off (4 + 2 terms read); and the 13 terms of the 3
+    # emitted pairs come to 4 + 8 + 6 + 13 = 31 steps
     p = P({15: 1, 12: 1, 7: 1, 4: 1})
     with pytest.raises(BudgetExceededError):
         bit_disjoint_factor(p, Budget(max_steps=2))
     with pytest.raises(BudgetExceededError):
-        bit_disjoint_factor(p, Budget(max_steps=33))
-    assert len(bit_disjoint_factor(p, Budget(max_steps=34))) == 3
+        bit_disjoint_factor(p, Budget(max_steps=30))
+    assert len(bit_disjoint_factor(p, Budget(max_steps=31))) == 3
 
 
 def test_bit_disjoint_joins_the_two_variables_of_each_bit():
@@ -417,7 +418,14 @@ def test_bit_disjoint_joins_the_two_variables_of_each_bit():
 
 def test_bit_disjoint_matches_the_full_scan_reference():
     """Random products over one to three bit groups, a group possibly
-    empty (a constant factor), times a content of 1, 2, 6 or 12."""
+    empty (a constant factor), times a content of 1, 2, 6 or 12; and three
+    with two variables in every term, which must stay apart as monomial
+    blocks although they hold the same terms."""
+    every = [P({3: 1}) * P({4: 1, 0: 1}), Poly2({(1, 2): 1}) * Poly2({(4, 8): 1, (0, 0): 1})]
+    every.append(P({3: 2}) * P({4: 1, 0: 3}))
+    for p, count in zip(every, (3, 3, 7)):
+        got = [tuple(sorted((poly_key(a), poly_key(b)))) for a, b in bit_disjoint_factor(p)]
+        assert got == sorted(bit_disjoint_reference(dict(p.terms))) and len(got) == count, p
     rng = random.Random(33)
     for arity, make in ((1, Poly1), (2, Poly2)):
         for _ in range(120):
@@ -481,7 +489,11 @@ def test_bit_disjoint_verification_rejects_a_point_that_misses_a_dependency(monk
     """At (z0, z1, z2) = (-1, -1, 1) every pairwise minor of the prime
     1 + x + x^2 + x^7 vanishes, so the first point reports singleton blocks.
     The exact check must reject them, and a second point must give the
-    reference's answer, alone and times x^8 + 1."""
+    reference's answer, alone and times x^8 + 1; and times x^8, alone and
+    with x^16 + 1, where p(0) = 0 and the least term, x^8, is the anchor.
+    At that point 1 + x + x^2 + x^3 + x^4 gets the blocks {0, 1} and {2};
+    its grid over them is rank 1 where filled but lacks x^5, so only the
+    count of the grid's cells rejects them."""
     real_point, real_peel = polyfactor._point, polyfactor._peel
     peels = []
 
@@ -496,12 +508,17 @@ def test_bit_disjoint_verification_rejects_a_point_that_misses_a_dependency(monk
 
     monkeypatch.setattr(polyfactor, "_point", point)
     monkeypatch.setattr(polyfactor, "_peel", peel)
-    for p in (P({7: 1, 2: 1, 1: 1, 0: 1}), P({7: 1, 2: 1, 1: 1, 0: 1}) * P({8: 1, 0: 1})):
+    prime = P({7: 1, 2: 1, 1: 1, 0: 1})
+    counts = []
+    cases = [prime, prime * P({8: 1, 0: 1}), prime * P({8: 1}), prime * P({24: 1, 8: 1})]
+    for p in cases + [P({4: 1, 3: 1, 2: 1, 1: 1, 0: 1})]:
         peels.clear()
         got = [tuple(sorted((poly_key(a), poly_key(b)))) for a, b in bit_disjoint_factor(p)]
         assert got == sorted(bit_disjoint_reference(dict(p.terms)))
         assert peels[0] is None and peels[1] is not None and len(peels) == 2
-    assert got  # the product splits once: (x^8 + 1) * (x^7 + x^2 + x + 1)
+        counts.append(len(got))
+    # (x^8 + 1) * prime; x^8 * prime; and x^8, x^16 + 1 and prime paired 3 ways.
+    assert counts == [0, 1, 1, 3, 0]
 
 
 def test_bit_disjoint_dependency_hidden_modulo_the_prime():
