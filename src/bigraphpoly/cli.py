@@ -162,8 +162,7 @@ def _cmd_factor(args):
 
 def _cmd_canon(args):
     if _looks_like_file(args.input):
-        doc = _load(args.input)
-        g = doc.obj
+        g = fileio.load_document(args.input).obj
     else:
         p = parse_poly(args.input)
         g = decode_directed(p) if isinstance(p, Poly2) else decode(p)
@@ -279,7 +278,7 @@ def _build_parser():
     p.add_argument("--budget", type=_steps, help="search allowance override")
     p.set_defaults(func=_cmd_factor)
 
-    p = sub.add_parser("canon", help="canonical polynomial of a graph file or polynomial")
+    p = sub.add_parser("canon", help="canonical polynomial of a polynomial or a graph or net file")
     p.add_argument("input")
     p.set_defaults(func=_cmd_canon)
 

@@ -156,7 +156,9 @@ def _same_kind(g1, g2):
 # Labelings.
 
 def check_labeled(g, labeling):
-    """Require a natural label for every v-vertex, as a file's reader does."""
+    """Require every v-vertex to have a label and every such label to be a
+    natural.  A file's reader checks only the labels the file gives, which
+    may leave some v-vertices unlabeled; encoding and the writers need all."""
     missing = [x for x in g.v_vertices if x not in labeling]
     if missing:
         raise LabelingError(f"unlabeled {g.v_word}s: {_first_few(missing)}")
@@ -454,6 +456,13 @@ def _encodings(g: Bipartite, meter, search, least):
 # exponent sums never carry, and both collapse to the plain unlabeled
 # constructions.  Every one takes two structures of one kind and raises
 # TypeError on mixed kinds.
+#
+# Products of nets are pointed on every route: each side also offers its
+# idle event, so an event may fire alone, and the encoding of the product
+# is the product of the encodings.  Sums of nets share one idle event on the
+# direct and plain routes, so their encoding plus 1 is the sum of the
+# encodings; poly_sum decodes that sum, whose constant of at least 2 is the
+# idle event plus at least one event with empty slots.
 
 def poly_product(g1, l1, g2, l2):
     _same_kind(g1, g2)
@@ -481,12 +490,37 @@ def _packed(g, labeling):
         ) from None
 
 
+def _pairs(g1, d1, d2, none, join):
+    """The slots of a product: (a, b) -> join(d1[a], d2[b]) for every u-pair,
+    a's pairs in d2's order, d1's u-vertices in order.
+
+    For nets each side also offers its idle event None with data none, so
+    an event may fire alone, and the all-idle pair is left out; d1 and d2
+    are the caller's own and take the None entries.  Many u-vertices share
+    their data, so join runs once per distinct pair of data and every
+    u-pair maps to its result.
+    """
+    if g1.idle:
+        d1[None] = d2[None] = none
+    distinct2 = set(d2.values())
+    rows = {}  # data of a -> {data of b: joined}
+    sig = {}
+    for a, ea in d1.items():
+        row = rows.get(ea)
+        if row is None:
+            row = rows[ea] = {eb: join(ea, eb) for eb in distinct2}
+        sig.update(zip(zip(repeat(a), d2), map(row.__getitem__, d2.values())))
+    if g1.idle:
+        del sig[None, None]
+    return sig
+
+
 def direct_product(g1, l1, g2, l2):
     """u-vertices are pairs; each pair's slots are read off the bits of the
-    sums of the two packed slots."""
+    sums of the two packed slots.  For nets this is the pointed product, as
+    plain_product is: (a, None) and (None, b) fire a and b alone, and the
+    natural encoding is the product of the two encodings."""
     _same_kind(g1, g2)
-    d1 = _packed(g1, l1)
-    d2 = _packed(g2, l2)
     bits = {}  # packed sum -> its bit support; many pairs share a sum
 
     def support(n):
@@ -494,48 +528,38 @@ def direct_product(g1, l1, g2, l2):
             bits[n] = tau(n)
         return bits[n]
 
-    # Many u-vertices share packed slots, so the slot tuple of each distinct
-    # (packed a, packed b) is worked out once and every u-pair maps to it.
-    distinct2 = set(d2.values())
-    rows = {}  # packed slots of a -> {packed slots of b: slot tuple}
-    sig = {}
-    for a, ea in d1.items():
-        row = rows.get(ea)
-        if row is None:
-            if g1.arity == 1:
-                row = {eb: (support(ea + eb),) for eb in distinct2}
-            else:
-                x, y = ea
-                row = {eb: (support(x + eb[0]), support(y + eb[1])) for eb in distinct2}
-            rows[ea] = row
-        sig.update(zip(zip(repeat(a), d2), map(row.__getitem__, d2.values())))
+    if g1.arity == 1:
+        def join(a, b):
+            return (support(a + b),)
+    else:
+        def join(a, b):
+            return support(a[0] + b[0]), support(a[1] + b[1])
+
+    sig = _pairs(g1, _packed(g1, l1), _packed(g2, l2), g1.poly.zero, join)
     vs = set().union(*bits.values())
     return type(g1)._build(tuple(sig), tuple(sorted(vs)), sig)
 
 
-def direct_sum(g1, l1, g2, l2):
-    """Tagged union of u parts over the v-quotient by equal labels."""
-    _same_kind(g1, g2)
-    check_labeling(g1, l1)
-    check_labeling(g2, l2)
+def _union(g1, g2, names, vs):
+    """The sum of g1 and g2 with v part vs: u-vertices (side, u), each slot
+    member v renamed names[side][v], so v-vertices sharing a name merge."""
     sig = {
-        (side, u): tuple(frozenset(lab[v] for v in part) for part in slots)
-        for side, (g, lab) in enumerate(((g1, l1), (g2, l2)))
+        (side, u): tuple(frozenset(map(name.__getitem__, part)) for part in slots)
+        for side, (g, name) in enumerate(zip((g1, g2), names))
         for u, slots in g._sig.items()
     }
-    vs = sorted({l1[v] for v in g1.v_vertices} | {l2[v] for v in g2.v_vertices})
     return type(g1)._build(tuple(sig), tuple(vs), sig)
 
 
-def _tagged(g, side):
-    return {
-        u: tuple(frozenset((side, v) for v in part) for part in slots)
-        for u, slots in g._sig.items()
-    }
-
-
-def _tagged_v(g1, g2):
-    return tuple((0, v) for v in g1.v_vertices) + tuple((1, v) for v in g2.v_vertices)
+def direct_sum(g1, l1, g2, l2):
+    """Tagged union of u parts over the v-quotient by equal labels.  Two
+    nets share one idle event, so the natural encoding plus 1 is the sum of
+    the two encodings."""
+    _same_kind(g1, g2)
+    check_labeling(g1, l1)
+    check_labeling(g2, l2)
+    vs = sorted({l1[v] for v in g1.v_vertices} | {l2[v] for v in g2.v_vertices})
+    return _union(g1, g2, (l1, l2), vs)
 
 
 def plain_product(g1, g2):
@@ -546,26 +570,15 @@ def plain_product(g1, g2):
     out.
     """
     _same_kind(g1, g2)
-    s1 = _tagged(g1, 0)
-    s2 = _tagged(g2, 1)
-    if g1.idle:
-        s1[None] = s2[None] = (frozenset(),) * g1.arity
-    sig = {
-        (a, b): tuple(x | y for x, y in zip(sa, sb))
-        for a, sa in s1.items()
-        for b, sb in s2.items()
-    }
-    if g1.idle:
-        del sig[(None, None)]
-    return type(g1)._build(tuple(sig), _tagged_v(g1, g2), sig)
+    tagged = plain_coproduct(g1, g2)
+    d1, d2 = ({u: tagged._sig[side, u] for u in g._u} for side, g in enumerate((g1, g2)))
+    sig = _pairs(g1, d1, d2, (frozenset(),) * g1.arity,
+                 lambda a, b: tuple(map(frozenset.union, a, b)))
+    return type(g1)._build(tuple(sig), tagged._v, sig)
 
 
 def plain_coproduct(g1, g2):
-    """Disjoint union with side tags."""
+    """Disjoint union with side tags; two nets share one idle event."""
     _same_kind(g1, g2)
-    sig = {
-        (side, u): slots
-        for side, g in enumerate((g1, g2))
-        for u, slots in _tagged(g, side).items()
-    }
-    return type(g1)._build(tuple(sig), _tagged_v(g1, g2), sig)
+    names = [{v: (side, v) for v in g._v} for side, g in enumerate((g1, g2))]
+    return _union(g1, g2, names, [t for name in names for t in name.values()])

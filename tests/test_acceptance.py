@@ -14,6 +14,7 @@ from bigraphpoly import (
     DiBigraph,
     PetriNet,
     Poly1,
+    Poly2,
     add,
     decode,
     decode_directed,
@@ -259,6 +260,33 @@ def test_criterion_4_route_equivalence(capsys):
                 assert iso(routed, direct_op(g1, l1, g2, l2)) is not None
                 if i % 2 == 0:
                     assert iso(routed, plain_op(g1, g2)) is not None
+
+        # Nets, in the same two label regimes.  Products are pointed on
+        # every route; direct and plain sums share one idle event, so their
+        # encoding is one unit short of the sum of the encodings.
+        rng = random.Random(20260814)
+        for i in range(100):
+            g1 = random_net(rng, 4, 4)
+            g2 = random_net(rng, 4, 4)
+            if i % 2:
+                l1 = random_labeling(rng, g1.v_vertices, 7)
+                l2 = random_labeling(rng, g2.v_vertices, 7)
+            else:
+                l1 = random_labeling(rng, g1.v_vertices, 5)
+                l2 = {v: 6 + lab for v, lab
+                      in random_labeling(rng, g2.v_vertices, 5).items()}
+            e1, e2 = encode_net(g1, l1), encode_net(g2, l2)
+            routed = poly_product(g1, l1, g2, l2)
+            assert encode_net(routed, routed.natural_labeling) == mul(e1, e2)
+            direct = direct_product(g1, l1, g2, l2)
+            assert net_isomorphic(routed, direct) is not None
+            assert encode_net(direct, direct.natural_labeling) == mul(e1, e2)
+            summed = direct_sum(g1, l1, g2, l2)
+            assert add(encode_net(summed, summed.natural_labeling), Poly2({(0, 0): 1})) \
+                == add(e1, e2)
+            if i % 2 == 0:
+                assert net_isomorphic(routed, net_product(g1, g2)) is not None
+                assert net_isomorphic(summed, plain_coproduct(g1, g2)) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,11 @@ def test_encode_golden():
     assert render(p) == "x^7 + x^5 + 1"
 
 
+def test_repr_counts_the_parts_and_links():
+    g = Bigraph(["a", "b"], ["x", "y"], [("a", "x"), ("a", "y"), ("b", "y")])
+    assert repr(g) == "Bigraph(|u|=2, |v|=2, |links|=3)"
+
+
 def test_encode_piles_equal_neighborhoods_into_coefficients():
     g = Bigraph(["a", "b", "c"], ["v"], [("a", "v"), ("b", "v")])
     assert encode(g, {"v": 3}) == Poly1({8: 2, 0: 1})

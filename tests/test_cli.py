@@ -633,6 +633,23 @@ def test_canon_directed_file_matches_the_library(capsys, tmp_path):
     assert out == render(canonical_poly_directed(relay_graph())) + "\n"
 
 
+def test_canon_net_files_differing_in_ids_and_order_agree(capsys, tmp_path):
+    """A net file's canonical form holds the idle event's unit."""
+    first = {"conditions": ["p", "q", "r"], "events": [
+        {"id": "e1", "pre": ["p"], "post": ["q"]},
+        {"id": "e2", "pre": ["q"], "post": ["r"]},
+        {"id": "e3", "pre": ["p", "r"]},
+    ]}
+    second = {"conditions": ["c", "b", "a"], "events": [
+        {"id": "z", "pre": ["c", "a"]},
+        {"id": "y", "pre": ["b"], "post": ["a"]},
+        {"id": "x", "pre": ["c"], "post": ["b"]},
+    ]}
+    for name, doc in (("first.json", first), ("second.json", second)):
+        code, out, err = run(capsys, "canon", write(tmp_path / name, doc))
+        assert (code, out) == (0, "x^4*y + x^3 + x^2*y^4 + 1\n")
+
+
 def test_iso_witness_json(capsys, tmp_path, hub_file):
     twin = Bigraph(
         ["B", "C", "A"],

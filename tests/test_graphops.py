@@ -270,6 +270,19 @@ def test_product_with_empty_graph_is_empty():
     assert not h.u_vertices and not h.v_vertices
 
 
+def test_direct_product_of_nets_is_pointed():
+    """Each event also pairs with the other net's idle event, so the
+    direct product encodes to the product of the encodings, as the plain
+    product does."""
+    n1 = PetriNet(["a", "b"], ["s"], pre={"s": ["a"]}, post={"s": ["b"]})
+    n2 = PetriNet(["c", "d"], ["t"], pre={"t": ["c"]}, post={"t": ["d"]})
+    l1, l2 = {"a": 0, "b": 1}, {"c": 2, "d": 3}
+    g = direct_product(n1, l1, n2, l2)
+    assert set(g.u_vertices) == {("s", "t"), ("s", None), (None, "t")}
+    assert render(encode_net(g, g.natural_labeling)) == "x^5*y^10 + x^4*y^8 + x*y^2 + 1"
+    assert is_isomorphic(g, plain_product(n1, n2)) is not None
+
+
 def test_sum_quotients_equal_labels():
     """Summing a graph with itself under one labeling doubles coefficients
     and keeps the v part."""

@@ -157,6 +157,10 @@ def test_mixed_arity_is_an_error():
         add(Poly1({1: 1}), Poly2({(1, 0): 1}))
     with pytest.raises(TypeError):
         mul(Poly1({1: 1}), Poly2({(1, 0): 1}))
+    with pytest.raises(TypeError):
+        Poly1({1: 1}) + Poly2({(1, 0): 1})
+    with pytest.raises(TypeError):
+        Poly1({1: 1}) * Poly2({(1, 0): 1})
 
 
 def test_evaluation_is_a_homomorphism():
@@ -207,6 +211,8 @@ def test_render_golden():
     assert render(Poly1({2: 2})) == "2*x^2"
     assert render(Poly1({7: 1, 5: 1, 0: 1})) == "x^7 + x^5 + 1"
     assert render(Poly1({3: 1, 2: 2, 1: 2, 0: 1})) == "x^3 + 2*x^2 + 2*x + 1"
+    p = Poly1({3: 1, 2: 2, 0: 1})
+    assert p.render() == render(p) == "x^3 + 2*x^2 + 1"
 
 
 def test_render_golden_bivariate():
