@@ -490,29 +490,38 @@ def _packed(g, labeling):
         ) from None
 
 
-def _pairs(g1, d1, d2, none, join):
-    """The slots of a product: (a, b) -> join(d1[a], d2[b]) for every u-pair,
-    a's pairs in d2's order, d1's u-vertices in order.
+def _pairs(g1, d1, d2, none, joins):
+    """The slots of a product: (a, b) -> the join of d1[a] and d2[b] for
+    every u-pair, a's pairs in d2's order, d1's u-vertices in order.
 
     For nets each side also offers its idle event None with data none, so
     an event may fire alone, and the all-idle pair is left out; d1 and d2
     are the caller's own and take the None entries.  Many u-vertices share
-    their data, so join runs once per distinct pair of data and every
-    u-pair maps to its result.
+    their data, so joins(x, ys) runs once per distinct data x of d1 and
+    gives x's joins with the distinct data ys of d2, in order; every u-pair
+    maps to its result.
     """
     if g1.idle:
         d1[None] = d2[None] = none
-    distinct2 = set(d2.values())
+    distinct2 = list(set(d2.values()))
     rows = {}  # data of a -> {data of b: joined}
     sig = {}
     for a, ea in d1.items():
         row = rows.get(ea)
         if row is None:
-            row = rows[ea] = {eb: join(ea, eb) for eb in distinct2}
+            row = rows[ea] = dict(zip(distinct2, joins(ea, distinct2)))
         sig.update(zip(zip(repeat(a), d2), map(row.__getitem__, d2.values())))
     if g1.idle:
         del sig[None, None]
     return sig
+
+
+class _Supports(dict):
+    """packed sum -> its bit support, made on the first lookup."""
+
+    def __missing__(self, n):
+        self[n] = got = tau(n)
+        return got
 
 
 def direct_product(g1, l1, g2, l2):
@@ -521,21 +530,15 @@ def direct_product(g1, l1, g2, l2):
     plain_product is: (a, None) and (None, b) fire a and b alone, and the
     natural encoding is the product of the two encodings."""
     _same_kind(g1, g2)
-    bits = {}  # packed sum -> its bit support; many pairs share a sum
+    bits = _Supports()  # many pairs share a sum, so a pair costs one lookup
+    support = bits.__getitem__
 
-    def support(n):
-        if n not in bits:
-            bits[n] = tau(n)
-        return bits[n]
+    def joins(a, bs):
+        if g1.arity == 1:
+            return zip(map(support, map(a.__add__, bs)))
+        return zip(*(map(support, map(x.__add__, col)) for x, col in zip(a, zip(*bs))))
 
-    if g1.arity == 1:
-        def join(a, b):
-            return (support(a + b),)
-    else:
-        def join(a, b):
-            return support(a[0] + b[0]), support(a[1] + b[1])
-
-    sig = _pairs(g1, _packed(g1, l1), _packed(g2, l2), g1.poly.zero, join)
+    sig = _pairs(g1, _packed(g1, l1), _packed(g2, l2), g1.poly.zero, joins)
     vs = set().union(*bits.values())
     return type(g1)._build(tuple(sig), tuple(sorted(vs)), sig)
 
@@ -573,7 +576,7 @@ def plain_product(g1, g2):
     tagged = plain_coproduct(g1, g2)
     d1, d2 = ({u: tagged._sig[side, u] for u in g._u} for side, g in enumerate((g1, g2)))
     sig = _pairs(g1, d1, d2, (frozenset(),) * g1.arity,
-                 lambda a, b: tuple(map(frozenset.union, a, b)))
+                 lambda a, bs: [tuple(map(frozenset.union, a, b)) for b in bs])
     return type(g1)._build(tuple(sig), tagged._v, sig)
 
 

@@ -34,6 +34,9 @@ and they take only labels the reader takes.  The text format is that of
 ``net_text`` write graph and net files in it straight from their slot tuples,
 each distinct slot's text once and no object per edge; ``decoded_text``
 writes the graph file of a polynomial's decoding from its terms alone.
+Each writer assembles the whole file as one list of pieces, an item list
+or one u-vertex's edges or one event each, and joins it once, so the text
+is copied once after its pieces are made, not once per level of nesting.
 """
 
 from __future__ import annotations
@@ -290,21 +293,27 @@ def string_ids(ids) -> dict:
     return out
 
 
-def _items(texts, brackets, depth) -> str:
-    """The JSON list or object ("[]" or "{}") of the given item texts, laid
-    out as json.dumps(indent=2) lays it out at nesting depth depth."""
-    if not texts:
-        return brackets
+def _items(out, texts, brackets, depth):
+    """Append to out, the pieces of a file's text, the JSON list or object
+    ("[]" or "{}") of the given item texts, laid out as
+    json.dumps(indent=2) lays it out at nesting depth depth."""
     inner = "\n" + "  " * (depth + 1)
-    return brackets[0] + inner + ("," + inner).join(texts) + inner[:-2] + brackets[1]
+    if texts:
+        out += brackets[0], inner, ("," + inner).join(texts), inner[:-2] + brackets[1]
+    else:
+        out.append(brackets)
+    return out
 
 
-def _file_text(parts, g, name, labels):
-    """The file text of the given top-level items, then of g's labels."""
+def _file_text(out, vs, name, labels):
+    """The text of a file from the pieces of its fields, then of the labels
+    of its v-vertices vs when given, by the string ids name gives: one
+    join."""
     if labels is not None:
-        parts.append('"labels": ' + _items(
-            [f"{_esc(name(v))}: {int.__repr__(labels[v])}" for v in g.v_vertices], "{}", 1))
-    return _items(parts, "{}", 0) + "\n"
+        out.append(',\n  "labels": ')
+        _items(out, [f"{_esc(name(v))}: {int.__repr__(labels[v])}" for v in vs], "{}", 1)
+    out.append("\n}\n")
+    return "".join(out)
 
 
 def _edge_parts(vs, quoted, arity):
@@ -327,17 +336,18 @@ def _edge_parts(vs, quoted, arity):
     return head, [tail + link for tail in tails], index
 
 
-def _graph_parts(arity, us, vs, head, edges):
-    """The top-level items of a graph file but its labels, from the quoted u
-    and v ids and a list of texts of the edges in order, each text ending
-    in a link to the next edge's head; the last link is cut.  The edges are
-    copied once, in one join."""
-    text = "[]"
+def _graph_pieces(arity, us, vs, head, edges):
+    """The pieces of a graph file's fields but its labels, from the quoted u
+    and v ids and the nonempty texts of the edges in order, each text
+    ending in a link to the next edge's head; the last link is cut."""
+    out = ['{\n  "directed": true,\n  "u": ' if arity == 2 else '{\n  "u": ']
+    _items(out, us, "[]", 1).append(',\n  "v": ')
+    _items(out, vs, "[]", 1).append(',\n  "edges": ' + ("[\n" + head if edges else "[]"))
     if edges:
-        text = "".join(["[\n", head, *edges[:-1], edges[-1][: -len(head) - 2], "\n  ]"])
-    parts = ['"directed": true'] if arity == 2 else []
-    return parts + ['"u": ' + _items(us, "[]", 1), '"v": ' + _items(vs, "[]", 1),
-                    '"edges": ' + text]
+        out += edges
+        out[-1] = out[-1][: -len(head) - 2]
+        out.append("\n  ]")
+    return out
 
 
 def graph_text(g, labels=None) -> str:
@@ -364,10 +374,11 @@ def graph_text(g, labels=None) -> str:
     rows = {s: ["", *map(tails.__getitem__, sorted(chain.from_iterable(map(map, place, s))))]
             for s in set(slots.values())}
     order = sorted(us)
-    edges = "".join(map(str.join, map(_esc, order), map(rows.get, map(slots.get, order))))
-    parts = _graph_parts(g.arity, list(map(_esc, us)),
-                         [_esc(name(v)) for v in g.v_vertices], head, [edges] if edges else [])
-    return _file_text(parts, g, name, labels)
+    edges = list(filter(None, map(str.join, map(_esc, order),
+                                  map(rows.get, map(slots.get, order)))))
+    out = _graph_pieces(g.arity, list(map(_esc, us)),
+                        [_esc(name(v)) for v in g.v_vertices], head, edges)
+    return _file_text(out, g.v_vertices, name, labels)
 
 
 def decoded_text(p) -> str:
@@ -387,6 +398,11 @@ def decoded_text(p) -> str:
     compare as their heads do; ids of one term compare as the decimal
     strings of their copy numbers, 1, 10, 11, ..., 2, ....  So the edges
     are the terms in head order, each term's copies in that order.
+
+    No copy's id is made on its own: a term's ids in the u list are one
+    join of the suffixes on the head, and a copy's edges are one join on
+    its suffix of the term's tails, each but the last followed by the head.
+    The file is one list of pieces, joined once.
     """
     if not isinstance(p, (Poly1, Poly2)):
         raise TypeError(f"decoded_text takes a Poly1 or a Poly2, got {type(p).__name__}")
@@ -402,25 +418,22 @@ def decoded_text(p) -> str:
     by_text = sorted(vs, key=str)
     head, tails, index = _edge_parts(by_text, [f'"{v}"' for v in by_text], arity)
     place = [k.__getitem__ for k in index]
-    rows = [["", *map(tails.__getitem__, sorted(chain.from_iterable(map(map, place, s))))]
-            for s in slots]
     suffixes = [f'{k}"' for k in range(1, max(terms.values(), default=0) + 1)]
-    ids = [[h + k for k in suffixes[:c]] for h, c in zip(heads, terms.values())]
-    # copy count -> copy indices in the order of their strings, which is
-    # that of the suffixes, as '"' sorts before every digit
-    orders = {}
+    orders = {}  # copy count -> its suffixes in the order of their strings
     edges = []
-    for t in sorted(range(len(heads)), key=heads.__getitem__):
-        row, copies = rows[t], ids[t]
-        if len(row) > 1:
-            c = len(copies)
+    for h, s, c in sorted(zip(heads, slots, terms.values())):  # the heads are unique
+        row = list(map(tails.__getitem__, sorted(chain.from_iterable(map(map, place, s)))))
+        if row:
             if c not in orders:
-                orders[c] = sorted(range(c), key=suffixes.__getitem__)
-            edges += map(str.join, map(copies.__getitem__, orders[c]), repeat(row))
-    parts = _graph_parts(arity, list(chain.from_iterable(ids)),
-                         [f'"{v}"' for v in vs], head, edges)
-    parts.append('"labels": ' + _items([f'"{v}": {v}' for v in vs], "{}", 1))
-    return _items(parts, "{}", 0) + "\n"
+                orders[c] = sorted(suffixes[:c])
+            # the edges of copy k are h k" t1 h k" t2 ... h k" tn: k" joins
+            # [h, t1 h, ..., tn], made once per term
+            joined = [h, *map(str.__add__, row[:-1], repeat(h)), row[-1]]
+            edges += map(str.join, orders[c], repeat(joined))
+    # per term, its copies' ids joined as _items joins the u list's items
+    us = [h + (",\n    " + h).join(suffixes[:c]) for h, c in zip(heads, terms.values())]
+    out = _graph_pieces(arity, us, [f'"{v}"' for v in vs], head, edges)
+    return _file_text(out, vs, str, dict(zip(vs, vs)))
 
 
 def net_text(net: PetriNet, labels=None) -> str:
@@ -438,17 +451,17 @@ def net_text(net: PetriNet, labels=None) -> str:
     rank = dict(zip(by_name, range(len(by_name)))).__getitem__
     quoted = [_esc(name(b)) for b in by_name]
     slots = list(map(net.slots, net.events))
-    text = {part: _items(list(map(quoted.__getitem__, sorted(map(rank, part)))), "[]", 3)
+    text = {part: "".join(_items([], list(map(quoted.__getitem__, sorted(map(rank, part)))),
+                                 "[]", 3))
             for part in set(chain.from_iterable(slots))}
     events = [f'{{\n      "id": {_esc(name(e))},\n      "pre": {text[pre]},'
               f'\n      "post": {text[post]}\n    }}'
               for e, (pre, post) in zip(net.events, slots)]
-    parts = [
-        '"conditions": ' + _items(list(map(quoted.__getitem__, map(rank, net.conditions))),
-                                  "[]", 1),
-        '"events": ' + _items(events, "[]", 1),
-    ]
-    return _file_text(parts, net, name, labels)
+    out = ['{\n  "conditions": ']
+    _items(out, list(map(quoted.__getitem__, map(rank, net.conditions))), "[]", 1)
+    out.append(',\n  "events": ')
+    _items(out, events, "[]", 1)
+    return _file_text(out, net.conditions, name, labels)
 
 
 def dumps(doc: dict) -> str:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from .bits import tau_poly
 from .core import _decode, _encodings, compact_labeling, encode
 from .errors import BudgetExceededError
-from .polyfactor import Budget, _bit_disjoint_factor, _factor_pairs, _Meter, _polys
+from .polyfactor import Budget, _bit_disjoint_factor, _divisors, _factor_pairs, _Meter, _polys
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,16 @@ def _factor_graph(g, p, meter):
         yield _decode(q, cls, supports), _decode(r, cls, supports)
 
 
+def _values_split(p, meter):
+    """Whether p(1) and p(0) >= 1 admit the values of a split q * r: some
+    divisor a of p(1) and c of p(0) with a > c and p(1) / a > p(0) / c, as
+    q(1) * r(1) = p(1), q(0) * r(0) = p(0), q(1) > q(0) and r(1) > r(0).
+    Both are the same under every labeling of a graph."""
+    one, zero = sum(p.terms.values()), p.constant_coeff()
+    cs = _divisors(zero, meter)
+    return any(a > c and one // a > zero // c for a in _divisors(one, meter) for c in cs)
+
+
 def is_irreducible(
     g,
     labeling=None,
@@ -107,17 +117,22 @@ def is_irreducible(
     so its first encoding already splits off x when |v| >= 2.  The walk
     and the searches share one allowance: the walk charges the states it
     builds, and each encoding costs at least the divisor scan of p(1).
-    Running out gives "inconclusive".
+    Running out gives "inconclusive".  p(1) and p(0) are the same under
+    every labeling, so when p(0) >= 1 and they admit no split's values
+    (_values_split), the sweep answers "irreducible" before the walk.
     """
     scope = "compact-labelings" if exhaustive else "labeling"
     meter = _Meter(budget)
     lab = compact_labeling(g) if exhaustive or labeling is None else labeling
     p = encode(g, lab)
     encodings = [(p, lab)]
-    if exhaustive and g.arity == 1 and len(tau_poly(p)) == len(g.v_vertices):
-        search = f"the sweep over the labelings of {len(g.v_vertices)} v-vertices"
-        encodings = _encodings(g, meter, search, least=False)
+    sweep = exhaustive and g.arity == 1 and len(tau_poly(p)) == len(g.v_vertices)
+    if sweep:
+        meter.search = f"the sweep over the labelings of {len(g.v_vertices)} v-vertices"
+        encodings = _encodings(g, meter, meter.search, least=False)
     try:
+        if sweep and p.constant_coeff() and not _values_split(p, meter):
+            return IrreducibilityReport("irreducible", scope)
         for p, lab in encodings:
             pair = next(_factor_graph(g, p, meter), None)
             if pair is not None:

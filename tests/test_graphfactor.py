@@ -34,7 +34,7 @@ from bigraphpoly import (
     poly_product,
     tau_poly,
 )
-from bigraphpoly.graphfactor import graph_factor_pairs
+from bigraphpoly.graphfactor import _values_split, graph_factor_pairs
 from bigraphpoly.polyfactor import _Meter
 
 from helpers import (
@@ -224,35 +224,80 @@ def test_sweep_of_ten_v_vertices_answers_at_the_default_budget():
 
 
 def test_sweep_shares_one_allowance():
-    """Both labelings encode to 1 + x + x^2, whose search lists the 2
-    divisors of p(1) = 3 in 2 steps.  The sweep searches that encoding once
-    and builds 4 states at 1 + 3 + 3 = 7 steps each (the child, the 3
-    distinct terms of its parent, the 3 terms), so 30 steps answer."""
-    g = Bigraph(["a", "b", "c"], ["p", "q"], [("b", "p"), ("c", "q")])
-    alone = is_irreducible(g, {"p": 0, "q": 1}, budget=Budget(max_steps=2))
+    """The labelings encode to 1 + 2x + x^3 and 1 + 2x^2 + x^3, neither of
+    which splits, but p(1) = 4 and p(0) = 1 leave room for a split's values
+    (4 = 2 * 2 with 2 > 1), so the sweep runs.  Listing the divisors of
+    p(0) and p(1) takes 2 + 3 steps and the compact encoding's search 7.
+    The sweep builds 4 states at 1 + 3 + 4 = 8 steps each (the child, the 3
+    distinct terms of its parent, the 4 terms) and searches the other
+    encoding in 3, so 47 steps answer."""
+    g = Bigraph(["a", "b", "c", "d"], ["p", "q"],
+                [("b", "p"), ("c", "p"), ("d", "p"), ("d", "q")])
+    alone = is_irreducible(g, {"p": 0, "q": 1}, budget=Budget(max_steps=7))
     assert alone.verdict == "irreducible"
-    sweep = is_irreducible(g, exhaustive=True, budget=Budget(max_steps=29))
+    sweep = is_irreducible(g, exhaustive=True, budget=Budget(max_steps=46))
     assert sweep.verdict == "inconclusive"
-    assert "budget of 29 steps" in sweep.detail
-    sweep = is_irreducible(g, exhaustive=True, budget=Budget(max_steps=30))
+    assert "budget of 46 steps" in sweep.detail
+    sweep = is_irreducible(g, exhaustive=True, budget=Budget(max_steps=47))
     assert sweep.verdict == "irreducible"
 
 
 def test_sweep_charges_each_state_it_builds():
-    """The compact encoding is searched first, in 2 steps; the walk then
-    charges 7 steps per state, and running out names the sweep, not the
-    factor search that ran before it."""
-    g = Bigraph(["a", "b", "c"], ["p", "q"], [("b", "p"), ("c", "q")])
-    first = is_irreducible(g, exhaustive=True, budget=Budget(max_steps=2))
+    """The divisors of p(0) and p(1) are listed in 5 steps and the compact
+    encoding is searched next, in 7; the walk then charges 8 steps per
+    state, and running out names the sweep, not the factor search that ran
+    before it."""
+    g = Bigraph(["a", "b", "c", "d"], ["p", "q"],
+                [("b", "p"), ("c", "p"), ("d", "p"), ("d", "q")])
+    first = is_irreducible(g, exhaustive=True, budget=Budget(max_steps=12))
     assert first.detail == (
-        "the sweep over the labelings of 2 v-vertices used up the budget of 2 steps"
-        " in building states (9 asked for)"
+        "the sweep over the labelings of 2 v-vertices used up the budget of 12 steps"
+        " in building states (20 asked for)"
     )
-    second = is_irreducible(g, exhaustive=True, budget=Budget(max_steps=16))
+    second = is_irreducible(g, exhaustive=True, budget=Budget(max_steps=28))
     assert second.detail == (
-        "the sweep over the labelings of 2 v-vertices used up the budget of 16 steps"
-        " in building states (23 asked for)"
+        "the sweep over the labelings of 2 v-vertices used up the budget of 28 steps"
+        " in building states (36 asked for)"
     )
+
+
+def test_sweep_answers_at_once_when_no_split_has_the_values():
+    """p(1) = |u| = 11 and p(0) = 1 under every labeling: a split q * r
+    needs q(1) * r(1) = 11 with q(1) > q(0) >= 1 and r(1) > r(0) >= 1, and
+    11 is prime, so no labeling splits the graph and no walk is needed.
+    Listing the divisors of 1 and of 11 is charged to the sweep."""
+    us = [f"u{i}" for i in range(11)]
+    vs = [f"v{j}" for j in range(10)]
+    edges = [(f"u{j}", f"v{j}") for j in range(10)] + [("u0", "v5"), ("u3", "v7"), ("u4", "v1")]
+    g = Bigraph(us, vs, edges)
+    start = time.perf_counter()
+    report = is_irreducible(g, exhaustive=True)
+    assert time.perf_counter() - start < 1
+    assert (report.verdict, report.scope, report.witness) == (
+        "irreducible", "compact-labelings", None)
+    assert is_irreducible(g, exhaustive=True, budget=Budget(max_steps=6)).verdict == "irreducible"
+    short = is_irreducible(g, exhaustive=True, budget=Budget(max_steps=5))
+    assert short.detail == (
+        "the sweep over the labelings of 10 v-vertices used up the budget of 5 steps"
+        " in listing the divisors of 11 (6 asked for)"
+    )
+
+
+def test_the_values_rule_agrees_with_the_permutations_reference():
+    """On random graphs with up to 6 v-vertices plus an isolated u-vertex,
+    every graph whose p(1) and p(0) admit no split's values is one no
+    labeling splits, and the sweep says so."""
+    rng = random.Random(29)
+    decided = 0
+    for _ in range(120):
+        h = random_bigraph(rng, 6, 6)
+        g = Bigraph(list(h.u_vertices) + ["lone"], h.v_vertices,
+                    [(u, v) for u in h.u_vertices for v in h.neighbors(u)])
+        if not _values_split(encode(g, compact_labeling(g)), _Meter(Budget())):
+            decided += 1
+            assert sweep_reference(g) is None, g
+            assert is_irreducible(g, exhaustive=True).verdict == "irreducible"
+    assert decided >= 60
 
 
 def test_sweep_matches_the_permutations_reference():

@@ -1,10 +1,15 @@
 """JSON documents, stable string ids, and DOT export."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bigraphpoly
 from bigraphpoly import (
     Bigraph,
     DiBigraph,
@@ -565,6 +570,36 @@ def test_decoded_text_edge_cases():
     assert decoded_text(Poly1({})) == dumps({"u": [], "v": [], "edges": [], "labels": {}})
     with pytest.raises(TypeError):
         decoded_text(decode(Poly1({1: 1})))
+
+
+PEAK_OF_A_WRITE = """
+import random, resource, sys
+from bigraphpoly import Poly1
+from bigraphpoly.fileio import decoded_text
+rng = random.Random(0)
+p = Poly1({sum(1 << b for b in rng.sample(range(3000), 300)): 1 for _ in range(100)})
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+text = decoded_text(p)
+rise = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+print(len(text), rise * (1 if sys.platform == "darwin" else 1024))
+"""
+
+
+def test_decoded_text_copies_a_large_file_about_twice():
+    """100 u-vertices, each on 300 of 3,000 v-vertices, write about 28 MB,
+    nearly all of it the u ids repeated in the edges.  Each u-vertex's
+    edges are one join and the file one more, so the peak RSS rises by
+    about twice the text's length and at most 3.5 times; a writer that
+    copies the text again at each level of nesting rises about 5 times."""
+    pytest.importorskip("resource")
+    here = str(Path(bigraphpoly.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [here, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", PEAK_OF_A_WRITE], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    length, rise = map(int, proc.stdout.split())
+    assert 25e6 < length < 32e6
+    assert rise <= 3.5 * length, (length, rise)
 
 
 def test_document_for_rejects_unknown_types():
