@@ -40,6 +40,8 @@ from __future__ import annotations
 
 from itertools import compress
 
+from .errors import _show
+
 # A bit support is a frozenset of bit positions; the empty set encodes 0.
 BitExp = frozenset
 
@@ -56,7 +58,7 @@ def tau(k: int) -> frozenset:
     """Set of 1-bit positions of a natural, e.g. tau(5) == {0, 2}."""
     if k < 256:
         if k < 0:
-            raise ValueError(f"bit support is defined for naturals, got {k}")
+            raise ValueError(f"bit support is defined for naturals, got {_show(k)}")
         return _LOW[k]
     if k < 65536:
         return _LOW[k & 255] | _HIGH[k >> 8]
@@ -95,7 +97,7 @@ def from_bits(bits) -> int:
     rest = [t, *it]
     low = min(rest)
     if low < 0:
-        raise ValueError(f"bit positions are naturals, got {low}")
+        raise ValueError(f"bit positions are naturals, got {_show(low)}")
     return n | _bytes_or(rest)
 
 

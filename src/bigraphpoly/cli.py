@@ -76,12 +76,6 @@ def _steps(text) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {_brief(text)}") from None
 
 
-def _budget(args) -> Budget:
-    if getattr(args, "budget", None) is None:
-        return Budget()
-    return Budget(max_steps=args.budget)
-
-
 # ---------------------------------------------------------------------------
 # Graph commands.
 
@@ -99,33 +93,21 @@ def _cmd_decode(args):
     return 0
 
 
-def _binary_graph_op(args, op):
+def _binary_graph_op(args):
+    """product or sum: args.op on the encodings of two files of one kind,
+    written as the decoding of the result."""
     d1 = _load(args.file1)
     d2 = _load(args.file2)
     if d1.kind != d2.kind:
         raise ValueError(f"mixed graph kinds: {d1.kind} and {d2.kind}")
-    if args.directed and d1.kind != "digraph":
-        raise ValueError("--directed needs directed graph files")
     l1, l2 = _labels_for(d1, args.file1), _labels_for(d2, args.file2)
-    _emit(fileio.decoded_text(op(encode(d1.obj, l1), encode(d2.obj, l2))), args.output)
+    _emit(fileio.decoded_text(args.op(encode(d1.obj, l1), encode(d2.obj, l2))), args.output)
     return 0
 
 
-def _cmd_product(args):
-    return _binary_graph_op(args, mul)
-
-
-def _cmd_sum(args):
-    return _binary_graph_op(args, add)
-
-
-def _pair_line(q, r):
-    return f"({render(q)}) * ({render(r)})"
-
-
-def _print_pairs(pairs, empty_msg):
+def _print_pairs(pairs, empty_msg, head=""):
     for q, r in pairs:
-        print(_pair_line(q, r))
+        print(f"{head}({render(q)}) * ({render(r)})")
     if not pairs:
         print(empty_msg)
         return 1
@@ -133,7 +115,7 @@ def _print_pairs(pairs, empty_msg):
 
 
 def _cmd_factor(args):
-    budget = _budget(args)
+    budget = Budget(args.budget)
     if not _looks_like_file(args.input):
         if args.exhaustive_labels:
             raise ValueError("--exhaustive-labels needs a graph file input")
@@ -208,18 +190,15 @@ def _cmd_net_product(args):
 
 
 def _cmd_net_decompose(args):
-    budget = _budget(args)
+    budget = Budget(args.budget)
     doc = _load(args.file, net=True)
     labels = _labels_for(doc, args.file)
     # The encoded pairs are the encodings of decompose's halves; only the
     # first pair is decoded, for the factor files and the certificate.
     pairs = graph_factor_pairs(doc.obj, labels, budget)
-    if not pairs:
-        print("no decomposition under this labeling")
+    whole = f"{render(encode(doc.obj, labels))} = "
+    if _print_pairs(pairs, "no decomposition under this labeling", whole):
         return 1
-    whole = render(encode(doc.obj, labels))
-    for q, r in pairs:
-        print(f"{whole} = {_pair_line(q, r)}")
     halves = [decode_net(h) for h in pairs[0]]
     prefix = args.out_prefix
     if prefix is None:
@@ -247,69 +226,60 @@ def _build_parser():
     Namespace."""
     top = _Parser(prog="bigraphpoly", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
+    # Arguments that several subcommands take, each declared once.
+    file, files, output, budget = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    file.add_argument("file")
+    files.add_argument("file1")
+    files.add_argument("file2")
+    output.add_argument("-o", "--output")
+    budget.add_argument("--budget", type=_steps, default=Budget.max_steps,
+                        help="search allowance in steps (default: %(default)s)")
 
-    p = sub.add_parser("encode", help="graph file to polynomial")
-    p.add_argument("file")
+    p = sub.add_parser("encode", help="graph file to polynomial", parents=[file])
     p.set_defaults(func=_cmd_encode, net=False)
 
-    p = sub.add_parser("decode", help="polynomial to graph file")
+    p = sub.add_parser("decode", help="polynomial to graph file", parents=[output])
     p.add_argument("poly")
     p.add_argument("--directed", action="store_true",
                    help="decode a pure-x polynomial as a digraph")
-    p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_decode)
 
-    for name, fn, summary in (
-        ("product", _cmd_product, "product of two labeled graph files"),
-        ("sum", _cmd_sum, "sum of two labeled graph files"),
-    ):
-        p = sub.add_parser(name, help=summary)
-        p.add_argument("file1")
-        p.add_argument("file2")
-        p.add_argument("--directed", action="store_true",
-                       help="require directed inputs")
-        p.add_argument("-o", "--output")
-        p.set_defaults(func=fn)
+    for name, op in (("product", mul), ("sum", add)):
+        p = sub.add_parser(name, help=f"{name} of two labeled graph files",
+                           parents=[files, output])
+        p.set_defaults(func=_binary_graph_op, op=op)
 
-    p = sub.add_parser("factor", help="all two-factor splits of a polynomial or graph file")
+    p = sub.add_parser("factor", help="all two-factor splits of a polynomial or graph file",
+                       parents=[budget])
     p.add_argument("input")
     p.add_argument("--exhaustive-labels", action="store_true",
                    help="graph input: answer for every compact labeling")
-    p.add_argument("--budget", type=_steps, help="search allowance override")
     p.set_defaults(func=_cmd_factor)
 
     p = sub.add_parser("canon", help="canonical polynomial of a polynomial or a graph or net file")
     p.add_argument("input")
     p.set_defaults(func=_cmd_canon)
 
-    p = sub.add_parser("iso", help="part-respecting isomorphism witness")
-    p.add_argument("file1")
-    p.add_argument("file2")
+    p = sub.add_parser("iso", help="part-respecting isomorphism witness", parents=[files])
     p.set_defaults(func=_cmd_iso)
 
-    p = sub.add_parser("net-encode", help="net file to polynomial")
-    p.add_argument("file")
+    p = sub.add_parser("net-encode", help="net file to polynomial", parents=[file])
     p.set_defaults(func=_cmd_encode, net=True)
 
-    p = sub.add_parser("net-decode", help="polynomial to net file")
+    p = sub.add_parser("net-decode", help="polynomial to net file", parents=[output])
     p.add_argument("poly")
-    p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_net_decode)
 
-    p = sub.add_parser("net-product", help="pointed product of two net files")
-    p.add_argument("file1")
-    p.add_argument("file2")
-    p.add_argument("-o", "--output")
+    p = sub.add_parser("net-product", help="pointed product of two net files",
+                       parents=[files, output])
     p.set_defaults(func=_cmd_net_product)
 
-    p = sub.add_parser("net-decompose", help="split a net file into a product")
-    p.add_argument("file")
-    p.add_argument("--budget", type=_steps, help="search allowance override")
+    p = sub.add_parser("net-decompose", help="split a net file into a product",
+                       parents=[file, budget])
     p.add_argument("--out-prefix", help="factor files prefix (default: input name)")
     p.set_defaults(func=_cmd_net_decompose)
 
-    p = sub.add_parser("dot", help="GraphViz text for any graph or net file")
-    p.add_argument("file")
+    p = sub.add_parser("dot", help="GraphViz text for any graph or net file", parents=[file])
     p.set_defaults(func=_cmd_dot)
 
     return top

@@ -120,6 +120,21 @@ def test_from_bits_rejects_negative_positions():
             from_bits(bits)
 
 
+@pytest.mark.parametrize("call, named", [
+    (lambda: tau(-1), "got -1"),
+    (lambda: from_bits([3, -1]), "got -1"),
+    (lambda: tau(-10**4000), "a negative 4001-digit number"),
+    (lambda: from_bits([1, -10**4000]), "a negative 4001-digit number"),
+    (lambda: tau(-10**5000), "a negative 5001-digit number"),
+], ids=["tau_small", "from_bits_small", "tau_4001", "from_bits_4001", "tau_5001"])
+def test_rejected_values_are_quoted_in_bounded_text(call, named):
+    """A huge negative value is named by its number of digits, past the
+    4,300 digits int to str refuses."""
+    with pytest.raises(ValueError) as info:
+        call()
+    assert named in str(info.value) and len(str(info.value)) < 100
+
+
 def test_from_bits_matches_the_or_of_powers_on_wide_positions():
     rng = random.Random(21)
     for width in (8, 255, 256, 257, 1000, 10**5):

@@ -262,13 +262,6 @@ def test_product_mixed_kinds_is_an_input_error(capsys, tmp_path, hub_file):
     assert "mixed graph kinds" in err
 
 
-def test_product_directed_flag_requires_directed_files(capsys, tmp_path):
-    f1, f2 = _piece_files(tmp_path)
-    code, out, err = run(capsys, "product", "--directed", f1, f2)
-    assert code == 3
-    assert "error:" in err
-
-
 def test_directed_product_matches_the_library(capsys, tmp_path):
     labels = {"v1": 0, "v2": 1}
     f = write(tmp_path / "r.json", digraph_document(relay_graph(), labels))
@@ -879,6 +872,19 @@ def test_inconclusive_says_what_was_used_and_how_to_raise_it(capsys, branch_file
     assert err.endswith(" asked for); raise it with --budget\n")
 
 
+@pytest.mark.parametrize("allowance", [[], ["--budget", "10000000"]])
+def test_factor_runs_on_the_default_allowance_of_ten_million_steps(capsys, allowance):
+    """Emitting the two factors of x^999999999 * (x + 1) asks for more than
+    the default allowance, and the message names it."""
+    code, out, err = run(capsys, "factor", "x^1000000000 + x^999999999", *allowance)
+    assert (code, out) == (2, "")
+    assert err == (
+        "inconclusive: factoring 2 terms of degree 1000000000 used up the budget of"
+        " 10000000 steps in emitting the factors (2999999997 asked for); raise it with"
+        " --budget\n"
+    )
+
+
 @pytest.mark.parametrize(
     "arg", ["x^99999999999999999999", "2*x^99999999999999999999", "x^99999999999999999999*y"]
 )
@@ -1120,8 +1126,11 @@ def test_bad_polynomial_is_an_input_error(capsys):
         3, "", "error: expected exponent, found '\u00b2' (column 3)\n")
 
 
-def test_usage_errors_exit_3(capsys):
-    for argv in ([], ["bogus"], ["encode"]):
+def test_usage_errors_exit_3(capsys, tmp_path):
+    """product and sum take the kind from their files and have no --directed."""
+    f = write(tmp_path / "r.json", digraph_document(relay_graph(), {"v1": 0, "v2": 1}))
+    for argv in ([], ["bogus"], ["encode"], ["product", "--directed", f, f],
+                 ["sum", "--directed", f, f]):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 3
