@@ -322,18 +322,23 @@ def _encodings(g: Bipartite, meter, search, least):
     """
     vs = g.v_vertices
     n = len(vs)
+    size = g.arity * n
+    full = (1 << size) - 1
     # One integer per term: slot s holds its bits (arity - 1 - s) * n places
     # up, so with two slots the integer is x_exp * 2**n + y_exp and integers
-    # order exactly as (x, y) exponent pairs do.  A term's state is (fixed,
-    # open): the bits of its labeled members, packed so, and the v-index
-    # bits of its unlabeled members, packed the same way.  Giving label L to
-    # v-index i moves i's bits b = open & (unit << i) over as (b >> i) << L.
+    # order exactly as (x, y) exponent pairs do.  A state is a sorted tuple
+    # of one integer per distinct term, count << 2 * size | fixed << size |
+    # open: its multiplicity, the bits of its labeled members, packed so,
+    # and the v-index bits of its unlabeled members, packed the same way.
+    # Giving label L to v-index i moves i's bits b = open & (unit << i) over
+    # as (b >> i) << L.  No term has bits at an unused label's places, so
+    # the move keeps distinct terms distinct, and terms not on i keep their
+    # integer.
     unit = 1 if g.arity == 1 else 1 | 1 << n
     pos = {v: i for i, v in enumerate(vs)}
-    root = Counter({(0, 0): 1} if g.idle else {})
-    top = g.arity - 1
+    root = Counter({0: 1} if g.idle else {})
     root.update(
-        (0, sum(1 << (top - s) * n + pos[v] for s, part in enumerate(sig) for v in part))
+        sum(1 << (g.arity - 1 - s) * n + pos[v] for s, part in enumerate(sig) for v in part)
         for sig in g._sig.values()
     )
     # Rule 1.  Swapping two twins maps every slot to itself, so a labeling
@@ -344,34 +349,36 @@ def _encodings(g: Bipartite, meter, search, least):
     previous = {}
     last = {}
     for i in range(n):
-        key = tuple(mask >> i & unit for _, mask in root)
+        key = tuple(mask >> i & unit for mask in root)
         previous[i] = last.get(key)
         last[key] = i
 
     # Rule 2.  With m labels 0..m-1 left, a slot with r unlabeled members
     # gains between 2**r - 1 and 2**m - 2**(m - r) on top of its fixed bits,
-    # so each term of every completion is at least fixed + floor(open).
-    # Repeat each term by its multiplicity and sort descending: comparing
-    # such lists compares the (exponent, coefficient) lists, and all have
-    # the same length.  A list elementwise no greater than another is no
-    # greater lexicographically, and the k-th largest of termwise greater
-    # values is no smaller, so the sorted floors are at most every
-    # completion's list: once they reach the best leaf, nothing below beats
-    # it.  At a leaf, where nothing is open, the list is the encoding's.
+    # so every completion of term t is at least floor(t): its fixed bits
+    # plus 2**r - 1 in each slot, memoized by the integer the states already
+    # hold.  Repeat each floor by the term's multiplicity, its top field,
+    # and sort descending: comparing such lists compares the (exponent,
+    # coefficient) lists, and all have the same length.  A list elementwise
+    # no greater than another is no greater lexicographically, and the k-th
+    # largest of termwise greater values is no smaller, so the sorted floors
+    # are at most every completion's list: once they reach the best leaf,
+    # nothing below beats it.  At a leaf, where nothing is open, the list is
+    # the encoding's.
     floors = {}
 
-    def floor(mask):
-        if mask not in floors:
-            floors[mask] = sum(
-                ((1 << (mask >> s * n & ((1 << n) - 1)).bit_count()) - 1) << s * n
-                for s in range(g.arity)
-            )
-        return floors[mask]
+    def floor(t):
+        low = floors.get(t)
+        if low is None:
+            o = t & full  # with one slot, o >> n is 0
+            x, y = (o >> n).bit_count(), (o & (1 << n) - 1).bit_count()
+            low = floors[t] = (t >> size & full) + ((1 << x) - 1 << n) + (1 << y) - 1
+        return low
 
     def bound(state):
         out = []
-        for (fixed, mask), c in state.items():
-            out += [fixed + floor(mask)] * c
+        for t in state:
+            out += [floor(t)] * (t >> 2 * size)
         out.sort(reverse=True)
         return out
 
@@ -379,30 +386,27 @@ def _encodings(g: Bipartite, meter, search, least):
     # multiset of term states and the labels left, not on which u-vertex
     # holds which state: two partial labelings that agree there have the
     # same completions, and the first visit already found or bounded them.
+    # The sorted tuple is that multiset, so with the depth it is the key.
     # Equal encodings leave equal leaf states at the same depth, the one
     # that labels their least bit, so every mode meets each encoding once.
     seen = set()
     # The compact labeling, label i for v-index i, is the first leaf: its
     # term integers are the open bits themselves.
-    best = compact = sorted((mask for _, mask in root.elements()), reverse=True)
+    best = compact = sorted(root.elements(), reverse=True)
     width = len(best)  # terms of every state, counted with multiplicity
 
     def children(state, free):
         """The children of a state, in least mode least bound first.  Each
         costs 1 + len(state) + width steps, the size of what building it
         makes."""
-        label = free.bit_count() - 1
+        shift = size + free.bit_count() - 1  # the label's place in the fixed field
         out = []
         for i in range(n):
             if not free >> i & 1 or (previous[i] is not None and free >> previous[i] & 1):
                 continue
             meter.charge(1 + len(state) + width, "building states")
             bit = unit << i
-            child = {}
-            for (fixed, mask), c in state.items():
-                b = mask & bit
-                key = (fixed + (b >> i << label), mask ^ b) if b else (fixed, mask)
-                child[key] = child.get(key, 0) + c
+            child = tuple(sorted(t ^ b ^ b >> i << shift if (b := t & bit) else t for t in state))
             out.append((bound(child) if least else None, i, child))
         if least:
             out.sort()
@@ -418,7 +422,8 @@ def _encodings(g: Bipartite, meter, search, least):
     # Depth-first on a stack of (children left, unlabeled v-indices, the
     # v-indices labeled so far, least label first), so |v| is not limited
     # by the recursion limit.
-    stack = [(children(root, (1 << n) - 1), (1 << n) - 1, ())]
+    state = tuple(sorted(c << 2 * size | mask for mask, c in root.items()))
+    stack = [(children(state, (1 << n) - 1), (1 << n) - 1, ())]
     while stack:
         rest, free, path = stack.pop()
         for terms, i, child in rest:
@@ -426,12 +431,12 @@ def _encodings(g: Bipartite, meter, search, least):
                 break
             # Rule 3 keeps the states visited, not all children built: in
             # least mode the bound cuts most of them.
-            key = (free.bit_count(), frozenset(child.items()))
+            key = (free.bit_count(), child)
             if key in seen:
                 continue
             seen.add(key)
             left = free ^ 1 << i
-            if any(mask for _, mask in child):
+            if any(t & full for t in child):
                 stack += [(rest, free, path), (children(child, left), left, (i, *path))]
                 break
             if not least:  # a leaf, whose list least mode built already

@@ -1,6 +1,6 @@
 """Step counts and answers of the bit-disjoint search, of the coefficient
-search and of the isomorphism search pinned on seeded corpora, the
-bit-disjoint search's
+search and of the isomorphism search pinned on seeded corpora, those of the
+labeling walk pinned on symmetric inputs, the bit-disjoint search's
 points against the seeded random stream, and decompose run by several
 threads at once.
 
@@ -35,6 +35,8 @@ from bigraphpoly import (
     polyfactor,
     render,
 )
+from bigraphpoly.core import _encodings
+from bigraphpoly.polyfactor import _Meter
 
 from helpers import cycles, from_slots, random_digraph, random_labeling, random_net
 
@@ -382,3 +384,55 @@ def test_is_isomorphic_least_budgets_and_witnesses_are_pinned():
                 )
         seen[name] = (PINNED_ISO[name][0], witness_digest(found))
     assert seen == PINNED_ISO
+
+
+def walk_cases():
+    """(name, g) for the labeling walk: the 7- and 8-cycles, the 8-cycle
+    with each u-vertex repeated 50 times, the directed 7-cycle v_i -> u_i ->
+    v_(i+1 mod 7), and one net of four disjoint one-event nets c_j,0 ->
+    c_j,1."""
+    n = 8
+    us = [(i, k) for i in range(n) for k in range(50)]
+    repeated8 = from_slots(Bigraph, us, range(n), {(i, k): [{i, (i + 1) % n}] for i, k in us})
+    n = 7
+    dicycle7 = from_slots(DiBigraph, [f"u{i}" for i in range(n)], [f"v{i}" for i in range(n)],
+                          {f"u{i}": [{f"v{i}"}, {f"v{(i + 1) % n}"}] for i in range(n)})
+    four_nets = from_slots(PetriNet, [f"e{j}" for j in range(4)],
+                           [f"c{j}_{k}" for j in range(4) for k in (0, 1)],
+                           {f"e{j}": [{f"c{j}_0"}, {f"c{j}_1"}] for j in range(4)})
+    return [("cycle7", cycles(7)), ("cycle8", cycles(8)), ("cycle8x50", repeated8),
+            ("dicycle7", dicycle7), ("four_nets", four_nets)]
+
+
+# (name, least mode) -> (steps used, last encoding) of draining
+# core._encodings under the default allowance.  They fix the walk's charges
+# and the order in which it visits states and yields encodings.
+PINNED_WALK = {
+    ("cycle7", True): (20_505, "x^66 + x^65 + x^36 + x^33 + x^24 + x^18 + x^12"),
+    ("cycle7", False): (167_685, "x^80 + x^65 + x^36 + x^34 + x^24 + x^12 + x^3"),
+    ("cycle8", True): (133_042, "x^130 + x^129 + x^68 + x^65 + x^40 + x^34 + x^24 + x^20"),
+    ("cycle8x50", True): (
+        3_200_834,
+        "50*x^130 + 50*x^129 + 50*x^68 + 50*x^65 + 50*x^40 + 50*x^34 + 50*x^24 + 50*x^20",
+    ),
+    ("dicycle7", True): (
+        20_520, "x^64*y + x^32*y^2 + x^16*y^4 + x^8*y^16 + x^4*y^32 + x^2*y^64 + x*y^8"
+    ),
+    ("dicycle7", False): (
+        205_485, "x^64*y^2 + x^32*y^64 + x^16*y^32 + x^8*y^16 + x^4*y^8 + x^2*y + x*y^4"
+    ),
+    ("four_nets", True): (4_631, "x^8*y^16 + x^4*y^32 + x^2*y^64 + x*y^128 + 1"),
+    ("four_nets", False): (542_432, "x^8*y^16 + x^4*y^32 + x^2*y^64 + x*y^128 + 1"),
+}
+
+
+def test_labeling_walk_steps_and_last_encodings_are_pinned():
+    seen = {}
+    for name, g in walk_cases():
+        for least in (True, False):
+            if (name, least) in PINNED_WALK:
+                meter = _Meter(Budget())
+                for p, _ in _encodings(g, meter, "the walk", least):
+                    pass
+                seen[name, least] = (meter.allowance - meter.left, render(p))
+    assert seen == PINNED_WALK
