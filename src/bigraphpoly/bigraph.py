@@ -50,10 +50,10 @@ class Bigraph(Bipartite):
 
     @property
     def edges(self):
-        return frozenset((u, v) for u, (nb,) in self._sig.items() for v in nb)
+        return frozenset((u, v) for u, (nb,) in self._per_u().items() for v in nb)
 
     def neighbors(self, u):
-        return self._sig[u][0]
+        return self.slots(u)[0]
 
 
 class DiBigraph(Directed):
@@ -77,8 +77,8 @@ class DiBigraph(Directed):
     @property
     def arcs(self):
         return frozenset(
-            [(v, u) for u, (pre, _) in self._sig.items() for v in pre]
-            + [(u, v) for u, (_, post) in self._sig.items() for v in post]
+            [(v, u) for u, (pre, _) in self._per_u().items() for v in pre]
+            + [(u, v) for u, (_, post) in self._per_u().items() for v in post]
         )
 
 

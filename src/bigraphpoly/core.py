@@ -20,11 +20,22 @@ one class per kind: decoding builds the class it is given, and every
 product and sum builds the class of its inputs.  Every structure has
 natural_labeling, which labels each v-vertex by its own id; it is a labeling
 when the v-ids are naturals, as on all of those outputs but the plain ones.
+
+A structure keeps its u part as u-classes, as the encoding keeps its terms:
+each distinct slot tuple with the number of u-vertices that have it.  So
+encoding, decoding, the products, the sums and the factor halves cost what
+the distinct slot tuples cost, not what the u-vertices do: a product of two
+1000-u graphs has 10**6 u-vertices but at most as many classes as its
+encoding has terms.  The per-u views (u_vertices, slots, edges, arcs, ==,
+hash and the file writers) are built from a rule for the ids on first read
+and kept: (term, k) for k = 1..c on a decoding, the (a, b) pairs in g1's u
+order, then g2's, on a product.  A constructor builds them at once.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 from itertools import repeat
 
 from ._match import find_bijections
@@ -35,9 +46,17 @@ from .polyfactor import Budget, _Meter
 
 
 class Bipartite:
-    """Immutable u ids, v ids, and for each u-vertex its tuple of slots."""
+    """Immutable v ids and u-classes: each distinct slot tuple mapped to
+    the number of u-vertices that have it, plus a rule for their ids.
 
-    __slots__ = ("_u", "_v", "_sig")
+    Encoding, decoding, products and sums read and build the classes, so
+    their cost follows the distinct slot tuples.  The per-u views (the u
+    ids in order and each u-vertex's slots) are built by the rule on first
+    read and kept; a structure made by a constructor has them from the
+    start.
+    """
+
+    __slots__ = ("_v", "_classes", "_ids", "_u", "_sig")
     arity = 1
     poly = Poly1
     idle = False  # nets: the encoding holds one unit for the idle event
@@ -77,17 +96,30 @@ class Bipartite:
                         f"{word} of {_brief(x)} mentions non-{self.v_word}s: "
                         f"{_first_few(sorted(part - vset, key=repr))}"
                     )
-        self._u, self._v, self._sig = u, v, sig
+        self._v, self._classes, self._ids = v, Counter(sig.values()), None
+        self._u, self._sig = u, sig
 
     @classmethod
-    def _build(cls, u, v, sig):
-        """Instance from parts already known to be consistent."""
+    def _build(cls, v, classes, ids):
+        """Instance from parts already known to be consistent: the v ids,
+        the classes, and ids, which gives the dict u -> slots in u order
+        when a per-u view is first read."""
         obj = object.__new__(cls)
-        obj._u, obj._v, obj._sig = u, v, sig
+        obj._v, obj._classes, obj._ids, obj._u, obj._sig = v, classes, ids, None, None
         return obj
+
+    def _per_u(self):
+        """u -> slots in u order, built with the u ids by the id rule on
+        first read."""
+        sig = self._sig
+        if sig is None:
+            self._sig = sig = self._ids()
+            self._u, self._ids = tuple(sig), None
+        return sig
 
     @property
     def u_vertices(self):
+        self._per_u()
         return self._u
 
     @property
@@ -96,7 +128,10 @@ class Bipartite:
 
     def slots(self, u):
         """The v-sets of u: (neighbors,) or (pre, post)."""
-        return self._sig[u]
+        try:
+            return self._sig[u]
+        except TypeError:  # the views are not built yet: _sig is None
+            return self._per_u()[u]
 
     @property
     def natural_labeling(self):
@@ -108,17 +143,18 @@ class Bipartite:
     def __eq__(self, other):
         return (
             type(other) is type(self)
-            and self._u == other._u
             and self._v == other._v
-            and self._sig == other._sig
+            and self._per_u() == other._per_u()
+            and self._u == other._u
         )
 
     def __hash__(self):
-        return hash((self._u, self._v, tuple(self._sig[x] for x in self._u)))
+        return hash((self.u_vertices, self._v, tuple(self._per_u().values())))
 
     def __repr__(self):
-        links = sum(len(part) for slots in self._sig.values() for part in slots)
-        return f"{type(self).__name__}(|u|={len(self._u)}, |v|={len(self._v)}, |links|={links})"
+        links = sum(c * sum(map(len, slots)) for slots, c in self._classes.items())
+        u = sum(self._classes.values())
+        return f"{type(self).__name__}(|u|={u}, |v|={len(self._v)}, |links|={links})"
 
 
 class Directed(Bipartite):
@@ -131,11 +167,11 @@ class Directed(Bipartite):
 
     def pre(self, u):
         """v-vertices with an arc into u (the conditions an event consumes)."""
-        return self._sig[u][0]
+        return self.slots(u)[0]
 
     def post(self, u):
         """v-vertices u has an arc into (the conditions an event produces)."""
-        return self._sig[u][1]
+        return self.slots(u)[1]
 
 
 def _first_few(items, limit=5):
@@ -197,16 +233,44 @@ def identity_labeling(g) -> dict:
 # Encoding and decoding.
 
 def encode(g: Bipartite, labeling):
-    """One term per u-vertex, each slot packed into one exponent.
+    """One term per u-vertex, each slot packed into one exponent: one term
+    per class, with its count as the coefficient.
 
     A u-vertex with empty slots contributes the constant 1, so it shows up in
     the constant coefficient rather than vanishing; a net adds one more unit
     for its idle event.
     """
-    terms = Counter(_packed(g, labeling).values())
-    if g.idle:
-        terms[g.poly.zero] += 1
-    return g.poly._trusted(terms)
+    return _encoded(g, labeling)[1]
+
+
+def _counts(g):
+    """The classes of g with their counts, a net's idle event counted as
+    one more u-vertex with empty slots."""
+    if not g.idle:
+        return g._classes
+    counts = dict(g._classes)
+    empty = (frozenset(),) * g.arity
+    counts[empty] = counts.get(empty, 0) + 1
+    return counts
+
+
+def _encoded(g, labeling):
+    """(class -> its term key, the encoding of g) over the classes of
+    _counts(g): each slot sums 2**label over its members, whose bits are
+    distinct because the labeling is checked to be injective, so distinct
+    classes get distinct keys.  A label past the largest byte buffer the
+    platform can index is rejected."""
+    check_labeling(g, labeling)
+    position = {v: labeling[v] for v in g.v_vertices}
+    counts = _counts(g)
+    try:
+        packed = pack_slots(dict(zip(counts, counts)), position, g.arity)
+    except OverflowError:
+        v = max(position, key=position.get)
+        raise LabelingError(
+            f"label of {g.v_word} {_brief(v)} is too large to encode: {_brief(position[v])}"
+        ) from None
+    return packed, g.poly._trusted(dict(zip(packed.values(), counts.values())))
 
 
 def decode(p, cls):
@@ -228,42 +292,52 @@ def decode(p, cls):
     return _decode(poly_key(p), cls, {})
 
 
-def _decode(key, cls, supports):
+def _decode(key, cls, supports, ids=None):
     """decode of the polynomial whose poly_key is key, with no checks: the
     factor searches emit their halves as such keys, and a net's halves hold
-    a constant term.
+    a constant term.  ids is the id rule, by default _copies.
 
-    supports maps an exponent to its term key, its slots' bit supports and
-    the OR of its parts; the decodes of one search share it, so each
-    distinct exponent is split into bits once.  One pass over the items
-    builds the slots, and one tau of the OR of all exponents gives the v
-    part.  The constant term comes last, so a net takes its idle unit off
-    that item alone.
+    Each term is one class, its slots the bit supports of its exponent and
+    its count the coefficient.  supports maps an exponent to those slots
+    and the OR of its parts; the decodes of one search share it, so each
+    distinct exponent is split into bits once.  One tau of the OR of all
+    exponents gives the v part.  The constant term comes last, so a net
+    takes its idle unit off the last class.
     """
-    if cls.idle:
-        zero, c = key[-1]
-        key = key[:-1] + ((zero, c - 1),) if c > 1 else key[:-1]
-    two = cls.arity == 2
-    sig = {}
+    classes = {}
     ors = 0
     for exp, c in key:
         row = supports.get(exp)
         if row is None:
-            if two:
+            if type(exp) is tuple:
                 x, y = exp
-                slots = (tau(x), tau(y))
-                row = supports[exp] = (slots, slots, x | y)
+                row = supports[exp] = ((tau(x), tau(y)), x | y)
             else:
-                slots = (tau(exp),)
-                row = supports[exp] = (slots[0], slots, exp)
-        term, slots, bits = row
+                row = supports[exp] = ((tau(exp),), exp)
+        slots, bits = row
         ors |= bits
+        classes[slots] = c
+    if cls.idle:
         if c == 1:
-            sig[(term, 1)] = slots
+            del classes[slots]
+        else:
+            classes[slots] = c - 1
+    return cls._build(tuple(sorted(tau(ors))), classes, ids or partial(_copies, classes))
+
+
+def _copies(classes):
+    """u -> slots of a decoding, in term order: a term's c u-vertices are
+    (term, k) for k = 1..c, the term being the bit set of its one slot or
+    its (pre bits, post bits)."""
+    sig = {}
+    for slots, c in classes.items():
+        term = slots[0] if len(slots) == 1 else slots
+        if c == 1:
+            sig[term, 1] = slots
         else:
             for k in range(1, c + 1):
-                sig[(term, k)] = slots
-    return cls._build(tuple(sig), tuple(sorted(tau(ors))), sig)
+                sig[term, k] = slots
+    return sig
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +353,7 @@ def is_isomorphic(g1: Bipartite, g2: Bipartite, budget: Budget = Budget()):
     """
     _same_kind(g1, g2)
     return find_bijections(
-        list(g1.v_vertices), g1._sig, list(g2.v_vertices), g2._sig, _Meter(budget)
+        list(g1.v_vertices), g1._per_u(), list(g2.v_vertices), g2._per_u(), _Meter(budget)
     )
 
 
@@ -336,22 +410,16 @@ def _encodings(g: Bipartite, meter, search, least):
     # integer.
     unit = 1 if g.arity == 1 else 1 | 1 << n
     pos = {v: i for i, v in enumerate(vs)}
+    packed = pack_slots(dict(zip(g._classes, g._classes)), pos, g.arity).values()
     root = Counter({0: 1} if g.idle else {})
-    root.update(
-        sum(1 << (g.arity - 1 - s) * n + pos[v] for s, part in enumerate(sig) for v in part)
-        for sig in g._sig.values()
-    )
+    root.update(dict(zip(packed if g.arity == 1 else [x << n | y for x, y in packed],
+                         g._classes.values())))
     # Rule 1.  Swapping two twins maps every slot to itself, so a labeling
     # that gives L to one has the encoding of the one that gives L to the
     # other.  Twins are always labeled in index order, so the unlabeled ones
     # of a class are a tail of it: i is tried when its previous twin is not
     # unlabeled.
-    previous = {}
-    last = {}
-    for i in range(n):
-        key = tuple(mask >> i & unit for mask in root)
-        previous[i] = last.get(key)
-        last[key] = i
+    previous = _twins(g, pos)
 
     # Rule 2.  With m labels 0..m-1 left, a slot with r unlabeled members
     # gains between 2**r - 1 and 2**m - 2**(m - r) on top of its fixed bits,
@@ -451,6 +519,25 @@ def _encodings(g: Bipartite, meter, search, least):
             meter.search = search
 
 
+def _twins(g, pos):
+    """previous[i]: the last v-index before i that is a member of exactly
+    the slots i is a member of, over every class, or None.  One pass over
+    the classes' slot members gives each v-index its column, the places
+    (class, slot) it is a member of in order, so twins have equal columns."""
+    cols = [[] for _ in pos]
+    place = 0
+    for slots in g._classes:
+        for part in slots:
+            for i in map(pos.__getitem__, part):
+                cols[i].append(place)
+            place += 1
+    previous, last = [], {}
+    for i, col in enumerate(map(tuple, cols)):
+        previous.append(last.get(col))
+        last[col] = i
+    return previous
+
+
 # ---------------------------------------------------------------------------
 # Products and sums.  The polynomial route multiplies or adds the encodings
 # and decodes the result.  The direct route builds the same answer on
@@ -479,84 +566,75 @@ def poly_sum(g1, l1, g2, l2):
     return decode(add(encode(g1, l1), encode(g2, l2)), type(g1))
 
 
-def _packed(g, labeling):
-    """u -> the term key of its slots packed into exponents: each slot sums
-    2**label over its members, whose bits are distinct because the labeling
-    is checked to be injective.  A label past the largest byte buffer the
-    platform can index is rejected."""
-    check_labeling(g, labeling)
-    position = {v: labeling[v] for v in g.v_vertices}
-    try:
-        return pack_slots(g._sig, position, g.arity)
-    except OverflowError:
-        v = max(position, key=position.get)
-        raise LabelingError(
-            f"label of {g.v_word} {_brief(v)} is too large to encode: {_brief(position[v])}"
-        ) from None
+def _pairs(g1, g2, row):
+    """The id rule of a product of g1 and g2: it gives (a, b) -> the slots
+    of the pair for every u-pair, a's pairs in g2's u order, g1's
+    u-vertices in order.  row(s) maps each class of g2 to the slots of its
+    pairs with class s of g1, and is called once per class s.  For nets
+    each side also offers its idle event None, last, in the class of empty
+    slots, so an event may fire alone; the all-idle pair is left out."""
+    def ids():
+        sig1, sig2 = g1._per_u(), g2._per_u()
+        if g1.idle:
+            empty = (frozenset(),) * g1.arity
+            sig1, sig2 = {**sig1, None: empty}, {**sig2, None: empty}
+        rows = {}
+        sig = {}
+        for a, s in sig1.items():
+            joined = rows.get(s)
+            if joined is None:
+                joined = rows[s] = row(s).__getitem__
+            sig.update(zip(zip(repeat(a), sig2), map(joined, sig2.values())))
+        if g1.idle:
+            del sig[None, None]
+        return sig
 
-
-def _pairs(g1, d1, d2, none, joins):
-    """The slots of a product: (a, b) -> the join of d1[a] and d2[b] for
-    every u-pair, a's pairs in d2's order, d1's u-vertices in order.
-
-    For nets each side also offers its idle event None with data none, so
-    an event may fire alone, and the all-idle pair is left out; d1 and d2
-    are the caller's own and take the None entries.  Many u-vertices share
-    their data, so joins(x, ys) runs once per distinct data x of d1 and
-    gives x's joins with the distinct data ys of d2, in order; every u-pair
-    maps to its result.
-    """
-    if g1.idle:
-        d1[None] = d2[None] = none
-    distinct2 = list(set(d2.values()))
-    rows = {}  # data of a -> {data of b: joined}
-    sig = {}
-    for a, ea in d1.items():
-        row = rows.get(ea)
-        if row is None:
-            row = rows[ea] = dict(zip(distinct2, joins(ea, distinct2)))
-        sig.update(zip(zip(repeat(a), d2), map(row.__getitem__, d2.values())))
-    if g1.idle:
-        del sig[None, None]
-    return sig
-
-
-class _Supports(dict):
-    """packed sum -> its bit support, made on the first lookup."""
-
-    def __missing__(self, n):
-        self[n] = got = tau(n)
-        return got
+    return ids
 
 
 def direct_product(g1, l1, g2, l2):
     """u-vertices are pairs; each pair's slots are read off the bits of the
     sums of the two packed slots.  For nets this is the pointed product, as
     plain_product is: (a, None) and (None, b) fire a and b alone, and the
-    natural encoding is the product of the two encodings."""
+    natural encoding is the product of the two encodings.
+
+    Those sums are the terms of the product of the encodings, so the
+    classes are the decoding's, and only the ids differ from poly_product's;
+    a class pair's sum is read when a per-u view is first read.
+    """
     _same_kind(g1, g2)
-    bits = _Supports()  # many pairs share a sum, so a pair costs one lookup
-    support = bits.__getitem__
+    (d1, p1), (d2, p2) = _encoded(g1, l1), _encoded(g2, l2)
+    supports = {}  # filled by the decoding with every sum of a class pair
 
-    def joins(a, bs):
+    def row(s):
+        x = d1[s]
         if g1.arity == 1:
-            return zip(map(support, map(a.__add__, bs)))
-        return zip(*(map(support, map(x.__add__, col)) for x, col in zip(a, zip(*bs))))
+            return {t: supports[x + y][0] for t, y in d2.items()}
+        return {t: supports[x[0] + y[0], x[1] + y[1]][0] for t, y in d2.items()}
 
-    sig = _pairs(g1, _packed(g1, l1), _packed(g2, l2), g1.poly.zero, joins)
-    vs = set().union(*bits.values())
-    return type(g1)._build(tuple(sig), tuple(sorted(vs)), sig)
+    return _decode(poly_key(mul(p1, p2)), type(g1), supports, _pairs(g1, g2, row))
+
+
+def _renamed(classes, name):
+    """class -> its slots with each member v renamed name[v]."""
+    get = name.__getitem__
+    return {s: tuple([frozenset(map(get, part)) for part in s]) for s in classes}
 
 
 def _union(g1, g2, names, vs):
     """The sum of g1 and g2 with v part vs: u-vertices (side, u), each slot
     member v renamed names[side][v], so v-vertices sharing a name merge."""
-    sig = {
-        (side, u): tuple(frozenset(map(name.__getitem__, part)) for part in slots)
-        for side, (g, name) in enumerate(zip((g1, g2), names))
-        for u, slots in g._sig.items()
-    }
-    return type(g1)._build(tuple(sig), tuple(vs), sig)
+    renamed = [_renamed(g._classes, name) for g, name in zip((g1, g2), names)]
+    classes = {}
+    for g, new in zip((g1, g2), renamed):
+        for s, c in g._classes.items():
+            classes[new[s]] = classes.get(new[s], 0) + c
+
+    def ids():
+        return {(side, u): new[s] for side, (g, new) in enumerate(zip((g1, g2), renamed))
+                for u, s in g._per_u().items()}
+
+    return type(g1)._build(tuple(vs), classes, ids)
 
 
 def direct_sum(g1, l1, g2, l2):
@@ -570,23 +648,38 @@ def direct_sum(g1, l1, g2, l2):
     return _union(g1, g2, (l1, l2), vs)
 
 
+def _tags(g1, g2):
+    """For each side, v -> (side, v): the v part of the plain constructions."""
+    return [{v: (side, v) for v in g.v_vertices} for side, g in enumerate((g1, g2))]
+
+
 def plain_product(g1, g2):
     """u pairs over the tagged v union; a pair joins both slot tuples.
 
     For nets this is the pointed product: each side also offers its idle
     event None, so an event may fire alone, and the all-idle pair is left
-    out.
+    out.  The tags keep the sides apart, so each class pair joins once, to
+    a class of its own that counts the product of the two counts.
     """
     _same_kind(g1, g2)
-    tagged = plain_coproduct(g1, g2)
-    d1, d2 = ({u: tagged._sig[side, u] for u in g._u} for side, g in enumerate((g1, g2)))
-    sig = _pairs(g1, d1, d2, (frozenset(),) * g1.arity,
-                 lambda a, bs: [tuple(map(frozenset.union, a, b)) for b in bs])
-    return type(g1)._build(tuple(sig), tagged._v, sig)
+    names = _tags(g1, g2)
+    c1, c2 = _counts(g1), _counts(g2)
+    r1, r2 = map(_renamed, (c1, c2), names)
+    table, classes = {}, {}
+    for s, a in r1.items():
+        row = table[s] = {t: tuple(map(frozenset.union, a, b)) for t, b in r2.items()}
+        classes.update(zip(row.values(), [c1[s] * c for c in c2.values()]))
+    if g1.idle:  # leave out the all-idle pair
+        empty = (frozenset(),) * g1.arity
+        classes[empty] -= 1
+        if not classes[empty]:
+            del classes[empty]
+    vs = (*names[0].values(), *names[1].values())
+    return type(g1)._build(vs, classes, _pairs(g1, g2, table.__getitem__))
 
 
 def plain_coproduct(g1, g2):
     """Disjoint union with side tags; two nets share one idle event."""
     _same_kind(g1, g2)
-    names = [{v: (side, v) for v in g._v} for side, g in enumerate((g1, g2))]
-    return _union(g1, g2, names, [t for name in names for t in name.values()])
+    names = _tags(g1, g2)
+    return _union(g1, g2, names, (*names[0].values(), *names[1].values()))

@@ -58,7 +58,7 @@ class PetriNet(Directed):
 
     @property
     def events(self):
-        return self._u
+        return self.u_vertices
 
 
 @dataclass(frozen=True, eq=True)
@@ -118,7 +118,7 @@ def witness(net: PetriNet, labeling, first: LabeledPetriNet, second: LabeledPetr
         for side, half in enumerate((first, second))
         for b in half.net.conditions
     }
-    return _match_right(prod._sig, net._sig, cmap), cmap
+    return _match_right(prod._per_u(), net._per_u(), cmap), cmap
 
 
 # Another name for the class, kept for code that imports it, and the net

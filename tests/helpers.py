@@ -448,3 +448,108 @@ def first_difference(got: str, want: str):
               min(len(got), len(want)))
     around = slice(max(at - 40, 0), at + 40)
     return f"char {at} of {len(got)} and {len(want)}: {got[around]!r} != {want[around]!r}"
+
+
+# ---------------------------------------------------------------------------
+# The per-u structures: one dict entry and one id per u-vertex, as decoding
+# and the products built them before the core kept u-classes.  Each gives
+# (u ids, v ids, u -> slots); per_u_copy builds the same structure through
+# a constructor.
+
+def per_u_encode(g, labeling):
+    """Encoding term by term, one term per u-vertex, plus a net's idle unit."""
+    terms = {(0, 0): 1} if isinstance(g, PetriNet) else {}
+    for u in g.u_vertices:
+        exps = tuple(sum(1 << labeling[v] for v in part) for part in g.slots(u))
+        e = exps[0] if g.arity == 1 else exps
+        terms[e] = terms.get(e, 0) + 1
+    return (Poly1 if g.arity == 1 else Poly2)(terms)
+
+
+def per_u_decode(p, cls):
+    """decode(p, cls) with a dict entry per copy: a term's c u-vertices are
+    (term, k) for k = 1..c, in descending term order; a net takes one unit
+    of the constant term for its idle event."""
+    key = list(p.terms.items())
+    if cls.idle:
+        zero, c = key.pop()
+        if c > 1:
+            key.append((zero, c - 1))
+    sig = {}
+    for exp, c in key:
+        slots = tuple(frozenset(bits_of(e)) for e in (exp if cls.arity == 2 else (exp,)))
+        term = slots if cls.arity == 2 else slots[0]
+        for k in range(1, c + 1):
+            sig[term, k] = slots
+    return tuple(sig), _used(sig), sig
+
+
+def _used(sig):
+    return tuple(sorted(set().union(*(part for slots in sig.values() for part in slots))))
+
+
+def per_u_pairs(idle, d1, d2, none, joins):
+    """The slots of a product: (a, b) -> the join of d1[a] and d2[b] for
+    every u-pair, a's pairs in d2's order, d1's u-vertices in order; for
+    nets each side also offers its idle event None with data none, and the
+    all-idle pair is left out.  joins(x, ys) gives x's joins with ys."""
+    if idle:
+        d1[None] = d2[None] = none
+    distinct2 = list(set(d2.values()))
+    rows = {}
+    sig = {}
+    for a, ea in d1.items():
+        row = rows.get(ea)
+        if row is None:
+            row = rows[ea] = dict(zip(distinct2, joins(ea, distinct2)))
+        for b, eb in d2.items():
+            sig[a, b] = row[eb]
+    if idle:
+        del sig[None, None]
+    return sig
+
+
+def per_u_direct_product(g1, l1, g2, l2):
+    """direct_product with a dict entry per u-pair: each slot of a pair is
+    the bit support of the sum of its two packed slots."""
+    def packed(g, lab):
+        return {u: tuple(sum(1 << lab[v] for v in part) for part in g.slots(u))
+                for u in g.u_vertices}
+
+    def joins(a, bs):
+        return [tuple(frozenset(bits_of(x + y)) for x, y in zip(a, b)) for b in bs]
+
+    sig = per_u_pairs(g1.idle, packed(g1, l1), packed(g2, l2), (0,) * g1.arity, joins)
+    return tuple(sig), _used(sig), sig
+
+
+def per_u_plain_product(g1, g2):
+    """plain_product with a dict entry per u-pair over the tagged v union."""
+    def tagged(side, g):
+        return {u: tuple(frozenset((side, v) for v in part) for part in g.slots(u))
+                for u in g.u_vertices}
+
+    sig = per_u_pairs(g1.idle, tagged(0, g1), tagged(1, g2), (frozenset(),) * g1.arity,
+                      lambda a, bs: [tuple(map(frozenset.union, a, b)) for b in bs])
+    vs = tuple((side, v) for side, g in enumerate((g1, g2)) for v in g.v_vertices)
+    return tuple(sig), vs, sig
+
+
+def per_u_union(g1, g2, names, vs):
+    """A sum with a dict entry per u-vertex (side, u), each slot member v
+    renamed names[side][v]."""
+    sig = {(side, u): tuple(frozenset(name[v] for v in part) for part in g.slots(u))
+           for side, (g, name) in enumerate(zip((g1, g2), names)) for u in g.u_vertices}
+    return tuple(sig), tuple(vs), sig
+
+
+def per_u_copy(cls, per_u):
+    """The structure of cls with these per-u parts, built by its constructor."""
+    us, vs, sig = per_u
+    return from_slots(cls, us, vs, sig)
+
+
+def per_u_repr(cls, per_u):
+    us, vs, sig = per_u
+    links = sum(len(part) for slots in sig.values() for part in slots)
+    return f"{cls.__name__}(|u|={len(us)}, |v|={len(vs)}, |links|={links})"
