@@ -29,18 +29,22 @@ and two variables lie in different blocks iff P * d_uw P = d_u P * d_w P
 (Shpilka & Volkovich, "On the relation between polynomial identity testing
 and finding variable disjoint factors", ICALP 2010), so lying in one block
 is an equivalence relation on the variables.  The search tests that
-identity at a random point modulo 2**61 - 1 between each variable and one
-representative of each class found so far, once per set of terms holding
-a variable, joins the bits of each class and the two variables of each
-bit with union-find, and verifies the blocks exactly on p's own terms:
-split off one at a time, the terms left must form a full grid of rank 1
-over the block and the bits left.  A point that misses a dependency fails
-that check and another is drawn.  Every half is then read off p's terms:
-the terms that agree with p's least term off the half's blocks, read on
-its bits and divided by their content, are the half's, so no product is
-built; for a net, whose least term is the constant term, they are terms
-of p.  The work is about |support| * classes * terms plus a small
-multiple of the size of the output.
+identity between each variable and one representative of each class
+found so far, once per set of terms holding a variable, joins the bits of
+each class and the two variables of each bit with union-find, and
+verifies the blocks exactly on p's own terms: split off one at a time,
+the terms left must form a full grid of rank 1 over the block and the
+bits left.  The first point is (1, ..., 1), where each term's value is
+its coefficient and the test is exact in integers.  Each set of terms is
+a bitmask over them, so a sum over one is a popcount per bit of the
+values: one popcount with unit coefficients.  A point that misses a
+dependency fails the check, and the next is drawn at random modulo a
+power of 2**61 - 1.  Every half is then read off p's terms: the terms
+that agree with p's least term off the half's blocks, read on its bits
+and divided by their content, are the half's, so no product is built;
+for a net, whose least term is the constant term, they are terms of p.
+The work is about |support| * classes * terms plus a small multiple of
+the size of the output.
 
 Both searches emit each half as its poly_key, the (exponent, coefficient)
 items in descending exponent order, and sort the pairs by those keys; the
@@ -358,9 +362,9 @@ class _Stream:
     drawn the first time a search needs them and kept for the process.
 
     A search on count variables takes values (draw - 1) * count up to
-    draw * count as its point number draw, which is the point a generator
-    seeded afresh for the search would give it, without seeding one per
-    call.  It keeps max(draw * count) values: the widest support times the
+    draw * count as its point number draw, for draw >= 1 (its point 0,
+    (1, ..., 1), needs no stream): the point a generator seeded afresh for
+    the search would give it, without seeding one per call.  It keeps max(draw * count) values: the widest support times the
     most draws.  One thread at a time draws under the lock; the list only
     grows, so a stretch once drawn is read without it.
     """
@@ -385,22 +389,61 @@ class _Stream:
 _point = _Stream().point
 
 
-def _blocks(terms, support, point, modulus, meter):
+def _planes(values, positions):
+    """For each bit position b in positions, ascending, the mask whose bit
+    i is bit b of values[i], for a sequence of naturals.
+
+    The values are transposed one byte column at a time, reading only the
+    columns that hold a position, so a high bit costs one column, not one
+    per byte below it.  Column j, its bytes read as one little-endian
+    integer, holds bit b of values[i] at bit 8 * i + b - 8 * j, so a plane
+    is a slice of its binary digits with step 8.
+    """
+    spec = f"0{8 * len(values)}b"
+    planes = []
+    j = None
+    for b in positions:
+        if b >> 3 != j:
+            j = b >> 3
+            column = bytes([v >> 8 * j & 255 for v in values])
+            digits = format(int.from_bytes(column, "little"), spec)
+        planes.append(int(digits[7 - (b & 7)::8], 2))
+    return planes
+
+
+def _mask_sum(values):
+    """The function taking a mask of indices, bit i for values[i], to the
+    sum of those values, for a nonempty list of naturals.
+
+    With every value 1 it is the mask's popcount.  Otherwise the sum is
+    bit-sliced: plane k is the mask of the indices whose value has bit k
+    set, and the sum is that of 2**k * popcount(mask & plane k).
+    """
+    if values.count(1) == len(values):
+        return int.bit_count
+    planes = list(enumerate(_planes(values, range(max(values).bit_length()))))
+    return lambda mask: sum([(mask & plane).bit_count() << k for k, plane in planes])
+
+
+def _blocks(values, holders, support, modulus, meter):
     """The support bits grouped by union-find over the variables that the
-    dependency test at this point proves dependent, as bit lists ordered by
+    dependency test at one point proves dependent, as bit lists ordered by
     their top bit.
 
-    Each support bit is one variable group: its pre variable, read in the
-    x-exponents, and its post variable, read in the y-exponents.  For
-    variables u and w, let S sum the terms' values at the point, R_u and
-    R_w the values of the terms holding u or w, and D those holding both.
-    Then S*D - R_u*R_w is the 2x2 minor of the grid of p over the states of
-    u and w, with u's and w's own values left in, which only scales its
-    rows and columns by units: P * d_uw P - d_u P * d_w P at the point,
-    times z_u * z_w.  It vanishes identically iff u and w lie in different
-    variable-disjoint factors, so lying in one prime block is an
-    equivalence relation on the variables, and a nonzero value proves that
-    u and w lie in one.
+    values lists the terms' values at the point, and holders each
+    variable's holder set as a term mask: bit i of holders[u] is set when
+    term i holds u.  Bit support[t] is pre variable t, read in the
+    x-exponents, and post variable t + len(support), read in the
+    y-exponents.  For variables u and w, let S sum the terms' values, R_u
+    and R_w the values of the terms holding u or w, and D those holding
+    both.  Then S*D - R_u*R_w is the 2x2 minor of the grid of p over the
+    states of u and w, with u's and w's own values left in, which only
+    scales its rows and columns by units: P * d_uw P - d_u P * d_w P at the
+    point, times z_u * z_w.  It vanishes identically iff u and w lie in
+    different variable-disjoint factors, so lying in one prime block is an
+    equivalence relation on the variables, and a minor that is nonzero
+    modulo modulus proves that u and w lie in one.  Each sum is over a term
+    mask, by _mask_sum: with unit values it is the mask's popcount.
 
     So each variable, pre variables before post ones, is tested against one
     representative of each class found so far, in the order they were
@@ -416,36 +459,19 @@ def _blocks(terms, support, point, modulus, meter):
     in A and w in B, every term of P is a term of A times one of B, and u
     being in a term exactly when w is would put u in every term of A and w
     in every term of B: both in every term of P.  So one test is made per
-    holder set, and term sets are built for representatives only.
+    holder set.
 
     Every join rests on a nonzero minor or on that rule, so the blocks are
     never coarser than the prime blocks.  A point where a minor of a
     dependent pair happens to vanish can only leave a variable outside its
-    class, and the blocks finer; _peel then fails to verify them and a new
-    point is drawn.
+    class, and the blocks finer; _peel then fails to verify them and the
+    next point is tried.
     """
     n = len(support)
-    # Bit support[t] is pre variable t and post variable t + n.
-    pre = {b: t for t, b in enumerate(support)}
-    post = {b: t + n for t, b in enumerate(support)}
-    meter.charge(len(terms), "the dependency test")
-    values = []
-    holding = [[] for _ in point]  # variable -> indices of the terms holding it
-    for i, ((x, y), value) in enumerate(terms.items()):
-        value %= modulus
-        for b in tau(x):
-            u = pre[b]
-            value *= point[u]
-            holding[u].append(i)
-        for b in tau(y):
-            u = post[b]
-            value *= point[u]
-            holding[u].append(i)
-        values.append(value % modulus)
+    meter.charge(len(values), "the dependency test")
+    weight = _mask_sum(values)  # the sum of the values of the terms in a mask
     total = sum(values)
-    term_value = values.__getitem__
-    everywhere = len(values)
-
+    everywhere = (1 << len(values)) - 1
     parent = list(range(n))
 
     def find(t):
@@ -455,23 +481,23 @@ def _blocks(terms, support, point, modulus, meter):
         return t
 
     first = {}  # holder set -> the first variable holding it
-    representatives = []  # (variable, the sum of its terms' values, their set)
-    for u, rows in enumerate(holding):
+    representatives = []  # (variable, the sum of its terms' values, their mask)
+    for u, rows in enumerate(holders):
         if not rows:
             continue
-        w = first.setdefault(tuple(rows), u)
-        if w != u and len(rows) < everywhere:
+        w = first.setdefault(rows, u)
+        if w != u and rows != everywhere:
             parent[find(u % n)] = find(w % n)
             continue
-        scale = sum(map(term_value, rows))
+        scale = weight(rows)
         for w, held, rep in representatives:
-            both = rep.intersection(rows)
-            meter.charge(1 + len(both), "the dependency test")
-            if (total * sum(map(term_value, both)) - scale * held) % modulus:
+            both = rep & rows
+            meter.charge(1 + both.bit_count(), "the dependency test")
+            if (total * weight(both) - scale * held) % modulus:
                 parent[find(u % n)] = find(w % n)
                 break
         else:
-            representatives.append((u, scale, set(rows)))
+            representatives.append((u, scale, rows))
     groups = {}
     for t, b in enumerate(support):
         groups.setdefault(find(t), []).append(b)
@@ -528,15 +554,16 @@ def bit_disjoint_factor(p, budget: Budget = Budget()) -> list:
     components.  Each support bit is one variable group, so a split
     is a variable-disjoint factorization of the primitive part, and every
     such split is a union of its prime blocks (Shpilka & Volkovich, ICALP
-    2010).  The blocks come from a dependency test at a random point of
-    each variable against one representative of each class found so far;
-    peeling them off one at a time with an exact test on p's own terms
-    verifies them, and a failed verification draws a new point.  So the
-    time is random but an answer never is.  The points come from one stream
-    of a fixed seed, drawn once per process and shared by every call, so
-    both repeat.  A step is one term evaluated, one dependency test or one
-    term it reads, one term read by the verification, one term of an
-    emitted factor, or one trial division of the content.
+    2010).  The blocks come from a dependency test of each variable
+    against one representative of each class found so far, made first at
+    the point (1, ..., 1), exactly; peeling them off one at a time with an
+    exact test on p's own terms verifies them, and a failed verification
+    draws a random point.  So the time is random but an answer never is.
+    The random points come from one stream of a fixed seed, drawn once per
+    process and shared by every call, so both repeat.  A step is one term
+    evaluated at a point, one dependency test or one term it reads, one
+    term read by the verification, one term of an emitted factor, or one
+    trial division of the content.
     An empty result certifies that no bit-disjoint pair exists.
 
     By Gauss's lemma a split of p is its content c = c1 * c2 spread over the
@@ -567,18 +594,31 @@ def _bit_disjoint_factor(p, support, meter):
         f"bit-disjoint factoring of {len(terms)} terms on {len(support)} support bits"
     )
     cdivs = _divisors(c, meter) if c > 1 else (1,)
-    # A minor whose integer coefficients 2**61 - 1 divides vanishes at every
-    # point modulo that prime, so each new point takes the next power as its
-    # modulus, up to the first one above the coefficients' bound 2 * p(1)**2.
+    # Each variable's holder set as a mask over the terms, bit i for term i,
+    # the pre variables' from the x-exponents, then the post variables'.
+    xs, ys = zip(*terms)
+    holders = _planes(xs, support) + _planes(ys, support)
+    # Point 0 is (1, ..., 1): each term's value is its coefficient, and no
+    # minor reaches p(1)**2 in size, so taken modulo the top modulus, which
+    # is larger, the test is exact.  Point d >= 1 is the stream's point
+    # number d, taken modulo (2**61 - 1)**d: a minor whose integer
+    # coefficients 2**61 - 1 divides vanishes at every point modulo that
+    # prime, so each point takes the next power, up to the top one, the
+    # first above the coefficients' bound 2 * p(1)**2.
     top = 2 + 2 * sum(terms.values()).bit_length() // 61
+    values, modulus = list(terms.values()), _PRIME ** top
     draw = 0
-    counts = None
-    while counts is None:
-        draw += 1
-        point = _point(draw, 2 * len(support))
-        modulus = _PRIME ** min(draw, top)
-        masks = [from_bits(bits) for bits in _blocks(terms, support, point, modulus, meter)]
+    while True:
+        masks = [from_bits(bits) for bits in _blocks(values, holders, support, modulus, meter)]
         counts = _peel(terms, masks, meter)
+        if counts is not None:
+            break
+        draw += 1
+        modulus = _PRIME ** min(draw, top)
+        values = [v % modulus for v in terms.values()]
+        for z, rows in zip(_point(draw, len(holders)), holders):
+            for i in tau(rows):
+                values[i] = values[i] * z % modulus
     # Every pair costs its terms, charged before any is built.  Blocks have
     # disjoint bits, so a product of factors has the product of their term
     # counts, and the picks with their rests hold prod(1 + t_i) terms over

@@ -12,9 +12,12 @@ from bigraphpoly import (
     Poly1,
     Poly2,
     bit_disjoint_factor,
+    compact_labeling,
     content,
+    encode,
     factor_pairs,
     lift,
+    net_product,
     parse_poly1,
     poly_key,
     polyfactor,
@@ -22,7 +25,15 @@ from bigraphpoly import (
     tau_poly,
 )
 
-from helpers import bit_disjoint_reference, dense_key, factor_pair_table, poly_on_bits
+from helpers import (
+    bit_disjoint_reference,
+    dense_key,
+    factor_pair_table,
+    poly_on_bits,
+    random_digraph,
+    random_labeling,
+    random_net,
+)
 
 
 def P(terms):
@@ -486,14 +497,16 @@ def test_one_variable_search_is_the_lift_read_back():
 
 
 def test_bit_disjoint_verification_rejects_a_point_that_misses_a_dependency(monkeypatch):
-    """At (z0, z1, z2) = (-1, -1, 1) every pairwise minor of the prime
-    1 + x + x^2 + x^7 vanishes, so the first point reports singleton blocks.
-    The exact check must reject them, and a second point must give the
-    reference's answer, alone and times x^8 + 1; and times x^8, alone and
-    with x^16 + 1, where p(0) = 0 and the least term, x^8, is the anchor.
-    At that point 1 + x + x^2 + x^3 + x^4 gets the blocks {0, 1} and {2};
-    its grid over them is rank 1 where filled but lacks x^5, so only the
-    count of the grid's cells rejects them."""
+    """At the first point, (1, 1, 1), the minors of the prime
+    1 + x + x^2 + x^7 leave bit 1 apart from bits 0 and 2, and at
+    (z0, z1, z2) = (-1, -1, 1), patched in as the first seeded draw, they
+    all vanish, so both points report blocks that are too fine.  The exact
+    check must reject both, and the second draw must give the reference's
+    answer, alone and times x^8 + 1; and times x^8, alone and with
+    x^16 + 1, where p(0) = 0 and the least term, x^8, is the anchor.  At
+    both points 1 + x + x^2 + x^3 + x^4 + x^7 gets the blocks {0, 1} and
+    {2}; its grid over them is rank 1 where filled but lacks x^5 and x^6,
+    so only the count of the grid's cells rejects them."""
     real_point, real_peel = polyfactor._point, polyfactor._peel
     peels = []
 
@@ -511,25 +524,122 @@ def test_bit_disjoint_verification_rejects_a_point_that_misses_a_dependency(monk
     prime = P({7: 1, 2: 1, 1: 1, 0: 1})
     counts = []
     cases = [prime, prime * P({8: 1, 0: 1}), prime * P({8: 1}), prime * P({24: 1, 8: 1})]
-    for p in cases + [P({4: 1, 3: 1, 2: 1, 1: 1, 0: 1})]:
+    for p in cases + [P({7: 1, 4: 1, 3: 1, 2: 1, 1: 1, 0: 1})]:
         peels.clear()
         got = [tuple(sorted((poly_key(a), poly_key(b)))) for a, b in bit_disjoint_factor(p)]
         assert got == sorted(bit_disjoint_reference(dict(p.terms)))
-        assert peels[0] is None and peels[1] is not None and len(peels) == 2
+        assert peels[:2] == [None, None] and peels[2] is not None and len(peels) == 3
         counts.append(len(got))
     # (x^8 + 1) * prime; x^8 * prime; and x^8, x^16 + 1 and prime paired 3 ways.
     assert counts == [0, 1, 1, 3, 0]
 
 
-def test_bit_disjoint_dependency_hidden_modulo_the_prime():
-    """1 + x + x^2 + (m + 1) x^3 with m = 2**61 - 1 is prime, but its one
-    minor is m * z0 * z1, zero at every point modulo m; the next point is
-    taken modulo m**2, where it shows."""
+def test_bit_disjoint_dependency_hidden_modulo_the_prime(monkeypatch):
+    """1 + x + x^2 + (m + 1) x^3 with m = 2**61 - 1 is prime, and its one
+    minor is m * z0 * z1: the exact first point (1, 1) shows it, but it is
+    zero at every point modulo m.  With the first point's verification
+    failed on purpose, the first seeded point, taken modulo m, misses it,
+    and the second, taken modulo m**2, shows it: alone and times x^4 + 1."""
     m = polyfactor._PRIME
     p = P({3: m + 1, 2: 1, 1: 1, 0: 1})
-    assert bit_disjoint_factor(p, Budget(max_steps=1000)) == []
     q = p * P({4: 1, 0: 1})
-    assert bit_disjoint_factor(q, Budget(max_steps=1000)) == [(p, P({4: 1, 0: 1}))]
+    cases = [(p, []), (q, [(p, P({4: 1, 0: 1}))])]
+    for r, want in cases:
+        assert bit_disjoint_factor(r, Budget(max_steps=1000)) == want
+    real_peel = polyfactor._peel
+    peels = []
+
+    def peel(*args):
+        peels.append(real_peel(*args) if peels else None)
+        return peels[-1]
+
+    monkeypatch.setattr(polyfactor, "_peel", peel)
+    for r, want in cases:
+        peels.clear()
+        assert bit_disjoint_factor(r, Budget(max_steps=1000)) == want
+        assert peels[1] is None and peels[2] is not None and len(peels) == 3
+
+
+def test_bit_sliced_sums_are_the_sums():
+    """The sum over a mask of indices equals sum() of the values it
+    selects: on ones alone (a popcount), 0 and 1 (one bit plane), small
+    values, values past 2**64, residues modulo (2**61 - 1)**2, and lists of
+    zeros."""
+    rng = random.Random(37)
+    m = polyfactor._PRIME
+    draws = [
+        lambda: 1,
+        lambda: rng.randint(0, 1),
+        lambda: rng.randint(0, 300),
+        lambda: rng.choice((0, 1, 1 << 64, (1 << 64) + 1, rng.randrange(1 << 200))),
+        lambda: rng.randrange(m * m),
+    ]
+    for draw in draws * 50:
+        values = [draw() for _ in range(rng.randint(1, 70))]
+        weight = polyfactor._mask_sum(values)
+        for mask in (0, (1 << len(values)) - 1, *(rng.getrandbits(len(values)) for _ in range(5))):
+            want = sum(v for i, v in enumerate(values) if mask >> i & 1)
+            assert weight(mask) == want, (values, mask)
+    assert polyfactor._mask_sum([0, 0, 0])(7) == 0
+
+
+def test_planes_transpose_only_the_asked_bits():
+    """Plane b of values has bit i set exactly when values[i] has bit b set,
+    for ascending positions that share byte columns, skip columns, and lie
+    past 2**64 and at bit 100,000."""
+    rng = random.Random(39)
+    for _ in range(100):
+        values = [rng.getrandbits(rng.choice((3, 16, 70))) for _ in range(rng.randint(1, 40))]
+        values[rng.randrange(len(values))] |= rng.choice((0, 1 << 100_000))
+        positions = sorted(rng.sample([*range(80), 100_000], rng.randint(0, 12)))
+        planes = polyfactor._planes(values, positions)
+        assert planes == [
+            sum(1 << i for i, v in enumerate(values) if v >> b & 1) for b in positions
+        ]
+
+
+def test_bit_disjoint_matches_the_reference_on_nets_digraphs_and_polys(monkeypatch):
+    """On seeded random nets, pointed products of two nets, digraphs, and
+    products of Poly2 and Poly1 on disjoint bits with a content of 1, 2 or
+    6 and coefficients past 2**64 off the least term, and two with bit 300,
+    the pairs are the brute-force reference's; some of the searches need a
+    seeded point."""
+    rng = random.Random(38)
+    big = 1 << 64
+    cases = []
+    for _ in range(60):
+        net = random_net(rng, 4, 4)
+        cases.append(encode(net, random_labeling(rng, net.conditions, 6)))
+        net = net_product(random_net(rng, 3, 3), random_net(rng, 3, 3))
+        cases.append(encode(net, compact_labeling(net)))
+        g = random_digraph(rng, 4, 4)
+        cases.append(encode(g, random_labeling(rng, g.v_vertices, 6)))
+    for arity, make in ((1, Poly1), (2, Poly2)):
+        for _ in range(60):
+            bits = rng.sample(range(7), rng.randint(1, 6))
+            cut = rng.randint(0, len(bits))
+            p = make({make.zero: rng.choice((1, 2, 6))})
+            for group in (bits[:cut], bits[cut:]):
+                f = poly_on_bits(rng, group, arity=arity)
+                least = min(f.terms)
+                p = p * make({e: v + big * (e != least) * rng.randint(0, 1)
+                              for e, v in f.terms.items()})
+            cases.append(p)
+    high = 1 << 300  # a bit far past the others: its own byte column
+    cases += [P({high: 1, 0: 1}) * P({3: 1, 1: 2, 0: 1}), Poly2({(high, 1): 2, (1, high): 1})]
+    draws = []
+    real = polyfactor._point
+
+    def point(draw, count):
+        draws.append(draw)
+        return real(draw, count)
+
+    monkeypatch.setattr(polyfactor, "_point", point)
+    for p in cases:
+        got = [tuple(sorted((poly_key(a), poly_key(b)))) for a, b in bit_disjoint_factor(p)]
+        assert got == sorted(bit_disjoint_reference(dict(p.terms))), p
+    assert any(max(p.terms.values()) > big for p in cases)
+    assert draws
 
 
 def test_bit_disjoint_recovers_random_products():

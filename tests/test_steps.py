@@ -32,13 +32,21 @@ from bigraphpoly import (
     factor_pairs,
     is_isomorphic,
     net_product,
+    poly_key,
     polyfactor,
     render,
 )
 from bigraphpoly.core import _encodings
 from bigraphpoly.polyfactor import _Meter
 
-from helpers import cycles, from_slots, random_digraph, random_labeling, random_net
+from helpers import (
+    bit_disjoint_reference,
+    cycles,
+    from_slots,
+    random_digraph,
+    random_labeling,
+    random_net,
+)
 
 
 def chain(k):
@@ -59,19 +67,24 @@ def repeated(net, copies, empty):
     return PetriNet(net.conditions, evs + [("idle", k) for k in range(empty)], pre, post)
 
 
-def net_cases():
+def net_cases(monkeypatch):
     """(name, net, labeling) for decompose."""
     cases = [(f"chain{k}", chain(k), None) for k in (4, 5, 6)]
     rng = random.Random(1717)
     primes = 0
-    while primes < 4:
+    for _ in range(1000):
         net = random_net(rng, max_events=4, max_conditions=5)
         labeling = random_labeling(rng, net.conditions, 8)
         if len(net.conditions) >= 3 and not decompose(net, labeling):
             primes += 1
             cases.append((f"prime{primes}", net, labeling))
+            if primes == 4:
+                break
+    else:
+        raise AssertionError(f"{primes} prime nets in 1,000 seeded tries, not 4")
     product = net_product(random_net(rng, 3, 3), random_net(rng, 3, 3))
     cases.append(("content3", repeated(product, 3, 2), None))
+    cases.append(("second_point", second_point_net(monkeypatch), None))
     return [
         (name, net, compact_labeling(net) if lab is None else lab)
         for name, net, lab in cases
@@ -89,7 +102,7 @@ def monomial_digraph():
 
 
 def draws_of(monkeypatch, p):
-    """How many points bit_disjoint_factor draws for p."""
+    """How many seeded points bit_disjoint_factor draws for p."""
     calls = []
     real = polyfactor._point
 
@@ -103,18 +116,16 @@ def draws_of(monkeypatch, p):
     return len(calls)
 
 
-def second_point_poly(monkeypatch):
-    """The first polynomial of a seeded scan whose search needs a second
-    point, times 1 + x**4.  A candidate is 1 + b x + c x^2 + d x^3 with
-    d = b c + k (2**61 - 1): k = 0 gives (1 + b x)(1 + c x^2), one point;
-    k > 0 gives a prime whose one minor k (2**61 - 1) z0 z1 vanishes at every
-    first point, taken modulo 2**61 - 1."""
+def second_point_net(monkeypatch):
+    """The first pointed product of two random nets, in a seeded scan, on
+    whose encoding the point (1, ..., 1) misses a dependency, so that the
+    search draws a seeded point."""
     rng = random.Random(1719)
-    while True:
-        b, c, k = rng.randint(1, 5), rng.randint(1, 5), rng.randint(0, 2)
-        p = Poly1({0: 1, 1: b, 2: c, 3: b * c + k * polyfactor._PRIME})
-        if draws_of(monkeypatch, p) > 1:
-            return p * Poly1({0: 1, 4: 1})
+    for _ in range(1000):
+        net = net_product(random_net(rng, 3, 3), random_net(rng, 3, 3))
+        if draws_of(monkeypatch, encode(net, compact_labeling(net))):
+            return net
+    raise AssertionError("no net in 1,000 seeded tries needs a seeded point")
 
 
 def digest(pairs):
@@ -138,9 +149,11 @@ def least_budget_is(call, steps):
 # were measured before the search emitted its halves as sorted terms and
 # drew its points once per process; the budgets fell, digests unchanged,
 # when a variable with an earlier variable's holder set (not every term)
-# began to join its class untested.  decompose and bit_disjoint_factor on
-# the net's encoding charge the same steps, as decompose's encoding and
-# coverage check are free.
+# began to join its class untested.  They held when the first point became
+# (1, ..., 1), and second_point became a net on which that point misses a
+# dependency.
+# decompose and bit_disjoint_factor on the net's encoding charge the same
+# steps, as decompose's encoding and coverage check are free.
 PINNED = {
     "chain4": (138, 7, "65cd043b05d7"),
     "chain5": (392, 15, "9089b68ab3f9"),
@@ -151,13 +164,13 @@ PINNED = {
     "prime4": (2, 0, "e3b0c44298fc"),
     "content3": (25, 3, "a0fa371afb77"),
     "digraph": (15, 1, "ced8123f4b89"),
-    "second_point": (53, 1, "1d48a3cdd291"),
+    "second_point": (123, 1, "0ac14726dd04"),
 }
 
 
 def test_least_budgets_and_answers_are_pinned(monkeypatch):
     seen = {}
-    for name, net, labeling in net_cases():
+    for name, net, labeling in net_cases(monkeypatch):
         p = encode(net, labeling)
         pairs = least_budget_is(lambda b: bit_disjoint_factor(p, b), PINNED[name][0])
         halves = least_budget_is(lambda b: decompose(net, labeling, b), PINNED[name][0])
@@ -169,12 +182,19 @@ def test_least_budgets_and_answers_are_pinned(monkeypatch):
     monomial = {(1 << len(g.v_vertices) - 1, 0)}
     assert any(h.terms.keys() == monomial for pair in pairs for h in pair)
     seen["digraph"] = (PINNED["digraph"][0], len(pairs), digest(pairs))
-    p = second_point_poly(monkeypatch)
-    assert draws_of(monkeypatch, p) == 2
-    pairs = least_budget_is(lambda b: bit_disjoint_factor(p, b), PINNED["second_point"][0])
-    seen["second_point"] = (PINNED["second_point"][0], len(pairs), digest(pairs))
     assert seen == PINNED
     assert sum(pins[1] for pins in PINNED.values()) > 50
+
+
+def test_a_first_point_that_misses_answers_after_one_draw(monkeypatch):
+    """On the second_point net the point (1, ..., 1) misses a dependency:
+    the search draws one seeded point and answers as the brute-force
+    reference does."""
+    net = second_point_net(monkeypatch)
+    p = encode(net, compact_labeling(net))
+    assert draws_of(monkeypatch, p) == 1
+    got = [tuple(sorted((poly_key(a), poly_key(b)))) for a, b in bit_disjoint_factor(p)]
+    assert got == sorted(bit_disjoint_reference(dict(p.terms))) and got
 
 
 def factor_cases():
@@ -247,13 +267,18 @@ def test_points_are_the_seeded_stream():
 def test_threads_decompose_as_a_serial_run(monkeypatch):
     """Four threads decomposing the same nets at once, on a point stream
     none has drawn yet, get the serial run's pairs under the same least
-    budgets, and the stream they drew together is the seeded one.  Three
-    rounds, each on a fresh stream, with threads switching often."""
-    cases = net_cases()
+    budgets and draw what the serial run drew, the start of the seeded
+    stream; the second_point net needs a seeded point, so they draw some.
+    Three rounds, each on a fresh stream, with threads switching often."""
+    cases = net_cases(monkeypatch)
     cases.sort(key=lambda case: len(case[1].conditions))  # the stream grows as they go
+    stream = polyfactor._Stream()
+    monkeypatch.setattr(polyfactor, "_point", stream.point)
     serial = [decompose(net, labeling) for _, net, labeling in cases]
+    drawn = list(stream._values)
     rng = random.Random(2010)
     seeded = [rng.randrange(1, polyfactor._PRIME) for _ in range(24)]
+    assert drawn and drawn == seeded[:len(drawn)]
 
     def work(slot):
         start.wait()
@@ -279,6 +304,7 @@ def test_threads_decompose_as_a_serial_run(monkeypatch):
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert results == [serial] * 4
+        assert stream._values == drawn
         assert stream.point(1, 24) == seeded
 
 
