@@ -36,13 +36,13 @@ verifies the blocks exactly on p's own terms: split off one at a time,
 the terms left must form a full grid of rank 1 over the block and the
 bits left.  The first point is (1, ..., 1), where each term's value is
 its coefficient and the test is exact in integers.  Each set of terms is
-a bitmask over them, so a sum over one is a popcount per bit of the
-values: one popcount with unit coefficients.  A point that misses a
-dependency fails the check, and the next is drawn at random modulo a
-power of 2**61 - 1.  Every half is then read off p's terms: the terms
-that agree with p's least term off the half's blocks, read on its bits
-and divided by their content, are the half's, so no product is built;
-for a net, whose least term is the constant term, they are terms of p.
+a bitmask over them, so with unit coefficients a sum over one is its
+popcount.  A point that misses a dependency fails the check, and the
+next is drawn at random modulo a power of 2**61 - 1.  Every half is then
+read off p's terms: the terms that agree with p's least term off the
+half's blocks, read on its bits and divided by their content, are the
+half's, so no product is built; for a net, whose least term is the
+constant term, they are terms of p.
 The work is about |support| * classes * terms plus a small multiple of
 the size of the output.
 
@@ -364,9 +364,10 @@ class _Stream:
     A search on count variables takes values (draw - 1) * count up to
     draw * count as its point number draw, for draw >= 1 (its point 0,
     (1, ..., 1), needs no stream): the point a generator seeded afresh for
-    the search would give it, without seeding one per call.  It keeps max(draw * count) values: the widest support times the
-    most draws.  One thread at a time draws under the lock; the list only
-    grows, so a stretch once drawn is read without it.
+    the search would give it, without seeding one per call.  It keeps
+    max(draw * count) values: the widest support times the most draws.
+    One thread at a time draws under the lock; the list only grows, so a
+    stretch once drawn is read without it.
     """
 
     def __init__(self):
@@ -393,19 +394,21 @@ def _planes(values, positions):
     """For each bit position b in positions, ascending, the mask whose bit
     i is bit b of values[i], for a sequence of naturals.
 
-    The values are transposed one byte column at a time, reading only the
-    columns that hold a position, so a high bit costs one column, not one
-    per byte below it.  Column j, its bytes read as one little-endian
-    integer, holds bit b of values[i] at bit 8 * i + b - 8 * j, so a plane
-    is a slice of its binary digits with step 8.
+    Each value is cut into its little-endian bytes once, and the values
+    are transposed one byte column at a time, reading only the columns
+    that hold a position, so a high bit costs one column, not one per byte
+    below it.  Column j, its bytes read as one little-endian integer, holds
+    bit b of values[i] at bit 8 * i + b - 8 * j, so a plane is a slice of
+    its binary digits with step 8.
     """
-    spec = f"0{8 * len(values)}b"
+    rows = [v.to_bytes((v.bit_length() + 7) // 8, "little") for v in values]
+    spec = f"0{8 * len(rows)}b"
     planes = []
     j = None
     for b in positions:
         if b >> 3 != j:
             j = b >> 3
-            column = bytes([v >> 8 * j & 255 for v in values])
+            column = bytes([r[j] if j < len(r) else 0 for r in rows])
             digits = format(int.from_bytes(column, "little"), spec)
         planes.append(int(digits[7 - (b & 7)::8], 2))
     return planes
@@ -413,16 +416,11 @@ def _planes(values, positions):
 
 def _mask_sum(values):
     """The function taking a mask of indices, bit i for values[i], to the
-    sum of those values, for a nonempty list of naturals.
-
-    With every value 1 it is the mask's popcount.  Otherwise the sum is
-    bit-sliced: plane k is the mask of the indices whose value has bit k
-    set, and the sum is that of 2**k * popcount(mask & plane k).
-    """
+    sum of those values, for a nonempty list of naturals: the mask's
+    popcount when every value is 1, else the sum over its bits."""
     if values.count(1) == len(values):
         return int.bit_count
-    planes = list(enumerate(_planes(values, range(max(values).bit_length()))))
-    return lambda mask: sum([(mask & plane).bit_count() << k for k, plane in planes])
+    return lambda mask: sum(map(values.__getitem__, tau(mask)))
 
 
 def _blocks(values, holders, support, modulus, meter):
@@ -468,7 +466,6 @@ def _blocks(values, holders, support, modulus, meter):
     next point is tried.
     """
     n = len(support)
-    meter.charge(len(values), "the dependency test")
     weight = _mask_sum(values)  # the sum of the values of the terms in a mask
     total = sum(values)
     everywhere = (1 << len(values)) - 1
@@ -599,26 +596,31 @@ def _bit_disjoint_factor(p, support, meter):
     xs, ys = zip(*terms)
     holders = _planes(xs, support) + _planes(ys, support)
     # Point 0 is (1, ..., 1): each term's value is its coefficient, and no
-    # minor reaches p(1)**2 in size, so taken modulo the top modulus, which
-    # is larger, the test is exact.  Point d >= 1 is the stream's point
-    # number d, taken modulo (2**61 - 1)**d: a minor whose integer
-    # coefficients 2**61 - 1 divides vanishes at every point modulo that
-    # prime, so each point takes the next power, up to the top one, the
-    # first above the coefficients' bound 2 * p(1)**2.
-    top = 2 + 2 * sum(terms.values()).bit_length() // 61
-    values, modulus = list(terms.values()), _PRIME ** top
+    # minor reaches p(1)**2 in size, so taken modulo p(1)**2 + 1 the test
+    # is exact.  Point d >= 1 is the stream's point number d, taken modulo
+    # (2**61 - 1)**d: a minor whose integer coefficients 2**61 - 1 divides
+    # vanishes at every point modulo that prime, so each point takes the
+    # next power, up to the top one, the first above the coefficients'
+    # bound 2 * p(1)**2.  Each point is charged its terms before they are
+    # evaluated.
+    values = list(terms.values())
+    total = sum(values)
+    top = 2 + 2 * total.bit_length() // 61
+    modulus = total * total + 1
     draw = 0
     while True:
+        meter.charge(len(terms), "the dependency test")
+        if draw:
+            modulus = _PRIME ** min(draw, top)
+            values = [v % modulus for v in terms.values()]
+            for z, rows in zip(_point(draw, len(holders)), holders):
+                for i in tau(rows):
+                    values[i] = values[i] * z % modulus
         masks = [from_bits(bits) for bits in _blocks(values, holders, support, modulus, meter)]
         counts = _peel(terms, masks, meter)
         if counts is not None:
             break
         draw += 1
-        modulus = _PRIME ** min(draw, top)
-        values = [v % modulus for v in terms.values()]
-        for z, rows in zip(_point(draw, len(holders)), holders):
-            for i in tau(rows):
-                values[i] = values[i] * z % modulus
     # Every pair costs its terms, charged before any is built.  Blocks have
     # disjoint bits, so a product of factors has the product of their term
     # counts, and the picks with their rests hold prod(1 + t_i) terms over

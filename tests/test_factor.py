@@ -560,11 +560,23 @@ def test_bit_disjoint_dependency_hidden_modulo_the_prime(monkeypatch):
         assert peels[1] is None and peels[2] is not None and len(peels) == 3
 
 
-def test_bit_sliced_sums_are_the_sums():
+def test_bit_disjoint_charges_a_point_before_drawing_it(monkeypatch):
+    """Each point is charged its terms before it is drawn and evaluated: on
+    1 + x, whose one class makes no test, a budget of three points and one
+    step, with no verification passing, draws points 1 and 2 only."""
+    drawn = []
+    real = polyfactor._point
+    monkeypatch.setattr(polyfactor, "_peel", lambda terms, masks, meter: None)
+    monkeypatch.setattr(polyfactor, "_point", lambda d, n: drawn.append(d) or real(d, n))
+    with pytest.raises(BudgetExceededError, match="in the dependency test"):
+        bit_disjoint_factor(Poly1({0: 1, 1: 1}), Budget(max_steps=7))
+    assert drawn == [1, 2]
+
+
+def test_mask_sums_are_the_sums():
     """The sum over a mask of indices equals sum() of the values it
-    selects: on ones alone (a popcount), 0 and 1 (one bit plane), small
-    values, values past 2**64, residues modulo (2**61 - 1)**2, and lists of
-    zeros."""
+    selects: on ones alone (a popcount), 0 and 1, small values, values past
+    2**64, residues modulo (2**61 - 1)**2, and lists of zeros."""
     rng = random.Random(37)
     m = polyfactor._PRIME
     draws = [
@@ -581,6 +593,23 @@ def test_bit_sliced_sums_are_the_sums():
             want = sum(v for i, v in enumerate(values) if mask >> i & 1)
             assert weight(mask) == want, (values, mask)
     assert polyfactor._mask_sum([0, 0, 0])(7) == 0
+
+
+def test_bit_disjoint_on_a_million_bit_coefficient_and_exponent():
+    """A coefficient past 2**(10**6) and an exponent of 2**(10**6) answer
+    within a time bound: a sum over a term mask adds the values it selects,
+    and the holder masks cut each exponent into bytes once."""
+    big = (1 << 10**6) + 1
+    far = 1 << 10**6
+    cases = [
+        (Poly1({0: 1, 1: 1}), Poly1({0: 1, 2: big})),
+        (Poly1({0: 1, far: 1}), Poly1({0: 1, 1: big})),
+        (Poly2({(0, 0): 1, (1, 2): big}), Poly2({(0, 0): 1, (4, 0): 1, (far, far): 3})),
+    ]
+    start = time.perf_counter()
+    for a, b in cases:
+        assert bit_disjoint_factor(a * b) in ([(a, b)], [(b, a)])
+    assert time.perf_counter() - start < 2
 
 
 def test_planes_transpose_only_the_asked_bits():
