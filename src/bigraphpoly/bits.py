@@ -101,30 +101,30 @@ def from_bits(bits) -> int:
     return n | _bytes_or(rest)
 
 
-def pack_slots(slots: dict, position: dict, arity: int) -> dict:
-    """key -> its slots packed into one term key of a polynomial: slots
-    maps each key to a tuple of arity collections, and each collection
-    becomes the natural with 1-bits at its members' positions, which must be
-    distinct naturals.  One slot gives an int, two an (x, y) pair.
+def pack_slots(classes, vs, labeling, arity: int) -> list:
+    """The term key of each slot tuple of classes, in their order: each
+    tuple holds arity collections of members of vs, and each collection
+    becomes the natural with 1-bits at its members' labels, which labeling
+    gives as distinct naturals.  One slot gives an int, two an (x, y) pair.
 
-    With every position below _SHORT a slot is the sum of its members'
-    powers of two; otherwise each slot is OR-ed into bytes, linear in its
-    members and its top position.
+    With every label of vs below _SHORT a slot is the sum of its members'
+    powers of two, read through one map from v to 2**label; otherwise each
+    slot is OR-ed into bytes, linear in its members and its top label.
     """
-    if max(position.values(), default=0) < _SHORT:
-        bit = {v: 1 << t for v, t in position.items()}.__getitem__
+    labels = list(map(labeling.__getitem__, vs))
+    if max(labels, default=0) < _SHORT:
+        bit = dict(zip(vs, [1 << t for t in labels])).__getitem__
         if arity == 1:
-            return {u: sum(map(bit, part)) for u, (part,) in slots.items()}
-        return {u: (sum(map(bit, pre)), sum(map(bit, post)))
-                for u, (pre, post) in slots.items()}
-    label = position.__getitem__
+            return [sum(map(bit, part)) for (part,) in classes]
+        return [(sum(map(bit, pre)), sum(map(bit, post))) for pre, post in classes]
+    label = labeling.__getitem__
 
     def pack(part):
         return _bytes_or(list(map(label, part))) if part else 0
 
     if arity == 1:
-        return {u: pack(part) for u, (part,) in slots.items()}
-    return {u: (pack(pre), pack(post)) for u, (pre, post) in slots.items()}
+        return [pack(part) for (part,) in classes]
+    return [(pack(pre), pack(post)) for pre, post in classes]
 
 
 def tau_poly(p) -> frozenset:

@@ -35,7 +35,6 @@ order, then g2's, on a product.  A constructor builds them at once.
 from __future__ import annotations
 
 from collections import Counter
-from functools import partial
 from itertools import repeat
 
 from ._match import find_bijections
@@ -103,17 +102,17 @@ class Bipartite:
     def _build(cls, v, classes, ids):
         """Instance from parts already known to be consistent: the v ids,
         the classes, and ids, which gives the dict u -> slots in u order
-        when a per-u view is first read."""
+        when a per-u view is first read, or None for a decoding's ids."""
         obj = object.__new__(cls)
         obj._v, obj._classes, obj._ids, obj._u, obj._sig = v, classes, ids, None, None
         return obj
 
     def _per_u(self):
         """u -> slots in u order, built with the u ids by the id rule on
-        first read."""
+        first read; a structure with no rule has a decoding's, _copies."""
         sig = self._sig
         if sig is None:
-            self._sig = sig = self._ids()
+            self._sig = sig = self._ids() if self._ids else _copies(self._classes)
             self._u, self._ids = tuple(sig), None
         return sig
 
@@ -255,22 +254,21 @@ def _counts(g):
 
 
 def _encoded(g, labeling):
-    """(class -> its term key, the encoding of g) over the classes of
-    _counts(g): each slot sums 2**label over its members, whose bits are
-    distinct because the labeling is checked to be injective, so distinct
-    classes get distinct keys.  A label past the largest byte buffer the
-    platform can index is rejected."""
+    """(the term key of each class of _counts(g), in order, the encoding of
+    g): each slot sums 2**label over its members, whose bits are distinct
+    because the labeling is checked to be injective, so distinct classes
+    get distinct keys.  A label past the largest byte buffer the platform
+    can index is rejected."""
     check_labeling(g, labeling)
-    position = {v: labeling[v] for v in g.v_vertices}
     counts = _counts(g)
     try:
-        packed = pack_slots(dict(zip(counts, counts)), position, g.arity)
+        packed = pack_slots(counts, g.v_vertices, labeling, g.arity)
     except OverflowError:
-        v = max(position, key=position.get)
+        v = max(g.v_vertices, key=labeling.__getitem__)
         raise LabelingError(
-            f"label of {g.v_word} {_brief(v)} is too large to encode: {_brief(position[v])}"
+            f"label of {g.v_word} {_brief(v)} is too large to encode: {_brief(labeling[v])}"
         ) from None
-    return packed, g.poly._trusted(dict(zip(packed.values(), counts.values())))
+    return packed, g.poly._from_key(sorted(zip(packed, counts.values()), reverse=True))
 
 
 def decode(p, cls):
@@ -295,7 +293,7 @@ def decode(p, cls):
 def _decode(key, cls, supports, ids=None):
     """decode of the polynomial whose poly_key is key, with no checks: the
     factor searches emit their halves as such keys, and a net's halves hold
-    a constant term.  ids is the id rule, by default _copies.
+    a constant term.  ids is the id rule; with none, _per_u applies _copies.
 
     Each term is one class, its slots the bit supports of its exponent and
     its count the coefficient.  supports maps an exponent to those slots
@@ -322,7 +320,7 @@ def _decode(key, cls, supports, ids=None):
             del classes[slots]
         else:
             classes[slots] = c - 1
-    return cls._build(tuple(sorted(tau(ors))), classes, ids or partial(_copies, classes))
+    return cls._build(tuple(sorted(tau(ors))), classes, ids)
 
 
 def _copies(classes):
@@ -410,7 +408,7 @@ def _encodings(g: Bipartite, meter, search, least):
     # integer.
     unit = 1 if g.arity == 1 else 1 | 1 << n
     pos = {v: i for i, v in enumerate(vs)}
-    packed = pack_slots(dict(zip(g._classes, g._classes)), pos, g.arity).values()
+    packed = pack_slots(g._classes, vs, pos, g.arity)
     root = Counter({0: 1} if g.idle else {})
     root.update(dict(zip(packed if g.arity == 1 else [x << n | y for x, y in packed],
                          g._classes.values())))
@@ -603,7 +601,8 @@ def direct_product(g1, l1, g2, l2):
     a class pair's sum is read when a per-u view is first read.
     """
     _same_kind(g1, g2)
-    (d1, p1), (d2, p2) = _encoded(g1, l1), _encoded(g2, l2)
+    (k1, p1), (k2, p2) = _encoded(g1, l1), _encoded(g2, l2)
+    d1, d2 = dict(zip(_counts(g1), k1)), dict(zip(_counts(g2), k2))
     supports = {}  # filled by the decoding with every sum of a class pair
 
     def row(s):

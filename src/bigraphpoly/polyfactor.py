@@ -35,7 +35,8 @@ each class and the two variables of each bit with union-find, and
 verifies the blocks exactly on p's own terms: split off one at a time,
 the terms left must form a full grid of rank 1 over the block and the
 bits left.  The first point is (1, ..., 1), where each term's value is
-its coefficient and the test is exact in integers.  Each set of terms is
+its coefficient and the test is exact in integers, or taken modulo
+2**61 - 1 once p(1)**2 passes that prime.  Each set of terms is
 a bitmask over them, so with unit coefficients a sum over one is its
 popcount.  A point that misses a dependency fails the check, and the
 next is drawn at random modulo a power of 2**61 - 1.  Every half is then
@@ -144,7 +145,8 @@ def _spread(cores, c, cdivs, one):
     """The sorted _pairs from spreading the content c = c1 * c2 over each
     pair of primitive halves in cores, c1 over the first; cdivs lists the
     divisors of c, and a pair with a half equal to one, the unit key, is
-    left out."""
+    left out.  The set drops the pairs a spread repeats: c1 and c2 swapped
+    over equal halves, or the shifts of x**m over a split of a square."""
     out = set()
     for f, g in cores:
         for c1 in cdivs:
@@ -553,7 +555,8 @@ def bit_disjoint_factor(p, budget: Budget = Budget()) -> list:
     such split is a union of its prime blocks (Shpilka & Volkovich, ICALP
     2010).  The blocks come from a dependency test of each variable
     against one representative of each class found so far, made first at
-    the point (1, ..., 1), exactly; peeling them off one at a time with an
+    the point (1, ..., 1), exactly while p(1)**2 + 1 is at most 2**61 - 1
+    and modulo that prime past it; peeling them off one at a time with an
     exact test on p's own terms verifies them, and a failed verification
     draws a random point.  So the time is random but an answer never is.
     The random points come from one stream of a fixed seed, drawn once per
@@ -582,7 +585,8 @@ def _bit_disjoint_factor(p, support, meter):
     Once the blocks are verified, each half is read off p's own terms in
     their poly_key order: when p(0) >= 1 every term of a half is a term of
     p, its coefficient divided by the half's content.  A prime primitive p
-    answers [] as soon as the emission is charged."""
+    answers [] as soon as the emission is charged.  With content 1 each
+    pair is distinct, so only a content spread goes through _spread's set."""
     if not p:
         raise ValueError("cannot factor the zero polynomial")
     c = content(p)
@@ -597,16 +601,21 @@ def _bit_disjoint_factor(p, support, meter):
     holders = _planes(xs, support) + _planes(ys, support)
     # Point 0 is (1, ..., 1): each term's value is its coefficient, and no
     # minor reaches p(1)**2 in size, so taken modulo p(1)**2 + 1 the test
-    # is exact.  Point d >= 1 is the stream's point number d, taken modulo
-    # (2**61 - 1)**d: a minor whose integer coefficients 2**61 - 1 divides
-    # vanishes at every point modulo that prime, so each point takes the
-    # next power, up to the top one, the first above the coefficients'
-    # bound 2 * p(1)**2.  Each point is charged its terms before they are
-    # evaluated.
+    # is exact.  Past 2**61 - 1 the values are reduced once and the minors
+    # taken modulo that prime: a nonzero residue still proves a dependency,
+    # and one that vanishes by chance only leaves the blocks finer.  Point
+    # d >= 1 is the stream's point number d, taken modulo (2**61 - 1)**d: a
+    # minor whose integer coefficients 2**61 - 1 divides vanishes at every
+    # point modulo that prime, so each point takes the next power, up to the
+    # top one, the first above the coefficients' bound 2 * p(1)**2.  Each
+    # point is charged its terms before they are evaluated.
     values = list(terms.values())
     total = sum(values)
     top = 2 + 2 * total.bit_length() // 61
     modulus = total * total + 1
+    if modulus > _PRIME:
+        modulus = _PRIME
+        values = [v % _PRIME for v in values]
     draw = 0
     while True:
         meter.charge(len(terms), "the dependency test")
@@ -635,18 +644,19 @@ def _bit_disjoint_factor(p, support, meter):
     # that agree with t off the bits of a set of blocks are those of the
     # product of its factors times one constant, the other factors' value
     # at t.  Read on its bits and divided by their content, they are that
-    # product, already in poly_key order; when t = 1 they are terms of p as
-    # they stand.  Each term's signature is the bits where it differs from t.
+    # product, already in poly_key order; when t = 1 they are p's own items
+    # as they stand.  A signed term is an item of p and its signature, the
+    # bits where it differs from t.
     (tx, ty), tv = next(reversed(terms.items()))
-    signed = [((x, y), v, (x ^ tx) | (y ^ ty)) for (x, y), v in terms.items()]
+    signed = [(item, (item[0][0] ^ tx) | (item[0][1] ^ ty)) for item in terms.items()]
 
     def half(items, bits):
         """The poly_key of the primitive product of the factors on bits,
         given the signed terms that agree with t off them."""
         if tx or ty:
-            key = [((x & bits, y & bits), v) for (x, y), v, _ in items]
+            key = [((x & bits, y & bits), v) for ((x, y), v), _ in items]
         else:
-            key = [(e, v) for e, v, _ in items]
+            key = [item for item, _ in items]
         if tv > 1:  # t is in every half, so a half's content divides tv
             g = gcd(*[v for _, v in key])
             if g > 1:
@@ -667,8 +677,13 @@ def _bit_disjoint_factor(p, support, meter):
         # The top block stays on the second side, so each subset of the
         # blocks is read once: as a pick or as the rest of one.
         if j < len(masks) - 1:
-            yield from splits(j + 1, pick, [s for s in rest if not s[2] & mask], bits | mask)
-        yield from splits(j + 1, [s for s in pick if not s[2] & mask], rest, bits)
+            yield from splits(j + 1, pick, [s for s in rest if not s[1] & mask], bits | mask)
+        yield from splits(j + 1, [s for s in pick if not s[1] & mask], rest, bits)
 
     full = sum(masks)
-    return _spread(splits(0, signed, signed, 0), c, cdivs, ((p.zero, 1),))
+    one = ((p.zero, 1),)
+    if c > 1:
+        return _spread(splits(0, signed, signed, 0), c, cdivs, one)
+    # Each subset of the blocks is read once, so with content 1 the pairs
+    # are distinct; the one pair with a unit half is the empty pick's.
+    return sorted([_pair(q, r) for q, r in splits(0, signed, signed, 0) if q != one])

@@ -163,11 +163,13 @@ def test_pack_slots_sums_the_powers_of_each_slot():
         def packed(p):
             return sum(1 << position[m] for m in p)
 
-        assert pack_slots(one, position, 1) == {k: packed(a) for k, (a,) in one.items()}
-        assert pack_slots(two, position, 2) == {
-            k: (packed(a), packed(b)) for k, (a, b) in two.items()
-        }
-        assert pack_slots({"e": (frozenset(), frozenset())}, position, 2) == {"e": (0, 0)}
+        # Labels of keys outside the v part are not read.
+        labeling = {**position, "other": 10**6}
+        assert pack_slots(one.values(), members, labeling, 1) == [packed(a) for (a,) in one.values()]
+        assert pack_slots(two.values(), members, labeling, 2) == [
+            (packed(a), packed(b)) for a, b in two.values()
+        ]
+        assert pack_slots([(frozenset(), frozenset())], members, labeling, 2) == [(0, 0)]
 
 
 def test_disjoint_supports_add_carry_free():

@@ -536,10 +536,11 @@ def test_bit_disjoint_verification_rejects_a_point_that_misses_a_dependency(monk
 
 def test_bit_disjoint_dependency_hidden_modulo_the_prime(monkeypatch):
     """1 + x + x^2 + (m + 1) x^3 with m = 2**61 - 1 is prime, and its one
-    minor is m * z0 * z1: the exact first point (1, 1) shows it, but it is
-    zero at every point modulo m.  With the first point's verification
-    failed on purpose, the first seeded point, taken modulo m, misses it,
-    and the second, taken modulo m**2, shows it: alone and times x^4 + 1."""
+    minor is m * z0 * z1: zero at every point modulo m.  p(1)**2 exceeds
+    m, so the first point (1, 1) takes it modulo m as well; the first
+    seeded point, taken modulo m, misses it too, and the second, taken
+    modulo m**2, shows it: alone and times x^4 + 1.  With the first point's
+    verification failed on purpose the draws are the same."""
     m = polyfactor._PRIME
     p = P({3: m + 1, 2: 1, 1: 1, 0: 1})
     q = p * P({4: 1, 0: 1})
@@ -610,6 +611,46 @@ def test_bit_disjoint_on_a_million_bit_coefficient_and_exponent():
     for a, b in cases:
         assert bit_disjoint_factor(a * b) in ([(a, b)], [(b, a)])
     assert time.perf_counter() - start < 2
+
+
+def test_bit_disjoint_first_point_reduces_values_past_the_prime(monkeypatch):
+    """At the point (1, ..., 1) the minors are exact modulo p(1)**2 + 1 while
+    that is at most 2**61 - 1; past it, the coefficients are reduced once
+    and the minors taken modulo 2**61 - 1, so a million-bit coefficient is
+    not multiplied.  (blocks records the bit length of the largest value
+    and the modulus of each point.)"""
+    m = polyfactor._PRIME
+    seen = []
+    real = polyfactor._blocks
+
+    def blocks(values, holders, support, modulus, meter):
+        seen.append((max(values).bit_length(), modulus if modulus <= m else "past the prime"))
+        return real(values, holders, support, modulus, meter)
+
+    monkeypatch.setattr(polyfactor, "_blocks", blocks)
+    huge = P({e: (1 << 10**6) + 1 if e & 4 else 1 for e in range(64)})
+    pairs = bit_disjoint_factor(huge)
+    assert len(pairs) == 31 and all(q * r == huge for q, r in pairs)
+    assert seen == [((((1 << 10**6) + 1) % m).bit_length(), m)]
+    seen.clear()
+    small = P({3: 5, 2: 1, 1: 5, 0: 1})  # (1 + 5x)(1 + x^2)
+    assert bit_disjoint_factor(small) == [(P({1: 5, 0: 1}), P({2: 1, 0: 1}))]
+    assert seen == [(3, 12**2 + 1)]
+
+
+def test_split_lists_hold_no_repeated_pair():
+    """x^2 (x + 1)^2 spreads x^2 over the split (x + 1, x + 1) both ways,
+    and the content 6 of a constant over (1, 1) both ways; each pair is
+    listed once.  Bit-disjoint splits of content 1 are distinct by
+    construction, one per subset of the prime blocks."""
+    pairs = factor_pairs(parse_poly1("x^4 + 2*x^3 + x^2"))
+    assert len(pairs) == len(set(pairs)) == 4
+    assert bit_disjoint_factor(P({0: 6})) == [(P({0: 2}), P({0: 3}))]
+    rng = random.Random(40)
+    for _ in range(100):
+        net = net_product(random_net(rng, 3, 3), random_net(rng, 3, 3))
+        pairs = bit_disjoint_factor(encode(net, compact_labeling(net)))
+        assert len(pairs) == len(set(pairs))
 
 
 def test_planes_transpose_only_the_asked_bits():

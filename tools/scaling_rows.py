@@ -1,0 +1,102 @@
+"""Wall time and peak RSS of the scaling rows of the net and bit-disjoint routes.
+
+Each row runs in a fresh Python subprocess against the package in the src
+directory next to this tool.  The subprocess builds its input, which is not
+timed, times the one call with perf_counter, and reads its peak resident set
+size from VmHWM in /proc/self/status, so the peak includes the interpreter
+and the input.  Prints one row a line: name, seconds, peak MB and the size
+of the answer.  There is no threshold; the rows are for comparing two trees
+on one machine.  Reading VmHWM makes it Linux only.
+
+    python3 tools/scaling_rows.py [row name ...]
+
+The rows:
+
+* chainK is the K-fold pointed product of the one-event net c0 -> c1 (2**K
+  terms, K prime factors), for K = 12 and 14, under the compact labeling:
+  is_irreducible, graph_factor_pairs and decompose;
+* digraph2000x40 is bit_disjoint_factor on the encoding of a random
+  digraph, 2,000 u-vertices on 40 v-vertices with each arc in either
+  direction at probability 0.3 (random.Random(0)): 2,000 terms on 40
+  support bits;
+* wide100x1000 is bit_disjoint_factor on 100 terms, each exponent 1,000
+  random bits of 10**4 (random.Random(0));
+* sparse64x3 is bit_disjoint_factor on 64 terms, each exponent 3 random
+  bits below 10**6 (random.Random(0));
+* hugecoeff64 is bit_disjoint_factor on the sum of x**e for e < 64, with
+  coefficient 2**(10**6) + 1 where bit 2 of e is set and 1 elsewhere.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
+_ROWS = [
+    "is_irreducible chain12", "graph_factor_pairs chain12", "decompose chain12",
+    "is_irreducible chain14", "graph_factor_pairs chain14", "decompose chain14",
+    "bit_disjoint_factor digraph2000x40", "bit_disjoint_factor wide100x1000",
+    "bit_disjoint_factor sparse64x3", "bit_disjoint_factor hugecoeff64",
+]
+
+
+def _input(name):
+    """The input of a row, as the arguments of its call."""
+    import random
+
+    import bigraphpoly as bp
+
+    if name.startswith("chain"):
+        one = bp.PetriNet(["c0", "c1"], ["e"], pre={"e": ["c0"]}, post={"e": ["c1"]})
+        net = one
+        for _ in range(int(name[5:]) - 1):
+            net = bp.net_product(net, one)
+        return net, bp.compact_net_labeling(net)
+    rng = random.Random(0)
+    if name == "digraph2000x40":
+        us, vs = range(2000), range(2000, 2040)
+        arcs = [a for u in us for v in vs for a in ((v, u), (u, v)) if rng.random() < 0.3]
+        g = bp.DiBigraph(us, vs, arcs)
+        return (bp.encode_directed(g, bp.compact_labeling(g)),)
+    if name == "wide100x1000":
+        return (bp.Poly1({bp.from_bits(rng.sample(range(10**4), 1000)): 1 for _ in range(100)}),)
+    if name == "sparse64x3":
+        return (bp.Poly1({bp.from_bits(rng.sample(range(10**6), 3)): 1 for _ in range(64)}),)
+    if name == "hugecoeff64":
+        return (bp.Poly1({e: (2**(10**6) + 1 if e & 4 else 1) for e in range(64)}),)
+    raise ValueError(f"no row input {name}")
+
+
+def _run(row):
+    """Run one row in this process and print its line."""
+    from time import perf_counter
+
+    from bigraphpoly import bit_disjoint_factor, decompose, is_irreducible
+    from bigraphpoly.graphfactor import graph_factor_pairs
+
+    call, name = row.split()
+    calls = [bit_disjoint_factor, decompose, graph_factor_pairs, is_irreducible]
+    function = next(f for f in calls if f.__name__ == call)
+    args = _input(name)
+    start = perf_counter()
+    out = function(*args)
+    seconds = perf_counter() - start
+    size = out.verdict if call == "is_irreducible" else f"{len(out)} pairs"
+    with open("/proc/self/status") as status:
+        peak = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+    print(f"{row:<36} {seconds:8.3f} s {peak / 1024:8.1f} MB  {size}")
+
+
+def main(rows):
+    for row in rows or _ROWS:
+        if row not in _ROWS:
+            raise SystemExit(f"unknown row {row!r}; the rows are {_ROWS}")
+        subprocess.run([sys.executable, __file__, "--row", row], check=True)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--row"]:
+        sys.path.insert(0, str(_SRC))
+        _run(sys.argv[2])
+    else:
+        main(sys.argv[1:])
