@@ -39,7 +39,8 @@ its coefficient and the test is exact in integers, or taken modulo
 2**61 - 1 once p(1)**2 passes that prime.  Each set of terms is
 a bitmask over them, so with unit coefficients a sum over one is its
 popcount.  A point that misses a dependency fails the check, and the
-next is drawn at random modulo a power of 2**61 - 1.  Every half is then
+next is drawn at random modulo a power of 2**61 - 1, from a generator of
+a fixed seed that the search seeds for itself.  Every half is then
 read off p's terms: the terms that agree with p's least term off the
 half's blocks, read on its bits and divided by their content, are the
 half's, so no product is built; for a net, whose least term is the
@@ -56,7 +57,6 @@ polynomials from them.
 from __future__ import annotations
 
 import random
-import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd, isqrt, prod
@@ -359,37 +359,15 @@ _PRIME = (1 << 61) - 1
 _SEED = 2010  # fixed, so that answers and step counts repeat exactly
 
 
-class _Stream:
-    """The values of random.Random(_SEED).randrange(1, _PRIME) in order,
-    drawn the first time a search needs them and kept for the process.
-
-    A search on count variables takes values (draw - 1) * count up to
-    draw * count as its point number draw, for draw >= 1 (its point 0,
-    (1, ..., 1), needs no stream): the point a generator seeded afresh for
-    the search would give it, without seeding one per call.  It keeps
-    max(draw * count) values: the widest support times the most draws.
-    One thread at a time draws under the lock; the list only grows, so a
-    stretch once drawn is read without it.
-    """
-
-    def __init__(self):
-        self._rng = random.Random(_SEED)
-        self._values = []
-        self._lock = threading.Lock()
-
-    def point(self, draw, count):
-        """The values of count bit variables at the search's point number
-        draw (from 1): nonzero residues modulo 2**61 - 1."""
-        values = self._values
-        stop = draw * count
-        if len(values) < stop:
-            with self._lock:
-                while len(values) < stop:
-                    values.append(self._rng.randrange(1, _PRIME))
-        return values[stop - count:stop]
-
-
-_point = _Stream().point
+def _points(count):
+    """The random points of one search on count variables: point number d,
+    for d >= 1, is values (d - 1) * count up to d * count of
+    random.Random(_SEED).randrange(1, _PRIME), nonzero residues modulo
+    2**61 - 1.  The generator is seeded at the first point drawn, so a
+    search whose point (1, ..., 1) answers seeds none."""
+    rng = random.Random(_SEED)
+    while True:
+        yield [rng.randrange(1, _PRIME) for _ in range(count)]
 
 
 def _planes(values, positions):
@@ -559,11 +537,11 @@ def bit_disjoint_factor(p, budget: Budget = Budget()) -> list:
     and modulo that prime past it; peeling them off one at a time with an
     exact test on p's own terms verifies them, and a failed verification
     draws a random point.  So the time is random but an answer never is.
-    The random points come from one stream of a fixed seed, drawn once per
-    process and shared by every call, so both repeat.  A step is one term
-    evaluated at a point, one dependency test or one term it reads, one
-    term read by the verification, one term of an emitted factor, or one
-    trial division of the content.
+    Each search seeds its own generator, of a fixed seed, at its first
+    random point, so both repeat and no two calls share any state.  A step
+    is one term evaluated at a point, one dependency test or one term it
+    reads, one term read by the verification, one term of an emitted
+    factor, or one trial division of the content.
     An empty result certifies that no bit-disjoint pair exists.
 
     By Gauss's lemma a split of p is its content c = c1 * c2 spread over the
@@ -586,7 +564,9 @@ def _bit_disjoint_factor(p, support, meter):
     their poly_key order: when p(0) >= 1 every term of a half is a term of
     p, its coefficient divided by the half's content.  A prime primitive p
     answers [] as soon as the emission is charged.  With content 1 each
-    pair is distinct, so only a content spread goes through _spread's set."""
+    pair is distinct, so only a content spread goes through _spread's set.
+    A point (1, ..., 1) that misses a dependency makes the search seed its
+    own generator of random points, shared with no other call."""
     if not p:
         raise ValueError("cannot factor the zero polynomial")
     c = content(p)
@@ -604,7 +584,8 @@ def _bit_disjoint_factor(p, support, meter):
     # is exact.  Past 2**61 - 1 the values are reduced once and the minors
     # taken modulo that prime: a nonzero residue still proves a dependency,
     # and one that vanishes by chance only leaves the blocks finer.  Point
-    # d >= 1 is the stream's point number d, taken modulo (2**61 - 1)**d: a
+    # d >= 1 is number d of this search's own points, whose generator is
+    # seeded when the first is drawn, taken modulo (2**61 - 1)**d: a
     # minor whose integer coefficients 2**61 - 1 divides vanishes at every
     # point modulo that prime, so each point takes the next power, up to the
     # top one, the first above the coefficients' bound 2 * p(1)**2.  Each
@@ -616,13 +597,14 @@ def _bit_disjoint_factor(p, support, meter):
     if modulus > _PRIME:
         modulus = _PRIME
         values = [v % _PRIME for v in values]
+    points = _points(len(holders))
     draw = 0
     while True:
         meter.charge(len(terms), "the dependency test")
         if draw:
             modulus = _PRIME ** min(draw, top)
             values = [v % modulus for v in terms.values()]
-            for z, rows in zip(_point(draw, len(holders)), holders):
+            for z, rows in zip(next(points), holders):
                 for i in tau(rows):
                     values[i] = values[i] * z % modulus
         masks = [from_bits(bits) for bits in _blocks(values, holders, support, modulus, meter)]

@@ -12,7 +12,16 @@ import json
 import random
 from itertools import permutations
 
-from bigraphpoly import Bigraph, DiBigraph, PetriNet, Poly1, Poly2, factor_graph, net_product
+from bigraphpoly import (
+    Bigraph,
+    DiBigraph,
+    PetriNet,
+    Poly1,
+    Poly2,
+    factor_graph,
+    net_product,
+    polyfactor,
+)
 from bigraphpoly.core import Bipartite
 from bigraphpoly.fileio import graph_text, net_text, string_ids
 
@@ -553,3 +562,21 @@ def per_u_repr(cls, per_u):
     us, vs, sig = per_u
     links = sum(len(part) for slots in sig.values() for part in slots)
     return f"{cls.__name__}(|u|={len(us)}, |v|={len(vs)}, |links|={links})"
+
+
+# ---------------------------------------------------------------------------
+# The random points of the bit-disjoint search, seen through its seam.
+
+def record_points(monkeypatch) -> list:
+    """A list to which every later bit-disjoint search, in any thread,
+    appends each random point it draws, as a tuple, in the order drawn."""
+    drawn = []
+    real = polyfactor._points
+
+    def points(count):
+        for point in real(count):
+            drawn.append(tuple(point))
+            yield point
+
+    monkeypatch.setattr(polyfactor, "_points", points)
+    return drawn

@@ -33,6 +33,7 @@ from helpers import (
     random_digraph,
     random_labeling,
     random_net,
+    record_points,
 )
 
 
@@ -507,19 +508,19 @@ def test_bit_disjoint_verification_rejects_a_point_that_misses_a_dependency(monk
     both points 1 + x + x^2 + x^3 + x^4 + x^7 gets the blocks {0, 1} and
     {2}; its grid over them is rank 1 where filled but lacks x^5 and x^6,
     so only the count of the grid's cells rejects them."""
-    real_point, real_peel = polyfactor._point, polyfactor._peel
+    real_points, real_peel = polyfactor._points, polyfactor._peel
     peels = []
 
-    def point(draw, count):
-        if draw == 1:
-            return [polyfactor._PRIME - 1, polyfactor._PRIME - 1, 1] + real_point(draw, count)[3:]
-        return real_point(draw, count)
+    def points(count):
+        drawn = real_points(count)
+        yield [polyfactor._PRIME - 1, polyfactor._PRIME - 1, 1] + next(drawn)[3:]
+        yield from drawn
 
     def peel(*args):
         peels.append(real_peel(*args))
         return peels[-1]
 
-    monkeypatch.setattr(polyfactor, "_point", point)
+    monkeypatch.setattr(polyfactor, "_points", points)
     monkeypatch.setattr(polyfactor, "_peel", peel)
     prime = P({7: 1, 2: 1, 1: 1, 0: 1})
     counts = []
@@ -565,13 +566,11 @@ def test_bit_disjoint_charges_a_point_before_drawing_it(monkeypatch):
     """Each point is charged its terms before it is drawn and evaluated: on
     1 + x, whose one class makes no test, a budget of three points and one
     step, with no verification passing, draws points 1 and 2 only."""
-    drawn = []
-    real = polyfactor._point
+    drawn = record_points(monkeypatch)
     monkeypatch.setattr(polyfactor, "_peel", lambda terms, masks, meter: None)
-    monkeypatch.setattr(polyfactor, "_point", lambda d, n: drawn.append(d) or real(d, n))
     with pytest.raises(BudgetExceededError, match="in the dependency test"):
         bit_disjoint_factor(Poly1({0: 1, 1: 1}), Budget(max_steps=7))
-    assert drawn == [1, 2]
+    assert len(drawn) == 2
 
 
 def test_mask_sums_are_the_sums():
@@ -697,14 +696,7 @@ def test_bit_disjoint_matches_the_reference_on_nets_digraphs_and_polys(monkeypat
             cases.append(p)
     high = 1 << 300  # a bit far past the others: its own byte column
     cases += [P({high: 1, 0: 1}) * P({3: 1, 1: 2, 0: 1}), Poly2({(high, 1): 2, (1, high): 1})]
-    draws = []
-    real = polyfactor._point
-
-    def point(draw, count):
-        draws.append(draw)
-        return real(draw, count)
-
-    monkeypatch.setattr(polyfactor, "_point", point)
+    draws = record_points(monkeypatch)
     for p in cases:
         got = [tuple(sorted((poly_key(a), poly_key(b)))) for a, b in bit_disjoint_factor(p)]
         assert got == sorted(bit_disjoint_reference(dict(p.terms))), p

@@ -1,12 +1,12 @@
 """Step counts and answers of the bit-disjoint search, of the coefficient
 search and of the isomorphism search pinned on seeded corpora, those of the
 labeling walk pinned on symmetric inputs, the bit-disjoint search's
-points against the seeded random stream, and decompose run by several
+points against one seeded Random stream, and decompose run by several
 threads at once.
 
 The pinned figures are the least Budget under which each call answers and
 a digest of its pairs.  They fix the bit-disjoint search's charges and,
-with the point stream, its draws, and the charges of the coefficient
+with its seeded points, its draws, and the charges of the coefficient
 search's walk: one walk per q(0) shared by every divisor of p(1), with the
 q(2) | p(2) test on dense supports.  A change to any of them moves a figure.
 """
@@ -17,6 +17,8 @@ import sys
 import threading
 from collections import Counter
 from math import comb
+
+import pytest
 
 from bigraphpoly import (
     Bigraph,
@@ -46,6 +48,7 @@ from helpers import (
     random_digraph,
     random_labeling,
     random_net,
+    record_points,
 )
 
 
@@ -67,7 +70,7 @@ def repeated(net, copies, empty):
     return PetriNet(net.conditions, evs + [("idle", k) for k in range(empty)], pre, post)
 
 
-def net_cases(monkeypatch):
+def net_cases():
     """(name, net, labeling) for decompose."""
     cases = [(f"chain{k}", chain(k), None) for k in (4, 5, 6)]
     rng = random.Random(1717)
@@ -84,7 +87,7 @@ def net_cases(monkeypatch):
         raise AssertionError(f"{primes} prime nets in 1,000 seeded tries, not 4")
     product = net_product(random_net(rng, 3, 3), random_net(rng, 3, 3))
     cases.append(("content3", repeated(product, 3, 2), None))
-    cases.append(("second_point", second_point_net(monkeypatch), None))
+    cases.append(("second_point", second_point_net(), None))
     return [
         (name, net, compact_labeling(net) if lab is None else lab)
         for name, net, lab in cases
@@ -101,29 +104,22 @@ def monomial_digraph():
     return DiBigraph(g.u_vertices, [*g.v_vertices, "m"], arcs)
 
 
-def draws_of(monkeypatch, p):
-    """How many seeded points bit_disjoint_factor draws for p."""
-    calls = []
-    real = polyfactor._point
-
-    def point(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(polyfactor, "_point", point)
-    bit_disjoint_factor(p)
-    monkeypatch.setattr(polyfactor, "_point", real)
-    return len(calls)
+def points_of(p):
+    """The seeded points bit_disjoint_factor draws for p, in order."""
+    with pytest.MonkeyPatch.context() as patch:
+        drawn = record_points(patch)
+        bit_disjoint_factor(p)
+    return drawn
 
 
-def second_point_net(monkeypatch):
+def second_point_net():
     """The first pointed product of two random nets, in a seeded scan, on
     whose encoding the point (1, ..., 1) misses a dependency, so that the
     search draws a seeded point."""
     rng = random.Random(1719)
     for _ in range(1000):
         net = net_product(random_net(rng, 3, 3), random_net(rng, 3, 3))
-        if draws_of(monkeypatch, encode(net, compact_labeling(net))):
+        if points_of(encode(net, compact_labeling(net))):
             return net
     raise AssertionError("no net in 1,000 seeded tries needs a seeded point")
 
@@ -151,7 +147,7 @@ def least_budget_is(call, steps):
 # when a variable with an earlier variable's holder set (not every term)
 # began to join its class untested.  They held when the first point became
 # (1, ..., 1), and second_point became a net on which that point misses a
-# dependency.
+# dependency, and again when each search began to seed its own points.
 # decompose and bit_disjoint_factor on the net's encoding charge the same
 # steps, as decompose's encoding and coverage check are free.
 PINNED = {
@@ -168,9 +164,9 @@ PINNED = {
 }
 
 
-def test_least_budgets_and_answers_are_pinned(monkeypatch):
+def test_least_budgets_and_answers_are_pinned():
     seen = {}
-    for name, net, labeling in net_cases(monkeypatch):
+    for name, net, labeling in net_cases():
         p = encode(net, labeling)
         pairs = least_budget_is(lambda b: bit_disjoint_factor(p, b), PINNED[name][0])
         halves = least_budget_is(lambda b: decompose(net, labeling, b), PINNED[name][0])
@@ -186,13 +182,13 @@ def test_least_budgets_and_answers_are_pinned(monkeypatch):
     assert sum(pins[1] for pins in PINNED.values()) > 50
 
 
-def test_a_first_point_that_misses_answers_after_one_draw(monkeypatch):
+def test_a_first_point_that_misses_answers_after_one_draw():
     """On the second_point net the point (1, ..., 1) misses a dependency:
     the search draws one seeded point and answers as the brute-force
     reference does."""
-    net = second_point_net(monkeypatch)
+    net = second_point_net()
     p = encode(net, compact_labeling(net))
-    assert draws_of(monkeypatch, p) == 1
+    assert len(points_of(p)) == 1
     got = [tuple(sorted((poly_key(a), poly_key(b)))) for a, b in bit_disjoint_factor(p)]
     assert got == sorted(bit_disjoint_reference(dict(p.terms))) and got
 
@@ -252,60 +248,71 @@ def test_factor_pairs_least_budgets_and_answers_are_pinned():
 
 
 def test_points_are_the_seeded_stream():
-    """Point number d of a search on n variables is values (d - 1) n up to
-    d n of one Random(2010) stream of nonzero residues modulo 2**61 - 1,
-    whatever points other searches took before."""
+    """Point number k of a fresh generator on n variables is values
+    (k - 1) n up to k n of one Random(2010) stream of nonzero residues
+    modulo 2**61 - 1, however its draws interleave with another's; and a
+    search that draws gets the same points after other drawing searches
+    ran."""
     rng = random.Random(2010)
-    stream = [rng.randrange(1, polyfactor._PRIME) for _ in range(40)]
-    fresh = polyfactor._Stream().point
-    for draw, count in ((1, 4), (3, 5), (2, 7), (1, 12), (4, 10), (1, 0)):
-        want = stream[(draw - 1) * count:draw * count]
-        assert fresh(draw, count) == want
-        assert polyfactor._point(draw, count) == want
+    stream = [rng.randrange(1, polyfactor._PRIME) for _ in range(400)]
+    for n in (0, 1, 2, 5, 12, 40):
+        points, other = polyfactor._points(n), polyfactor._points(n)
+        for k in range(1, 6):
+            assert next(points) == stream[(k - 1) * n:k * n]
+            if k % 2:
+                assert next(other) == stream[(k - 1) // 2 * n:(k + 1) // 2 * n]
+    net = second_point_net()
+    p = encode(net, compact_labeling(net))
+    prime = Poly1({7: 1, 2: 1, 1: 1, 0: 1})  # (1, 1, 1) misses here too
+    alone = points_of(p)
+    n = len(alone[0])
+    assert alone == [tuple(stream[:n])] and n > 0
+    assert points_of(prime) and points_of(p) == alone
+    assert points_of(prime) == [tuple(stream[:6])]
 
 
-def test_threads_decompose_as_a_serial_run(monkeypatch):
-    """Four threads decomposing the same nets at once, on a point stream
-    none has drawn yet, get the serial run's pairs under the same least
-    budgets and draw what the serial run drew, the start of the seeded
-    stream; the second_point net needs a seeded point, so they draw some.
-    Three rounds, each on a fresh stream, with threads switching often."""
-    cases = net_cases(monkeypatch)
-    cases.sort(key=lambda case: len(case[1].conditions))  # the stream grows as they go
-    stream = polyfactor._Stream()
-    monkeypatch.setattr(polyfactor, "_point", stream.point)
+def test_threads_decompose_as_a_serial_run():
+    """Four threads decomposing the same nets at once get the serial run's
+    pairs under the same least budgets, and between them draw four times
+    the seeded points the serial run drew; the second_point net needs a
+    seeded point, so they draw some.  Three rounds, with threads switching
+    often."""
+    cases = net_cases()
     serial = [decompose(net, labeling) for _, net, labeling in cases]
-    drawn = list(stream._values)
-    rng = random.Random(2010)
-    seeded = [rng.randrange(1, polyfactor._PRIME) for _ in range(24)]
-    assert drawn and drawn == seeded[:len(drawn)]
 
-    def work(slot):
-        start.wait()
-        results[slot] = [
+    def run():
+        return [
             least_budget_is(lambda b: decompose(net, labeling, b), PINNED[name][0])
             for name, net, labeling in cases
         ]
 
+    def work(slot):
+        start.wait()
+        results[slot] = run()
+
+    with pytest.MonkeyPatch.context() as patch:
+        drawn = record_points(patch)
+        assert run() == serial
+    assert drawn
+
     interval = sys.getswitchinterval()
     for _ in range(3):
-        stream = polyfactor._Stream()
-        monkeypatch.setattr(polyfactor, "_point", stream.point)
-        start = threading.Barrier(4)
-        results = [None] * 4
-        threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
+        with pytest.MonkeyPatch.context() as patch:
+            threaded = record_points(patch)
+            start = threading.Barrier(4)
+            results = [None] * 4
+            threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert results == [serial] * 4
-        assert stream._values == drawn
-        assert stream.point(1, 24) == seeded
+        assert Counter(threaded) == Counter({point: 4 * k for point, k in Counter(drawn).items()})
 
 
 def random_slots(rng, kind, nu, nv):

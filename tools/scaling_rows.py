@@ -24,7 +24,11 @@ The rows:
 * sparse64x3 is bit_disjoint_factor on 64 terms, each exponent 3 random
   bits below 10**6 (random.Random(0));
 * hugecoeff64 is bit_disjoint_factor on the sum of x**e for e < 64, with
-  coefficient 2**(10**6) + 1 where bit 2 of e is set and 1 elsewhere.
+  coefficient 2**(10**6) + 1 where bit 2 of e is set and 1 elsewhere;
+* miss7 is bit_disjoint_factor on the product of 7 copies of the prime
+  1 + x + x**2 + x**7, copy k on bits 3k to 3k + 2 (16,384 terms, 63
+  pairs).  The point (1, ..., 1) misses a dependency inside each copy, so
+  the search draws one seeded random point: the one row on that path.
 """
 
 import subprocess
@@ -37,6 +41,7 @@ _ROWS = [
     "is_irreducible chain14", "graph_factor_pairs chain14", "decompose chain14",
     "bit_disjoint_factor digraph2000x40", "bit_disjoint_factor wide100x1000",
     "bit_disjoint_factor sparse64x3", "bit_disjoint_factor hugecoeff64",
+    "bit_disjoint_factor miss7",
 ]
 
 
@@ -64,6 +69,11 @@ def _input(name):
         return (bp.Poly1({bp.from_bits(rng.sample(range(10**6), 3)): 1 for _ in range(64)}),)
     if name == "hugecoeff64":
         return (bp.Poly1({e: (2**(10**6) + 1 if e & 4 else 1) for e in range(64)}),)
+    if name == "miss7":
+        p = bp.Poly1({0: 1})
+        for k in range(7):
+            p = p * bp.Poly1({e << 3 * k: 1 for e in (0, 1, 2, 7)})
+        return (p,)
     raise ValueError(f"no row input {name}")
 
 
