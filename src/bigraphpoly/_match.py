@@ -9,6 +9,8 @@ as multisets; the right bijection then falls out by bucket matching.
 
 The search individualizes and refines (McKay & Piperno, "Practical graph
 isomorphism, II", J. Symbolic Comput. 2014), charging the caller's meter.
+Refinement stops once the v-colorings of both sides are discrete, as they
+then leave one candidate pairing, or once the colors stop splitting.
 """
 
 from __future__ import annotations
@@ -20,12 +22,14 @@ def _refine(sig1, sig2, vcol1, vcol2, cost, meter):
     """The v- and u-colorings of both sides refined from vcol1 and vcol2.
 
     A round recolors each u-vertex by the sorted v-colors of each of its
-    slots, then each v-vertex by its color and the sorted (slot, u-color)
-    pairs of the slots it lies in.  Colors come from one table shared by
-    the sides, so they compare across them; within a round the u-colors of
-    side 1, then of side 2, then the v-colors of side 1, then of side 2
-    take the next free ids.  Rounds repeat until the number of v-colors of
-    the two sides together stops growing, and each charges cost steps.
+    slots, then each v-vertex by its color and the sorted memberships of
+    the slots it lies in, a membership being the u-color uc in slot 0 and
+    -1 - uc in slot 1.  Colors come from one table shared by the sides, so
+    they compare across them; within a round the u-colors of side 1, then
+    of side 2, then the v-colors of side 1, then of side 2 take the next
+    free ids.  Rounds repeat until both v-colorings are discrete, which
+    leaves one candidate pairing, or the number of v-colors of the two
+    sides together stops growing; each charges cost steps.
     """
     table = {}
     vcols = (vcol1, vcol2)
@@ -35,19 +39,21 @@ def _refine(sig1, sig2, vcol1, vcol2, cost, meter):
         ucols, accs = ({}, {}), []
         for sig, vcol, ucol in zip((sig1, sig2), vcols, ucols):
             acc = {v: [] for v in vcol}
+            color = vcol.__getitem__
             for u, slots in sig.items():
-                key = tuple(tuple(sorted(vcol[v] for v in part)) for part in slots)
+                key = tuple([tuple(sorted(map(color, part))) for part in slots])
                 ucol[u] = uc = table.setdefault(key, len(table))
-                for slot, part in enumerate(slots):
+                for member, part in zip((uc, -1 - uc), slots):
                     for v in part:
-                        acc[v].append((slot, uc))
+                        acc[v].append(member)
             accs.append(acc)
         vcols = [
             {v: table.setdefault((vcol[v], tuple(sorted(a))), len(table)) for v, a in acc.items()}
             for vcol, acc in zip(vcols, accs)
         ]
-        ncolors = len(set(vcols[0].values()) | set(vcols[1].values()))
-        if ncolors == prev:
+        seen = [set(vcol.values()) for vcol in vcols]
+        ncolors = len(seen[0] | seen[1])
+        if ncolors == prev or all(len(s) == len(c) for s, c in zip(seen, vcols)):
             return (*vcols, *ucols)
         prev = ncolors
 

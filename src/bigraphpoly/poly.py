@@ -23,6 +23,8 @@ monomials.
 from __future__ import annotations
 
 import re
+import sys
+from itertools import compress
 from math import gcd
 from types import MappingProxyType
 
@@ -178,8 +180,26 @@ def add(p, q):
 
 
 def mul(p, q):
-    """Product in the same semiring."""
+    """Product in the same semiring.
+
+    Dense operands multiply as one integer (Kronecker substitution; Harvey,
+    "Faster polynomial multiplication via multipoint Kronecker
+    substitution", J. Symbolic Comput. 2009): each operand's coefficients
+    are packed into one int at a stride of w bytes, the least of 1, 2, 4
+    and 8 with 2^(8w) above p(1) * max coeff(q) and q(1) * max coeff(p),
+    either of which bounds every product coefficient, so no stride carries
+    into the next.  CPython multiplies the two ints, and the product's
+    bytes read back as its coefficients.  A Poly2 term (i, j) packs at
+    i * D + j, with D = deg_y p + deg_y q + 1, so no y-exponent of the
+    product reaches D.  Where the packed bytes would exceed
+    8 * len(p) * len(q), or the bound reaches 2^64, each pair of terms is
+    multiplied instead: sparse operands such as x^(2^40) + 1 keep that
+    loop.
+    """
     _same_arity(p, q)
+    terms = _packed(p, q)
+    if terms is not None:
+        return type(p)._from_key(terms)
     out = {}
     if isinstance(p, Poly1):
         for e1, c1 in p.terms.items():
@@ -192,6 +212,44 @@ def mul(p, q):
                 e = (i1 + i2, j1 + j2)
                 out[e] = out.get(e, 0) + c1 * c2
     return type(p)._trusted(out)
+
+
+_STRIDES = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
+
+
+def _packed(p, q):
+    """The (exponent, coefficient) items of p * q in descending exponent
+    order, through one integer product, or None where mul's gate keeps the
+    pair loop.  Both operands are packed in sys.byteorder, the order in
+    which memoryview.cast reads the product's bytes back."""
+    a, b = p._terms, q._terms
+    if not a or not b:
+        return ()
+    limit = 8 * len(a) * len(b)  # packed bytes past which the pair loop is cheaper
+    if isinstance(p, Poly2):
+        stride = max(j for _, j in a) + max(j for _, j in b) + 1
+        # Either coordinate past the limit puts the packed bytes past it
+        # too; checked before any i * stride, as exponents may be huge.
+        if stride > limit or next(iter(a))[0] + next(iter(b))[0] > limit:
+            return None
+        a, b = ({i * stride + j: c for (i, j), c in t.items()} for t in (a, b))
+    bound = min(sum(a.values()) * max(b.values()), sum(b.values()) * max(a.values()))
+    size = next(iter(a)) + next(iter(b)) + 1  # coefficients of the product
+    width, fmt = next(((w, f) for w, f in _STRIDES if bound < 1 << 8 * w), (None, None))
+    if width is None or size * width > limit:
+        return None
+    ints = []
+    for t in (a, b):
+        buf = bytearray((next(iter(t)) + 1) * width)
+        view = memoryview(buf).cast(fmt)
+        for e, c in t.items():
+            view[e] = c
+        ints.append(int.from_bytes(buf, sys.byteorder))
+    view = memoryview((ints[0] * ints[1]).to_bytes(size * width, sys.byteorder)).cast(fmt)[::-1]
+    terms = compress(zip(range(size - 1, -1, -1), view), view)
+    if isinstance(p, Poly2):
+        return [(divmod(e, stride), c) for e, c in terms]
+    return terms
 
 
 def evaluate(p, t):

@@ -150,6 +150,34 @@ def from_slots(kind, us, vs, sig):
     return PetriNet(vs, us, pre={u: sig[u][0] for u in us}, post={u: sig[u][1] for u in us})
 
 
+def random_slots(rng, kind, nu, nv):
+    """A kind with nu u- and nv v-vertices, each slot holding each v-vertex
+    with probability 0.4 over the number of slots, and every v-vertex in
+    some slot."""
+    us = [f"u{i}" for i in range(nu)]
+    vs = [f"v{j}" for j in range(nv)]
+    width = 1 if kind is Bigraph else 2
+    sig = {u: [{v for v in vs if rng.random() < 0.4 / width} for _ in range(width)] for u in us}
+    for v in vs:
+        if not any(v in part for slots in sig.values() for part in slots):
+            rng.choice(sig[rng.choice(us)]).add(v)
+    return from_slots(kind, us, vs, sig)
+
+
+def relabeled(rng, g, moved=None):
+    """g under fresh ids in shuffled order; moved = (u, slot, v, w) takes v
+    out of that slot of u and puts w in."""
+    us = rng.sample(g.u_vertices, len(g.u_vertices))
+    vs = rng.sample(g.v_vertices, len(g.v_vertices))
+    name = {x: f"{x}'" for x in (*us, *vs)}
+    sig = {u: [set(part) for part in g.slots(u)] for u in us}
+    if moved:
+        u, slot, v, w = moved
+        sig[u][slot] ^= {v, w}
+    sig = {name[u]: [{name[v] for v in part} for part in slots] for u, slots in sig.items()}
+    return from_slots(type(g), [name[u] for u in us], [name[v] for v in vs], sig)
+
+
 def cycles(*sizes):
     """Disjoint cycles, one per size n: u-vertex i of a cycle is on its
     v-vertices i and i + 1 mod n, so every vertex has degree 2."""
@@ -235,12 +263,22 @@ def render_reference(p) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def mul_terms(t1: dict, t2: dict) -> dict:
+def mul_reference(p, q) -> dict:
+    """The terms of p * q, in descending exponent order, by the double loop
+    over every pair of terms: the reference for poly.mul's packed
+    products."""
     out = {}
-    for e1, c1 in t1.items():
-        for e2, c2 in t2.items():
-            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-    return out
+    if isinstance(p, Poly1):
+        for e1, c1 in p.terms.items():
+            for e2, c2 in q.terms.items():
+                e = e1 + e2
+                out[e] = out.get(e, 0) + c1 * c2
+    else:
+        for (i1, j1), c1 in p.terms.items():
+            for (i2, j2), c2 in q.terms.items():
+                e = (i1 + i2, j1 + j2)
+                out[e] = out.get(e, 0) + c1 * c2
+    return dict(sorted(out.items(), reverse=True))
 
 
 def dense_mul(a: list, b: list) -> list:

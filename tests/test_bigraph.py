@@ -19,6 +19,7 @@ from bigraphpoly import (
     BudgetExceededError,
     DiBigraph,
     LabelingError,
+    PetriNet,
     Poly1,
     Poly2,
     canonical_poly,
@@ -40,6 +41,8 @@ from helpers import (
     random_canon_case,
     random_digraph,
     random_labeling,
+    random_slots,
+    relabeled,
 )
 
 
@@ -336,12 +339,15 @@ def edge_set(g):
 
 
 def nx_graph(nx, g):
-    """g as a networkx graph whose nodes carry their part; a digraph keeps
-    the direction of each arc."""
-    out = nx.DiGraph() if isinstance(g, DiBigraph) else nx.Graph()
+    """g as a networkx graph from its slots, nodes carrying their part:
+    undirected for one slot; for two, slot 0 points from v to u and slot 1
+    from u to v, so digraphs and nets keep the direction of each link."""
+    out = nx.Graph() if g.arity == 1 else nx.DiGraph()
     out.add_nodes_from(g.u_vertices, part="u")
     out.add_nodes_from(g.v_vertices, part="v")
-    out.add_edges_from(edge_set(g))
+    for u in g.u_vertices:
+        for slot, part in enumerate(g.slots(u)):
+            out.add_edges_from((u, v) if slot else (v, u) for v in part)
     return out
 
 
@@ -545,6 +551,43 @@ def test_is_isomorphic_agrees_with_networkx_on_regular_inputs(kind):
             assert {(m[a], m[b]) for a, b in edge_set(g)} == edge_set(h)
         verdicts[found is not None] += 1
     assert verdicts[True] >= 15 and verdicts[False] >= 5
+
+
+@pytest.mark.parametrize("kind", [Bigraph, DiBigraph, PetriNet], ids=["graph", "digraph", "net"])
+def test_is_isomorphic_agrees_with_networkx_on_graphs_digraphs_and_nets(kind):
+    """The benchmark's shapes (10-30 u-vertices, 6-13 v-vertices), where
+    refinement mostly reaches a discrete coloring and stops there: a
+    relabeled copy, the copy with one slot member toggled, or an independent
+    draw.  A witness exactly when networkx finds a part-respecting
+    isomorphism, and every witness carries each slot onto its image."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(38)
+    verdicts = Counter()
+    for k in range(60):
+        g = random_slots(rng, kind, rng.randint(10, 30), rng.randint(6, 13))
+        if k % 3 == 0:
+            h = relabeled(rng, g)
+        elif k % 3 == 1:
+            u = rng.choice(g.u_vertices)
+            vs = g.v_vertices
+            toggled = (u, rng.randrange(g.arity), rng.choice(vs), rng.choice(vs))
+            h = relabeled(rng, g, toggled)
+        else:
+            h = random_slots(rng, kind, len(g.u_vertices), len(g.v_vertices))
+        found = is_isomorphic(g, h)
+        assert (found is not None) == nx_isomorphic(nx, g, h), k
+        if found is not None:
+            u_map, v_map = found
+            assert sorted(u_map) == sorted(g.u_vertices)
+            assert sorted(u_map.values()) == sorted(h.u_vertices)
+            assert sorted(v_map) == sorted(g.v_vertices)
+            assert sorted(v_map.values()) == sorted(h.v_vertices)
+            for u in g.u_vertices:
+                assert h.slots(u_map[u]) == tuple(
+                    frozenset(map(v_map.__getitem__, part)) for part in g.slots(u)
+                )
+        verdicts[found is not None] += 1
+    assert verdicts[True] >= 20 and verdicts[False] >= 20
 
 
 def test_canonical_poly_agrees_with_networkx_past_the_old_guard():

@@ -2,6 +2,7 @@
 
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -21,11 +22,12 @@ from bigraphpoly import (
     parse_poly,
     parse_poly1,
     parse_poly2,
+    poly,
     poly_key,
     render,
 )
 
-from helpers import mul_terms, random_poly1, random_poly2, render_reference
+from helpers import mul_reference, random_poly1, random_poly2, render_reference
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +151,106 @@ def test_mul_matches_dict_oracle():
     rng = random.Random(13)
     for _ in range(200):
         p, q = random_poly1(rng), random_poly1(rng)
-        assert dict(mul(p, q).terms) == mul_terms(dict(p.terms), dict(q.terms))
+        assert dict(mul(p, q).terms) == mul_reference(p, q)
+
+
+def packed_side(p, q):
+    """Whether mul packs p and q into one integer product, read through
+    the seam that answers None where the pair loop runs."""
+    return poly._packed(p, q) is not None
+
+
+def assert_mul_is_the_pair_loop(p, q):
+    got = mul(p, q)
+    assert list(got.terms.items()) == list(mul_reference(p, q).items())
+    assert got == mul(q, p)
+
+
+def random_dense(rng, arity, terms, top, degree):
+    """About terms random terms below degree, coefficients from 1 to top."""
+    if arity == 1:
+        return Poly1({rng.randrange(degree): rng.randint(1, top) for _ in range(terms)})
+    return Poly2({(rng.randrange(degree), rng.randrange(4)): rng.randint(1, top)
+                  for _ in range(terms)})
+
+
+# (stride in bytes, n, c): n terms, each with coefficient c, times itself
+# has the bound c * c * n just below 2^(8 * stride), and its middle
+# coefficient reaches that bound.  None is the pair loop, past 2^64.
+STRIDES = [(1, 5, 7), (2, 16, 63), (4, 16, 2**14 - 1), (8, 16, 2**30 - 1), (None, 16, 2**30)]
+
+
+@pytest.mark.parametrize("stride, n, c", STRIDES)
+@pytest.mark.parametrize("arity", [1, 2])
+def test_mul_fills_each_stride_to_its_bound(stride, n, c, arity):
+    p = Poly1({e: c for e in range(n)})
+    if arity == 2:
+        p = Poly2({(e // 4, e % 4): c for e in range(n)})
+    bound = c * c * n
+    assert (bound < 2**64) == (stride is not None)
+    if stride is not None:
+        assert 2 ** (8 * stride) // 256 <= bound < 2 ** (8 * stride)
+    assert packed_side(p, p) == (stride is not None)
+    assert_mul_is_the_pair_loop(p, p)
+    if arity == 1:
+        assert mul(p, p).terms[n - 1] == bound
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+def test_mul_matches_the_pair_loop_on_random_operands(arity):
+    """Dense and sparse operands, coefficients from 1 to past 2^64, on both
+    sides of the gate; each coefficient range is met packed."""
+    rng = random.Random(38 + arity)
+    packed = Counter()
+    for k in range(600):
+        top = 2 ** rng.choice((1, 2, 6, 12, 24, 40, 70, 200))
+        degree = rng.choice((1, 4, 30, 300, 2**20))
+        p = random_dense(rng, arity, rng.randint(1, 40), top, degree)
+        q = random_dense(rng, arity, rng.randint(1, 40), rng.choice((1, top)), degree)
+        assert_mul_is_the_pair_loop(p, q)
+        packed[top, packed_side(p, q)] += 1
+    assert all(packed[top, True] for top, _ in packed if top < 2**24)
+    assert all(packed[top, False] for top, _ in packed)
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+def test_mul_with_empty_and_constant_operands(arity):
+    cls = Poly1 if arity == 1 else Poly2
+    rng = random.Random(7)
+    zero, one = cls(), cls({cls.zero: 1})
+    for _ in range(50):
+        p = random_dense(rng, arity, rng.randint(1, 30), 2**rng.randint(1, 70), 50)
+        c = rng.choice((1, 3, 2**64 + 1))
+        assert mul(p, zero) == zero == mul(zero, p)
+        assert mul(p, one) == p
+        assert_mul_is_the_pair_loop(p, cls({cls.zero: c}))
+        e = rng.randrange(9)
+        assert_mul_is_the_pair_loop(p, cls({e if arity == 1 else (e, 1): c}))
+    assert mul(zero, zero) == zero and mul(one, one) == one
+
+
+def test_sparse_products_keep_the_pair_loop():
+    """Terms of degree up to 2^20 and shifts by x^(2^40) would pack into
+    megabytes or terabytes; the gate keeps the pair loop, which answers at
+    once."""
+    rng = random.Random(20)
+    big = 1 << 20
+    shift = 1 << 40
+    start = time.perf_counter()
+    pairs = [
+        (Poly1({big: 1, 0: 1}), Poly1({5 * big: 1, 4 * big: 1, big: 2, 0: 1})),
+        (Poly2({(big, 0): 1, (0, big): 2}), Poly2({(3 * big, 1): 1, (0, 0): 3})),
+        (Poly1({shift + 1: 1, shift: 1}), Poly1({shift: 2, 1: 1})),
+        (Poly1({shift + e: 1 for e in range(8)}), Poly1({e: 1 for e in range(8)})),
+        (Poly2({(shift, 0): 1, (0, 0): 1}), Poly2({(shift + 1, 2): 3})),
+    ]
+    for _ in range(20):
+        pairs.append(tuple(Poly1({rng.randrange(big): rng.randint(1, 9) for _ in range(20)})
+                           for _ in range(2)))
+    for p, q in pairs:
+        assert not packed_side(p, q)
+        assert_mul_is_the_pair_loop(p, q)
+    assert time.perf_counter() - start < 1
 
 
 def test_mixed_arity_is_an_error():

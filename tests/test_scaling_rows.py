@@ -1,10 +1,14 @@
 """tools/scaling_rows.py runs each named row in a subprocess and prints its
 wall time, peak RSS and answer size on one line, and rejects an unknown
-row name."""
+row name; its sparse product row stays on the pair-loop side of mul's
+gate."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+from bigraphpoly import poly
 
 TOOL = Path(__file__).parents[1] / "tools" / "scaling_rows.py"
 
@@ -23,3 +27,22 @@ def test_an_unknown_row_is_rejected():
     run = subprocess.run([sys.executable, str(TOOL), "decompose chain99"],
                          capture_output=True, text=True)
     assert run.returncode != 0 and "unknown row" in run.stderr
+
+
+def test_product_and_isomorphism_rows_print_their_answers():
+    rows = ["mul sparse64x20", "mul dense900x12", "is_isomorphic cycle64"]
+    out = subprocess.run([sys.executable, str(TOOL), *rows],
+                         capture_output=True, text=True, check=True).stdout.splitlines()
+    assert [line.split()[:2] for line in out] == [row.split() for row in rows]
+    for line in out[:2]:
+        assert line.split()[-1] == "terms" and int(line.split()[-2]) > 1000
+    assert out[2].split()[-2:] == ["not", "isomorphic"]
+
+
+def test_the_sparse_product_row_is_on_the_loop_side_of_the_gate():
+    spec = importlib.util.spec_from_file_location("scaling_rows", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    for name, packed in (("sparse64x20", False), ("dense900x12", True), ("dense2750x14", True)):
+        p, q = tool._input(name)
+        assert (poly._packed(p, q) is not None) == packed, name

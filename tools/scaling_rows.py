@@ -1,4 +1,5 @@
-"""Wall time and peak RSS of the scaling rows of the net and bit-disjoint routes.
+"""Wall time and peak RSS of the scaling rows: the net and bit-disjoint
+routes, dense and sparse products, and isomorphism on a regular input.
 
 Each row runs in a fresh Python subprocess against the package in the src
 directory next to this tool.  The subprocess builds its input, which is not
@@ -28,7 +29,16 @@ The rows:
 * miss7 is bit_disjoint_factor on the product of 7 copies of the prime
   1 + x + x**2 + x**7, copy k on bits 3k to 3k + 2 (16,384 terms, 63
   pairs).  The point (1, ..., 1) misses a dependency inside each copy, so
-  the search draws one seeded random point: the one row on that path.
+  the search draws one seeded random point: the one row on that path;
+* denseMxB is mul of two random Poly1, each the sum of x**e over M draws
+  of e below 2**B (random.Random(0)), so about M terms with small
+  coefficients, for (M, B) = (900, 12), (2750, 14) and (9250, 16): dense
+  operands, which mul packs into one integer product;
+* sparse64x20 is mul of two such Poly1 of 64 draws below 2**20, on the
+  pair-loop side of mul's gate;
+* cycle64 is is_isomorphic on the 64-cycle against two 32-cycles, where
+  refinement splits nothing and no coloring is discrete until the search
+  branches.
 """
 
 import subprocess
@@ -42,12 +52,28 @@ _ROWS = [
     "bit_disjoint_factor digraph2000x40", "bit_disjoint_factor wide100x1000",
     "bit_disjoint_factor sparse64x3", "bit_disjoint_factor hugecoeff64",
     "bit_disjoint_factor miss7",
+    "mul dense900x12", "mul dense2750x14", "mul dense9250x16", "mul sparse64x20",
+    "is_isomorphic cycle64",
 ]
+
+
+def _cycles(*sizes):
+    """Disjoint cycles, one per size n: u-vertex i of a cycle is on its
+    v-vertices i and i + 1 mod n."""
+    import bigraphpoly as bp
+
+    us, vs, edges = [], [], []
+    for c, n in enumerate(sizes):
+        us += [f"u{c}_{i}" for i in range(n)]
+        vs += [f"v{c}_{i}" for i in range(n)]
+        edges += [(f"u{c}_{i}", f"v{c}_{(i + j) % n}") for i in range(n) for j in (0, 1)]
+    return bp.Bigraph(us, vs, edges)
 
 
 def _input(name):
     """The input of a row, as the arguments of its call."""
     import random
+    from collections import Counter
 
     import bigraphpoly as bp
 
@@ -69,6 +95,12 @@ def _input(name):
         return (bp.Poly1({bp.from_bits(rng.sample(range(10**6), 3)): 1 for _ in range(64)}),)
     if name == "hugecoeff64":
         return (bp.Poly1({e: (2**(10**6) + 1 if e & 4 else 1) for e in range(64)}),)
+    if name.startswith(("dense", "sparse")):
+        draws, bits = map(int, name.removeprefix("dense").removeprefix("sparse").split("x"))
+        return tuple(bp.Poly1(Counter(rng.randrange(2**bits) for _ in range(draws)))
+                     for _ in range(2))
+    if name == "cycle64":
+        return tuple(_cycles(*sizes) for sizes in ((64,), (32, 32)))
     if name == "miss7":
         p = bp.Poly1({0: 1})
         for k in range(7):
@@ -81,17 +113,25 @@ def _run(row):
     """Run one row in this process and print its line."""
     from time import perf_counter
 
-    from bigraphpoly import bit_disjoint_factor, decompose, is_irreducible
+    from bigraphpoly import bit_disjoint_factor, decompose, is_irreducible, is_isomorphic, mul
     from bigraphpoly.graphfactor import graph_factor_pairs
 
     call, name = row.split()
-    calls = [bit_disjoint_factor, decompose, graph_factor_pairs, is_irreducible]
+    calls = [bit_disjoint_factor, decompose, graph_factor_pairs, is_irreducible, is_isomorphic,
+             mul]
     function = next(f for f in calls if f.__name__ == call)
     args = _input(name)
     start = perf_counter()
     out = function(*args)
     seconds = perf_counter() - start
-    size = out.verdict if call == "is_irreducible" else f"{len(out)} pairs"
+    if call == "is_irreducible":
+        size = out.verdict
+    elif call == "mul":
+        size = f"{len(out.terms)} terms"
+    elif call == "is_isomorphic":
+        size = "not isomorphic" if out is None else "isomorphic"
+    else:
+        size = f"{len(out)} pairs"
     with open("/proc/self/status") as status:
         peak = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
     print(f"{row:<36} {seconds:8.3f} s {peak / 1024:8.1f} MB  {size}")
