@@ -148,7 +148,7 @@ def _cmd_canon(args):
     else:
         p = parse_poly(args.input)
         g = decode_directed(p) if isinstance(p, Poly2) else decode(p)
-    print(render(canonical_poly(g, Budget(args.budget))))
+    print(render(canonical_poly(g)))
     return 0
 
 
@@ -157,7 +157,7 @@ def _cmd_iso(args):
     d2 = fileio.load_document(args.file2)
     if d1.kind != d2.kind:
         raise ValueError(f"mixed kinds: {d1.kind} and {d2.kind}")
-    found = is_isomorphic(d1.obj, d2.obj, Budget(args.budget))
+    found = is_isomorphic(d1.obj, d2.obj)
     if found is None:
         print("not isomorphic")
         return 1
@@ -256,13 +256,11 @@ def _build_parser():
                    help="graph input: answer for every compact labeling")
     p.set_defaults(func=_cmd_factor)
 
-    p = sub.add_parser("canon", help="canonical polynomial of a polynomial or a graph or net file",
-                       parents=[budget])
+    p = sub.add_parser("canon", help="canonical polynomial of a polynomial or a graph or net file")
     p.add_argument("input")
     p.set_defaults(func=_cmd_canon)
 
-    p = sub.add_parser("iso", help="part-respecting isomorphism witness",
-                       parents=[files, budget])
+    p = sub.add_parser("iso", help="part-respecting isomorphism witness", parents=[files])
     p.set_defaults(func=_cmd_iso)
 
     p = sub.add_parser("net-encode", help="net file to polynomial", parents=[file])

@@ -176,8 +176,9 @@ def random_dense(rng, arity, terms, top, degree):
 
 # (stride in bytes, n, c): n terms, each with coefficient c, times itself
 # has the bound c * c * n just below 2^(8 * stride), and its middle
-# coefficient reaches that bound.  None is the pair loop, past 2^64.
-STRIDES = [(1, 5, 7), (2, 16, 63), (4, 16, 2**14 - 1), (8, 16, 2**30 - 1), (None, 16, 2**30)]
+# coefficient reaches that bound.  None is the pair loop, past 2^64.  Each
+# n gives at least the 32 pairs below which mul never packs.
+STRIDES = [(1, 7, 6), (2, 16, 63), (4, 16, 2**14 - 1), (8, 16, 2**30 - 1), (None, 16, 2**30)]
 
 
 @pytest.mark.parametrize("stride, n, c", STRIDES)
@@ -251,6 +252,36 @@ def test_sparse_products_keep_the_pair_loop():
         assert not packed_side(p, q)
         assert_mul_is_the_pair_loop(p, q)
     assert time.perf_counter() - start < 1
+
+
+def test_few_pairs_keep_the_pair_loop():
+    """Below 32 pairs of terms packing costs more than the loop at any
+    size, so even the densest operands are multiplied pair by pair."""
+    for n, m in ((1, 1), (1, 31), (5, 6), (4, 8)):
+        p, q = (Poly1({e: 1 for e in range(k)}) for k in (n, m))
+        assert packed_side(p, q) == (n * m >= 32)
+        assert_mul_is_the_pair_loop(p, q)
+
+
+def test_the_gate_takes_the_faster_side_near_its_limit(monkeypatch):
+    """Two random Poly1 of 300 draws below 2^13 pack into 16 K 2-byte
+    slots, under the limit of about 71 KB for their 87,000 pairs; below
+    2^16 they would pack into 256 KB, over it.  On each side the path mul
+    takes is faster than the other, reached here by moving the limit
+    (packing measured at 0.31-0.35 and 1.3-1.6 times the loop's time)."""
+    rng = random.Random(0)
+    for bits, packs in ((13, True), (16, False)):
+        p, q = (Poly1(Counter(rng.randrange(2**bits) for _ in range(300))) for _ in range(2))
+        assert packed_side(p, q) == packs
+        best = {}
+        for _ in range(5):
+            for side, limit in ((True, float("inf")), (False, 0)):
+                monkeypatch.setattr(poly, "_byte_limit", lambda pairs, limit=limit: limit)
+                start = time.perf_counter()
+                mul(p, q)
+                best[side] = min(best.get(side, 1e9), time.perf_counter() - start)
+                monkeypatch.undo()
+        assert best[packs] < best[not packs], (bits, best)
 
 
 def test_mixed_arity_is_an_error():

@@ -34,8 +34,12 @@ The rows:
   of e below 2**B (random.Random(0)), so about M terms with small
   coefficients, for (M, B) = (900, 12), (2750, 14) and (9250, 16): dense
   operands, which mul packs into one integer product;
-* sparse64x20 is mul of two such Poly1 of 64 draws below 2**20, on the
-  pair-loop side of mul's gate;
+* dense300x14 and sparse300x15 are mul of two such Poly1 of 300 draws
+  below 2**14 and 2**15, on either side of mul's gate near its limit: the
+  first packs into 64 KB, under the limit of about 72 KB for its 88,000
+  pairs, the second would pack into 128 KB and keeps the pair loop;
+* sparse64x20 is mul of two such Poly1 of 64 draws below 2**20, far on
+  the pair-loop side of mul's gate;
 * cycle64 is is_isomorphic on the 64-cycle against two 32-cycles, where
   refinement splits nothing and no coloring is discrete until the search
   branches.
@@ -52,7 +56,8 @@ _ROWS = [
     "bit_disjoint_factor digraph2000x40", "bit_disjoint_factor wide100x1000",
     "bit_disjoint_factor sparse64x3", "bit_disjoint_factor hugecoeff64",
     "bit_disjoint_factor miss7",
-    "mul dense900x12", "mul dense2750x14", "mul dense9250x16", "mul sparse64x20",
+    "mul dense900x12", "mul dense2750x14", "mul dense9250x16", "mul dense300x14",
+    "mul sparse300x15", "mul sparse64x20",
     "is_isomorphic cycle64",
 ]
 
