@@ -6,7 +6,10 @@ for an undirected graph, two (pre and post) for a directed graph or a net.
 Encoding sums 2**label over each slot, so a slot becomes the bit support of
 an exponent and repeated slot tuples pile up in the coefficient:
 
-    encoding = [1 for a net's idle event] + sum over u of x**(slot 0) [* y**(slot 1)]
+    encoding = sum over u of x**(slot 0) [* y**(slot 1)]
+
+A net also has its idle event, the event that touches nothing, so its
+encoding holds one more unit in the constant term.
 
 One slot gives a polynomial in N[x], two give one in N[x,y].  Decoding reads
 the bits back, which is lossless because an injective labeling never lets
@@ -21,15 +24,18 @@ product and sum builds the class of its inputs.  Every structure has
 natural_labeling, which labels each v-vertex by its own id; it is a labeling
 when the v-ids are naturals, as on all of those outputs but the plain ones.
 
-A structure keeps its u part as u-classes, as the encoding keeps its terms:
-each distinct slot tuple with the number of u-vertices that have it.  So
-encoding, decoding, the products, the sums and the factor halves cost what
-the distinct slot tuples cost, not what the u-vertices do: a product of two
-1000-u graphs has 10**6 u-vertices but at most as many classes as its
-encoding has terms.  The per-u views (u_vertices, slots, edges, arcs, ==,
-hash and the file writers) are built from a rule for the ids on first read
-and kept: (term, k) for k = 1..c on a decoding, the (a, b) pairs in g1's u
-order, then g2's, on a product.  A constructor builds them at once.
+A structure keeps its u part as u-classes, exactly as the encoding keeps
+its terms: each distinct slot tuple with the number of u-vertices that have
+it, a net's idle event counted as one unit of its empty class (the class
+whose slots are all empty).  So encoding, decoding, the products, the sums
+and the factor halves cost what the distinct slot tuples cost, not what the
+u-vertices do: a product of two 1000-u graphs has 10**6 u-vertices but at
+most as many classes as its encoding has terms.  The per-u views
+(u_vertices, slots, edges, arcs, ==, hash and the file writers) are built
+from a rule for the ids on first read and kept: (term, k) for k = 1..c on a
+decoding, the (a, b) pairs in g1's u order, then g2's, on a product.  A
+constructor builds them at once.  Only the per-u views leave the idle event
+out: it is no u-vertex.
 """
 
 from __future__ import annotations
@@ -46,19 +52,22 @@ from .polyfactor import Budget, _Meter
 
 class Bipartite:
     """Immutable v ids and u-classes: each distinct slot tuple mapped to
-    the number of u-vertices that have it, plus a rule for their ids.
+    the number of u-vertices that have it, plus a rule for their ids.  A
+    net's empty class counts one more, its idle event, so the classes are
+    the encoding's terms.
 
     Encoding, decoding, products and sums read and build the classes, so
     their cost follows the distinct slot tuples.  The per-u views (the u
     ids in order and each u-vertex's slots) are built by the rule on first
-    read and kept; a structure made by a constructor has them from the
-    start.
+    read and kept, with no idle event; a structure made by a constructor
+    has them from the start.
     """
 
     __slots__ = ("_v", "_classes", "_ids", "_u", "_sig")
     arity = 1
     poly = Poly1
-    idle = False  # nets: the encoding holds one unit for the idle event
+    idle = False  # nets: the empty class counts one unit for the idle event
+    _empty = (frozenset(),)  # the slots of the empty class
     v_word = "v-part id"  # what labeling errors call a v-vertex
     _u_word = "u-part id"  # what construction errors call a u-vertex,
     _slot_words = ("neighborhood",)  # and each of its slots
@@ -85,10 +94,9 @@ class Bipartite:
             raise ValueError(
                 f"slots given for unknown {self._u_word}s: {_first_few(sorted(unknown, key=repr))}"
             )
-        empty = (frozenset(),) * self.arity
         sig = {}
         for x in u:
-            sig[x] = slots = tuple(map(frozenset, given.get(x, empty)))
+            sig[x] = slots = tuple(map(frozenset, given.get(x, self._empty)))
             for word, part in zip(self._slot_words, slots):
                 if not part <= vset:
                     raise ValueError(
@@ -97,6 +105,8 @@ class Bipartite:
                     )
         self._v, self._classes, self._ids = v, Counter(sig.values()), None
         self._u, self._sig = u, sig
+        if self.idle:
+            self._classes[self._empty] += 1
 
     @classmethod
     def _build(cls, v, classes, ids):
@@ -112,7 +122,7 @@ class Bipartite:
         first read; a structure with no rule has a decoding's, _copies."""
         sig = self._sig
         if sig is None:
-            self._sig = sig = self._ids() if self._ids else _copies(self._classes)
+            self._sig = sig = self._ids() if self._ids else _copies(self._classes, self.idle)
             self._u, self._ids = tuple(sig), None
         return sig
 
@@ -152,7 +162,7 @@ class Bipartite:
 
     def __repr__(self):
         links = sum(c * sum(map(len, slots)) for slots, c in self._classes.items())
-        u = sum(self._classes.values())
+        u = sum(self._classes.values()) - self.idle  # the idle event is no u-vertex
         return f"{type(self).__name__}(|u|={u}, |v|={len(self._v)}, |links|={links})"
 
 
@@ -162,6 +172,7 @@ class Directed(Bipartite):
     __slots__ = ()
     arity = 2
     poly = Poly2
+    _empty = (frozenset(),) * 2
     _slot_words = ("pre set", "post set")
 
     def pre(self, u):
@@ -236,39 +247,28 @@ def encode(g: Bipartite, labeling):
     per class, with its count as the coefficient.
 
     A u-vertex with empty slots contributes the constant 1, so it shows up in
-    the constant coefficient rather than vanishing; a net adds one more unit
-    for its idle event.
+    the constant coefficient rather than vanishing; a net's idle event is
+    one more unit of it.
     """
     return _encoded(g, labeling)[1]
 
 
-def _counts(g):
-    """The classes of g with their counts, a net's idle event counted as
-    one more u-vertex with empty slots."""
-    if not g.idle:
-        return g._classes
-    counts = dict(g._classes)
-    empty = (frozenset(),) * g.arity
-    counts[empty] = counts.get(empty, 0) + 1
-    return counts
-
-
 def _encoded(g, labeling):
-    """(the term key of each class of _counts(g), in order, the encoding of
+    """(the term key of each class of g, in order, the encoding of
     g): each slot sums 2**label over its members, whose bits are distinct
     because the labeling is checked to be injective, so distinct classes
     get distinct keys.  A label past the largest byte buffer the platform
     can index is rejected."""
     check_labeling(g, labeling)
-    counts = _counts(g)
+    classes = g._classes
     try:
-        packed = pack_slots(counts, g.v_vertices, labeling, g.arity)
+        packed = pack_slots(classes, g.v_vertices, labeling, g.arity)
     except OverflowError:
         v = max(g.v_vertices, key=labeling.__getitem__)
         raise LabelingError(
             f"label of {g.v_word} {_brief(v)} is too large to encode: {_brief(labeling[v])}"
         ) from None
-    return packed, g.poly._from_key(sorted(zip(packed, counts.values()), reverse=True))
+    return packed, g.poly._from_key(sorted(zip(packed, classes.values()), reverse=True))
 
 
 def decode(p, cls):
@@ -276,8 +276,8 @@ def decode(p, cls):
 
     v-vertices are the bit positions in p's support.  Each term n * x**i
     [* y**j] yields n u-vertices whose slots are the bits of its exponents;
-    u-ids are (bit set or (pre bits, post bits), copy index) pairs.  A net
-    absorbs one unit of the constant term into its idle event.
+    u-ids are (bit set or (pre bits, post bits), copy index) pairs.  A net's
+    idle event is one count of its empty class, and no per-u view lists it.
     """
     if not isinstance(p, cls.poly):
         raise TypeError(
@@ -299,8 +299,8 @@ def _decode(key, cls, supports, ids=None):
     its count the coefficient.  supports maps an exponent to those slots
     and the OR of its parts; the decodes of one search share it, so each
     distinct exponent is split into bits once.  One tau of the OR of all
-    exponents gives the v part.  The constant term comes last, so a net
-    takes its idle unit off the last class.
+    exponents gives the v part.  A net's idle event is one unit of the
+    constant term's class, left out by _copies.
     """
     classes = {}
     ors = 0
@@ -315,21 +315,19 @@ def _decode(key, cls, supports, ids=None):
         slots, bits = row
         ors |= bits
         classes[slots] = c
-    if cls.idle:
-        if c == 1:
-            del classes[slots]
-        else:
-            classes[slots] = c - 1
     return cls._build(tuple(sorted(tau(ors))), classes, ids)
 
 
-def _copies(classes):
+def _copies(classes, idle):
     """u -> slots of a decoding, in term order: a term's c u-vertices are
     (term, k) for k = 1..c, the term being the bit set of its one slot or
-    its (pre bits, post bits)."""
+    its (pre bits, post bits).  With idle, the empty class lists one copy
+    fewer, as one of its units is the idle event."""
     sig = {}
     for slots, c in classes.items():
         term = slots[0] if len(slots) == 1 else slots
+        if idle and not any(slots):
+            c -= 1
         if c == 1:
             sig[term, 1] = slots
         else:
@@ -409,9 +407,8 @@ def _encodings(g: Bipartite, meter, search, least):
     unit = 1 if g.arity == 1 else 1 | 1 << n
     pos = {v: i for i, v in enumerate(vs)}
     packed = pack_slots(g._classes, vs, pos, g.arity)
-    root = Counter({0: 1} if g.idle else {})
-    root.update(dict(zip(packed if g.arity == 1 else [x << n | y for x, y in packed],
-                         g._classes.values())))
+    root = Counter(dict(zip(packed if g.arity == 1 else [x << n | y for x, y in packed],
+                            g._classes.values())))
     # Rule 1.  Swapping two twins maps every slot to itself, so a labeling
     # that gives L to one has the encoding of the one that gives L to the
     # other.  Twins are always labeled in index order, so the unlabeled ones
@@ -481,7 +478,7 @@ def _encodings(g: Bipartite, meter, search, least):
     def encoding(terms):
         if g.arity == 2:
             terms = [(e >> n, e & (1 << n) - 1) for e in terms]
-        return g.poly._trusted(Counter(terms))
+        return g.poly._from_key(sorted(Counter(terms).items(), reverse=True))
 
     yield encoding(compact), dict(zip(vs, range(n)))
     meter.search = search
@@ -574,8 +571,7 @@ def _pairs(g1, g2, row):
     def ids():
         sig1, sig2 = g1._per_u(), g2._per_u()
         if g1.idle:
-            empty = (frozenset(),) * g1.arity
-            sig1, sig2 = {**sig1, None: empty}, {**sig2, None: empty}
+            sig1, sig2 = {**sig1, None: g1._empty}, {**sig2, None: g1._empty}
         rows = {}
         sig = {}
         for a, s in sig1.items():
@@ -602,7 +598,7 @@ def direct_product(g1, l1, g2, l2):
     """
     _same_kind(g1, g2)
     (k1, p1), (k2, p2) = _encoded(g1, l1), _encoded(g2, l2)
-    d1, d2 = dict(zip(_counts(g1), k1)), dict(zip(_counts(g2), k2))
+    d1, d2 = dict(zip(g1._classes, k1)), dict(zip(g2._classes, k2))
     supports = {}  # filled by the decoding with every sum of a class pair
 
     def row(s):
@@ -622,12 +618,15 @@ def _renamed(classes, name):
 
 def _union(g1, g2, names, vs):
     """The sum of g1 and g2 with v part vs: u-vertices (side, u), each slot
-    member v renamed names[side][v], so v-vertices sharing a name merge."""
+    member v renamed names[side][v], so v-vertices sharing a name merge.
+    Two nets' idle events merge into one."""
     renamed = [_renamed(g._classes, name) for g, name in zip((g1, g2), names)]
     classes = {}
     for g, new in zip((g1, g2), renamed):
         for s, c in g._classes.items():
             classes[new[s]] = classes.get(new[s], 0) + c
+    if g1.idle:
+        classes[g1._empty] -= 1
 
     def ids():
         return {(side, u): new[s] for side, (g, new) in enumerate(zip((g1, g2), renamed))
@@ -656,23 +655,19 @@ def plain_product(g1, g2):
     """u pairs over the tagged v union; a pair joins both slot tuples.
 
     For nets this is the pointed product: each side also offers its idle
-    event None, so an event may fire alone, and the all-idle pair is left
-    out.  The tags keep the sides apart, so each class pair joins once, to
-    a class of its own that counts the product of the two counts.
+    event None, so an event may fire alone, and the all-idle pair is the
+    product's idle event.  The tags keep the sides apart, so each class
+    pair joins once, to a class of its own that counts the product of the
+    two counts.
     """
     _same_kind(g1, g2)
     names = _tags(g1, g2)
-    c1, c2 = _counts(g1), _counts(g2)
+    c1, c2 = g1._classes, g2._classes
     r1, r2 = map(_renamed, (c1, c2), names)
     table, classes = {}, {}
     for s, a in r1.items():
         row = table[s] = {t: tuple(map(frozenset.union, a, b)) for t, b in r2.items()}
         classes.update(zip(row.values(), [c1[s] * c for c in c2.values()]))
-    if g1.idle:  # leave out the all-idle pair
-        empty = (frozenset(),) * g1.arity
-        classes[empty] -= 1
-        if not classes[empty]:
-            del classes[empty]
     vs = (*names[0].values(), *names[1].values())
     return type(g1)._build(vs, classes, _pairs(g1, g2, table.__getitem__))
 

@@ -114,8 +114,12 @@ def is_irreducible(
     canonical_poly does, with no bound, and searches each distinct encoding
     once, the compact one first; "irreducible" says nothing about labels
     past |v|-1.  A graph whose every u-vertex has a neighbour has p(0) = 0,
-    so its first encoding already splits off x when |v| >= 2.  The walk
-    and the searches share one allowance: the walk charges the states it
+    so with every v-vertex on an edge and degree 2 or more, its first
+    encoding already splits off x: ((1, 1),) is the least poly_key of a
+    nonconstant half, and the trivial split of p / x**m shifted once gives
+    it, so factor_graph's first pair is (x, p / x).  Both modes answer from
+    that pair with no search, charged as one emitted pair.  The walk and
+    the searches share one allowance: the walk charges the states it
     builds, and each encoding costs at least the divisor scan of p(1).
     Running out gives "inconclusive".  p(1) and p(0) are the same under
     every labeling, so when p(0) >= 1 and they admit no split's values
@@ -126,11 +130,18 @@ def is_irreducible(
     lab = compact_labeling(g) if exhaustive or labeling is None else labeling
     p = encode(g, lab)
     encodings = [(p, lab)]
-    sweep = exhaustive and g.arity == 1 and len(tau_poly(p)) == len(g.v_vertices)
+    # An undirected graph with every v-vertex on an edge.
+    covered = g.arity == 1 and len(tau_poly(p)) == len(g.v_vertices)
+    sweep = exhaustive and covered
     if sweep:
         meter.search = f"the sweep over the labelings of {len(g.v_vertices)} v-vertices"
         encodings = _encodings(g, meter, meter.search, least=False)
     try:
+        if covered and not p.constant_coeff() and p.degree >= 2:
+            meter.charge(1 + len(p.terms), "emitting the factors")
+            rest = tuple([(e - 1, c) for e, c in p.terms.items()])
+            pair = _decode(((1, 1),), type(g), {}), _decode(rest, type(g), {})
+            return IrreducibilityReport("reducible", scope, (lab, pair))
         if sweep and p.constant_coeff() and not _values_split(p, meter):
             return IrreducibilityReport("irreducible", scope)
         for p, lab in encodings:

@@ -12,8 +12,9 @@ nets side by side; its events are pairs that fire jointly, and pairing with
 the other net's idle lets an event fire alone.  On encodings that is plain
 multiplication: product polynomial = product of the factor polynomials.
 
-Decoding absorbs exactly one constant unit back into the idle slot; each
-further constant unit becomes a real event with empty pre and post sets.
+Decoding reads the constant term as the net's empty class: the idle event
+is one count of the empty class, and no per-u view lists it; each further
+constant unit is a real event with empty pre and post sets.
 A split p = p1 * p2 of the encoding into bit-disjoint factors therefore
 rebuilds p exactly as the product of the decoded factors, and that product
 is isomorphic to the net as soon as every condition meets an event, since
@@ -74,8 +75,8 @@ def decode_net(p: Poly2) -> LabeledPetriNet:
     """PetriNet whose encoding under its natural labeling is p, with that
     labeling.
 
-    Requires a constant term of at least 1; one unit of it is the idle slot
-    and is not materialized.  Conditions are the bit positions of p's
+    Requires a constant term of at least 1; one unit of it is the idle
+    event, which no per-u view lists.  Conditions are the bit positions of p's
     support, labeled by themselves.  Event ids are ((pre bits, post bits),
     copy index) pairs.
     """

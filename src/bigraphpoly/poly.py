@@ -67,15 +67,6 @@ class _Poly:
         self._terms = _clean_terms(items, self.arity)
 
     @classmethod
-    def _trusted(cls, terms):
-        """Instance from an {exponent: coefficient} dict the package built
-        itself, so already of this arity with positive coefficients: the
-        terms are sorted but not checked again."""
-        obj = object.__new__(cls)
-        obj._terms = dict(sorted(terms.items(), reverse=True))
-        return obj
-
-    @classmethod
     def _from_key(cls, key):
         """Instance whose poly_key is key: (exponent, coefficient) items the
         package built itself, already in descending exponent order."""
@@ -176,7 +167,7 @@ def add(p, q):
     out = dict(p.terms)
     for exp, coeff in q.terms.items():
         out[exp] = out.get(exp, 0) + coeff
-    return type(p)._trusted(out)
+    return type(p)._from_key(sorted(out.items(), reverse=True))
 
 
 def mul(p, q):
@@ -210,7 +201,7 @@ def mul(p, q):
             for (i2, j2), c2 in q.terms.items():
                 e = (i1 + i2, j1 + j2)
                 out[e] = out.get(e, 0) + c1 * c2
-    return type(p)._trusted(out)
+    return type(p)._from_key(sorted(out.items(), reverse=True))
 
 
 _STRIDES = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))

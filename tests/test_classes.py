@@ -19,6 +19,8 @@ from bigraphpoly import (
     Bigraph,
     DiBigraph,
     PetriNet,
+    Poly1,
+    Poly2,
     add,
     decompose,
     direct_product,
@@ -121,6 +123,8 @@ def test_every_route_matches_the_per_u_construction(kind):
         ]
         for h, per_u, natural in cases:
             assert_matches(h, per_u, natural)
+            # A net's idle event is one unit of its empty class but no u-vertex.
+            assert repr(h).startswith(f"{cls.__name__}(|u|={len(h.u_vertices)}, ")
         # Route equivalence answers as it did on per-u structures: the same
         # witnesses, from fresh products and from constructor-built copies.
         copies = [per_u_copy(cls, per_u) for _, per_u, _ in cases[1:3]]
@@ -155,6 +159,26 @@ def test_factor_and_decompose_halves_match_the_per_u_decoding(kind):
                 assert_matches(half, per_u_decode(p, cls), True)
                 halves += 1
     assert halves > 20
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_slots_read_first_builds_the_views_of_a_decoding(kind):
+    """slots(u) on a fresh decoding, before any other per-u view is read,
+    builds the views from the classes.  Of a net's two units of the empty
+    class one is its idle event, which no view lists."""
+    cls = KINDS[kind][1]
+    one = cls.arity == 1
+    h = decode_as(Poly1({3: 2, 0: 2}) if one else Poly2({(3, 1): 2, (0, 0): 2}), cls)
+    top = (frozenset({0, 1}),) if one else (frozenset({0, 1}), frozenset({0}))
+    empty = (frozenset(),) * cls.arity
+    ids = [(slots[0] if one else slots, k) for slots in (top, empty) for k in (1, 2)]
+    assert h.slots(ids[1]) == top
+    assert h.slots(ids[2]) == empty
+    if cls is PetriNet:
+        with pytest.raises(KeyError):
+            h.slots(ids[3])
+        ids.pop()
+    assert h.u_vertices == tuple(ids)
 
 
 def old_twins(g):

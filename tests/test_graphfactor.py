@@ -557,6 +557,9 @@ def test_is_irreducible_decodes_only_its_witness():
 
 
 def test_budget_error_says_how_much_was_asked_for():
+    """is_irreducible reports the search's message as it is; x^5 + x^4 is
+    answered from its fixed witness, so that check takes an input with a
+    constant term."""
     g = decode(parse_poly1("x^5 + x^4"))
     with pytest.raises(BudgetExceededError) as caught:
         factor_graph(g, identity_labeling(g), Budget(max_steps=10))
@@ -565,7 +568,55 @@ def test_budget_error_says_how_much_was_asked_for():
     asked = int(message.rsplit("(", 1)[1].split()[0])
     assert asked > 10
     report = is_irreducible(g, identity_labeling(g), budget=Budget(max_steps=10))
-    assert (report.verdict, report.detail) == ("inconclusive", message)
+    assert report.verdict == "reducible"
+    h = decode(parse_poly1("x^5 + x^4 + x + 1"))
+    with pytest.raises(BudgetExceededError) as caught:
+        factor_graph(h, identity_labeling(h), Budget(max_steps=10))
+    report = is_irreducible(h, identity_labeling(h), budget=Budget(max_steps=10))
+    assert (report.verdict, report.detail) == ("inconclusive", str(caught.value))
+
+
+def one_plus_x(n):
+    """(1 + x)^n."""
+    p = parse_poly1("1")
+    for _ in range(n):
+        p = p * parse_poly1("x + 1")
+    return p
+
+
+def test_no_constant_term_answers_from_the_fixed_witness():
+    """Every u-vertex of the decoding of x * (1 + x)^14 has a neighbour, so
+    p(0) = 0 and factor_graph's first pair is (x, p / x).  Both modes
+    answer from it on the 16,384 u-vertices, at once and inside 10^4
+    steps, where the coefficient search asks for more."""
+    x = parse_poly1("x")
+    g = decode(x * one_plus_x(14))
+    with pytest.raises(BudgetExceededError):
+        factor_graph(g, compact_labeling(g), Budget(max_steps=10**4))
+    for exhaustive in (False, True):
+        start = time.perf_counter()
+        report = is_irreducible(g, exhaustive=exhaustive, budget=Budget(max_steps=10**4))
+        assert time.perf_counter() - start < 0.5
+        assert report.verdict == "reducible"
+        lab, (q, r) = report.witness
+        assert lab == compact_labeling(g)
+        assert encode(q, q.natural_labeling) == x
+        assert x * encode(r, r.natural_labeling) == encode(g, lab)
+
+
+def test_the_fixed_witness_is_the_searchs_first_pair():
+    """On x * (1 + x)^12, where the search finishes, the witness of both
+    modes is factor_graph's first pair: (x, (1 + x)^12) under the compact
+    labeling."""
+    x = parse_poly1("x")
+    g = decode(x * one_plus_x(12))
+    compact = compact_labeling(g)
+    first = factor_graph(g, compact)[0]
+    assert [encode(h, h.natural_labeling) for h in first] == [x, one_plus_x(12)]
+    for exhaustive in (False, True):
+        report = is_irreducible(g, exhaustive=exhaustive)
+        assert report.witness[0] == compact
+        assert_same_pairs([report.witness[1]], [first])
 
 
 def test_net_halves_carry_their_natural_labeling():

@@ -320,7 +320,14 @@ def test_threads_decompose_as_a_serial_run():
 def near_miss(rng, g):
     """g relabeled with one slot member moved to a v-vertex the slot did not
     hold, so that the multiset of that slot's v-degrees changes: no
-    isomorphism maps g onto it."""
+    isomorphism maps g onto it.  Raises ValueError, drawing nothing, when
+    no such move exists, as on a graph with one v-vertex."""
+    degrees = [Counter(x for u in g.u_vertices for x in g.slots(u)[slot])
+               for slot in range(g.arity)]
+    if not any(degrees[slot][w] != degrees[slot][v] - 1
+               for u in g.u_vertices for slot, part in enumerate(g.slots(u))
+               for v in part for w in g.v_vertices if w not in part):
+        raise ValueError("no slot member can move to a v-vertex of another degree")
     while True:
         u = rng.choice(g.u_vertices)
         slot = rng.randrange(len(g.slots(u)))
@@ -329,9 +336,16 @@ def near_miss(rng, g):
         if not part or not outside:
             continue
         v, w = rng.choice(sorted(part)), rng.choice(outside)
-        degree = Counter(x for other in g.u_vertices for x in g.slots(other)[slot])
-        if degree[w] != degree[v] - 1:
+        if degrees[slot][w] != degrees[slot][v] - 1:
             return relabeled(rng, g, (u, slot, v, w))
+
+
+@pytest.mark.parametrize("kind", [Bigraph, DiBigraph, PetriNet])
+def test_near_miss_fails_fast_when_no_move_exists(kind):
+    """With one v-vertex no slot member can move anywhere."""
+    g = random_slots(random.Random(99), kind, 19, 1)
+    with pytest.raises(ValueError):
+        near_miss(random.Random(99), g)
 
 
 def iso_cases():
