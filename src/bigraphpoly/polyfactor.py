@@ -15,7 +15,12 @@ partial q is kept while its coefficient sum is below some such s and r's
 is at most p(1)/s, so each prefix is built once for all of them.  On a
 mostly filled support p(2) is small, and q(2) * r(2) = p(2), so a
 completed q whose q(2) does not divide p(2) gets no cofactor pass.  The
-work follows the number of terms, not the degree.
+walk is a stack of frames, one per place of q set so far; each frame holds
+its node's untried values and deletes only the coefficients its last kept
+value set.  A table made once per call gives each place's exponent,
+coefficient and whether twice the exponent is in supp(p), and the sumset
+test reads supp(p), or on a mostly filled support its gaps, in plain
+loops.  The work follows the number of terms, not the degree.
 
 ``bit_disjoint_factor`` restricts to factor pairs whose exponent bit
 supports do not meet.  It works on (x, y) exponents only: N[x] is the
@@ -72,14 +77,16 @@ class Budget:
     the isomorphism search and the canonical form.
 
     max_steps is a natural number.  In the factor searches a step is one
-    coefficient read, one search node or coefficient value tried, one trial
-    division while listing the divisors of the content, of p(0) or of p(1),
-    or one term of an emitted factor pair.  core.is_isomorphic and
-    core.canonical_poly define their steps in their docstrings.  A call
-    that runs several searches, such as the labeling sweep of
-    is_irreducible, spends one allowance on all of them.  Exceeding it
-    raises BudgetExceededError, so an empty result is always a
-    completed-search certificate.
+    coefficient or support entry read, one search node, coefficient value
+    tried, place of a cofactor pass or q(2) test, one trial division while
+    listing the divisors of the content, of p(0) or of p(1), or one term of
+    an emitted factor pair.  core.is_isomorphic and core.canonical_poly
+    define their steps in their docstrings.  A call that runs several
+    searches, such as the labeling sweep of is_irreducible, spends one
+    allowance on all of them.  Exceeding it raises BudgetExceededError, so
+    an empty result is always a completed-search certificate.  The error
+    names the search, the phase and the steps asked for; its text is
+    formatted only when it is raised.
     """
 
     max_steps: int = 10_000_000
@@ -92,7 +99,12 @@ class Budget:
 
 class _Meter:
     """The steps left of one call's Budget.  Every search the call runs
-    charges its work here, and search names the one now running."""
+    charges its work here, and search names the one now running.
+
+    A search or phase name is a string, or a tuple of a format string and
+    the integers it shows; such a tuple is formatted, each integer by
+    _show, only when a charge overdraws, so a search pays nothing for the
+    text of an error it does not raise."""
 
     __slots__ = ("allowance", "left", "search")
 
@@ -105,9 +117,14 @@ class _Meter:
         if self.left < 0:
             asked = self.allowance - self.left  # all steps charged, this one included
             raise BudgetExceededError(
-                f"{self.search} used up the budget of "
-                f"{_show(self.allowance)} steps in {phase} ({_show(asked)} asked for)"
+                f"{_text(self.search)} used up the budget of "
+                f"{_show(self.allowance)} steps in {_text(phase)} ({_show(asked)} asked for)"
             )
+
+
+def _text(name):
+    """The text of a search or phase name of a _Meter."""
+    return name if isinstance(name, str) else name[0].format(*map(_show, name[1:]))
 
 
 def _divisors(n, meter):
@@ -116,23 +133,14 @@ def _divisors(n, meter):
     The whole scan is charged before it starts, so a huge value overdraws
     the allowance at once instead of running away.
     """
-    meter.charge(isqrt(n) + 1, f"listing the divisors of {_show(n)}")
+    meter.charge(isqrt(n) + 1, ("listing the divisors of {}", n))
     small, large = [], []
-    i = 1
-    while i * i <= n:
+    for i in range(1, isqrt(n) + 1):
         if n % i == 0:
             small.append(i)
             if i * i != n:
                 large.append(n // i)
-        i += 1
-    large.reverse()
-    return small + large
-
-
-def _key(terms):
-    """The poly_key of the polynomial with these {exponent: coefficient}
-    terms: its items in descending exponent order."""
-    return tuple(sorted(terms.items(), reverse=True))
+    return small + large[::-1]
 
 
 def _pair(a, b):
@@ -166,8 +174,9 @@ def _polys(cls, pairs):
 
 def _splits(coef, meter: _Meter) -> set:
     """Unordered nonconstant splits of a primitive p with p(0) > 0 and
-    degree at least 2, given as its {exponent: coefficient} terms, by the
-    coefficient search; each split is a _pair of poly_keys.
+    degree at least 2, given as its {exponent: coefficient} terms in
+    descending exponent order, by the coefficient search; each split is a
+    _pair of poly_keys.
 
     One depth-first walk per divisor q0 of p(0) sets q's coefficients.  Its
     targets are the divisors s of p(1) that leave q and r nonconstant,
@@ -177,8 +186,14 @@ def _splits(coef, meter: _Meter) -> set:
     later place of q can still bring q(1) to a larger target s' with r(1)
     at most p(1)/s'.  A completed q gets the cofactor pass, on a dense
     support only when q(2) divides p(2).
+
+    A frame of the walk holds a node's choices at one place.  The value it
+    keeps sets q_e and r_e where positive, and the frame deletes just those
+    entries before it tries its next value.  Each place's exponent,
+    coefficient and whether its double is in supp(p) are read from one
+    table made per call.
     """
-    exps = sorted(coef)
+    exps = [*reversed(coef)]
     m = len(exps)
     n = exps[-1]
     nq = bisect_right(exps, n // 2)  # q sits on exps[:nq]
@@ -193,30 +208,37 @@ def _splits(coef, meter: _Meter) -> set:
         return []
     heads = _divisors(p0, meter)
     charge = meter.charge
+    places = [(e, coef[e], e + e in coef) for e in exps]
 
     def fits(e, part):
         """Whether e + supp(part) stays inside supp(p), charging the entries
-        read; part lists its exponents in ascending order."""
-        if not part:
-            return True
+        read; part is nonempty and lists its exponents in ascending order."""
         top = e + next(reversed(part))
         if top > n:
             return False
         if gaps is not None:
-            window = gaps[bisect_right(gaps, e):bisect_right(gaps, top)]
-            if len(window) < len(part):
-                charge(len(window), "the coefficient search")
-                return not any(h - e in part for h in window)
+            a, b = bisect_right(gaps, e), bisect_right(gaps, top)
+            if b - a < len(part):
+                charge(b - a, "the coefficient search")
+                for h in gaps[a:b]:
+                    if h - e in part:
+                        return False
+                return True
         charge(len(part), "the coefficient search")
-        return all(e + j in coef for j in part)
+        for j in part:
+            if e + j not in coef:
+                return False
+        return True
 
     def node(t, qsum, rsum):
-        """The choices at e = exps[t] after q and r summed to qsum and rsum
+        """The frame at e = exps[t] after q and r summed to qsum and rsum
         below e, while some target s in (qsum, p(1) // rsum] is open: the
-        q_e values to try, what the recurrence at e leaves for
-        q_e * r0 + q0 * r_e, and whether q_e and r_e may both be positive."""
-        e = exps[t]
-        big = coef[e] - sum([c * r.get(e - i, 0) for i, c in q.items()])
+        q_e values to try, e, what the recurrence at e leaves for
+        q_e * r0 + q0 * r_e, whether q_e and r_e may both be positive, the
+        two sums, and the q_e and r_e set by the value kept, none yet."""
+        e, big, both = places[t]
+        for k, c in q.items():
+            big -= c * r.get(e - k, 0)
         i, j = bisect_right(targets, qsum), bisect_right(targets, total // rsum)
         if big % g:
             first, hi = 1, 0
@@ -227,15 +249,15 @@ def _splits(coef, meter: _Meter) -> set:
             # q0 must divide big - q_e * r0: one residue class mod step.
             first = lo + (big // g * inv - lo) % step
         # supp(q) + supp(r) must stay inside supp(p).
-        if hi > 0 and not fits(e, r):
+        if hi > 0 and r and not fits(e, r):
             hi = 0
-        if first <= hi and not fits(e, q):
+        if first <= hi and q and not fits(e, q):
             first, hi = max(first, -(-big // r0)), min(hi, big // r0)  # r_e = 0
         values = range(first, hi + 1, step)
         if t == nq - 1:  # q's last place: q(1) must come to an open target
             values = [s - qsum for s in targets[i:j] if s - qsum in values]
         charge(1 + len(values) + len(q), "the coefficient search")
-        return iter(values), big, e + e in coef, qsum, rsum
+        return [iter(values), e, big, both, qsum, rsum, 0, 0]
 
     def cofactor(t, rleft):
         """r completed on exps[t:] with at most rleft more mass once q is
@@ -246,13 +268,14 @@ def _splits(coef, meter: _Meter) -> set:
             if p2 % sum([v << i for i, v in q.items()], q0):
                 return None
         full = dict(r)
-        for e in exps[t:]:
+        for e, big, _ in places[t:]:
             charge(1 + len(q), "the coefficient search")
-            big = coef[e] - sum([c * full.get(e - i, 0) for i, c in q.items()])
+            for k, c in q.items():
+                big -= c * full.get(e - k, 0)
             if big < 0 or big % q0:
                 return None
-            rk = big // q0
-            if rk:
+            if big:
+                rk = big // q0
                 if rk > rleft or not fits(e, q):
                     return None
                 full[e] = rk
@@ -270,21 +293,24 @@ def _splits(coef, meter: _Meter) -> set:
         g = gcd(q0, r0)
         step = q0 // g
         inv = pow(r0 // g, -1, step)
-        # The positive coefficients above the constant terms.
+        # The positive coefficients above the constant terms, in ascending order.
         q, r = {}, {}
-        # frames[t - 1] holds the choices at exps[t], for t < nq.
+        # frames[t - 1] holds the choices at exps[t], for t < nq, and last the
+        # q_e and r_e its kept value set.
         frames = [node(1, q0, r0)]
         t = 1
         while t:
-            e = exps[t]
-            q.pop(e, None)
-            r.pop(e, None)
-            values, big, both, qsum, rsum = frames[-1]
+            values, e, big, both, qsum, rsum, qset, rset = frame = frames[-1]
+            if qset:
+                del q[e]
+            if rset:
+                del r[e]
             for qk in values:
                 rest = big - qk * r0
                 if rest < 0 or rest % q0 or qk and rest and not both:
                     continue
-                qs, rs = qsum + qk, rsum + rest // q0
+                rk = rest // q0
+                qs, rs = qsum + qk, rsum + rk
                 # Keep q_e if it completes q at a target, or if a later place
                 # can still bring q(1) to a larger target that leaves r room.
                 done = qk and rs <= room.get(qs, 0)
@@ -297,13 +323,15 @@ def _splits(coef, meter: _Meter) -> set:
                 continue
             if qk:
                 q[e] = qk
-            if rest:
-                r[e] = rest // q0
+            if rk:
+                r[e] = rk
+            frame[6:] = qk, rk
             # q*r == p: they agree at every exponent of supp(p), and with
             # q(1) = qs and r(1) <= p(1)/qs no mass is left for any other.
             full = cofactor(t + 1, room[qs] - rs) if done else None
             if full is not None:
-                found.add(_pair(_key({0: q0, **q}), _key({0: r0, **full})))
+                found.add(_pair((*reversed(q.items()), (0, q0)),
+                                (*reversed(full.items()), (0, r0))))
             if deeper:
                 t += 1
                 frames.append(node(t, qs, rs))
@@ -330,10 +358,11 @@ def _factor_pairs(p, meter):
         raise TypeError("factor_pairs takes a one-variable polynomial")
     if not p:
         raise ValueError("cannot factor the zero polynomial")
-    meter.search = f"factoring {len(p.terms)} terms of degree {_show(p.degree)}"
-    m = min(p.terms)
+    terms = p.terms  # descending
+    meter.search = ("factoring {} terms of degree {}", len(terms), next(iter(terms)))
+    m = next(reversed(terms))
     c = content(p)
-    core = {e - m: v // c for e, v in p.terms.items()}  # descending, as p's terms
+    core = {e - m: v // c for e, v in terms.items()} if m or c > 1 else terms
     cdivs = _divisors(c, meter) if c > 1 else (1,)
     splits = [(((0, 1),), tuple(core.items()))]
     if next(iter(core)) >= 2:

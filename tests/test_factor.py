@@ -5,6 +5,8 @@ import time
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bigraphpoly import (
     Budget,
@@ -355,6 +357,30 @@ def test_factor_pairs_matches_brute_force_oracle():
                         assert got == table.get(dense_key(coeffs), set()), coeffs
                         checked += 1
     assert checked > 1000
+
+
+def n_poly(low, middle, lead):
+    """low + middle[0] x + ... + lead x^d, d = len(middle) + 1; a middle
+    coefficient 0 leaves its term out."""
+    return Poly1({0: low, **{e: c for e, c in enumerate(middle, 1) if c}, len(middle) + 1: lead})
+
+
+# q in N[x] with q(0) >= 1, degree 1 to 7 and nonzero coefficients 1 to 4.
+n_polys = st.builds(
+    n_poly, st.integers(1, 4), st.lists(st.integers(0, 4), max_size=6), st.integers(1, 4)
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(n_polys, n_polys)
+def test_factor_pairs_lists_random_products(q, r):
+    """The product of random q and r lists (q, r), in either order, and
+    every pair multiplies back: degrees and coefficient sums past the
+    brute-force oracle's."""
+    p = q * r
+    pairs = factor_pairs(p)
+    assert all(a * b == p for a, b in pairs)
+    assert (q, r) in pairs or (r, q) in pairs
 
 
 # ---------------------------------------------------------------------------

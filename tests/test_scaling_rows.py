@@ -1,7 +1,7 @@
 """tools/scaling_rows.py runs each named row in a subprocess and prints its
 wall time, peak RSS and answer size on one line, and rejects an unknown
 row name; its product rows lie on the sides of mul's gate that their
-names say."""
+names say, and its binomial row lists the pairs of (1 + x)^12."""
 
 import importlib.util
 import subprocess
@@ -37,6 +37,13 @@ def test_product_and_isomorphism_rows_print_their_answers():
     for line in out[:2]:
         assert line.split()[-1] == "terms" and int(line.split()[-2]) > 1000
     assert out[2].split()[-2:] == ["not", "isomorphic"]
+
+
+def test_the_binomial_row_prints_its_pairs():
+    """(1 + x)^12 splits 6 ways: (1 + x)^k (1 + x)^(12 - k), for k = 1 to 6."""
+    out = subprocess.run([sys.executable, str(TOOL), "factor_pairs binomial12"],
+                         capture_output=True, text=True, check=True).stdout.split()
+    assert out[:2] == ["factor_pairs", "binomial12"] and out[6:] == ["6", "pairs"]
 
 
 def test_the_product_rows_are_on_their_sides_of_the_gate():

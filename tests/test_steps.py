@@ -9,6 +9,9 @@ a digest of its pairs.  They fix the bit-disjoint search's charges and,
 with its seeded points, its draws, and the charges of the coefficient
 search's walk: one walk per q(0) shared by every divisor of p(1), with the
 q(2) | p(2) test on dense supports.  A change to any of them moves a figure.
+The coefficient search's charges are also pinned one by one, with the
+text each would raise, so a charge moved, merged or split shows even when
+the least budgets hold.
 """
 
 import hashlib

@@ -42,7 +42,10 @@ The rows:
   the pair-loop side of mul's gate;
 * cycle64 is is_isomorphic on the 64-cycle against two 32-cycles, where
   refinement splits nothing and no coloring is discrete until the search
-  branches.
+  branches;
+* binomialN is factor_pairs on (1 + x)**N, for N = 12 and 14 (6 and 7
+  pairs): the coefficient search on a dense support with a repeated
+  factor, its worst case.
 """
 
 import subprocess
@@ -59,6 +62,7 @@ _ROWS = [
     "mul dense900x12", "mul dense2750x14", "mul dense9250x16", "mul dense300x14",
     "mul sparse300x15", "mul sparse64x20",
     "is_isomorphic cycle64",
+    "factor_pairs binomial12", "factor_pairs binomial14",
 ]
 
 
@@ -79,6 +83,7 @@ def _input(name):
     """The input of a row, as the arguments of its call."""
     import random
     from collections import Counter
+    from math import comb
 
     import bigraphpoly as bp
 
@@ -106,6 +111,9 @@ def _input(name):
                      for _ in range(2))
     if name == "cycle64":
         return tuple(_cycles(*sizes) for sizes in ((64,), (32, 32)))
+    if name.startswith("binomial"):
+        n = int(name[8:])
+        return (bp.Poly1({e: comb(n, e) for e in range(n + 1)}),)
     if name == "miss7":
         p = bp.Poly1({0: 1})
         for k in range(7):
@@ -118,12 +126,14 @@ def _run(row):
     """Run one row in this process and print its line."""
     from time import perf_counter
 
-    from bigraphpoly import bit_disjoint_factor, decompose, is_irreducible, is_isomorphic, mul
+    from bigraphpoly import (
+        bit_disjoint_factor, decompose, factor_pairs, is_irreducible, is_isomorphic, mul,
+    )
     from bigraphpoly.graphfactor import graph_factor_pairs
 
     call, name = row.split()
-    calls = [bit_disjoint_factor, decompose, graph_factor_pairs, is_irreducible, is_isomorphic,
-             mul]
+    calls = [bit_disjoint_factor, decompose, factor_pairs, graph_factor_pairs, is_irreducible,
+             is_isomorphic, mul]
     function = next(f for f in calls if f.__name__ == call)
     args = _input(name)
     start = perf_counter()
