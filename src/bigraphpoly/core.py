@@ -43,7 +43,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import repeat
 
-from ._match import find_bijections
+from ._match import find_bijections, pair_ids
 from .bits import pack_slots, tau
 from .errors import LabelingError, _brief
 from .poly import Poly1, Poly2, add, mul, poly_key
@@ -342,15 +342,17 @@ def _copies(classes, idle):
 def is_isomorphic(g1: Bipartite, g2: Bipartite, budget: Budget = Budget()):
     """Part- and slot-respecting isomorphism witness (u map, v map), or None.
 
-    For nets that is (event map, condition map).  A step is a node of the
-    individualize-and-refine search tree, a vertex or slot member read by a
-    refinement round, or a u-vertex of an assignment checked as a witness.
-    Mixed kinds raise TypeError.
+    For nets that is (event map, condition map).  The search reads the
+    class tables, so its cost follows the distinct slot tuples: a step is a
+    node of the individualize-and-refine search tree, a v-vertex, class or
+    slot member read by a refinement round, or a class of an assignment
+    checked as a witness.  The u map is paired class by class once, after
+    the search.  Mixed kinds raise TypeError.
     """
     _same_kind(g1, g2)
-    return find_bijections(
-        list(g1.v_vertices), g1._per_u(), list(g2.v_vertices), g2._per_u(), _Meter(budget)
-    )
+    found = find_bijections(list(g1.v_vertices), g1._classes, list(g2.v_vertices),
+                            g2._classes, _Meter(budget))
+    return found and (pair_ids(g1._per_u(), g2._per_u(), found[0]), found[1])
 
 
 def canonical_poly(g: Bipartite, budget: Budget = Budget()):

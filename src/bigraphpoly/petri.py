@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ._match import _match_right
+from ._match import _class_map, pair_ids
 from .core import (
     Directed,
     compact_labeling,
@@ -109,8 +109,10 @@ def witness(net: PetriNet, labeling, first: LabeledPetriNet, second: LabeledPetr
     onto net, for a pair that decompose returned under this labeling.
 
     Read off the construction, with no search: a product condition (side,
-    b) is the net's condition carrying that side's label of b, and events
-    follow by matching their pre and post sets through that map.
+    b) is the net's condition carrying that side's label of b.  That map
+    carries each event class of the product onto a class of the net with
+    the same count, and the events are paired class by class; the event
+    map is None for a pair whose classes it does not carry so.
     """
     prod = net_product(first.net, second.net)
     by_label = {lab: b for b, lab in labeling.items()}
@@ -119,7 +121,8 @@ def witness(net: PetriNet, labeling, first: LabeledPetriNet, second: LabeledPetr
         for side, half in enumerate((first, second))
         for b in half.net.conditions
     }
-    return _match_right(prod._per_u(), net._per_u(), cmap), cmap
+    classes = _class_map(prod._classes, net._classes, cmap)
+    return classes and pair_ids(prod._per_u(), net._per_u(), classes), cmap
 
 
 # Another name for the class, kept for code that imports it, and the net

@@ -31,6 +31,7 @@ from bigraphpoly import (
     identity_labeling,
     is_isomorphic,
     parse_poly1,
+    poly_product,
     render,
 )
 
@@ -341,13 +342,20 @@ def edge_set(g):
 def nx_graph(nx, g):
     """g as a networkx graph from its slots, nodes carrying their part:
     undirected for one slot; for two, slot 0 points from v to u and slot 1
-    from u to v, so digraphs and nets keep the direction of each link."""
+    from u to v, so digraphs and nets keep the direction of each link.
+
+    u-vertices with equal slots are twins, and they become one node that
+    carries their number: an isomorphism of these graphs lifts to g's by
+    pairing twins in any order, and networkx would try every such order."""
     out = nx.Graph() if g.arity == 1 else nx.DiGraph()
-    out.add_nodes_from(g.u_vertices, part="u")
     out.add_nodes_from(g.v_vertices, part="v")
+    twins = {}
     for u in g.u_vertices:
-        for slot, part in enumerate(g.slots(u)):
-            out.add_edges_from((u, v) if slot else (v, u) for v in part)
+        twins.setdefault(g.slots(u), []).append(u)
+    for slots, us in twins.items():
+        out.add_node(us[0], part=("u", len(us)))
+        for slot, part in enumerate(slots):
+            out.add_edges_from((us[0], v) if slot else (v, us[0]) for v in part)
     return out
 
 
@@ -418,14 +426,21 @@ def random_pair_past_the_old_guards(rng, kind, nv, nu, density):
 
 @pytest.mark.parametrize("kind", [Bigraph, DiBigraph], ids=["graph", "digraph"])
 def test_is_isomorphic_agrees_with_networkx_past_the_old_guard(kind):
-    """|v| = 13..16, past the vertex-count guard of 12 the search once had:
-    a witness exactly when networkx finds a part-respecting isomorphism, and
-    every witness maps each edge or arc onto one."""
+    """|v| = 13..16, past the vertex-count guard of 12 the search once had,
+    then 40..80 u-vertices on |v| = 4..6, where most u-vertices share their
+    class with others: a witness exactly when networkx finds a
+    part-respecting isomorphism, and every witness maps each edge or arc
+    onto one."""
     nx = pytest.importorskip("networkx")
     rng = random.Random(48)
     verdicts = Counter()
-    for k in range(40):
-        g, h = random_pair_past_the_old_guards(rng, kind, 13 + k % 4, rng.randint(8, 20), 0.3)
+    for k in range(60):
+        wide = k < 40
+        nv, nu, density = ((13 + k % 4, rng.randint(8, 20), 0.3) if wide
+                           else (rng.randint(4, 6), rng.randint(40, 80), 0.2))
+        g, h = random_pair_past_the_old_guards(rng, kind, nv, nu, density)
+        repeated = sum(c for c in g._classes.values() if c > 1)
+        assert wide or 2 * repeated > nu, k
         found = is_isomorphic(g, h)
         assert (found is not None) == nx_isomorphic(nx, g, h), k
         if found is not None:
@@ -436,8 +451,32 @@ def test_is_isomorphic_agrees_with_networkx_past_the_old_guard(kind):
             assert Counter(v_map.keys()) == Counter(g.v_vertices)
             assert Counter(v_map.values()) == Counter(h.v_vertices)
             assert {(m[a], m[b]) for a, b in edge_set(g)} == edge_set(h)
-        verdicts[found is not None] += 1
-    assert verdicts[True] >= 15 and verdicts[False] >= 15
+        verdicts[wide, found is not None] += 1
+    assert verdicts[True, True] >= 15 and verdicts[True, False] >= 15
+    assert verdicts[False, True] >= 5 and verdicts[False, False] >= 5
+
+
+def test_is_isomorphic_on_a_product_of_hundred_u_graphs_reads_its_classes():
+    """The product of two random 100-u graphs on 6 v-vertices each, labeled
+    apart, has 10^4 u-vertices in 2,115 classes.  Against a relabeled copy
+    the search reads classes, so it answers within 40,000 steps, where
+    reading every u-vertex took 125,025, and its witness carries every edge
+    onto an edge."""
+    rng = random.Random(0)
+
+    def graph(tag):
+        us, vs = [f"{tag}u{i}" for i in range(100)], [f"{tag}v{j}" for j in range(6)]
+        return Bigraph(us, vs, [(u, v) for u in us for v in vs if rng.random() < 0.4])
+
+    g1, g2 = graph("a"), graph("b")
+    apart = {v: 6 + i for v, i in compact_labeling(g2).items()}
+    g = poly_product(g1, compact_labeling(g1), g2, apart)
+    assert (len(g.u_vertices), len(g._classes)) == (10**4, 2115)
+    h = relabeled(rng, g)
+    u_map, v_map = is_isomorphic(g, h, Budget(max_steps=40_000))
+    assert sorted(u_map) == sorted(g.u_vertices) and sorted(u_map.values()) == sorted(h.u_vertices)
+    assert sorted(v_map.values()) == sorted(h.v_vertices)
+    assert {(u_map[u], v_map[v]) for u, v in g.edges} == h.edges
 
 
 def test_canonical_form_keeps_only_the_states_it_visits():

@@ -33,6 +33,8 @@ from bigraphpoly import (
     tau_poly,
 )
 
+from bigraphpoly.petri import witness
+
 from helpers import random_labeling, random_net, three_prime_nets
 
 
@@ -198,6 +200,13 @@ def test_decompose_golden():
     assert len(first.net.events) == len(second.net.events) == 1
     rebuilt = net_product(first.net, second.net)
     assert net_isomorphic(rebuilt, branching_net()) is not None
+    found = witness(branching_net(), BRANCH_LABELS, first, second)
+    assert_valid_net_iso(rebuilt, branching_net(), found)
+    # The same halves against a net on the same conditions with the joint
+    # event only: the product's lone events have no class there, so the
+    # event map is None.
+    other = PetriNet(["b0", "b1"], ["a"], pre={"a": ["b0"]}, post={"a": ["b1"]})
+    assert witness(other, BRANCH_LABELS, first, second)[0] is None
 
 
 def test_decompose_empty_when_the_encoding_resists():
@@ -366,12 +375,12 @@ def test_decompose_round_trips_random_products():
 
 def test_net_isomorphic_guard_and_negatives():
     # 13 conditions and no event: the root node and its 2 refinement
-    # rounds of 26 reads (13 conditions a side); the witness check has no
-    # event to read.
+    # rounds of 28 reads (13 conditions and the idle class a side); the
+    # witness check reads the idle class.
     big = PetriNet([f"b{i}" for i in range(13)], [])
-    with pytest.raises(BudgetExceededError, match="budget of 52 steps"):
-        net_isomorphic(big, big, Budget(max_steps=52))
-    assert net_isomorphic(big, big, Budget(max_steps=53)) is not None
+    with pytest.raises(BudgetExceededError, match="budget of 57 steps"):
+        net_isomorphic(big, big, Budget(max_steps=57))
+    assert net_isomorphic(big, big, Budget(max_steps=58)) is not None
     n1 = PetriNet(["b"], ["e"], pre={"e": ["b"]})
     n2 = PetriNet(["b"], ["e"], post={"e": ["b"]})
     assert net_isomorphic(n1, n2) is None

@@ -1,14 +1,16 @@
 """tools/scaling_rows.py runs each named row in a subprocess and prints its
 wall time, peak RSS and answer size on one line, and rejects an unknown
 row name; its product rows lie on the sides of mul's gate that their
-names say, and its binomial row lists the pairs of (1 + x)^12."""
+names say, its binomial row lists the pairs of (1 + x)^12, and a row that
+runs out of its budget prints budget as its answer."""
 
 import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
-from bigraphpoly import poly
+import bigraphpoly
+from bigraphpoly import BudgetExceededError, poly
 
 TOOL = Path(__file__).parents[1] / "tools" / "scaling_rows.py"
 
@@ -30,13 +32,15 @@ def test_an_unknown_row_is_rejected():
 
 
 def test_product_and_isomorphism_rows_print_their_answers():
-    rows = ["mul sparse64x20", "mul dense900x12", "is_isomorphic cycle64"]
+    rows = ["mul sparse64x20", "mul dense900x12", "is_isomorphic cycle64",
+            "is_isomorphic product100"]
     out = subprocess.run([sys.executable, str(TOOL), *rows],
                          capture_output=True, text=True, check=True).stdout.splitlines()
     assert [line.split()[:2] for line in out] == [row.split() for row in rows]
     for line in out[:2]:
         assert line.split()[-1] == "terms" and int(line.split()[-2]) > 1000
     assert out[2].split()[-2:] == ["not", "isomorphic"]
+    assert out[3].split()[-2:] == ["MB", "isomorphic"]
 
 
 def test_the_binomial_row_prints_its_pairs():
@@ -46,12 +50,27 @@ def test_the_binomial_row_prints_its_pairs():
     assert out[:2] == ["factor_pairs", "binomial12"] and out[6:] == ["6", "pairs"]
 
 
-def test_the_product_rows_are_on_their_sides_of_the_gate():
-    """The dense rows pack and the sparse rows keep the pair loop; 300x14
-    and 300x15 lie on either side of the gate's limit."""
+def load_tool():
     spec = importlib.util.spec_from_file_location("scaling_rows", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_a_row_that_runs_out_of_budget_prints_budget(monkeypatch, capsys):
+    def is_isomorphic(g1, g2):
+        raise BudgetExceededError("the isomorphism search used up the budget")
+
+    monkeypatch.setattr(bigraphpoly, "is_isomorphic", is_isomorphic)
+    load_tool()._run("is_isomorphic product100")
+    out = capsys.readouterr().out.split()
+    assert out[:2] == ["is_isomorphic", "product100"] and out[6:] == ["budget"]
+
+
+def test_the_product_rows_are_on_their_sides_of_the_gate():
+    """The dense rows pack and the sparse rows keep the pair loop; 300x14
+    and 300x15 lie on either side of the gate's limit."""
+    tool = load_tool()
     rows = [name.split()[1] for name in tool._ROWS if name.startswith("mul ")]
     for name in rows:
         packed = name.startswith("dense")

@@ -6,8 +6,9 @@ directory next to this tool.  The subprocess builds its input, which is not
 timed, times the one call with perf_counter, and reads its peak resident set
 size from VmHWM in /proc/self/status, so the peak includes the interpreter
 and the input.  Prints one row a line: name, seconds, peak MB and the size
-of the answer.  There is no threshold; the rows are for comparing two trees
-on one machine.  Reading VmHWM makes it Linux only.
+of the answer, or budget when the call runs out of its default Budget.
+There is no threshold; the rows are for comparing two trees on one machine.
+Reading VmHWM makes it Linux only.
 
     python3 tools/scaling_rows.py [row name ...]
 
@@ -43,6 +44,11 @@ The rows:
 * cycle64 is is_isomorphic on the 64-cycle against two 32-cycles, where
   refinement splits nothing and no coloring is discrete until the search
   branches;
+* productN is is_isomorphic on the poly_product of two random N-u graphs
+  against itself, for N = 100, 300 and 1000: 10**4, 9 * 10**4 and 10**6
+  u-vertices in at most 4,096 classes.  Each graph has 6 v-vertices and
+  each edge at probability 0.4 (random.Random(0)); the first is labeled
+  0..5 and the second 6..11, so the product's slots are the pairs' unions;
 * binomialN is factor_pairs on (1 + x)**N, for N = 12 and 14 (6 and 7
   pairs): the coefficient search on a dense support with a repeated
   factor, its worst case.
@@ -61,7 +67,8 @@ _ROWS = [
     "bit_disjoint_factor miss7",
     "mul dense900x12", "mul dense2750x14", "mul dense9250x16", "mul dense300x14",
     "mul sparse300x15", "mul sparse64x20",
-    "is_isomorphic cycle64",
+    "is_isomorphic cycle64", "is_isomorphic product100", "is_isomorphic product300",
+    "is_isomorphic product1000",
     "factor_pairs binomial12", "factor_pairs binomial14",
 ]
 
@@ -111,6 +118,13 @@ def _input(name):
                      for _ in range(2))
     if name == "cycle64":
         return tuple(_cycles(*sizes) for sizes in ((64,), (32, 32)))
+    if name.startswith("product"):
+        us, vs = range(int(name[7:])), ["v0", "v1", "v2", "v3", "v4", "v5"]
+        g1, g2 = (bp.Bigraph(us, vs, [(u, v) for u in us for v in vs if rng.random() < 0.4])
+                  for _ in range(2))
+        g = bp.poly_product(g1, {v: j for j, v in enumerate(vs)}, g2,
+                            {v: 6 + j for j, v in enumerate(vs)})
+        return g, g
     if name.startswith("binomial"):
         n = int(name[8:])
         return (bp.Poly1({e: comb(n, e) for e in range(n + 1)}),)
@@ -127,7 +141,8 @@ def _run(row):
     from time import perf_counter
 
     from bigraphpoly import (
-        bit_disjoint_factor, decompose, factor_pairs, is_irreducible, is_isomorphic, mul,
+        BudgetExceededError, bit_disjoint_factor, decompose, factor_pairs, is_irreducible,
+        is_isomorphic, mul,
     )
     from bigraphpoly.graphfactor import graph_factor_pairs
 
@@ -137,9 +152,14 @@ def _run(row):
     function = next(f for f in calls if f.__name__ == call)
     args = _input(name)
     start = perf_counter()
-    out = function(*args)
+    try:
+        out = function(*args)
+    except BudgetExceededError:
+        out = BudgetExceededError
     seconds = perf_counter() - start
-    if call == "is_irreducible":
+    if out is BudgetExceededError:
+        size = "budget"
+    elif call == "is_irreducible":
         size = out.verdict
     elif call == "mul":
         size = f"{len(out.terms)} terms"
