@@ -362,8 +362,10 @@ def canonical_poly(g: Bipartite, budget: Budget = Budget()):
     (exponent, coefficient) pairs, as poly_key does; the minimum is a
     labeling-independent invariant, equal for isomorphic graphs.  It is the
     last encoding of _encodings' least mode, so it is what trying all |v|!
-    labelings would give, and its steps are the walk's.  Symmetric inputs
-    still visit a large share of the |v|! labelings.
+    labelings would give, and its steps are the walk's: one per child state
+    built and two per distinct term of its parent, so the cost follows the
+    distinct terms, not the u-vertices.  Symmetric inputs still visit a
+    large share of the |v|! labelings.
     """
     search = f"the canonical form of {len(g.v_vertices)} v-vertices"
     for p, _ in _encodings(g, _Meter(budget), search, least=True):
@@ -389,8 +391,10 @@ def _encodings(g: Bipartite, meter, search, least):
        unlabeled members, multiplicity) per term was met before at the same
        depth is dropped.
 
-    A step is a unit of building a child state: one for the child, one per
-    distinct term of its parent and one per term counted with multiplicity.
+    A step is a unit of building a child state: one for the child and two
+    per distinct term of its parent, one for its entry in the child and one
+    for its run in the child's bound, so a class's u-vertex count costs
+    nothing.
     """
     vs = g.v_vertices
     n = len(vs)
@@ -409,8 +413,8 @@ def _encodings(g: Bipartite, meter, search, least):
     unit = 1 if g.arity == 1 else 1 | 1 << n
     pos = {v: i for i, v in enumerate(vs)}
     packed = pack_slots(g._classes, vs, pos, g.arity)
-    root = Counter(dict(zip(packed if g.arity == 1 else [x << n | y for x, y in packed],
-                            g._classes.values())))
+    root = dict(zip(packed if g.arity == 1 else [x << n | y for x, y in packed],
+                    g._classes.values()))
     # Rule 1.  Swapping two twins maps every slot to itself, so a labeling
     # that gives L to one has the encoding of the one that gives L to the
     # other.  Twins are always labeled in index order, so the unlabeled ones
@@ -422,14 +426,17 @@ def _encodings(g: Bipartite, meter, search, least):
     # gains between 2**r - 1 and 2**m - 2**(m - r) on top of its fixed bits,
     # so every completion of term t is at least floor(t): its fixed bits
     # plus 2**r - 1 in each slot, memoized by the integer the states already
-    # hold.  Repeat each floor by the term's multiplicity, its top field,
-    # and sort descending: comparing such lists compares the (exponent,
-    # coefficient) lists, and all have the same length.  A list elementwise
-    # no greater than another is no greater lexicographically, and the k-th
-    # largest of termwise greater values is no smaller, so the sorted floors
-    # are at most every completion's list: once they reach the best leaf,
-    # nothing below beats it.  At a leaf, where nothing is open, the list is
-    # the encoding's.
+    # hold.  The bound is the runs (floor(t), count) of the distinct terms,
+    # the count being t's top field, sorted descending.  Expanded into count
+    # copies each, the floors form a list as long as every completion's
+    # expanded (exponent, coefficient) list and, sorted, elementwise no
+    # greater, as the k-th largest of termwise greater values is no smaller;
+    # two such lists compare as their runs do once equal values share one
+    # run.  Terms that share a floor leave it split over runs, which
+    # compares lower still, as (f, a) < (f, a + b).  So the bound is at most
+    # every completion's runs: once it reaches the best leaf, nothing below
+    # beats it.  At a leaf, where nothing is open, the terms are distinct
+    # and the runs are the encoding's poly_key.
     floors = {}
 
     def floor(t):
@@ -441,11 +448,7 @@ def _encodings(g: Bipartite, meter, search, least):
         return low
 
     def bound(state):
-        out = []
-        for t in state:
-            out += [floor(t)] * (t >> 2 * size)
-        out.sort(reverse=True)
-        return out
+        return sorted([(floor(t), t >> 2 * size) for t in state], reverse=True)
 
     # Rule 3.  What completions a partial labeling has depends only on the
     # multiset of term states and the labels left, not on which u-vertex
@@ -457,19 +460,18 @@ def _encodings(g: Bipartite, meter, search, least):
     seen = set()
     # The compact labeling, label i for v-index i, is the first leaf: its
     # term integers are the open bits themselves.
-    best = compact = sorted(root.elements(), reverse=True)
-    width = len(best)  # terms of every state, counted with multiplicity
+    best = compact = sorted(root.items(), reverse=True)
 
     def children(state, free):
         """The children of a state, in least mode least bound first.  Each
-        costs 1 + len(state) + width steps, the size of what building it
-        makes."""
+        costs 1 + 2 * len(state) steps, the size of what building it makes:
+        the child and its bound, one entry per distinct term each."""
         shift = size + free.bit_count() - 1  # the label's place in the fixed field
         out = []
         for i in range(n):
             if not free >> i & 1 or (previous[i] is not None and free >> previous[i] & 1):
                 continue
-            meter.charge(1 + len(state) + width, "building states")
+            meter.charge(1 + 2 * len(state), "building states")
             bit = unit << i
             child = tuple(sorted(t ^ b ^ b >> i << shift if (b := t & bit) else t for t in state))
             out.append((bound(child) if least else None, i, child))
@@ -477,10 +479,10 @@ def _encodings(g: Bipartite, meter, search, least):
             out.sort()
         return iter(out)
 
-    def encoding(terms):
+    def encoding(runs):
         if g.arity == 2:
-            terms = [(e >> n, e & (1 << n) - 1) for e in terms]
-        return g.poly._from_key(sorted(Counter(terms).items(), reverse=True))
+            runs = [((e >> n, e & (1 << n) - 1), c) for e, c in runs]
+        return g.poly._from_key(runs)
 
     yield encoding(compact), dict(zip(vs, range(n)))
     meter.search = search
@@ -491,8 +493,8 @@ def _encodings(g: Bipartite, meter, search, least):
     stack = [(children(state, (1 << n) - 1), (1 << n) - 1, ())]
     while stack:
         rest, free, path = stack.pop()
-        for terms, i, child in rest:
-            if least and terms >= best:
+        for runs, i, child in rest:
+            if least and runs >= best:
                 break
             # Rule 3 keeps the states visited, not all children built: in
             # least mode the bound cuts most of them.
@@ -505,14 +507,14 @@ def _encodings(g: Bipartite, meter, search, least):
                 stack += [(rest, free, path), (children(child, left), left, (i, *path))]
                 break
             if not least:  # a leaf, whose list least mode built already
-                terms = bound(child)
-                if terms == compact:
+                runs = bound(child)
+                if runs == compact:
                     continue
-            best = terms
+            best = runs
             # order[k] is the v-index labeled k; v-indices still unlabeled
             # are in no slot and take the labels left in index order.
             order = [j for j in range(n) if left >> j & 1] + [i, *path]
-            yield encoding(terms), dict(zip(vs, sorted(range(n), key=order.__getitem__)))
+            yield encoding(runs), dict(zip(vs, sorted(range(n), key=order.__getitem__)))
             meter.search = search
 
 

@@ -119,8 +119,9 @@ def is_irreducible(
     nonconstant half, and the trivial split of p / x**m shifted once gives
     it, so factor_graph's first pair is (x, p / x).  Both modes answer from
     that pair with no search, charged as one emitted pair.  The walk and
-    the searches share one allowance: the walk charges the states it
-    builds, and each encoding costs at least the divisor scan of p(1).
+    the searches share one allowance: the walk charges each state it builds
+    one step and two per distinct term of its parent, and each encoding
+    costs at least the divisor scan of p(1).
     Running out gives "inconclusive".  p(1) and p(0) are the same under
     every labeling, so when p(0) >= 1 and they admit no split's values
     (_values_split), the sweep answers "irreducible" before the walk.

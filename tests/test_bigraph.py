@@ -7,7 +7,7 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -34,9 +34,11 @@ from bigraphpoly import (
     poly_product,
     render,
 )
+from bigraphpoly.poly import poly_key
 
 from helpers import (
     cycles,
+    from_slots,
     least_encoding,
     random_bigraph,
     random_canon_case,
@@ -278,6 +280,49 @@ def test_canonical_poly_matches_least_encoding_on_edge_cases():
     for _ in range(120):
         g = random_canon_case(rng, "graph")
         assert dict(canonical_poly(g).terms) == least_encoding(g, 1), g
+
+
+def test_canonical_poly_matches_least_encoding_on_repeated_classes():
+    """Graphs, digraphs and nets on |v| <= 6 whose u-classes repeat 1 to 4
+    times, so the walk's terms carry counts.  Over half of the inputs have
+    two classes with slots of equal sizes: at the root their distinct terms
+    share a floor, which the bound keeps as two runs."""
+    rng = random.Random(49)
+    shared = 0
+    for k in range(150):
+        kind = (Bigraph, DiBigraph, PetriNet)[k % 3]
+        width = 1 if kind is Bigraph else 2
+        vs = [f"v{j}" for j in range(rng.randint(2, 6))]
+        classes = list(dict.fromkeys(
+            tuple(frozenset(v for v in vs if rng.random() < 0.5 / width) for _ in range(width))
+            for _ in range(rng.randint(3, 7))))
+        sig = {f"u{i}_{c}": slots for i, slots in enumerate(classes)
+               for c in range(rng.randint(1, 4))}
+        g = from_slots(kind, list(sig), vs, sig)
+        sizes = [tuple(map(len, slots)) for slots in classes]
+        shared += len(set(sizes)) < len(sizes)
+        assert dict(canonical_poly(g).terms) == least_encoding(g, width), (k, sig)
+    assert shared >= 75
+
+
+def test_canonical_poly_on_a_product_of_hundred_u_graphs_reads_its_classes():
+    """The product of two random 100-u graphs on 6 v-vertices, both labeled
+    0..5, has 10^4 u-vertices on 7 v-vertices in 123 classes.  A walk state
+    costs its distinct terms, not its u-vertices, so the canonical form
+    answers within the default budget, which charging u-vertices used up,
+    and it is the least of the encodings under all 5,040 labelings."""
+    rng = random.Random(0)
+
+    def graph(tag):
+        us, vs = [f"{tag}u{i}" for i in range(100)], [f"{tag}v{j}" for j in range(6)]
+        return Bigraph(us, vs, [(u, v) for u in us for v in vs if rng.random() < 0.4])
+
+    g1, g2 = graph("a"), graph("b")
+    g = poly_product(g1, compact_labeling(g1), g2, compact_labeling(g2))
+    assert (sum(g._classes.values()), len(g.v_vertices), len(g._classes)) == (10**4, 7, 123)
+    least = min(poly_key(encode(g, dict(zip(g.v_vertices, labels))))
+                for labels in permutations(range(7)))
+    assert poly_key(canonical_poly(g, Budget())) == least
 
 
 # |v| = 8 inputs with many automorphisms: u-vertex i meets the v-indices of

@@ -228,23 +228,23 @@ def test_sweep_shares_one_allowance():
     which splits, but p(1) = 4 and p(0) = 1 leave room for a split's values
     (4 = 2 * 2 with 2 > 1), so the sweep runs.  Listing the divisors of
     p(0) and p(1) takes 2 + 3 steps and the compact encoding's search 7.
-    The sweep builds 4 states at 1 + 3 + 4 = 8 steps each (the child, the 3
-    distinct terms of its parent, the 4 terms) and searches the other
-    encoding in 3, so 47 steps answer."""
+    The sweep builds 4 states at 1 + 2 * 3 = 7 steps each (the child and
+    its bound, one entry per distinct term of its parent in each) and
+    searches the other encoding in 3, so 43 steps answer."""
     g = Bigraph(["a", "b", "c", "d"], ["p", "q"],
                 [("b", "p"), ("c", "p"), ("d", "p"), ("d", "q")])
     alone = is_irreducible(g, {"p": 0, "q": 1}, budget=Budget(max_steps=7))
     assert alone.verdict == "irreducible"
-    sweep = is_irreducible(g, exhaustive=True, budget=Budget(max_steps=46))
+    sweep = is_irreducible(g, exhaustive=True, budget=Budget(max_steps=42))
     assert sweep.verdict == "inconclusive"
-    assert "budget of 46 steps" in sweep.detail
-    sweep = is_irreducible(g, exhaustive=True, budget=Budget(max_steps=47))
+    assert "budget of 42 steps" in sweep.detail
+    sweep = is_irreducible(g, exhaustive=True, budget=Budget(max_steps=43))
     assert sweep.verdict == "irreducible"
 
 
 def test_sweep_charges_each_state_it_builds():
     """The divisors of p(0) and p(1) are listed in 5 steps and the compact
-    encoding is searched next, in 7; the walk then charges 8 steps per
+    encoding is searched next, in 7; the walk then charges 7 steps per
     state, and running out names the sweep, not the factor search that ran
     before it."""
     g = Bigraph(["a", "b", "c", "d"], ["p", "q"],
@@ -252,12 +252,12 @@ def test_sweep_charges_each_state_it_builds():
     first = is_irreducible(g, exhaustive=True, budget=Budget(max_steps=12))
     assert first.detail == (
         "the sweep over the labelings of 2 v-vertices used up the budget of 12 steps"
-        " in building states (20 asked for)"
+        " in building states (19 asked for)"
     )
     second = is_irreducible(g, exhaustive=True, budget=Budget(max_steps=28))
     assert second.detail == (
         "the sweep over the labelings of 2 v-vertices used up the budget of 28 steps"
-        " in building states (36 asked for)"
+        " in building states (33 asked for)"
     )
 
 

@@ -1,8 +1,9 @@
 """tools/scaling_rows.py runs each named row in a subprocess and prints its
 wall time, peak RSS and answer size on one line, and rejects an unknown
 row name; its product rows lie on the sides of mul's gate that their
-names say, its binomial row lists the pairs of (1 + x)^12, and a row that
-runs out of its budget prints budget as its answer."""
+names say, its binomial row lists the pairs of (1 + x)^12, its canonical
+row answers within its budget, and a row that runs out of its budget
+prints budget as its answer."""
 
 import importlib.util
 import subprocess
@@ -41,6 +42,14 @@ def test_product_and_isomorphism_rows_print_their_answers():
         assert line.split()[-1] == "terms" and int(line.split()[-2]) > 1000
     assert out[2].split()[-2:] == ["not", "isomorphic"]
     assert out[3].split()[-2:] == ["MB", "isomorphic"]
+
+
+def test_the_canonical_row_answers_within_its_budget():
+    """The canonical form of the 10^4-u product has its 123 terms; a walk
+    that charged u-vertices ran out of its budget here."""
+    out = subprocess.run([sys.executable, str(TOOL), "canonical_poly product100"],
+                         capture_output=True, text=True, check=True).stdout.split()
+    assert out[:2] == ["canonical_poly", "product100"] and out[6:] == ["123", "terms"]
 
 
 def test_the_binomial_row_prints_its_pairs():

@@ -487,7 +487,7 @@ PINNED_WALK = {
     ("cycle7", False): (167_685, "x^80 + x^65 + x^36 + x^34 + x^24 + x^12 + x^3"),
     ("cycle8", True): (133_042, "x^130 + x^129 + x^68 + x^65 + x^40 + x^34 + x^24 + x^20"),
     ("cycle8x50", True): (
-        3_200_834,
+        133_042,
         "50*x^130 + 50*x^129 + 50*x^68 + 50*x^65 + 50*x^40 + 50*x^34 + 50*x^24 + 50*x^20",
     ),
     ("dicycle7", True): (

@@ -1,5 +1,6 @@
 """Wall time and peak RSS of the scaling rows: the net and bit-disjoint
-routes, dense and sparse products, and isomorphism on a regular input.
+routes, dense and sparse products, isomorphism on a regular input and on
+products, and the canonical form of a product.
 
 Each row runs in a fresh Python subprocess against the package in the src
 directory next to this tool.  The subprocess builds its input, which is not
@@ -49,6 +50,10 @@ The rows:
   u-vertices in at most 4,096 classes.  Each graph has 6 v-vertices and
   each edge at probability 0.4 (random.Random(0)); the first is labeled
   0..5 and the second 6..11, so the product's slots are the pairs' unions;
+* canonical_poly product100 is the canonical form of the product of the
+  same two 100-u graphs with both labeled 0..5: 10**4 u-vertices on 7
+  v-vertices in 123 classes, whose labeling walk costs what the 123 terms
+  cost;
 * binomialN is factor_pairs on (1 + x)**N, for N = 12 and 14 (6 and 7
   pairs): the coefficient search on a dense support with a repeated
   factor, its worst case.
@@ -68,7 +73,7 @@ _ROWS = [
     "mul dense900x12", "mul dense2750x14", "mul dense9250x16", "mul dense300x14",
     "mul sparse300x15", "mul sparse64x20",
     "is_isomorphic cycle64", "is_isomorphic product100", "is_isomorphic product300",
-    "is_isomorphic product1000",
+    "is_isomorphic product1000", "canonical_poly product100",
     "factor_pairs binomial12", "factor_pairs binomial14",
 ]
 
@@ -86,7 +91,7 @@ def _cycles(*sizes):
     return bp.Bigraph(us, vs, edges)
 
 
-def _input(name):
+def _input(name, call=None):
     """The input of a row, as the arguments of its call."""
     import random
     from collections import Counter
@@ -122,9 +127,10 @@ def _input(name):
         us, vs = range(int(name[7:])), ["v0", "v1", "v2", "v3", "v4", "v5"]
         g1, g2 = (bp.Bigraph(us, vs, [(u, v) for u in us for v in vs if rng.random() < 0.4])
                   for _ in range(2))
+        shift = 0 if call == "canonical_poly" else 6
         g = bp.poly_product(g1, {v: j for j, v in enumerate(vs)}, g2,
-                            {v: 6 + j for j, v in enumerate(vs)})
-        return g, g
+                            {v: shift + j for j, v in enumerate(vs)})
+        return (g,) if call == "canonical_poly" else (g, g)
     if name.startswith("binomial"):
         n = int(name[8:])
         return (bp.Poly1({e: comb(n, e) for e in range(n + 1)}),)
@@ -141,16 +147,16 @@ def _run(row):
     from time import perf_counter
 
     from bigraphpoly import (
-        BudgetExceededError, bit_disjoint_factor, decompose, factor_pairs, is_irreducible,
-        is_isomorphic, mul,
+        BudgetExceededError, bit_disjoint_factor, canonical_poly, decompose, factor_pairs,
+        is_irreducible, is_isomorphic, mul,
     )
     from bigraphpoly.graphfactor import graph_factor_pairs
 
     call, name = row.split()
-    calls = [bit_disjoint_factor, decompose, factor_pairs, graph_factor_pairs, is_irreducible,
-             is_isomorphic, mul]
+    calls = [bit_disjoint_factor, canonical_poly, decompose, factor_pairs, graph_factor_pairs,
+             is_irreducible, is_isomorphic, mul]
     function = next(f for f in calls if f.__name__ == call)
-    args = _input(name)
+    args = _input(name, call)
     start = perf_counter()
     try:
         out = function(*args)
@@ -161,7 +167,7 @@ def _run(row):
         size = "budget"
     elif call == "is_irreducible":
         size = out.verdict
-    elif call == "mul":
+    elif call in ("mul", "canonical_poly"):
         size = f"{len(out.terms)} terms"
     elif call == "is_isomorphic":
         size = "not isomorphic" if out is None else "isomorphic"
