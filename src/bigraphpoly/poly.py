@@ -122,7 +122,7 @@ class Poly1(_Poly):
     @property
     def degree(self):
         """Largest exponent; -1 for the zero polynomial."""
-        return max(self._terms) if self._terms else -1
+        return next(iter(self._terms), -1)
 
     def is_constant(self):
         return self.degree <= 0
@@ -274,7 +274,7 @@ def lift(p: Poly1) -> Poly2:
     """Embed N[x] into N[x,y]: every term gets y-exponent 0."""
     if isinstance(p, Poly2):
         return p
-    return Poly2({(e, 0): c for e, c in p.terms.items()})
+    return Poly2._from_key([((e, 0), c) for e, c in p._terms.items()])
 
 
 def content(p) -> int:
@@ -295,55 +295,57 @@ def poly_key(p):
 
 
 # ---------------------------------------------------------------------------
-# Long division.
+# Exact division.
 
-def _divide_terms(r, q):
-    # If q * s == p over the naturals, every remainder is q times the rest of
-    # s: natural coefficients on a support inside supp(p).  A negative
-    # leading coefficient or a leading exponent outside supp(p) settles None.
-    # Exponents are (x, y) pairs, led in lexicographic order.
-    support = set(r)
-    qlead = qx, qy = max(q)
-    qc = q[qlead]
-    quo = {}
-    while r:
-        rlead = rx, ry = max(r)
-        rc = r[rlead]
-        if rc < 0 or rc % qc or rlead not in support or rx < qx or ry < qy:
+def _divide_terms(p, q):
+    # taken[e] is what the quotient so far takes from p's term e.  No later
+    # quotient term reaches a term already read, so a walk that ends has
+    # q * quo == p with no remainder left to check.  Exponents are (x, y)
+    # pairs in lexicographic order.
+    (qx, qy), qc = next(iter(q.items()))
+    taken = dict.fromkeys(p, 0)
+    quo = []
+    for (px, py), pc in p.items():
+        rest = pc - taken[px, py]
+        if not rest:
+            continue
+        if rest < 0 or rest % qc or px < qx or py < qy:
             return None
-        c = rc // qc
-        ex, ey = e = (rx - qx, ry - qy)
-        quo[e] = c
-        for (x, y), cq in q.items():
-            k = (ex + x, ey + y)
-            nv = r.get(k, 0) - c * cq
-            if nv:
-                r[k] = nv
-            else:
-                r.pop(k, None)
+        c = rest // qc
+        ex, ey = px - qx, py - qy
+        quo.append(((ex, ey), c))
+        try:
+            for (x, y), cq in q.items():
+                taken[ex + x, ey + y] += c * cq
+        except KeyError:  # off supp(p): taken only grows, so it never cancels
+            return None
     return quo
 
 
 def divide_exact(p, q):
     """Quotient r with q * r == p, staying in the same semiring, else None.
 
-    Plain long division over the integers under the lexicographic x-then-y
-    monomial order.  One-variable operands are divided as their lifts, whose
-    y-exponents are all 0, so the order is the degree order there and the
-    quotient is read back with the y dropped.  The quotient over the
-    integers is unique, so p is divisible in the nonnegative world exactly
-    when the remainder vanishes and no quotient coefficient is negative.
-    Dividing by the zero polynomial raises ZeroDivisionError.
+    Over the naturals nothing cancels, so the quotient's terms are read off
+    p's own terms in descending order, under the lexicographic x-then-y
+    monomial order: the leading term of what is left of p, divided by q's
+    leading term, is the next quotient term, and its products with q are
+    tallied against the terms of p they land on.  A product off supp(p), a
+    tally past p's coefficient or a leading coefficient that q's does not
+    divide settles None.  Every term of p is read once and every quotient
+    term costs |q| dictionary steps.  One-variable operands are divided as
+    their lifts, whose y-exponents are all 0, and the quotient is read back
+    with the y dropped.  Dividing by the zero polynomial raises
+    ZeroDivisionError.
     """
     _same_arity(p, q)
     if not q:
         raise ZeroDivisionError("division by the zero polynomial")
-    quo = _divide_terms(dict(lift(p).terms), dict(lift(q).terms))
+    quo = _divide_terms(lift(p)._terms, lift(q)._terms)
     if quo is None:
         return None
     if isinstance(p, Poly1):
-        return Poly1({x: c for (x, _), c in quo.items()})
-    return Poly2(quo)
+        return Poly1._from_key([(x, c) for (x, _), c in quo])
+    return Poly2._from_key(quo)
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,40 @@ def mul_reference(p, q) -> dict:
     return dict(sorted(out.items(), reverse=True))
 
 
+def long_division(p, q):
+    """Quotient r with q * r == p in p's semiring, else None, by long
+    division over the integers under the lexicographic x-then-y order,
+    taking the largest exponent of the whole remainder for every quotient
+    term: the reference for poly.divide_exact.  A Poly1 pair divides as its
+    lift, with the y dropped from the quotient."""
+    if not q:
+        raise ZeroDivisionError("division by the zero polynomial")
+    one = isinstance(p, Poly1)
+    r, q = ({(e, 0) if one else e: c for e, c in t.terms.items()} for t in (p, q))
+    support = set(r)
+    qlead = qx, qy = max(q)
+    qc = q[qlead]
+    quo = {}
+    while r:
+        rlead = rx, ry = max(r)
+        rc = r[rlead]
+        if rc < 0 or rc % qc or rlead not in support or rx < qx or ry < qy:
+            return None
+        c = rc // qc
+        ex, ey = e = (rx - qx, ry - qy)
+        quo[e] = c
+        for (x, y), cq in q.items():
+            k = (ex + x, ey + y)
+            nv = r.get(k, 0) - c * cq
+            if nv:
+                r[k] = nv
+            else:
+                r.pop(k, None)
+    if one:
+        return Poly1({x: c for (x, _), c in quo.items()})
+    return Poly2(quo)
+
+
 def dense_mul(a: list, b: list) -> list:
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, ca in enumerate(a):

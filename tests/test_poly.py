@@ -27,7 +27,7 @@ from bigraphpoly import (
     render,
 )
 
-from helpers import mul_reference, random_poly1, random_poly2, render_reference
+from helpers import long_division, mul_reference, random_poly1, random_poly2, render_reference
 
 
 # ---------------------------------------------------------------------------
@@ -540,12 +540,13 @@ def test_divide_exact_bivariate():
 
 
 def test_divide_exact_stops_at_first_impossible_remainder():
-    # x^(2^22) + 1 over x + 1: the first remainder, 1 - x^(2^22 - 1), has a
-    # negative leading coefficient, so no long division through the degree.
+    # x^(2^22) + 1 over x + 1: the first quotient term x^(2^22 - 1) puts a
+    # product on x^(2^22 - 1), off supp(p), so the walk ends at p's first
+    # term and never steps through the degree.
     start = time.perf_counter()
     assert divide_exact(Poly1({1 << 22: 1, 0: 1}), Poly1({1: 1, 0: 1})) is None
     assert time.perf_counter() - start < 1.0
-    # the remainder's leading exponent x^2 lies outside supp(p)
+    # the first quotient term x^2 puts a product on x^2, outside supp(p)
     assert divide_exact(Poly1({3: 1, 1: 1}), Poly1({1: 1, 0: 1})) is None
     assert divide_exact(
         Poly2({(2, 0): 1, (0, 1): 1}), Poly2({(1, 0): 1, (0, 0): 1})
@@ -604,14 +605,59 @@ def test_divide_exact_of_one_variable_is_the_lifted_division_read_back():
 
 
 def test_divide_exact_rejects_near_multiples():
+    """divide_exact gives long division's answer in both arities: on exact
+    multiples, products with one term bumped, q or the product times x^m or
+    x^a * y^b, coefficients past 2^64 and the zero dividend.  A natural
+    q * (d - m), for d dense and m one monomial past d's coefficient, has
+    only an integer quotient, so a walk that let a quotient coefficient go
+    negative would answer it."""
     rng = random.Random(17)
-    for _ in range(200):
-        p = random_poly1(rng)
-        q = random_poly1(rng)
+    met = Counter()
+    for _ in range(500):
+        arity = rng.choice((1, 2))
+        top = 2 ** rng.choice((2, 8, 70))
+        make, cls = (random_poly1, Poly1) if arity == 1 else (random_poly2, Poly2)
+        p, q = make(rng, max_coeff=top, allow_zero=True), make(rng, max_coeff=top)
+        if arity == 1:
+            shift = Poly1({rng.randrange(4): 1})
+            bump = Poly1({rng.randint(0, max(p.degree + q.degree, 0) + 1): 1})
+            dense, hole = Poly1({e: top for e in range(8)}), rng.randrange(1, 7)
+        else:
+            shift = Poly2({(rng.randrange(3), rng.randrange(3)): 1})
+            bump = Poly2({(rng.randrange(12), rng.randrange(12)): 1})
+            dense, hole = Poly2({(i, j): top for i in range(3) for j in range(3)}), (1, 1)
         prod = p * q
-        bumped = prod + Poly1({rng.randint(0, prod.degree): 1})
-        got = divide_exact(bumped, q)
-        assert got is None or got * q == bumped
+        cases = [(prod, q), (prod + bump, q), (prod * shift, q), (prod, q * shift),
+                 (prod * shift, q * shift), (cls(), q)]
+        minus = (q * cls({hole: top + 1})).terms
+        near = {e: c - minus.get(e, 0) for e, c in (q * dense).terms.items()}
+        if min(near.values()) >= 0:
+            cases.append((cls(near), q))
+            met["integer quotient"] += 1
+        for a, b in cases:
+            got = divide_exact(a, b)
+            assert got == long_division(a, b), (a, b)
+            assert got is None or got * b == a
+            met[arity, top > 2**64, got is not None] += 1
+    assert len(met) == 9 and min(met.values()) > 50, met
+
+
+def test_divide_exact_on_a_packed_size_product():
+    """The product of 9,250 draws below 2^16 and 60 draws below 2^6, about
+    65,000 terms, divides back in one walk over its terms, and the same
+    product plus x gives None as fast.  Long division, which scanned the
+    whole remainder for every quotient term, took about 9 s on each."""
+    rng = random.Random(0)
+    p = Poly1({rng.randrange(2**16): rng.randint(1, 9) for _ in range(9250)})
+    q = Poly1({rng.randrange(2**6): rng.randint(1, 9) for _ in range(60)})
+    prod = mul(p, q)
+    assert len(prod.terms) > 65_000
+    start = time.perf_counter()
+    assert divide_exact(prod, q) == p
+    assert time.perf_counter() - start < 3
+    start = time.perf_counter()
+    assert divide_exact(prod + Poly1({1: 1}), q) is None
+    assert time.perf_counter() - start < 3
 
 
 @pytest.mark.parametrize("make, terms, match", [

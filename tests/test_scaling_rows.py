@@ -1,9 +1,10 @@
 """tools/scaling_rows.py runs each named row in a subprocess and prints its
 wall time, peak RSS and answer size on one line, and rejects an unknown
 row name; its product rows lie on the sides of mul's gate that their
-names say, its binomial row lists the pairs of (1 + x)^12, its canonical
-row answers within its budget, and a row that runs out of its budget
-prints budget as its answer."""
+names say, its division row reads back the quotient, its binomial row
+lists the pairs of (1 + x)^12, its canonical row answers within its
+budget, and a row that runs out of its budget prints budget as its
+answer."""
 
 import importlib.util
 import subprocess
@@ -34,7 +35,7 @@ def test_an_unknown_row_is_rejected():
 
 def test_product_and_isomorphism_rows_print_their_answers():
     rows = ["mul sparse64x20", "mul dense900x12", "is_isomorphic cycle64",
-            "is_isomorphic product100"]
+            "is_isomorphic product100", "divide_exact dense9250x16"]
     out = subprocess.run([sys.executable, str(TOOL), *rows],
                          capture_output=True, text=True, check=True).stdout.splitlines()
     assert [line.split()[:2] for line in out] == [row.split() for row in rows]
@@ -42,6 +43,7 @@ def test_product_and_isomorphism_rows_print_their_answers():
         assert line.split()[-1] == "terms" and int(line.split()[-2]) > 1000
     assert out[2].split()[-2:] == ["not", "isomorphic"]
     assert out[3].split()[-2:] == ["MB", "isomorphic"]
+    assert out[4].split()[-2:] == ["8716", "terms"]
 
 
 def test_the_canonical_row_answers_within_its_budget():

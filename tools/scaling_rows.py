@@ -42,6 +42,11 @@ The rows:
   pairs, the second would pack into 128 KB and keeps the pair loop;
 * sparse64x20 is mul of two such Poly1 of 64 draws below 2**20, far on
   the pair-loop side of mul's gate;
+* divide_exact dense9250x16 divides mul(p, q) by q, where p has 9,250
+  draws of a term below 2**16 and q 60 draws below 2**6, each with a
+  coefficient from 1 to 9 (random.Random(0)): about 65,000 terms on
+  8,716 quotient terms.  The product is built untimed, and the row prints
+  the quotient's term count;
 * cycle64 is is_isomorphic on the 64-cycle against two 32-cycles, where
   refinement splits nothing and no coloring is discrete until the search
   branches;
@@ -71,7 +76,7 @@ _ROWS = [
     "bit_disjoint_factor sparse64x3", "bit_disjoint_factor hugecoeff64",
     "bit_disjoint_factor miss7",
     "mul dense900x12", "mul dense2750x14", "mul dense9250x16", "mul dense300x14",
-    "mul sparse300x15", "mul sparse64x20",
+    "mul sparse300x15", "mul sparse64x20", "divide_exact dense9250x16",
     "is_isomorphic cycle64", "is_isomorphic product100", "is_isomorphic product300",
     "is_isomorphic product1000", "canonical_poly product100",
     "factor_pairs binomial12", "factor_pairs binomial14",
@@ -119,6 +124,10 @@ def _input(name, call=None):
         return (bp.Poly1({e: (2**(10**6) + 1 if e & 4 else 1) for e in range(64)}),)
     if name.startswith(("dense", "sparse")):
         draws, bits = map(int, name.removeprefix("dense").removeprefix("sparse").split("x"))
+        if call == "divide_exact":
+            p, q = (bp.Poly1({rng.randrange(2**b): rng.randint(1, 9) for _ in range(n)})
+                    for n, b in ((draws, bits), (60, 6)))
+            return bp.mul(p, q), q
         return tuple(bp.Poly1(Counter(rng.randrange(2**bits) for _ in range(draws)))
                      for _ in range(2))
     if name == "cycle64":
@@ -147,14 +156,14 @@ def _run(row):
     from time import perf_counter
 
     from bigraphpoly import (
-        BudgetExceededError, bit_disjoint_factor, canonical_poly, decompose, factor_pairs,
-        is_irreducible, is_isomorphic, mul,
+        BudgetExceededError, bit_disjoint_factor, canonical_poly, decompose, divide_exact,
+        factor_pairs, is_irreducible, is_isomorphic, mul,
     )
     from bigraphpoly.graphfactor import graph_factor_pairs
 
     call, name = row.split()
-    calls = [bit_disjoint_factor, canonical_poly, decompose, factor_pairs, graph_factor_pairs,
-             is_irreducible, is_isomorphic, mul]
+    calls = [bit_disjoint_factor, canonical_poly, decompose, divide_exact, factor_pairs,
+             graph_factor_pairs, is_irreducible, is_isomorphic, mul]
     function = next(f for f in calls if f.__name__ == call)
     args = _input(name, call)
     start = perf_counter()
@@ -167,7 +176,7 @@ def _run(row):
         size = "budget"
     elif call == "is_irreducible":
         size = out.verdict
-    elif call in ("mul", "canonical_poly"):
+    elif call in ("mul", "canonical_poly", "divide_exact"):
         size = f"{len(out.terms)} terms"
     elif call == "is_isomorphic":
         size = "not isomorphic" if out is None else "isomorphic"
