@@ -6,7 +6,7 @@ supports add without carries, so such a sum can be split apart again.  That
 reversibility is what every decoding in this package rests on.
 
 Every exponent the package packs or unpacks goes through this module: tau
-unpacks, from_bits and pack_slots pack.
+unpacks, from_bits, pack_slots and pack_holders pack.
 
 Unpacking.  A natural below 2**8 is one lookup in _LOW, the 256 bit
 supports of a byte; one below 2**16 is the union of a lookup in _LOW and
@@ -125,6 +125,57 @@ def pack_slots(classes, vs, labeling, arity: int) -> list:
     if arity == 1:
         return [pack(part) for (part,) in classes]
     return [(pack(pre), pack(post)) for pre, post in classes]
+
+
+def pack_holders(classes, vs, labeling):
+    """(keys, pre, post) of two-slot classes in one pass over their
+    members: keys lists the (x, y) term key of each class, in order, as
+    pack_slots packs it, and pre and post list, for each member of vs in
+    its order, the mask of the classes whose pre or post slot holds it, bit
+    i for class i.
+
+    Each member's record holds its power of two, or past _SHORT its label,
+    and its two masks, so a member costs one lookup.  With every label of
+    vs below _SHORT a key is OR-ed from the powers of two; otherwise each
+    slot is OR-ed into bytes as pack_slots does.
+    """
+    labels = list(map(labeling.__getitem__, vs))
+    narrow = max(labels, default=0) < _SHORT
+    records = [[1 << t if narrow else t, 0, 0] for t in labels]
+    record = dict(zip(vs, records))
+    keys = []
+    m = 1
+    for a, b in classes:
+        if narrow:
+            x = y = 0
+            for v in a:
+                r = record[v]
+                x |= r[0]
+                r[1] |= m
+            for v in b:
+                r = record[v]
+                y |= r[0]
+                r[2] |= m
+        else:
+            xs, ys = [], []
+            for v in a:
+                r = record[v]
+                xs.append(r[0])
+                r[1] |= m
+            for v in b:
+                r = record[v]
+                ys.append(r[0])
+                r[2] |= m
+            x, y = _bytes_or(xs) if xs else 0, _bytes_or(ys) if ys else 0
+        keys.append((x, y))
+        m <<= 1
+    return keys, [r[1] for r in records], [r[2] for r in records]
+
+
+def digits(k: int) -> bytes:
+    """The binary digits of a natural, lowest first, as bytes 0 and 1: a
+    selector for compress over positions 0, 1, 2, ..."""
+    return bin(k).encode()[:1:-1].translate(_DIGITS)
 
 
 def tau_poly(p) -> frozenset:

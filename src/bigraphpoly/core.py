@@ -44,7 +44,7 @@ from collections import Counter
 from itertools import repeat
 
 from ._match import find_bijections, pair_ids
-from .bits import pack_slots, tau
+from .bits import _SHORT, pack_holders, pack_slots, tau
 from .errors import LabelingError, _brief
 from .poly import Poly1, Poly2, add, mul, poly_key
 from .polyfactor import Budget, _Meter
@@ -264,11 +264,40 @@ def _encoded(g, labeling):
     try:
         packed = pack_slots(classes, g.v_vertices, labeling, g.arity)
     except OverflowError:
-        v = max(g.v_vertices, key=labeling.__getitem__)
-        raise LabelingError(
-            f"label of {g.v_word} {_brief(v)} is too large to encode: {_brief(labeling[v])}"
-        ) from None
+        raise _too_large(g, labeling) from None
     return packed, g.poly._from_key(sorted(zip(packed, classes.values()), reverse=True))
+
+
+def _too_large(g, labeling):
+    """The error for a label past the largest byte buffer the platform can
+    index: packing it overflowed."""
+    v = max(g.v_vertices, key=labeling.__getitem__)
+    return LabelingError(
+        f"label of {g.v_word} {_brief(v)} is too large to encode: {_brief(labeling[v])}"
+    )
+
+
+def _slot_terms(g, labeling):
+    """The bit-disjoint search's input for a digraph or net g under
+    labeling, read off its classes in one pass: (terms, holders, support).
+
+    terms maps the term key of each class, packed as encode packs it, to
+    its count, in class order, so the map is the encoding's terms in
+    another order.  support lists the labels, ascending, and holders the
+    mask of the classes whose pre slot holds the v-vertex of each label in
+    support order, then those of the post slots, bit i for class i; holders
+    is None when some v-vertex is in no slot.
+    """
+    check_labeling(g, labeling)
+    order = sorted(g.v_vertices, key=labeling.__getitem__)
+    try:
+        keys, pre, post = pack_holders(g._classes, order, labeling)
+    except OverflowError:
+        raise _too_large(g, labeling) from None
+    terms = dict(zip(keys, g._classes.values()))
+    if not all(map(int.__or__, pre, post)):
+        return terms, None, None
+    return terms, pre + post, list(map(labeling.__getitem__, order))
 
 
 def decode(p, cls):
@@ -292,8 +321,10 @@ def decode(p, cls):
 
 def _decode(key, cls, supports, ids=None):
     """decode of the polynomial whose poly_key is key, with no checks: the
-    factor searches emit their halves as such keys, and a net's halves hold
-    a constant term.  ids is the id rule; with none, _per_u applies _copies.
+    N[x] factor search emits its halves as such keys, as the bit-disjoint
+    search does for a half that is not a set of p's own terms (no constant
+    term, or content > 1), and a net's halves hold a constant term.  ids is
+    the id rule; with none, _per_u applies _copies.
 
     Each term is one class, its slots the bit supports of its exponent and
     its count the coefficient.  supports maps an exponent to those slots
@@ -316,6 +347,29 @@ def _decode(key, cls, supports, ids=None):
         ors |= bits
         classes[slots] = c
     return cls._build(tuple(sorted(tau(ors))), classes, ids)
+
+
+def _slot_reader(g, labeling, terms, support):
+    """(get, read) for the slots that decoding reads off each term key of
+    g's classes under labeling, given in class order as terms, with
+    support the labels, ascending: read(key) reads them into a table that
+    get looks up, so the halves of one search read each key once.  With
+    every label below _SHORT, where packing ORs powers of two, a key is
+    read by tau; otherwise from its class's members' labels, so no wide
+    exponent is split into bits."""
+    table = {}
+    if support[-1] < _SHORT:
+        def read(key):
+            slots = table[key] = tau(key[0]), tau(key[1])
+            return slots
+    else:
+        label = labeling.__getitem__
+        members = dict(zip(terms, g._classes)).__getitem__
+
+        def read(key):
+            slots = table[key] = tuple([frozenset(map(label, part)) for part in members(key)])
+            return slots
+    return table.get, read
 
 
 def _copies(classes, idle):

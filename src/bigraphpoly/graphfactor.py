@@ -16,9 +16,10 @@ of its v part, so whether one exists does not depend on the labeling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 
-from .bits import tau_poly
-from .core import _decode, _encodings, compact_labeling, encode
+from .bits import digits, tau_poly
+from .core import _decode, _encodings, _slot_reader, _slot_terms, compact_labeling, encode
 from .errors import BudgetExceededError
 from .polyfactor import Budget, _bit_disjoint_factor, _divisors, _factor_pairs, _Meter, _polys
 
@@ -39,13 +40,16 @@ def factor_graph(g, labeling, budget: Budget = Budget()) -> list:
 
     A graph splits by factor_pairs, a digraph or net into bit-disjoint pairs
     by bit_disjoint_factor; a net's halves are nets, as q(0) * r(0) = p(0) >= 1.
-    Factors come back decoded as g's own class, labeled by their
-    natural_labeling.
+    A digraph or net is searched off its classes, read once under the
+    checked labeling, with no encoding built.  Factors come back as g's own
+    class, labeled by their natural_labeling: a half of p's own terms is
+    built from its class table and the bits of its blocks, any other is
+    decoded.
     v-vertices no edge touches are invisible to the polynomial, so an input
     with one gets no pair rather than a bogus one.  Empty means no
     two-factor split exists under this labeling.
     """
-    return list(_factor_graph(g, encode(g, labeling), _Meter(budget)))
+    return list(_factor_graph(g, labeling, _Meter(budget)))
 
 
 def graph_factor_pairs(g, labeling, budget: Budget = Budget()) -> list:
@@ -53,37 +57,77 @@ def graph_factor_pairs(g, labeling, budget: Budget = Budget()) -> list:
     factor pairs of g's encoding under labeling, none when some v-vertex
     meets no edge.  Each half encodes back to itself under its decoding's
     natural labeling."""
-    return _polys(g.poly, _encoded_pairs(g, encode(g, labeling), _Meter(budget)))
+    meter = _Meter(budget)
+    if g.arity == 1:
+        return _polys(g.poly, _encoded_pairs(g, encode(g, labeling), meter))
+    return _polys(g.poly, _slot_pairs(g, labeling, meter)[0])
 
 
 def _encoded_pairs(g, p, meter):
-    """The search's pairs for g's encoding p as sorted pairs of poly_keys,
-    none when some v-vertex meets no edge; the coverage check and the
-    bit-disjoint search share one support."""
-    support = tau_poly(p)
-    if not p or len(support) != len(g.v_vertices):
+    """The coefficient search's pairs for a graph's encoding p as sorted
+    pairs of poly_keys, none when some v-vertex meets no edge."""
+    if not p or len(tau_poly(p)) != len(g.v_vertices):
         return []
+    return _factor_pairs(p, meter)
+
+
+def _slot_pairs(g, labeling, meter):
+    """(the bit-disjoint search's pairs, terms, support) for a digraph or
+    net g under labeling: the pairs as _bit_disjoint_factor gives them,
+    none when g has no class or some v-vertex meets no arc, and the search's
+    input as _slot_terms reads it off g's classes."""
+    terms, holders, support = _slot_terms(g, labeling)
+    if not terms or holders is None:
+        return [], terms, support
+    return _bit_disjoint_factor(terms, holders, support, meter), terms, support
+
+
+def _factor_graph(g, labeling, meter):
+    """The pairs of factor_graph for g under labeling, each decoded when it
+    is read; the search runs and charges in full before the first pair
+    comes out."""
     if g.arity == 1:
-        return _factor_pairs(p, meter)
-    return _bit_disjoint_factor(p, sorted(support), meter)
+        return _decoded(g, encode(g, labeling), meter)
+    return _split_halves(g, labeling, *_slot_pairs(g, labeling, meter))
 
 
-def _factor_graph(g, p, meter):
-    """The pairs of factor_graph for g's encoding p, each decoded when it
-    is read.
-
-    The search runs and charges in full before the first pair comes out.
-    Each half goes from the search to the decoder as its poly_key, the
-    sorted (exponent, coefficient) items that also ordered the pairs, so no
-    polynomial is built.  The halves share one table from exponent to slot
-    supports, so each distinct term is decoded once per call.  When
-    p(0) >= 1, as for every net, every term of a half is a term of p, so
-    the table holds at most len(p) exponents.
-    """
+def _decoded(g, p, meter):
+    """The pairs of factor_graph for a graph's encoding p.  Each half goes
+    from the search to the decoder as its poly_key, so no polynomial is
+    built, and the halves share one table from exponent to slots."""
     supports = {}
     cls = type(g)
     for q, r in _encoded_pairs(g, p, meter):
         yield _decode(q, cls, supports), _decode(r, cls, supports)
+
+
+def _split_halves(g, labeling, pairs, terms, support):
+    """The bit-disjoint pairs of a digraph or net g built as g's class.
+
+    When p(0) >= 1, as for every net, and the content is 1, every term of a
+    half is a term of p with its coefficient divided by the half's
+    content, and the half's v part is its bits, which the search hands on
+    as support indices.  So each half's class table is read off one
+    _slot_reader of p's term keys, shared by the halves of the call, and
+    its v part off support.  Any other half is decoded from its poly_key,
+    the halves sharing one table from exponent to slots.
+    """
+    if not pairs:
+        return
+    cls = type(g)
+    supports = {}
+    own = support and (0, 0) in terms
+    get, read = _slot_reader(g, labeling, terms, support) if own else (None, None)
+
+    def half(key, bits):
+        if bits is None or not own:
+            return _decode(key, cls, supports)
+        classes = {get(e) or read(e): c for e, c in key}
+        return build(tuple(compress(support, digits(bits))), classes, None)
+
+    build = cls._build
+    for q, r, qbits, rbits in pairs:
+        yield half(q, qbits), half(r, rbits)
 
 
 def _values_split(p, meter):
@@ -129,10 +173,11 @@ def is_irreducible(
     scope = "compact-labelings" if exhaustive else "labeling"
     meter = _Meter(budget)
     lab = compact_labeling(g) if exhaustive or labeling is None else labeling
-    p = encode(g, lab)
+    # A digraph or net searches its classes under lab, with no encoding.
+    p = encode(g, lab) if g.arity == 1 else None
     encodings = [(p, lab)]
     # An undirected graph with every v-vertex on an edge.
-    covered = g.arity == 1 and len(tau_poly(p)) == len(g.v_vertices)
+    covered = p is not None and len(tau_poly(p)) == len(g.v_vertices)
     sweep = exhaustive and covered
     if sweep:
         meter.search = f"the sweep over the labelings of {len(g.v_vertices)} v-vertices"
@@ -146,7 +191,8 @@ def is_irreducible(
         if sweep and p.constant_coeff() and not _values_split(p, meter):
             return IrreducibilityReport("irreducible", scope)
         for p, lab in encodings:
-            pair = next(_factor_graph(g, p, meter), None)
+            pairs = _factor_graph(g, lab, meter) if p is None else _decoded(g, p, meter)
+            pair = next(pairs, None)
             if pair is not None:
                 return IrreducibilityReport("reducible", scope, (lab, pair))
     except BudgetExceededError as e:

@@ -297,26 +297,32 @@ def poly_key(p):
 # ---------------------------------------------------------------------------
 # Exact division.
 
-def _divide_terms(p, q):
+def _divide_terms(p, q, step):
     # taken[e] is what the quotient so far takes from p's term e.  No later
     # quotient term reaches a term already read, so a walk that ends has
-    # q * quo == p with no remainder left to check.  Exponents are (x, y)
-    # pairs in lexicographic order.
-    (qx, qy), qc = next(iter(q.items()))
+    # q * quo == p with no remainder left to check.  step(e) gives the
+    # quotient term's exponent e - lead(q) and the exponents where its
+    # products with q's terms land, in q's order, or None when lead(q) does
+    # not divide e.
+    qc = next(iter(q.values()))
+    coefficients = list(q.values())
     taken = dict.fromkeys(p, 0)
     quo = []
-    for (px, py), pc in p.items():
-        rest = pc - taken[px, py]
+    for e, pc in p.items():
+        rest = pc - taken[e]
         if not rest:
             continue
-        if rest < 0 or rest % qc or px < qx or py < qy:
+        if rest < 0 or rest % qc:
             return None
+        moved = step(e)
+        if moved is None:
+            return None
+        exp, lands = moved
         c = rest // qc
-        ex, ey = px - qx, py - qy
-        quo.append(((ex, ey), c))
+        quo.append((exp, c))
         try:
-            for (x, y), cq in q.items():
-                taken[ex + x, ey + y] += c * cq
+            for key, cq in zip(lands, coefficients):
+                taken[key] += c * cq
         except KeyError:  # off supp(p): taken only grows, so it never cancels
             return None
     return quo
@@ -332,20 +338,31 @@ def divide_exact(p, q):
     tallied against the terms of p they land on.  A product off supp(p), a
     tally past p's coefficient or a leading coefficient that q's does not
     divide settles None.  Every term of p is read once and every quotient
-    term costs |q| dictionary steps.  One-variable operands are divided as
-    their lifts, whose y-exponents are all 0, and the quotient is read back
-    with the y dropped.  Dividing by the zero polynomial raises
-    ZeroDivisionError.
+    term costs |q| dictionary steps.  The one walk serves both arities: only
+    the step from a term of p to the quotient's exponent and its landing
+    exponents differs, ints for one variable and pairs for two.  Dividing
+    by the zero polynomial raises ZeroDivisionError.
     """
     _same_arity(p, q)
     if not q:
         raise ZeroDivisionError("division by the zero polynomial")
-    quo = _divide_terms(lift(p)._terms, lift(q)._terms)
-    if quo is None:
-        return None
+    exps = list(q._terms)
     if isinstance(p, Poly1):
-        return Poly1._from_key([(x, c) for (x, _), c in quo])
-    return Poly2._from_key(quo)
+        lead = exps[0]
+
+        def step(e):
+            d = e - lead
+            return None if d < 0 else (d, [d + x for x in exps])
+    else:
+        qx, qy = exps[0]
+
+        def step(e):
+            dx, dy = e[0] - qx, e[1] - qy
+            if dx < 0 or dy < 0:
+                return None
+            return (dx, dy), [(dx + x, dy + y) for x, y in exps]
+    quo = _divide_terms(p._terms, q._terms, step)
+    return None if quo is None else type(p)._from_key(quo)
 
 
 # ---------------------------------------------------------------------------

@@ -54,9 +54,14 @@ The work is about |support| * classes * terms plus a small multiple of
 the size of the output.
 
 Both searches emit each half as its poly_key, the (exponent, coefficient)
-items in descending exponent order, and sort the pairs by those keys; the
-graph route decodes the keys directly, and only the public functions build
-polynomials from them.
+items in descending exponent order, and sort the pairs by those keys; only
+the public functions build polynomials from them.  The bit-disjoint search
+takes its terms in any order, with each variable's holder set as a mask
+over them, and hands each half on with the support indices of its bits:
+the graph route passes a digraph's or net's classes as they stand, with
+holder sets read in the same pass (core._slot_terms), and builds each half
+read off p's own terms from those indices and its keys, while the public
+route reads the holder sets off the exponents (_planes).
 """
 
 from __future__ import annotations
@@ -167,9 +172,10 @@ def _spread(cores, c, cdivs, one):
 
 
 def _polys(cls, pairs):
-    """The emitted key pairs as pairs of cls polynomials, in their order."""
+    """The emitted key pairs as pairs of cls polynomials, in their order;
+    a pair may carry more after its two keys."""
     make = cls._from_key
-    return [(make(a), make(b)) for a, b in pairs]
+    return [(make(pair[0]), make(pair[1])) for pair in pairs]
 
 
 def _splits(coef, meter: _Meter) -> set:
@@ -434,8 +440,8 @@ def _mask_sum(values):
 
 def _blocks(values, holders, support, modulus, meter):
     """The support bits grouped by union-find over the variables that the
-    dependency test at one point proves dependent, as bit lists ordered by
-    their top bit.
+    dependency test at one point proves dependent, as ascending lists of
+    their indices in support, ordered by their top bit.
 
     values lists the terms' values at the point, and holders each
     variable's holder set as a term mask: bit i of holders[u] is set when
@@ -505,9 +511,9 @@ def _blocks(values, holders, support, modulus, meter):
         else:
             representatives.append((u, scale, rows))
     groups = {}
-    for t, b in enumerate(support):
-        groups.setdefault(find(t), []).append(b)
-    return sorted(groups.values(), key=lambda bits: bits[-1])
+    for t in range(n):
+        groups.setdefault(find(t), []).append(t)
+    return sorted(groups.values(), key=lambda ts: ts[-1])
 
 
 def _peel(terms, masks, meter):
@@ -521,32 +527,41 @@ def _peel(terms, masks, meter):
     off m, times those that agree with t on m, number len(q), and every
     term e has q(e) * q(t) = q(e_m | t_r) * q(t_m | e_r): then each term
     is a distinct cell of the full grid over those two sets, and the grid
-    has rank 1.  The terms that agree with t on m are the next q.
+    has rank 1.  A term that agrees with t off m or on m meets the identity
+    by how the two sets are read, so only the others are checked.  The
+    terms that agree with t on m are the next q.
     """
-    items = terms.items()
-    (tx, ty), tv = next(reversed(items))
+    tx, ty = min(terms)
+    tv = terms[tx, ty]
     counts = []
     rest = sum(masks)
     for mask in masks[:-1]:
         rest ^= mask
-        meter.charge(len(items), "the verification")
+        meter.charge(len(terms), "the verification")
         col, row = {}, {}  # e_m and e_r -> coefficient, along t's row and column
-        for (x, y), v in items:
+        inner = []  # the exponents that differ from t both on m and off it
+        for e, v in terms.items():
+            x, y = e
             off = (x ^ tx) | (y ^ ty)  # the bits where e differs from t
             if not off & rest:
                 col[x & mask, y & mask] = v
-            if not off & mask:
+                if not off:
+                    row[x & rest, y & rest] = v
+            elif not off & mask:
                 row[x & rest, y & rest] = v
-        if len(col) * len(row) != len(items):
+            else:
+                inner.append(e)
+        if len(col) * len(row) != len(terms):
             return None
-        for (x, y), v in items:
-            if v * tv != col.get((x & mask, y & mask), 0) * row.get((x & rest, y & rest), 0):
+        for e in inner:
+            x, y = e
+            if terms[e] * tv != col.get((x & mask, y & mask), 0) * row.get((x & rest, y & rest), 0):
                 return None
         counts.append(len(col))
-        items = row.items()
+        terms = row
         tx &= rest
         ty &= rest
-    return counts + [len(items)]
+    return counts + [len(terms)]
 
 
 def bit_disjoint_factor(p, budget: Budget = Budget()) -> list:
@@ -579,35 +594,48 @@ def bit_disjoint_factor(p, budget: Budget = Budget()) -> list:
     product is read off p's terms, those that agree with p's least term
     off its blocks, and is never multiplied out.
     """
-    pairs = _bit_disjoint_factor(lift(p), sorted(tau_poly(p)), _Meter(budget))
+    if not p:
+        raise ValueError("cannot factor the zero polynomial")
+    pairs = _bit_disjoint_factor(*_exponent_planes(lift(p)), _Meter(budget))
     if isinstance(p, Poly1):
-        pairs = [[tuple((x, c) for (x, _), c in half) for half in pair] for pair in pairs]
+        pairs = [[tuple([(x, c) for (x, _), c in key]) for key in pair[:2]] for pair in pairs]
     return _polys(type(p), pairs)
 
 
-def _bit_disjoint_factor(p, support, meter):
-    """The pairs of bit_disjoint_factor for a Poly2 p as sorted _pairs of
-    poly_keys; support lists the bits of tau_poly(p) in ascending order.
+def _exponent_planes(p):
+    """The search input (terms, holders, support) of _bit_disjoint_factor
+    for a nonzero Poly2 p, the holder sets read off its exponents by
+    _planes."""
+    support = sorted(tau_poly(p))
+    xs, ys = zip(*p.terms)
+    return p.terms, _planes(xs, support) + _planes(ys, support), support
 
-    Once the blocks are verified, each half is read off p's own terms in
-    their poly_key order: when p(0) >= 1 every term of a half is a term of
-    p, its coefficient divided by the half's content.  A prime primitive p
-    answers [] as soon as the emission is charged.  With content 1 each
-    pair is distinct, so only a content spread goes through _spread's set.
-    A point (1, ..., 1) that misses a dependency makes the search seed its
-    own generator of random points, shared with no other call."""
-    if not p:
-        raise ValueError("cannot factor the zero polynomial")
-    c = content(p)
-    terms = p.terms if c == 1 else {e: v // c for e, v in p.terms.items()}
+
+def _bit_disjoint_factor(terms, holders, support, meter):
+    """The pairs of bit_disjoint_factor for the nonzero two-variable terms,
+    a map from (x, y) exponents to coefficients in any order, as sorted
+    (q, r, q's bits, r's bits): q and r are the _pair of poly_keys, and
+    each one's bits are the mask of the support indices of its bits, None
+    when the content is spread over the halves.  support lists the bits
+    the exponents hold, ascending, and holders each variable's holder set
+    as a mask over the terms in their order, bit i for the i-th: the pre
+    variables', read in the x-exponents, in support order, then the post
+    variables'.
+
+    Once the blocks are verified, each half is read off the terms in
+    poly_key order: when p(0) >= 1 every term of a half is a term of p, its
+    coefficient divided by the half's content.  A prime primitive p answers [] as soon
+    as the emission is charged.  With content 1 each pair is distinct, so
+    only a content spread goes through _spread's set.  A point (1, ..., 1)
+    that misses a dependency makes the search seed its own generator of
+    random points, shared with no other call."""
+    c = gcd(*terms.values())
+    if c > 1:
+        terms = {e: v // c for e, v in terms.items()}
     meter.search = (
         f"bit-disjoint factoring of {len(terms)} terms on {len(support)} support bits"
     )
     cdivs = _divisors(c, meter) if c > 1 else (1,)
-    # Each variable's holder set as a mask over the terms, bit i for term i,
-    # the pre variables' from the x-exponents, then the post variables'.
-    xs, ys = zip(*terms)
-    holders = _planes(xs, support) + _planes(ys, support)
     # Point 0 is (1, ..., 1): each term's value is its coefficient, and no
     # minor reaches p(1)**2 in size, so taken modulo p(1)**2 + 1 the test
     # is exact.  Past 2**61 - 1 the values are reduced once and the minors
@@ -636,7 +664,8 @@ def _bit_disjoint_factor(p, support, meter):
             for z, rows in zip(next(points), holders):
                 for i in tau(rows):
                     values[i] = values[i] * z % modulus
-        masks = [from_bits(bits) for bits in _blocks(values, holders, support, modulus, meter)]
+        groups = _blocks(values, holders, support, modulus, meter)
+        masks = [from_bits(map(support.__getitem__, group)) for group in groups]
         counts = _peel(terms, masks, meter)
         if counts is not None:
             break
@@ -647,7 +676,7 @@ def _bit_disjoint_factor(p, support, meter):
     # the blocks' term counts t_i.  The pair (1, p) is skipped, and so is
     # (p, 1) when p is a constant c > 1.
     size = prod(1 + t for t in counts)
-    skipped = 1 + len(terms) + (2 if c > 1 and terms == {p.zero: 1} else 0)
+    skipped = 1 + len(terms) + (2 if c > 1 and terms == {(0, 0): 1} else 0)
     meter.charge(len(cdivs) * size - skipped, "emitting the factors")
     if len(counts) == 1 and c == 1:
         return []  # p is prime and primitive: its one split is (1, p)
@@ -655,11 +684,15 @@ def _bit_disjoint_factor(p, support, meter):
     # that agree with t off the bits of a set of blocks are those of the
     # product of its factors times one constant, the other factors' value
     # at t.  Read on its bits and divided by their content, they are that
-    # product, already in poly_key order; when t = 1 they are p's own items
-    # as they stand.  A signed term is an item of p and its signature, the
-    # bits where it differs from t.
-    (tx, ty), tv = next(reversed(terms.items()))
-    signed = [(item, (item[0][0] ^ tx) | (item[0][1] ^ ty)) for item in terms.items()]
+    # product, in poly_key order as the signed terms are sorted; when t = 1
+    # they are p's own items as they stand.  A signed term is an item of p
+    # and its signature, the bits where it differs from t.
+    tx, ty = min(terms)
+    tv = terms[tx, ty]
+    signed = [((e, terms[e]), (e[0] ^ tx) | (e[1] ^ ty)) for e in sorted(terms, reverse=True)]
+    # The support indices of each block's bits, as one mask.
+    spans = [sum([1 << t for t in group]) for group in groups]
+    full, every, last = sum(masks), (1 << len(support)) - 1, len(masks) - 1
 
     def half(items, bits):
         """The poly_key of the primitive product of the factors on bits,
@@ -674,27 +707,35 @@ def _bit_disjoint_factor(p, support, meter):
                 key = [(e, v // g) for e, v in key]
         return tuple(key)
 
-    def splits(j, pick, rest, bits):
-        """The pairs that send blocks j and up to either side, the blocks
-        below j already sent: bits holds those sent to the pick, pick the
-        signed terms that agree with t on every block sent to the rest, and
-        rest those that agree with t on every block sent to the pick.  Each
-        block sent filters the other side's terms, so the work follows the
-        size of the output, not the number of splits times len(p)."""
-        if j == len(masks):
-            yield half(pick, bits), half(rest, full ^ bits)
-            return
-        mask = masks[j]
-        # The top block stays on the second side, so each subset of the
-        # blocks is read once: as a pick or as the rest of one.
-        if j < len(masks) - 1:
-            yield from splits(j + 1, pick, [s for s in rest if not s[1] & mask], bits | mask)
-        yield from splits(j + 1, [s for s in pick if not s[1] & mask], rest, bits)
-
-    full = sum(masks)
-    one = ((p.zero, 1),)
+    # Each set of blocks below the top one is read once, as a pick, and the
+    # other blocks, the top one among them, as its rest, so every pick
+    # starts from the terms that agree with t on the top block.  A state of
+    # the walk is the next block to send, the signed terms that agree with
+    # t on every block sent to the rest and those that agree with t on
+    # every block sent to the pick, and the bits sent to the pick with
+    # their support indices.  Each block sent filters the other side's
+    # terms, so the work follows the size of the output, not the number of
+    # splits times len(p).
+    pairs = []
+    top = masks[last] if masks else 0  # a constant p has no blocks
+    stack = [(0, [s for s in signed if not s[1] & top], signed, 0, 0)]
+    while stack:
+        j, pick, rest, bits, sent = stack.pop()
+        # Send each block from j on to the pick, leaving its other choice
+        # on the stack, so the lists alive follow the depth, as in a
+        # recursion.
+        for k in range(j, last):
+            mask = masks[k]
+            stack.append((k + 1, [s for s in pick if not s[1] & mask], rest, bits, sent))
+            rest = [s for s in rest if not s[1] & mask]
+            bits |= mask
+            sent |= spans[k]
+        # With content 1 the pairs are distinct, and the one with a unit
+        # half is the empty pick's.
+        if sent or c > 1:
+            q, r = half(pick, bits), half(rest, full ^ bits)
+            pairs.append((q, r, sent, every ^ sent) if q <= r else (r, q, every ^ sent, sent))
     if c > 1:
-        return _spread(splits(0, signed, signed, 0), c, cdivs, one)
-    # Each subset of the blocks is read once, so with content 1 the pairs
-    # are distinct; the one pair with a unit half is the empty pick's.
-    return sorted([_pair(q, r) for q, r in splits(0, signed, signed, 0) if q != one])
+        cores = [pair[:2] for pair in pairs]
+        return [(q, r, None, None) for q, r in _spread(cores, c, cdivs, (((0, 0), 1),))]
+    return sorted(pairs)

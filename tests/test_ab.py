@@ -1,8 +1,10 @@
 """tools/ab.py loads two trees of the package side by side and times them
 on the benchmark's ops: run with one tree twice, every category's answers
-get equal digests.  Timings are printed, never checked here."""
+and steps get equal digests, and a copy that charges one more step gets
+different ones.  Timings are printed, never checked here."""
 
 import importlib.util
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -36,6 +38,38 @@ def test_one_tree_twice_gives_equal_digests():
     assert sum(int(row[1]) for row in rows[:-1]) == int(rows[-1][1]) == 64
     for row in rows:
         assert row[-1] == "equal" and row[-3] == row[-2], row
+
+
+def digests(old, new, workload):
+    """Per category row of tools/ab.py on one block of the workload at
+    seed 1: its name, op count and whether the two digests are equal."""
+    out = subprocess.run(
+        [sys.executable, str(TOOL), str(old), str(new), "--workload", workload, "--seed", "1",
+         "--blocks", "1", "--reps", "1"],
+        capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+    return {row[0]: (int(row[1]), row[-1]) for row in map(str.split, out[2:])}
+
+
+def test_a_copy_that_charges_one_more_step_gets_other_digests(tmp_path):
+    """A copy of the package whose bit-disjoint emission charges one step
+    more than the tree gives the same answers, yet every decompose category
+    digests differently: each op passes the verification and charges its
+    emission.  The tree against itself digests equal."""
+    pytest.importorskip("sympy")  # perfbench/gen.py factors with it
+    copy = tmp_path / "src"
+    shutil.copytree(SRC / "bigraphpoly", copy / "bigraphpoly",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = copy / "bigraphpoly" / "polyfactor.py"
+    text = path.read_text()
+    charge = 'meter.charge(len(cdivs) * size - skipped, "emitting the factors")'
+    assert text.count(charge) == 1
+    path.write_text(text.replace(charge, charge.replace("- skipped", "- skipped + 1")))
+    same = digests(SRC, SRC, "decompose")
+    planted = digests(SRC, copy, "decompose")
+    assert same.keys() == planted.keys() and same["all"][0] == 114
+    assert all(equal == "equal" for _, equal in same.values())
+    assert all(equal == "differ" for _, equal in planted.values())
 
 
 def test_a_tree_loads_under_its_own_name():

@@ -14,6 +14,7 @@ from bigraphpoly import (
     BudgetExceededError,
     DiBigraph,
     IrreducibilityReport,
+    LabeledPetriNet,
     PetriNet,
     Poly1,
     bit_disjoint_factor,
@@ -22,6 +23,7 @@ from bigraphpoly import (
     decode,
     decode_directed,
     decode_net,
+    decompose,
     encode,
     factor_graph,
     factor_pairs,
@@ -514,6 +516,97 @@ def test_factor_graph_agrees_with_the_public_search_and_decode(kind):
         if got:
             assert report.witness == (labeling, got[0])
     assert split > 20
+
+
+def product_of(make, rng, count):
+    """The product of count random structures made by make(rng): pointed
+    for nets, so each factor keeps its idle event."""
+    g = make(rng)
+    for _ in range(count - 1):
+        g = plain_product(g, make(rng))
+    return g
+
+
+def busy_digraph(rng):
+    """A random digraph whose every u-vertex has an arc, so its encoding
+    has no constant term."""
+    g = random_digraph(rng, max_u=3, max_v=3)
+    arcs = [(v, u) for u in g.u_vertices for v in g.pre(u)]
+    arcs += [(u, v) for u in g.u_vertices for v in g.post(u)]
+    arcs += [(u, rng.choice(g.v_vertices)) for u in g.u_vertices if not any(g.slots(u))]
+    return DiBigraph(g.u_vertices, g.v_vertices, arcs)
+
+
+def route_cases(rng):
+    """(g, labeling) pairs of digraphs and nets for the arity-2 route."""
+    small_net = lambda rng: random_net(rng, max_events=2, max_conditions=2)  # noqa: E731
+    small_digraph = lambda rng: random_digraph(rng, max_u=2, max_v=2)  # noqa: E731
+    for _ in range(12):
+        for make in (small_net, small_digraph, busy_digraph):
+            g = product_of(make, rng, rng.randint(1, 4))
+            yield g, random_labeling(rng, g.v_vertices, 2 * len(g.v_vertices))
+            yield g, compact_labeling(g)
+            # Labels spread past 256: packed through bytes, read from labels.
+            yield g, dict(zip(g.v_vertices, rng.sample(range(5000), len(g.v_vertices))))
+    for _ in range(6):  # content 2
+        net = doubled(product_of(small_net, rng, 2), empty=1)
+        yield net, random_labeling(rng, net.conditions, 9)
+        g = doubled(product_of(small_digraph, rng, 2))
+        yield g, random_labeling(rng, g.v_vertices, 9)
+    net = product_of(small_net, rng, 3)  # one condition no event touches
+    yield PetriNet([*net.conditions, "lone"], net.events,
+                   {e: net.pre(e) for e in net.events},
+                   {e: net.post(e) for e in net.events}), None
+    yield PetriNet([], ["a", "b", "c"]), {}  # no conditions, content 4
+
+
+def outcome(call):
+    """call's answer, or the text of the budget error it raises."""
+    try:
+        return call()
+    except BudgetExceededError as e:
+        return str(e)
+
+
+def test_the_graph_route_answers_as_the_polynomial_route():
+    """decompose, factor_graph and graph_factor_pairs on digraphs and nets
+    give, in order, the pairs that bit_disjoint_factor finds for the
+    encoding, decoded by decode, or none when a v-vertex meets no arc; and
+    under small budgets they run out with the same text."""
+    rng = random.Random(4401)
+    split = checked = 0
+    for g, labeling in route_cases(rng):
+        if labeling is None:
+            labeling = compact_labeling(g)
+        p = encode(g, labeling)
+        covered = len(tau_poly(p)) == len(g.v_vertices)
+        want = bit_disjoint_factor(p) if covered else []
+        assert graph_factor_pairs(g, labeling) == want
+        cls = type(g)
+        halves = [(core.decode(q, cls), core.decode(r, cls)) for q, r in want]
+        assert_same_pairs(factor_graph(g, labeling), halves)
+        if cls is PetriNet:
+            nets = [tuple(LabeledPetriNet(h, h.natural_labeling) for h in pair)
+                    for pair in halves]
+            got = decompose(g, labeling)
+            assert got == nets
+            assert [[list(h.labeling.items()) for h in pair] for pair in got] == [
+                [list(h.labeling.items()) for h in pair] for pair in nets]
+        split += bool(want)
+        if not covered:
+            continue
+        for steps in (0, 2, 7, 20, 60):
+            budget = Budget(steps)
+            expected = outcome(lambda: bit_disjoint_factor(p, budget))
+            calls = [graph_factor_pairs, factor_graph] + [decompose] * (cls is PetriNet)
+            for call in calls:
+                got = outcome(lambda: call(g, labeling, budget))
+                if isinstance(expected, str):
+                    assert got == expected, (call.__name__, steps)
+                    checked += 1
+                else:
+                    assert not isinstance(got, str), (call.__name__, steps)
+    assert split > 40 and checked > 100
 
 
 def test_irreducible_witness_is_the_first_pair():

@@ -54,6 +54,14 @@ def test_the_canonical_row_answers_within_its_budget():
     assert out[:2] == ["canonical_poly", "product100"] and out[6:] == ["123", "terms"]
 
 
+def test_the_wide_chain_row_prints_its_pairs():
+    """The 4-fold chain of c0 -> c1 splits 7 ways under labels i * 10**6 as
+    under compact ones: a split is a partition of the conditions."""
+    out = subprocess.run([sys.executable, str(TOOL), "decompose chain4wide"],
+                         capture_output=True, text=True, check=True).stdout.split()
+    assert out[:2] == ["decompose", "chain4wide"] and out[6:] == ["7", "pairs"]
+
+
 def test_the_binomial_row_prints_its_pairs():
     """(1 + x)^12 splits 6 ways: (1 + x)^k (1 + x)^(12 - k), for k = 1 to 6."""
     out = subprocess.run([sys.executable, str(TOOL), "factor_pairs binomial12"],

@@ -12,13 +12,17 @@ as the benchmark builds); the files the command-line ops read are written
 to a temporary directory.  Each tree gets its own input objects, built
 untimed.
 
-Each pass runs every op once on each tree, timing the call alone with
+A first, untimed pass runs every op once on each tree and records its
+answer and the steps it asked of the tree's budget meter: the sum of the
+steps passed to polyfactor._Meter.charge during the op.  Each timed pass
+then runs every op once on each tree, timing the call alone with
 perf_counter, and the tree that goes first flips on every op and between
 passes, so drift of the machine's speed falls on both trees alike.  Per
 category it prints the op count, the sum over ops of each op's median time
-on each tree, their ratio NEW/OLD, and a digest of each tree's answers:
-equal digests mean the two trees gave the same answers, sets and dicts
-compared as sets.  Timings are for reading; nothing is asserted on them.
+on each tree, their ratio NEW/OLD, and a digest of each tree's answers and
+steps: equal digests mean the two trees gave the same answers, sets and
+dicts compared as sets, after charging the same steps.  Timings are for
+reading; nothing is asserted on them.
 """
 
 from __future__ import annotations
@@ -117,21 +121,41 @@ def answer(function, args):
     return perf_counter() - start, out
 
 
+def charged(bp, ops):
+    """The repr of each op's answer on package bp with the steps it asked
+    of bp's budget meter, read in one untimed pass."""
+    meter = bp.polyfactor._Meter
+    real = meter.charge
+    asked = 0
+
+    def charge(self, steps, phase):
+        nonlocal asked
+        asked += steps
+        return real(self, steps, phase)
+
+    meter.charge = charge
+    try:
+        out = []
+        for op in ops:
+            asked = 0
+            got = answer(*op)[1]
+            out.append(f"{plain(got, bp)!r} steps {asked}")
+        return out
+    finally:
+        meter.charge = real
+
+
 def compare(trees, specs, reps):
-    """Per op: its category, the median seconds on each tree and the
-    repr of each tree's first answer.  trees are (package, ops) pairs, ops
-    the (function, args) of each spec."""
+    """Per op: its category, the median seconds on each tree and each
+    tree's answer with its steps.  trees are (package, ops) pairs, ops the
+    (function, args) of each spec."""
+    answers = [charged(bp, ops) for bp, ops in trees]
     times = [[[] for _ in specs] for _ in trees]
-    answers = [[None] * len(specs) for _ in trees]
     for rep in range(reps):
         for k in range(len(specs)):
             order = (0, 1) if (k + rep) % 2 == 0 else (1, 0)
             for side in order:
-                bp, ops = trees[side]
-                seconds, got = answer(*ops[k])
-                times[side][k].append(seconds)
-                if answers[side][k] is None:
-                    answers[side][k] = repr(plain(got, bp))
+                times[side][k].append(answer(*trees[side][1][k])[0])
     return [(spec["cat"], [statistics.median(t[k]) for t in times], [a[k] for a in answers])
             for k, spec in enumerate(specs)]
 

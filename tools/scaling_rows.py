@@ -18,6 +18,9 @@ The rows:
 * chainK is the K-fold pointed product of the one-event net c0 -> c1 (2**K
   terms, K prime factors), for K = 12 and 14, under the compact labeling:
   is_irreducible, graph_factor_pairs and decompose;
+* chain4wide is decompose on the 4-fold chain with condition i labeled
+  i * 10**6: 16 terms whose exponents run to about 7 * 10**6 bits, 7
+  pairs;
 * digraph2000x40 is bit_disjoint_factor on the encoding of a random
   digraph, 2,000 u-vertices on 40 v-vertices with each arc in either
   direction at probability 0.3 (random.Random(0)): 2,000 terms on 40
@@ -72,6 +75,7 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 _ROWS = [
     "is_irreducible chain12", "graph_factor_pairs chain12", "decompose chain12",
     "is_irreducible chain14", "graph_factor_pairs chain14", "decompose chain14",
+    "decompose chain4wide",
     "bit_disjoint_factor digraph2000x40", "bit_disjoint_factor wide100x1000",
     "bit_disjoint_factor sparse64x3", "bit_disjoint_factor hugecoeff64",
     "bit_disjoint_factor miss7",
@@ -107,8 +111,10 @@ def _input(name, call=None):
     if name.startswith("chain"):
         one = bp.PetriNet(["c0", "c1"], ["e"], pre={"e": ["c0"]}, post={"e": ["c1"]})
         net = one
-        for _ in range(int(name[5:]) - 1):
+        for _ in range(int(name[5:].removesuffix("wide")) - 1):
             net = bp.net_product(net, one)
+        if name.endswith("wide"):
+            return net, {c: i * 10**6 for i, c in enumerate(net.conditions)}
         return net, bp.compact_net_labeling(net)
     rng = random.Random(0)
     if name == "digraph2000x40":
