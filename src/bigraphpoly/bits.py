@@ -50,7 +50,7 @@ _LOW = tuple(frozenset(t for t in range(8) if b >> t & 1) for b in range(256))
 _HIGH = tuple(frozenset(t + 8 for t in bits) for bits in _LOW)
 # bin(k) as bytes: the digits to 0 and 1, the "0b" prefix to 0 and 0.
 _DIGITS = bytes.maketrans(b"01b", b"\0\1\0")
-# Positions from which from_bits and pack_slots pack through bytes.
+# Positions from which from_bits and the slot packers pack through bytes.
 _SHORT = 256
 
 
@@ -101,30 +101,37 @@ def from_bits(bits) -> int:
     return n | _bytes_or(rest)
 
 
+def _packing(vs, labeling):
+    """(values, join) for packing slots of members of vs, which labeling
+    labels with distinct naturals: values lists what each member of vs, in
+    order, adds to a slot, and join packs a slot from what its members
+    add.  With every label below _SHORT a member adds its power of two and
+    join sums; otherwise a member adds its label and join ORs the labels
+    into bytes, linear in the members and the top label.  Both packers
+    read the slot format from here."""
+    labels = list(map(labeling.__getitem__, vs))
+    if max(labels, default=0) < _SHORT:
+        return [1 << t for t in labels], sum
+    return labels, _join_wide
+
+
+def _join_wide(labels):
+    """The natural with 1-bits at the given labels, 0 for none."""
+    labels = list(labels)
+    return _bytes_or(labels) if labels else 0
+
+
 def pack_slots(classes, vs, labeling, arity: int) -> list:
     """The term key of each slot tuple of classes, in their order: each
     tuple holds arity collections of members of vs, and each collection
     becomes the natural with 1-bits at its members' labels, which labeling
-    gives as distinct naturals.  One slot gives an int, two an (x, y) pair.
-
-    With every label of vs below _SHORT a slot is the sum of its members'
-    powers of two, read through one map from v to 2**label; otherwise each
-    slot is OR-ed into bytes, linear in its members and its top label.
-    """
-    labels = list(map(labeling.__getitem__, vs))
-    if max(labels, default=0) < _SHORT:
-        bit = dict(zip(vs, [1 << t for t in labels])).__getitem__
-        if arity == 1:
-            return [sum(map(bit, part)) for (part,) in classes]
-        return [(sum(map(bit, pre)), sum(map(bit, post))) for pre, post in classes]
-    label = labeling.__getitem__
-
-    def pack(part):
-        return _bytes_or(list(map(label, part))) if part else 0
-
+    gives as distinct naturals, packed as _packing says.  One slot gives an
+    int, two an (x, y) pair."""
+    values, join = _packing(vs, labeling)
+    value = dict(zip(vs, values)).__getitem__
     if arity == 1:
-        return [pack(part) for (part,) in classes]
-    return [(pack(pre), pack(post)) for pre, post in classes]
+        return [join(map(value, part)) for (part,) in classes]
+    return [(join(map(value, pre)), join(map(value, post))) for pre, post in classes]
 
 
 def pack_holders(classes, vs, labeling):
@@ -132,42 +139,27 @@ def pack_holders(classes, vs, labeling):
     members: keys lists the (x, y) term key of each class, in order, as
     pack_slots packs it, and pre and post list, for each member of vs in
     its order, the mask of the classes whose pre or post slot holds it, bit
-    i for class i.
+    i for class i.  Each member's record holds what it adds to a slot and
+    its two masks, so a member costs one lookup.
 
-    Each member's record holds its power of two, or past _SHORT its label,
-    and its two masks, so a member costs one lookup.  With every label of
-    vs below _SHORT a key is OR-ed from the powers of two; otherwise each
-    slot is OR-ed into bytes as pack_slots does.
-    """
-    labels = list(map(labeling.__getitem__, vs))
-    narrow = max(labels, default=0) < _SHORT
-    records = [[1 << t if narrow else t, 0, 0] for t in labels]
+    pack_slots' keys take no masks: a mask grows with the classes, so
+    OR-ing one per member would make encoding quadratic in the classes."""
+    values, join = _packing(vs, labeling)
+    records = [[t, 0, 0] for t in values]
     record = dict(zip(vs, records))
     keys = []
     m = 1
     for a, b in classes:
-        if narrow:
-            x = y = 0
-            for v in a:
-                r = record[v]
-                x |= r[0]
-                r[1] |= m
-            for v in b:
-                r = record[v]
-                y |= r[0]
-                r[2] |= m
-        else:
-            xs, ys = [], []
-            for v in a:
-                r = record[v]
-                xs.append(r[0])
-                r[1] |= m
-            for v in b:
-                r = record[v]
-                ys.append(r[0])
-                r[2] |= m
-            x, y = _bytes_or(xs) if xs else 0, _bytes_or(ys) if ys else 0
-        keys.append((x, y))
+        xs, ys = [], []
+        for v in a:
+            r = record[v]
+            xs.append(r[0])
+            r[1] |= m
+        for v in b:
+            r = record[v]
+            ys.append(r[0])
+            r[2] |= m
+        keys.append((join(xs), join(ys)))
         m <<= 1
     return keys, [r[1] for r in records], [r[2] for r in records]
 

@@ -349,27 +349,34 @@ def _decode(key, cls, supports, ids=None):
     return cls._build(tuple(sorted(tau(ors))), classes, ids)
 
 
-def _slot_reader(g, labeling, terms, support):
-    """(get, read) for the slots that decoding reads off each term key of
-    g's classes under labeling, given in class order as terms, with
-    support the labels, ascending: read(key) reads them into a table that
-    get looks up, so the halves of one search read each key once.  With
-    every label below _SHORT, where packing ORs powers of two, a key is
-    read by tau; otherwise from its class's members' labels, so no wide
-    exponent is split into bits."""
-    table = {}
-    if support[-1] < _SHORT:
-        def read(key):
-            slots = table[key] = tau(key[0]), tau(key[1])
-            return slots
-    else:
-        label = labeling.__getitem__
-        members = dict(zip(terms, g._classes)).__getitem__
+class _Memo(dict):
+    """A map that reads a missing key with read, on its first lookup, and
+    keeps what it read."""
 
-        def read(key):
-            slots = table[key] = tuple([frozenset(map(label, part)) for part in members(key)])
-            return slots
-    return table.get, read
+    __slots__ = ("read",)
+
+    def __init__(self, read):
+        super().__init__()
+        self.read = read
+
+    def __missing__(self, key):
+        value = self[key] = self.read(key)
+        return value
+
+
+def _slot_table(g, labeling, terms, support):
+    """The slots that decoding reads off each term key of g's classes
+    under labeling, given in class order as terms, with support the labels,
+    ascending, as a _Memo from key to slots: a key is read when first
+    looked up, so a search whose first pair is all that is asked reads no
+    more.  With every label below _SHORT, where packing ORs powers of two,
+    a key is read by tau, a table lookup for small labels; otherwise from
+    its class's members' labels, so no wide exponent is split into bits."""
+    if support[-1] < _SHORT:
+        return _Memo(lambda key: (tau(key[0]), tau(key[1])))
+    label = labeling.__getitem__
+    members = dict(zip(terms, g._classes)).__getitem__
+    return _Memo(lambda key: tuple([frozenset(map(label, part)) for part in members(key)]))
 
 
 def _copies(classes, idle):

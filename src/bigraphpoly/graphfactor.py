@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import compress
 
 from .bits import digits, tau_poly
-from .core import _decode, _encodings, _slot_reader, _slot_terms, compact_labeling, encode
+from .core import _decode, _encodings, _slot_table, _slot_terms, compact_labeling, encode
 from .errors import BudgetExceededError
 from .polyfactor import Budget, _bit_disjoint_factor, _divisors, _factor_pairs, _Meter, _polys
 
@@ -107,27 +107,30 @@ def _split_halves(g, labeling, pairs, terms, support):
     When p(0) >= 1, as for every net, and the content is 1, every term of a
     half is a term of p with its coefficient divided by the half's
     content, and the half's v part is its bits, which the search hands on
-    as support indices.  So each half's class table is read off one
-    _slot_reader of p's term keys, shared by the halves of the call, and
-    its v part off support.  Any other half is decoded from its poly_key,
-    the halves sharing one table from exponent to slots.
+    as the mask of the first half's support indices, the second half
+    holding the others.  So each half's class table is read off one
+    _slot_table of p's term keys, shared by the halves of the call, and its
+    v part off support.  Any other half is decoded from its poly_key, the
+    halves sharing one table from exponent to slots.
     """
     if not pairs:
         return
     cls = type(g)
     supports = {}
     own = support and (0, 0) in terms
-    get, read = _slot_reader(g, labeling, terms, support) if own else (None, None)
+    slots = _slot_table(g, labeling, terms, support) if own else None
+    build = cls._build
+    every = (1 << len(support)) - 1
 
     def half(key, bits):
-        if bits is None or not own:
-            return _decode(key, cls, supports)
-        classes = {get(e) or read(e): c for e, c in key}
+        classes = {slots[e]: c for e, c in key}
         return build(tuple(compress(support, digits(bits))), classes, None)
 
-    build = cls._build
-    for q, r, qbits, rbits in pairs:
-        yield half(q, qbits), half(r, rbits)
+    for q, r, bits in pairs:
+        if bits is None or not own:
+            yield _decode(q, cls, supports), _decode(r, cls, supports)
+        else:
+            yield half(q, bits), half(r, every ^ bits)
 
 
 def _values_split(p, meter):

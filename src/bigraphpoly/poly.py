@@ -297,34 +297,43 @@ def poly_key(p):
 # ---------------------------------------------------------------------------
 # Exact division.
 
-def _divide_terms(p, q, step):
+def _divide_terms(p, q):
     # taken[e] is what the quotient so far takes from p's term e.  No later
     # quotient term reaches a term already read, so a walk that ends has
-    # q * quo == p with no remainder left to check.  step(e) gives the
-    # quotient term's exponent e - lead(q) and the exponents where its
-    # products with q's terms land, in q's order, or None when lead(q) does
-    # not divide e.
-    qc = next(iter(q.values()))
-    coefficients = list(q.values())
+    # q * quo == p with no remainder left to check.  Exponents are ints or
+    # (x, y) pairs in lexicographic order; only the step from a term of p
+    # to the quotient's exponent and the landing exponents differ.
+    items = list(q.items())
+    lead, qc = items[0]
+    pairs = type(lead) is tuple
+    if pairs:
+        qx, qy = lead
     taken = dict.fromkeys(p, 0)
     quo = []
-    for e, pc in p.items():
-        rest = pc - taken[e]
-        if not rest:
-            continue
-        if rest < 0 or rest % qc:
-            return None
-        moved = step(e)
-        if moved is None:
-            return None
-        exp, lands = moved
-        c = rest // qc
-        quo.append((exp, c))
-        try:
-            for key, cq in zip(lands, coefficients):
-                taken[key] += c * cq
-        except KeyError:  # off supp(p): taken only grows, so it never cancels
-            return None
+    try:
+        for e, pc in p.items():
+            rest = pc - taken[e]
+            if not rest:
+                continue
+            if rest < 0 or rest % qc:
+                return None
+            c = rest // qc
+            if pairs:
+                ex, ey = e[0] - qx, e[1] - qy
+                if ex < 0 or ey < 0:
+                    return None
+                quo.append(((ex, ey), c))
+                for (x, y), cq in items:
+                    taken[ex + x, ey + y] += c * cq
+            else:
+                ex = e - lead
+                if ex < 0:
+                    return None
+                quo.append((ex, c))
+                for x, cq in items:
+                    taken[ex + x] += c * cq
+    except KeyError:  # off supp(p): taken only grows, so it never cancels
+        return None
     return quo
 
 
@@ -338,30 +347,14 @@ def divide_exact(p, q):
     tallied against the terms of p they land on.  A product off supp(p), a
     tally past p's coefficient or a leading coefficient that q's does not
     divide settles None.  Every term of p is read once and every quotient
-    term costs |q| dictionary steps.  The one walk serves both arities: only
-    the step from a term of p to the quotient's exponent and its landing
-    exponents differs, ints for one variable and pairs for two.  Dividing
-    by the zero polynomial raises ZeroDivisionError.
+    term costs |q| dictionary steps.  The one walk serves both arities, on
+    int exponents for one variable and pairs for two, so nothing is lifted.
+    Dividing by the zero polynomial raises ZeroDivisionError.
     """
     _same_arity(p, q)
     if not q:
         raise ZeroDivisionError("division by the zero polynomial")
-    exps = list(q._terms)
-    if isinstance(p, Poly1):
-        lead = exps[0]
-
-        def step(e):
-            d = e - lead
-            return None if d < 0 else (d, [d + x for x in exps])
-    else:
-        qx, qy = exps[0]
-
-        def step(e):
-            dx, dy = e[0] - qx, e[1] - qy
-            if dx < 0 or dy < 0:
-                return None
-            return (dx, dy), [(dx + x, dy + y) for x, y in exps]
-    quo = _divide_terms(p._terms, q._terms, step)
+    quo = _divide_terms(p._terms, q._terms)
     return None if quo is None else type(p)._from_key(quo)
 
 

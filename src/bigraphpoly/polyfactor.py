@@ -614,8 +614,8 @@ def _exponent_planes(p):
 def _bit_disjoint_factor(terms, holders, support, meter):
     """The pairs of bit_disjoint_factor for the nonzero two-variable terms,
     a map from (x, y) exponents to coefficients in any order, as sorted
-    (q, r, q's bits, r's bits): q and r are the _pair of poly_keys, and
-    each one's bits are the mask of the support indices of its bits, None
+    (q, r, q's bits): q and r are the _pair of poly_keys, and q's bits the
+    mask of the support indices of its bits, r's being the others, None
     when the content is spread over the halves.  support lists the bits
     the exponents hold, ascending, and holders each variable's holder set
     as a mask over the terms in their order, bit i for the i-th: the pre
@@ -734,8 +734,8 @@ def _bit_disjoint_factor(terms, holders, support, meter):
         # half is the empty pick's.
         if sent or c > 1:
             q, r = half(pick, bits), half(rest, full ^ bits)
-            pairs.append((q, r, sent, every ^ sent) if q <= r else (r, q, every ^ sent, sent))
+            pairs.append((q, r, sent) if q <= r else (r, q, every ^ sent))
     if c > 1:
         cores = [pair[:2] for pair in pairs]
-        return [(q, r, None, None) for q, r in _spread(cores, c, cdivs, (((0, 0), 1),))]
+        return [(q, r, None) for q, r in _spread(cores, c, cdivs, (((0, 0), 1),))]
     return sorted(pairs)
