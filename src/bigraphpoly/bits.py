@@ -6,7 +6,8 @@ supports add without carries, so such a sum can be split apart again.  That
 reversibility is what every decoding in this package rests on.
 
 Every exponent the package packs or unpacks goes through this module: tau
-unpacks, from_bits, pack_slots and pack_holders pack.
+unpacks; from_bits, pack_slots and pack_holders pack, the last with the
+holder masks of the bit-disjoint search.
 
 Unpacking.  A natural below 2**8 is one lookup in _LOW, the 256 bit
 supports of a byte; one below 2**16 is the union of a lookup in _LOW and
@@ -17,17 +18,23 @@ table, one lookup up to 12 bits, takes 2.4 MB and about 12 ms, and read
 s, so it is not used.)  A wider natural k is read one of two ways, both
 linear in n = k.bit_length() for a given c = k.bit_count():
 
-* the peel takes off the lowest set bit, k & -k, once per set bit; each
-  step copies k, so it costs about c * (250 + n / 20) ns;
+* the peel takes off the top set bit, once per set bit; each step builds
+  that power of two and copies what is left of k, which shrinks as its
+  top bits go, so it costs at most about c * (250 + n / 20) ns;
 * the scan reads the digits of bin(k) in one C-level pass, compress over
   the digits as 0 and 1 bytes, about 1.6 us + 22 ns per digit.
 
-So the peel is taken while c * (n + 5000) < 440 * n + 32000, the measured
-crossover: about 8 to 12 set bits at 17 to 64 bits, 27 at 256, 200 at
-4,096 and never more than 440, so both ways stay linear in n.  (Timings on
-a shared 2-CPU x86-64 machine with CPython 3.11.7: a dense 100,000-bit int
-takes about 5 ms by the scan and about 0.35 s by the peel, one with 10 set
-bits about 2 ms by the scan and 0.05 ms by the peel.)
+So the peel is taken while c * (n + 5000) < 440 * n + 32000, the
+crossover measured for a peel that took off the lowest set bit, k & -k,
+and copied all of k at every step: about 8 to 12 set bits at 17 to 64
+bits, 27 at 256, 200 at 4,096 and never more than 440, so both ways stay
+linear in n.  The top-first peel is at least as fast at every size
+measured, so the bound errs towards the scan.  (Timings on a shared 2-CPU
+x86-64 machine with CPython 3.11.7: a dense 100,000-bit int takes about 5
+ms by the scan and about 0.35 s by the lowest-first peel; one with 10 set
+bits about 2 ms by the scan, 0.04-0.06 ms by the lowest-first peel and
+0.009-0.011 ms by the top-first one, and at 10**6 bits 0.67-0.84 ms
+against 0.08-0.12 ms.)
 
 Packing.  Positions below _SHORT are OR-ed as 1 << t, which never makes an
 int of more than a few machine words; a wider position is OR-ed into a
@@ -66,9 +73,9 @@ def tau(k: int) -> frozenset:
     if k.bit_count() * (n + 5000) < 440 * n + 32000:
         bits = []
         while k:
-            low = k & -k  # the lowest set bit alone
-            bits.append(low.bit_length() - 1)
-            k ^= low
+            top = k.bit_length() - 1
+            bits.append(top)
+            k ^= 1 << top
         return frozenset(bits)
     # bin(k) is "0b" and n digits, the top one first: the digit at index i
     # is bit n + 1 - i, and the prefix's two indices select nothing.
@@ -162,12 +169,6 @@ def pack_holders(classes, vs, labeling):
         keys.append((join(xs), join(ys)))
         m <<= 1
     return keys, [r[1] for r in records], [r[2] for r in records]
-
-
-def digits(k: int) -> bytes:
-    """The binary digits of a natural, lowest first, as bytes 0 and 1: a
-    selector for compress over positions 0, 1, 2, ..."""
-    return bin(k).encode()[:1:-1].translate(_DIGITS)
 
 
 def tau_poly(p) -> frozenset:

@@ -44,7 +44,7 @@ from collections import Counter
 from itertools import repeat
 
 from ._match import find_bijections, pair_ids
-from .bits import _SHORT, pack_holders, pack_slots, tau
+from .bits import pack_holders, pack_slots, tau
 from .errors import LabelingError, _brief
 from .poly import Poly1, Poly2, add, mul, poly_key
 from .polyfactor import Budget, _Meter
@@ -320,11 +320,10 @@ def decode(p, cls):
 
 
 def _decode(key, cls, supports, ids=None):
-    """decode of the polynomial whose poly_key is key, with no checks: the
-    N[x] factor search emits its halves as such keys, as the bit-disjoint
-    search does for a half that is not a set of p's own terms (no constant
-    term, or content > 1), and a net's halves hold a constant term.  ids is
-    the id rule; with none, _per_u applies _copies.
+    """decode of the polynomial whose poly_key is key, with no checks: both
+    factor searches emit their halves as such keys, and a net's halves
+    hold a constant term.  ids is the id rule; with none, _per_u applies
+    _copies.
 
     Each term is one class, its slots the bit supports of its exponent and
     its count the coefficient.  supports maps an exponent to those slots
@@ -347,36 +346,6 @@ def _decode(key, cls, supports, ids=None):
         ors |= bits
         classes[slots] = c
     return cls._build(tuple(sorted(tau(ors))), classes, ids)
-
-
-class _Memo(dict):
-    """A map that reads a missing key with read, on its first lookup, and
-    keeps what it read."""
-
-    __slots__ = ("read",)
-
-    def __init__(self, read):
-        super().__init__()
-        self.read = read
-
-    def __missing__(self, key):
-        value = self[key] = self.read(key)
-        return value
-
-
-def _slot_table(g, labeling, terms, support):
-    """The slots that decoding reads off each term key of g's classes
-    under labeling, given in class order as terms, with support the labels,
-    ascending, as a _Memo from key to slots: a key is read when first
-    looked up, so a search whose first pair is all that is asked reads no
-    more.  With every label below _SHORT, where packing ORs powers of two,
-    a key is read by tau, a table lookup for small labels; otherwise from
-    its class's members' labels, so no wide exponent is split into bits."""
-    if support[-1] < _SHORT:
-        return _Memo(lambda key: (tau(key[0]), tau(key[1])))
-    label = labeling.__getitem__
-    members = dict(zip(terms, g._classes)).__getitem__
-    return _Memo(lambda key: tuple([frozenset(map(label, part)) for part in members(key)]))
 
 
 def _copies(classes, idle):

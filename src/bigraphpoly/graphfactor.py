@@ -16,10 +16,9 @@ of its v part, so whether one exists does not depend on the labeling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
 
-from .bits import digits, tau_poly
-from .core import _decode, _encodings, _slot_table, _slot_terms, compact_labeling, encode
+from .bits import tau_poly
+from .core import _decode, _encodings, _slot_terms, compact_labeling, encode
 from .errors import BudgetExceededError
 from .polyfactor import Budget, _bit_disjoint_factor, _divisors, _factor_pairs, _Meter, _polys
 
@@ -41,15 +40,13 @@ def factor_graph(g, labeling, budget: Budget = Budget()) -> list:
     A graph splits by factor_pairs, a digraph or net into bit-disjoint pairs
     by bit_disjoint_factor; a net's halves are nets, as q(0) * r(0) = p(0) >= 1.
     A digraph or net is searched off its classes, read once under the
-    checked labeling, with no encoding built.  Factors come back as g's own
-    class, labeled by their natural_labeling: a half of p's own terms is
-    built from its class table and the bits of its blocks, any other is
-    decoded.
+    checked labeling, with no encoding built.  Every half is decoded from
+    its poly_key as g's own class, labeled by its natural_labeling.
     v-vertices no edge touches are invisible to the polynomial, so an input
     with one gets no pair rather than a bogus one.  Empty means no
     two-factor split exists under this labeling.
     """
-    return list(_factor_graph(g, labeling, _Meter(budget)))
+    return list(_decoded(g, _key_pairs(g, labeling, _Meter(budget))))
 
 
 def graph_factor_pairs(g, labeling, budget: Budget = Budget()) -> list:
@@ -57,10 +54,16 @@ def graph_factor_pairs(g, labeling, budget: Budget = Budget()) -> list:
     factor pairs of g's encoding under labeling, none when some v-vertex
     meets no edge.  Each half encodes back to itself under its decoding's
     natural labeling."""
-    meter = _Meter(budget)
+    return _polys(g.poly, _key_pairs(g, labeling, _Meter(budget)))
+
+
+def _key_pairs(g, labeling, meter):
+    """The search's pairs for g under labeling as sorted pairs of
+    poly_keys: a graph's off its encoding, a digraph's or net's off its
+    classes."""
     if g.arity == 1:
-        return _polys(g.poly, _encoded_pairs(g, encode(g, labeling), meter))
-    return _polys(g.poly, _slot_pairs(g, labeling, meter)[0])
+        return _encoded_pairs(g, encode(g, labeling), meter)
+    return _slot_pairs(g, labeling, meter)
 
 
 def _encoded_pairs(g, p, meter):
@@ -72,65 +75,27 @@ def _encoded_pairs(g, p, meter):
 
 
 def _slot_pairs(g, labeling, meter):
-    """(the bit-disjoint search's pairs, terms, support) for a digraph or
-    net g under labeling: the pairs as _bit_disjoint_factor gives them,
-    none when g has no class or some v-vertex meets no arc, and the search's
-    input as _slot_terms reads it off g's classes."""
+    """The bit-disjoint search's pairs for a digraph or net g under
+    labeling, its input read off g's classes by _slot_terms: none when g
+    has no class or some v-vertex meets no arc."""
     terms, holders, support = _slot_terms(g, labeling)
     if not terms or holders is None:
-        return [], terms, support
-    return _bit_disjoint_factor(terms, holders, support, meter), terms, support
+        return []
+    return _bit_disjoint_factor(terms, holders, support, meter)
 
 
-def _factor_graph(g, labeling, meter):
-    """The pairs of factor_graph for g under labeling, each decoded when it
-    is read; the search runs and charges in full before the first pair
-    comes out."""
-    if g.arity == 1:
-        return _decoded(g, encode(g, labeling), meter)
-    return _split_halves(g, labeling, *_slot_pairs(g, labeling, meter))
-
-
-def _decoded(g, p, meter):
-    """The pairs of factor_graph for a graph's encoding p.  Each half goes
-    from the search to the decoder as its poly_key, so no polynomial is
-    built, and the halves share one table from exponent to slots."""
+def _decoded(g, pairs):
+    """The list of key pairs of a search for g decoded as g's class, in
+    order, each pair when it is read.  Each half goes from the search to
+    the decoder as its poly_key, so no polynomial is built, and the halves
+    share one table from exponent to slots.  The list is emptied as it is
+    read, so each pair's keys are freed once it is decoded."""
     supports = {}
     cls = type(g)
-    for q, r in _encoded_pairs(g, p, meter):
+    pairs.reverse()
+    while pairs:
+        q, r = pairs.pop()
         yield _decode(q, cls, supports), _decode(r, cls, supports)
-
-
-def _split_halves(g, labeling, pairs, terms, support):
-    """The bit-disjoint pairs of a digraph or net g built as g's class.
-
-    When p(0) >= 1, as for every net, and the content is 1, every term of a
-    half is a term of p with its coefficient divided by the half's
-    content, and the half's v part is its bits, which the search hands on
-    as the mask of the first half's support indices, the second half
-    holding the others.  So each half's class table is read off one
-    _slot_table of p's term keys, shared by the halves of the call, and its
-    v part off support.  Any other half is decoded from its poly_key, the
-    halves sharing one table from exponent to slots.
-    """
-    if not pairs:
-        return
-    cls = type(g)
-    supports = {}
-    own = support and (0, 0) in terms
-    slots = _slot_table(g, labeling, terms, support) if own else None
-    build = cls._build
-    every = (1 << len(support)) - 1
-
-    def half(key, bits):
-        classes = {slots[e]: c for e, c in key}
-        return build(tuple(compress(support, digits(bits))), classes, None)
-
-    for q, r, bits in pairs:
-        if bits is None or not own:
-            yield _decode(q, cls, supports), _decode(r, cls, supports)
-        else:
-            yield half(q, bits), half(r, every ^ bits)
 
 
 def _values_split(p, meter):
@@ -194,8 +159,8 @@ def is_irreducible(
         if sweep and p.constant_coeff() and not _values_split(p, meter):
             return IrreducibilityReport("irreducible", scope)
         for p, lab in encodings:
-            pairs = _factor_graph(g, lab, meter) if p is None else _decoded(g, p, meter)
-            pair = next(pairs, None)
+            pairs = _slot_pairs(g, lab, meter) if p is None else _encoded_pairs(g, p, meter)
+            pair = next(_decoded(g, pairs), None)
             if pair is not None:
                 return IrreducibilityReport("reducible", scope, (lab, pair))
     except BudgetExceededError as e:

@@ -89,15 +89,14 @@ def decompose(net: PetriNet, labeling, budget: Budget = Budget()) -> list:
 
     The pairs are factor_graph's: bit-disjoint factors of the encoding,
     each half a net as q(0) * r(0) = p(0) >= 1.  The search reads the net's
-    classes, and each half of content 1 is built from its share of the
-    net's own terms and the bits of its blocks, so no half's exponent is
-    split into bits; this only wraps the halves with their labelings.  The
-    product of each pair's nets encodes back to the net's encoding exactly,
-    so it is the net itself up to isomorphism once every condition meets an
-    event; a net with an untouched condition gets no split.  A split is a
-    partition of the conditions, so which splits exist does not depend on
-    the injective labeling; the labeling only sets the bits that the
-    halves' conditions are decoded from.  Returns a list of
+    classes, and each half is decoded from its poly_key; this only wraps
+    the halves with their labelings.  The product of each pair's nets
+    encodes back to the net's encoding exactly, so it is the net itself up
+    to isomorphism once every condition meets an event; a net with an
+    untouched condition gets no split.  A split is a partition of the
+    conditions, so which splits exist does not depend on the injective
+    labeling; the labeling only sets the bits that the halves' conditions
+    are decoded from.  Returns a list of
     (LabeledPetriNet, LabeledPetriNet) pairs under their natural labeling;
     empty certifies that the net does not split.
     """

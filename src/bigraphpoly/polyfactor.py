@@ -57,11 +57,10 @@ Both searches emit each half as its poly_key, the (exponent, coefficient)
 items in descending exponent order, and sort the pairs by those keys; only
 the public functions build polynomials from them.  The bit-disjoint search
 takes its terms in any order, with each variable's holder set as a mask
-over them, and hands each half on with the support indices of its bits:
-the graph route passes a digraph's or net's classes as they stand, with
-holder sets read in the same pass (core._slot_terms), and builds each half
-read off p's own terms from those indices and its keys, while the public
-route reads the holder sets off the exponents (_planes).
+over them: the graph route passes a digraph's or net's classes as they
+stand, with holder sets read in the same pass (core._slot_terms), and
+decodes each half from its key (core._decode), while the public route
+reads the holder sets off the exponents (_planes).
 """
 
 from __future__ import annotations
@@ -172,10 +171,9 @@ def _spread(cores, c, cdivs, one):
 
 
 def _polys(cls, pairs):
-    """The emitted key pairs as pairs of cls polynomials, in their order;
-    a pair may carry more after its two keys."""
+    """The emitted key pairs as pairs of cls polynomials, in their order."""
     make = cls._from_key
-    return [(make(pair[0]), make(pair[1])) for pair in pairs]
+    return [(make(q), make(r)) for q, r in pairs]
 
 
 def _splits(coef, meter: _Meter) -> set:
@@ -598,7 +596,7 @@ def bit_disjoint_factor(p, budget: Budget = Budget()) -> list:
         raise ValueError("cannot factor the zero polynomial")
     pairs = _bit_disjoint_factor(*_exponent_planes(lift(p)), _Meter(budget))
     if isinstance(p, Poly1):
-        pairs = [[tuple([(x, c) for (x, _), c in key]) for key in pair[:2]] for pair in pairs]
+        pairs = [[tuple([(x, c) for (x, _), c in key]) for key in pair] for pair in pairs]
     return _polys(type(p), pairs)
 
 
@@ -614,21 +612,19 @@ def _exponent_planes(p):
 def _bit_disjoint_factor(terms, holders, support, meter):
     """The pairs of bit_disjoint_factor for the nonzero two-variable terms,
     a map from (x, y) exponents to coefficients in any order, as sorted
-    (q, r, q's bits): q and r are the _pair of poly_keys, and q's bits the
-    mask of the support indices of its bits, r's being the others, None
-    when the content is spread over the halves.  support lists the bits
-    the exponents hold, ascending, and holders each variable's holder set
-    as a mask over the terms in their order, bit i for the i-th: the pre
+    _pairs of poly_keys, as _splits emits them.  support lists the bits the
+    exponents hold, ascending, and holders each variable's holder set as a
+    mask over the terms in their order, bit i for the i-th: the pre
     variables', read in the x-exponents, in support order, then the post
     variables'.
 
     Once the blocks are verified, each half is read off the terms in
     poly_key order: when p(0) >= 1 every term of a half is a term of p, its
-    coefficient divided by the half's content.  A prime primitive p answers [] as soon
-    as the emission is charged.  With content 1 each pair is distinct, so
-    only a content spread goes through _spread's set.  A point (1, ..., 1)
-    that misses a dependency makes the search seed its own generator of
-    random points, shared with no other call."""
+    coefficient divided by the half's content.  A prime primitive p answers
+    [] as soon as the emission is charged.  With content 1 each pair is
+    distinct, so only a content spread goes through _spread's set.  A
+    point (1, ..., 1) that misses a dependency makes the search seed its
+    own generator of random points, shared with no other call."""
     c = gcd(*terms.values())
     if c > 1:
         terms = {e: v // c for e, v in terms.items()}
@@ -690,9 +686,7 @@ def _bit_disjoint_factor(terms, holders, support, meter):
     tx, ty = min(terms)
     tv = terms[tx, ty]
     signed = [((e, terms[e]), (e[0] ^ tx) | (e[1] ^ ty)) for e in sorted(terms, reverse=True)]
-    # The support indices of each block's bits, as one mask.
-    spans = [sum([1 << t for t in group]) for group in groups]
-    full, every, last = sum(masks), (1 << len(support)) - 1, len(masks) - 1
+    full, last = sum(masks), len(masks) - 1
 
     def half(items, bits):
         """The poly_key of the primitive product of the factors on bits,
@@ -712,30 +706,26 @@ def _bit_disjoint_factor(terms, holders, support, meter):
     # starts from the terms that agree with t on the top block.  A state of
     # the walk is the next block to send, the signed terms that agree with
     # t on every block sent to the rest and those that agree with t on
-    # every block sent to the pick, and the bits sent to the pick with
-    # their support indices.  Each block sent filters the other side's
-    # terms, so the work follows the size of the output, not the number of
-    # splits times len(p).
+    # every block sent to the pick, and the bits sent to the pick.  Each
+    # block sent filters the other side's terms, so the work follows the
+    # size of the output, not the number of splits times len(p).
     pairs = []
     top = masks[last] if masks else 0  # a constant p has no blocks
-    stack = [(0, [s for s in signed if not s[1] & top], signed, 0, 0)]
+    stack = [(0, [s for s in signed if not s[1] & top], signed, 0)]
     while stack:
-        j, pick, rest, bits, sent = stack.pop()
+        j, pick, rest, bits = stack.pop()
         # Send each block from j on to the pick, leaving its other choice
         # on the stack, so the lists alive follow the depth, as in a
         # recursion.
         for k in range(j, last):
             mask = masks[k]
-            stack.append((k + 1, [s for s in pick if not s[1] & mask], rest, bits, sent))
+            stack.append((k + 1, [s for s in pick if not s[1] & mask], rest, bits))
             rest = [s for s in rest if not s[1] & mask]
             bits |= mask
-            sent |= spans[k]
         # With content 1 the pairs are distinct, and the one with a unit
         # half is the empty pick's.
-        if sent or c > 1:
-            q, r = half(pick, bits), half(rest, full ^ bits)
-            pairs.append((q, r, sent) if q <= r else (r, q, every ^ sent))
+        if bits or c > 1:
+            pairs.append(_pair(half(pick, bits), half(rest, full ^ bits)))
     if c > 1:
-        cores = [pair[:2] for pair in pairs]
-        return [(q, r, None) for q, r in _spread(cores, c, cdivs, (((0, 0), 1),))]
+        return _spread(pairs, c, cdivs, (((0, 0), 1),))
     return sorted(pairs)

@@ -1,7 +1,9 @@
 """tools/ab.py loads two trees of the package side by side and times them
 on the benchmark's ops: run with one tree twice, every category's answers
-and steps get equal digests, and a copy that charges one more step gets
-different ones.  Timings are printed, never checked here."""
+and steps get equal digests, a copy that charges one more step gets
+different ones, and a copy with an uncharged extra pass gets equal ones
+and reads slower.  Only that planted pass's timing is checked here, far
+past the noise of one machine."""
 
 import importlib.util
 import shutil
@@ -40,15 +42,35 @@ def test_one_tree_twice_gives_equal_digests():
         assert row[-1] == "equal" and row[-3] == row[-2], row
 
 
+def ab_rows(old, new, workload, reps=1):
+    """Per category row of tools/ab.py on one block of the workload at
+    seed 1, by name: its fields, the op count second, the ratio fifth and
+    whether the two digests are equal last."""
+    out = subprocess.run(
+        [sys.executable, str(TOOL), str(old), str(new), "--workload", workload, "--seed", "1",
+         "--blocks", "1", "--reps", str(reps)],
+        capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+    return {row[0]: row for row in map(str.split, out[2:])}
+
+
 def digests(old, new, workload):
     """Per category row of tools/ab.py on one block of the workload at
     seed 1: its name, op count and whether the two digests are equal."""
-    out = subprocess.run(
-        [sys.executable, str(TOOL), str(old), str(new), "--workload", workload, "--seed", "1",
-         "--blocks", "1", "--reps", "1"],
-        capture_output=True, text=True, check=True,
-    ).stdout.splitlines()
-    return {row[0]: (int(row[1]), row[-1]) for row in map(str.split, out[2:])}
+    return {cat: (int(row[1]), row[-1]) for cat, row in ab_rows(old, new, workload).items()}
+
+
+def planted_copy(tmp_path, old, new):
+    """A copy of the package in tmp_path with the one polyfactor.py line old
+    replaced by new."""
+    copy = tmp_path / "src"
+    shutil.copytree(SRC / "bigraphpoly", copy / "bigraphpoly",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = copy / "bigraphpoly" / "polyfactor.py"
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    return copy
 
 
 def test_a_copy_that_charges_one_more_step_gets_other_digests(tmp_path):
@@ -57,19 +79,28 @@ def test_a_copy_that_charges_one_more_step_gets_other_digests(tmp_path):
     digests differently: each op passes the verification and charges its
     emission.  The tree against itself digests equal."""
     pytest.importorskip("sympy")  # perfbench/gen.py factors with it
-    copy = tmp_path / "src"
-    shutil.copytree(SRC / "bigraphpoly", copy / "bigraphpoly",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    path = copy / "bigraphpoly" / "polyfactor.py"
-    text = path.read_text()
     charge = 'meter.charge(len(cdivs) * size - skipped, "emitting the factors")'
-    assert text.count(charge) == 1
-    path.write_text(text.replace(charge, charge.replace("- skipped", "- skipped + 1")))
+    copy = planted_copy(tmp_path, charge, charge.replace("- skipped", "- skipped + 1"))
     same = digests(SRC, SRC, "decompose")
     planted = digests(SRC, copy, "decompose")
     assert same.keys() == planted.keys() and same["all"][0] == 114
     assert all(equal == "equal" for _, equal in same.values())
     assert all(equal == "differ" for _, equal in planted.values())
+
+
+def test_a_copy_with_an_uncharged_extra_pass_reads_slower_with_equal_digests(tmp_path):
+    """A copy whose bit-disjoint search sorts its terms 300 times before it
+    starts, charging nothing for it, gives the same answers after the same
+    steps, so every decompose category digests equal, while the timing
+    reads decompose well above 1: only the time shows such a pass."""
+    pytest.importorskip("sympy")  # perfbench/gen.py factors with it
+    first = "    c = gcd(*terms.values())\n"
+    extra = "    for _ in range(300):\n        sorted(terms)\n"
+    copy = planted_copy(tmp_path, first, extra + first)
+    rows = ab_rows(SRC, copy, "decompose", reps=3)
+    assert rows["all"][1] == "114"
+    assert all(row[-1] == "equal" for row in rows.values()), rows
+    assert float(rows["all"][4]) > 1.2, rows["all"]
 
 
 def test_a_tree_loads_under_its_own_name():

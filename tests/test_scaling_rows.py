@@ -2,14 +2,16 @@
 wall time, peak RSS and answer size on one line, and rejects an unknown
 row name; its product rows lie on the sides of mul's gate that their
 names say, its division row reads back the quotient, its binomial row
-lists the pairs of (1 + x)^12, its canonical row answers within its
-budget, and a row that runs out of its budget prints budget as its
-answer."""
+lists the pairs of (1 + x)^12, its canonical rows answer within their
+budget, the 16-fold chain's irreducibility row answers inconclusive, and
+a row that runs out of its budget prints budget as its answer."""
 
 import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import bigraphpoly
 from bigraphpoly import BudgetExceededError, poly
@@ -52,6 +54,21 @@ def test_the_canonical_row_answers_within_its_budget():
     out = subprocess.run([sys.executable, str(TOOL), "canonical_poly product100"],
                          capture_output=True, text=True, check=True).stdout.split()
     assert out[:2] == ["canonical_poly", "product100"] and out[6:] == ["123", "terms"]
+
+
+@pytest.mark.parametrize("row, answer", [
+    ("is_irreducible chain16", ["inconclusive"]),
+    ("canonical_poly cycle9", ["9", "terms"]),
+    ("canonical_poly cycle10", ["10", "terms"]),
+])
+def test_the_chain16_and_cycle_rows_print_their_answers(row, answer):
+    """The 16-fold chain runs out of Budget() in charging the emission of
+    its pairs, so it answers inconclusive; the canonical form of an
+    N-cycle has one term per u-vertex, as no two of them share their
+    slots."""
+    out = subprocess.run([sys.executable, str(TOOL), row],
+                         capture_output=True, text=True, check=True).stdout.split()
+    assert out[:2] == row.split() and out[6:] == answer
 
 
 def test_the_wide_chain_row_prints_its_pairs():

@@ -17,7 +17,8 @@ The rows:
 
 * chainK is the K-fold pointed product of the one-event net c0 -> c1 (2**K
   terms, K prime factors), for K = 12 and 14, under the compact labeling:
-  is_irreducible, graph_factor_pairs and decompose;
+  is_irreducible, graph_factor_pairs and decompose; and is_irreducible for
+  K = 16, which runs out of its budget and answers inconclusive;
 * chain4wide is decompose on the 4-fold chain with condition i labeled
   i * 10**6: 16 terms whose exponents run to about 7 * 10**6 bits, 7
   pairs;
@@ -53,6 +54,9 @@ The rows:
 * cycle64 is is_isomorphic on the 64-cycle against two 32-cycles, where
   refinement splits nothing and no coloring is discrete until the search
   branches;
+* cycleN for N = 9 and 10 is canonical_poly on the N-cycle, u-vertex i on
+  v-vertices i and i + 1 mod N: a symmetric input, the labeling walk's
+  heavy tail;
 * productN is is_isomorphic on the poly_product of two random N-u graphs
   against itself, for N = 100, 300 and 1000: 10**4, 9 * 10**4 and 10**6
   u-vertices in at most 4,096 classes.  Each graph has 6 v-vertices and
@@ -75,7 +79,7 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 _ROWS = [
     "is_irreducible chain12", "graph_factor_pairs chain12", "decompose chain12",
     "is_irreducible chain14", "graph_factor_pairs chain14", "decompose chain14",
-    "decompose chain4wide",
+    "is_irreducible chain16", "decompose chain4wide",
     "bit_disjoint_factor digraph2000x40", "bit_disjoint_factor wide100x1000",
     "bit_disjoint_factor sparse64x3", "bit_disjoint_factor hugecoeff64",
     "bit_disjoint_factor miss7",
@@ -83,6 +87,7 @@ _ROWS = [
     "mul sparse300x15", "mul sparse64x20", "divide_exact dense9250x16",
     "is_isomorphic cycle64", "is_isomorphic product100", "is_isomorphic product300",
     "is_isomorphic product1000", "canonical_poly product100",
+    "canonical_poly cycle9", "canonical_poly cycle10",
     "factor_pairs binomial12", "factor_pairs binomial14",
 ]
 
@@ -136,8 +141,11 @@ def _input(name, call=None):
             return bp.mul(p, q), q
         return tuple(bp.Poly1(Counter(rng.randrange(2**bits) for _ in range(draws)))
                      for _ in range(2))
-    if name == "cycle64":
-        return tuple(_cycles(*sizes) for sizes in ((64,), (32, 32)))
+    if name.startswith("cycle"):
+        n = int(name[5:])
+        if call == "canonical_poly":
+            return (_cycles(n),)
+        return tuple(_cycles(*sizes) for sizes in ((n,), (n // 2, n // 2)))
     if name.startswith("product"):
         us, vs = range(int(name[7:])), ["v0", "v1", "v2", "v3", "v4", "v5"]
         g1, g2 = (bp.Bigraph(us, vs, [(u, v) for u in us for v in vs if rng.random() < 0.4])
