@@ -20,21 +20,23 @@ linear in n = k.bit_length() for a given c = k.bit_count():
 
 * the peel takes off the top set bit, once per set bit; each step builds
   that power of two and copies what is left of k, which shrinks as its
-  top bits go, so it costs at most about c * (250 + n / 20) ns;
+  top bits go, so it costs about c * (250 + n / 200) ns;
 * the scan reads the digits of bin(k) in one C-level pass, compress over
-  the digits as 0 and 1 bytes, about 1.6 us + 22 ns per digit.
+  the digits as 0 and 1 bytes, about 1.5 us + 25-30 ns per digit + 60 ns
+  per set bit.
 
-So the peel is taken while c * (n + 5000) < 440 * n + 32000, the
-crossover measured for a peel that took off the lowest set bit, k & -k,
-and copied all of k at every step: about 8 to 12 set bits at 17 to 64
-bits, 27 at 256, 200 at 4,096 and never more than 440, so both ways stay
-linear in n.  The top-first peel is at least as fast at every size
-measured, so the bound errs towards the scan.  (Timings on a shared 2-CPU
-x86-64 machine with CPython 3.11.7: a dense 100,000-bit int takes about 5
-ms by the scan and about 0.35 s by the lowest-first peel; one with 10 set
-bits about 2 ms by the scan, 0.04-0.06 ms by the lowest-first peel and
-0.009-0.011 ms by the top-first one, and at 10**6 bits 0.67-0.84 ms
-against 0.08-0.12 ms.)
+So the peel is taken while c * (n + 40000) < 5000 * n + 240000, fitted to
+those costs: up to about 8 set bits at 17 bits, 14 at 64, 38 at 256, 470
+at 4,096, 3,600 at 10**5 and always fewer than 5,000, so both ways stay
+linear in n.
+(Timings on a shared 2-CPU x86-64 machine with CPython 3.11.7, best of 9
+runs over random ints, peel against scan: 8 set bits of 17 bits 1.1
+against 1.1 us, 12 of 64 bits 1.8 against 1.9 us and 18 of them 2.4
+against 2.1 us, 28 of 256 bits 4.2-4.5 against 5.2-5.7 us, 100 of 1,024
+bits 27 against 39 us and 200 of them 50 against 45 us, 440 of 4,096 bits
+133 against 165 us, 3,000 of 10**5 bits 2.9 against 3.5 ms and 5,000 of
+them 3.7 against 2.6 ms, 440 of 10**6 bits 2.3 against 24 ms, 3,000 of
+them 15 against 24 ms and 7,000 of them 35 against 24 ms.)
 
 Packing.  Positions below _SHORT are OR-ed as 1 << t, which never makes an
 int of more than a few machine words; a wider position is OR-ed into a
@@ -70,7 +72,7 @@ def tau(k: int) -> frozenset:
     if k < 65536:
         return _LOW[k & 255] | _HIGH[k >> 8]
     n = k.bit_length()
-    if k.bit_count() * (n + 5000) < 440 * n + 32000:
+    if k.bit_count() * (n + 40000) < 5000 * n + 240000:
         bits = []
         while k:
             top = k.bit_length() - 1
@@ -113,19 +115,13 @@ def _packing(vs, labeling):
     labels with distinct naturals: values lists what each member of vs, in
     order, adds to a slot, and join packs a slot from what its members
     add.  With every label below _SHORT a member adds its power of two and
-    join sums; otherwise a member adds its label and join ORs the labels
-    into bytes, linear in the members and the top label.  Both packers
-    read the slot format from here."""
+    join sums; otherwise a member adds its label and join is from_bits,
+    linear in the members and the top label.  Both packers read the slot
+    format from here."""
     labels = list(map(labeling.__getitem__, vs))
     if max(labels, default=0) < _SHORT:
         return [1 << t for t in labels], sum
-    return labels, _join_wide
-
-
-def _join_wide(labels):
-    """The natural with 1-bits at the given labels, 0 for none."""
-    labels = list(labels)
-    return _bytes_or(labels) if labels else 0
+    return labels, from_bits
 
 
 def pack_slots(classes, vs, labeling, arity: int) -> list:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from .bits import tau_poly
 from .core import _decode, _encodings, _slot_terms, compact_labeling, encode
 from .errors import BudgetExceededError
-from .polyfactor import Budget, _bit_disjoint_factor, _divisors, _factor_pairs, _Meter, _polys
+from .polyfactor import Budget, _bit_disjoint_factor, _divisors, _factor_pairs, _Meter, _read
 
 
 @dataclass(frozen=True)
@@ -39,63 +39,48 @@ def factor_graph(g, labeling, budget: Budget = Budget()) -> list:
 
     A graph splits by factor_pairs, a digraph or net into bit-disjoint pairs
     by bit_disjoint_factor; a net's halves are nets, as q(0) * r(0) = p(0) >= 1.
-    A digraph or net is searched off its classes, read once under the
-    checked labeling, with no encoding built.  Every half is decoded from
-    its poly_key as g's own class, labeled by its natural_labeling.
-    v-vertices no edge touches are invisible to the polynomial, so an input
-    with one gets no pair rather than a bogus one.  Empty means no
-    two-factor split exists under this labeling.
+    The search's key pairs come from _key_pairs and are read by
+    polyfactor._read, as the polynomial routes read theirs, with every
+    half decoded from its poly_key as g's own class, labeled by its
+    natural_labeling; the halves of one call share one table from exponent
+    to slots.  v-vertices no edge touches are invisible to the polynomial,
+    so an input with one gets no pair rather than a bogus one.  Empty means
+    no two-factor split exists under this labeling.
     """
-    return list(_decoded(g, _key_pairs(g, labeling, _Meter(budget))))
+    return _read(_key_pairs(g, labeling, _Meter(budget)), _decoder(type(g)))
 
 
 def graph_factor_pairs(g, labeling, budget: Budget = Budget()) -> list:
     """The pairs of factor_graph as the polynomials they decode from: the
     factor pairs of g's encoding under labeling, none when some v-vertex
-    meets no edge.  Each half encodes back to itself under its decoding's
-    natural labeling."""
-    return _polys(g.poly, _key_pairs(g, labeling, _Meter(budget)))
+    meets no edge.  The same key pairs as factor_graph's, read by _read
+    with each half made a polynomial from its poly_key.  Each half encodes
+    back to itself under its decoding's natural labeling."""
+    return _read(_key_pairs(g, labeling, _Meter(budget)), g.poly._from_key)
 
 
 def _key_pairs(g, labeling, meter):
     """The search's pairs for g under labeling as sorted pairs of
-    poly_keys: a graph's off its encoding, a digraph's or net's off its
-    classes."""
+    poly_keys, none when some v-vertex meets no edge: a graph's off its
+    encoding by the coefficient search, a digraph's or net's off its
+    classes by the bit-disjoint search, with no encoding built.  The one
+    way from a structure into either search."""
     if g.arity == 1:
-        return _encoded_pairs(g, encode(g, labeling), meter)
-    return _slot_pairs(g, labeling, meter)
-
-
-def _encoded_pairs(g, p, meter):
-    """The coefficient search's pairs for a graph's encoding p as sorted
-    pairs of poly_keys, none when some v-vertex meets no edge."""
-    if not p or len(tau_poly(p)) != len(g.v_vertices):
-        return []
-    return _factor_pairs(p, meter)
-
-
-def _slot_pairs(g, labeling, meter):
-    """The bit-disjoint search's pairs for a digraph or net g under
-    labeling, its input read off g's classes by _slot_terms: none when g
-    has no class or some v-vertex meets no arc."""
+        p = encode(g, labeling)
+        if not p or len(tau_poly(p)) != len(g.v_vertices):
+            return []
+        return _factor_pairs(p, meter)
     terms, holders, support = _slot_terms(g, labeling)
     if not terms or holders is None:
         return []
     return _bit_disjoint_factor(terms, holders, support, meter)
 
 
-def _decoded(g, pairs):
-    """The list of key pairs of a search for g decoded as g's class, in
-    order, each pair when it is read.  Each half goes from the search to
-    the decoder as its poly_key, so no polynomial is built, and the halves
-    share one table from exponent to slots.  The list is emptied as it is
-    read, so each pair's keys are freed once it is decoded."""
+def _decoder(cls):
+    """The maker of _read for halves decoded as cls from their poly_keys:
+    the decodes of one call share one table from exponent to slots."""
     supports = {}
-    cls = type(g)
-    pairs.reverse()
-    while pairs:
-        q, r = pairs.pop()
-        yield _decode(q, cls, supports), _decode(r, cls, supports)
+    return lambda key: _decode(key, cls, supports)
 
 
 def _values_split(p, meter):
@@ -130,10 +115,16 @@ def is_irreducible(
     encoding already splits off x: ((1, 1),) is the least poly_key of a
     nonconstant half, and the trivial split of p / x**m shifted once gives
     it, so factor_graph's first pair is (x, p / x).  Both modes answer from
-    that pair with no search, charged as one emitted pair.  The walk and
-    the searches share one allowance: the walk charges each state it builds
-    one step and two per distinct term of its parent, and each encoding
-    costs at least the divisor scan of p(1).
+    that pair with no search, charged as one emitted pair, its halves
+    made by the same decoder as the searches' and sharing its table.
+    Whether every v-vertex meets an edge does not depend on the labeling,
+    so it is tested once, on the first encoding; a digraph or net is
+    searched through _key_pairs, and each encoding of a graph goes
+    straight to the coefficient search.  Only the first pair a search
+    emits is decoded, by _read.  The walk and the searches share one
+    allowance: the walk charges each state it builds one step and two per
+    distinct term of its parent, and each encoding costs at least the
+    divisor scan of p(1).
     Running out gives "inconclusive".  p(1) and p(0) are the same under
     every labeling, so when p(0) >= 1 and they admit no split's values
     (_values_split), the sweep answers "irreducible" before the walk.
@@ -141,28 +132,30 @@ def is_irreducible(
     scope = "compact-labelings" if exhaustive else "labeling"
     meter = _Meter(budget)
     lab = compact_labeling(g) if exhaustive or labeling is None else labeling
-    # A digraph or net searches its classes under lab, with no encoding.
+    make = _decoder(type(g))
+    # A digraph or net is searched by _key_pairs, off its classes.
     p = encode(g, lab) if g.arity == 1 else None
     encodings = [(p, lab)]
-    # An undirected graph with every v-vertex on an edge.
-    covered = p is not None and len(tau_poly(p)) == len(g.v_vertices)
-    sweep = exhaustive and covered
-    if sweep:
-        meter.search = f"the sweep over the labelings of {len(g.v_vertices)} v-vertices"
-        encodings = _encodings(g, meter, meter.search, least=False)
     try:
-        if covered and not p.constant_coeff() and p.degree >= 2:
-            meter.charge(1 + len(p.terms), "emitting the factors")
-            rest = tuple([(e - 1, c) for e, c in p.terms.items()])
-            pair = _decode(((1, 1),), type(g), {}), _decode(rest, type(g), {})
-            return IrreducibilityReport("reducible", scope, (lab, pair))
-        if sweep and p.constant_coeff() and not _values_split(p, meter):
-            return IrreducibilityReport("irreducible", scope)
-        for p, lab in encodings:
-            pairs = _slot_pairs(g, lab, meter) if p is None else _encoded_pairs(g, p, meter)
-            pair = next(_decoded(g, pairs), None)
-            if pair is not None:
+        if p is not None:
+            # Whether every v-vertex meets an edge does not depend on the
+            # labeling, so it is tested once.
+            if not p or len(tau_poly(p)) != len(g.v_vertices):
+                return IrreducibilityReport("irreducible", scope)
+            if exhaustive:
+                meter.search = f"the sweep over the labelings of {len(g.v_vertices)} v-vertices"
+                encodings = _encodings(g, meter, meter.search, least=False)
+            if not p.constant_coeff() and p.degree >= 2:
+                meter.charge(1 + len(p.terms), "emitting the factors")
+                rest = tuple([(e - 1, c) for e, c in p.terms.items()])
+                pair = make(((1, 1),)), make(rest)
                 return IrreducibilityReport("reducible", scope, (lab, pair))
+            if exhaustive and p.constant_coeff() and not _values_split(p, meter):
+                return IrreducibilityReport("irreducible", scope)
+        for p, lab in encodings:
+            pairs = _key_pairs(g, lab, meter) if p is None else _factor_pairs(p, meter)
+            if pairs:
+                return IrreducibilityReport("reducible", scope, (lab, _read(pairs[:1], make)[0]))
     except BudgetExceededError as e:
         return IrreducibilityReport("inconclusive", scope, detail=str(e))
     return IrreducibilityReport("irreducible", scope)

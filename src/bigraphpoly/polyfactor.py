@@ -54,13 +54,16 @@ The work is about |support| * classes * terms plus a small multiple of
 the size of the output.
 
 Both searches emit each half as its poly_key, the (exponent, coefficient)
-items in descending exponent order, and sort the pairs by those keys; only
-the public functions build polynomials from them.  The bit-disjoint search
-takes its terms in any order, with each variable's holder set as a mask
-over them: the graph route passes a digraph's or net's classes as they
-stand, with holder sets read in the same pass (core._slot_terms), and
-decodes each half from its key (core._decode), while the public route
-reads the holder sets off the exponents (_planes).
+items in descending exponent order, and sort the pairs by those keys.  One
+reader, _read, makes the answer of every factor route from that list: it
+empties the list as it makes each pair's two halves with the maker it is
+given, a polynomial class's _from_key here and a decoder of g's class
+(core._decode) in graphfactor, whose _key_pairs is the one way from a
+graph, digraph or net into either search.  The bit-disjoint search takes
+its terms in any order, with each variable's holder set as a mask over
+them: the graph route passes a digraph's or net's classes as they stand,
+with holder sets read in the same pass (core._slot_terms), while the
+public route reads the holder sets off the exponents (_planes).
 """
 
 from __future__ import annotations
@@ -170,10 +173,17 @@ def _spread(cores, c, cdivs, one):
     return sorted(out)
 
 
-def _polys(cls, pairs):
-    """The emitted key pairs as pairs of cls polynomials, in their order."""
-    make = cls._from_key
-    return [(make(q), make(r)) for q, r in pairs]
+def _read(pairs, make):
+    """The sorted key pairs of a search as pairs of halves, in their order,
+    each half made from its poly_key by make: a polynomial, or a structure
+    decoded from it.  The list is emptied as it is read, so each pair's
+    keys are freed once its halves are made."""
+    out = []
+    pairs.reverse()
+    while pairs:
+        q, r = pairs.pop()
+        out.append((make(q), make(r)))
+    return out
 
 
 def _splits(coef, meter: _Meter) -> set:
@@ -351,9 +361,11 @@ def factor_pairs(p: Poly1, budget: Budget = Budget()) -> list:
     result is sorted canonically.  An empty list certifies that no such pair
     exists; running out of budget raises BudgetExceededError instead.  Each
     emitted pair costs one step per term, so a large power of x or a content
-    with many divisors spends the allowance like any other work.
+    with many divisors spends the allowance like any other work.  The
+    search's key pairs are read by _read, each half made a Poly1 from its
+    poly_key.
     """
-    return _polys(Poly1, _factor_pairs(p, _Meter(budget)))
+    return _read(_factor_pairs(p, _Meter(budget)), Poly1._from_key)
 
 
 def _factor_pairs(p, meter):
@@ -567,10 +579,11 @@ def bit_disjoint_factor(p, budget: Budget = Budget()) -> list:
     disjoint exponent bit supports.
 
     Works for either arity.  A one-variable p is searched as the
-    two-variable polynomial with y-exponent 0 (its lift), and each emitted
-    half is read back with the y dropped; (x, 0) sorts as x does, so the
-    pairs keep their order.  The support pools the bits of both exponent
-    components.  Each support bit is one variable group, so a split
+    two-variable polynomial with y-exponent 0 (its lift), and _read makes
+    each emitted half a Poly1 with the y dropped, so no second key list is
+    built; (x, 0) sorts as x does, so the pairs keep their order.  The
+    support pools the bits of both exponent components.  Each support bit
+    is one variable group, so a split
     is a variable-disjoint factorization of the primitive part, and every
     such split is a union of its prime blocks (Shpilka & Volkovich, ICALP
     2010).  The blocks come from a dependency test of each variable
@@ -596,8 +609,8 @@ def bit_disjoint_factor(p, budget: Budget = Budget()) -> list:
         raise ValueError("cannot factor the zero polynomial")
     pairs = _bit_disjoint_factor(*_exponent_planes(lift(p)), _Meter(budget))
     if isinstance(p, Poly1):
-        pairs = [[tuple([(x, c) for (x, _), c in key]) for key in pair] for pair in pairs]
-    return _polys(type(p), pairs)
+        return _read(pairs, lambda key: Poly1._from_key([(x, c) for (x, _), c in key]))
+    return _read(pairs, type(p)._from_key)
 
 
 def _exponent_planes(p):

@@ -15,6 +15,7 @@ from bigraphpoly import (
     DiBigraph,
     IrreducibilityReport,
     LabeledPetriNet,
+    LabelingError,
     PetriNet,
     Poly1,
     bit_disjoint_factor,
@@ -740,3 +741,27 @@ def test_irreducibility_reports_hash_as_they_compare():
     assert a.verdict == "reducible" and a.witness is not None
     assert copy == a and hash(copy) == hash(a)
     assert len({a, copy}) == 1
+
+
+@pytest.mark.parametrize("kind", ["net", "digraph"])
+def test_a_label_too_large_to_pack_is_a_labeling_error_on_every_factor_route(kind):
+    """A label of 2**70 overflows the byte buffer its slots are packed
+    into when a digraph's or net's classes are read for the search: every
+    route raises encode's LabelingError at once, with encode's text."""
+    if kind == "net":
+        g = PetriNet(["c0", "c1"], ["e"], pre={"e": ["c0"]}, post={"e": ["c1"]})
+        labeling = {"c0": 0, "c1": 2**70}
+        text = "label of condition 'c1' is too large to encode: a 22-digit number"
+        calls = [decompose, factor_graph, graph_factor_pairs, is_irreducible]
+    else:
+        g = DiBigraph(["u0", "u1"], ["v0", "v1"], [("u0", "v0"), ("v1", "u1")])
+        labeling = {"v0": 0, "v1": 2**70}
+        text = "label of v-part id 'v1' is too large to encode: a 22-digit number"
+        calls = [factor_graph, graph_factor_pairs, is_irreducible]
+    with pytest.raises(LabelingError) as encoded:
+        encode(g, labeling)
+    assert str(encoded.value) == text
+    for call in calls:
+        with pytest.raises(LabelingError) as raised:
+            call(g, labeling)
+        assert str(raised.value) == text, call.__name__

@@ -3,8 +3,10 @@ wall time, peak RSS and answer size on one line, and rejects an unknown
 row name; its product rows lie on the sides of mul's gate that their
 names say, its division row reads back the quotient, its binomial row
 lists the pairs of (1 + x)^12, its canonical rows answer within their
-budget, the 16-fold chain's irreducibility row answers inconclusive, and
-a row that runs out of its budget prints budget as its answer."""
+budget, the 16-fold chain's irreducibility row answers inconclusive, the
+star, sweep and directed product rows answer on smaller sizes of their
+inputs, and a row that runs out of its budget prints budget as its
+answer."""
 
 import importlib.util
 import subprocess
@@ -14,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import bigraphpoly
-from bigraphpoly import BudgetExceededError, poly
+from bigraphpoly import BudgetExceededError, encode, mul, poly
 
 TOOL = Path(__file__).parents[1] / "tools" / "scaling_rows.py"
 
@@ -112,3 +114,31 @@ def test_the_product_rows_are_on_their_sides_of_the_gate():
         packed = name.startswith("dense")
         p, q = tool._input(name)
         assert (poly._packed(p, q) is not None) == packed, name
+
+
+@pytest.mark.parametrize("row, full, answer", [
+    ("graph_factor_pairs star10", "star18", ["511", "pairs"]),
+    ("is_irreducible sweep6", "sweep8", ["irreducible"]),
+    ("poly_product digraph10", "digraph100", ["90", "terms"]),
+])
+def test_the_star_sweep_and_directed_product_rows_print_their_answers(capsys, row, full, answer):
+    """Smaller sizes of the star18, sweep8 and digraph100 inputs, run in
+    this process: the star on 10 v-vertices splits its v part 2**9 - 1
+    ways, no labeling of the six-v sweep input splits it, and the directed
+    product has one term per term of the product of the encodings."""
+    tool = load_tool()
+    call, name = row.split()
+    assert f"{call} {full}" in tool._ROWS
+    tool._run(row)
+    out = capsys.readouterr().out.split()
+    assert out[:2] == row.split() and out[6:] == answer
+    if call == "poly_product":
+        g1, l1, g2, l2 = tool._input(name, call)
+        assert len(mul(encode(g1, l1), encode(g2, l2)).terms) == 90
+
+
+def test_the_directed_product_row_keeps_the_pair_loop():
+    """The two 100-u digraphs of poly_product digraph100 are sparse enough
+    in the packed stride that mul's gate keeps the pair loop."""
+    g1, l1, g2, l2 = load_tool()._input("digraph100", "poly_product")
+    assert poly._packed(encode(g1, l1), encode(g2, l2)) is None

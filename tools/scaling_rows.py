@@ -1,6 +1,7 @@
 """Wall time and peak RSS of the scaling rows: the net and bit-disjoint
 routes, dense and sparse products, isomorphism on a regular input and on
-products, and the canonical form of a product.
+products, the canonical form of a product, the exhaustive irreducibility
+sweep and a directed product.
 
 Each row runs in a fresh Python subprocess against the package in the src
 directory next to this tool.  The subprocess builds its input, which is not
@@ -68,7 +69,21 @@ The rows:
   cost;
 * binomialN is factor_pairs on (1 + x)**N, for N = 12 and 14 (6 and 7
   pairs): the coefficient search on a dense support with a repeated
-  factor, its worst case.
+  factor, its worst case;
+* starN is graph_factor_pairs on the digraph of one u-vertex with arcs to
+  N v-vertices, for N = 18: one term, whose 2**(N - 1) - 1 pairs (131,071)
+  are every split of its v part in two, so the row measures what reading
+  many short pairs costs;
+* sweepN is the exhaustive is_irreducible sweep on u0 to u4 and an
+  isolated u-vertex, on N v-vertices, for N = 8: with random.Random(2),
+  each v-vertex first gets one edge from rng.choice of u0 to u4, then each
+  (u, v) pair of those gets an edge at probability 0.5.  The isolated
+  u-vertex makes p(0) >= 1, so no fixed witness answers and the walk
+  searches every distinct encoding;
+* digraphN is poly_product of two random N-u digraphs on 6 v-vertices,
+  for N = 100, the first labeled 0..5 and the second 6..11, each arc in
+  either direction at probability 0.3 (random.Random(0)): a directed
+  product on mul's pair loop, 8,272 terms.
 """
 
 import subprocess
@@ -89,6 +104,7 @@ _ROWS = [
     "is_isomorphic product1000", "canonical_poly product100",
     "canonical_poly cycle9", "canonical_poly cycle10",
     "factor_pairs binomial12", "factor_pairs binomial14",
+    "graph_factor_pairs star18", "is_irreducible sweep8", "poly_product digraph100",
 ]
 
 
@@ -154,6 +170,22 @@ def _input(name, call=None):
         g = bp.poly_product(g1, {v: j for j, v in enumerate(vs)}, g2,
                             {v: shift + j for j, v in enumerate(vs)})
         return (g,) if call == "canonical_poly" else (g, g)
+    if name.startswith("star"):
+        vs = range(1, int(name[4:]) + 1)
+        g = bp.DiBigraph([0], vs, [(0, v) for v in vs])
+        return g, bp.compact_labeling(g)
+    if name.startswith("sweep"):
+        rng = random.Random(2)
+        us, vs = [f"u{i}" for i in range(5)], [f"v{j}" for j in range(int(name[5:]))]
+        edges = [(rng.choice(us), v) for v in vs]
+        edges += [(u, v) for u in us for v in vs if rng.random() < 0.5]
+        return (bp.Bigraph([*us, "u5"], vs, edges),)
+    if name.startswith("digraph"):
+        us, vs = range(int(name[7:])), ["v0", "v1", "v2", "v3", "v4", "v5"]
+        g1, g2 = (bp.DiBigraph(us, vs, [a for u in us for v in vs for a in ((v, u), (u, v))
+                                        if rng.random() < 0.3])
+                  for _ in range(2))
+        return g1, {v: j for j, v in enumerate(vs)}, g2, {v: 6 + j for j, v in enumerate(vs)}
     if name.startswith("binomial"):
         n = int(name[8:])
         return (bp.Poly1({e: comb(n, e) for e in range(n + 1)}),)
@@ -171,18 +203,19 @@ def _run(row):
 
     from bigraphpoly import (
         BudgetExceededError, bit_disjoint_factor, canonical_poly, decompose, divide_exact,
-        factor_pairs, is_irreducible, is_isomorphic, mul,
+        factor_pairs, is_irreducible, is_isomorphic, mul, poly_product,
     )
     from bigraphpoly.graphfactor import graph_factor_pairs
 
     call, name = row.split()
     calls = [bit_disjoint_factor, canonical_poly, decompose, divide_exact, factor_pairs,
-             graph_factor_pairs, is_irreducible, is_isomorphic, mul]
+             graph_factor_pairs, is_irreducible, is_isomorphic, mul, poly_product]
     function = next(f for f in calls if f.__name__ == call)
     args = _input(name, call)
+    options = {"exhaustive": True} if name.startswith("sweep") else {}
     start = perf_counter()
     try:
-        out = function(*args)
+        out = function(*args, **options)
     except BudgetExceededError:
         out = BudgetExceededError
     seconds = perf_counter() - start
@@ -192,6 +225,8 @@ def _run(row):
         size = out.verdict
     elif call in ("mul", "canonical_poly", "divide_exact"):
         size = f"{len(out.terms)} terms"
+    elif call == "poly_product":
+        size = f"{len(out._classes)} terms"  # one class per term of its encoding
     elif call == "is_isomorphic":
         size = "not isomorphic" if out is None else "isomorphic"
     else:
