@@ -6,8 +6,10 @@ supports add without carries, so such a sum can be split apart again.  That
 reversibility is what every decoding in this package rests on.
 
 Every exponent the package packs or unpacks goes through this module: tau
-unpacks; from_bits, pack_slots and pack_holders pack, the last with the
-holder masks of the bit-disjoint search.
+unpacks; from_bits, pack_slots and pack_holders pack.  pack_slots packs
+slots at their members' labels, as encode does; pack_holders packs them at
+their members' ranks, 0 to n - 1, with the holder masks of the
+bit-disjoint search, which so works on n bits whatever the labels are.
 
 Unpacking.  A natural below 2**8 is one lookup in _LOW, the 256 bit
 supports of a byte; one below 2**16 is the union of a lookup in _LOW and
@@ -110,15 +112,14 @@ def from_bits(bits) -> int:
     return n | _bytes_or(rest)
 
 
-def _packing(vs, labeling):
-    """(values, join) for packing slots of members of vs, which labeling
-    labels with distinct naturals: values lists what each member of vs, in
-    order, adds to a slot, and join packs a slot from what its members
-    add.  With every label below _SHORT a member adds its power of two and
-    join sums; otherwise a member adds its label and join is from_bits,
-    linear in the members and the top label.  Both packers read the slot
-    format from here."""
-    labels = list(map(labeling.__getitem__, vs))
+def _packing(labels):
+    """(values, join) for packing slots of members labeled, in order, by
+    the distinct naturals labels: values lists what each member adds to a
+    slot, and join packs a slot from what its members add.  With every
+    label below _SHORT a member adds its power of two and join sums;
+    otherwise a member adds its label and join is from_bits, linear in the
+    members and the top label.  Both packers read the slot format from
+    here."""
     if max(labels, default=0) < _SHORT:
         return [1 << t for t in labels], sum
     return labels, from_bits
@@ -130,26 +131,29 @@ def pack_slots(classes, vs, labeling, arity: int) -> list:
     becomes the natural with 1-bits at its members' labels, which labeling
     gives as distinct naturals, packed as _packing says.  One slot gives an
     int, two an (x, y) pair."""
-    values, join = _packing(vs, labeling)
+    values, join = _packing(list(map(labeling.__getitem__, vs)))
     value = dict(zip(vs, values)).__getitem__
     if arity == 1:
         return [join(map(value, part)) for (part,) in classes]
     return [(join(map(value, pre)), join(map(value, post))) for pre, post in classes]
 
 
-def pack_holders(classes, vs, labeling):
+def pack_holders(classes, order):
     """(keys, pre, post) of two-slot classes in one pass over their
-    members: keys lists the (x, y) term key of each class, in order, as
-    pack_slots packs it, and pre and post list, for each member of vs in
-    its order, the mask of the classes whose pre or post slot holds it, bit
-    i for class i.  Each member's record holds what it adds to a slot and
-    its two masks, so a member costs one lookup.
+    members, each packed at its rank in order, the list of every member:
+    keys lists the (x, y) term key of each class, in order, with bit t of
+    a slot set when it holds order[t], and pre and post list, for each
+    member in order, the mask of the classes whose pre or post slot holds
+    it, bit i for class i.  Each member's record holds what it adds to a
+    slot and its two masks, so a member costs one lookup.  A key has at
+    most len(order) bits however large the members' labels are, so the
+    packing never overflows.
 
     pack_slots' keys take no masks: a mask grows with the classes, so
     OR-ing one per member would make encoding quadratic in the classes."""
-    values, join = _packing(vs, labeling)
+    values, join = _packing(range(len(order)))
     records = [[t, 0, 0] for t in values]
-    record = dict(zip(vs, records))
+    record = dict(zip(order, records))
     keys = []
     m = 1
     for a, b in classes:

@@ -279,25 +279,26 @@ def _too_large(g, labeling):
 
 def _slot_terms(g, labeling):
     """The bit-disjoint search's input for a digraph or net g under
-    labeling, read off its classes in one pass: (terms, holders, support).
+    labeling, read off its classes in one pass: (terms, holders, names).
 
-    terms maps the term key of each class, packed as encode packs it, to
-    its count, in class order, so the map is the encoding's terms in
-    another order.  support lists the labels, ascending, and holders the
-    mask of the classes whose pre slot holds the v-vertex of each label in
-    support order, then those of the post slots, bit i for class i; holders
-    is None when some v-vertex is in no slot.
+    The search works on ranks: the v-vertex with the t-th least label is
+    bit t.  terms maps the term key of each class, packed so, to its count,
+    in class order, and holders lists the mask of the classes whose pre
+    slot holds the v-vertex of each rank, in rank order, then those of the
+    post slots, bit i for class i; holders is None when some v-vertex is in
+    no slot.  names lists the labels in rank order, the name of each bit,
+    or is None when they are 0..|v|-1, so ranks are labels.  A split is a
+    partition of the v part, so the labels change no answer, and packing
+    ranks never builds an int wider than |v| bits.
     """
     check_labeling(g, labeling)
     order = sorted(g.v_vertices, key=labeling.__getitem__)
-    try:
-        keys, pre, post = pack_holders(g._classes, order, labeling)
-    except OverflowError:
-        raise _too_large(g, labeling) from None
+    keys, pre, post = pack_holders(g._classes, order)
     terms = dict(zip(keys, g._classes.values()))
     if not all(map(int.__or__, pre, post)):
         return terms, None, None
-    return terms, pre + post, list(map(labeling.__getitem__, order))
+    names = list(map(labeling.__getitem__, order))
+    return terms, pre + post, None if names == [*range(len(names))] else names
 
 
 def decode(p, cls):
@@ -319,19 +320,24 @@ def decode(p, cls):
     return _decode(poly_key(p), cls, {})
 
 
-def _decode(key, cls, supports, ids=None):
+def _decode(key, cls, supports, ids=None, names=None):
     """decode of the polynomial whose poly_key is key, with no checks: both
     factor searches emit their halves as such keys, and a net's halves
     hold a constant term.  ids is the id rule; with none, _per_u applies
-    _copies.
+    _copies.  names, ascending, names the v-vertex of each bit: the
+    bit-disjoint search works on the ranks of the labels, so its halves
+    are decoded with bit t named names[t], the t-th least label, and no int
+    as wide as the labels is built.  With none, bit t is the v-vertex t.
 
-    Each term is one class, its slots the bit supports of its exponent and
-    its count the coefficient.  supports maps an exponent to those slots
-    and the OR of its parts; the decodes of one search share it, so each
-    distinct exponent is split into bits once.  One tau of the OR of all
-    exponents gives the v part.  A net's idle event is one unit of the
+    Each term is one class, its slots the named bit supports of its
+    exponent and its count the coefficient.  supports maps an exponent to
+    those slots and the OR of its parts; the decodes of one search share
+    it, so each distinct exponent is split into bits and named once.  The
+    named bits of the OR of all exponents are the v part: names ascend, so
+    sorting them sorts the bits.  A net's idle event is one unit of the
     constant term's class, left out by _copies.
     """
+    named = tau if names is None else lambda e: frozenset(map(names.__getitem__, tau(e)))
     classes = {}
     ors = 0
     for exp, c in key:
@@ -339,13 +345,13 @@ def _decode(key, cls, supports, ids=None):
         if row is None:
             if type(exp) is tuple:
                 x, y = exp
-                row = supports[exp] = ((tau(x), tau(y)), x | y)
+                row = supports[exp] = ((named(x), named(y)), x | y)
             else:
-                row = supports[exp] = ((tau(exp),), exp)
+                row = supports[exp] = ((named(exp),), exp)
         slots, bits = row
         ors |= bits
         classes[slots] = c
-    return cls._build(tuple(sorted(tau(ors))), classes, ids)
+    return cls._build(tuple(sorted(named(ors))), classes, ids)
 
 
 def _copies(classes, idle):

@@ -10,7 +10,8 @@ isomorphism search.  A graph's factorability depends on the labeling: it
 can split under one labeling and resist another, so irreducibility verdicts
 carry their scope, either the single labeling that was tried or every
 compact labeling.  A bit-disjoint split of a digraph or net is a partition
-of its v part, so whether one exists does not depend on the labeling.
+of its v part, so whether one exists does not depend on the labeling: it
+is searched on the ranks of the labels, which only name the halves' bits.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .bits import tau_poly
-from .core import _decode, _encodings, _slot_terms, compact_labeling, encode
+from .core import _decode, _encodings, _slot_terms, _too_large, compact_labeling, encode
 from .errors import BudgetExceededError
-from .polyfactor import Budget, _bit_disjoint_factor, _divisors, _factor_pairs, _Meter, _read
+from .polyfactor import Budget, _bit_disjoint_factor, _divisors, _factor_pairs, _Meter
+from .polyfactor import _read, _widened
 
 
 @dataclass(frozen=True)
@@ -43,44 +45,58 @@ def factor_graph(g, labeling, budget: Budget = Budget()) -> list:
     polyfactor._read, as the polynomial routes read theirs, with every
     half decoded from its poly_key as g's own class, labeled by its
     natural_labeling; the halves of one call share one table from exponent
-    to slots.  v-vertices no edge touches are invisible to the polynomial,
-    so an input with one gets no pair rather than a bogus one.  Empty means
-    no two-factor split exists under this labeling.
+    to slots.  A digraph's or net's halves are found on the ranks of the
+    labels and decoded with each rank named by its label, so they answer
+    under any injective labeling, one too large to encode included.
+    v-vertices no edge touches are invisible to the polynomial, so an
+    input with one gets no pair rather than a bogus one.  Empty means no
+    two-factor split exists under this labeling.
     """
-    return _read(_key_pairs(g, labeling, _Meter(budget)), _decoder(type(g)))
+    pairs, names = _key_pairs(g, labeling, _Meter(budget))
+    return _read(pairs, _decoder(type(g), names))
 
 
 def graph_factor_pairs(g, labeling, budget: Budget = Budget()) -> list:
     """The pairs of factor_graph as the polynomials they decode from: the
     factor pairs of g's encoding under labeling, none when some v-vertex
     meets no edge.  The same key pairs as factor_graph's, read by _read
-    with each half made a polynomial from its poly_key.  Each half encodes
-    back to itself under its decoding's natural labeling."""
-    return _read(_key_pairs(g, labeling, _Meter(budget)), g.poly._from_key)
+    with each half made a polynomial from its poly_key, a digraph's or
+    net's with each rank's bit moved to its label (polyfactor._widened).
+    Each half encodes back to itself under its decoding's natural
+    labeling.  A half whose encoding is too large to build raises encode's
+    LabelingError."""
+    pairs, names = _key_pairs(g, labeling, _Meter(budget))
+    try:
+        return _read(pairs, _widened(g.poly._from_key, names))
+    except OverflowError:
+        raise _too_large(g, labeling) from None
 
 
 def _key_pairs(g, labeling, meter):
-    """The search's pairs for g under labeling as sorted pairs of
-    poly_keys, none when some v-vertex meets no edge: a graph's off its
-    encoding by the coefficient search, a digraph's or net's off its
-    classes by the bit-disjoint search, with no encoding built.  The one
-    way from a structure into either search."""
+    """(pairs, names): the search's pairs for g under labeling as sorted
+    pairs of poly_keys, none when some v-vertex meets no edge, and the
+    labels their bits name, or None when bit t is label t.  A graph's
+    pairs come off its encoding by the coefficient search; a digraph's or
+    net's off its classes by the bit-disjoint search, on the ranks of the
+    labels (core._slot_terms), with no encoding built.  The one way from a
+    structure into either search."""
     if g.arity == 1:
         p = encode(g, labeling)
         if not p or len(tau_poly(p)) != len(g.v_vertices):
-            return []
-        return _factor_pairs(p, meter)
-    terms, holders, support = _slot_terms(g, labeling)
+            return [], None
+        return _factor_pairs(p, meter), None
+    terms, holders, names = _slot_terms(g, labeling)
     if not terms or holders is None:
-        return []
-    return _bit_disjoint_factor(terms, holders, support, meter)
+        return [], None
+    return _bit_disjoint_factor(terms, holders, meter), names
 
 
-def _decoder(cls):
-    """The maker of _read for halves decoded as cls from their poly_keys:
-    the decodes of one call share one table from exponent to slots."""
+def _decoder(cls, names=None):
+    """The maker of _read for halves decoded as cls from their poly_keys,
+    bit t naming the v-vertex names[t], or t when names is None: the
+    decodes of one call share one table from exponent to slots."""
     supports = {}
-    return lambda key: _decode(key, cls, supports)
+    return lambda key: _decode(key, cls, supports, None, names)
 
 
 def _values_split(p, meter):
@@ -116,12 +132,13 @@ def is_irreducible(
     nonconstant half, and the trivial split of p / x**m shifted once gives
     it, so factor_graph's first pair is (x, p / x).  Both modes answer from
     that pair with no search, charged as one emitted pair, its halves
-    made by the same decoder as the searches' and sharing its table.
+    made by the decoder the searches' pairs are read with.
     Whether every v-vertex meets an edge does not depend on the labeling,
     so it is tested once, on the first encoding; a digraph or net is
-    searched through _key_pairs, and each encoding of a graph goes
-    straight to the coefficient search.  Only the first pair a search
-    emits is decoded, by _read.  The walk and the searches share one
+    searched through _key_pairs, on the ranks of its labels, and each
+    encoding of a graph goes straight to the coefficient search.  Only
+    the first pair a search emits is decoded, by _read, with each rank
+    named by its label.  The walk and the searches share one
     allowance: the walk charges each state it builds one step and two per
     distinct term of its parent, and each encoding costs at least the
     divisor scan of p(1).
@@ -132,7 +149,6 @@ def is_irreducible(
     scope = "compact-labelings" if exhaustive else "labeling"
     meter = _Meter(budget)
     lab = compact_labeling(g) if exhaustive or labeling is None else labeling
-    make = _decoder(type(g))
     # A digraph or net is searched by _key_pairs, off its classes.
     p = encode(g, lab) if g.arity == 1 else None
     encodings = [(p, lab)]
@@ -148,14 +164,16 @@ def is_irreducible(
             if not p.constant_coeff() and p.degree >= 2:
                 meter.charge(1 + len(p.terms), "emitting the factors")
                 rest = tuple([(e - 1, c) for e, c in p.terms.items()])
+                make = _decoder(type(g))
                 pair = make(((1, 1),)), make(rest)
                 return IrreducibilityReport("reducible", scope, (lab, pair))
             if exhaustive and p.constant_coeff() and not _values_split(p, meter):
                 return IrreducibilityReport("irreducible", scope)
         for p, lab in encodings:
-            pairs = _key_pairs(g, lab, meter) if p is None else _factor_pairs(p, meter)
+            pairs, names = (_factor_pairs(p, meter), None) if p else _key_pairs(g, lab, meter)
             if pairs:
-                return IrreducibilityReport("reducible", scope, (lab, _read(pairs[:1], make)[0]))
+                pair = _read(pairs[:1], _decoder(type(g), names))[0]
+                return IrreducibilityReport("reducible", scope, (lab, pair))
     except BudgetExceededError as e:
         return IrreducibilityReport("inconclusive", scope, detail=str(e))
     return IrreducibilityReport("irreducible", scope)

@@ -61,9 +61,15 @@ given, a polynomial class's _from_key here and a decoder of g's class
 (core._decode) in graphfactor, whose _key_pairs is the one way from a
 graph, digraph or net into either search.  The bit-disjoint search takes
 its terms in any order, with each variable's holder set as a mask over
-them: the graph route passes a digraph's or net's classes as they stand,
-with holder sets read in the same pass (core._slot_terms), while the
-public route reads the holder sets off the exponents (_planes).
+them, on the ranks of the bits: one class pass (bits.pack_holders) packs
+each member of a slot at its rank and reads the holder sets with it,
+over a digraph's or net's classes as they stand (core._slot_terms) or
+over the bit sets of a polynomial's terms (bit_disjoint_factor).  Both
+hand on the names of the ranks, the sorted labels or support bits, and
+the makers _read is given rename each half once: a polynomial's
+exponents by _widened, a structure's slots and v part by core._decode.
+A split is a partition of the bits, so labels only name them: the
+search, its charges and its pair order are those of the compact case.
 """
 
 from __future__ import annotations
@@ -71,11 +77,12 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 from math import gcd, isqrt, prod
 
-from .bits import from_bits, tau, tau_poly
+from .bits import from_bits, pack_holders, tau, tau_poly
 from .errors import BudgetExceededError, _brief, _show
-from .poly import Poly1, content, lift
+from .poly import Poly1, content
 
 
 @dataclass(frozen=True)
@@ -415,30 +422,6 @@ def _points(count):
         yield [rng.randrange(1, _PRIME) for _ in range(count)]
 
 
-def _planes(values, positions):
-    """For each bit position b in positions, ascending, the mask whose bit
-    i is bit b of values[i], for a sequence of naturals.
-
-    Each value is cut into its little-endian bytes once, and the values
-    are transposed one byte column at a time, reading only the columns
-    that hold a position, so a high bit costs one column, not one per byte
-    below it.  Column j, its bytes read as one little-endian integer, holds
-    bit b of values[i] at bit 8 * i + b - 8 * j, so a plane is a slice of
-    its binary digits with step 8.
-    """
-    rows = [v.to_bytes((v.bit_length() + 7) // 8, "little") for v in values]
-    spec = f"0{8 * len(rows)}b"
-    planes = []
-    j = None
-    for b in positions:
-        if b >> 3 != j:
-            j = b >> 3
-            column = bytes([r[j] if j < len(r) else 0 for r in rows])
-            digits = format(int.from_bytes(column, "little"), spec)
-        planes.append(int(digits[7 - (b & 7)::8], 2))
-    return planes
-
-
 def _mask_sum(values):
     """The function taking a mask of indices, bit i for values[i], to the
     sum of those values, for a nonempty list of naturals: the mask's
@@ -448,16 +431,16 @@ def _mask_sum(values):
     return lambda mask: sum(map(values.__getitem__, tau(mask)))
 
 
-def _blocks(values, holders, support, modulus, meter):
-    """The support bits grouped by union-find over the variables that the
+def _blocks(values, holders, modulus, meter):
+    """The exponent bits grouped by union-find over the variables that the
     dependency test at one point proves dependent, as ascending lists of
-    their indices in support, ordered by their top bit.
+    bits, ordered by their top bit.
 
     values lists the terms' values at the point, and holders each
     variable's holder set as a term mask: bit i of holders[u] is set when
-    term i holds u.  Bit support[t] is pre variable t, read in the
-    x-exponents, and post variable t + len(support), read in the
-    y-exponents.  For variables u and w, let S sum the terms' values, R_u
+    term i holds u.  With n bits, bit t is pre variable t, read in the
+    x-exponents, and post variable t + n, read in the y-exponents.  For
+    variables u and w, let S sum the terms' values, R_u
     and R_w the values of the terms holding u or w, and D those holding
     both.  Then S*D - R_u*R_w is the 2x2 minor of the grid of p over the
     states of u and w, with u's and w's own values left in, which only
@@ -490,7 +473,7 @@ def _blocks(values, holders, support, modulus, meter):
     class, and the blocks finer; _peel then fails to verify them and the
     next point is tried.
     """
-    n = len(support)
+    n = len(holders) // 2
     weight = _mask_sum(values)  # the sum of the values of the terms in a mask
     total = sum(values)
     everywhere = (1 << len(values)) - 1
@@ -582,8 +565,14 @@ def bit_disjoint_factor(p, budget: Budget = Budget()) -> list:
     two-variable polynomial with y-exponent 0 (its lift), and _read makes
     each emitted half a Poly1 with the y dropped, so no second key list is
     built; (x, 0) sorts as x does, so the pairs keep their order.  The
-    support pools the bits of both exponent components.  Each support bit
-    is one variable group, so a split
+    support pools the bits of both exponent components, and the search
+    works on their ranks: each term's bit sets (tau(x), tau(y)) go through
+    the class pass of nets and digraphs (bits.pack_holders) with the
+    sorted support as the names of bits 0 to n - 1, and each half's bit t
+    is moved back to the t-th support bit as _read makes it.  That map is
+    monotone, so the pairs and their order are those of p itself, and a
+    sparse p on wide exponents is searched on n bits.  Each support bit is
+    one variable group, so a split
     is a variable-disjoint factorization of the primitive part, and every
     such split is a union of its prime blocks (Shpilka & Volkovich, ICALP
     2010).  The blocks come from a dependency test of each variable
@@ -607,29 +596,37 @@ def bit_disjoint_factor(p, budget: Budget = Budget()) -> list:
     """
     if not p:
         raise ValueError("cannot factor the zero polynomial")
-    pairs = _bit_disjoint_factor(*_exponent_planes(lift(p)), _Meter(budget))
+    names = sorted(tau_poly(p))
+    # Not lift(p): building its dict would hash every exponent, bit by bit.
+    exps = p.terms if p.arity == 2 else [(x, 0) for x in p.terms]
+    keys, pre, post = pack_holders(((tau(x), tau(y)) for x, y in exps), names)
+    pairs = _bit_disjoint_factor(dict(zip(keys, p.terms.values())), pre + post, _Meter(budget))
     if isinstance(p, Poly1):
-        return _read(pairs, lambda key: Poly1._from_key([(x, c) for (x, _), c in key]))
-    return _read(pairs, type(p)._from_key)
+        return _read(pairs, _widened(lambda key: Poly1._from_key([(x, c) for (x, _), c in key]),
+                                     names))
+    return _read(pairs, _widened(type(p)._from_key, names))
 
 
-def _exponent_planes(p):
-    """The search input (terms, holders, support) of _bit_disjoint_factor
-    for a nonzero Poly2 p, the holder sets read off its exponents by
-    _planes."""
-    support = sorted(tau_poly(p))
-    xs, ys = zip(*p.terms)
-    return p.terms, _planes(xs, support) + _planes(ys, support), support
+def _widened(make, names):
+    """make of _read for halves emitted on ranks: each exponent's bit t is
+    moved to bit names[t] before make, for ascending names, so keys keep
+    their order; make itself when names is None or 0..len(names)-1.  Each
+    distinct exponent is moved once per call."""
+    if not names or names[-1] == len(names) - 1:
+        return make
+    move = cache(lambda e: from_bits(map(names.__getitem__, tau(e))))
+    return lambda key: make([((move(x), move(y)), c) for (x, y), c in key])
 
 
-def _bit_disjoint_factor(terms, holders, support, meter):
+def _bit_disjoint_factor(terms, holders, meter):
     """The pairs of bit_disjoint_factor for the nonzero two-variable terms,
     a map from (x, y) exponents to coefficients in any order, as sorted
-    _pairs of poly_keys, as _splits emits them.  support lists the bits the
-    exponents hold, ascending, and holders each variable's holder set as a
-    mask over the terms in their order, bit i for the i-th: the pre
-    variables', read in the x-exponents, in support order, then the post
-    variables'.
+    _pairs of poly_keys, as _splits emits them.  The exponents hold bits 0
+    to n - 1, each in some term, and holders lists each variable's holder
+    set as a mask over the terms in their order, bit i for the i-th: the n
+    pre variables', read in the x-exponents, bit by bit, then the n post
+    variables'.  Both routes pass ranks here (bits.pack_holders), so the
+    search works on n bits whatever the labels or exponents were.
 
     Once the blocks are verified, each half is read off the terms in
     poly_key order: when p(0) >= 1 every term of a half is a term of p, its
@@ -642,7 +639,7 @@ def _bit_disjoint_factor(terms, holders, support, meter):
     if c > 1:
         terms = {e: v // c for e, v in terms.items()}
     meter.search = (
-        f"bit-disjoint factoring of {len(terms)} terms on {len(support)} support bits"
+        f"bit-disjoint factoring of {len(terms)} terms on {len(holders) // 2} support bits"
     )
     cdivs = _divisors(c, meter) if c > 1 else (1,)
     # Point 0 is (1, ..., 1): each term's value is its coefficient, and no
@@ -673,8 +670,8 @@ def _bit_disjoint_factor(terms, holders, support, meter):
             for z, rows in zip(next(points), holders):
                 for i in tau(rows):
                     values[i] = values[i] * z % modulus
-        groups = _blocks(values, holders, support, modulus, meter)
-        masks = [from_bits(map(support.__getitem__, group)) for group in groups]
+        groups = _blocks(values, holders, modulus, meter)
+        masks = [from_bits(group) for group in groups]
         counts = _peel(terms, masks, meter)
         if counts is not None:
             break

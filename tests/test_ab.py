@@ -42,6 +42,34 @@ def test_one_tree_twice_gives_equal_digests():
         assert row[-1] == "equal" and row[-3] == row[-2], row
 
 
+def test_the_pass_range_is_the_least_and_the_greatest_ratio_of_one_pass(capsys):
+    """Per category the row shows the NEW/OLD ratio of the sums of the
+    op medians and, after it, the lowest and the highest ratio of the two
+    trees' sums over one pass: here 1.0 seconds against 1.0, 2.0 and 0.5
+    in its three passes, and 1.0 against 1.0 in the op medians."""
+    rows = [("cat", [[0.5, 0.5, 0.5], [0.5, 1.0, 0.25]], ["x", "x"]),
+            ("cat", [[0.5, 0.5, 0.5], [0.5, 1.0, 0.25]], ["y", "y"])]
+    load_tool().report(rows)
+    out = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert out[0][7:9] == ["pass", "range"]
+    assert [row[:6] for row in out[1:]] == [
+        ["cat", "2", "1000.00", "1000.00", "1.000", "0.500-2.000"],
+        ["all", "2", "1000.00", "1000.00", "1.000", "0.500-2.000"]]
+
+
+def test_one_tree_twice_prints_a_pass_range_per_category():
+    """An A/A run of 3 passes prints a pass range for every category.  The
+    range is not asserted to hold 1: three passes of noise alone leave 1
+    outside it for about one category in four, and 6 of 8 such runs had a
+    category whose range missed 1."""
+    pytest.importorskip("sympy")  # perfbench/gen.py factors with it
+    rows = ab_rows(SRC, SRC, "algebra", reps=3)
+    assert rows["all"][1] == "64"
+    for row in rows.values():
+        low, high = map(float, row[5].split("-"))
+        assert 0.5 < low <= high < 2, row
+
+
 def ab_rows(old, new, workload, reps=1):
     """Per category row of tools/ab.py on one block of the workload at
     seed 1, by name: its fields, the op count second, the ratio fifth and

@@ -648,9 +648,9 @@ def test_bit_disjoint_first_point_reduces_values_past_the_prime(monkeypatch):
     seen = []
     real = polyfactor._blocks
 
-    def blocks(values, holders, support, modulus, meter):
+    def blocks(values, holders, modulus, meter):
         seen.append((max(values).bit_length(), modulus if modulus <= m else "past the prime"))
-        return real(values, holders, support, modulus, meter)
+        return real(values, holders, modulus, meter)
 
     monkeypatch.setattr(polyfactor, "_blocks", blocks)
     huge = P({e: (1 << 10**6) + 1 if e & 4 else 1 for e in range(64)})
@@ -676,21 +676,6 @@ def test_split_lists_hold_no_repeated_pair():
         net = net_product(random_net(rng, 3, 3), random_net(rng, 3, 3))
         pairs = bit_disjoint_factor(encode(net, compact_labeling(net)))
         assert len(pairs) == len(set(pairs))
-
-
-def test_planes_transpose_only_the_asked_bits():
-    """Plane b of values has bit i set exactly when values[i] has bit b set,
-    for ascending positions that share byte columns, skip columns, and lie
-    past 2**64 and at bit 100,000."""
-    rng = random.Random(39)
-    for _ in range(100):
-        values = [rng.getrandbits(rng.choice((3, 16, 70))) for _ in range(rng.randint(1, 40))]
-        values[rng.randrange(len(values))] |= rng.choice((0, 1 << 100_000))
-        positions = sorted(rng.sample([*range(80), 100_000], rng.randint(0, 12)))
-        planes = polyfactor._planes(values, positions)
-        assert planes == [
-            sum(1 << i for i, v in enumerate(values) if v >> b & 1) for b in positions
-        ]
 
 
 def test_bit_disjoint_matches_the_reference_on_nets_digraphs_and_polys(monkeypatch):

@@ -3,6 +3,7 @@
 import inspect
 import random
 import time
+from functools import reduce
 from itertools import permutations
 
 import pytest
@@ -744,24 +745,124 @@ def test_irreducibility_reports_hash_as_they_compare():
 
 
 @pytest.mark.parametrize("kind", ["net", "digraph"])
-def test_a_label_too_large_to_pack_is_a_labeling_error_on_every_factor_route(kind):
-    """A label of 2**70 overflows the byte buffer its slots are packed
-    into when a digraph's or net's classes are read for the search: every
-    route raises encode's LabelingError at once, with encode's text."""
+def test_a_label_too_large_to_encode_still_splits_on_structure_routes(kind):
+    """A label of 2**70 overflows the byte buffer an encoding's slots are
+    packed into, so encode raises.  The bit-disjoint search works on the
+    ranks of the labels, so decompose, factor_graph and is_irreducible
+    still split the 2-fold chain c0 -> c1, c2 -> c3, with 2**70 a v id of
+    the second half; graph_factor_pairs, which returns the halves'
+    encodings under the labeling, raises encode's LabelingError with
+    encode's text."""
     if kind == "net":
-        g = PetriNet(["c0", "c1"], ["e"], pre={"e": ["c0"]}, post={"e": ["c1"]})
-        labeling = {"c0": 0, "c1": 2**70}
-        text = "label of condition 'c1' is too large to encode: a 22-digit number"
-        calls = [decompose, factor_graph, graph_factor_pairs, is_irreducible]
+        one = [PetriNet([f"c{2 * i}", f"c{2 * i + 1}"], ["e"], pre={"e": [f"c{2 * i}"]},
+                        post={"e": [f"c{2 * i + 1}"]}) for i in range(2)]
+        g = PetriNet(["c0", "c1", "c2", "c3"], ["e0", "e1", "e01"],
+                     pre={"e0": ["c0"], "e1": ["c2"], "e01": ["c0", "c2"]},
+                     post={"e0": ["c1"], "e1": ["c3"], "e01": ["c1", "c3"]})
+        word = "condition 'c3'"
     else:
-        g = DiBigraph(["u0", "u1"], ["v0", "v1"], [("u0", "v0"), ("v1", "u1")])
-        labeling = {"v0": 0, "v1": 2**70}
-        text = "label of v-part id 'v1' is too large to encode: a 22-digit number"
-        calls = [factor_graph, graph_factor_pairs, is_irreducible]
+        one = [DiBigraph(["u", "w"], [f"c{2 * i}", f"c{2 * i + 1}"],
+                         [(f"c{2 * i}", "u"), ("u", f"c{2 * i + 1}")]) for i in range(2)]
+        g = DiBigraph(["uu", "uw", "wu", "ww"], ["c0", "c1", "c2", "c3"],
+                      [("c0", "uu"), ("c2", "uu"), ("uu", "c1"), ("uu", "c3"),
+                       ("c0", "uw"), ("uw", "c1"), ("c2", "wu"), ("wu", "c3")])
+        word = "v-part id 'c3'"
+    labeling = {"c0": 0, "c1": 1, "c2": 2, "c3": 2**70}
+    text = f"label of {word} is too large to encode: a 22-digit number"
     with pytest.raises(LabelingError) as encoded:
         encode(g, labeling)
     assert str(encoded.value) == text
-    for call in calls:
-        with pytest.raises(LabelingError) as raised:
-            call(g, labeling)
-        assert str(raised.value) == text, call.__name__
+    pairs = factor_graph(g, labeling)
+    assert [[h.v_vertices for h in pair] for pair in pairs] == [[(0, 1), (2, 2**70)]]
+    assert all(is_isomorphic(h, half) for h, half in zip(pairs[0], one))
+    report = is_irreducible(g, labeling)
+    assert report.verdict == "reducible" and report.witness == (labeling, pairs[0])
+    if kind == "net":
+        (q, r), = decompose(g, labeling)
+        assert (q.net, r.net) == pairs[0] and r.labeling == {2: 2, 2**70: 2**70}
+    with pytest.raises(LabelingError) as raised:
+        graph_factor_pairs(g, labeling)
+    assert str(raised.value) == text
+
+
+def plain_renamed(h, names):
+    """A decoded half as plain data, with each v id t renamed names[t]:
+    its type, its v part and each u-vertex with its slots, in u order."""
+    def slots(s):
+        return tuple(frozenset(map(names.__getitem__, part)) for part in s)
+
+    return (type(h), tuple(map(names.__getitem__, h.v_vertices)),
+            [((slots(u[0]), u[1]), slots(h.slots(u))) for u in h.u_vertices])
+
+
+def widened(p, names):
+    """p with each exponent's bit t moved to bit names[t]."""
+    def move(e):
+        return sum(1 << names[t] for t in range(e.bit_length()) if e >> t & 1)
+
+    return type(p)({(move(x), move(y)): c for (x, y), c in p.terms.items()})
+
+
+def charge_log(monkeypatch):
+    """A list to which every later _Meter.charge appends (steps, phase)."""
+    log = []
+    real = _Meter.charge
+
+    def charge(self, steps, phase):
+        log.append((steps, phase))
+        return real(self, steps, phase)
+
+    monkeypatch.setattr(_Meter, "charge", charge)
+    return log
+
+
+def test_labels_only_name_the_bits_of_a_split(monkeypatch):
+    """On seeded products of small random nets and digraphs, some with
+    content 2, decompose, factor_graph and is_irreducible under random
+    labels below 10**6, and under the same labels with the top one made
+    2**70, give the answers under the ranks of the labels with every v id
+    t renamed the t-th least label; graph_factor_pairs under labels below
+    10**6 gives the rank pairs with bit t widened to the t-th label.
+    Every route charges the same steps in the same phases either way."""
+    rng = random.Random(47)
+    log = charge_log(monkeypatch)
+    split = 0
+    for case in range(40):
+        make = random_net if case % 2 else random_digraph
+        g = reduce(plain_product, [make(rng, 2, 3) for _ in range(rng.randint(2, 3))])
+        if case % 4 < 2:
+            g = doubled(g, empty=1)
+        labels = rng.sample(range(10**6), len(g.v_vertices))
+        wide = [*sorted(labels)[:-1], 2**70]
+        ranks = dict(zip(g.v_vertices, map(sorted(labels).index, labels)))
+        lows = dict(zip(g.v_vertices, labels))
+        highs = {v: wide[t] for v, t in ranks.items()}
+        for labeling in (lows, highs):
+            names = sorted(labeling.values())
+            runs = []
+            for lab in (ranks, labeling):
+                log.clear()
+                pairs = factor_graph(g, lab)
+                report = is_irreducible(g, lab)
+                nets = decompose(g, lab) if make is random_net else []
+                runs.append((pairs, report, nets, list(log)))
+            (pairs, report, nets, charged), (got, got_report, got_nets, got_charged) = runs
+            assert got_charged == charged
+            assert [[plain_renamed(h, names) for h in pair] for pair in pairs] == [
+                [plain_renamed(h, range(2**71)) for h in pair] for pair in got]
+            assert got_report.verdict == report.verdict
+            if report.witness:
+                assert [plain_renamed(h, names) for h in report.witness[1]] == [
+                    plain_renamed(h, range(2**71)) for h in got_report.witness[1]]
+            if make is random_net:
+                assert [[half.net for half in pair] for pair in got_nets] == [
+                    list(pair) for pair in got]
+            split += bool(pairs)
+        log.clear()
+        pairs = graph_factor_pairs(g, ranks)
+        charged = list(log)
+        log.clear()
+        assert graph_factor_pairs(g, lows) == [
+            tuple(widened(h, sorted(labels)) for h in pair) for pair in pairs]
+        assert log == charged
+    assert split > 40

@@ -4,9 +4,9 @@ row name; its product rows lie on the sides of mul's gate that their
 names say, its division row reads back the quotient, its binomial row
 lists the pairs of (1 + x)^12, its canonical rows answer within their
 budget, the 16-fold chain's irreducibility row answers inconclusive, the
-star, sweep and directed product rows answer on smaller sizes of their
-inputs, and a row that runs out of its budget prints budget as its
-answer."""
+wide chain, sparse product, star, sweep and directed product rows answer
+on smaller sizes of their inputs, and a row that runs out of its budget
+prints budget as its answer."""
 
 import importlib.util
 import subprocess
@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import bigraphpoly
-from bigraphpoly import BudgetExceededError, encode, mul, poly
+from bigraphpoly import BudgetExceededError, encode, mul, poly, tau_poly
 
 TOOL = Path(__file__).parents[1] / "tools" / "scaling_rows.py"
 
@@ -117,6 +117,21 @@ def test_the_product_rows_are_on_their_sides_of_the_gate():
 
 
 @pytest.mark.parametrize("row, full, answer", [
+    ("decompose chain6wide", "chain8wide", ["31", "pairs"]),
+    ("bit_disjoint_factor sparseprod16x4", "sparseprod", ["1", "pairs"]),
+])
+def test_the_wide_rows_print_their_answers_on_smaller_sizes(capsys, row, full, answer):
+    """Smaller sizes of the chain8wide and sparseprod inputs, run in this
+    process: the 6-fold chain under labels i * 10**6 splits 2**5 - 1 ways,
+    as under compact ones, and the product of two sparse primes once."""
+    tool = load_tool()
+    assert f"{row.split()[0]} {full}" in tool._ROWS
+    tool._run(row)
+    out = capsys.readouterr().out.split()
+    assert out[:2] == row.split() and out[6:] == answer
+
+
+@pytest.mark.parametrize("row, full, answer", [
     ("graph_factor_pairs star10", "star18", ["511", "pairs"]),
     ("is_irreducible sweep6", "sweep8", ["irreducible"]),
     ("poly_product digraph10", "digraph100", ["90", "terms"]),
@@ -135,6 +150,15 @@ def test_the_star_sweep_and_directed_product_rows_print_their_answers(capsys, ro
     if call == "poly_product":
         g1, l1, g2, l2 = tool._input(name, call)
         assert len(mul(encode(g1, l1), encode(g2, l2)).terms) == 90
+
+
+def test_the_sparse_product_row_has_its_terms_and_bits():
+    """The input of bit_disjoint_factor sparseprod: 512 terms on 216
+    support bits, those of the first factor below 10**6."""
+    (p,) = load_tool()._input("sparseprod")
+    bits = tau_poly(p)
+    assert len(p.terms) == 512 and len(bits) == 216
+    assert sum(b < 10**6 for b in bits) == 192
 
 
 def test_the_directed_product_row_keeps_the_pair_loop():

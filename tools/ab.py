@@ -10,7 +10,10 @@ package imports itself only relatively.  The ops are the first N blocks
 that perfbench/gen.py builds for the workload and seed (by default as many
 as the benchmark builds); the files the command-line ops read are written
 to a temporary directory.  Each tree gets its own input objects, built
-untimed.
+untimed, op by op for both trees, the tree built first flipping from op
+to op: objects built later were timed faster, and building one tree's
+inputs before the other's read the same tree against itself at 0.92-0.97
+on the encode ops of algebra.
 
 A first, untimed pass runs every op once on each tree and records its
 answer and the steps it asked of the tree's budget meter: the sum of the
@@ -19,7 +22,9 @@ then runs every op once on each tree, timing the call alone with
 perf_counter, and the tree that goes first flips on every op and between
 passes, so drift of the machine's speed falls on both trees alike.  Per
 category it prints the op count, the sum over ops of each op's median time
-on each tree, their ratio NEW/OLD, and a digest of each tree's answers and
+on each tree, their ratio NEW/OLD, the lowest and the highest NEW/OLD
+ratio of the two trees' sums over one pass (the pass range: how far the
+ratio moves from pass to pass), and a digest of each tree's answers and
 steps: equal digests mean the two trees gave the same answers, sets and
 dicts compared as sets, after charging the same steps.  Timings are for
 reading; nothing is asserted on them.
@@ -146,9 +151,9 @@ def charged(bp, ops):
 
 
 def compare(trees, specs, reps):
-    """Per op: its category, the median seconds on each tree and each
-    tree's answer with its steps.  trees are (package, ops) pairs, ops the
-    (function, args) of each spec."""
+    """Per op: its category, the seconds of each pass on each tree and
+    each tree's answer with its steps.  trees are (package, ops) pairs, ops
+    the (function, args) of each spec."""
     answers = [charged(bp, ops) for bp, ops in trees]
     times = [[[] for _ in specs] for _ in trees]
     for rep in range(reps):
@@ -156,25 +161,33 @@ def compare(trees, specs, reps):
             order = (0, 1) if (k + rep) % 2 == 0 else (1, 0)
             for side in order:
                 times[side][k].append(answer(*trees[side][1][k])[0])
-    return [(spec["cat"], [statistics.median(t[k]) for t in times], [a[k] for a in answers])
+    return [(spec["cat"], [t[k] for t in times], [a[k] for a in answers])
             for k, spec in enumerate(specs)]
 
 
 def report(rows):
-    """One line per category and one for all ops."""
+    """One line per category and one for all ops: the sums over its ops of
+    each op's median seconds on each tree, their ratio NEW/OLD, the lowest
+    and the highest ratio of the two trees' sums over one pass, and the
+    digests."""
     groups = defaultdict(list)
     for row in rows:
         groups[row[0]].append(row)
     groups = {cat: groups[cat] for cat in sorted(groups)}
     groups["all"] = rows
-    print(f"{'category':<16}{'ops':>5}{'old ms':>11}{'new ms':>11}{'ratio':>8}  digests")
+    print(f"{'category':<16}{'ops':>5}{'old ms':>11}{'new ms':>11}{'ratio':>8}"
+          f"{'pass range':>14}  digests")
     for cat, group in groups.items():
-        old, new = (sum(t[side] for _, t, _ in group) for side in (0, 1))
+        old, new = (sum(statistics.median(t[side]) for _, t, _ in group) for side in (0, 1))
+        passes = [[sum(t[side][rep] for _, t, _ in group) for side in (0, 1)]
+                  for rep in range(len(group[0][1][0]))]
+        ratios = [b / max(a, 1e-12) for a, b in passes]
         digests = [hashlib.sha256("\n".join(a[side] for _, _, a in group).encode()).hexdigest()[:12]
                    for side in (0, 1)]
         same = "equal" if digests[0] == digests[1] else "differ"
         print(f"{cat:<16}{len(group):>5}{old * 1e3:>11.2f}{new * 1e3:>11.2f}"
-              f"{new / max(old, 1e-12):>8.3f}  {digests[0]} {digests[1]} {same}")
+              f"{new / max(old, 1e-12):>8.3f}{min(ratios):>8.3f}-{max(ratios):.3f}"
+              f"  {digests[0]} {digests[1]} {same}")
 
 
 def main(argv=None):
@@ -197,7 +210,11 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as work:
         for name, doc in generated["files"].items():
             Path(work, name).write_text(json.dumps(doc))
-        trees = [(bp, [prepare(bp, spec, work) for spec in specs]) for bp in packages]
+        ops = [[], []]
+        for k, spec in enumerate(specs):
+            for side in (0, 1) if k % 2 == 0 else (1, 0):
+                ops[side].append(prepare(packages[side], spec, work))
+        trees = list(zip(packages, ops))
         print(f"# {args.workload}: seed {args.seed}, {len(specs)} ops, {args.reps} passes; "
               f"old {args.old_src}, new {args.new_src}")
         report(compare(trees, specs, args.reps))

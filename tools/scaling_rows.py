@@ -20,9 +20,11 @@ The rows:
   terms, K prime factors), for K = 12 and 14, under the compact labeling:
   is_irreducible, graph_factor_pairs and decompose; and is_irreducible for
   K = 16, which runs out of its budget and answers inconclusive;
-* chain4wide is decompose on the 4-fold chain with condition i labeled
-  i * 10**6: 16 terms whose exponents run to about 7 * 10**6 bits, 7
-  pairs;
+* chainKwide is decompose on the K-fold chain with condition i labeled
+  i * 10**6, for K = 4 and 8: 2**K terms whose exponents would run to
+  about 2K * 10**6 bits, 7 and 127 pairs.  The search works on the ranks
+  of the labels, so these rows should read near chain4 and chain8 under
+  compact labels;
 * digraph2000x40 is bit_disjoint_factor on the encoding of a random
   digraph, 2,000 u-vertices on 40 v-vertices with each arc in either
   direction at probability 0.3 (random.Random(0)): 2,000 terms on 40
@@ -31,6 +33,12 @@ The rows:
   random bits of 10**4 (random.Random(0));
 * sparse64x3 is bit_disjoint_factor on 64 terms, each exponent 3 random
   bits below 10**6 (random.Random(0));
+* sparseprod is bit_disjoint_factor on a product of two sparse Poly1
+  (random.Random(0)): 64 terms, each exponent 3 random bits below 10**6,
+  times 8 terms, each exponent 3 random bits in [10**6, 2 * 10**6): 512
+  terms on 216 support bits, 1 pair.  sparseprodMxN is the same product
+  of M and N terms, a smaller size for a quick check.  Reading each
+  exponent's bits (tau) is most of its time;
 * hugecoeff64 is bit_disjoint_factor on the sum of x**e for e < 64, with
   coefficient 2**(10**6) + 1 where bit 2 of e is set and 1 elsewhere;
 * miss7 is bit_disjoint_factor on the product of 7 copies of the prime
@@ -94,9 +102,10 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 _ROWS = [
     "is_irreducible chain12", "graph_factor_pairs chain12", "decompose chain12",
     "is_irreducible chain14", "graph_factor_pairs chain14", "decompose chain14",
-    "is_irreducible chain16", "decompose chain4wide",
+    "is_irreducible chain16", "decompose chain4wide", "decompose chain8wide",
     "bit_disjoint_factor digraph2000x40", "bit_disjoint_factor wide100x1000",
-    "bit_disjoint_factor sparse64x3", "bit_disjoint_factor hugecoeff64",
+    "bit_disjoint_factor sparse64x3", "bit_disjoint_factor sparseprod",
+    "bit_disjoint_factor hugecoeff64",
     "bit_disjoint_factor miss7",
     "mul dense900x12", "mul dense2750x14", "mul dense9250x16", "mul dense300x14",
     "mul sparse300x15", "mul sparse64x20", "divide_exact dense9250x16",
@@ -147,6 +156,11 @@ def _input(name, call=None):
         return (bp.Poly1({bp.from_bits(rng.sample(range(10**4), 1000)): 1 for _ in range(100)}),)
     if name == "sparse64x3":
         return (bp.Poly1({bp.from_bits(rng.sample(range(10**6), 3)): 1 for _ in range(64)}),)
+    if name.startswith("sparseprod"):
+        m, n = map(int, (name[10:] or "64x8").split("x"))
+        p, q = (bp.Poly1({bp.from_bits(rng.sample(range(low, low + 10**6), 3)): 1
+                          for _ in range(size)}) for size, low in ((m, 0), (n, 10**6)))
+        return (p * q,)
     if name == "hugecoeff64":
         return (bp.Poly1({e: (2**(10**6) + 1 if e & 4 else 1) for e in range(64)}),)
     if name.startswith(("dense", "sparse")):
