@@ -7,9 +7,12 @@ reversibility is what every decoding in this package rests on.
 
 Every exponent the package packs or unpacks goes through this module: tau
 unpacks; from_bits, pack_slots and pack_holders pack.  pack_slots packs
-slots at their members' labels, as encode does; pack_holders packs them at
-their members' ranks, 0 to n - 1, with the holder masks of the
-bit-disjoint search, which so works on n bits whatever the labels are.
+slots at their members' labels, for encode alone.  pack_holders packs them
+at their members' ranks, 0 to n - 1, and reads each member's holder masks
+in the same pass.  It is the one class pass of every reader at ranks: the
+bit-disjoint search, which so works on n bits whatever the labels are, and
+the labeling walk behind the canonical form, which reads rule 1's twins
+off equal masks.
 
 Unpacking.  A natural below 2**8 is one lookup in _LOW, the 256 bit
 supports of a byte; one below 2**16 is the union of a lookup in _LOW and
@@ -144,13 +147,19 @@ def pack_holders(classes, order):
     keys lists the (x, y) term key of each class, in order, with bit t of
     a slot set when it holds order[t], and pre and post list, for each
     member in order, the mask of the classes whose pre or post slot holds
-    it, bit i for class i.  Each member's record holds what it adds to a
-    slot and its two masks, so a member costs one lookup.  A key has at
-    most len(order) bits however large the members' labels are, so the
-    packing never overflows.
+    it, bit i for class i.  One-slot classes come as (part, ()), with an
+    empty post slot, as N[x] is the y-degree-0 part of N[x,y]: their keys
+    are (x, 0) and every post mask is 0.  Each member's record holds what
+    it adds to a slot and its two masks, so a member costs one lookup.  A
+    key has at most len(order) bits however large the members' labels are,
+    so the packing never overflows.
 
-    pack_slots' keys take no masks: a mask grows with the classes, so
-    OR-ing one per member would make encoding quadratic in the classes."""
+    A mask grows with the classes, so OR-ing one per member makes the pass
+    quadratic in the classes: 60,000 random two-slot classes of 1 to 5
+    members a slot, over 200 members, take 0.28-0.44 s, where pack_slots
+    packs the same keys in 0.06-0.09 s (best of 3, shared 2-CPU x86-64
+    machine, CPython 3.11.7).  pack_slots' keys take no masks, so encoding
+    stays linear."""
     values, join = _packing(range(len(order)))
     records = [[t, 0, 0] for t in values]
     record = dict(zip(order, records))

@@ -447,16 +447,14 @@ def _encodings(g: Bipartite, meter, search, least):
     # the move keeps distinct terms distinct, and terms not on i keep their
     # integer.
     unit = 1 if g.arity == 1 else 1 | 1 << n
-    pos = {v: i for i, v in enumerate(vs)}
-    packed = pack_slots(g._classes, vs, pos, g.arity)
-    root = dict(zip(packed if g.arity == 1 else [x << n | y for x, y in packed],
-                    g._classes.values()))
     # Rule 1.  Swapping two twins maps every slot to itself, so a labeling
     # that gives L to one has the encoding of the one that gives L to the
-    # other.  Twins are always labeled in index order, so the unlabeled ones
-    # of a class are a tail of it: i is tried when its previous twin is not
-    # unlabeled.
-    previous = _twins(g, pos)
+    # other.  Twins are the v-indices with equal pre and post holder masks
+    # in _ranked's class pass.  They are always labeled in index order, so
+    # the unlabeled ones of a class are a tail of it: i is tried when its
+    # previous twin is not unlabeled.
+    keys, previous = _ranked(g)
+    root = dict(zip([x << size - n | y for x, y in keys], g._classes.values()))
 
     # Rule 2.  With m labels 0..m-1 left, a slot with r unlabeled members
     # gains between 2**r - 1 and 2**m - 2**(m - r) on top of its fixed bits,
@@ -554,23 +552,21 @@ def _encodings(g: Bipartite, meter, search, least):
             meter.search = search
 
 
-def _twins(g, pos):
-    """previous[i]: the last v-index before i that is a member of exactly
-    the slots i is a member of, over every class, or None.  One pass over
-    the classes' slot members gives each v-index its column, the places
-    (class, slot) it is a member of in order, so twins have equal columns."""
-    cols = [[] for _ in pos]
-    place = 0
-    for slots in g._classes:
-        for part in slots:
-            for i in map(pos.__getitem__, part):
-                cols[i].append(place)
-            place += 1
+def _ranked(g):
+    """(keys, previous): the walk's input, read off one class pass that packs
+    g's slots at their members' v-indices (bits.pack_holders).  keys lists
+    the (x, y) term key of each class, in class order; a graph's one slot
+    goes in as pre with an empty post, as N[x] is the y-degree-0 part of
+    N[x,y], so its keys are (x, 0).  previous[i] is the last v-index before
+    i whose pre and post holder masks both equal i's, or None: such twins
+    are members of exactly the same slots of every class."""
+    classes = [(part, ()) for (part,) in g._classes] if g.arity == 1 else g._classes
+    keys, pre, post = pack_holders(classes, g.v_vertices)
     previous, last = [], {}
-    for i, col in enumerate(map(tuple, cols)):
-        previous.append(last.get(col))
-        last[col] = i
-    return previous
+    for i, masks in enumerate(zip(pre, post)):
+        previous.append(last.get(masks))
+        last[masks] = i
+    return keys, previous
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """tools/ab.py loads two trees of the package side by side and times them
 on the benchmark's ops: run with one tree twice, every category's answers
-and steps get equal digests, a copy that charges one more step gets
-different ones, and a copy with an uncharged extra pass gets equal ones
-and reads slower.  Only that planted pass's timing is checked here, far
-past the noise of one machine."""
+and steps get equal digests, and on a clock that steps by one at each read
+every ratio, pass range and pass count is level; a copy that charges one
+more step gets different digests, and a copy with an uncharged extra pass
+gets equal ones and reads slower.  Only that planted pass's timing is
+checked on the real clock, far past the noise of one machine."""
 
 import importlib.util
+import itertools
 import shutil
 import subprocess
 import sys
@@ -45,29 +47,46 @@ def test_one_tree_twice_gives_equal_digests():
 def test_the_pass_range_is_the_least_and_the_greatest_ratio_of_one_pass(capsys):
     """Per category the row shows the NEW/OLD ratio of the sums of the
     op medians and, after it, the lowest and the highest ratio of the two
-    trees' sums over one pass: here 1.0 seconds against 1.0, 2.0 and 0.5
-    in its three passes, and 1.0 against 1.0 in the op medians."""
+    trees' sums over one pass, then the passes NEW won: here 1.0 seconds
+    against 1.0, 2.0 and 0.5 in its three passes, so NEW wins the third
+    alone, the tie of the first counting for neither, and 1.0 against 1.0
+    in the op medians."""
     rows = [("cat", [[0.5, 0.5, 0.5], [0.5, 1.0, 0.25]], ["x", "x"]),
             ("cat", [[0.5, 0.5, 0.5], [0.5, 1.0, 0.25]], ["y", "y"])]
     load_tool().report(rows)
     out = [line.split() for line in capsys.readouterr().out.splitlines()]
-    assert out[0][7:9] == ["pass", "range"]
-    assert [row[:6] for row in out[1:]] == [
-        ["cat", "2", "1000.00", "1000.00", "1.000", "0.500-2.000"],
-        ["all", "2", "1000.00", "1000.00", "1.000", "0.500-2.000"]]
+    assert out[0][7:10] == ["pass", "range", "wins"]
+    assert [row[:7] for row in out[1:]] == [
+        ["cat", "2", "1000.00", "1000.00", "1.000", "0.500-2.000", "1/3"],
+        ["all", "2", "1000.00", "1000.00", "1.000", "0.500-2.000", "1/3"]]
 
 
-def test_one_tree_twice_prints_a_pass_range_per_category():
-    """An A/A run of 3 passes prints a pass range for every category.  The
-    range is not asserted to hold 1: three passes of noise alone leave 1
-    outside it for about one category in four, and 6 of 8 such runs had a
-    category whose range missed 1."""
+def test_one_tree_twice_prints_a_pass_range_per_category(monkeypatch, capsys):
+    """An A/A run of 3 passes, in this process, with the tool's perf_counter
+    a counter that steps by one at each read: every call takes one tick on
+    either tree, so every category reads the ratio 1.000, the pass range
+    1.000-1.000, no pass won and equal digests.  No clock is read: on the
+    real one, three passes of noise alone leave 1 outside the range for
+    about one category in four."""
     pytest.importorskip("sympy")  # perfbench/gen.py factors with it
-    rows = ab_rows(SRC, SRC, "algebra", reps=3)
-    assert rows["all"][1] == "64"
+    tool = load_tool()
+    monkeypatch.setattr(tool, "perf_counter", itertools.count().__next__)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main puts perfbench first
+    before = set(sys.modules)
+    try:
+        tool.main([str(SRC), str(SRC), "--workload", "algebra", "--seed", "1",
+                   "--blocks", "1", "--reps", "3"])
+    finally:  # drop the two trees and perfbench's modules that main imported
+        for name in set(sys.modules) - before:
+            if name.startswith("bigraphpoly_") or name in ("dicts", "gen", "run"):
+                del sys.modules[name]
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("# algebra: seed 1, 64 ops, 3 passes")
+    rows = {row[0]: row for row in map(str.split, out[2:])}
+    assert rows["all"][1] == "64" and len(rows) == 10
     for row in rows.values():
-        low, high = map(float, row[5].split("-"))
-        assert 0.5 < low <= high < 2, row
+        assert row[4:7] == ["1.000", "1.000-1.000", "0/3"], row
+        assert row[-1] == "equal" and row[-3] == row[-2], row
 
 
 def ab_rows(old, new, workload, reps=1):
@@ -120,7 +139,8 @@ def test_a_copy_with_an_uncharged_extra_pass_reads_slower_with_equal_digests(tmp
     """A copy whose bit-disjoint search sorts its terms 300 times before it
     starts, charging nothing for it, gives the same answers after the same
     steps, so every decompose category digests equal, while the timing
-    reads decompose well above 1: only the time shows such a pass."""
+    reads decompose well above 1 and the copy wins no pass: only the time
+    shows such a pass."""
     pytest.importorskip("sympy")  # perfbench/gen.py factors with it
     first = "    c = gcd(*terms.values())\n"
     extra = "    for _ in range(300):\n        sorted(terms)\n"
@@ -129,6 +149,7 @@ def test_a_copy_with_an_uncharged_extra_pass_reads_slower_with_equal_digests(tmp
     assert rows["all"][1] == "114"
     assert all(row[-1] == "equal" for row in rows.values()), rows
     assert float(rows["all"][4]) > 1.2, rows["all"]
+    assert rows["all"][6] == "0/3", rows["all"]
 
 
 def test_a_tree_loads_under_its_own_name():

@@ -1,5 +1,5 @@
-"""Bit-support calculus: tau, from_bits, pack_slots, and the carry-free
-addition law."""
+"""Bit-support calculus: tau, from_bits, pack_slots, pack_holders, and the
+carry-free addition law."""
 
 import random
 import time
@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bigraphpoly import Poly1, Poly2, from_bits, tau, tau_poly
-from bigraphpoly.bits import pack_slots
+from bigraphpoly.bits import pack_holders, pack_slots
 
 from helpers import bits_of, peel_bits
 
@@ -170,6 +170,24 @@ def test_pack_slots_sums_the_powers_of_each_slot():
             (packed(a), packed(b)) for a, b in two.values()
         ]
         assert pack_slots([(frozenset(), frozenset())], members, labeling, 2) == [(0, 0)]
+
+
+@pytest.mark.parametrize("n", [40, 300])
+def test_pack_holders_takes_one_slot_classes_with_an_empty_post_slot(n):
+    """One-slot classes given as (part, ()) pack as pack_slots packs them at
+    the v-indices, with y 0: bit t is order[t] whether the ranks join by
+    sums (below 256) or by from_bits (past 255).  Every post mask is 0, and
+    each member's pre mask has bit i for each class i holding it."""
+    rng = random.Random(48)
+    order = [f"m{i}" for i in range(n)]
+    parts = [frozenset(rng.sample(order, rng.randrange(n // 2))) for _ in range(30)]
+    parts.append(frozenset(order))
+    keys, pre, post = pack_holders([(part, ()) for part in parts], order)
+    index = {m: t for t, m in enumerate(order)}
+    assert keys == [(k, 0) for k in pack_slots([(part,) for part in parts], order, index, 1)]
+    assert max(k for k, _ in keys).bit_length() == n
+    assert post == [0] * n
+    assert pre == [sum(1 << i for i, part in enumerate(parts) if m in part) for m in order]
 
 
 def test_disjoint_supports_add_carry_free():

@@ -34,7 +34,8 @@ from bigraphpoly import (
     poly_product,
     poly_sum,
 )
-from bigraphpoly.core import _twins, decode as decode_as
+from bigraphpoly.bits import pack_slots
+from bigraphpoly.core import _ranked, decode as decode_as
 from bigraphpoly.graphfactor import graph_factor_pairs
 from bigraphpoly.fileio import graph_text, net_text
 
@@ -202,13 +203,20 @@ def old_twins(g):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_twin_columns_give_the_old_scans_previous_twins(kind):
+    """The canonical walk reads its term keys and rule 1's previous twins
+    off one class pass at the v-indices: the keys are pack_slots' at the
+    v-indices, a graph's with an empty post slot, and twins are the
+    v-indices with equal columns, their pre and post holder masks."""
     rng = random.Random(35)
     found = 0
     for _ in range(300):
         g = random_canon_case(rng, kind, max_v=8)
         pos = {v: i for i, v in enumerate(g.v_vertices)}
+        packed = pack_slots(g._classes, g.v_vertices, pos, g.arity)
+        keys, previous = _ranked(g)
+        assert keys == ([(k, 0) for k in packed] if g.arity == 1 else packed)
         want = old_twins(g)
-        assert _twins(g, pos) == want
+        assert previous == want
         found += sum(p is not None for p in want)
     assert found > 30
 

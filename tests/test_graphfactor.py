@@ -19,7 +19,9 @@ from bigraphpoly import (
     LabelingError,
     PetriNet,
     Poly1,
+    Poly2,
     bit_disjoint_factor,
+    canonical_poly,
     compact_labeling,
     core,
     decode,
@@ -783,6 +785,46 @@ def test_a_label_too_large_to_encode_still_splits_on_structure_routes(kind):
     with pytest.raises(LabelingError) as raised:
         graph_factor_pairs(g, labeling)
     assert str(raised.value) == text
+
+
+@pytest.mark.parametrize("kind", ["net", "digraph"])
+def test_the_canonical_form_of_a_star_of_300_leaves(kind):
+    """Past 255 v-vertices the class pass joins ranks by from_bits.  On the
+    star of 300 leaves, u holding every leaf in its pre slot and w the last
+    leaf in its post slot, the first 299 leaves are twins, so the walk
+    labels one of them per label: the least encoding holds u's term
+    x^(2^300 - 1) and w's leaf at label 0, y, and a net's idle event 1."""
+    leaves = [f"c{i}" for i in range(300)]
+    if kind == "net":
+        g = PetriNet(leaves, ["u", "w"], pre={"u": leaves}, post={"w": leaves[-1:]})
+    else:
+        g = DiBigraph(["u", "w"], leaves, [(c, "u") for c in leaves] + [("w", leaves[-1])])
+    want = {(2**300 - 1, 0): 1, (0, 1): 1}
+    if kind == "net":
+        want[0, 0] = 1
+    assert canonical_poly(g) == Poly2(want)
+
+
+@pytest.mark.parametrize("spread", [1, 7])
+def test_a_net_of_300_conditions_splits_into_its_two_halves(spread):
+    """Events a and b on two disjoint halves of 150 conditions each, and
+    their joint event, form the pointed product of the two one-event nets:
+    past 255 ranks, under condition i labeled i or 7 * i, decompose gives
+    that one pair and is_irreducible says reducible."""
+    conditions = [f"c{i}" for i in range(300)]
+    halves = [conditions[:150], conditions[150:]]
+    pre = {"a": halves[0][:75], "b": halves[1][:75]}
+    post = {"a": halves[0][75:], "b": halves[1][75:]}
+    pre["ab"], post["ab"] = pre["a"] + pre["b"], post["a"] + post["b"]
+    net = PetriNet(conditions, ["a", "b", "ab"], pre=pre, post=post)
+    labeling = {c: spread * i for i, c in enumerate(conditions)}
+    (q, r), = decompose(net, labeling)
+    assert [sorted(h.net.v_vertices) for h in (q, r)] == [
+        [labeling[c] for c in half] for half in halves]
+    assert [len(h.net.u_vertices) for h in (q, r)] == [1, 1]
+    report = is_irreducible(net, labeling)
+    assert report.verdict == "reducible"
+    assert report.witness == (labeling, (q.net, r.net))
 
 
 def plain_renamed(h, names):

@@ -4,9 +4,9 @@ row name; its product rows lie on the sides of mul's gate that their
 names say, its division row reads back the quotient, its binomial row
 lists the pairs of (1 + x)^12, its canonical rows answer within their
 budget, the 16-fold chain's irreducibility row answers inconclusive, the
-wide chain, sparse product, star, sweep and directed product rows answer
-on smaller sizes of their inputs, and a row that runs out of its budget
-prints budget as its answer."""
+wide chain, sparse product, chain canonical form, star, sweep and
+directed product rows answer on smaller sizes of their inputs, and a row
+that runs out of its budget prints budget as its answer."""
 
 import importlib.util
 import subprocess
@@ -129,6 +129,19 @@ def test_the_wide_rows_print_their_answers_on_smaller_sizes(capsys, row, full, a
     tool._run(row)
     out = capsys.readouterr().out.split()
     assert out[:2] == row.split() and out[6:] == answer
+
+
+def test_the_chain_canonical_row_answers_on_a_smaller_size(capsys):
+    """A smaller size of the canonical_poly chain6 input, run in this
+    process: the canonical form of the 4-fold chain net has its 2**4 terms,
+    15 events and the idle one."""
+    tool = load_tool()
+    assert "canonical_poly chain6" in tool._ROWS
+    (net,) = tool._input("chain4", "canonical_poly")
+    assert len(net.conditions) == 8
+    tool._run("canonical_poly chain4")
+    out = capsys.readouterr().out.split()
+    assert out[:2] == ["canonical_poly", "chain4"] and out[6:] == ["16", "terms"]
 
 
 @pytest.mark.parametrize("row, full, answer", [

@@ -24,10 +24,12 @@ passes, so drift of the machine's speed falls on both trees alike.  Per
 category it prints the op count, the sum over ops of each op's median time
 on each tree, their ratio NEW/OLD, the lowest and the highest NEW/OLD
 ratio of the two trees' sums over one pass (the pass range: how far the
-ratio moves from pass to pass), and a digest of each tree's answers and
-steps: equal digests mean the two trees gave the same answers, sets and
-dicts compared as sets, after charging the same steps.  Timings are for
-reading; nothing is asserted on them.
+ratio moves from pass to pass), the number of passes in which NEW's sum
+was below OLD's (wins k/R, a tie counting for neither tree: a claimed
+gain should win at least nine passes in ten), and a digest of each tree's
+answers and steps: equal digests mean the two trees gave the same answers,
+sets and dicts compared as sets, after charging the same steps.  Timings
+are for reading; nothing is asserted on them.
 """
 
 from __future__ import annotations
@@ -168,26 +170,27 @@ def compare(trees, specs, reps):
 def report(rows):
     """One line per category and one for all ops: the sums over its ops of
     each op's median seconds on each tree, their ratio NEW/OLD, the lowest
-    and the highest ratio of the two trees' sums over one pass, and the
-    digests."""
+    and the highest ratio of the two trees' sums over one pass, the passes
+    whose NEW sum is below the OLD one out of all, and the digests."""
     groups = defaultdict(list)
     for row in rows:
         groups[row[0]].append(row)
     groups = {cat: groups[cat] for cat in sorted(groups)}
     groups["all"] = rows
     print(f"{'category':<16}{'ops':>5}{'old ms':>11}{'new ms':>11}{'ratio':>8}"
-          f"{'pass range':>14}  digests")
+          f"{'pass range':>14}{'wins':>7}  digests")
     for cat, group in groups.items():
         old, new = (sum(statistics.median(t[side]) for _, t, _ in group) for side in (0, 1))
         passes = [[sum(t[side][rep] for _, t, _ in group) for side in (0, 1)]
                   for rep in range(len(group[0][1][0]))]
         ratios = [b / max(a, 1e-12) for a, b in passes]
+        wins = f"{sum(b < a for a, b in passes)}/{len(passes)}"
         digests = [hashlib.sha256("\n".join(a[side] for _, _, a in group).encode()).hexdigest()[:12]
                    for side in (0, 1)]
         same = "equal" if digests[0] == digests[1] else "differ"
         print(f"{cat:<16}{len(group):>5}{old * 1e3:>11.2f}{new * 1e3:>11.2f}"
               f"{new / max(old, 1e-12):>8.3f}{min(ratios):>8.3f}-{max(ratios):.3f}"
-              f"  {digests[0]} {digests[1]} {same}")
+              f"{wins:>7}  {digests[0]} {digests[1]} {same}")
 
 
 def main(argv=None):

@@ -18,8 +18,11 @@ The rows:
 
 * chainK is the K-fold pointed product of the one-event net c0 -> c1 (2**K
   terms, K prime factors), for K = 12 and 14, under the compact labeling:
-  is_irreducible, graph_factor_pairs and decompose; and is_irreducible for
-  K = 16, which runs out of its budget and answers inconclusive;
+  is_irreducible, graph_factor_pairs and decompose; is_irreducible for
+  K = 16, which runs out of its budget and answers inconclusive; and
+  canonical_poly for K = 6, 12 conditions and 64 terms, a symmetric net
+  whose automorphisms permute its six equal prime factors, so the
+  labeling walk runs out of its budget (chain4, 16 terms, answers);
 * chainKwide is decompose on the K-fold chain with condition i labeled
   i * 10**6, for K = 4 and 8: 2**K terms whose exponents would run to
   about 2K * 10**6 bits, 7 and 127 pairs.  The search works on the ranks
@@ -111,7 +114,7 @@ _ROWS = [
     "mul sparse300x15", "mul sparse64x20", "divide_exact dense9250x16",
     "is_isomorphic cycle64", "is_isomorphic product100", "is_isomorphic product300",
     "is_isomorphic product1000", "canonical_poly product100",
-    "canonical_poly cycle9", "canonical_poly cycle10",
+    "canonical_poly cycle9", "canonical_poly cycle10", "canonical_poly chain6",
     "factor_pairs binomial12", "factor_pairs binomial14",
     "graph_factor_pairs star18", "is_irreducible sweep8", "poly_product digraph100",
 ]
@@ -145,7 +148,7 @@ def _input(name, call=None):
             net = bp.net_product(net, one)
         if name.endswith("wide"):
             return net, {c: i * 10**6 for i, c in enumerate(net.conditions)}
-        return net, bp.compact_net_labeling(net)
+        return (net,) if call == "canonical_poly" else (net, bp.compact_net_labeling(net))
     rng = random.Random(0)
     if name == "digraph2000x40":
         us, vs = range(2000), range(2000, 2040)
