@@ -84,14 +84,16 @@ class DiBigraph(Directed):
 
 def decode(p: Poly1) -> Bigraph:
     """Bigraph whose encoding under its natural labeling is p: v-ids are
-    the bit positions of p's support, u-ids (bit set, copy index) pairs."""
+    the bit positions of p's support, u-ids (rank, copy) pairs, (i, 1) ..
+    (i, c) for the term c * x**e at rank i from 0 in descending order."""
     return decode_as(p, Bigraph)
 
 
 def decode_directed(p: Poly2) -> DiBigraph:
     """DiBigraph whose encoding under its natural labeling is p: v-ids are
-    the bit positions of p's support, u-ids ((in bits, out bits), copy
-    index) pairs."""
+    the bit positions of p's support, u-ids (rank, copy) pairs, (i, 1) ..
+    (i, c) for the term c * x**e * y**f at rank i from 0 in descending
+    order, its in bits e and out bits f."""
     return decode_as(p, DiBigraph)
 
 

@@ -32,10 +32,10 @@ and the factor halves cost what the distinct slot tuples cost, not what the
 u-vertices do: a product of two 1000-u graphs has 10**6 u-vertices but at
 most as many classes as its encoding has terms.  The per-u views
 (u_vertices, slots, edges, arcs, ==, hash and the file writers) are built
-from a rule for the ids on first read and kept: (term, k) for k = 1..c on a
-decoding, the (a, b) pairs in g1's u order, then g2's, on a product.  A
-constructor builds them at once.  Only the per-u views leave the idle event
-out: it is no u-vertex.
+from a rule for the ids on first read and kept: (i, k) for k = 1..c on a
+decoding, i the term's rank in descending exponent order, the (a, b) pairs
+in g1's u order, then g2's, on a product.  A constructor builds them at
+once.  Only the per-u views leave the idle event out: it is no u-vertex.
 """
 
 from __future__ import annotations
@@ -306,8 +306,9 @@ def decode(p, cls):
 
     v-vertices are the bit positions in p's support.  Each term n * x**i
     [* y**j] yields n u-vertices whose slots are the bits of its exponents;
-    u-ids are (bit set or (pre bits, post bits), copy index) pairs.  A net's
-    idle event is one count of its empty class, and no per-u view lists it.
+    u-ids are (rank, copy) int pairs, (i, 1) .. (i, n) for the term at rank
+    i from 0 in descending exponent order.  A net's idle event is one count
+    of its empty class, and no per-u view lists it.
     """
     if not isinstance(p, cls.poly):
         raise TypeError(
@@ -355,20 +356,20 @@ def _decode(key, cls, supports, ids=None, names=None):
 
 
 def _copies(classes, idle):
-    """u -> slots of a decoding, in term order: a term's c u-vertices are
-    (term, k) for k = 1..c, the term being the bit set of its one slot or
-    its (pre bits, post bits).  With idle, the empty class lists one copy
-    fewer, as one of its units is the idle event."""
+    """u -> slots of a decoding, in term order: the c u-vertices of the
+    class at rank i, counted from 0 in the descending exponent order in
+    which _decode builds the classes, are (i, 1) .. (i, c), so an id is as
+    long as the term count, not as the labels.  With idle, the empty class
+    lists one copy fewer, as one of its units is the idle event."""
     sig = {}
-    for slots, c in classes.items():
-        term = slots[0] if len(slots) == 1 else slots
+    for i, (slots, c) in enumerate(classes.items()):
         if idle and not any(slots):
             c -= 1
         if c == 1:
-            sig[term, 1] = slots
+            sig[i, 1] = slots
         else:
             for k in range(1, c + 1):
-                sig[term, k] = slots
+                sig[i, k] = slots
     return sig
 
 

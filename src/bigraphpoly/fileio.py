@@ -27,13 +27,14 @@ list: a directed edge's "u" names a u-vertex whatever its "dir", and its
 slot builder checks the rest against the declared lists: repeated ids, ids
 in both parts, and edge ends and pre or post members outside the v part.
 
-Writers stringify in-memory ids (decoded vertices are tuples over bit sets)
-and emit keys in a fixed order, so equal objects serialize byte-identically,
-and they take only labels the reader takes.  The text format is that of
-``dumps``: ``json.dumps(doc, indent=2)`` plus a newline.  ``graph_text`` and
-``net_text`` write graph and net files in it straight from their slot tuples,
-each distinct slot's text once and no object per edge; ``decoded_text``
-writes the graph file of a polynomial's decoding from its terms alone.
+Writers stringify in-memory ids (a decoded u-vertex, the pair of its term's
+rank and its copy number, is written "i|k") and emit keys in a fixed order,
+so equal objects serialize byte-identically, and they take only labels the
+reader takes.  The text format is that of ``dumps``: ``json.dumps(doc,
+indent=2)`` plus a newline.  ``graph_text`` and ``net_text`` write graph
+and net files in it straight from their slot tuples, each distinct slot's
+text once and no object per edge; ``decoded_text`` writes the graph file of
+a polynomial's decoding from its terms alone.
 Each writer assembles the whole file as one list of pieces, an item list
 or one u-vertex's edges or one event each, and joins it once, so the text
 is copied once after its pieces are made, not once per level of nesting.
@@ -49,11 +50,11 @@ from json.encoder import encode_basestring_ascii as _esc
 from pathlib import Path
 
 from .bigraph import Bigraph, DiBigraph
-from .bits import from_bits, tau
+from .bits import tau
 from .core import Bipartite, check_labeled
 from .errors import FileFormatError, _brief
 from .petri import PetriNet
-from .poly import Poly1, Poly2, int_text
+from .poly import Poly1, Poly2
 
 
 @dataclass
@@ -206,22 +207,6 @@ def load_document(path) -> Document:
 _SPACE = re.compile(r"\s+")
 
 
-def _head(a):
-    """"u<bits>" or "u<pre>-<post>" when a is the slot part of a decoded
-    u-vertex id (a, copy), else None."""
-    if isinstance(a, frozenset):
-        return f"u{int_text(from_bits(a))}"  # decoded undirected u-vertex
-    if (
-        isinstance(a, tuple)
-        and len(a) == 2
-        and isinstance(a[0], frozenset)
-        and isinstance(a[1], frozenset)
-    ):
-        # decoded directed u-vertex or net event: (pre bits, post bits)
-        return f"u{int_text(from_bits(a[0]))}-{int_text(from_bits(a[1]))}"
-    return None
-
-
 def _fmt_id(x, part=None):
     """The text of an id; part gives the text of each component of a 2-tuple
     id, by default _fmt_id itself."""
@@ -236,10 +221,6 @@ def _fmt_id(x, part=None):
     if isinstance(x, tuple) and len(x) == 2:
         a, b = x
         part = part or _fmt_id
-        if isinstance(b, int):
-            head = _head(a)
-            if head is not None:
-                return f"{head}_{b}"
         if a is None or b is None:
             left = "*" if a is None else part(a)
             right = "*" if b is None else part(b)
@@ -254,7 +235,6 @@ def string_ids(ids) -> dict:
     """Deterministic unique string form for every id, in one shared scope."""
     out = {}
     taken = set()
-    heads = {}  # slot part of a 2-tuple id with an int copy -> _head of it
     # A nested product id repeats its components across many ids, so each
     # tuple component is formatted once per call: id() of it -> (it, its
     # text), the component kept alive so that its id() is not reused.
@@ -269,16 +249,8 @@ def string_ids(ids) -> dict:
         return known[1]
 
     for x in ids:
-        if type(x) is tuple and len(x) == 2 and type(x[1]) is int:
-            a = x[0]
-            if a not in heads:
-                heads[a] = _head(a)
-            head = heads[a]
-        else:
-            head = None
-        if head is not None:
-            # A decoded u-vertex: digits, "u", "-" and "_", no whitespace.
-            s = f"{head}_{x[1]}"
+        if type(x) is tuple and len(x) == 2 and type(x[0]) is type(x[1]) is int:
+            s = f"{x[0]}|{x[1]}"  # _fmt_id's text of an int pair, such as a decoded u id
         else:
             # Every separator _fmt_id inserts is printable, so no whitespace
             # run spans two parts and one pass over the whole form suffices.
@@ -385,19 +357,19 @@ def decoded_text(p) -> str:
     """graph_text(g, g.natural_labeling) for the decoding g of p, byte for
     byte: decode(p) for a Poly1, decode_directed(p) for a Poly2.
 
-    It is written from p's terms, never building g.  A term c * x**e
-    [* y**f] decodes to c u-vertices with ids "u<e>_k" ["u<e>-<f>_k"] for k
-    = 1..c, all with the slots tau(e) [and tau(f)], and the v ids are the
-    bit positions in decimal.  These ids are unique by construction, and
-    only u ids hold a "u", so each term's head (its ids up to the "_"), its
-    bits and its row of edge tails are made once, and a copy's quoted id is
-    the head and a shared closing suffix 'k"'.
+    It is written from p's terms, never building g.  The term c * x**e
+    [* y**f] at rank i in p's descending term order decodes to c u-vertices
+    with ids "i|k" for k = 1..c, all with the slots tau(e) [and tau(f)],
+    and the v ids are the bit positions in decimal.  These ids are unique
+    by construction, and only u ids hold a "|", so each term's head '"i|',
+    its bits and its row of edge tails are made once, and a copy's quoted
+    id is the head and a shared closing suffix 'k"'.
 
-    graph_text orders edges by u string.  No head holds a "_" before its
-    last character, so no head is a prefix of another, and ids of two terms
-    compare as their heads do; ids of one term compare as the decimal
-    strings of their copy numbers, 1, 10, 11, ..., 2, ....  So the edges
-    are the terms in head order, each term's copies in that order.
+    graph_text orders edges by u string.  A head is digits and a closing
+    "|", which is no digit, so no head is a prefix of another, and ids of
+    two terms compare as their heads do; ids of one term compare as the
+    decimal strings of their copy numbers, 1, 10, 11, ..., 2, ....  So the
+    edges are the terms in head order, each term's copies in that order.
 
     No copy's id is made on its own: a term's ids in the u list are one
     join of the suffixes on the head, and a copy's edges are one join on
@@ -408,12 +380,8 @@ def decoded_text(p) -> str:
         raise TypeError(f"decoded_text takes a Poly1 or a Poly2, got {type(p).__name__}")
     arity = 2 if isinstance(p, Poly2) else 1
     terms = p.terms
-    if arity == 1:
-        heads = [f'"u{int_text(e)}_' for e in terms]
-        slots = [(tau(e),) for e in terms]
-    else:
-        heads = [f'"u{int_text(e)}-{int_text(f)}_' for e, f in terms]
-        slots = [(tau(e), tau(f)) for e, f in terms]
+    heads = [f'"{i}|' for i in range(len(terms))]
+    slots = [tuple(map(tau, e)) if arity == 2 else (tau(e),) for e in terms]
     vs = sorted(set().union(*chain.from_iterable(slots)))
     by_text = sorted(vs, key=str)
     head, tails, index = _edge_parts(by_text, [f'"{v}"' for v in by_text], arity)

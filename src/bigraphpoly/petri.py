@@ -77,8 +77,9 @@ def decode_net(p: Poly2) -> LabeledPetriNet:
 
     Requires a constant term of at least 1; one unit of it is the idle
     event, which no per-u view lists.  Conditions are the bit positions of p's
-    support, labeled by themselves.  Event ids are ((pre bits, post bits),
-    copy index) pairs.
+    support, labeled by themselves.  Event ids are (rank, copy) pairs, (i,
+    1) .. (i, c) for the term c * x**e * y**f at rank i from 0 in
+    descending order, its pre bits e and post bits f.
     """
     net = decode(p, PetriNet)
     return LabeledPetriNet(net, net.natural_labeling)

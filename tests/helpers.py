@@ -548,20 +548,19 @@ def per_u_encode(g, labeling):
 
 
 def per_u_decode(p, cls):
-    """decode(p, cls) with a dict entry per copy: a term's c u-vertices are
-    (term, k) for k = 1..c, in descending term order; a net takes one unit
-    of the constant term for its idle event."""
+    """decode(p, cls) with a dict entry per copy: the c u-vertices of the
+    term at rank i, from 0 in descending term order, are (i, k) for k =
+    1..c; a net takes one unit of the constant term for its idle event."""
     key = list(p.terms.items())
     if cls.idle:
         zero, c = key.pop()
         if c > 1:
             key.append((zero, c - 1))
     sig = {}
-    for exp, c in key:
+    for i, (exp, c) in enumerate(key):
         slots = tuple(frozenset(bits_of(e)) for e in (exp if cls.arity == 2 else (exp,)))
-        term = slots if cls.arity == 2 else slots[0]
         for k in range(1, c + 1):
-            sig[term, k] = slots
+            sig[i, k] = slots
     return tuple(sig), _used(sig), sig
 
 

@@ -1,9 +1,10 @@
 """tools/ab.py loads two trees of the package side by side and times them
 on the benchmark's ops: run with one tree twice, every category's answers
 and steps get equal digests, and on a clock that steps by one at each read
-every ratio, pass range and pass count is level; a copy that charges one
-more step gets different digests, and a copy with an uncharged extra pass
-gets equal ones and reads slower.  Only that planted pass's timing is
+every ratio, pass range and pass count is level, and the run leaves
+sys.path and sys.modules as it found them; a copy that charges one more
+step gets different digests, and a copy with an uncharged extra pass gets
+equal ones and reads slower.  Only that planted pass's timing is
 checked on the real clock, far past the noise of one machine."""
 
 import importlib.util
@@ -71,15 +72,12 @@ def test_one_tree_twice_prints_a_pass_range_per_category(monkeypatch, capsys):
     pytest.importorskip("sympy")  # perfbench/gen.py factors with it
     tool = load_tool()
     monkeypatch.setattr(tool, "perf_counter", itertools.count().__next__)
-    monkeypatch.setattr(sys, "path", list(sys.path))  # main puts perfbench first
-    before = set(sys.modules)
-    try:
-        tool.main([str(SRC), str(SRC), "--workload", "algebra", "--seed", "1",
-                   "--blocks", "1", "--reps", "3"])
-    finally:  # drop the two trees and perfbench's modules that main imported
-        for name in set(sys.modules) - before:
-            if name.startswith("bigraphpoly_") or name in ("dicts", "gen", "run"):
-                del sys.modules[name]
+    path, modules = list(sys.path), set(sys.modules)
+    tool.main([str(SRC), str(SRC), "--workload", "algebra", "--seed", "1",
+               "--blocks", "1", "--reps", "3"])
+    # main put perfbench/ first on the path and loaded the two trees and
+    # perfbench's modules; it leaves none of that behind.
+    assert sys.path == path and set(sys.modules) == modules
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("# algebra: seed 1, 64 ops, 3 passes")
     rows = {row[0]: row for row in map(str.split, out[2:])}

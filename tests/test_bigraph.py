@@ -101,14 +101,11 @@ def test_decode_golden():
     assert encode(g, g.natural_labeling) == p
 
 
-def test_decode_ids_carry_neighborhood_and_copy_index():
+def test_decode_ids_carry_term_rank_and_copy_index():
     g = decode(Poly1({5: 2, 0: 1}))
-    assert set(g.u_vertices) == {
-        (frozenset({0, 2}), 1),
-        (frozenset({0, 2}), 2),
-        (frozenset(), 1),
-    }
-    assert g.neighbors((frozenset({0, 2}), 1)) == frozenset({0, 2})
+    assert g.u_vertices == ((0, 1), (0, 2), (1, 1))
+    assert g.neighbors((0, 1)) == g.neighbors((0, 2)) == frozenset({0, 2})
+    assert g.neighbors((1, 1)) == frozenset()
 
 
 def test_decode_zero_gives_empty_graph():

@@ -172,7 +172,7 @@ def test_slots_read_first_builds_the_views_of_a_decoding(kind):
     h = decode_as(Poly1({3: 2, 0: 2}) if one else Poly2({(3, 1): 2, (0, 0): 2}), cls)
     top = (frozenset({0, 1}),) if one else (frozenset({0, 1}), frozenset({0}))
     empty = (frozenset(),) * cls.arity
-    ids = [(slots[0] if one else slots, k) for slots in (top, empty) for k in (1, 2)]
+    ids = [(rank, k) for rank in (0, 1) for k in (1, 2)]
     assert h.slots(ids[1]) == top
     assert h.slots(ids[2]) == empty
     if cls is PetriNet:
@@ -269,17 +269,17 @@ class PerU:
 
 def per_u_decode(key):
     # The decoder that built every u-vertex up front: one tau per term,
-    # then a dict entry per copy.
+    # then a dict entry per copy, named by the term's rank and the copy.
     sig = {}
     ors = 0
-    for exp, c in key:
+    for i, (exp, c) in enumerate(key):
         slots = (tau(exp),)
         ors |= exp
         if c == 1:
-            sig[(slots[0], 1)] = slots
+            sig[i, 1] = slots
         else:
             for k in range(1, c + 1):
-                sig[(slots[0], k)] = slots
+                sig[i, k] = slots
     return PerU(tuple(sig), tuple(sorted(tau(ors))), sig)
 
 

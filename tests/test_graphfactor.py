@@ -829,12 +829,13 @@ def test_a_net_of_300_conditions_splits_into_its_two_halves(spread):
 
 def plain_renamed(h, names):
     """A decoded half as plain data, with each v id t renamed names[t]:
-    its type, its v part and each u-vertex with its slots, in u order."""
+    its type, its v part and each u-vertex with its slots, in u order.  A
+    u id is its term's rank and a copy number, which no labeling moves."""
     def slots(s):
         return tuple(frozenset(map(names.__getitem__, part)) for part in s)
 
     return (type(h), tuple(map(names.__getitem__, h.v_vertices)),
-            [((slots(u[0]), u[1]), slots(h.slots(u))) for u in h.u_vertices])
+            [(u, slots(h.slots(u))) for u in h.u_vertices])
 
 
 def widened(p, names):

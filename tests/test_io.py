@@ -23,6 +23,7 @@ from bigraphpoly import (
     decode_net,
     decompose,
     direct_product,
+    from_bits,
     direct_product_directed,
     encode,
     is_isomorphic,
@@ -290,9 +291,9 @@ def test_fmt_id_forms():
     assert _fmt_id("plain") == "plain"
     assert _fmt_id(7) == "7"
     assert _fmt_id(frozenset({1, 3})) == "b1-3"
-    assert _fmt_id((frozenset({0, 2}), 1)) == "u5_1"
-    assert _fmt_id((frozenset(), 2)) == "u0_2"
-    assert _fmt_id(((frozenset({0, 3}), frozenset({1, 2})), 1)) == "u9-6_1"
+    assert _fmt_id((0, 1)) == "0|1"  # a decoded u-vertex: term rank, copy
+    assert _fmt_id((12, 3)) == "12|3"
+    assert _fmt_id((frozenset({0, 2}), 1)) == "b0-2|1"
     assert _fmt_id((None, "x")) == "*|x"
     assert _fmt_id(("e", None)) == "e|*"
     assert _fmt_id((0, "a")) == "a@1"
@@ -313,20 +314,21 @@ def test_string_ids_are_unique_and_whitespace_free():
 
 
 def test_string_ids_of_decoded_u_vertices_match_fmt_id():
-    """string_ids formats a decoded u-vertex's slots once per distinct slot
-    tuple; the text must be _fmt_id's, collisions and odd copies included."""
+    """string_ids writes a pair of ints, such as a decoded u-vertex, on a
+    path of its own; the text must be _fmt_id's, collisions, bools and
+    negative ints included."""
     a, b = frozenset({0, 2}), frozenset({1})
-    ids = [(a, 1), (a, 2), ((a, b), 1), ((a, b), 3), ((b, a), 1), (a, True),
-           (frozenset(), 1), "u5_1", (None, 1), ((a, "x"), 1), ((a, b, a), 1), (3, 4)]
+    ids = [(0, 1), (0, 2), (12, 3), (0, True), (True, 1), "0|1", (-1, 2), (a, 1),
+           (None, 1), ((a, "x"), 1), ((a, b, a), 1), (3, 4)]
     got = string_ids(ids)
     assert got == {
-        (a, 1): "u5_1", (a, 2): "u5_2", ((a, b), 1): "u5-2_1",
-        ((a, b), 3): "u5-2_3", ((b, a), 1): "u2-5_1", (a, True): "u5_True",
-        (frozenset(), 1): "u0_1", "u5_1": "u5_1.2", (None, 1): "*|1",
-        ((a, "x"), 1): "b0-2|x|1",
+        (0, 1): "0|1", (0, 2): "0|2", (12, 3): "12|3", (0, True): "0|1.2",
+        (True, 1): "1|1", "0|1": "0|1.3", (-1, 2): "-1|2", (a, 1): "b0-2|1",
+        (None, 1): "*|1", ((a, "x"), 1): "b0-2|x|1",
         ((a, b, a), 1): "(frozenset({0,_2}),_frozenset({1}),_frozenset({0,_2}))|1",
         (3, 4): "3|4",
     }
+    assert [_fmt_id(x) for x in ids[:7]] == ["0|1", "0|2", "12|3", "0|1", "1|1", "0|1", "-1|2"]
     rng = random.Random(83)
     for _ in range(20):
         base = random_digraph(rng)
@@ -551,8 +553,9 @@ def test_decoded_text_edge_cases():
         Poly1({}), Poly2({}),  # nothing at all
         Poly1({0: 1}), Poly1({0: 12}), Poly2({(0, 0): 3}),  # u-vertices with no edge
         Poly1({1: 12, 0: 2}),  # copies 1, 10, 11, 12, 2, ...
-        Poly1({5: 1, 50: 2}), Poly1({5: 11, 50: 11, 505: 1}),  # u5_ and u50_
-        Poly2({(5, 3): 11, (5, 31): 2, (53, 1): 1}),  # u5-3_ and u5-31_
+        Poly1({5: 1, 50: 2}), Poly1({5: 11, 50: 11, 505: 1}),
+        Poly2({(5, 3): 11, (5, 31): 2, (53, 1): 1}),
+        Poly1({e: 2 for e in range(12)}), Poly2({(e, 12 - e): 3 for e in range(13)}),  # ranks 1, 10
         Poly2({(1, 1): 2, (3, 0): 1}),  # an arc either way on one v-vertex
         # exponents past the 4,300 digits Python converts to text in one go
         Poly1({2**15000 + 1: 2, 3: 1}), Poly2({(2**15000, 2**14300 + 4): 1, (0, 0): 1}),
@@ -560,13 +563,15 @@ def test_decoded_text_edge_cases():
     for p in polys:
         assert first_difference(decoded_text(p), natural_text(p)) is None, p
     edges = json.loads(decoded_text(Poly1({1: 12, 0: 2})))["edges"]
-    assert [u for u, _ in edges] == [f"u1_{k}" for k in (1, 10, 11, 12, 2, 3, 4, 5, 6, 7, 8, 9)]
+    assert [u for u, _ in edges] == [f"0|{k}" for k in (1, 10, 11, 12, 2, 3, 4, 5, 6, 7, 8, 9)]
     doc = json.loads(decoded_text(Poly1({5: 1, 50: 2})))
-    assert doc["u"] == ["u50_1", "u50_2", "u5_1"]
-    assert [u for u, _ in doc["edges"]] == ["u50_1"] * 3 + ["u50_2"] * 3 + ["u5_1"] * 2
+    assert doc["u"] == ["0|1", "0|2", "1|1"]
+    assert [u for u, _ in doc["edges"]] == ["0|1"] * 3 + ["0|2"] * 3 + ["1|1"] * 2
     assert doc["labels"] == {"0": 0, "1": 1, "2": 2, "4": 4, "5": 5}
-    doc = json.loads(decoded_text(Poly2({(5, 3): 1, (5, 31): 1})))
-    assert list(dict.fromkeys(e["u"] for e in doc["edges"])) == ["u5-31_1", "u5-3_1"]
+    # The term x**e is at rank 12 - e; rank 10's id sorts before rank 1's.
+    doc = json.loads(decoded_text(Poly2({(e, 1): 1 for e in range(1, 13)})))
+    assert list(dict.fromkeys(e["u"] for e in doc["edges"])) == [
+        "0|1", "10|1", "11|1", "1|1", "2|1", "3|1", "4|1", "5|1", "6|1", "7|1", "8|1", "9|1"]
     assert decoded_text(Poly1({})) == dumps({"u": [], "v": [], "edges": [], "labels": {}})
     with pytest.raises(TypeError):
         decoded_text(decode(Poly1({1: 1})))
@@ -584,19 +589,39 @@ def peak():
 
 
 rng = random.Random(0)
-p = Poly1({sum(1 << b for b in rng.sample(range(3000), 300)): 1 for _ in range(100)})
+p = Poly1({sum(1 << b for b in rng.sample(range(3000), 300)): 24 for _ in range(100)})
 before = peak()
 text = decoded_text(p)
 print(len(text), (peak() - before) * 1024)
 """
 
 
+def test_decoded_u_ids_are_bounded_by_the_term_count():
+    """A decoded u id is its term's rank and its copy number, so its text
+    is as long as the term count, not as the exponents: a term on 10**5
+    bits gives ids of 3 characters, and 100 terms, each on 1,000 random
+    bits below 10**4, write about 4 MB, where ids that spelled the
+    exponents in decimal wrote 305 MB."""
+    wide = (1 << 10**5) - 1
+    for g in (decode(Poly1({wide: 2})), decode_directed(Poly2({(wide, 1): 2})),
+              decode_net(Poly2({(1, wide): 2, (0, 0): 1})).net):
+        assert g.u_vertices == ((0, 1), (0, 2))
+        assert [len(s) for s in string_ids(g.u_vertices).values()] == [3, 3]
+    rng = random.Random(0)
+    p = Poly1({from_bits(rng.sample(range(10**4), 1000)): 1 for _ in range(100)})
+    text = decoded_text(p)
+    assert len(text) < 10e6
+    doc = json.loads(text)
+    assert len(doc["edges"]) == 10**5 and max(map(len, doc["u"])) == 4
+
+
 def test_decoded_text_copies_a_large_file_about_twice():
-    """100 u-vertices, each on 300 of 3,000 v-vertices, write about 28 MB,
-    nearly all of it the u ids repeated in the edges.  Each u-vertex's
-    edges are one join and the file one more, so the peak RSS rises by
-    about twice the text's length and at most 3.5 times; a writer that
-    copies the text again at each level of nesting rises about 5 times.
+    """100 terms, each on 300 of 3,000 v-vertices, with 24 copies each:
+    2,400 u-vertices and 720,000 edges write about 29 MB, nearly all of it
+    the edges.  Each u-vertex's edges are one join and the file one more,
+    so the peak RSS rises by about twice the text's length and at most 3.5
+    times; a writer that copies the text again at each level of nesting
+    rises about 5 times.
     The peak is the kernel's VmHWM of the child, as its ru_maxrss starts at
     the peak of the process it was forked from."""
     if not Path("/proc/self/status").exists():

@@ -4,9 +4,9 @@ row name; its product rows lie on the sides of mul's gate that their
 names say, its division row reads back the quotient, its binomial row
 lists the pairs of (1 + x)^12, its canonical rows answer within their
 budget, the 16-fold chain's irreducibility row answers inconclusive, the
-wide chain, sparse product, chain canonical form, star, sweep and
-directed product rows answer on smaller sizes of their inputs, and a row
-that runs out of its budget prints budget as its answer."""
+wide chain, sparse product, chain canonical form, star, sweep, directed
+product and decoded text rows answer on smaller sizes of their inputs, and
+a row that runs out of its budget prints budget as its answer."""
 
 import importlib.util
 import subprocess
@@ -129,6 +129,19 @@ def test_the_wide_rows_print_their_answers_on_smaller_sizes(capsys, row, full, a
     tool._run(row)
     out = capsys.readouterr().out.split()
     assert out[:2] == row.split() and out[6:] == answer
+
+
+def test_the_decoded_text_row_prints_the_size_of_the_file(capsys):
+    """A smaller size of the decoded_text wide1000x1000 input, run in this
+    process: 100 terms, each on 1,000 random bits below 10**4, so 10**5
+    edges, whose file the row prints as 4.3 MB."""
+    tool = load_tool()
+    assert "decoded_text wide1000x1000" in tool._ROWS
+    (p,) = tool._input("wide100x1000")
+    assert len(p.terms) == 100 and {e.bit_count() for e in p.terms} == {1000}
+    tool._run("decoded_text wide100x1000")
+    out = capsys.readouterr().out.split()
+    assert out[:2] == ["decoded_text", "wide100x1000"] and out[6:] == ["4.3", "MB"]
 
 
 def test_the_chain_canonical_row_answers_on_a_smaller_size(capsys):

@@ -194,6 +194,21 @@ def report(rows):
 
 
 def main(argv=None):
+    """Run the tool.  On return sys.path is as it was, and sys.modules
+    holds neither tree nor a module from perfbench/, so a caller in the
+    same process is left as it was."""
+    path, modules = list(sys.path), set(sys.modules)
+    try:
+        _main(argv)
+    finally:
+        sys.path[:] = path
+        for name in set(sys.modules) - modules:
+            file = getattr(sys.modules[name], "__file__", None) or ""
+            if name.startswith("bigraphpoly_") or Path(file).parent == _PERFBENCH:
+                del sys.modules[name]
+
+
+def _main(argv):
     sys.path.insert(0, str(_PERFBENCH))
     import gen
     from run import NBLOCKS, WORKLOADS

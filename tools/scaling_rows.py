@@ -1,7 +1,7 @@
 """Wall time and peak RSS of the scaling rows: the net and bit-disjoint
 routes, dense and sparse products, isomorphism on a regular input and on
 products, the canonical form of a product, the exhaustive irreducibility
-sweep and a directed product.
+sweep, a directed product and the file of a wide decoding.
 
 Each row runs in a fresh Python subprocess against the package in the src
 directory next to this tool.  The subprocess builds its input, which is not
@@ -34,6 +34,8 @@ The rows:
   support bits;
 * wide100x1000 is bit_disjoint_factor on 100 terms, each exponent 1,000
   random bits of 10**4 (random.Random(0));
+* decoded_text wide1000x1000 writes the graph file of the decoding of 1,000
+  such terms: 10**6 edges.  The row prints the text's size in MB;
 * sparse64x3 is bit_disjoint_factor on 64 terms, each exponent 3 random
   bits below 10**6 (random.Random(0));
 * sparseprod is bit_disjoint_factor on a product of two sparse Poly1
@@ -108,7 +110,7 @@ _ROWS = [
     "is_irreducible chain16", "decompose chain4wide", "decompose chain8wide",
     "bit_disjoint_factor digraph2000x40", "bit_disjoint_factor wide100x1000",
     "bit_disjoint_factor sparse64x3", "bit_disjoint_factor sparseprod",
-    "bit_disjoint_factor hugecoeff64",
+    "bit_disjoint_factor hugecoeff64", "decoded_text wide1000x1000",
     "bit_disjoint_factor miss7",
     "mul dense900x12", "mul dense2750x14", "mul dense9250x16", "mul dense300x14",
     "mul sparse300x15", "mul sparse64x20", "divide_exact dense9250x16",
@@ -155,8 +157,9 @@ def _input(name, call=None):
         arcs = [a for u in us for v in vs for a in ((v, u), (u, v)) if rng.random() < 0.3]
         g = bp.DiBigraph(us, vs, arcs)
         return (bp.encode_directed(g, bp.compact_labeling(g)),)
-    if name == "wide100x1000":
-        return (bp.Poly1({bp.from_bits(rng.sample(range(10**4), 1000)): 1 for _ in range(100)}),)
+    if name.startswith("wide"):
+        terms, bits = map(int, name[4:].split("x"))
+        return (bp.Poly1({bp.from_bits(rng.sample(range(10**4), bits)): 1 for _ in range(terms)}),)
     if name == "sparse64x3":
         return (bp.Poly1({bp.from_bits(rng.sample(range(10**6), 3)): 1 for _ in range(64)}),)
     if name.startswith("sparseprod"):
@@ -222,11 +225,12 @@ def _run(row):
         BudgetExceededError, bit_disjoint_factor, canonical_poly, decompose, divide_exact,
         factor_pairs, is_irreducible, is_isomorphic, mul, poly_product,
     )
+    from bigraphpoly.fileio import decoded_text
     from bigraphpoly.graphfactor import graph_factor_pairs
 
     call, name = row.split()
-    calls = [bit_disjoint_factor, canonical_poly, decompose, divide_exact, factor_pairs,
-             graph_factor_pairs, is_irreducible, is_isomorphic, mul, poly_product]
+    calls = [bit_disjoint_factor, canonical_poly, decoded_text, decompose, divide_exact,
+             factor_pairs, graph_factor_pairs, is_irreducible, is_isomorphic, mul, poly_product]
     function = next(f for f in calls if f.__name__ == call)
     args = _input(name, call)
     options = {"exhaustive": True} if name.startswith("sweep") else {}
@@ -244,6 +248,8 @@ def _run(row):
         size = f"{len(out.terms)} terms"
     elif call == "poly_product":
         size = f"{len(out._classes)} terms"  # one class per term of its encoding
+    elif call == "decoded_text":
+        size = f"{len(out) / 1e6:.1f} MB"
     elif call == "is_isomorphic":
         size = "not isomorphic" if out is None else "isomorphic"
     else:
