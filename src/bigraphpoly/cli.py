@@ -55,7 +55,7 @@ def _looks_like_file(arg: str) -> bool:
 
 def _emit(text: str, output):
     if output:
-        Path(output).write_text(text)
+        Path(output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -205,7 +205,7 @@ def _cmd_net_decompose(args):
         prefix = os.path.splitext(args.file)[0]
     paths = [f"{prefix}.factor{k}.json" for k in (1, 2)]
     for path, half in zip(paths, halves):
-        Path(path).write_text(fileio.net_text(half.net, half.labeling))
+        Path(path).write_text(fileio.net_text(half.net, half.labeling), encoding="utf-8")
     _note(f"wrote {paths[0]} and {paths[1]}")
     emap, cmap = witness(doc.obj, labels, *halves)
     smap = fileio.string_ids(list(emap) + list(cmap))

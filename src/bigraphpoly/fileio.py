@@ -28,13 +28,17 @@ slot builder checks the rest against the declared lists: repeated ids, ids
 in both parts, and edge ends and pre or post members outside the v part.
 
 Writers stringify in-memory ids (a decoded u-vertex, the pair of its term's
-rank and its copy number, is written "i|k") and emit keys in a fixed order,
-so equal objects serialize byte-identically, and they take only labels the
-reader takes.  The text format is that of ``dumps``: ``json.dumps(doc,
-indent=2)`` plus a newline.  ``graph_text`` and ``net_text`` write graph
-and net files in it straight from their slot tuples, each distinct slot's
-text once and no object per edge; ``decoded_text`` writes the graph file of
-a polynomial's decoding from its terms alone.
+rank and its copy number, is written "i|k"), emit keys in a fixed order and
+list a structure's contents in its own declared order: the u list, the v
+list, then each u-vertex's edges in u order, within one u-vertex in v order
+with "u_to_v" before "v_to_u"; a net's pre and post lists go in condition
+order.  Equal objects have equal u and v orders, so they serialize
+byte-identically.  The writers take only labels the reader takes.  The text
+format is that of ``dumps``: ``json.dumps(doc, indent=2)`` plus a newline.
+``graph_text`` and ``net_text`` write graph and net files in it straight
+from their slot tuples, each distinct slot's text once and no object per
+edge; ``decoded_text`` writes the graph file of a polynomial's decoding
+from its terms alone.
 Each writer assembles the whole file as one list of pieces, an item list
 or one u-vertex's edges or one event each, and joins it once, so the text
 is copied once after its pieces are made, not once per level of nesting.
@@ -50,7 +54,7 @@ from json.encoder import encode_basestring_ascii as _esc
 from pathlib import Path
 
 from .bigraph import Bigraph, DiBigraph
-from .bits import tau
+from .bits import tau, tau_poly
 from .core import Bipartite, check_labeled
 from .errors import FileFormatError, _brief
 from .petri import PetriNet
@@ -193,7 +197,7 @@ def parse_document(doc, source="<document>") -> Document:
 
 def load_document(path) -> Document:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_bytes())  # UTF-8, as RFC 8259 has it
     except json.JSONDecodeError as e:
         raise FileFormatError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from e
     except (ValueError, RecursionError) as e:  # not UTF-8, too deep, or too many digits
@@ -289,11 +293,11 @@ def _file_text(out, vs, name, labels):
 
 
 def _edge_parts(vs, quoted, arity):
-    """What the edges of a graph with v-vertices vs, in the order of their
-    strings, are written from: the head that opens every edge's text; each
-    v's tails, one, or "u_to_v" then "v_to_u" when arity is 2; and per slot
-    a dict from v to the index of its tail.  quoted holds the vs' escaped
-    ids.  Every tail ends in the link on to the next edge's head."""
+    """What the edges of a graph with v-vertices vs, in declared order, are
+    written from: the head that opens every edge's text; each v's tails,
+    one, or "u_to_v" then "v_to_u" when arity is 2; and per slot a dict
+    from v to the index of its tail.  quoted holds the vs' escaped ids.
+    Every tail ends in the link on to the next edge's head."""
     if arity == 1:
         head = "    [\n      "
         tails = [f",\n      {q}\n    ]" for q in quoted]
@@ -326,30 +330,27 @@ def graph_text(g, labels=None) -> str:
     """JSON text of a graph or, with edges that carry their direction, of a
     digraph, in the format of dumps.
 
-    Edges come sorted by (u string, v string[, dir]), "u_to_v" before
-    "v_to_u".  An edge's text is a fixed head, the u id, and a tail set by
-    the v-vertex and direction alone.  Copies of a decoded term share one
-    slot tuple, so each distinct tuple's tails are sorted once; the ids are
-    unique, so each u-vertex's edges, in the order of its string, are then
-    one join on its escaped id.
+    Edges come in the structure's order: by u-vertex in u order, then by
+    v-vertex in v order, "u_to_v" before "v_to_u".  An edge's text is a
+    fixed head, the u id, and a tail set by the v-vertex and direction
+    alone.  Copies of a decoded term share one slot tuple, so each distinct
+    tuple's row of tails is made once, and each u-vertex's edges are one
+    join of that row on its escaped id.
     """
     if labels is not None:
         check_labeled(g, labels)
     smap = string_ids(list(g.u_vertices) + list(g.v_vertices))
     name = smap.__getitem__
-    vs = sorted(g.v_vertices, key=name)
-    head, tails, index = _edge_parts(vs, [_esc(name(v)) for v in vs], g.arity)
+    vs = [_esc(name(v)) for v in g.v_vertices]
+    head, tails, index = _edge_parts(g.v_vertices, vs, g.arity)
     place = [k.__getitem__ for k in index]
-    us = list(map(name, g.u_vertices))
-    slots = dict(zip(us, map(g.slots, g.u_vertices)))
+    us = [_esc(name(u)) for u in g.u_vertices]
+    slots = list(map(g.slots, g.u_vertices))
     # A row joined on a u id gives the id before each of its tails.
     rows = {s: ["", *map(tails.__getitem__, sorted(chain.from_iterable(map(map, place, s))))]
-            for s in set(slots.values())}
-    order = sorted(us)
-    edges = list(filter(None, map(str.join, map(_esc, order),
-                                  map(rows.get, map(slots.get, order)))))
-    out = _graph_pieces(g.arity, list(map(_esc, us)),
-                        [_esc(name(v)) for v in g.v_vertices], head, edges)
+            for s in set(slots)}
+    edges = list(filter(None, map(str.join, us, map(rows.__getitem__, slots))))
+    out = _graph_pieces(g.arity, us, vs, head, edges)
     return _file_text(out, g.v_vertices, name, labels)
 
 
@@ -357,19 +358,14 @@ def decoded_text(p) -> str:
     """graph_text(g, g.natural_labeling) for the decoding g of p, byte for
     byte: decode(p) for a Poly1, decode_directed(p) for a Poly2.
 
-    It is written from p's terms, never building g.  The term c * x**e
-    [* y**f] at rank i in p's descending term order decodes to c u-vertices
-    with ids "i|k" for k = 1..c, all with the slots tau(e) [and tau(f)],
-    and the v ids are the bit positions in decimal.  These ids are unique
-    by construction, and only u ids hold a "|", so each term's head '"i|',
-    its bits and its row of edge tails are made once, and a copy's quoted
-    id is the head and a shared closing suffix 'k"'.
-
-    graph_text orders edges by u string.  A head is digits and a closing
-    "|", which is no digit, so no head is a prefix of another, and ids of
-    two terms compare as their heads do; ids of one term compare as the
-    decimal strings of their copy numbers, 1, 10, 11, ..., 2, ....  So the
-    edges are the terms in head order, each term's copies in that order.
+    It is written from p's terms, never building g, in one pass over them
+    in rank order.  The term c * x**e [* y**f] at rank i in p's descending
+    term order decodes to c u-vertices with ids "i|k" for k = 1..c, all
+    with the slots tau(e) [and tau(f)], and the v ids are the bit
+    positions in decimal, ascending.  These ids are unique by
+    construction, and only u ids hold a "|", so each term's head '"i|', its
+    bits and its row of edge tails are made once, and a copy's quoted id is
+    the head and a shared closing suffix 'k"'.
 
     No copy's id is made on its own: a term's ids in the u list are one
     join of the suffixes on the head, and a copy's edges are one join on
@@ -379,45 +375,38 @@ def decoded_text(p) -> str:
     if not isinstance(p, (Poly1, Poly2)):
         raise TypeError(f"decoded_text takes a Poly1 or a Poly2, got {type(p).__name__}")
     arity = 2 if isinstance(p, Poly2) else 1
-    terms = p.terms
-    heads = [f'"{i}|' for i in range(len(terms))]
-    slots = [tuple(map(tau, e)) if arity == 2 else (tau(e),) for e in terms]
-    vs = sorted(set().union(*chain.from_iterable(slots)))
-    by_text = sorted(vs, key=str)
-    head, tails, index = _edge_parts(by_text, [f'"{v}"' for v in by_text], arity)
+    vs = sorted(tau_poly(p))
+    quoted = [f'"{v}"' for v in vs]
+    head, tails, index = _edge_parts(vs, quoted, arity)
     place = [k.__getitem__ for k in index]
-    suffixes = [f'{k}"' for k in range(1, max(terms.values(), default=0) + 1)]
-    orders = {}  # copy count -> its suffixes in the order of their strings
-    edges = []
-    for h, s, c in sorted(zip(heads, slots, terms.values())):  # the heads are unique
-        row = list(map(tails.__getitem__, sorted(chain.from_iterable(map(map, place, s)))))
+    suffixes = [f'{k}"' for k in range(1, max(p.terms.values(), default=0) + 1)]
+    us, edges = [], []
+    for i, (e, c) in enumerate(p.terms.items()):
+        h = f'"{i}|'
+        copies = suffixes[:c]
+        # its copies' ids joined as _items joins the u list's items
+        us.append(h + (",\n    " + h).join(copies))
+        bits = map(tau, e) if arity == 2 else (tau(e),)
+        row = list(map(tails.__getitem__, sorted(chain.from_iterable(map(map, place, bits)))))
         if row:
-            if c not in orders:
-                orders[c] = sorted(suffixes[:c])
             # the edges of copy k are h k" t1 h k" t2 ... h k" tn: k" joins
             # [h, t1 h, ..., tn], made once per term
             joined = [h, *map(str.__add__, row[:-1], repeat(h)), row[-1]]
-            edges += map(str.join, orders[c], repeat(joined))
-    # per term, its copies' ids joined as _items joins the u list's items
-    us = [h + (",\n    " + h).join(suffixes[:c]) for h, c in zip(heads, terms.values())]
-    out = _graph_pieces(arity, us, [f'"{v}"' for v in vs], head, edges)
+            edges += map(str.join, copies, repeat(joined))
+    out = _graph_pieces(arity, us, quoted, head, edges)
     return _file_text(out, vs, str, dict(zip(vs, vs)))
 
 
 def net_text(net: PetriNet, labels=None) -> str:
     """JSON text of a net, in the format of dumps.  Each event's pre and post
-    ids come sorted; each distinct pre or post set's text is written once.
-
-    Each condition's id is escaped once, and a set is ordered by the rank
-    of its members' ids, not by their escaped texts: escaping reorders ids
-    that hold non-ASCII characters, '"' or '\\'."""
+    ids come in condition order; each condition's id is escaped once and
+    each distinct pre or post set's text is written once."""
     if labels is not None:
         check_labeled(net, labels)
     smap = string_ids(list(net.conditions) + list(net.events))
     name = smap.__getitem__
-    by_name = sorted(net.conditions, key=name)
-    rank = dict(zip(by_name, range(len(by_name)))).__getitem__
-    quoted = [_esc(name(b)) for b in by_name]
+    rank = {b: i for i, b in enumerate(net.conditions)}.__getitem__
+    quoted = [_esc(name(b)) for b in net.conditions]
     slots = list(map(net.slots, net.events))
     text = {part: "".join(_items([], list(map(quoted.__getitem__, sorted(map(rank, part)))),
                                  "[]", 3))
@@ -426,7 +415,7 @@ def net_text(net: PetriNet, labels=None) -> str:
               f'\n      "post": {text[post]}\n    }}'
               for e, (pre, post) in zip(net.events, slots)]
     out = ['{\n  "conditions": ']
-    _items(out, list(map(quoted.__getitem__, map(rank, net.conditions))), "[]", 1)
+    _items(out, quoted, "[]", 1)
     out.append(',\n  "events": ')
     _items(out, events, "[]", 1)
     return _file_text(out, net.conditions, name, labels)

@@ -451,8 +451,9 @@ def sweep_reference(g):
 
 def reference_document(g, labels=None) -> dict:
     """The file document of a graph, digraph or net, built the plain way: a
-    graph's edges all listed, then the whole list sorted; a net's events one
-    dict each, with sorted pre and post lists.  Ids come from the package's
+    graph's edges listed by u-vertex in u order, then by v-vertex in v
+    order, "u_to_v" before "v_to_u"; a net's events one dict each, with pre
+    and post lists in condition order.  Ids come from the package's
     string_ids, the one shared piece."""
     if isinstance(g, PetriNet):
         smap = string_ids(list(g.conditions) + list(g.events))
@@ -461,8 +462,8 @@ def reference_document(g, labels=None) -> dict:
             "events": [
                 {
                     "id": smap[e],
-                    "pre": sorted(smap[b] for b in g.pre(e)),
-                    "post": sorted(smap[b] for b in g.post(e)),
+                    "pre": [smap[b] for b in g.conditions if b in g.pre(e)],
+                    "post": [smap[b] for b in g.conditions if b in g.post(e)],
                 }
                 for e in g.events
             ],
@@ -475,17 +476,17 @@ def reference_document(g, labels=None) -> dict:
     doc["u"] = [smap[u] for u in g.u_vertices]
     doc["v"] = [smap[v] for v in g.v_vertices]
     if g.arity == 1:
-        doc["edges"] = sorted([smap[a], smap[b]] for a, b in g.edges)
+        edges = g.edges
+        doc["edges"] = [[smap[u], smap[v]] for u in g.u_vertices for v in g.v_vertices
+                        if (u, v) in edges]
     else:
-        doc["edges"] = sorted(
-            (
-                {"u": smap[u], "v": smap[v], "dir": way}
-                for u in g.u_vertices
-                for way, part in zip(("v_to_u", "u_to_v"), g.slots(u))
-                for v in part
-            ),
-            key=lambda e: (e["u"], e["v"], e["dir"]),
-        )
+        doc["edges"] = [
+            {"u": smap[u], "v": smap[v], "dir": way}
+            for u in g.u_vertices
+            for v in g.v_vertices
+            for way, part in (("u_to_v", g.post(u)), ("v_to_u", g.pre(u)))
+            if v in part
+        ]
     if labels is not None:
         doc["labels"] = {smap[v]: labels[v] for v in g.v_vertices}
     return doc

@@ -301,8 +301,8 @@ def test_product_and_sum_of_hundred_u_graphs_are_graph_text_bytes(capsys, tmp_pa
 
 @pytest.mark.parametrize("directed", [False, True])
 def test_product_sum_and_decode_print_the_reference_bytes(capsys, tmp_path, directed):
-    """The bytes of json.dumps(indent=2) on the document built by sorting
-    every edge, on stdout and through -o."""
+    """The bytes of json.dumps(indent=2) on the document built by listing
+    every edge in u order, then v order, on stdout and through -o."""
     rng = random.Random(87 + directed)
     graphs = [wide_graph(rng, 30, 5, directed) for _ in range(2)]
     labels = [random_labeling(rng, g.v_vertices, 9) for g in graphs]

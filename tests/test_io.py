@@ -287,6 +287,29 @@ def test_load_document_turns_every_json_failure_into_a_format_error(tmp_path):
         assert str(info.value).startswith(f"{path}: ")
 
 
+def package_env(**extra):
+    """The environment of a child process that imports this package: this
+    one's, with the package's directory first on PYTHONPATH, and extra."""
+    here = str(Path(bigraphpoly.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [here, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+def test_load_document_reads_utf8_whatever_the_locale(tmp_path):
+    """JSON exchanged between systems is UTF-8 (RFC 8259): a file whose ids
+    are UTF-8 reads the same under the C locale, whose preferred encoding
+    is ASCII."""
+    path = tmp_path / "g.json"
+    path.write_bytes('{"u": ["é"], "v": ["日"], "edges": [["é", "日"]]}'.encode())
+    script = ("import sys; from bigraphpoly.fileio import load_document; "
+              "g = load_document(sys.argv[1]).obj; print(ascii(g.u_vertices + g.v_vertices))")
+    env = package_env(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    proc = subprocess.run([sys.executable, "-c", script, str(path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ascii(("é", "日")) + "\n"
+
+
 def test_fmt_id_forms():
     assert _fmt_id("plain") == "plain"
     assert _fmt_id(7) == "7"
@@ -427,15 +450,15 @@ def test_net_text_edge_cases():
             assert first_difference(net_text(net, labels), want) is None, net
 
 
-def test_net_text_orders_sets_by_the_ids_not_their_escaped_text():
-    """Escaping moves "é" before "z" and 'a"' after "a#": the sets must
-    still come in the order of the raw ids, as json.dumps of the sorted
-    lists has them."""
+def test_net_text_keeps_sets_in_condition_order_through_escaping():
+    """Escaping moves "é" before "z" and 'a"' after "a#" as text: the sets
+    must still come in condition order, whatever order they were given
+    in."""
     conds = ["z", "é", 'a"', "a#", "b\\", "b]", "日"]
-    net = PetriNet(conds, ["e", "f"], pre={"e": conds, "f": ["z", "é"]},
-                   post={"e": ['a"', "a#", "b\\", "b]"]})
+    net = PetriNet(conds, ["e", "f"], pre={"e": conds[::-1], "f": ["é", "z"]},
+                   post={"e": ["b]", "a#", "b\\", 'a"']})
     doc = net_document(net)
-    assert doc["events"][0]["pre"] == sorted(conds)
+    assert doc["events"][0]["pre"] == conds
     assert doc["events"][1]["pre"] == ["z", "é"]
     assert doc["events"][0]["post"] == ['a"', "a#", "b\\", "b]"]
     for labels in (None, {b: i for i, b in enumerate(conds)}):
@@ -445,7 +468,8 @@ def test_net_text_orders_sets_by_the_ids_not_their_escaped_text():
 
 def test_graph_document_edges_match_the_sorted_reference():
     rng = random.Random(85)
-    # u10 sorts before u9; "a b" and "a_b" collide and one becomes "a_b.2".
+    # u10 sorts before u9 as text but comes after it; "a b" and "a_b"
+    # collide and one becomes "a_b.2".
     us = ["u9", "u10", "a b", "a_b", 3, (0, "z")]
     vs = ["v10", "v9", "w x", "w_x", 2]
     graphs = []
@@ -532,8 +556,8 @@ def natural_text(p):
 
 def test_decoded_text_is_graph_text_of_the_decoding():
     """Byte for byte on random polynomials: exponents up to 2**13, so bit
-    positions 10 to 12 sort before 2 as strings, and coefficients past 10, so
-    copy 10 sorts before copy 2."""
+    positions 10 to 12 sort before 2 as strings but come after it, and
+    coefficients past 10, so copy 10 sorts before copy 2 as text."""
     rng = random.Random(88)
     polys = []
     for _ in range(150):
@@ -552,10 +576,10 @@ def test_decoded_text_edge_cases():
     polys = [
         Poly1({}), Poly2({}),  # nothing at all
         Poly1({0: 1}), Poly1({0: 12}), Poly2({(0, 0): 3}),  # u-vertices with no edge
-        Poly1({1: 12, 0: 2}),  # copies 1, 10, 11, 12, 2, ...
+        Poly1({1: 12, 0: 2}),  # copies 1 .. 12, 10 after 9
         Poly1({5: 1, 50: 2}), Poly1({5: 11, 50: 11, 505: 1}),
         Poly2({(5, 3): 11, (5, 31): 2, (53, 1): 1}),
-        Poly1({e: 2 for e in range(12)}), Poly2({(e, 12 - e): 3 for e in range(13)}),  # ranks 1, 10
+        Poly1({e: 2 for e in range(12)}), Poly2({(e, 12 - e): 3 for e in range(13)}),  # ranks 0 .. 12
         Poly2({(1, 1): 2, (3, 0): 1}),  # an arc either way on one v-vertex
         # exponents past the 4,300 digits Python converts to text in one go
         Poly1({2**15000 + 1: 2, 3: 1}), Poly2({(2**15000, 2**14300 + 4): 1, (0, 0): 1}),
@@ -563,15 +587,15 @@ def test_decoded_text_edge_cases():
     for p in polys:
         assert first_difference(decoded_text(p), natural_text(p)) is None, p
     edges = json.loads(decoded_text(Poly1({1: 12, 0: 2})))["edges"]
-    assert [u for u, _ in edges] == [f"0|{k}" for k in (1, 10, 11, 12, 2, 3, 4, 5, 6, 7, 8, 9)]
+    assert [u for u, _ in edges] == [f"0|{k}" for k in range(1, 13)]
     doc = json.loads(decoded_text(Poly1({5: 1, 50: 2})))
     assert doc["u"] == ["0|1", "0|2", "1|1"]
     assert [u for u, _ in doc["edges"]] == ["0|1"] * 3 + ["0|2"] * 3 + ["1|1"] * 2
     assert doc["labels"] == {"0": 0, "1": 1, "2": 2, "4": 4, "5": 5}
-    # The term x**e is at rank 12 - e; rank 10's id sorts before rank 1's.
+    # The term x**e is at rank 12 - e; ranks come in numeric order, though
+    # rank 10's id sorts before rank 2's as text.
     doc = json.loads(decoded_text(Poly2({(e, 1): 1 for e in range(1, 13)})))
-    assert list(dict.fromkeys(e["u"] for e in doc["edges"])) == [
-        "0|1", "10|1", "11|1", "1|1", "2|1", "3|1", "4|1", "5|1", "6|1", "7|1", "8|1", "9|1"]
+    assert list(dict.fromkeys(e["u"] for e in doc["edges"])) == [f"{i}|1" for i in range(12)]
     assert decoded_text(Poly1({})) == dumps({"u": [], "v": [], "edges": [], "labels": {}})
     with pytest.raises(TypeError):
         decoded_text(decode(Poly1({1: 1})))
@@ -579,6 +603,7 @@ def test_decoded_text_edge_cases():
 
 PEAK_OF_A_WRITE = """
 import random
+import sys
 from bigraphpoly import Poly1
 from bigraphpoly.fileio import decoded_text
 
@@ -588,8 +613,10 @@ def peak():
         return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
 
 
+terms, copies = map(int, sys.argv[1:])
 rng = random.Random(0)
-p = Poly1({sum(1 << b for b in rng.sample(range(3000), 300)): 24 for _ in range(100)})
+p = Poly1({sum(1 << b for b in rng.sample(range(3000), 300)): copies for _ in range(terms)})
+assert len(p.terms) == terms
 before = peak()
 text = decoded_text(p)
 print(len(text), (peak() - before) * 1024)
@@ -615,25 +642,40 @@ def test_decoded_u_ids_are_bounded_by_the_term_count():
     assert len(doc["edges"]) == 10**5 and max(map(len, doc["u"])) == 4
 
 
+def peak_of_a_write(terms, copies):
+    """The length of decoded_text of terms terms, each on 300 random bits
+    below 3,000 with copies copies, and the rise of the peak RSS it took,
+    read from the kernel's VmHWM in a child process, as its ru_maxrss
+    starts at the peak of the process it was forked from."""
+    if not Path("/proc/self/status").exists():
+        pytest.skip("needs /proc/self/status")
+    proc = subprocess.run([sys.executable, "-c", PEAK_OF_A_WRITE, str(terms), str(copies)],
+                          capture_output=True, text=True, env=package_env())
+    assert proc.returncode == 0, proc.stderr
+    return tuple(map(int, proc.stdout.split()))
+
+
 def test_decoded_text_copies_a_large_file_about_twice():
     """100 terms, each on 300 of 3,000 v-vertices, with 24 copies each:
     2,400 u-vertices and 720,000 edges write about 29 MB, nearly all of it
     the edges.  Each u-vertex's edges are one join and the file one more,
     so the peak RSS rises by about twice the text's length and at most 3.5
     times; a writer that copies the text again at each level of nesting
-    rises about 5 times.
-    The peak is the kernel's VmHWM of the child, as its ru_maxrss starts at
-    the peak of the process it was forked from."""
-    if not Path("/proc/self/status").exists():
-        pytest.skip("needs /proc/self/status")
-    here = str(Path(bigraphpoly.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [here, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", PEAK_OF_A_WRITE], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path})
-    assert proc.returncode == 0, proc.stderr
-    length, rise = map(int, proc.stdout.split())
+    rises about 5 times."""
+    length, rise = peak_of_a_write(100, 24)
     assert 25e6 < length < 32e6
     assert rise <= 3.5 * length, (length, rise)
+
+
+def test_decoded_text_of_many_distinct_terms_rises_about_twice():
+    """2,000 distinct terms, each on 300 of 3,000 v-vertices, write about
+    25 MB.  Each term's bits are read while its edges are written, so the
+    peak RSS rises by about twice the text's length, as with few terms of
+    many copies; a writer that holds every term's bit set at once rose
+    more than 3 times."""
+    length, rise = peak_of_a_write(2000, 1)
+    assert 23e6 < length < 27e6
+    assert rise <= 2.5 * length, (length, rise)
 
 
 def test_document_for_rejects_unknown_types():

@@ -5,7 +5,7 @@ names say, its division row reads back the quotient, its binomial row
 lists the pairs of (1 + x)^12, its canonical rows answer within their
 budget, the 16-fold chain's irreducibility row answers inconclusive, the
 wide chain, sparse product, chain canonical form, star, sweep, directed
-product and decoded text rows answer on smaller sizes of their inputs, and
+product and writer rows answer on smaller sizes of their inputs, and
 a row that runs out of its budget prints budget as its answer."""
 
 import importlib.util
@@ -142,6 +142,31 @@ def test_the_decoded_text_row_prints_the_size_of_the_file(capsys):
     tool._run("decoded_text wide100x1000")
     out = capsys.readouterr().out.split()
     assert out[:2] == ["decoded_text", "wide100x1000"] and out[6:] == ["4.3", "MB"]
+
+
+@pytest.mark.parametrize("row, full, answer", [
+    ("graph_text product30", "product100", ["0.2", "MB"]),
+    ("net_text netproduct30", "netproduct97", ["0.3", "MB"]),
+])
+def test_the_writer_rows_print_the_size_of_the_file_on_smaller_sizes(capsys, row, full, answer):
+    """Smaller sizes of the graph_text product100 and net_text netproduct97
+    inputs, run in this process: the product of two 30-u graphs, 900
+    u-vertices under its natural labeling, and the pointed product of two
+    30-event nets on 8 conditions each, 31 * 31 - 1 events on 16
+    conditions."""
+    tool = load_tool()
+    call, name = row.split()
+    assert f"{call} {full}" in tool._ROWS
+    args = tool._input(name, call)
+    if call == "graph_text":
+        g, labels = args
+        assert len(g.u_vertices) == 900 and labels == g.natural_labeling
+    else:
+        (net,) = args
+        assert (len(net.events), len(net.conditions)) == (960, 16)
+    tool._run(row)
+    out = capsys.readouterr().out.split()
+    assert out[:2] == row.split() and out[6:] == answer
 
 
 def test_the_chain_canonical_row_answers_on_a_smaller_size(capsys):

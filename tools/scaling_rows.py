@@ -1,7 +1,8 @@
 """Wall time and peak RSS of the scaling rows: the net and bit-disjoint
 routes, dense and sparse products, isomorphism on a regular input and on
 products, the canonical form of a product, the exhaustive irreducibility
-sweep, a directed product and the file of a wide decoding.
+sweep, a directed product and the files of a wide decoding, a product
+graph and a product net.
 
 Each row runs in a fresh Python subprocess against the package in the src
 directory next to this tool.  The subprocess builds its input, which is not
@@ -35,7 +36,9 @@ The rows:
 * wide100x1000 is bit_disjoint_factor on 100 terms, each exponent 1,000
   random bits of 10**4 (random.Random(0));
 * decoded_text wide1000x1000 writes the graph file of the decoding of 1,000
-  such terms: 10**6 edges.  The row prints the text's size in MB;
+  such terms: 10**6 edges.  The row prints the text's size in MB, as do
+  the two rows of the other writers, graph_text product100 and net_text
+  netproduct97 below;
 * sparse64x3 is bit_disjoint_factor on 64 terms, each exponent 3 random
   bits below 10**6 (random.Random(0));
 * sparseprod is bit_disjoint_factor on a product of two sparse Poly1
@@ -80,6 +83,12 @@ The rows:
   same two 100-u graphs with both labeled 0..5: 10**4 u-vertices on 7
   v-vertices in 123 classes, whose labeling walk costs what the 123 terms
   cost;
+* graph_text product100 writes the graph file of the 10**4-u product of
+  the productN rows at N = 100, under its natural labeling;
+* net_text netproductN writes the net file of the pointed product of two
+  random N-event nets on 8 conditions each, each event's pre and post set
+  holding each condition at probability 0.5 (random.Random(0)), for
+  N = 97: 98 * 98 - 1 = 9,603 events;
 * binomialN is factor_pairs on (1 + x)**N, for N = 12 and 14 (6 and 7
   pairs): the coefficient search on a dense support with a repeated
   factor, its worst case;
@@ -115,7 +124,8 @@ _ROWS = [
     "mul dense900x12", "mul dense2750x14", "mul dense9250x16", "mul dense300x14",
     "mul sparse300x15", "mul sparse64x20", "divide_exact dense9250x16",
     "is_isomorphic cycle64", "is_isomorphic product100", "is_isomorphic product300",
-    "is_isomorphic product1000", "canonical_poly product100",
+    "is_isomorphic product1000", "canonical_poly product100", "graph_text product100",
+    "net_text netproduct97",
     "canonical_poly cycle9", "canonical_poly cycle10", "canonical_poly chain6",
     "factor_pairs binomial12", "factor_pairs binomial14",
     "graph_factor_pairs star18", "is_irreducible sweep8", "poly_product digraph100",
@@ -189,7 +199,16 @@ def _input(name, call=None):
         shift = 0 if call == "canonical_poly" else 6
         g = bp.poly_product(g1, {v: j for j, v in enumerate(vs)}, g2,
                             {v: shift + j for j, v in enumerate(vs)})
-        return (g,) if call == "canonical_poly" else (g, g)
+        return {"canonical_poly": (g,), "graph_text": (g, g.natural_labeling)}.get(call, (g, g))
+    if name.startswith("netproduct"):
+        events = range(int(name[10:]))
+        nets = []
+        for tag in "ab":
+            conds = [f"{tag}{i}" for i in range(8)]
+            pre, post = ({e: [c for c in conds if rng.random() < 0.5] for e in events}
+                         for _ in range(2))
+            nets.append(bp.PetriNet(conds, events, pre, post))
+        return (bp.net_product(*nets),)
     if name.startswith("star"):
         vs = range(1, int(name[4:]) + 1)
         g = bp.DiBigraph([0], vs, [(0, v) for v in vs])
@@ -225,12 +244,13 @@ def _run(row):
         BudgetExceededError, bit_disjoint_factor, canonical_poly, decompose, divide_exact,
         factor_pairs, is_irreducible, is_isomorphic, mul, poly_product,
     )
-    from bigraphpoly.fileio import decoded_text
+    from bigraphpoly.fileio import decoded_text, graph_text, net_text
     from bigraphpoly.graphfactor import graph_factor_pairs
 
     call, name = row.split()
     calls = [bit_disjoint_factor, canonical_poly, decoded_text, decompose, divide_exact,
-             factor_pairs, graph_factor_pairs, is_irreducible, is_isomorphic, mul, poly_product]
+             factor_pairs, graph_factor_pairs, graph_text, is_irreducible, is_isomorphic, mul,
+             net_text, poly_product]
     function = next(f for f in calls if f.__name__ == call)
     args = _input(name, call)
     options = {"exhaustive": True} if name.startswith("sweep") else {}
@@ -248,7 +268,7 @@ def _run(row):
         size = f"{len(out.terms)} terms"
     elif call == "poly_product":
         size = f"{len(out._classes)} terms"  # one class per term of its encoding
-    elif call == "decoded_text":
+    elif call in ("decoded_text", "graph_text", "net_text"):
         size = f"{len(out) / 1e6:.1f} MB"
     elif call == "is_isomorphic":
         size = "not isomorphic" if out is None else "isomorphic"
