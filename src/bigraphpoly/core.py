@@ -598,24 +598,22 @@ def poly_sum(g1, l1, g2, l2):
     return decode(add(encode(g1, l1), encode(g2, l2)), type(g1))
 
 
-def _pairs(g1, g2, row):
+def _pairs(g1, g2, table):
     """The id rule of a product of g1 and g2: it gives (a, b) -> the slots
     of the pair for every u-pair, a's pairs in g2's u order, g1's
-    u-vertices in order.  row(s) maps each class of g2 to the slots of its
-    pairs with class s of g1, and is called once per class s.  For nets
-    each side also offers its idle event None, last, in the class of empty
-    slots, so an event may fire alone; the all-idle pair is left out."""
+    u-vertices in order.  table() builds {class of g1: {class of g2: slots
+    of their pairs}}, and is called once, when a per-u view is first read.
+    For nets each side also offers its idle event None, last, in the class
+    of empty slots, so an event may fire alone; the all-idle pair is left
+    out."""
     def ids():
         sig1, sig2 = g1._per_u(), g2._per_u()
         if g1.idle:
             sig1, sig2 = {**sig1, None: g1._empty}, {**sig2, None: g1._empty}
-        rows = {}
+        rows = table()
         sig = {}
         for a, s in sig1.items():
-            joined = rows.get(s)
-            if joined is None:
-                joined = rows[s] = row(s).__getitem__
-            sig.update(zip(zip(repeat(a), sig2), map(joined, sig2.values())))
+            sig.update(zip(zip(repeat(a), sig2), map(rows[s].__getitem__, sig2.values())))
         if g1.idle:
             del sig[None, None]
         return sig
@@ -638,13 +636,13 @@ def direct_product(g1, l1, g2, l2):
     d1, d2 = dict(zip(g1._classes, k1)), dict(zip(g2._classes, k2))
     supports = {}  # filled by the decoding with every sum of a class pair
 
-    def row(s):
-        x = d1[s]
+    def table():
         if g1.arity == 1:
-            return {t: supports[x + y][0] for t, y in d2.items()}
-        return {t: supports[x[0] + y[0], x[1] + y[1]][0] for t, y in d2.items()}
+            return {s: {t: supports[x + y][0] for t, y in d2.items()} for s, x in d1.items()}
+        return {s: {t: supports[x[0] + y[0], x[1] + y[1]][0] for t, y in d2.items()}
+                for s, x in d1.items()}
 
-    return _decode(poly_key(mul(p1, p2)), type(g1), supports, _pairs(g1, g2, row))
+    return _decode(poly_key(mul(p1, p2)), type(g1), supports, _pairs(g1, g2, table))
 
 
 def _renamed(classes, name):
@@ -706,7 +704,7 @@ def plain_product(g1, g2):
         row = table[s] = {t: tuple(map(frozenset.union, a, b)) for t, b in r2.items()}
         classes.update(zip(row.values(), [c1[s] * c for c in c2.values()]))
     vs = (*names[0].values(), *names[1].values())
-    return type(g1)._build(vs, classes, _pairs(g1, g2, table.__getitem__))
+    return type(g1)._build(vs, classes, _pairs(g1, g2, lambda: table))
 
 
 def plain_coproduct(g1, g2):

@@ -122,58 +122,56 @@ def is_irreducible(
     scopes its verdict to it.  Exhaustive mode answers for every labeling by
     0..|v|-1.  No labeling splits a graph with a v-vertex no edge meets,
     and a split of a digraph or net is a partition of its v part, so there
-    one compact labeling answers for all of them.  On an undirected graph
-    with every v-vertex on an edge, the sweep walks those labelings as
-    canonical_poly does, with no bound, and searches each distinct encoding
-    once, the compact one first; "irreducible" says nothing about labels
-    past |v|-1.  A graph whose every u-vertex has a neighbour has p(0) = 0,
-    so with every v-vertex on an edge and degree 2 or more, its first
-    encoding already splits off x: ((1, 1),) is the least poly_key of a
-    nonconstant half, and the trivial split of p / x**m shifted once gives
-    it, so factor_graph's first pair is (x, p / x).  Both modes answer from
-    that pair with no search, charged as one emitted pair, its halves
-    made by the decoder the searches' pairs are read with.
-    Whether every v-vertex meets an edge does not depend on the labeling,
-    so it is tested once, on the first encoding; a digraph or net is
-    searched through _key_pairs, on the ranks of its labels, and each
-    encoding of a graph goes straight to the coefficient search.  Only
-    the first pair a search emits is decoded, by _read, with each rank
-    named by its label.  The walk and the searches share one
-    allowance: the walk charges each state it builds one step and two per
-    distinct term of its parent, and each encoding costs at least the
-    divisor scan of p(1).
-    Running out gives "inconclusive".  p(1) and p(0) are the same under
-    every labeling, so when p(0) >= 1 and they admit no split's values
+    one compact labeling answers for all of them: a digraph or net answers
+    from one _key_pairs call, on the ranks of its labels.  A graph goes
+    from its encoding through the answers fixed before any search to the
+    walk.  Whether every v-vertex meets an edge does not depend on the
+    labeling, so it is tested once, on the first encoding.  A graph whose
+    every u-vertex has a neighbour has p(0) = 0, so with every v-vertex on
+    an edge and degree 2 or more, its first encoding already splits off x:
+    ((1, 1),) is the least poly_key of a nonconstant half, and the trivial
+    split of p / x**m shifted once gives it, so factor_graph's first pair
+    is (x, p / x).  Both modes answer from that pair with no search,
+    charged as one emitted pair.  p(1) and p(0) are the same under every
+    labeling, so when p(0) >= 1 and they admit no split's values
     (_values_split), the sweep answers "irreducible" before the walk.
+    Otherwise the sweep walks the labelings as canonical_poly does, with
+    no bound, and searches each distinct encoding once by _factor_pairs,
+    the compact one first; "irreducible" says nothing about labels past
+    |v|-1.  Every witness, the fixed pair included, is the first key pair
+    of its list made into halves by _read, with each rank named by its
+    label.  The walk and the searches share one allowance: the walk
+    charges each state it builds one step and two per distinct term of its
+    parent, and each encoding costs at least the divisor scan of p(1).
+    Running out gives "inconclusive".
     """
     scope = "compact-labelings" if exhaustive else "labeling"
     meter = _Meter(budget)
     lab = compact_labeling(g) if exhaustive or labeling is None else labeling
-    # A digraph or net is searched by _key_pairs, off its classes.
-    p = encode(g, lab) if g.arity == 1 else None
-    encodings = [(p, lab)]
+
+    def report(lab, pairs, names=None):
+        # The verdict of a search's sorted key pairs; the first is the witness.
+        witness = (lab, _read(pairs[:1], _decoder(type(g), names))[0]) if pairs else None
+        return IrreducibilityReport("reducible" if pairs else "irreducible", scope, witness)
+
     try:
-        if p is not None:
-            # Whether every v-vertex meets an edge does not depend on the
-            # labeling, so it is tested once.
-            if not p or len(tau_poly(p)) != len(g.v_vertices):
-                return IrreducibilityReport("irreducible", scope)
-            if exhaustive:
-                meter.search = f"the sweep over the labelings of {len(g.v_vertices)} v-vertices"
-                encodings = _encodings(g, meter, meter.search, least=False)
-            if not p.constant_coeff() and p.degree >= 2:
-                meter.charge(1 + len(p.terms), "emitting the factors")
-                rest = tuple([(e - 1, c) for e, c in p.terms.items()])
-                make = _decoder(type(g))
-                pair = make(((1, 1),)), make(rest)
-                return IrreducibilityReport("reducible", scope, (lab, pair))
-            if exhaustive and p.constant_coeff() and not _values_split(p, meter):
-                return IrreducibilityReport("irreducible", scope)
+        if g.arity > 1:
+            return report(lab, *_key_pairs(g, lab, meter))
+        p = encode(g, lab)
+        if not p or len(tau_poly(p)) != len(g.v_vertices):
+            return report(lab, [])
+        encodings = [(p, lab)]
+        if exhaustive:
+            meter.search = f"the sweep over the labelings of {len(g.v_vertices)} v-vertices"
+            encodings = _encodings(g, meter, meter.search, least=False)
+        if not p.constant_coeff() and p.degree >= 2:
+            meter.charge(1 + len(p.terms), "emitting the factors")
+            return report(lab, [(((1, 1),), tuple([(e - 1, c) for e, c in p.terms.items()]))])
+        if exhaustive and p.constant_coeff() and not _values_split(p, meter):
+            return report(lab, [])
         for p, lab in encodings:
-            pairs, names = (_factor_pairs(p, meter), None) if p else _key_pairs(g, lab, meter)
-            if pairs:
-                pair = _read(pairs[:1], _decoder(type(g), names))[0]
-                return IrreducibilityReport("reducible", scope, (lab, pair))
+            if pairs := _factor_pairs(p, meter):
+                return report(lab, pairs)
     except BudgetExceededError as e:
         return IrreducibilityReport("inconclusive", scope, detail=str(e))
-    return IrreducibilityReport("irreducible", scope)
+    return report(lab, [])

@@ -655,7 +655,7 @@ def _bit_disjoint_factor(terms, holders, meter):
     # point is charged its terms before they are evaluated.
     values = list(terms.values())
     total = sum(values)
-    top = 2 + 2 * total.bit_length() // 61
+    top_power = 2 + 2 * total.bit_length() // 61
     modulus = total * total + 1
     if modulus > _PRIME:
         modulus = _PRIME
@@ -665,7 +665,7 @@ def _bit_disjoint_factor(terms, holders, meter):
     while True:
         meter.charge(len(terms), "the dependency test")
         if draw:
-            modulus = _PRIME ** min(draw, top)
+            modulus = _PRIME ** min(draw, top_power)
             values = [v % modulus for v in terms.values()]
             for z, rows in zip(next(points), holders):
                 for i in tau(rows):

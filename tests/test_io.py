@@ -339,7 +339,9 @@ def test_string_ids_are_unique_and_whitespace_free():
 def test_string_ids_of_decoded_u_vertices_match_fmt_id():
     """string_ids writes a pair of ints, such as a decoded u-vertex, on a
     path of its own; the text must be _fmt_id's, collisions, bools and
-    negative ints included."""
+    negative ints included, as it must be for the event ids of a 13-fold
+    product, 12 pairs nested one in another, whose shared components
+    string_ids formats once each."""
     a, b = frozenset({0, 2}), frozenset({1})
     ids = [(0, 1), (0, 2), (12, 3), (0, True), (True, 1), "0|1", (-1, 2), (a, 1),
            (None, 1), ((a, "x"), 1), ((a, b, a), 1), (3, 4)]
@@ -358,6 +360,22 @@ def test_string_ids_of_decoded_u_vertices_match_fmt_id():
         g = decode_directed(encode(base, random_labeling(rng, base.v_vertices, 6)))
         ids = list(g.u_vertices) + list(g.v_vertices)
         assert list(string_ids(ids).values()) == [_fmt_id(x) for x in ids]
+    one = net = PetriNet(["c0", "c1"], ["e"], pre={"e": ["c0"]}, post={"e": ["c1"]})
+    for _ in range(12):
+        net = net_product(net, one)
+    ids = list(net.events) + list(net.conditions)
+    assert len(ids) == 2**13 - 1 + 26
+    assert list(string_ids(ids).values()) == [_fmt_id(x) for x in ids]
+
+
+def test_string_ids_keeps_equal_components_of_different_text_apart():
+    """(1.0, 2) and (1, 2) are equal and equally hashed, so a memo keyed by
+    the component's value would write both ids with the text of the first;
+    string_ids keys its memo by the component object."""
+    assert (1.0, 2) == (1, 2) and hash((1.0, 2)) == hash((1, 2))
+    assert string_ids([((1.0, 2), "x"), ((1, 2), "y")]) == {
+        ((1.0, 2), "x"): "1.0|2|x", ((1, 2), "y"): "1|2|y",
+    }
 
 
 def test_dumps_is_deterministic_with_trailing_newline():

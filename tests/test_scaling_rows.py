@@ -5,8 +5,9 @@ names say, its division row reads back the quotient, its binomial row
 lists the pairs of (1 + x)^12, its canonical rows answer within their
 budget, the 16-fold chain's irreducibility row answers inconclusive, the
 wide chain, sparse product, chain canonical form, star, sweep, directed
-product and writer rows answer on smaller sizes of their inputs, and
-a row that runs out of its budget prints budget as its answer."""
+product, writer, encoded digraph product, nested net file and search rows
+answer on smaller sizes of their inputs, and a row that runs out of its
+budget prints budget as its answer."""
 
 import importlib.util
 import subprocess
@@ -217,3 +218,66 @@ def test_the_directed_product_row_keeps_the_pair_loop():
     in the packed stride that mul's gate keeps the pair loop."""
     g1, l1, g2, l2 = load_tool()._input("digraph100", "poly_product")
     assert poly._packed(encode(g1, l1), encode(g2, l2)) is None
+
+
+@pytest.mark.parametrize("name, full, packed, terms", [
+    ("densedigraph200x6", "densedigraph1000x6", True, 8265),
+    ("sparsedigraph200x8", "sparsedigraph1000x8", False, 31844),
+])
+def test_the_directed_mul_rows_answer_on_smaller_sizes(capsys, monkeypatch, name, full,
+                                                       packed, terms):
+    """Smaller sizes of the mul rows on encoded digraphs, run in this
+    process: two 200-u digraphs on 6 v-vertices pack, on 8 keep the pair
+    loop, and the product is the pair loop's either way."""
+    tool = load_tool()
+    assert f"mul {full}" in tool._ROWS
+    p, q = tool._input(name)
+    assert isinstance(p, bigraphpoly.Poly2) and (poly._packed(p, q) is not None) == packed
+    tool._run(f"mul {name}")
+    out = capsys.readouterr().out.split()
+    assert out[:2] == ["mul", name] and out[6:] == [str(terms), "terms"]
+    product = mul(p, q)
+    monkeypatch.setattr(poly, "_byte_limit", lambda pairs: 0)
+    assert poly._packed(p, q) is None and mul(p, q) == product
+
+
+def test_the_nested_net_text_row_answers_on_a_smaller_size(capsys):
+    """A smaller size of the net_text chain13 input, run in this process:
+    the 8-fold chain has 2**8 - 1 events, each id 7 pairs nested one in
+    another."""
+    tool = load_tool()
+    assert "net_text chain13" in tool._ROWS
+    (net,) = tool._input("chain8", "net_text")
+    assert len(net.events) == 2**8 - 1
+    depth, e = 0, net.events[0]
+    while isinstance(e, tuple):
+        depth, e = depth + 1, e[0]
+    assert depth == 7
+    tool._run("net_text chain8")
+    out = capsys.readouterr().out.split()
+    assert out[:2] == ["net_text", "chain8"] and out[6:] == ["0.1", "MB"]
+
+
+@pytest.mark.parametrize("row, full, answer", [
+    ("factor_pairs binomial8", "binomial16", ["4", "pairs"]),
+    ("is_isomorphic cycle16", "cycle128", ["not", "isomorphic"]),
+    ("is_irreducible binomial8", "binomial12", ["reducible"]),
+    ("canonical_poly product10x12", "product100x12", ["56", "terms"]),
+])
+def test_the_search_rows_answer_on_smaller_sizes(capsys, row, full, answer):
+    """Smaller sizes of the binomial, 128-cycle, single-labeling
+    irreducibility and 12-v canonical rows, run in this process: (1 + x)^8
+    splits 4 ways, and its decoding's compact encoding is itself, with
+    p(0) = 1, so the verdict comes from the search."""
+    tool = load_tool()
+    call, name = row.split()
+    assert f"{call} {full}" in tool._ROWS
+    if call == "is_irreducible":
+        (g,) = tool._input(name, call)
+        assert encode(g, bigraphpoly.compact_labeling(g)).constant_coeff() == 1
+    if call == "canonical_poly":
+        (g,) = tool._input(name, call)
+        assert len(g.v_vertices) == 12
+    tool._run(row)
+    out = capsys.readouterr().out.split()
+    assert out[:2] == row.split() and out[6:] == answer

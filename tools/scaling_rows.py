@@ -1,8 +1,9 @@
 """Wall time and peak RSS of the scaling rows: the net and bit-disjoint
 routes, dense and sparse products, isomorphism on a regular input and on
 products, the canonical form of a product, the exhaustive irreducibility
-sweep, a directed product and the files of a wide decoding, a product
-graph and a product net.
+sweep and a single-labeling verdict that searches, a directed product,
+products of encoded digraphs on both sides of mul's gate and the files of
+a wide decoding, a product graph, a product net and a 13-fold chain.
 
 Each row runs in a fresh Python subprocess against the package in the src
 directory next to this tool.  The subprocess builds its input, which is not
@@ -63,14 +64,21 @@ The rows:
   pairs, the second would pack into 128 KB and keeps the pair loop;
 * sparse64x20 is mul of two such Poly1 of 64 draws below 2**20, far on
   the pair-loop side of mul's gate;
+* densedigraph1000x6 and sparsedigraph1000x8 are mul of the encodings of
+  two random 1,000-u digraphs on W v-vertices, each arc in either
+  direction at probability 0.3 (random.Random(0)), both labeled 0..W-1:
+  Poly2 operands of 656 and 662 terms for W = 6, which mul packs, and of
+  943 and 925 terms for W = 8, where the gate keeps the pair loop though
+  packing is faster there.  As for the Poly1 rows, dense and sparse name
+  the side of the gate;
 * divide_exact dense9250x16 divides mul(p, q) by q, where p has 9,250
   draws of a term below 2**16 and q 60 draws below 2**6, each with a
   coefficient from 1 to 9 (random.Random(0)): about 65,000 terms on
   8,716 quotient terms.  The product is built untimed, and the row prints
   the quotient's term count;
-* cycle64 is is_isomorphic on the 64-cycle against two 32-cycles, where
-  refinement splits nothing and no coloring is discrete until the search
-  branches;
+* cycleN for N = 64 and 128 is is_isomorphic on the N-cycle against two
+  N/2-cycles, where refinement splits nothing and no coloring is discrete
+  until the search branches;
 * cycleN for N = 9 and 10 is canonical_poly on the N-cycle, u-vertex i on
   v-vertices i and i + 1 mod N: a symmetric input, the labeling walk's
   heavy tail;
@@ -82,16 +90,24 @@ The rows:
 * canonical_poly product100 is the canonical form of the product of the
   same two 100-u graphs with both labeled 0..5: 10**4 u-vertices on 7
   v-vertices in 123 classes, whose labeling walk costs what the 123 terms
-  cost;
+  cost; product100x12 is the same product with the second graph labeled
+  6..11, as in the productN rows: 12 v-vertices, whose walk runs out of
+  its budget;
 * graph_text product100 writes the graph file of the 10**4-u product of
   the productN rows at N = 100, under its natural labeling;
 * net_text netproductN writes the net file of the pointed product of two
   random N-event nets on 8 conditions each, each event's pre and post set
   holding each condition at probability 0.5 (random.Random(0)), for
   N = 97: 98 * 98 - 1 = 9,603 events;
-* binomialN is factor_pairs on (1 + x)**N, for N = 12 and 14 (6 and 7
-  pairs): the coefficient search on a dense support with a repeated
-  factor, its worst case;
+* net_text chain13 writes the net file of the 13-fold chain: 8,191 events
+  whose ids are 12 pairs nested one in another, whose shared components
+  string_ids formats once each;
+* binomialN is factor_pairs on (1 + x)**N, for N = 12, 14 and 16 (6, 7
+  and 8 pairs; N = 16 runs out of its budget): the coefficient search on
+  a dense support with a repeated factor, its worst case;
+  is_irreducible binomial12 is the single-labeling verdict on the
+  decoding of (1 + x)**12, whose compact encoding is that polynomial:
+  p(0) = 1, so no fixed answer applies and the search runs;
 * starN is graph_factor_pairs on the digraph of one u-vertex with arcs to
   N v-vertices, for N = 18: one term, whose 2**(N - 1) - 1 pairs (131,071)
   are every split of its v part in two, so the row measures what reading
@@ -122,12 +138,14 @@ _ROWS = [
     "bit_disjoint_factor hugecoeff64", "decoded_text wide1000x1000",
     "bit_disjoint_factor miss7",
     "mul dense900x12", "mul dense2750x14", "mul dense9250x16", "mul dense300x14",
-    "mul sparse300x15", "mul sparse64x20", "divide_exact dense9250x16",
-    "is_isomorphic cycle64", "is_isomorphic product100", "is_isomorphic product300",
-    "is_isomorphic product1000", "canonical_poly product100", "graph_text product100",
-    "net_text netproduct97",
+    "mul sparse300x15", "mul sparse64x20", "mul densedigraph1000x6", "mul sparsedigraph1000x8",
+    "divide_exact dense9250x16", "is_isomorphic cycle64", "is_isomorphic cycle128",
+    "is_isomorphic product100", "is_isomorphic product300", "is_isomorphic product1000",
+    "canonical_poly product100", "canonical_poly product100x12", "graph_text product100",
+    "net_text netproduct97", "net_text chain13",
     "canonical_poly cycle9", "canonical_poly cycle10", "canonical_poly chain6",
-    "factor_pairs binomial12", "factor_pairs binomial14",
+    "factor_pairs binomial12", "factor_pairs binomial14", "factor_pairs binomial16",
+    "is_irreducible binomial12",
     "graph_factor_pairs star18", "is_irreducible sweep8", "poly_product digraph100",
 ]
 
@@ -160,7 +178,9 @@ def _input(name, call=None):
             net = bp.net_product(net, one)
         if name.endswith("wide"):
             return net, {c: i * 10**6 for i, c in enumerate(net.conditions)}
-        return (net,) if call == "canonical_poly" else (net, bp.compact_net_labeling(net))
+        if call in ("canonical_poly", "net_text"):
+            return (net,)
+        return net, bp.compact_net_labeling(net)
     rng = random.Random(0)
     if name == "digraph2000x40":
         us, vs = range(2000), range(2000, 2040)
@@ -179,6 +199,16 @@ def _input(name, call=None):
         return (p * q,)
     if name == "hugecoeff64":
         return (bp.Poly1({e: (2**(10**6) + 1 if e & 4 else 1) for e in range(64)}),)
+    if name.startswith(("digraph", "densedigraph", "sparsedigraph")):
+        size, _, width = name.partition("digraph")[2].partition("x")
+        us, vs = range(int(size)), [f"v{j}" for j in range(int(width or 6))]
+        g1, g2 = (bp.DiBigraph(us, vs, [a for u in us for v in vs for a in ((v, u), (u, v))
+                                        if rng.random() < 0.3])
+                  for _ in range(2))
+        labels = {v: j for j, v in enumerate(vs)}
+        if name.startswith("digraph"):
+            return g1, labels, g2, {v: 6 + j for j, v in enumerate(vs)}
+        return bp.encode(g1, labels), bp.encode(g2, labels)
     if name.startswith(("dense", "sparse")):
         draws, bits = map(int, name.removeprefix("dense").removeprefix("sparse").split("x"))
         if call == "divide_exact":
@@ -193,10 +223,11 @@ def _input(name, call=None):
             return (_cycles(n),)
         return tuple(_cycles(*sizes) for sizes in ((n,), (n // 2, n // 2)))
     if name.startswith("product"):
-        us, vs = range(int(name[7:])), ["v0", "v1", "v2", "v3", "v4", "v5"]
+        size, _, width = name[7:].partition("x")
+        us, vs = range(int(size)), ["v0", "v1", "v2", "v3", "v4", "v5"]
         g1, g2 = (bp.Bigraph(us, vs, [(u, v) for u in us for v in vs if rng.random() < 0.4])
                   for _ in range(2))
-        shift = 0 if call == "canonical_poly" else 6
+        shift = 0 if call == "canonical_poly" and not width else 6
         g = bp.poly_product(g1, {v: j for j, v in enumerate(vs)}, g2,
                             {v: shift + j for j, v in enumerate(vs)})
         return {"canonical_poly": (g,), "graph_text": (g, g.natural_labeling)}.get(call, (g, g))
@@ -219,15 +250,9 @@ def _input(name, call=None):
         edges = [(rng.choice(us), v) for v in vs]
         edges += [(u, v) for u in us for v in vs if rng.random() < 0.5]
         return (bp.Bigraph([*us, "u5"], vs, edges),)
-    if name.startswith("digraph"):
-        us, vs = range(int(name[7:])), ["v0", "v1", "v2", "v3", "v4", "v5"]
-        g1, g2 = (bp.DiBigraph(us, vs, [a for u in us for v in vs for a in ((v, u), (u, v))
-                                        if rng.random() < 0.3])
-                  for _ in range(2))
-        return g1, {v: j for j, v in enumerate(vs)}, g2, {v: 6 + j for j, v in enumerate(vs)}
     if name.startswith("binomial"):
-        n = int(name[8:])
-        return (bp.Poly1({e: comb(n, e) for e in range(n + 1)}),)
+        p = bp.Poly1({e: comb(int(name[8:]), e) for e in range(int(name[8:]) + 1)})
+        return (bp.decode(p),) if call == "is_irreducible" else (p,)
     if name == "miss7":
         p = bp.Poly1({0: 1})
         for k in range(7):
